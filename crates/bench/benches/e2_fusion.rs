@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ct_bench::byte_workload;
-use ct_wire::checksum::internet_checksum_unrolled;
-use ct_wire::copy::copy_words_unrolled;
+use ct_wire::checksum::internet_checksum;
+use ct_wire::copy::copy_bytes;
 use ct_wire::fused::copy_and_checksum;
 use std::hint::black_box;
 
@@ -16,8 +16,8 @@ fn bench(c: &mut Criterion) {
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function("serial_copy_then_checksum", |b| {
             b.iter(|| {
-                copy_words_unrolled(black_box(&src), black_box(&mut dst));
-                black_box(internet_checksum_unrolled(black_box(&dst)))
+                copy_bytes(black_box(&src), black_box(&mut dst));
+                black_box(internet_checksum(black_box(&dst)))
             })
         });
         g.bench_function("fused_copy_and_checksum", |b| {

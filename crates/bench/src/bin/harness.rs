@@ -220,7 +220,7 @@ fn t1_kernels() {
     let r = time_mbps(PACKET_BYTES, || {
         std::hint::black_box(internet_checksum(&src));
     });
-    t.row(&["checksum/internet-rolled".into(), fmt_f(r)]);
+    t.row(&["checksum/internet (wide lanes)".into(), fmt_f(r)]);
     let r = time_mbps(PACKET_BYTES, || {
         std::hint::black_box(internet_checksum_unrolled(&src));
     });
@@ -256,7 +256,7 @@ fn e2_fusion() {
     // regime at the bottom rows (buffers past the LLC).
     let mut t = Table::new(&[
         "working set",
-        "copy",
+        "memcpy",
         "checksum",
         "serial eff.",
         "serial meas.",
@@ -271,13 +271,15 @@ fn e2_fusion() {
     ] {
         let src = byte_workload(size);
         let mut dst = vec![0u8; size];
-        let copy = time_mbps(size, || ct_wire::copy::copy_words_unrolled(&src, &mut dst));
+        // Both sides run the production kernels: `memcpy` (this row's
+        // roofline) and the wide-lane checksum, serially or fused.
+        let copy = time_mbps(size, || ct_wire::copy::copy_bytes(&src, &mut dst));
         let cksum = time_mbps(size, || {
-            std::hint::black_box(internet_checksum_unrolled(&src));
+            std::hint::black_box(internet_checksum(&src));
         });
         let serial_measured = time_mbps(size, || {
-            ct_wire::copy::copy_words_unrolled(&src, &mut dst);
-            std::hint::black_box(internet_checksum_unrolled(&dst));
+            ct_wire::copy::copy_bytes(&src, &mut dst);
+            std::hint::black_box(internet_checksum(&dst));
         });
         let fused = time_mbps(size, || {
             std::hint::black_box(copy_and_checksum(&src, &mut dst));
@@ -657,23 +659,40 @@ fn x2_ilp_stages() {
          separate steps which read the data from memory, possibly convert \
          it, and write it again' — the gap should grow with stage count",
     );
-    let input = byte_workload(PACKET_BYTES);
-    let mut t = Table::new(&["stages", "layered Mb/s", "integrated Mb/s", "speedup"]);
-    for n in 1..=4 {
-        let p = canonical_receive_chain(n, 0xC1A);
-        let lay = time_mbps(PACKET_BYTES, || {
-            std::hint::black_box(p.run_layered(&input));
-        });
-        let int = time_mbps(PACKET_BYTES, || {
-            std::hint::black_box(p.run_integrated(&input));
-        });
-        let names: Vec<&str> = p.stages().iter().map(|s| s.name()).collect();
-        t.row(&[
-            format!("{n}: {}", names.join("+")),
-            fmt_f(lay),
-            fmt_f(int),
-            format!("{}x", fmt_f(int / lay)),
-        ]);
+    // Like E2, the gain is a memory-pass gain: a 4 kB packet stays in L1
+    // through every layered pass, so integration has little to save; a
+    // record past L1 makes each layered pass a trip to L2 or DRAM while
+    // the integrated tile stays cache-resident.
+    let mut t = Table::new(&[
+        "working set",
+        "stages",
+        "layered Mb/s",
+        "integrated Mb/s",
+        "speedup",
+    ]);
+    for (label, size) in [
+        ("4 kB", PACKET_BYTES),
+        ("64 kB", 64 * 1024),
+        ("8 MB", 8 * 1024 * 1024),
+    ] {
+        let input = byte_workload(size);
+        for n in 1..=4 {
+            let p = canonical_receive_chain(n, 0xC1A);
+            let lay = time_mbps(size, || {
+                std::hint::black_box(p.run_layered(&input));
+            });
+            let int = time_mbps(size, || {
+                std::hint::black_box(p.run_integrated(&input));
+            });
+            let names: Vec<&str> = p.stages().iter().map(|s| s.name()).collect();
+            t.row(&[
+                label.into(),
+                format!("{n}: {}", names.join("+")),
+                fmt_f(lay),
+                fmt_f(int),
+                format!("{}x", fmt_f(int / lay)),
+            ]);
+        }
     }
     print!("{}", t.render());
 }
@@ -1156,7 +1175,7 @@ The integrated pass count stays flat at 2 passes per delivered byte\n\
          while the layered chain climbs by 2 per stage: exactly the memory\n\
          traffic \u{a7}6 says dominates. The registry and recorder cost nothing\n\
          when disarmed (the overhead guard in tests/telemetry.rs pins the\n\
-         counters-on fast path under 2% of E2 throughput)."
+         counters-on fast path at a fixed few ns per kernel call)."
     );
 }
 

@@ -8,8 +8,8 @@
 //!   memory pass per stage, materialising an intermediate buffer between
 //!   stages. N stages ⇒ N traversals (reads *and* writes).
 //! * [`Pipeline::run_integrated`] — the ILP engineering: a single traversal
-//!   in which each 4-byte group passes through the whole chain while in
-//!   registers. N stages ⇒ 1 traversal.
+//!   of memory in which each L1-sized tile passes through the whole chain
+//!   while it is cache-resident. N stages ⇒ 1 traversal.
 //!
 //! The two are **bit-identical by construction and by property test**: the
 //! integrated loop is an implementation option, exactly as §6 frames it
@@ -179,9 +179,9 @@ impl Pipeline {
         for s in &self.stages {
             match s {
                 Manipulation::Checksum => {
-                    // A dedicated read-only pass (the unrolled kernel — the
+                    // A dedicated read-only pass (the production kernel — the
                     // layered baseline is competently implemented).
-                    checksums.push(ct_wire::checksum::internet_checksum_unrolled(&data));
+                    checksums.push(ct_wire::checksum::internet_checksum(&data));
                 }
                 Manipulation::Xor { key, offset } => {
                     // A dedicated read-write pass into a fresh buffer
@@ -223,7 +223,7 @@ impl Pipeline {
         for s in &self.stages {
             match s {
                 Manipulation::Checksum => {
-                    checksums.push(ct_wire::ledgered::internet_checksum_unrolled(&data, ledger));
+                    checksums.push(ct_wire::ledgered::internet_checksum(&data, ledger));
                 }
                 Manipulation::Xor { key, offset } => {
                     let cipher = XorStream::new(*key);
@@ -264,155 +264,51 @@ impl Pipeline {
         out
     }
 
-    /// Execute integrated: one traversal; each aligned word runs through
-    /// the entire chain while in registers. Bit-identical to
-    /// [`Pipeline::run_layered`].
+    /// Execute integrated: one traversal of memory, whatever the chain.
+    /// Bit-identical to [`Pipeline::run_layered`].
     ///
-    /// The canonical receive chains are dispatched to *compiled* fused
-    /// kernels (monomorphic loops — §8's "'compiled' implementation of a
-    /// protocol suite"); any other chain runs on a generic one-pass
-    /// interpreter that is still a single traversal but pays per-word
-    /// dispatch.
+    /// The input is walked in 4 KiB tiles. Each tile is moved into the
+    /// output once — the only time its bytes cross the memory bus in either
+    /// direction — and then every stage runs over it in place, with the
+    /// production kernels, while it sits in L1: the paper's "holding the
+    /// data in cache or registers", and the `len` reads + `len` writes that
+    /// [`Pipeline::run_integrated_ledgered`] books.
     pub fn run_integrated(&self, input: &[u8]) -> PipelineOutput {
-        use Manipulation as M;
-        match self.stages.as_slice() {
-            [M::Checksum] => {
-                let mut out = vec![0u8; input.len()];
-                let ck = ct_wire::fused::copy_and_checksum(input, &mut out);
-                return PipelineOutput {
-                    data: out,
-                    checksums: vec![ck],
-                };
-            }
-            [M::Checksum, M::Xor { key, offset }] => {
-                let (out, ck) = fused_ck_xor(input, *key, *offset, false);
-                return PipelineOutput {
-                    data: out,
-                    checksums: vec![ck],
-                };
-            }
-            [M::Checksum, M::Xor { key, offset }, M::Swap32]
-            | [M::Checksum, M::Xor { key, offset }, M::Swap32, M::Copy] => {
-                let (out, ck) = fused_ck_xor(input, *key, *offset, true);
-                return PipelineOutput {
-                    data: out,
-                    checksums: vec![ck],
-                };
-            }
-            _ => {}
-        }
-        self.run_integrated_generic(input)
-    }
-
-    /// The generic single-traversal interpreter behind
-    /// [`Pipeline::run_integrated`].
-    fn run_integrated_generic(&self, input: &[u8]) -> PipelineOutput {
         let n_checksums = self
             .stages
             .iter()
             .filter(|s| matches!(s, Manipulation::Checksum))
             .count();
-        let mut sums = vec![0u64; n_checksums];
-        let mut out = vec![0u8; input.len()];
-        // Pre-instantiate ciphers so the hot loop does no setup.
-        let ciphers: Vec<Option<(XorStream, u64)>> = self
-            .stages
-            .iter()
-            .map(|s| match s {
-                Manipulation::Xor { key, offset } => Some((XorStream::new(*key), *offset)),
-                _ => None,
-            })
-            .collect();
-
-        // Hot loop: 8-byte groups held in a register while the whole chain
-        // runs over them — the "compiled" ILP form of §8. Word order is
-        // big-endian-loaded so checksum halves and 32-bit swaps fall out of
-        // shifts.
-        let full8 = input.len() / 8 * 8;
-        let mut pos = 0usize;
-        while pos < full8 {
-            let mut g = u64::from_be_bytes(input[pos..pos + 8].try_into().expect("sized"));
-            let mut ck_idx = 0usize;
-            for (si, s) in self.stages.iter().enumerate() {
+        // Each entry is the checksum of the tiles so far (0xFFFF: of none).
+        let mut checksums = vec![0xFFFFu16; n_checksums];
+        let mut out = Vec::with_capacity(input.len());
+        for src in input.chunks(TILE) {
+            // TILE is a multiple of 8, so every tile but the last starts and
+            // ends on a Swap32 word and on a 16-bit checksum word.
+            let start = out.len();
+            out.extend_from_slice(src);
+            let tile = &mut out[start..];
+            let mut checksum = checksums.iter_mut();
+            for s in &self.stages {
                 match s {
                     Manipulation::Checksum => {
-                        sums[ck_idx] +=
-                            (g >> 48) + ((g >> 32) & 0xFFFF) + ((g >> 16) & 0xFFFF) + (g & 0xFFFF);
-                        ck_idx += 1;
+                        let ck = checksum.next().expect("one per Checksum stage");
+                        // Resume from the running checksum's complement.
+                        let mut sum = InternetChecksum::new();
+                        sum.update_u16(!*ck);
+                        sum.update(tile);
+                        *ck = sum.finish();
                     }
-                    Manipulation::Xor { .. } => {
-                        let (cipher, offset) = ciphers[si].as_ref().expect("xor slot");
-                        g ^= cipher.keystream_be_u64(offset + pos as u64);
+                    Manipulation::Xor { key, offset } => {
+                        XorStream::new(*key)
+                            .apply_in_place(offset.wrapping_add(start as u64), tile);
                     }
-                    Manipulation::Swap32 => {
-                        let hi = ((g >> 32) as u32).swap_bytes();
-                        let lo = (g as u32).swap_bytes();
-                        g = (u64::from(hi) << 32) | u64::from(lo);
-                    }
+                    Manipulation::Swap32 => ct_wire::swap::swap32_in_place(tile),
+                    // The move into the output already happened.
                     Manipulation::Copy => {}
                 }
             }
-            out[pos..pos + 8].copy_from_slice(&g.to_be_bytes());
-            pos += 8;
         }
-        // One aligned 4-byte word may remain before the byte tail.
-        if input.len() - pos >= 4 {
-            let mut g = u32::from_be_bytes(input[pos..pos + 4].try_into().expect("sized"));
-            let mut ck_idx = 0usize;
-            for (si, s) in self.stages.iter().enumerate() {
-                match s {
-                    Manipulation::Checksum => {
-                        sums[ck_idx] += u64::from(g >> 16) + u64::from(g & 0xFFFF);
-                        ck_idx += 1;
-                    }
-                    Manipulation::Xor { .. } => {
-                        let (cipher, offset) = ciphers[si].as_ref().expect("xor slot");
-                        g ^= cipher.keystream_be_u32(offset + pos as u64);
-                    }
-                    Manipulation::Swap32 => g = g.swap_bytes(),
-                    Manipulation::Copy => {}
-                }
-            }
-            out[pos..pos + 4].copy_from_slice(&g.to_be_bytes());
-            pos += 4;
-        }
-        let full = pos;
-        // Tail: byte stages apply; Swap32 passes the tail through (same as
-        // the layered kernel); checksums absorb the tail with odd-byte
-        // padding handled by the incremental checksum below.
-        let tail_len = input.len() - full;
-        if tail_len > 0 {
-            let mut tail = [0u8; 3];
-            tail[..tail_len].copy_from_slice(&input[full..]);
-            let mut ck_idx = 0usize;
-            for (si, s) in self.stages.iter().enumerate() {
-                match s {
-                    Manipulation::Checksum => {
-                        let mut ck = InternetChecksum::new();
-                        ck.update(&tail[..tail_len]);
-                        sums[ck_idx] += u64::from(!ck.finish());
-                        ck_idx += 1;
-                    }
-                    Manipulation::Xor { .. } => {
-                        let (cipher, offset) = ciphers[si].as_ref().expect("xor slot");
-                        for (k, b) in tail[..tail_len].iter_mut().enumerate() {
-                            *b ^= cipher.keystream_byte(offset + (full + k) as u64);
-                        }
-                    }
-                    Manipulation::Swap32 | Manipulation::Copy => {}
-                }
-            }
-            out[full..].copy_from_slice(&tail[..tail_len]);
-        }
-        let checksums = sums
-            .into_iter()
-            .map(|mut s| {
-                while s >> 16 != 0 {
-                    s = (s & 0xFFFF) + (s >> 16);
-                }
-                !(s as u16)
-            })
-            .collect();
         PipelineOutput {
             data: out,
             checksums,
@@ -426,52 +322,10 @@ impl Pipeline {
     }
 }
 
-/// Compiled fused kernel for the `checksum → xor[ → swap32[ → copy]]`
-/// chains: checksum the wire bytes, XOR-decrypt, optionally swap each
-/// 32-bit word — one load and one store per 8-byte group.
-fn fused_ck_xor(input: &[u8], key: u64, offset: u64, swap: bool) -> (Vec<u8>, u16) {
-    let cipher = XorStream::new(key);
-    let mut out = vec![0u8; input.len()];
-    let mut sum: u64 = 0;
-    let full8 = input.len() / 8 * 8;
-    let mut pos = 0usize;
-    while pos < full8 {
-        let g = u64::from_be_bytes(input[pos..pos + 8].try_into().expect("sized"));
-        sum += (g >> 48) + ((g >> 32) & 0xFFFF) + ((g >> 16) & 0xFFFF) + (g & 0xFFFF);
-        let mut p = g ^ cipher.keystream_be_u64(offset + pos as u64);
-        if swap {
-            let hi = ((p >> 32) as u32).swap_bytes();
-            let lo = (p as u32).swap_bytes();
-            p = (u64::from(hi) << 32) | u64::from(lo);
-        }
-        out[pos..pos + 8].copy_from_slice(&p.to_be_bytes());
-        pos += 8;
-    }
-    if input.len() - pos >= 4 {
-        let g = u32::from_be_bytes(input[pos..pos + 4].try_into().expect("sized"));
-        sum += u64::from(g >> 16) + u64::from(g & 0xFFFF);
-        let mut p = g ^ cipher.keystream_be_u32(offset + pos as u64);
-        if swap {
-            p = p.swap_bytes();
-        }
-        out[pos..pos + 4].copy_from_slice(&p.to_be_bytes());
-        pos += 4;
-    }
-    // Byte tail: checksummed (odd byte zero-padded), decrypted, unswapped.
-    let tail_len = input.len() - pos;
-    if tail_len > 0 {
-        let mut ck = InternetChecksum::new();
-        ck.update(&input[pos..]);
-        sum += u64::from(!ck.finish());
-        for (k, (&s, d)) in input[pos..].iter().zip(out[pos..].iter_mut()).enumerate() {
-            *d = s ^ cipher.keystream_byte(offset + (pos + k) as u64);
-        }
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    (out, !(sum as u16))
-}
+/// Bytes per tile of [`Pipeline::run_integrated`]: small enough that a tile
+/// and the kernels' working state stay in L1 across every stage, large
+/// enough that per-tile dispatch is noise.
+const TILE: usize = 4096;
 
 /// Convenience: the canonical receive chain the X2 experiment sweeps —
 /// `checksum → xor-decrypt → swap32 → copy`, truncated to `n` stages.
@@ -580,6 +434,27 @@ mod tests {
         assert_eq!(p9.run_integrated(&input), p9.run_layered(&input));
     }
 
+    /// `Xor { offset }` is application-supplied and the stream position is
+    /// mod 2^64: a record straddling `u64::MAX` (here, across a tile seam
+    /// too) must neither panic nor diverge.
+    #[test]
+    fn xor_offset_wraps_at_u64_max() {
+        let input = pattern(2 * TILE + 5);
+        for offset in [u64::MAX, u64::MAX - 3, u64::MAX - TILE as u64 - 2] {
+            let p = Pipeline::new()
+                .stage(Manipulation::Swap32)
+                .stage(Manipulation::Xor { key: 3, offset })
+                .stage(Manipulation::Checksum);
+            let enc = p.run_integrated(&input);
+            assert_eq!(enc, p.run_layered(&input), "offset {offset}");
+            let back = Pipeline::new()
+                .stage(Manipulation::Xor { key: 3, offset })
+                .stage(Manipulation::Swap32)
+                .run_integrated(&enc.data);
+            assert_eq!(back.data, input, "offset {offset}");
+        }
+    }
+
     #[test]
     fn alf_compat_accepts_seekable_chain() {
         let p = canonical_receive_chain(4, 1);
@@ -664,7 +539,7 @@ mod proptests {
     fn arb_stage() -> impl Strategy<Value = Manipulation> {
         prop_oneof![
             Just(Manipulation::Checksum),
-            (any::<u64>(), 0u64..10_000)
+            (any::<u64>(), any::<u64>())
                 .prop_map(|(key, offset)| Manipulation::Xor { key, offset }),
             Just(Manipulation::Swap32),
             Just(Manipulation::Copy),
@@ -672,10 +547,14 @@ mod proptests {
     }
 
     proptest! {
+        /// Inputs span zero to three tiles and a ragged end, so tile seams,
+        /// an odd final tile and the `len % 4` unswapped tail are crossed;
+        /// cipher offsets are arbitrary (any alignment with the keystream
+        /// block).
         #[test]
         fn prop_integrated_equals_layered(
             stages in proptest::collection::vec(arb_stage(), 0..6),
-            input in proptest::collection::vec(any::<u8>(), 0..1024),
+            input in proptest::collection::vec(any::<u8>(), 0..3 * TILE + 8),
         ) {
             let mut p = Pipeline::new();
             for s in stages {

@@ -10,10 +10,20 @@ use crate::OrderingConstraint;
 /// running state, hence [`OrderingConstraint::Seekable`]. This is the shape
 /// of a modern counter-mode cipher, which is precisely what makes CTR modes
 /// the ALF-compatible choice.
+///
+/// Stream positions are taken **mod 2⁶⁴**: the byte after position
+/// `u64::MAX` is position 0, so every `(offset, len)` is valid.
 #[derive(Debug, Clone)]
 pub struct XorStream {
     key: u64,
 }
+
+/// SplitMix64's increment: block `b` is `mix(key ^ b·GOLDEN)`.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Bytes per keystream block.
+const BLOCK: usize = 8;
+/// Bytes [`XorStream::apply`] moves at a time: comfortably L1-resident.
+const PIECE: usize = 4096;
 
 impl XorStream {
     /// Create from a key.
@@ -26,56 +36,46 @@ impl XorStream {
         OrderingConstraint::Seekable
     }
 
-    /// Keystream byte at absolute position `pos`.
+    /// Keystream byte at absolute position `pos` — the definition every
+    /// faster path is tested against.
     #[inline]
     pub fn keystream_byte(&self, pos: u64) -> u8 {
-        let block = pos / 8;
-        let lane = (pos % 8) as u32;
-        (self.block_word(block) >> (8 * lane)) as u8
-    }
-
-    /// The raw 8-byte keystream block `block` (little-endian lane order:
-    /// lane *i* is keystream byte `block*8 + i`).
-    #[inline]
-    fn block_word(&self, block: u64) -> u64 {
-        mix(self.key ^ block.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// Four keystream bytes covering positions `pos..pos+4`, assembled
-    /// big-endian (byte `pos` in the most significant lane) so it can be
-    /// XORed directly against a `u32::from_be_bytes` data load. One or two
-    /// `mix` evaluations per call instead of four — the word-granular form
-    /// every hot loop uses.
-    #[inline]
-    pub fn keystream_be_u32(&self, pos: u64) -> u32 {
-        let block = pos / 8;
-        let lane = (pos % 8) as u32;
-        let w0 = self.block_word(block);
-        let chunk = if lane <= 4 {
-            (w0 >> (8 * lane)) as u32
-        } else {
-            let w1 = self.block_word(block + 1);
-            let sh = 8 * lane;
-            ((w0 >> sh) | (w1 << (64 - sh))) as u32
-        };
-        chunk.swap_bytes()
+        // Little-endian lane order: lane i of block b is byte b*8 + i.
+        let block = mix(self.key ^ (pos / 8).wrapping_mul(GOLDEN));
+        (block >> (8 * (pos % 8))) as u8
     }
 
     /// Encrypt/decrypt (XOR is an involution) `data` in place, where
-    /// `data[0]` sits at absolute position `offset` in the stream.
-    /// Word-granular: one pass, ~one `mix` per 4 bytes.
+    /// `data[0]` sits at absolute position `offset` in the stream. One
+    /// pass, one `mix` per 8 bytes.
     pub fn apply_in_place(&self, offset: u64, data: &mut [u8]) {
-        let mut chunks = data.chunks_exact_mut(4);
-        let mut pos = offset;
-        for c in &mut chunks {
-            let w = u32::from_be_bytes([c[0], c[1], c[2], c[3]]) ^ self.keystream_be_u32(pos);
-            c.copy_from_slice(&w.to_be_bytes());
-            pos += 4;
+        let (run, wrapped) = data.split_at_mut(before_wrap(offset, data.len()));
+        for (offset, data) in [(offset, run), (0, wrapped)] {
+            // Byte-step to the next keystream block ...
+            let (head, body) = data.split_at_mut(head_len(offset, data.len()));
+            let body_pos = self.xor_bytes(offset, head);
+            // ... then whole blocks in the keystream's own lane order, the
+            // counter carried by addition instead of a multiply per block ...
+            let mut ctr = (body_pos / 8).wrapping_mul(GOLDEN);
+            let (blocks, tail) = body.split_at_mut(body.len() / BLOCK * BLOCK);
+            for block in blocks.chunks_exact_mut(BLOCK) {
+                let block: &mut [u8; BLOCK] = block.try_into().expect("chunks_exact(BLOCK)");
+                *block = (u64::from_le_bytes(*block) ^ mix(self.key ^ ctr)).to_le_bytes();
+                ctr = ctr.wrapping_add(GOLDEN);
+            }
+            // ... then the byte tail.
+            self.xor_bytes(body_pos.wrapping_add(blocks.len() as u64), tail);
         }
-        for b in chunks.into_remainder() {
+    }
+
+    /// XOR `bytes` with the keystream from `pos`, a byte at a time; returns
+    /// the position after them.
+    fn xor_bytes(&self, mut pos: u64, bytes: &mut [u8]) -> u64 {
+        for b in bytes {
             *b ^= self.keystream_byte(pos);
-            pos += 1;
+            pos = pos.wrapping_add(1);
         }
+        pos
     }
 
     /// [`XorStream::apply_in_place`], reporting the read-modify-write pass
@@ -104,46 +104,40 @@ impl XorStream {
         ledger.touch("crypto/xor", src.len() as u64, dst.len() as u64);
     }
 
-    /// Encrypt/decrypt from `src` into `dst` (one pass, word-granular).
+    /// Encrypt/decrypt from `src` into `dst`: each L1-sized piece is moved
+    /// and then run through [`XorStream::apply_in_place`] while it is
+    /// cache-resident, so memory is still traversed once.
     pub fn apply(&self, offset: u64, src: &[u8], dst: &mut [u8]) {
         assert_eq!(src.len(), dst.len(), "length mismatch");
-        let mut s = src.chunks_exact(4);
-        let mut d = dst.chunks_exact_mut(4);
         let mut pos = offset;
-        for (sc, dc) in (&mut s).zip(&mut d) {
-            let w = u32::from_be_bytes([sc[0], sc[1], sc[2], sc[3]]) ^ self.keystream_be_u32(pos);
-            dc.copy_from_slice(&w.to_be_bytes());
-            pos += 4;
+        for (s, d) in src.chunks(PIECE).zip(dst.chunks_mut(PIECE)) {
+            d.copy_from_slice(s);
+            self.apply_in_place(pos, d);
+            pos = pos.wrapping_add(d.len() as u64);
         }
-        for (sb, db) in s.remainder().iter().zip(d.into_remainder()) {
-            *db = sb ^ self.keystream_byte(pos);
-            pos += 1;
-        }
-    }
-
-    /// Eight keystream bytes covering `pos..pos+8`, big-endian-assembled
-    /// like [`XorStream::keystream_be_u32`]. One or two `mix` evaluations.
-    #[inline]
-    pub fn keystream_be_u64(&self, pos: u64) -> u64 {
-        let block = pos / 8;
-        let lane = (pos % 8) as u32;
-        let w0 = self.block_word(block);
-        let raw = if lane == 0 {
-            w0
-        } else {
-            let w1 = self.block_word(block + 1);
-            (w0 >> (8 * lane)) | (w1 << (64 - 8 * lane))
-        };
-        raw.swap_bytes()
     }
 
     /// Materialise `len` keystream bytes starting at `offset` (used by the
     /// fused kernels in `ct-wire`, which take a keystream slice).
     pub fn keystream(&self, offset: u64, len: usize) -> Vec<u8> {
         (0..len as u64)
-            .map(|i| self.keystream_byte(offset + i))
+            .map(|i| self.keystream_byte(offset.wrapping_add(i)))
             .collect()
     }
+}
+
+/// How many of `len` bytes starting at `offset` lie before the stream
+/// position wraps past `u64::MAX` to 0. The running block counter is only
+/// valid on a run of consecutive block indices, so the kernels restart it
+/// at the wrap.
+fn before_wrap(offset: u64, len: usize) -> usize {
+    usize::try_from(u64::MAX - offset).map_or(len, |n| n.saturating_add(1).min(len))
+}
+
+/// How many of `len` bytes starting at `offset` precede the next keystream
+/// block boundary.
+fn head_len(offset: u64, len: usize) -> usize {
+    (offset.wrapping_neg() % BLOCK as u64).min(len as u64) as usize
 }
 
 #[inline]
@@ -236,38 +230,49 @@ mod tests {
         assert_eq!(in_order[1], out_of_order[0]);
     }
 
+    /// Both kernels against the byte oracle, for every alignment of the
+    /// start and of the end with the 8-byte keystream block.
+    fn assert_matches_oracle(c: &XorStream, offset: u64, len: usize) {
+        let src: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        let want: Vec<u8> = (src.iter().zip(0u64..))
+            .map(|(b, i)| b ^ c.keystream_byte(offset.wrapping_add(i)))
+            .collect();
+        let mut in_place = src.clone();
+        c.apply_in_place(offset, &mut in_place);
+        assert_eq!(in_place, want, "in place, offset {offset} len {len}");
+        let mut copied = vec![0u8; len];
+        c.apply(offset, &src, &mut copied);
+        assert_eq!(copied, want, "apply, offset {offset} len {len}");
+    }
+
     #[test]
-    fn xor_stream_apply_matches_in_place() {
+    fn block_kernels_match_keystream_byte() {
         let c = XorStream::new(99);
-        let src: Vec<u8> = (0..77).collect();
-        let mut a = src.clone();
-        c.apply_in_place(13, &mut a);
-        let mut b = vec![0u8; src.len()];
-        c.apply(13, &src, &mut b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn keystream_be_u32_matches_bytes() {
-        let c = XorStream::new(0xABCD);
-        for pos in 0..64u64 {
-            let w = c.keystream_be_u32(pos);
-            let bytes = w.to_be_bytes();
-            for (i, &b) in bytes.iter().enumerate() {
-                assert_eq!(b, c.keystream_byte(pos + i as u64), "pos {pos} lane {i}");
+        for offset in (0..8).chain(1_000_003..1_000_011) {
+            for len in 0..=40 {
+                assert_matches_oracle(&c, offset, len);
             }
         }
     }
 
+    /// Positions are mod 2^64: a record may straddle `u64::MAX`. (The
+    /// word-granular kernels panicked on `pos += 4` here.)
     #[test]
-    fn keystream_be_u64_matches_bytes() {
-        let c = XorStream::new(0x1234);
-        for pos in 0..40u64 {
-            let bytes = c.keystream_be_u64(pos).to_be_bytes();
-            for (i, &b) in bytes.iter().enumerate() {
-                assert_eq!(b, c.keystream_byte(pos + i as u64), "pos {pos} lane {i}");
+    fn stream_position_wraps() {
+        let c = XorStream::new(0xDEADBEEF);
+        for back in [1u64, 7, 8, 9, 20, 39] {
+            let offset = u64::MAX - back + 1; // `back` bytes before the wrap
+            for len in [0, 1, 8, 39, 40, 41, 100] {
+                assert_matches_oracle(&c, offset, len);
             }
         }
+        assert_eq!(c.keystream(u64::MAX, 2)[1], c.keystream_byte(0));
+        let msg = b"application level framing, across the wrap".to_vec();
+        let mut buf = msg.clone();
+        c.apply_in_place(u64::MAX - 10, &mut buf);
+        assert_ne!(buf, msg);
+        c.apply_in_place(u64::MAX - 10, &mut buf);
+        assert_eq!(buf, msg);
     }
 
     #[test]

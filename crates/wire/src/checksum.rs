@@ -9,6 +9,85 @@
 //! pipeline in `alf-core` can interleave checksumming with other
 //! manipulations in one traversal, and a one-shot convenience function.
 
+/// Bytes per iteration of the wide summation core: eight 32-bit lanes.
+pub(crate) const LANE_BLOCK: usize = 32;
+
+/// Eight independent lane accumulators, one per 32-bit word of a
+/// [`LANE_BLOCK`]. Words are loaded **native-endian** (RFC 1071 §2(B): the
+/// one's-complement sum is byte-order independent, so the swap happens once,
+/// on the folded result, in [`Lanes::sum`]) and added with `wrapping_add`:
+/// a lane gains less than 2^32 per block, so it cannot wrap before 2^32
+/// blocks — 128 GiB in one call, where an ADU is at most `u32::MAX` bytes.
+/// Fixed width, no carried dependency between lanes and no overflow branch,
+/// so the loop vectorises under `overflow-checks = true`.
+#[derive(Default)]
+pub(crate) struct Lanes([u64; 8]);
+
+impl Lanes {
+    /// Absorb one block.
+    #[inline(always)]
+    pub(crate) fn add(&mut self, block: &[u8; LANE_BLOCK]) {
+        for (lane, w) in self.0.iter_mut().zip(block.chunks_exact(4)) {
+            let w = u32::from_ne_bytes([w[0], w[1], w[2], w[3]]);
+            *lane = lane.wrapping_add(u64::from(w));
+        }
+    }
+
+    /// The lanes' total as a sum of **big-endian** 16-bit words, folded
+    /// to 16 bits.
+    #[inline]
+    pub(crate) fn sum(self) -> u64 {
+        // Each lane folds below 2^33 first, so the eight add without wrapping.
+        let native = fold16(self.0.iter().map(|l| (l & 0xFFFF_FFFF) + (l >> 32)).sum());
+        // The native sum's bytes in memory order are the big-endian sum's.
+        u64::from(u16::from_be_bytes(native.to_ne_bytes()))
+    }
+}
+
+/// End-around-carry fold of a partial sum to 16 bits.
+#[inline]
+pub(crate) fn fold16(mut s: u64) -> u16 {
+    s = (s & 0xFFFF_FFFF) + (s >> 32); // < 2^33
+    s = (s & 0xFFFF) + (s >> 16); // < 2^16 + 2^17
+    s = (s & 0xFFFF) + (s >> 16); // <= 0xFFFF + 2
+    s = (s & 0xFFFF) + (s >> 16);
+    s as u16
+}
+
+/// Sum of fewer than [`LANE_BLOCK`] bytes as big-endian 16-bit words, an odd
+/// final byte zero-padded in the low-order position: the plain loop that
+/// short control frames and every kernel's tail run.
+#[inline]
+pub(crate) fn sum_tail(tail: &[u8]) -> u64 {
+    debug_assert!(tail.len() < LANE_BLOCK);
+    let mut pairs = tail.chunks_exact(2);
+    let mut sum = 0u64;
+    for p in &mut pairs {
+        sum += u64::from(u16::from_be_bytes([p[0], p[1]]));
+    }
+    if let [last] = pairs.remainder() {
+        sum += u64::from(*last) << 8;
+    }
+    sum
+}
+
+/// The one summation core: `data` as big-endian 16-bit words (odd final
+/// byte zero-padded), reduced below 2^32 but neither folded to 16 bits nor
+/// complemented.
+#[inline]
+pub(crate) fn sum_words(data: &[u8]) -> u64 {
+    let mut blocks = data.chunks_exact(LANE_BLOCK);
+    let mut sum = 0;
+    if data.len() >= LANE_BLOCK {
+        let mut lanes = Lanes::default();
+        for b in &mut blocks {
+            lanes.add(b.try_into().expect("chunks_exact(LANE_BLOCK)"));
+        }
+        sum = lanes.sum();
+    }
+    sum + sum_tail(blocks.remainder())
+}
+
 /// Incremental Internet checksum (RFC 1071 one's-complement sum).
 ///
 /// Feeding data in multiple chunks yields the same result as one shot,
@@ -16,7 +95,8 @@
 /// intermediate chunks are handled by carrying the trailing byte.
 #[derive(Debug, Clone, Default)]
 pub struct InternetChecksum {
-    sum: u32,
+    /// Sum of big-endian 16-bit words so far; below 2^33 between calls.
+    sum: u64,
     /// A dangling odd byte from the previous update, if any.
     pending: Option<u8>,
 }
@@ -27,63 +107,60 @@ impl InternetChecksum {
         Self::default()
     }
 
+    /// Add a partial sum below 2^33 and fold back below 2^33, so no number
+    /// of calls can overflow the state.
+    #[inline]
+    fn add(&mut self, partial: u64) {
+        let s = self.sum.wrapping_add(partial); // < 2^34
+        self.sum = (s & 0xFFFF_FFFF) + (s >> 32);
+    }
+
     /// Absorb `data` into the running sum.
     pub fn update(&mut self, data: &[u8]) {
         let mut data = data;
         if let Some(hi) = self.pending.take() {
-            if data.is_empty() {
+            let Some((&lo, rest)) = data.split_first() else {
                 self.pending = Some(hi);
                 return;
-            }
-            self.sum += u32::from(u16::from_be_bytes([hi, data[0]]));
-            data = &data[1..];
+            };
+            self.add(u64::from(u16::from_be_bytes([hi, lo])));
+            data = rest;
         }
-        let mut it = data.chunks_exact(2);
-        for pair in &mut it {
-            self.sum += u32::from(u16::from_be_bytes([pair[0], pair[1]]));
+        if data.len() % 2 == 1 {
+            let (even, last) = data.split_at(data.len() - 1);
+            self.pending = Some(last[0]);
+            data = even;
         }
-        if let [last] = it.remainder() {
-            self.pending = Some(*last);
-        }
-        // Fold eagerly so `sum` never overflows even for multi-GB inputs.
-        while self.sum > 0xFFFF_0000 {
-            self.sum = (self.sum & 0xFFFF) + (self.sum >> 16);
-        }
+        self.add(sum_words(data));
     }
 
     /// Absorb a single 16-bit word (used by fused kernels).
     #[inline]
     pub fn update_u16(&mut self, word: u16) {
         debug_assert!(self.pending.is_none(), "update_u16 with pending odd byte");
-        self.sum += u32::from(word);
+        self.add(u64::from(word));
     }
 
     /// Absorb a 32-bit word as two 16-bit big-endian halves (fused kernels).
     #[inline]
     pub fn update_u32(&mut self, word: u32) {
         debug_assert!(self.pending.is_none(), "update_u32 with pending odd byte");
-        self.sum += word >> 16;
-        self.sum += word & 0xFFFF;
+        // 2^16 = 1 (mod 0xFFFF): the word is congruent to the sum of its halves.
+        self.add(u64::from(word));
     }
 
     /// Finish: fold carries, pad a dangling byte with zero, complement.
     pub fn finish(mut self) -> u16 {
         if let Some(hi) = self.pending.take() {
-            self.sum += u32::from(u16::from_be_bytes([hi, 0]));
+            self.add(u64::from(hi) << 8);
         }
-        let mut s = self.sum;
-        while s >> 16 != 0 {
-            s = (s & 0xFFFF) + (s >> 16);
-        }
-        !(s as u16)
+        !fold16(self.sum)
     }
 }
 
 /// One-shot Internet checksum of `data`.
 pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut c = InternetChecksum::new();
-    c.update(data);
-    c.finish()
+    !fold16(sum_words(data))
 }
 
 /// Internet checksum with a 4-way unrolled inner loop over 32-bit loads,
@@ -270,8 +347,86 @@ impl ChecksumKind {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Naive byte-wise RFC 1071 reference: pair bytes big-endian, zero-pad
+    /// an odd tail in the low (second) byte, one's-complement fold.
+    pub(crate) fn naive_internet_checksum(data: &[u8]) -> u16 {
+        let mut sum: u64 = 0;
+        let mut i = 0;
+        while i < data.len() {
+            let hi = data[i];
+            let lo = if i + 1 < data.len() { data[i + 1] } else { 0 };
+            sum += u64::from(hi) << 8 | u64::from(lo);
+            i += 2;
+        }
+        while sum >> 16 != 0 {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    /// Every length through several lane blocks, then each cache-size
+    /// boundary ± 1: the grid the wide kernels are checked on.
+    pub(crate) fn length_grid() -> impl Iterator<Item = usize> {
+        (0..=300).chain([1024, 4096, 65536].into_iter().flat_map(|n| n - 1..=n + 1))
+    }
+
+    pub(crate) fn pattern(n: usize) -> Vec<u8> {
+        (0..n)
+            .map(|i| (i.wrapping_mul(113) ^ (i >> 5)) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn wide_core_matches_naive_reference_on_grid() {
+        for len in length_grid() {
+            for data in [pattern(len), vec![0xFF; len]] {
+                let want = naive_internet_checksum(&data);
+                assert_eq!(internet_checksum(&data), want, "oneshot len {len}");
+                // Odd split points leave a pending byte and start the wide
+                // core on an odd address.
+                for split in [1, 3, 31, 33, (len / 2) | 1] {
+                    let mid = split.min(len);
+                    let mut c = InternetChecksum::new();
+                    c.update(&data[..mid]);
+                    c.update(&data[mid..]);
+                    assert_eq!(c.finish(), want, "len {len} split {mid}");
+                }
+            }
+        }
+    }
+
+    /// The state used to be a `u32` that folded only after a whole
+    /// `update`: 200 000 bytes of `0xFF` overflowed it.
+    #[test]
+    fn large_inputs_do_not_overflow() {
+        let ones = vec![0xFFu8; 1 << 20];
+        assert_eq!(internet_checksum(&ones), 0x0000);
+        let big = pattern(8 << 20);
+        assert_eq!(internet_checksum(&big), naive_internet_checksum(&big));
+        let mut c = InternetChecksum::new();
+        c.update(&big);
+        assert_eq!(c.finish(), naive_internet_checksum(&big));
+    }
+
+    /// `update_u16` / `update_u32` used never to fold at all.
+    #[test]
+    fn word_updates_do_not_overflow() {
+        let mut c = InternetChecksum::new();
+        for _ in 0..100_000 {
+            c.update_u32(0xFFFF_FFFF);
+        }
+        assert_eq!(c.finish(), 0x0000);
+        let mut c = InternetChecksum::new();
+        for _ in 0..100_000 {
+            c.update_u16(0xFFFF);
+            c.update_u16(0x0001);
+        }
+        // 100 000 x (0xFFFF + 1) = 100 000 (mod 0xFFFF) = 0x86A1 (34 465).
+        assert_eq!(c.finish(), !0x86A1);
+    }
 
     #[test]
     fn internet_checksum_rfc1071_example() {
@@ -475,25 +630,9 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::naive_internet_checksum;
     use super::*;
     use proptest::prelude::*;
-
-    /// Naive byte-wise RFC 1071 reference: pair bytes big-endian, zero-pad
-    /// an odd tail in the low (second) byte, one's-complement fold.
-    fn naive_internet_checksum(data: &[u8]) -> u16 {
-        let mut sum: u64 = 0;
-        let mut i = 0;
-        while i < data.len() {
-            let hi = data[i];
-            let lo = if i + 1 < data.len() { data[i + 1] } else { 0 };
-            sum += u64::from(hi) << 8 | u64::from(lo);
-            i += 2;
-        }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        !(sum as u16)
-    }
 
     proptest! {
         /// Every prefix length 0..=64 of arbitrary content matches the

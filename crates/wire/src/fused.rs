@@ -11,45 +11,29 @@
 //! counterparts; the unit tests below verify that equivalence exhaustively,
 //! and `alf-core` has property tests over the generic pipeline.
 
-use crate::checksum::InternetChecksum;
+use crate::checksum::{fold16, sum_tail, InternetChecksum, Lanes, LANE_BLOCK};
 
 /// Copy `src` to `dst` while computing the Internet checksum of the data —
 /// the paper's flagship fused loop (its hand-coded version ran at 90 Mb/s
 /// where serial copy-then-checksum achieved ~60).
 ///
-/// One pass: each 32-bit word is loaded once, stored once, and folded into
-/// the checksum while still in a register.
+/// One pass: each lane block is loaded once, stored once, and added into
+/// the checksum lanes (the same core as
+/// [`internet_checksum`](crate::checksum::internet_checksum)) while still in
+/// registers.
 pub fn copy_and_checksum(src: &[u8], dst: &mut [u8]) -> u16 {
     assert_eq!(src.len(), dst.len(), "copy length mismatch");
-    let mut sum: u64 = 0;
-    let mut s = src.chunks_exact(16);
-    let mut d = dst.chunks_exact_mut(16);
-    for (sc, dc) in (&mut s).zip(&mut d) {
-        // Load four words, accumulate, store — 4-way unrolled like the
-        // standalone kernels so the comparison is loop-shape-fair.
-        let w0 = u32::from_be_bytes([sc[0], sc[1], sc[2], sc[3]]);
-        let w1 = u32::from_be_bytes([sc[4], sc[5], sc[6], sc[7]]);
-        let w2 = u32::from_be_bytes([sc[8], sc[9], sc[10], sc[11]]);
-        let w3 = u32::from_be_bytes([sc[12], sc[13], sc[14], sc[15]]);
-        sum += w0 as u64 + w1 as u64 + w2 as u64 + w3 as u64;
-        dc[0..4].copy_from_slice(&w0.to_be_bytes());
-        dc[4..8].copy_from_slice(&w1.to_be_bytes());
-        dc[8..12].copy_from_slice(&w2.to_be_bytes());
-        dc[12..16].copy_from_slice(&w3.to_be_bytes());
+    let mut s = src.chunks_exact(LANE_BLOCK);
+    let mut d = dst.chunks_exact_mut(LANE_BLOCK);
+    let mut lanes = Lanes::default();
+    for (sb, db) in (&mut s).zip(&mut d) {
+        let sb: &[u8; LANE_BLOCK] = sb.try_into().expect("chunks_exact(LANE_BLOCK)");
+        lanes.add(sb);
+        db.copy_from_slice(sb);
     }
-    let st = s.remainder();
-    let dt = d.into_remainder();
-    dt.copy_from_slice(st);
-    // Fold the tail into the sum via the incremental checksum (handles odd
-    // lengths), then merge with the unrolled accumulator.
-    let mut tail = InternetChecksum::new();
-    tail.update(st);
-    let tail_sum = !tail.finish(); // un-complement: raw folded sum
-    sum += u64::from(tail_sum);
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
+    let tail = s.remainder();
+    d.into_remainder().copy_from_slice(tail);
+    !fold16(lanes.sum() + sum_tail(tail))
 }
 
 /// XOR `src` with a repeating `keystream` into `dst` while checksumming the
@@ -157,20 +141,15 @@ pub fn swap32_and_checksum(src: &[u8], dst: &mut [u8]) -> u16 {
 mod tests {
     use super::*;
     use crate::checksum::internet_checksum;
+    use crate::checksum::tests::{length_grid, pattern};
     use crate::copy::copy_bytes;
     use crate::swap::swap32_copy;
-
-    fn pattern(n: usize) -> Vec<u8> {
-        (0..n)
-            .map(|i| (i.wrapping_mul(113) ^ (i >> 5)) as u8)
-            .collect()
-    }
 
     const LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 15, 16, 17, 31, 33, 100, 4000, 4001];
 
     #[test]
     fn copy_and_checksum_equals_layered() {
-        for &len in LENS {
+        for len in length_grid() {
             let src = pattern(len);
             // Layered: copy pass, then checksum pass.
             let mut dst_layered = vec![0u8; len];

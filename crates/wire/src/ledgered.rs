@@ -18,10 +18,10 @@ pub fn copy_bytes(src: &[u8], dst: &mut [u8], ledger: &TouchLedger) {
     ledger.touch("wire/copy", src.len() as u64, dst.len() as u64);
 }
 
-/// [`crate::checksum::internet_checksum_unrolled`], reporting a read-only
-/// pass as stage `wire/checksum`.
-pub fn internet_checksum_unrolled(data: &[u8], ledger: &TouchLedger) -> u16 {
-    let ck = crate::checksum::internet_checksum_unrolled(data);
+/// [`crate::checksum::internet_checksum`], reporting a read-only pass as
+/// stage `wire/checksum`.
+pub fn internet_checksum(data: &[u8], ledger: &TouchLedger) -> u16 {
+    let ck = crate::checksum::internet_checksum(data);
     ledger.touch("wire/checksum", data.len() as u64, 0);
     ck
 }
@@ -57,8 +57,8 @@ mod tests {
         copy_bytes(&src, &mut dst, &ledger);
         assert_eq!(dst, src);
 
-        let ck = internet_checksum_unrolled(&src, &ledger);
-        assert_eq!(ck, crate::checksum::internet_checksum_unrolled(&src));
+        let ck = internet_checksum(&src, &ledger);
+        assert_eq!(ck, crate::checksum::internet_checksum(&src));
 
         swap32_copy(&src, &mut dst, &ledger);
         let mut want = vec![0u8; 100];

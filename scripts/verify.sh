@@ -13,6 +13,11 @@ cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+# The benchmark is its own package (benchmark/, outside the workspace): its
+# unit tests, and a --scale 0.01 smoke of all five workloads in which every
+# delivered op is byte-verified through the production kernels.
+( cd benchmark && cargo test --offline -q )
+
 # Observability smoke: the X9 experiment asserts integrated < layered
 # passes-per-byte at every chain depth and exercises a telemetry-enabled
 # transfer end to end.

@@ -5,10 +5,9 @@
 //!   delivery-latency histogram, the flight recorder, and the data-touch
 //!   ledger coherently with the run's own report;
 //! * the registry and trace JSONL exports survive a round trip losslessly;
-//! * the overhead guards: the ledgered fused kernel (counters on, tracing
-//!   off — the always-on fast path) stays within 2% of the bare E2 kernel,
-//!   and arming the lifecycle-span trace points costs under 2% of a full
-//!   scenario run versus the same run with tracing disarmed.
+//! * the overhead guards: the ledgered fused kernel, with tracing off (the
+//!   always-on fast path) and with the lifecycle-span trace points armed,
+//!   pays a fixed per-call cost that does not grow with the buffer.
 
 use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts, Substrate};
 use alf_core::transport::AlfConfig;
@@ -103,93 +102,86 @@ fn registry_jsonl_round_trips_from_a_real_run() {
     assert_eq!(back, snap, "registry must survive its own export");
 }
 
-/// The always-on telemetry fast path — data-touch accounting with tracing
-/// disarmed — must cost under 2% of E2 fused-kernel throughput. The ledger
-/// posts one O(1) entry per kernel call regardless of buffer size, so on a
-/// 256 KiB unit the overhead is amortized to noise; this test pins that.
-#[test]
-fn ledgered_fast_path_overhead_under_two_percent() {
-    const LEN: usize = 256 * 1024;
-    const REPS: usize = 40;
-    const ATTEMPTS: usize = 5;
-
-    let src: Vec<u8> = (0..LEN).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
-    let mut dst = vec![0u8; LEN];
-    let ledger = TouchLedger::new();
-
-    // Best-of-REPS wall time for one full-buffer kernel pass.
-    let best = |ledgered: bool, dst: &mut [u8]| -> f64 {
-        let mut min = f64::INFINITY;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            let ck = if ledgered {
-                ct_wire::ledgered::copy_and_checksum(&src, dst, &ledger)
+/// Nanoseconds per `copy_and_checksum` call on a `len`-byte buffer, bare
+/// and through the ledgered wrapper. The two sides alternate rep by rep,
+/// so a drift in machine speed hits both alike, and each side keeps its
+/// minimum (the least-disturbed rep is the closest to the code's cost).
+fn bare_and_ledgered_ns(ledger: &TouchLedger, len: usize, calls_per_rep: usize) -> (f64, f64) {
+    const REPS: usize = 100;
+    let src: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
+    let mut dst = vec![0u8; len];
+    let mut rep = |ledgered: bool| -> f64 {
+        let t = std::time::Instant::now();
+        for _ in 0..calls_per_rep {
+            let src = std::hint::black_box(&src[..]);
+            std::hint::black_box(if ledgered {
+                ct_wire::ledgered::copy_and_checksum(src, &mut dst, ledger)
             } else {
-                ct_wire::fused::copy_and_checksum(&src, dst)
-            };
-            let dt = t.elapsed().as_secs_f64();
-            assert_ne!(ck, 1, "keep the checksum live so nothing is elided");
-            min = min.min(dt);
+                ct_wire::fused::copy_and_checksum(src, &mut dst)
+            });
         }
-        min
+        t.elapsed().as_nanos() as f64 / calls_per_rep as f64
     };
-
-    // Timing on shared CI hardware is noisy; accept the bound if any one
-    // attempt meets it (min-of-N of min-of-REPS), fail only if all miss.
-    let mut last_ratio = f64::INFINITY;
-    for _ in 0..ATTEMPTS {
-        let plain = best(false, &mut dst);
-        let instrumented = best(true, &mut dst);
-        last_ratio = instrumented / plain;
-        if last_ratio <= 1.02 {
-            return;
-        }
+    let (mut bare, mut ledgered) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        bare = bare.min(rep(false));
+        ledgered = ledgered.min(rep(true));
     }
-    panic!("ledgered fused kernel exceeded the 2% overhead budget: ratio {last_ratio:.4}");
+    (bare, ledgered)
 }
 
-/// The lifecycle-span instrumentation is strictly per-TU — it must never
-/// leak into the per-byte datapath. This pins it: the ledgered fused
-/// kernel driven through a **tracing-armed** [`Telemetry`]'s ledger stays
-/// within 2% of the bare kernel, exactly like the disarmed guard above.
-/// If span arming ever grows a per-byte hook, this fails loudly.
-#[test]
-fn span_armed_fast_path_overhead_under_two_percent() {
-    const LEN: usize = 256 * 1024;
-    const REPS: usize = 40;
-    const ATTEMPTS: usize = 5;
+/// What the overhead guard protects: the ledgered path posts one O(1)
+/// entry per kernel call and has no per-byte hook. Stated as two facts
+/// that do not depend on how fast the kernel is (a ratio to kernel time
+/// flapped on shared hardware and tightens whenever the kernel speeds up):
+/// the entry fits a fixed per-call budget, measured where a 64-byte kernel
+/// cannot hide it; and it costs no more on a 256 KiB buffer than on a
+/// 4 KiB one, to within a twentieth of the large kernel's own time — any
+/// per-byte hook costs a multiple of that. Returns what was violated.
+fn ledger_cost_violation(ledger: &TouchLedger) -> Option<String> {
+    const BUDGET_NS: f64 = 250.0;
+    let (bare, ledgered) = bare_and_ledgered_ns(ledger, 64, 4096);
+    let per_call = ledgered - bare;
+    if per_call >= BUDGET_NS {
+        return Some(format!(
+            "ledger entry costs {per_call:.0} ns per call (budget {BUDGET_NS} ns)"
+        ));
+    }
+    let (bare_4k, ledgered_4k) = bare_and_ledgered_ns(ledger, 4 << 10, 64);
+    let (bare_256k, ledgered_256k) = bare_and_ledgered_ns(ledger, 256 << 10, 1);
+    let growth = (ledgered_256k - bare_256k) - (ledgered_4k - bare_4k);
+    (growth >= bare_256k / 20.0).then(|| {
+        format!(
+            "ledger cost grew by {growth:.0} ns from 4 KiB to 256 KiB \
+             (bare 256 KiB kernel: {bare_256k:.0} ns) — a per-byte hook?"
+        )
+    })
+}
 
-    let src: Vec<u8> = (0..LEN).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
-    let mut dst = vec![0u8; LEN];
+/// The always-on telemetry fast path — data-touch accounting with tracing
+/// disarmed — costs a fixed few nanoseconds per kernel call, whatever the
+/// buffer size; and the lifecycle-span instrumentation is strictly per-TU,
+/// so a **tracing-armed** [`Telemetry`]'s ledger meets the same bounds. If
+/// span arming ever grows a per-byte hook, this fails loudly.
+///
+/// One test, so the two timed loops never run beside each other; and a
+/// violation must repeat three times, because the other tests of this
+/// binary run beside this one and can keep either side from ever seeing
+/// an undisturbed rep — a real hook fails every attempt.
+#[test]
+fn ledgered_fast_path_cost_is_per_call_armed_or_not() {
     let tel = Telemetry::with_tracing(1 << 15);
     assert!(tel.tracing_enabled(), "span layer must actually be armed");
-
-    let best = |armed: bool, dst: &mut [u8]| -> f64 {
-        let mut min = f64::INFINITY;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            let ck = if armed {
-                ct_wire::ledgered::copy_and_checksum(&src, dst, tel.ledger())
-            } else {
-                ct_wire::fused::copy_and_checksum(&src, dst)
-            };
-            let dt = t.elapsed().as_secs_f64();
-            assert_ne!(ck, 1, "keep the checksum live so nothing is elided");
-            min = min.min(dt);
+    for ledger in [&TouchLedger::new(), tel.ledger()] {
+        let mut violation = None;
+        for _attempt in 0..3 {
+            violation = ledger_cost_violation(ledger);
+            if violation.is_none() {
+                break;
+            }
         }
-        min
-    };
-
-    // Same noise policy as the disarmed guard: min-of-REPS per side, pass
-    // if any attempt meets the bound.
-    let mut last_ratio = f64::INFINITY;
-    for _ in 0..ATTEMPTS {
-        let plain = best(false, &mut dst);
-        let instrumented = best(true, &mut dst);
-        last_ratio = instrumented / plain;
-        if last_ratio <= 1.02 {
-            return;
+        if let Some(violation) = violation {
+            panic!("{violation}");
         }
     }
-    panic!("span-armed fast path exceeded the 2% overhead budget: ratio {last_ratio:.4}");
 }
