@@ -91,7 +91,7 @@ impl std::error::Error for RpcError {}
 pub fn marshal_request(call_id: u32, proc: Proc, args: &[u32]) -> Adu {
     let mut body = Vec::with_capacity(4 + 4 + args.len() * 4);
     xdr::put_u32(&mut body, proc.code());
-    body.extend_from_slice(&xdr::encode_u32_array(args));
+    xdr::put_u32_array(&mut body, args);
     Adu::new(
         AduName::Rpc {
             call: call_id,

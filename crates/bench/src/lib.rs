@@ -53,6 +53,20 @@ pub fn time_ns_per_call<F: FnMut()>(mut f: F) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// The per-frame control steps of the ALF transport that T2 times, each with
+/// the heap allocations it makes once the endpoints are warm. The counts are
+/// measured — `tests/alloc_budget.rs` asserts them under a counting global
+/// allocator — and `harness t2` prints them beside the nanoseconds.
+pub const ALF_CONTROL_STEPS: [(&str, u64); 4] = [
+    // The frame's `WireBuf` chunk header; the ADU is released as a view.
+    ("ALF: ingest one single-TU frame", 1),
+    // The chunk header and the decoded id list.
+    ("ALF: ingest one ACK", 2),
+    // The result `Vec` and the encoded frame.
+    ("ALF: emitting poll (one TU)", 2),
+    ("ALF: idle poll", 0),
+];
+
 /// The paper's standard workload: an array of `n` 32-bit integers with
 /// deterministic, varied values (so BER integer bodies take 1–5 bytes the
 /// way real data does).

@@ -13,10 +13,11 @@
 //! certainly need to assume the whole ADU is lost, even if parts exist."
 
 use crate::adu::{Adu, AduName};
+use crate::ids::ReplayWindow;
 use crate::wire::Tu;
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_wire::WireBuf;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One ADU under reassembly.
 ///
@@ -66,51 +67,41 @@ impl Assembly {
         if len == 0 || off as u64 + len as u64 > self.total as u64 {
             return 0;
         }
-        // Find uncovered sub-ranges of [off, off+len) and view only those.
+        // View only the uncovered sub-ranges of [off, end). `first..last`
+        // are the intervals the fragment overlaps or touches — the ones it
+        // merges with.
+        let end = off + len;
+        let in_order = self.frags.last().is_none_or(|&(o, _)| o < off);
+        let first = self.intervals.partition_point(|&(io, il)| io + il < off);
+        let mut last = first;
         let mut newly = 0u32;
         let mut cursor = off;
-        let end = off + len;
-        for &(io, il) in &self.intervals {
-            let iend = io + il;
-            if iend <= cursor {
-                continue;
-            }
-            if io >= end {
-                break;
-            }
+        while let Some(&(io, il)) = self.intervals.get(last).filter(|&&(io, _)| io <= end) {
             if io > cursor {
-                let s = (cursor - off) as usize;
-                let e = (io - off) as usize;
-                self.frags.push((cursor, data.slice(s..e)));
+                let gap = (cursor - off) as usize..(io - off) as usize;
+                self.frags.push((cursor, data.slice(gap)));
                 newly += io - cursor;
             }
-            cursor = cursor.max(iend);
-            if cursor >= end {
-                break;
-            }
+            cursor = cursor.max(io + il);
+            last += 1;
         }
         if cursor < end {
-            let s = (cursor - off) as usize;
-            self.frags.push((cursor, data.slice(s..)));
+            self.frags
+                .push((cursor, data.slice((cursor - off) as usize..)));
             newly += end - cursor;
         }
         if newly > 0 {
-            self.frags.sort_unstable_by_key(|&(o, _)| o);
-            self.intervals.push((off, len));
-            self.intervals.sort_unstable();
-            // Merge.
-            let mut merged: Vec<(u32, u32)> = Vec::with_capacity(self.intervals.len());
-            for &(o, l) in &self.intervals {
-                if let Some(last) = merged.last_mut() {
-                    if o <= last.0 + last.1 {
-                        let new_end = (o + l).max(last.0 + last.1);
-                        last.1 = new_end - last.0;
-                        continue;
-                    }
-                }
-                merged.push((o, l));
+            if !in_order {
+                self.frags.sort_unstable_by_key(|&(o, _)| o);
             }
-            self.intervals = merged;
+            if first == last {
+                self.intervals.insert(first, (off, len));
+            } else {
+                let lo = off.min(self.intervals[first].0);
+                let (io, il) = self.intervals[last - 1];
+                self.intervals[first] = (lo, end.max(io + il) - lo);
+                self.intervals.drain(first + 1..last);
+            }
             self.bytes_received += newly;
         }
         newly
@@ -221,17 +212,17 @@ pub enum ShedPolicy {
 #[derive(Debug)]
 pub struct Assembler {
     pending: BTreeMap<u64, Assembly>,
-    /// Completed ADU ids ready for release (kept ordered only for
-    /// determinism of iteration; release order is completion order).
-    ready: Vec<(u64, Adu, SimTime)>,
-    /// ADU ids already released — suppresses late duplicate TUs.
-    released: BTreeMap<u64, ()>,
-    /// Replay-window floor: every id below this is treated as released.
-    /// Sender ids are monotone, so when the released map is trimmed the
-    /// trimmed ids slide under the floor instead of losing suppression —
-    /// a replayed ancient TU can neither re-charge the reassembly budget
-    /// nor resurrect a consumed ADU, no matter how old its id is.
-    released_floor: u64,
+    /// Sum of the declared totals of `pending` — what the byte budget
+    /// charges — kept running so admission and the advertised window are
+    /// O(1) however many assemblies are open.
+    reserved: usize,
+    /// Completed ADUs ready for release, in completion order.
+    ready: VecDeque<(u64, Adu, SimTime)>,
+    /// ADU ids already released — suppresses late duplicate TUs. Ids
+    /// trimmed from the window slide under its floor instead of losing
+    /// suppression: a replayed ancient TU can neither re-charge the
+    /// reassembly budget nor resurrect a consumed ADU, however old its id.
+    released: ReplayWindow,
     deadline: SimDuration,
     max_pending: usize,
     /// Maximum stored fragment views per assembly (0 = unlimited). Stored
@@ -258,9 +249,9 @@ impl Assembler {
     pub fn new(deadline: SimDuration, max_pending: usize) -> Self {
         Self {
             pending: BTreeMap::new(),
-            ready: Vec::new(),
-            released: BTreeMap::new(),
-            released_floor: 0,
+            reserved: 0,
+            ready: VecDeque::new(),
+            released: ReplayWindow::default(),
             deadline,
             max_pending,
             frag_quota: 0,
@@ -341,7 +332,7 @@ impl Assembler {
                         .map(|(&id, _)| id);
                     match oldest {
                         Some(id) => {
-                            let a = self.pending.remove(&id).expect("listed");
+                            let a = self.remove_pending(id).expect("listed");
                             self.stats.adus_shed += 1;
                             self.shed_notices.push((id, a.name));
                         }
@@ -358,14 +349,44 @@ impl Assembler {
     /// under a [`ShedPolicy::Backpressure`] byte budget (the caller should
     /// signal the sender rather than treat the TU as consumed).
     pub fn on_tu(&mut self, now: SimTime, tu: &Tu) -> bool {
-        if self.was_released(tu.adu_id) {
-            self.stats.duplicate_tus += 1;
+        let known = match self.screen(tu) {
+            Ok(known) => known,
+            Err(consumed) => return consumed,
+        };
+        if !known && tu.frag_off == 0 && tu.payload.len() == tu.adu_len as usize {
+            // The ADU arrived whole in one TU with nothing pending for its
+            // id: the TU's view already is the payload, so there is no
+            // assembly to build.
+            self.release(tu.adu_id, tu.name, tu.payload.clone(), 0, now);
             return true;
         }
-        if !self.pending.contains_key(&tu.adu_id) && !self.admit(tu.adu_len) {
-            return false;
+        self.assemble(now, tu, known)
+    }
+
+    /// The checks every TU passes before it may touch reassembly state:
+    /// replay suppression, then (for an ADU not yet pending) admission
+    /// under the byte budget. `Ok(known)` says whether an assembly is
+    /// already open for the ADU; `Err` is [`Assembler::on_tu`]'s verdict
+    /// for a TU that stops here.
+    fn screen(&mut self, tu: &Tu) -> Result<bool, bool> {
+        if self.was_released(tu.adu_id) {
+            self.stats.duplicate_tus += 1;
+            return Err(true);
+        }
+        let known = self.pending.contains_key(&tu.adu_id);
+        if !known && !self.admit(tu.adu_len) {
+            return Err(false);
         }
         self.stats.tus_in += 1;
+        Ok(known)
+    }
+
+    /// Place a screened TU into its (possibly new) assembly and release
+    /// the ADU if that completes it.
+    fn assemble(&mut self, now: SimTime, tu: &Tu, known: bool) -> bool {
+        if !known {
+            self.reserved += tu.adu_len as usize;
+        }
         let assembly = self
             .pending
             .entry(tu.adu_id)
@@ -392,26 +413,16 @@ impl Assembler {
             // fragmentation could produce. Evict it (and NACK it via the
             // shed notice) rather than let its views pin unbounded frame
             // memory.
-            let a = self.pending.remove(&tu.adu_id).expect("present");
+            let a = self.remove_pending(tu.adu_id).expect("present");
             self.stats.quota_evictions += 1;
             self.shed_notices.push((tu.adu_id, a.name));
             return true;
         }
         if assembly.is_complete() {
-            let done = self.pending.remove(&tu.adu_id).expect("present");
-            self.stats.adus_completed += 1;
-            self.released.insert(tu.adu_id, ());
-            self.trim_released();
-            let name = done.name;
-            let first_at = done.first_tu_at;
+            let done = self.remove_pending(tu.adu_id).expect("present");
+            let (name, first_at) = (done.name, done.first_tu_at);
             let (payload, gathered) = done.into_payload();
-            if gathered == 0 {
-                self.stats.zero_copy_releases += 1;
-            } else {
-                self.stats.gathered_bytes += gathered as u64;
-            }
-            self.ready
-                .push((tu.adu_id, Adu::new(name, payload), first_at));
+            self.release(tu.adu_id, name, payload, gathered, first_at);
         } else if self.pending.len() > self.max_pending {
             // Budget overflow: abandon the oldest assembly.
             let oldest = self
@@ -420,10 +431,39 @@ impl Assembler {
                 .min_by_key(|(_, a)| a.first_tu_at)
                 .map(|(&id, _)| id)
                 .expect("non-empty");
-            self.pending.remove(&oldest);
+            self.remove_pending(oldest);
             self.stats.adus_abandoned += 1;
         }
         true
+    }
+
+    /// Close an assembly: drop it from `pending` and return its reservation.
+    fn remove_pending(&mut self, adu_id: u64) -> Option<Assembly> {
+        let a = self.pending.remove(&adu_id)?;
+        self.reserved -= a.total as usize;
+        Some(a)
+    }
+
+    /// Hand a complete ADU to the ready queue and remember its id.
+    /// `gathered` is the bytes a multi-fragment gather copied (0 when the
+    /// payload is a view of one received chunk).
+    fn release(
+        &mut self,
+        adu_id: u64,
+        name: AduName,
+        payload: WireBuf,
+        gathered: usize,
+        first_at: SimTime,
+    ) {
+        self.stats.adus_completed += 1;
+        self.released.insert(adu_id);
+        if gathered == 0 {
+            self.stats.zero_copy_releases += 1;
+        } else {
+            self.stats.gathered_bytes += gathered as u64;
+        }
+        self.ready
+            .push_back((adu_id, Adu::new(name, payload), first_at));
     }
 
     /// Abandon assemblies whose deadline has passed; returns the
@@ -452,7 +492,7 @@ impl Assembler {
                 a.last_progress_at = now; // restart the deadline for this round
                 actions.request_frags.push((id, a.missing_ranges()));
             } else {
-                let a = self.pending.remove(&id).expect("listed");
+                let a = self.remove_pending(id).expect("listed");
                 self.stats.adus_abandoned += 1;
                 actions.abandoned.push((id, a.name));
             }
@@ -466,12 +506,12 @@ impl Assembler {
     /// so anything that old is a retransmission of consumed data or an
     /// adversarial replay — either way it must not re-enter reassembly.
     pub fn was_released(&self, adu_id: u64) -> bool {
-        adu_id < self.released_floor || self.released.contains_key(&adu_id)
+        self.released.contains(adu_id)
     }
 
     /// The current replay-window floor (ids below it are suppressed).
     pub fn released_floor(&self) -> u64 {
-        self.released_floor
+        self.released.floor()
     }
 
     /// The declared total length of a pending ADU, if under reassembly.
@@ -521,11 +561,7 @@ impl Assembler {
 
     /// Pop the next completed ADU: `(adu_id, adu, first_tu_arrival)`.
     pub fn pop_ready(&mut self) -> Option<(u64, Adu, SimTime)> {
-        if self.ready.is_empty() {
-            None
-        } else {
-            Some(self.ready.remove(0))
-        }
+        self.ready.pop_front()
     }
 
     /// Number of ADUs currently under reassembly.
@@ -539,7 +575,14 @@ impl Assembler {
     /// window subtracts — deliberately independent of how many duplicate
     /// bytes a retransmit-heavy peer pushes at us.
     pub fn pending_bytes(&self) -> usize {
-        self.pending.values().map(|a| a.total as usize).sum()
+        debug_assert_eq!(
+            self.reserved,
+            self.pending
+                .values()
+                .map(|a| a.total as usize)
+                .sum::<usize>()
+        );
+        self.reserved
     }
 
     /// Bytes of frame memory actually held by fragment views — always
@@ -553,15 +596,18 @@ impl Assembler {
         self.released.len()
     }
 
-    fn trim_released(&mut self) {
-        // Bound the duplicate-suppression memory: trimmed (oldest) ids
-        // slide under the replay-window floor, so suppression is kept in
-        // O(1) state while the map itself stays capped.
-        while self.released.len() > 4096 {
-            let (&first, _) = self.released.iter().next().expect("non-empty");
-            self.released.remove(&first);
-            self.released_floor = self.released_floor.max(first + 1);
-        }
+    /// Whether a poll has anything to do here: an assembly that could
+    /// expire, or a shed notice to collect. False on an association whose
+    /// ADUs all arrive whole — its polls skip the receive sweep.
+    pub fn needs_sweep(&self) -> bool {
+        !self.pending.is_empty() || !self.shed_notices.is_empty()
+    }
+
+    /// Approximate heap bytes held: the reservations of open assemblies
+    /// plus the replay window's run slots. Deterministic (lengths and
+    /// capacities, never allocator internals).
+    pub fn approx_mem_bytes(&self) -> usize {
+        self.pending_bytes() + self.released.capacity() * std::mem::size_of::<(u64, u64)>()
     }
 }
 
@@ -1032,5 +1078,205 @@ mod tests {
         );
         assert_eq!(a.fragment_if_present(0, 1500, 1000), None); // not covered
         assert_eq!(a.fragment_if_present(0, 2900, 200), None); // past total
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The parent's `Assembly::insert`, literally: scan every interval for
+    /// the gaps, push, sort both lists, rebuild the merged interval list.
+    fn insert_reference(a: &mut Assembly, off: u32, data: &WireBuf) -> u32 {
+        let len = data.len() as u32;
+        if len == 0 || off as u64 + len as u64 > a.total as u64 {
+            return 0;
+        }
+        let mut newly = 0u32;
+        let mut cursor = off;
+        let end = off + len;
+        for &(io, il) in &a.intervals {
+            let iend = io + il;
+            if iend <= cursor {
+                continue;
+            }
+            if io >= end {
+                break;
+            }
+            if io > cursor {
+                let (s, e) = ((cursor - off) as usize, (io - off) as usize);
+                a.frags.push((cursor, data.slice(s..e)));
+                newly += io - cursor;
+            }
+            cursor = cursor.max(iend);
+            if cursor >= end {
+                break;
+            }
+        }
+        if cursor < end {
+            a.frags
+                .push((cursor, data.slice((cursor - off) as usize..)));
+            newly += end - cursor;
+        }
+        if newly > 0 {
+            a.frags.sort_unstable_by_key(|&(o, _)| o);
+            a.intervals.push((off, len));
+            a.intervals.sort_unstable();
+            let mut merged: Vec<(u32, u32)> = Vec::with_capacity(a.intervals.len());
+            for &(o, l) in &a.intervals {
+                if let Some(last) = merged.last_mut() {
+                    if o <= last.0 + last.1 {
+                        last.1 = (o + l).max(last.0 + last.1) - last.0;
+                        continue;
+                    }
+                }
+                merged.push((o, l));
+            }
+            a.intervals = merged;
+            a.bytes_received += newly;
+        }
+        newly
+    }
+
+    const TOTAL: u32 = 300;
+
+    fn pattern(off: u32, len: u32) -> WireBuf {
+        (off..off + len)
+            .map(|i| (i * 7 + 3) as u8)
+            .collect::<Vec<_>>()
+            .into()
+    }
+
+    /// Every stored byte at its ADU offset, 0 where nothing is held.
+    fn stored(a: &Assembly) -> Vec<u8> {
+        let mut buf = vec![0u8; a.total as usize];
+        for (o, f) in &a.frags {
+            buf[*o as usize..*o as usize + f.len()].copy_from_slice(f);
+        }
+        buf
+    }
+
+    proptest! {
+        /// In-place interval merge against push-sort-merge: random,
+        /// overlapping, duplicate, touching, out-of-order and out-of-range
+        /// fragments.
+        #[test]
+        fn prop_insert_matches_push_sort_merge(
+            frags in prop::collection::vec((0u32..TOTAL + 8, 0u32..90, any::<bool>()), 1..40),
+        ) {
+            let name = AduName::Seq { index: 0 };
+            let mut fast = Assembly::new(name, TOTAL, SimTime::ZERO);
+            let mut slow = Assembly::new(name, TOTAL, SimTime::ZERO);
+            let mut prev = (0u32, 1u32);
+            for (off, len, repeat) in frags {
+                // A repeat re-sends the previous fragment: an exact duplicate.
+                let (off, len) = if repeat { prev } else { (off, len) };
+                prev = (off, len);
+                let data = pattern(off, len);
+                prop_assert_eq!(fast.insert(off, &data), insert_reference(&mut slow, off, &data));
+                prop_assert_eq!(&fast.intervals, &slow.intervals);
+                prop_assert_eq!(fast.bytes_received, slow.bytes_received);
+                prop_assert_eq!(fast.missing_ranges(), slow.missing_ranges());
+                prop_assert_eq!(&fast.frags, &slow.frags);
+                prop_assert_eq!(fast.stored_bytes(), fast.bytes_received as usize);
+            }
+            prop_assert_eq!(stored(&fast), stored(&slow));
+            if fast.is_complete() {
+                prop_assert_eq!(fast.into_payload().0, pattern(0, TOTAL));
+            }
+        }
+    }
+
+    /// [`Assembler::on_tu`] without its whole-ADU branch: every TU takes
+    /// the general path.
+    fn on_tu_general(a: &mut Assembler, now: SimTime, tu: &Tu) -> bool {
+        match a.screen(tu) {
+            Ok(known) => a.assemble(now, tu, known),
+            Err(consumed) => consumed,
+        }
+    }
+
+    /// ADU `id`'s length: zero-length, tiny and multi-hundred-byte ADUs.
+    fn len_of(id: u64) -> u32 {
+        [0, 1, 40, 300, 900][id as usize % 5]
+    }
+
+    fn tu(id: u64, adu_len: u32, name: AduName, off: u32, len: u32) -> Tu {
+        Tu {
+            flags: 0,
+            assoc: 1,
+            timestamp_us: 0,
+            adu_id: id,
+            adu_len,
+            frag_off: off,
+            name,
+            payload: pattern(off + id as u32, len),
+        }
+    }
+
+    proptest! {
+        /// Releasing a whole-ADU TU as the view it is changes nothing
+        /// observable: over scripts mixing whole ADUs, ADUs split in two,
+        /// duplicates, late replays, zero-length ADUs, metadata conflicts,
+        /// expiry sweeps and both byte-budget policies, every return value,
+        /// delivery, counter, shed notice and replay verdict equals the
+        /// general path's.
+        #[test]
+        fn prop_whole_adu_release_equals_general_path(
+            budget in 0usize..3,
+            script in prop::collection::vec((0u8..9, 0u64..12), 1..60),
+        ) {
+            let mk = || {
+                let mut a = Assembler::new(SimDuration::from_millis(5), 3);
+                match budget {
+                    1 => a.set_budget(1200, ShedPolicy::Backpressure),
+                    2 => a.set_budget(1200, ShedPolicy::DropOldest),
+                    _ => {}
+                }
+                a
+            };
+            let (mut fast, mut slow) = (mk(), mk());
+            let mut now = SimTime::ZERO;
+            for (kind, id) in script {
+                now += SimDuration::from_millis(1);
+                let (len, name) = (len_of(id), AduName::Seq { index: id });
+                let half = len / 2;
+                let t = match kind {
+                    // Whole ADUs: first arrivals, duplicates and late
+                    // replays alike, depending on what came before.
+                    0..=3 => tu(id, len, name, 0, len),
+                    4 => tu(id, len, name, 0, half),
+                    5 => tu(id, len, name, half, len - half),
+                    // Metadata conflicts, themselves shaped as whole ADUs.
+                    6 => tu(id, len + 8, name, 0, len + 8),
+                    7 => tu(id, len, AduName::Rpc { call: 9, part: 0 }, 0, len),
+                    _ => {
+                        let (f, s) = (fast.expire_policy(now, 1), slow.expire_policy(now, 1));
+                        prop_assert_eq!(f.request_frags, s.request_frags);
+                        prop_assert_eq!(f.abandoned, s.abandoned);
+                        now += SimDuration::from_millis(4);
+                        continue;
+                    }
+                };
+                prop_assert_eq!(fast.on_tu(now, &t), on_tu_general(&mut slow, now, &t));
+                loop {
+                    let (f, s) = (fast.pop_ready(), slow.pop_ready());
+                    prop_assert_eq!(&f, &s);
+                    if f.is_none() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(fast.stats, slow.stats);
+                prop_assert_eq!(fast.take_shed(), slow.take_shed());
+                prop_assert_eq!(fast.pending_count(), slow.pending_count());
+                prop_assert_eq!(fast.pending_bytes(), slow.pending_bytes());
+                prop_assert_eq!(fast.budget_free(), slow.budget_free());
+                prop_assert_eq!(fast.released_count(), slow.released_count());
+                for probe in 0..13 {
+                    prop_assert_eq!(fast.was_released(probe), slow.was_released(probe));
+                }
+            }
+        }
     }
 }

@@ -61,6 +61,7 @@ pub mod adu;
 pub mod assembler;
 pub mod driver;
 pub mod fec;
+mod ids;
 pub mod mux;
 pub mod pipeline;
 pub mod timer;

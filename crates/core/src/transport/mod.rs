@@ -24,13 +24,15 @@
 use crate::adu::{Adu, AduName};
 use crate::assembler::{Assembler, ShedPolicy};
 use crate::fec;
+use crate::ids::IdRing;
 use crate::wire::{
-    fragment_adu_buf, restamp_tu, Message, RWND_UNLIMITED, TU_FLAG_PARITY, TU_FLAG_TIMESTAMP,
+    encode_ack, fragments, restamp_tu, Message, Tu, RWND_UNLIMITED, TU_FLAG_PARITY,
+    TU_FLAG_TIMESTAMP,
 };
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
 use ct_wire::WireBuf;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 mod config;
 mod rtt;
@@ -112,8 +114,11 @@ struct SentAdu {
 pub struct AduTransport {
     cfg: AlfConfig,
     next_adu_id: u64,
-    /// Unacknowledged ADUs (sender side).
-    unacked: BTreeMap<u64, SentAdu>,
+    /// Unacknowledged ADUs (sender side), sorted by id: ids are assigned
+    /// here and monotone, so admission appends, the oldest — the one ACKs
+    /// and timeouts usually name — is the front, and anything else is a
+    /// binary search over at most `window_adus` live entries.
+    unacked: IdRing<SentAdu>,
     /// Hashed timer wheel shadowing `unacked`'s retransmission deadlines:
     /// one entry per ADU with a live clock, reconciled by `sync_timer`
     /// after every state change and cancelled eagerly on ACK. This is what
@@ -123,7 +128,7 @@ pub struct AduTransport {
     /// Reusable scratch for draining the wheel (no per-poll allocation).
     wheel_scratch: Vec<(SimTime, u64)>,
     /// ADUs queued for first transmission: `(id, name, payload)`.
-    queue: Vec<(u64, AduName, WireBuf)>,
+    queue: VecDeque<(u64, AduName, WireBuf)>,
     /// ADUs to (re)transmit this poll: `(id, full)` — `full` resends the
     /// whole ADU, otherwise only a first-TU probe goes out and the
     /// receiver's selective NACKs fetch the rest.
@@ -141,7 +146,7 @@ pub struct AduTransport {
     /// Encoded data TUs awaiting a transmit slot (pacing queue), tagged
     /// with their ADU id so the retransmission deadline can be refreshed
     /// when the TU actually leaves.
-    txq: std::collections::VecDeque<(u64, AduName, Vec<u8>)>,
+    txq: VecDeque<(u64, AduName, Vec<u8>)>,
     /// Earliest instant the pacer will release the next TU.
     next_tx_at: SimTime,
     /// Receive stage 1.
@@ -171,7 +176,7 @@ pub struct AduTransport {
     /// Smoothed delivery rate, bits per second (0 = no sample yet).
     rate_bps: f64,
     /// Completed ADUs awaiting the application: `(id, adu, latency)`.
-    deliver: Vec<(u64, Adu, SimDuration)>,
+    deliver: VecDeque<(u64, Adu, SimDuration)>,
     highest_delivered: Option<u64>,
     /// Latest receiver window advertised by the peer's ACKs, bytes.
     peer_rwnd: u32,
@@ -216,17 +221,17 @@ impl AduTransport {
         Self {
             cfg,
             next_adu_id: 0,
-            unacked: BTreeMap::new(),
+            unacked: IdRing::default(),
             wheel: TimerWheel::new(RETX_WHEEL_SLOTS, RETX_WHEEL_GRANULARITY),
             wheel_scratch: Vec::new(),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             retransmit_now: Vec::new(),
             ack_queue: Vec::new(),
             nack_queue: Vec::new(),
             nack_frag_out: Vec::new(),
             recompute_out: Vec::new(),
             loss_reports: Vec::new(),
-            txq: std::collections::VecDeque::new(),
+            txq: VecDeque::new(),
             next_tx_at: SimTime::ZERO,
             assembler,
             parities: BTreeMap::new(),
@@ -240,7 +245,7 @@ impl AduTransport {
             rate_bytes: 0,
             rate_epoch: None,
             rate_bps: 0.0,
-            deliver: Vec::new(),
+            deliver: VecDeque::new(),
             highest_delivered: None,
             peer_rwnd: RWND_UNLIMITED,
             rwnd_blocked: false,
@@ -352,7 +357,7 @@ impl AduTransport {
         let id = self.next_adu_id;
         self.next_adu_id += 1;
         self.stats.adus_sent += 1;
-        self.queue.push((id, name, payload));
+        self.queue.push_back((id, name, payload));
         Ok(id)
     }
 
@@ -380,7 +385,7 @@ impl AduTransport {
     /// payload is retransmitted as the same ADU id. Returns false if the
     /// request is no longer live (e.g. ACKed in the meantime).
     pub fn provide_recomputed(&mut self, adu_id: u64, payload: impl Into<WireBuf>) -> bool {
-        match self.unacked.get_mut(&adu_id) {
+        match self.unacked.get_mut(adu_id) {
             Some(sent) if sent.awaiting_recompute => {
                 sent.payload = Some(payload.into());
                 sent.awaiting_recompute = false;
@@ -429,10 +434,7 @@ impl AduTransport {
     /// arrival → completion). Delivery order is completion order, NOT name
     /// or id order — out-of-order by design.
     pub fn recv_adu(&mut self) -> Option<(Adu, SimDuration)> {
-        if self.deliver.is_empty() {
-            return None;
-        }
-        let (id, adu, latency) = self.deliver.remove(0);
+        let (id, adu, latency) = self.deliver.pop_front()?;
         if let Some(hi) = self.highest_delivered {
             if id < hi {
                 self.stats.adus_delivered_out_of_order += 1;
@@ -453,6 +455,10 @@ impl AduTransport {
 
     /// Advance the machine: expire assemblies, fire retransmission timers,
     /// emit data and control messages.
+    ///
+    /// Each section is a no-op on its own emptiness test, so a poll with
+    /// nothing to do is a handful of compares, and a working one allocates
+    /// only the frames it returns.
     pub fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
 
@@ -461,28 +467,31 @@ impl AduTransport {
         // to loss reports instead of retrying forever.
         self.check_peer_silence(now);
 
-        // Receiver: overdue assemblies get selective-fragment NACKs for a
-        // few rounds, then a whole-ADU NACK and abandonment.
-        let actions = self.assembler.expire_policy(now, self.cfg.nack_frag_rounds);
-        for (id, ranges) in actions.request_frags {
-            self.nack_frag_out.push((id, ranges));
-        }
-        let mut budget_freed = !actions.abandoned.is_empty();
-        for (id, _name) in actions.abandoned {
-            self.nack_queue.push(id);
-        }
-        // Receiver: assemblies shed to honor the byte budget (drop-oldest
-        // policy). NACK them so a retransmitting sender stops resending.
-        for (id, _name) in self.assembler.take_shed() {
-            self.nack_queue.push(id);
-            budget_freed = true;
-        }
-        self.stats.adus_shed = self.assembler.stats.adus_shed;
-        self.stats.quota_evictions = self.assembler.stats.quota_evictions;
-        if budget_freed && self.assembler.budget_bytes() > 0 {
-            // Freed budget is a window update the (possibly stalled)
-            // sender needs to hear about even if no ACK ids are pending.
-            self.window_ack_due = true;
+        if self.assembler.needs_sweep() {
+            // Receiver: overdue assemblies get selective-fragment NACKs for
+            // a few rounds, then a whole-ADU NACK and abandonment.
+            let actions = self.assembler.expire_policy(now, self.cfg.nack_frag_rounds);
+            for (id, ranges) in actions.request_frags {
+                self.nack_frag_out.push((id, ranges));
+            }
+            let mut budget_freed = !actions.abandoned.is_empty();
+            for (id, _name) in actions.abandoned {
+                self.nack_queue.push(id);
+            }
+            // Receiver: assemblies shed to honor the byte budget
+            // (drop-oldest policy). NACK them so a retransmitting sender
+            // stops resending.
+            for (id, _name) in self.assembler.take_shed() {
+                self.nack_queue.push(id);
+                budget_freed = true;
+            }
+            self.stats.adus_shed = self.assembler.stats.adus_shed;
+            self.stats.quota_evictions = self.assembler.stats.quota_evictions;
+            if budget_freed && self.assembler.budget_bytes() > 0 {
+                // Freed budget is a window update the (possibly stalled)
+                // sender needs to hear about even if no ACK ids are pending.
+                self.window_ack_due = true;
+            }
         }
 
         // Sender: retransmission deadlines, via the hashed timer wheel —
@@ -496,7 +505,7 @@ impl AduTransport {
         self.wheel.advance(now, &mut due);
         let mut overdue: Vec<u64> = Vec::with_capacity(due.len());
         for &(deadline, id) in &due {
-            if let Some(sent) = self.unacked.get_mut(&id) {
+            if let Some(sent) = self.unacked.get_mut(id) {
                 if sent.armed == Some(deadline) {
                     // The wheel consumed this entry; it is no longer armed.
                     sent.armed = None;
@@ -533,7 +542,7 @@ impl AduTransport {
         let base = self.rto_base();
         let retx = std::mem::take(&mut self.retransmit_now);
         for (id, full) in retx {
-            if let Some(sent) = self.unacked.get_mut(&id) {
+            if let Some(sent) = self.unacked.get_mut(id) {
                 // Buffer mode keeps its copy for further losses; recompute
                 // mode hands the regenerated payload straight through — the
                 // transport holds no standing copy ("recompute the lost
@@ -555,7 +564,7 @@ impl AduTransport {
                         // missing-range NACKs drive the rest of the repair.
                         self.stats.probe_tus += 1;
                         self.trace(now, "probe", Some(name), id, 0, self.cfg.mtu_payload as u64);
-                        let mut tu = crate::wire::Tu {
+                        let mut tu = Tu {
                             flags: 0,
                             assoc: self.cfg.assoc,
                             timestamp_us: 0,
@@ -569,10 +578,10 @@ impl AduTransport {
                             tu.flags |= TU_FLAG_TIMESTAMP;
                             tu.timestamp_us = micros_wrapping(now);
                         }
-                        self.txq.push_back((id, name, Message::Tu(tu).encode()));
+                        self.txq.push_back((id, name, tu.encode()));
                         1
                     };
-                    if let Some(sent) = self.unacked.get_mut(&id) {
+                    if let Some(sent) = self.unacked.get_mut(id) {
                         sent.tus_unreleased += queued;
                     }
                 }
@@ -585,66 +594,69 @@ impl AduTransport {
         // advertised reassembly window in bytes. NoRetransmit flows are
         // held back by neither (no ACK clock to grow a cwnd; the receiver
         // sheds drop-oldest rather than pushing back).
-        let cwnd_slots = if self.cfg.adaptive && self.cfg.recovery != RecoveryMode::NoRetransmit {
-            (self.cwnd as usize).saturating_sub(self.unacked.len())
-        } else {
-            usize::MAX
-        };
-        let mut rwnd_free = if self.cfg.recovery == RecoveryMode::NoRetransmit
-            || self.peer_rwnd == RWND_UNLIMITED
-        {
-            None
-        } else {
-            let inflight: u64 = self.unacked.values().map(|s| u64::from(s.total_len)).sum();
-            Some(u64::from(self.peer_rwnd).saturating_sub(inflight))
-        };
-        let mut admit = 0usize;
-        let was_blocked = self.rwnd_blocked;
-        self.rwnd_blocked = false;
-        for (i, (_, _, payload)) in self.queue.iter().enumerate() {
-            if i >= cwnd_slots {
-                break;
-            }
-            if let Some(free) = rwnd_free {
-                let need = payload.len() as u64;
-                if need > free {
-                    // Admitting this ADU could overflow the receiver's
-                    // budget and be shed; hold it until the window reopens.
-                    self.rwnd_blocked = true;
+        if !self.queue.is_empty() || self.rwnd_blocked {
+            let cwnd_slots = if self.cfg.adaptive && self.cfg.recovery != RecoveryMode::NoRetransmit
+            {
+                (self.cwnd as usize).saturating_sub(self.unacked.len())
+            } else {
+                usize::MAX
+            };
+            let mut rwnd_free = if self.cfg.recovery == RecoveryMode::NoRetransmit
+                || self.peer_rwnd == RWND_UNLIMITED
+            {
+                None
+            } else {
+                let inflight: u64 = self.unacked.values().map(|s| u64::from(s.total_len)).sum();
+                Some(u64::from(self.peer_rwnd).saturating_sub(inflight))
+            };
+            let mut admit = 0usize;
+            let was_blocked = self.rwnd_blocked;
+            self.rwnd_blocked = false;
+            for (i, (_, _, payload)) in self.queue.iter().enumerate() {
+                if i >= cwnd_slots {
                     break;
                 }
-                rwnd_free = Some(free - need);
+                if let Some(free) = rwnd_free {
+                    let need = payload.len() as u64;
+                    if need > free {
+                        // Admitting this ADU could overflow the receiver's
+                        // budget and be shed; hold it until the window reopens.
+                        self.rwnd_blocked = true;
+                        break;
+                    }
+                    rwnd_free = Some(free - need);
+                }
+                admit = i + 1;
             }
-            admit = i + 1;
-        }
-        if was_blocked && !self.rwnd_blocked {
-            self.next_probe_at = None;
-            self.probe_backoff = 0;
-        }
-        let queue: Vec<_> = self.queue.drain(..admit).collect();
-        for (id, name, payload) in queue {
+            if was_blocked && !self.rwnd_blocked {
+                self.next_probe_at = None;
+                self.probe_backoff = 0;
+            }
             let keep_payload = self.cfg.recovery == RecoveryMode::TransportBuffer;
-            if self.cfg.recovery != RecoveryMode::NoRetransmit {
-                self.unacked.insert(
-                    id,
-                    SentAdu {
-                        name,
-                        payload: keep_payload.then(|| payload.clone()),
-                        total_len: payload.len() as u32,
-                        deadline: now + base,
-                        retries: 0,
-                        awaiting_recompute: false,
-                        tus_unreleased: 0,
-                        armed: None,
-                    },
-                );
+            for _ in 0..admit {
+                let (id, name, payload) = self.queue.pop_front().expect("admit <= queue length");
+                if self.cfg.recovery != RecoveryMode::NoRetransmit {
+                    self.unacked.insert(
+                        id,
+                        SentAdu {
+                            name,
+                            payload: keep_payload.then(|| payload.clone()),
+                            total_len: payload.len() as u32,
+                            deadline: now + base,
+                            retries: 0,
+                            awaiting_recompute: false,
+                            tus_unreleased: 0,
+                            armed: None,
+                        },
+                    );
+                }
+                self.trace(now, "adu_send", Some(name), id, 0, payload.len() as u64);
+                let queued = self.emit_adu(now, id, name, &payload);
+                if let Some(sent) = self.unacked.get_mut(id) {
+                    sent.tus_unreleased += queued;
+                }
+                self.sync_timer(id);
             }
-            self.trace(now, "adu_send", Some(name), id, 0, payload.len() as u64);
-            let queued = self.emit_adu(now, id, name, &payload);
-            if let Some(sent) = self.unacked.get_mut(&id) {
-                sent.tus_unreleased += queued;
-            }
-            self.sync_timer(id);
         }
 
         // Release paced data TUs up to the burst budget and the token
@@ -669,7 +681,7 @@ impl AduTransport {
                 // a fresh stamp, making Karn's filter unnecessary.
                 restamp_tu(&mut frame, micros_wrapping(now));
             }
-            if let Some(sent) = self.unacked.get_mut(&id) {
+            if let Some(sent) = self.unacked.get_mut(id) {
                 let retries = sent.retries;
                 sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
                 sent.deadline = now + rto_for(base, retries + self.timeout_backoff);
@@ -707,23 +719,21 @@ impl AduTransport {
         // can recover a round-trip sample — and always advertises the
         // receiver window (free reassembly budget). A pending window
         // update (probe answer, freed budget) forces an ACK out even with
-        // no ids to acknowledge.
+        // no ids to acknowledge. The id queue is encoded in place and
+        // keeps its allocation.
         if !self.ack_queue.is_empty() || self.window_ack_due {
             self.window_ack_due = false;
-            let ids = std::mem::take(&mut self.ack_queue);
             let echo = self
                 .echo_pending
                 .take()
                 .map(|(ts, arrival)| (ts, micros_wrapping(now).wrapping_sub(arrival)));
-            out.push(
-                Message::Ack {
-                    assoc: self.cfg.assoc,
-                    ids,
-                    echo,
-                    rwnd: self.advertised_rwnd(),
-                }
-                .encode(),
-            );
+            out.push(encode_ack(
+                self.cfg.assoc,
+                &self.ack_queue,
+                echo,
+                self.advertised_rwnd(),
+            ));
+            self.ack_queue.clear();
             self.stats.control_sent += 1;
         }
         if !self.nack_queue.is_empty() {
@@ -871,7 +881,7 @@ impl AduTransport {
                         adu.payload.len() as u64,
                     );
                     self.ack_queue.push(id);
-                    self.deliver.push((id, adu, latency));
+                    self.deliver.push_back((id, adu, latency));
                 }
                 // A multi-fragment release gathered: one read of each
                 // stored view, one write into the contiguous payload. A
@@ -912,7 +922,7 @@ impl AduTransport {
                 let mut newly_acked = 0u64;
                 let mut acked_bytes = 0u64;
                 for id in ids {
-                    if let Some(sent) = self.unacked.remove(&id) {
+                    if let Some(sent) = self.unacked.remove(id) {
                         if let Some(d) = sent.armed {
                             self.wheel.remove(d, id);
                         }
@@ -932,7 +942,7 @@ impl AduTransport {
                     return;
                 }
                 for id in ids {
-                    if self.unacked.contains_key(&id) {
+                    if self.unacked.contains_key(id) {
                         self.handle_loss_event(id, now);
                     }
                 }
@@ -996,19 +1006,20 @@ impl AduTransport {
     }
 
     /// Approximate memory footprint of this endpoint, in bytes: the struct
-    /// itself plus buffered retransmission payloads, queued ADUs,
-    /// reassembly state, delivery queue, and the timer wheel. Deterministic
+    /// itself plus the sender window's slots and buffered retransmission
+    /// payloads, queued ADUs, reassembly and replay-window state, delivery
+    /// queue, and the timer wheel. Deterministic
     /// (derived from lengths and capacities, never allocator internals) —
     /// X13 uses it for the bytes-per-association bound.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + self.unacked.len() * size_of::<(u64, SentAdu)>()
+            + self.unacked.capacity() * size_of::<(u64, SentAdu)>()
             + self.retransmit_buffer_bytes()
             + self.queue.capacity() * size_of::<(u64, AduName, WireBuf)>()
             + self.txq.capacity() * size_of::<(u64, AduName, Vec<u8>)>()
             + self.deliver.capacity() * size_of::<(u64, Adu, SimDuration)>()
-            + self.assembler.pending_bytes()
+            + self.assembler.approx_mem_bytes()
             + self.wheel.approx_mem_bytes()
             + self.wheel_scratch.capacity() * size_of::<(SimTime, u64)>()
     }
@@ -1056,7 +1067,7 @@ impl AduTransport {
             self.queue.len() as u64,
             0,
         );
-        for (id, sent) in std::mem::take(&mut self.unacked) {
+        for (id, sent) in self.unacked.drain() {
             if let Some(d) = sent.armed {
                 self.wheel.remove(d, id);
             }
@@ -1067,7 +1078,7 @@ impl AduTransport {
                 name: sent.name,
             });
         }
-        for (id, name, _) in std::mem::take(&mut self.queue) {
+        for (id, name, _) in self.queue.drain(..) {
             self.stats.adus_given_up += 1;
             self.stats.losses_reported += 1;
             self.loss_reports.push(LossReport { adu_id: id, name });
@@ -1123,42 +1134,46 @@ impl AduTransport {
     /// Fragment and queue an ADU's TUs (plus FEC parity when configured);
     /// returns how many were queued.
     ///
-    /// Fragmentation slices the payload (O(1) views, no copy); the single
-    /// data pass happens inside [`Message::encode`], where the payload is
-    /// copied into the frame and checksummed in the same sweep — one read
-    /// and one write per payload byte, booked here as `alf/tu_encode`.
+    /// Fragmentation slices the payload (O(1) views, no copy) and each TU
+    /// is encoded as it is cut — no list of them is built unless FEC needs
+    /// the group to compute parity over.
     fn emit_adu(&mut self, now: SimTime, id: u64, name: AduName, payload: &WireBuf) -> usize {
-        let mut tus = fragment_adu_buf(self.cfg.assoc, id, name, payload, self.cfg.mtu_payload);
-        if self.cfg.timestamps {
-            let stamp = micros_wrapping(now);
-            for tu in &mut tus {
+        let stamp = self.cfg.timestamps.then(|| micros_wrapping(now));
+        let fec_group = self.cfg.fec_group;
+        let mut protected = Vec::new();
+        let mut n = 0usize;
+        for mut tu in fragments(self.cfg.assoc, id, name, payload, self.cfg.mtu_payload) {
+            if let Some(stamp) = stamp {
                 tu.timestamp_us = stamp;
                 tu.flags |= TU_FLAG_TIMESTAMP;
             }
+            self.queue_tu(&tu);
+            n += 1;
+            if fec_group > 0 {
+                protected.push(tu);
+            }
         }
-        let mut n = 0usize;
         // Parity follows the data it protects: by the time a parity TU
         // arrives, its group's data TUs have either arrived or been lost,
         // so reconstruction fires only for real erasures.
-        let parities = if self.cfg.fec_group > 0 {
-            fec::build_parity(&tus, self.cfg.fec_group)
-        } else {
-            Vec::new()
-        };
-        for tu in tus {
-            let len = tu.payload.len() as u64;
-            self.txq.push_back((id, name, Message::Tu(tu).encode()));
-            self.ledger_touch("alf/tu_encode", len, len);
-            n += 1;
-        }
-        for parity in parities {
-            let len = parity.payload.len() as u64;
-            self.txq.push_back((id, name, Message::Tu(parity).encode()));
-            self.ledger_touch("alf/tu_encode", len, len);
-            self.stats.fec_parity_sent += 1;
-            n += 1;
+        if fec_group > 0 {
+            for parity in fec::build_parity(&protected, fec_group) {
+                self.queue_tu(&parity);
+                self.stats.fec_parity_sent += 1;
+                n += 1;
+            }
         }
         n
+    }
+
+    /// Encode one TU into the pacing queue. This is the send side's single
+    /// data pass: [`Tu::encode`] copies the payload into the frame and
+    /// checksums it in the same sweep — one read and one write per payload
+    /// byte, booked as `alf/tu_encode`.
+    fn queue_tu(&mut self, tu: &Tu) {
+        let len = tu.payload.len() as u64;
+        self.txq.push_back((tu.adu_id, tu.name, tu.encode()));
+        self.ledger_touch("alf/tu_encode", len, len);
     }
 
     /// RFC 3550 §6.4.1 interarrival jitter: `J += (|D| - J) / 16` where
@@ -1210,7 +1225,7 @@ impl AduTransport {
         }
         for (frag_off, payload) in rebuilt {
             self.stats.fec_reconstructions += 1;
-            let tu = crate::wire::Tu {
+            let tu = Tu {
                 flags: 0,
                 assoc: self.cfg.assoc,
                 timestamp_us: 0,
@@ -1231,7 +1246,7 @@ impl AduTransport {
     fn retransmit_fragments(&mut self, now: SimTime, adu_id: u64, ranges: &[(u32, u32)]) {
         let base = self.rto_base();
         let stamp = self.cfg.timestamps.then(|| micros_wrapping(now));
-        let Some(sent) = self.unacked.get(&adu_id) else {
+        let Some(sent) = self.unacked.get(adu_id) else {
             return; // already ACKed — the NACK raced the final TU
         };
         if sent.tus_unreleased > 0 {
@@ -1252,7 +1267,9 @@ impl AduTransport {
         };
         let name = sent.name;
         let total = payload.len() as u32;
-        let mut tus = Vec::new();
+        // Each repair TU is encoded into the pacing queue as it is cut.
+        let mut queued = 0usize;
+        let mut retx_bytes = 0usize;
         for &(off, len) in ranges {
             if len == 0 || off as u64 + u64::from(len) > u64::from(total) {
                 // A repair request outside the ADU we declared is a
@@ -1274,7 +1291,7 @@ impl AduTransport {
             let mut cursor = off;
             while cursor < end {
                 let take = (end - cursor).min(self.cfg.mtu_payload as u32) as usize;
-                tus.push(crate::wire::Tu {
+                let tu = Tu {
                     flags: if stamp.is_some() {
                         TU_FLAG_TIMESTAMP
                     } else {
@@ -1287,35 +1304,33 @@ impl AduTransport {
                     frag_off: cursor,
                     name,
                     payload: payload.slice(cursor as usize..cursor as usize + take),
-                });
+                };
+                self.txq.push_back((adu_id, name, tu.encode()));
+                queued += 1;
+                retx_bytes += take;
                 cursor += take as u32;
             }
         }
-        if tus.is_empty() {
+        if queued == 0 {
             return;
         }
         let sent = self
             .unacked
-            .get_mut(&adu_id)
+            .get_mut(adu_id)
             .expect("checked live above; no removal since");
         sent.retries += 1;
-        let deadline = now + rto_for(base, sent.retries + self.timeout_backoff);
-        sent.deadline = deadline;
-        sent.tus_unreleased += tus.len();
-        self.stats.tus_retransmitted_selective += tus.len() as u64;
-        let retx_bytes: usize = tus.iter().map(|t| t.payload.len()).sum();
+        sent.deadline = now + rto_for(base, sent.retries + self.timeout_backoff);
+        sent.tus_unreleased += queued;
+        self.stats.tus_retransmitted_selective += queued as u64;
         self.ledger_touch("alf/tu_encode", retx_bytes as u64, retx_bytes as u64);
         self.trace(
             now,
             "tu_retx",
             Some(name),
             adu_id,
-            tus.len() as u64,
+            queued as u64,
             retx_bytes as u64,
         );
-        for tu in tus {
-            self.txq.push_back((adu_id, name, Message::Tu(tu).encode()));
-        }
         self.sync_timer(adu_id);
     }
 
@@ -1323,12 +1338,12 @@ impl AduTransport {
     /// adaptive control, the congestion response (timeouts and NACKs both
     /// land here — there is exactly one loss-signal point).
     fn handle_loss_event(&mut self, id: u64, now: SimTime) {
-        if !self.unacked.contains_key(&id) {
+        if !self.unacked.contains_key(id) {
             return;
         }
         self.cwnd_on_loss(now);
         let base = self.rto_base();
-        let Some(sent) = self.unacked.get_mut(&id) else {
+        let Some(sent) = self.unacked.get_mut(id) else {
             return;
         };
         #[cfg(feature = "debug-loss")]
@@ -1339,7 +1354,7 @@ impl AduTransport {
         if sent.retries >= self.cfg.max_retries {
             let name = sent.name;
             let armed = sent.armed;
-            self.unacked.remove(&id);
+            self.unacked.remove(id);
             if let Some(d) = armed {
                 self.wheel.remove(d, id);
             }
@@ -1380,7 +1395,7 @@ impl AduTransport {
     /// clock and [`AduTransport::next_timeout`] reproduces the old O(n)
     /// min-scan bit-for-bit. O(1) expected (slot-addressed removal).
     fn sync_timer(&mut self, id: u64) {
-        let Some(sent) = self.unacked.get(&id) else {
+        let Some(sent) = self.unacked.get_mut(id) else {
             return;
         };
         let desired =
@@ -1394,9 +1409,7 @@ impl AduTransport {
         if let Some(d) = desired {
             self.wheel.insert(d, id);
         }
-        if let Some(sent) = self.unacked.get_mut(&id) {
-            sent.armed = desired;
-        }
+        sent.armed = desired;
     }
 
     /// Base retransmission timeout: the RTT-derived RTO under adaptive

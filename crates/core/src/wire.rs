@@ -187,43 +187,72 @@ fn verify_checksum(buf: &[u8]) -> bool {
     internet_checksum(buf) == 0
 }
 
+impl Tu {
+    /// Encode to wire bytes (checksum sealed) — the one TU encoder; the
+    /// transport calls it per fragment, [`Message::encode`] for its TU arm.
+    pub fn encode(&self) -> Vec<u8> {
+        // One allocation at final size: the header region is reserved up
+        // front (headroom), then the payload is copied in behind it *fused
+        // with its checksum pass* — the frame's data bytes are touched
+        // exactly once on the way out.
+        let mut out = Vec::with_capacity(TU_HEADER_BYTES + self.payload.len());
+        let mut w = HeaderWriter::new(&mut out);
+        w.put_u8(T_TU)
+            .put_u8(self.flags)
+            .put_u16(0) // checksum placeholder
+            .put_u16(self.assoc)
+            .put_u64(self.adu_id)
+            .put_u32(self.adu_len)
+            .put_u32(self.frag_off)
+            .put_u16(self.payload.len() as u16)
+            .put_u32(self.timestamp_us);
+        self.name.encode(&mut out);
+        debug_assert_eq!(out.len(), TU_HEADER_BYTES);
+        out.resize(TU_HEADER_BYTES + self.payload.len(), 0);
+        let pck = ct_wire::fused::copy_and_checksum(&self.payload, &mut out[TU_HEADER_BYTES..]);
+        // Combine: header sum (checksum field still zero) plus the payload
+        // sum recovered from the fused kernel's complement.
+        // TU_HEADER_BYTES is even, so the payload's 16-bit word alignment
+        // within the frame matches the kernel's.
+        let mut c = InternetChecksum::new();
+        c.update(&out[..TU_HEADER_BYTES]);
+        c.update_u16(!pck);
+        let ck = c.finish();
+        out[2] = (ck >> 8) as u8;
+        out[3] = (ck & 0xFF) as u8;
+        out
+    }
+}
+
+/// Encode an ACK to wire bytes (checksum sealed) from borrowed fields — the
+/// one ACK encoder: the transport passes its pending-id queue as a slice
+/// (and keeps the queue's allocation), [`Message::encode`] its `ids`.
+pub fn encode_ack(assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) -> Vec<u8> {
+    let mut out = Vec::with_capacity(20 + ids.len() * 8);
+    let mut w = HeaderWriter::new(&mut out);
+    let flags = if echo.is_some() { ACK_FLAG_ECHO } else { 0 };
+    w.put_u8(T_ACK)
+        .put_u8(flags)
+        .put_u16(0)
+        .put_u16(assoc)
+        .put_u16(ids.len() as u16)
+        .put_u32(rwnd);
+    if let Some((ts, hold)) = echo {
+        out.extend_from_slice(&ts.to_be_bytes());
+        out.extend_from_slice(&hold.to_be_bytes());
+    }
+    for id in ids {
+        out.extend_from_slice(&id.to_be_bytes());
+    }
+    seal_checksum(&mut out);
+    out
+}
+
 impl Message {
     /// Encode to wire bytes (checksum sealed).
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            Message::Tu(tu) => {
-                // One allocation at final size: the header region is
-                // reserved up front (headroom), then the payload is copied
-                // in behind it *fused with its checksum pass* — the frame's
-                // data bytes are touched exactly once on the way out.
-                let mut out = Vec::with_capacity(TU_HEADER_BYTES + tu.payload.len());
-                let mut w = HeaderWriter::new(&mut out);
-                w.put_u8(T_TU)
-                    .put_u8(tu.flags)
-                    .put_u16(0) // checksum placeholder
-                    .put_u16(tu.assoc)
-                    .put_u64(tu.adu_id)
-                    .put_u32(tu.adu_len)
-                    .put_u32(tu.frag_off)
-                    .put_u16(tu.payload.len() as u16)
-                    .put_u32(tu.timestamp_us);
-                tu.name.encode(&mut out);
-                debug_assert_eq!(out.len(), TU_HEADER_BYTES);
-                out.resize(TU_HEADER_BYTES + tu.payload.len(), 0);
-                let pck =
-                    ct_wire::fused::copy_and_checksum(&tu.payload, &mut out[TU_HEADER_BYTES..]);
-                // Combine: header sum (checksum field still zero) plus the
-                // payload sum recovered from the fused kernel's complement.
-                // TU_HEADER_BYTES is even, so the payload's 16-bit word
-                // alignment within the frame matches the kernel's.
-                let mut c = InternetChecksum::new();
-                c.update(&out[..TU_HEADER_BYTES]);
-                c.update_u16(!pck);
-                let ck = c.finish();
-                out[2] = (ck >> 8) as u8;
-                out[3] = (ck & 0xFF) as u8;
-                out
-            }
+            Message::Tu(tu) => tu.encode(),
             Message::NackFrags {
                 assoc,
                 adu_id,
@@ -249,26 +278,7 @@ impl Message {
                 ids,
                 echo,
                 rwnd,
-            } => {
-                let mut out = Vec::with_capacity(20 + ids.len() * 8);
-                let mut w = HeaderWriter::new(&mut out);
-                let flags = if echo.is_some() { ACK_FLAG_ECHO } else { 0 };
-                w.put_u8(T_ACK)
-                    .put_u8(flags)
-                    .put_u16(0)
-                    .put_u16(*assoc)
-                    .put_u16(ids.len() as u16)
-                    .put_u32(*rwnd);
-                if let Some((ts, hold)) = echo {
-                    out.extend_from_slice(&ts.to_be_bytes());
-                    out.extend_from_slice(&hold.to_be_bytes());
-                }
-                for id in ids {
-                    out.extend_from_slice(&id.to_be_bytes());
-                }
-                seal_checksum(&mut out);
-                out
-            }
+            } => encode_ack(*assoc, ids, *echo, *rwnd),
             Message::WindowProbe { assoc } => {
                 let mut out = Vec::with_capacity(8);
                 let mut w = HeaderWriter::new(&mut out);
@@ -482,37 +492,30 @@ pub fn fragment_adu_buf(
     payload: &WireBuf,
     mtu_payload: usize,
 ) -> Vec<Tu> {
+    fragments(assoc, adu_id, name, payload, mtu_payload).collect()
+}
+
+/// [`fragment_adu_buf`], lazily: the send path encodes each TU as it is
+/// cut and never holds the list.
+pub(crate) fn fragments(
+    assoc: u16,
+    adu_id: u64,
+    name: AduName,
+    payload: &WireBuf,
+    mtu_payload: usize,
+) -> impl Iterator<Item = Tu> + '_ {
     assert!(mtu_payload > 0, "mtu_payload must be positive");
-    let adu_len = payload.len() as u32;
-    if payload.is_empty() {
-        return vec![Tu {
-            flags: 0,
-            assoc,
-            timestamp_us: 0,
-            adu_id,
-            adu_len,
-            frag_off: 0,
-            name,
-            payload: WireBuf::empty(),
-        }];
-    }
-    let mut tus = Vec::with_capacity(payload.len().div_ceil(mtu_payload));
-    let mut off = 0usize;
-    while off < payload.len() {
-        let take = (payload.len() - off).min(mtu_payload);
-        tus.push(Tu {
-            flags: 0,
-            assoc,
-            timestamp_us: 0,
-            adu_id,
-            adu_len,
-            frag_off: off as u32,
-            name,
-            payload: payload.slice(off..off + take),
-        });
-        off += take;
-    }
-    tus
+    let len = payload.len();
+    (0..len.max(1)).step_by(mtu_payload).map(move |off| Tu {
+        flags: 0,
+        assoc,
+        timestamp_us: 0,
+        adu_id,
+        adu_len: len as u32,
+        frag_off: off as u32,
+        name,
+        payload: payload.slice(off..len.min(off + mtu_payload)),
+    })
 }
 
 #[cfg(test)]

@@ -117,9 +117,16 @@ struct LinkDir {
 /// The simulated network.
 pub struct Network {
     nodes: Vec<VecDeque<Frame>>,
-    links: HashMap<(NodeId, NodeId), LinkDir>,
-    /// next_hop[(src, dst)] = the neighbour to forward through.
-    next_hop: HashMap<(NodeId, NodeId), NodeId>,
+    /// Directed links, in connection order.
+    links: Vec<LinkDir>,
+    /// `(a, b)` → index into `links`. Only the set-up calls look here; a
+    /// frame in flight finds its link through `routes`.
+    link_index: HashMap<(NodeId, NodeId), usize>,
+    /// `routes[src * route_stride + dst]` = the neighbour to forward
+    /// through and the link that leads there; `None` where no path exists.
+    routes: Vec<Option<(NodeId, usize)>>,
+    /// Node count when `routes` was last rebuilt.
+    route_stride: usize,
     routes_dirty: bool,
     queue: EventQueue<Arrival>,
     now: SimTime,
@@ -135,8 +142,10 @@ impl Network {
     pub fn new(seed: u64) -> Self {
         Self {
             nodes: Vec::new(),
-            links: HashMap::new(),
-            next_hop: HashMap::new(),
+            links: Vec::new(),
+            link_index: HashMap::new(),
+            routes: Vec::new(),
+            route_stride: 0,
             routes_dirty: false,
             queue: EventQueue::new(),
             now: SimTime::ZERO,
@@ -262,35 +271,36 @@ impl Network {
     /// RNG stream).
     pub fn connect(&mut self, a: NodeId, b: NodeId, link: LinkConfig, faults: FaultConfig) {
         assert!(a != b, "self-links are not supported");
-        let inj_ab = FaultInjector::new(faults, self.rng.fork());
-        let inj_ba = FaultInjector::new(faults, self.rng.fork());
-        self.links.insert(
-            (a, b),
-            LinkDir {
+        for key in [(a, b), (b, a)] {
+            let dir = LinkDir {
                 state: LinkState::new(link),
-                injector: inj_ab,
+                injector: FaultInjector::new(faults, self.rng.fork()),
                 mutator: None,
-            },
-        );
-        self.links.insert(
-            (b, a),
-            LinkDir {
-                state: LinkState::new(link),
-                injector: inj_ba,
-                mutator: None,
-            },
-        );
+            };
+            match self.link_index.get(&key) {
+                Some(&i) => self.links[i] = dir,
+                None => {
+                    self.link_index.insert(key, self.links.len());
+                    self.links.push(dir);
+                }
+            }
+        }
         self.routes_dirty = true;
+    }
+
+    /// The directed link `a -> b` (set-up path: one hash lookup).
+    fn link(&self, a: NodeId, b: NodeId) -> &LinkDir {
+        &self.links[*self.link_index.get(&(a, b)).expect("link exists")]
+    }
+
+    fn link_mut(&mut self, a: NodeId, b: NodeId) -> &mut LinkDir {
+        &mut self.links[*self.link_index.get(&(a, b)).expect("link exists")]
     }
 
     /// Replace the fault configuration on the directed link `a -> b`
     /// (e.g. for mid-run parameter sweeps). Panics if the link is absent.
     pub fn set_faults(&mut self, a: NodeId, b: NodeId, faults: FaultConfig) {
-        self.links
-            .get_mut(&(a, b))
-            .expect("link exists")
-            .injector
-            .set_config(faults);
+        self.link_mut(a, b).injector.set_config(faults);
     }
 
     /// Install an adversarial [`Mutator`] on the directed link `a -> b`,
@@ -301,24 +311,19 @@ impl Network {
     /// counters. Panics if the link is absent.
     pub fn set_mutator(&mut self, a: NodeId, b: NodeId, config: MutatorConfig) {
         let rng = self.rng.fork();
-        self.links.get_mut(&(a, b)).expect("link exists").mutator = Some(Mutator::new(config, rng));
+        self.link_mut(a, b).mutator = Some(Mutator::new(config, rng));
     }
 
     /// Remove the adversarial mutator from the directed link `a -> b`, if
     /// any. Panics if the link is absent.
     pub fn clear_mutator(&mut self, a: NodeId, b: NodeId) {
-        self.links.get_mut(&(a, b)).expect("link exists").mutator = None;
+        self.link_mut(a, b).mutator = None;
     }
 
     /// Mutation counters of the `a -> b` mutator (`None` if no mutator is
     /// installed). Panics if the link is absent.
     pub fn mutator_stats(&self, a: NodeId, b: NodeId) -> Option<MutationStats> {
-        self.links
-            .get(&(a, b))
-            .expect("link exists")
-            .mutator
-            .as_ref()
-            .map(|m| m.stats)
+        self.link(a, b).mutator.as_ref().map(|m| m.stats)
     }
 
     /// Schedule a bidirectional outage of the `a <-> b` link: frames
@@ -326,23 +331,15 @@ impl Network {
     /// Pass [`SimTime::MAX`] as `until` for a partition that never heals.
     /// Panics if the link is absent.
     pub fn schedule_outage(&mut self, a: NodeId, b: NodeId, from: SimTime, until: SimTime) {
-        for key in [(a, b), (b, a)] {
-            self.links
-                .get_mut(&key)
-                .expect("link exists")
-                .injector
-                .schedule_outage(from, until);
+        for (x, y) in [(a, b), (b, a)] {
+            self.link_mut(x, y).injector.schedule_outage(from, until);
         }
     }
 
     /// Whether the directed link `a -> b` is up (outside every scheduled
     /// outage) at the current instant. Panics if the link is absent.
     pub fn link_up(&self, a: NodeId, b: NodeId) -> bool {
-        self.links
-            .get(&(a, b))
-            .expect("link exists")
-            .injector
-            .link_up(self.now)
+        self.link(a, b).injector.link_up(self.now)
     }
 
     /// Current simulated time.
@@ -400,14 +397,16 @@ impl Network {
         }
     }
 
-    /// Recompute shortest-path next-hop tables (BFS per source). Called
+    /// Recompute the shortest-path route table (BFS per source). Called
     /// lazily on first send after a topology change.
     fn rebuild_routes(&mut self) {
-        self.next_hop.clear();
         let n = self.nodes.len();
+        self.routes.clear();
+        self.routes.resize(n * n, None);
+        self.route_stride = n;
         // adjacency
         let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (a, b) in self.links.keys() {
+        for (a, b) in self.link_index.keys() {
             adj[a.0].push(*b);
         }
         for list in &mut adj {
@@ -437,8 +436,8 @@ impl Network {
                 let mut cur = dst;
                 while let Some(p) = prev[cur] {
                     if p == src {
-                        self.next_hop
-                            .insert((NodeId(src), NodeId(dst)), NodeId(cur));
+                        let link = self.link_index[&(NodeId(src), NodeId(cur))];
+                        self.routes[src * n + dst] = Some((NodeId(cur), link));
                         break;
                     }
                     cur = p;
@@ -480,26 +479,24 @@ impl Network {
     /// Offer `frame` to the next hop out of `at`. Applies link admission
     /// (MTU/queue) and fault injection, scheduling an [`Arrival`].
     fn forward(&mut self, at: NodeId, frame: Frame) -> Result<(), ForwardFailure> {
-        let hop = *self
-            .next_hop
-            .get(&(at, frame.dst))
-            .ok_or(ForwardFailure::NoRoute {
-                from: at,
-                to: frame.dst,
-            })?;
+        // Two indexed loads per hop: the route, then the link it names.
+        let n = self.route_stride;
+        let route = if at.0 < n && frame.dst.0 < n {
+            self.routes[at.0 * n + frame.dst.0]
+        } else {
+            None // a node added since the last rebuild has no routes yet
+        };
+        let (hop, link) = route.ok_or(ForwardFailure::NoRoute {
+            from: at,
+            to: frame.dst,
+        })?;
         let mut frame = frame;
         // Adversarial mutation happens first: the hostile middlebox sits
         // on the wire ahead of the statistical channel, and its replays /
         // forgeries are injected even if the original frame is then lost.
-        let mutation = {
-            let dir = self
-                .links
-                .get_mut(&(at, hop))
-                .expect("route uses real link");
-            match dir.mutator.as_mut() {
-                Some(m) => m.apply(&mut frame.payload),
-                None => crate::fault::MutationOutcome::default(),
-            }
+        let mutation = match self.links[link].mutator.as_mut() {
+            Some(m) => m.apply(&mut frame.payload),
+            None => crate::fault::MutationOutcome::default(),
         };
         if let Some(kind) = mutation.mutated {
             self.stats.mutated += 1;
@@ -527,10 +524,7 @@ impl Network {
                 },
             );
         }
-        let dir = self
-            .links
-            .get_mut(&(at, hop))
-            .expect("route uses real link");
+        let dir = &mut self.links[link];
         // Fault injection happens before link admission: a dropped frame
         // still consumed no transmitter time (it "vanished on the wire" at
         // this hop boundary).

@@ -87,11 +87,17 @@ impl<'a> XdrReader<'a> {
 /// `array<u32>` form and the paper's benchmark workload.
 pub fn encode_u32_array(values: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + values.len() * 4);
-    put_u32(&mut out, values.len() as u32);
-    for &v in values {
-        put_u32(&mut out, v);
-    }
+    put_u32_array(&mut out, values);
     out
+}
+
+/// Append a `u32` array in the [`encode_u32_array`] form to a buffer the
+/// caller is already building.
+pub fn put_u32_array(out: &mut Vec<u8>, values: &[u32]) {
+    put_u32(out, values.len() as u32);
+    for &v in values {
+        put_u32(out, v);
+    }
 }
 
 /// Decode a `u32` array produced by [`encode_u32_array`].

@@ -1,0 +1,148 @@
+//! Allocation budgets for the ALF per-frame control path.
+//!
+//! Counts, not times: a warm association must run its steady-state calls
+//! with only the heap allocations the public API forces (an owned frame per
+//! message, a `Vec` per non-empty `poll` result, the `WireBuf` chunk header
+//! an owned frame is wrapped in, the decoded ACK id list). A tree node, a
+//! scratch `Vec` or a thrown-away queue capacity on that path shows up here
+//! as a number, on any host, every run.
+
+use alf_core::adu::AduName;
+use alf_core::transport::{AduTransport, AlfConfig};
+use ct_bench::ALF_CONTROL_STEPS;
+use ct_netsim::time::SimTime;
+use ct_wire::WireBuf;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    // Per thread, so the test harness's other threads stay out of a count;
+    // `const` and destructor-free, so safe to touch inside the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a plain thread-local integer and cannot affect
+// the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocator calls `f` makes on this thread.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+const NOW: SimTime = SimTime::ZERO;
+
+/// One ADU from `a` to `b` and its ACK back: `send_adu → poll → on_frame →
+/// poll → on_frame → recv_adu`.
+fn one_adu(a: &mut AduTransport, b: &mut AduTransport, index: u64, payload: &WireBuf) {
+    a.send_adu(AduName::Seq { index }, payload.clone())
+        .expect("window open");
+    for frame in a.poll(NOW) {
+        b.on_frame(NOW, frame.into());
+    }
+    for frame in b.poll(NOW) {
+        a.on_frame(NOW, frame.into());
+    }
+    let (adu, _) = b.recv_adu().expect("delivered");
+    assert_eq!(adu.payload, *payload);
+    assert!(a.send_complete(), "ACKed");
+}
+
+/// A pair that has already carried `warm` ADUs of `payload`, so every
+/// queue and ring is at its working capacity.
+fn warm_pair(cfg: AlfConfig, payload: &WireBuf, warm: u64) -> (AduTransport, AduTransport) {
+    let (mut a, mut b) = (AduTransport::new(cfg), AduTransport::new(cfg));
+    for index in 0..warm {
+        one_adu(&mut a, &mut b, index, payload);
+    }
+    (a, b)
+}
+
+#[test]
+fn idle_poll_allocates_nothing() {
+    let payload = WireBuf::from_vec(vec![7u8; 200]);
+    let (mut a, mut b) = warm_pair(AlfConfig::default(), &payload, 16);
+    for ep in [&mut a, &mut b] {
+        let (n, frames) = allocs_in(|| ep.poll(NOW));
+        assert!(frames.is_empty());
+        assert_eq!(n, ALF_CONTROL_STEPS[3].1, "idle poll allocated");
+    }
+}
+
+#[test]
+fn control_steps_allocate_what_t2_prints() {
+    let payload = WireBuf::from_vec(vec![7u8; 200]);
+    let (mut a, mut b) = warm_pair(AlfConfig::default(), &payload, 16);
+    a.send_adu(AduName::Seq { index: 16 }, payload.clone())
+        .expect("window open");
+    let (emit, mut frames) = allocs_in(|| a.poll(NOW));
+    assert_eq!(frames.len(), 1);
+    let tu = frames.pop().expect("the TU");
+    let (ingest_tu, ()) = allocs_in(|| b.on_frame(NOW, tu.into()));
+    let ack = b.poll(NOW).pop().expect("the ACK");
+    let (ingest_ack, ()) = allocs_in(|| a.on_frame(NOW, ack.into()));
+    assert!(a.send_complete());
+    assert_eq!(
+        [ingest_tu, ingest_ack, emit],
+        [
+            ALF_CONTROL_STEPS[0].1,
+            ALF_CONTROL_STEPS[1].1,
+            ALF_CONTROL_STEPS[2].1
+        ],
+        "[ingest TU, ingest ACK, emitting poll]"
+    );
+}
+
+#[test]
+fn single_tu_adu_round_within_budget() {
+    // Two frames, two `poll` result `Vec`s, two `WireBuf` chunk headers and
+    // the decoded ACK id list: 7. (The parent of this test spent 13.)
+    let payload = WireBuf::from_vec(vec![7u8; 200]);
+    let (mut a, mut b) = warm_pair(AlfConfig::default(), &payload, 16);
+    for index in 16..24 {
+        let (n, ()) = allocs_in(|| one_adu(&mut a, &mut b, index, &payload));
+        assert!(n <= 8, "single-TU ADU round allocated {n} (budget 8)");
+    }
+}
+
+#[test]
+fn twelve_tu_adu_round_within_budget() {
+    // 16 KiB at 1400 bytes per TU: twelve frames and their chunk headers,
+    // the growing `poll` result and fragment list, the gathered payload.
+    // (The parent of this test spent 53.)
+    let cfg = AlfConfig {
+        mtu_payload: 1400,
+        ..AlfConfig::default()
+    };
+    let payload = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
+    let (mut a, mut b) = warm_pair(cfg, &payload, 8);
+    for index in 8..12 {
+        let (n, ()) = allocs_in(|| one_adu(&mut a, &mut b, index, &payload));
+        assert!(n <= 40, "12-TU ADU round allocated {n} (budget 40)");
+    }
+}
