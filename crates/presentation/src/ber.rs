@@ -126,21 +126,55 @@ pub fn encode_into(value: &PValue, out: &mut Vec<u8>) {
     }
 }
 
+/// Octets in the minimal body of the non-negative INTEGER `v`: its
+/// significant bits plus a zero sign bit, rounded up — one more octet per
+/// threshold crossed, 1 (`0..=0x7F`) to 5 (`0x8000_0000..`). Compares and
+/// adds, no branch: the sizing pass below vectorises over it.
+fn u32_body_octets(v: u32) -> u32 {
+    1 + u32::from(v > 0x7F)
+        + u32::from(v > 0x7FFF)
+        + u32::from(v > 0x7F_FFFF)
+        + u32::from(v > 0x7FFF_FFFF)
+}
+
 /// Encode a `u32` array as `SEQUENCE OF INTEGER` — the paper's benchmark
-/// workload, specialised to avoid building an intermediate [`PValue`] (the
-/// measured cost is conversion, not allocation of a value tree).
+/// workload, hand-coded the way §4's "hand-coded" conversion was: no value
+/// tree, one output allocation, and the per-value "how many octets" decision
+/// turned from a byte-stripping loop into arithmetic. Byte-identical to
+/// [`encode`] of the same values.
 pub fn encode_u32_array(values: &[u32]) -> Vec<u8> {
-    // First pass: body length.
+    // First pass: body length, so the definite length can go first and the
+    // output is sized once.
     let mut body_len = 0usize;
-    for &v in values {
-        body_len += 2 + int_body_len(v as i64);
+    for block in values.chunks(1 << 16) {
+        // ≤ 5 per value × 65 536 values: the `u32` lanes cannot wrap.
+        let octets = block
+            .iter()
+            .fold(0u32, |acc, &v| acc.wrapping_add(u32_body_octets(v)));
+        body_len += 2 * block.len() + octets as usize;
     }
-    let mut out = Vec::with_capacity(body_len + 6);
+    // Each value is written as one 8-byte store of which 3..=7 bytes are
+    // kept; the slack lets the last store run past the end.
+    const SLACK: usize = 8;
+    let mut out = Vec::with_capacity(6 + body_len + SLACK);
     out.push(tag::SEQUENCE);
     put_length(&mut out, body_len);
+    let header = out.len();
+    out.resize(header + body_len + SLACK, 0);
+
+    let body = &mut out[header..];
+    let mut pos = 0;
     for &v in values {
-        put_integer(&mut out, v as i64);
+        let n = u32_body_octets(v);
+        // tag | length | body, left-aligned in a big-endian word: `n` ≤ 5, so
+        // the body's top octet sits at bit 40 at the highest.
+        let word =
+            u64::from(tag::INTEGER) << 56 | u64::from(n) << 48 | u64::from(v) << (48 - 8 * n);
+        body[pos..pos + 8].copy_from_slice(&word.to_be_bytes());
+        pos += 2 + n as usize;
     }
+    debug_assert_eq!(pos, body_len);
+    out.truncate(header + body_len);
     out
 }
 
@@ -171,6 +205,30 @@ impl<'a> Cursor<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Take a short-form INTEGER of 1..=5 body octets whose value fits a
+    /// `u32` as one big-endian load of tag, length and body, if 8 bytes are
+    /// readable here. It only ever *accepts*: on anything else — another
+    /// tag, a long-form or longer length, a negative or over-range value,
+    /// the last few bytes of the buffer — the cursor stays where it is and
+    /// the byte-wise path decides the value or the error.
+    fn short_u32(&mut self) -> Option<u32> {
+        let window = self.buf.get(self.pos..self.pos + 8)?;
+        // The length octet is loaded on its own: it alone feeds the next
+        // call's position, so the word's byte swap and shifts stay off the
+        // caller's loop-carried path.
+        let n = u64::from(window[1]);
+        if window[0] != tag::INTEGER || !(1..=5).contains(&n) {
+            return None;
+        }
+        let word = u64::from_be_bytes(window.try_into().expect("8 bytes"));
+        // Sign-extend the body; a negative value becomes a huge `u64`, so
+        // one conversion is both the sign and the range test.
+        let v = ((word << 16) as i64 >> (64 - 8 * n)) as u64;
+        let v = u32::try_from(v).ok()?;
+        self.pos += 2 + n as usize;
+        Some(v)
     }
 
     /// Read a definite length field.
@@ -294,6 +352,15 @@ pub fn decode(buf: &[u8]) -> Result<PValue, CodecError> {
 /// Any [`CodecError`]; integers outside `u32` range yield
 /// [`CodecError::IntegerOverflow`].
 pub fn decode_u32_array(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
+    decode_u32_array_with(buf, |c| c.short_u32())
+}
+
+/// [`decode_u32_array`] with the one-load fast path as a parameter, so the
+/// tests can run the byte-wise cursor alone as the reference.
+fn decode_u32_array_with(
+    buf: &[u8],
+    fast: impl Fn(&mut Cursor) -> Option<u32>,
+) -> Result<Vec<u32>, CodecError> {
     let mut c = Cursor { buf, pos: 0 };
     let t = c.u8("tag")?;
     if t != tag::SEQUENCE {
@@ -309,8 +376,15 @@ pub fn decode_u32_array(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
             context: "SEQUENCE",
         });
     }
-    let mut out = Vec::new();
+    // Every INTEGER the loop accepts is at least 3 bytes (tag, length, one
+    // body octet), so `len / 3` bounds the count — and `len` is bounded by
+    // the input just checked, so a hostile length cannot size this.
+    let mut out = Vec::with_capacity(len / 3);
     while c.pos < end {
+        if let Some(v) = fast(&mut c) {
+            out.push(v);
+            continue;
+        }
         let t = c.u8("tag")?;
         if t != tag::INTEGER {
             return Err(CodecError::UnexpectedTag {
@@ -393,6 +467,168 @@ mod tests {
         assert_eq!(fast, generic);
         assert_eq!(decode_u32_array(&fast).unwrap(), values);
         assert_eq!(decode(&generic).unwrap().as_u32_array().unwrap(), values);
+    }
+
+    // -- the hand-coded u32-array kernels against the generic codec ---------
+
+    /// Every value at which the minimal INTEGER body gains an octet, and its
+    /// neighbour below.
+    const BODY_EDGES: [u32; 10] = [
+        0,
+        0x7F,
+        0x80,
+        0x7FFF,
+        0x8000,
+        0x7F_FFFF,
+        0x80_0000,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        u32::MAX,
+    ];
+
+    /// What `decode_u32_array` must answer, derived from the generic codec:
+    /// the decoded tree, then a per-item `u32` conversion.
+    fn oracle_u32_array(buf: &[u8]) -> Result<Vec<u32>, CodecError> {
+        let wrong = |found| CodecError::UnexpectedTag {
+            found,
+            expected: tag::INTEGER,
+        };
+        match decode(buf)? {
+            PValue::Sequence(items) => items
+                .iter()
+                .map(|item| match item {
+                    PValue::Integer(v) => {
+                        u32::try_from(*v).map_err(|_| CodecError::IntegerOverflow)
+                    }
+                    other => Err(wrong(encode(other)[0])),
+                })
+                .collect(),
+            other => Err(wrong(encode(&other)[0])),
+        }
+    }
+
+    /// The kernel and the oracle agree on the `Ok` value or the error variant.
+    fn assert_decodes_like_oracle(buf: &[u8], what: &str) {
+        let (got, want) = (decode_u32_array(buf), oracle_u32_array(buf));
+        match (&got, &want) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}: {buf:02x?}"),
+            (Err(a), Err(b)) => assert_eq!(
+                std::mem::discriminant(a),
+                std::mem::discriminant(b),
+                "{what}: kernel {a:?}, oracle {b:?}: {buf:02x?}"
+            ),
+            _ => panic!("{what}: kernel {got:?}, oracle {want:?}: {buf:02x?}"),
+        }
+    }
+
+    /// A SEQUENCE of pre-encoded items.
+    fn sequence_of(items: &[Vec<u8>]) -> Vec<u8> {
+        let body = items.concat();
+        let mut out = vec![tag::SEQUENCE];
+        put_length(&mut out, body.len());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn u32_array_encode_matches_generic_on_every_body_length_edge() {
+        let mut length_forms = std::collections::BTreeSet::new();
+        for len in (0..=70).chain([16_384]) {
+            // Each edge in each position (rotations), and arrays of one edge
+            // alone (3..=7 bytes a value: every SEQUENCE length form).
+            let rotations = (0..BODY_EDGES.len()).map(|r| {
+                (0..len)
+                    .map(|i| BODY_EDGES[(i + r) % 10])
+                    .collect::<Vec<_>>()
+            });
+            let uniform = BODY_EDGES.iter().map(|&e| vec![e; len]);
+            for values in rotations.chain(uniform) {
+                let wire = encode_u32_array(&values);
+                assert_eq!(wire, encode(&PValue::u32_array(&values)), "{len} values");
+                assert_eq!(decode_u32_array(&wire).as_deref(), Ok(&values[..]));
+                length_forms.insert(wire[1].max(0x7F));
+            }
+        }
+        // Short form and 1-, 2- and 3-byte long forms were all produced.
+        assert_eq!(
+            length_forms.into_iter().collect::<Vec<_>>(),
+            [0x7F, 0x81, 0x82, 0x83]
+        );
+    }
+
+    #[test]
+    fn u32_array_decode_matches_generic_on_mutated_encodings() {
+        let base: Vec<Vec<u8>> = BODY_EDGES
+            .iter()
+            .chain(&[5, 70_000])
+            .map(|&v| encode(&PValue::Integer(i64::from(v))))
+            .collect();
+
+        // Well-formed input: every prefix, trailing bytes, and a declared
+        // SEQUENCE end that falls inside (or just before) the last INTEGERs.
+        let good = sequence_of(&base);
+        assert_decodes_like_oracle(&good, "unmodified");
+        for cut in 0..good.len() {
+            assert_decodes_like_oracle(&good[..cut], "prefix");
+        }
+        for extra in 1..=9 {
+            let mut wire = good.clone();
+            wire.resize(good.len() + extra, 0x02);
+            assert_decodes_like_oracle(&wire, "trailing bytes");
+        }
+        for short in 1..=12 {
+            let mut wire = good.clone();
+            wire[1] -= short;
+            assert_decodes_like_oracle(&wire, "INTEGER straddles the SEQUENCE end");
+        }
+
+        // One odd item among good ones, at every position — first, between
+        // fast-path values, and last, where fewer than 8 bytes remain.
+        let odd_items: [(&str, &[u8]); 22] = [
+            ("non-minimal 3", &[0x02, 0x03, 0x00, 0x00, 0x05]),
+            ("non-minimal 5", &[0x02, 0x05, 0x00, 0x00, 0x00, 0x00, 0x07]),
+            (
+                "6 bytes in range",
+                &[0x02, 0x06, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF],
+            ),
+            ("6 bytes over", &[0x02, 0x06, 0, 1, 0, 0, 0, 0]),
+            ("7 bytes in range", &[0x02, 0x07, 0, 0, 0, 1, 2, 3, 4]),
+            ("8 bytes in range", &[0x02, 0x08, 0, 0, 0, 0, 9, 8, 7, 6]),
+            ("8 bytes negative", &[0x02, 0x08, 0x80, 0, 0, 0, 0, 0, 0, 0]),
+            ("9 bytes", &[0x02, 0x09, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (
+                "long-form length 4",
+                &[0x02, 0x81, 0x04, 0x12, 0x34, 0x56, 0x78],
+            ),
+            ("long-form length 1", &[0x02, 0x81, 0x01, 0x05]),
+            ("two-octet long form", &[0x02, 0x82, 0x00, 0x01, 0x05]),
+            ("indefinite length", &[0x02, 0x80, 0x05]),
+            ("empty body", &[0x02, 0x00]),
+            ("-1", &[0x02, 0x01, 0xFF]),
+            ("-128", &[0x02, 0x01, 0x80]),
+            ("negative 4", &[0x02, 0x04, 0x80, 0x00, 0x00, 0x00]),
+            ("negative 5", &[0x02, 0x05, 0xFF, 0x00, 0x00, 0x00, 0x00]),
+            ("2^32", &[0x02, 0x05, 0x01, 0x00, 0x00, 0x00, 0x00]),
+            ("OCTET STRING", &[0x04, 0x01, 0x05]),
+            ("BOOLEAN", &[0x01, 0x01, 0xFF]),
+            ("nested SEQUENCE", &[0x30, 0x03, 0x02, 0x01, 0x05]),
+            ("unknown tag", &[0x13, 0x01, 0x05]),
+        ];
+        for (what, odd) in odd_items {
+            for at in 0..=base.len() {
+                let mut items = base.clone();
+                items.insert(at, odd.to_vec());
+                let wire = sequence_of(&items);
+                assert_decodes_like_oracle(&wire, what);
+                for cut in 0..wire.len() {
+                    assert_decodes_like_oracle(&wire[..cut], what);
+                }
+            }
+        }
+
+        // A top level that is not a SEQUENCE at all.
+        assert_decodes_like_oracle(&base[3], "bare INTEGER");
+        assert_decodes_like_oracle(&[0x13, 0x00], "unknown outer tag");
     }
 
     #[test]
@@ -513,6 +749,16 @@ mod proptests {
         })
     }
 
+    /// `u32`s biased towards the values where the body length changes.
+    fn arb_u32_near_edges() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            any::<u32>(),
+            (0u32..5, 0u32..3).prop_map(|(octets, d)| ((0x80u64 << (8 * octets) >> 8) as u32)
+                .wrapping_sub(1)
+                .wrapping_add(d)),
+        ]
+    }
+
     proptest! {
         #[test]
         fn prop_roundtrip(v in arb_pvalue()) {
@@ -524,6 +770,34 @@ mod proptests {
         fn prop_u32_array_roundtrip(values in proptest::collection::vec(any::<u32>(), 0..256)) {
             let wire = encode_u32_array(&values);
             prop_assert_eq!(decode_u32_array(&wire).unwrap(), values);
+        }
+
+        #[test]
+        fn prop_u32_array_encode_matches_generic(values in proptest::collection::vec(arb_u32_near_edges(), 0..300)) {
+            let wire = encode_u32_array(&values);
+            prop_assert_eq!(&wire, &encode(&PValue::u32_array(&values)));
+            prop_assert_eq!(decode_u32_array(&wire).unwrap(), values);
+        }
+
+        #[test]
+        fn prop_u32_array_decode_matches_cursor_only_reference(
+            values in proptest::collection::vec(arb_u32_near_edges(), 0..40),
+            edits in proptest::collection::vec((any::<proptest::sample::Index>(), any::<u8>()), 0..4),
+            cut in any::<proptest::sample::Index>(),
+        ) {
+            // Arbitrary damage: overwrite a few bytes, then maybe truncate.
+            let mut wire = encode_u32_array(&values);
+            for (at, byte) in edits {
+                let at = at.index(wire.len());
+                wire[at] = byte;
+            }
+            let cut = cut.index(18);
+            let keep = wire.len().saturating_sub(if cut > 8 { 0 } else { cut });
+            // Exact `Result` equality, error payloads included, with the
+            // byte-wise cursor alone — where the generic codec would report
+            // multiple faults in a different order.
+            let cursor_only = decode_u32_array_with(&wire[..keep], |_| None);
+            prop_assert_eq!(decode_u32_array(&wire[..keep]), cursor_only);
         }
 
         #[test]

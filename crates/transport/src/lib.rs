@@ -33,6 +33,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod buf;
 pub mod driver;
 pub mod segment;
 pub mod stack;

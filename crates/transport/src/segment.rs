@@ -46,8 +46,8 @@ pub struct Segment {
     pub flags: u8,
     /// Advertised receive window in bytes.
     pub window: u32,
-    /// Payload bytes — a [`WireBuf`] view, so segmentation slices the
-    /// stream's send buffer and retransmission clones are O(1).
+    /// Payload bytes — a [`WireBuf`] view, so a decoded segment's payload is
+    /// an O(1) slice of the frame it arrived in.
     pub payload: WireBuf,
 }
 
@@ -95,6 +95,48 @@ impl SegmentError {
 
 impl std::error::Error for SegmentError {}
 
+/// Encode one segment to wire bytes: the payload is copied into the frame
+/// and checksummed in the same sweep (ILP-fused — one read and one write per
+/// payload byte, the transport's whole per-segment data cost). The one
+/// encoder: [`Segment::encode`] and the stream endpoint, which passes a
+/// borrowed slice of its send buffer, both come through here.
+///
+/// # Panics
+/// If `payload` is longer than the 16-bit length field can say.
+pub fn encode(
+    (src_port, dst_port): (u16, u16),
+    seq: u64,
+    ack: u64,
+    flags: u8,
+    window: u32,
+    payload: &[u8],
+) -> Vec<u8> {
+    let paylen = u16::try_from(payload.len()).expect("payload fits the 16-bit length field");
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
+    let mut w = HeaderWriter::new(&mut out);
+    w.put_u16(src_port)
+        .put_u16(dst_port)
+        .put_u64(seq)
+        .put_u64(ack)
+        .put_u8(flags)
+        .put_u8(0)
+        .put_u32(window)
+        .put_u16(0) // checksum placeholder
+        .put_u16(paylen);
+    out.resize(HEADER_BYTES + payload.len(), 0);
+    let pck = ct_wire::fused::copy_and_checksum(payload, &mut out[HEADER_BYTES..]);
+    // Combine the header sum (checksum field still zero) with the
+    // payload sum recovered from the fused kernel's complement; the
+    // even header length keeps both on the same 16-bit word grid.
+    let mut c = InternetChecksum::new();
+    c.update(&out[..HEADER_BYTES]);
+    c.update_u16(!pck);
+    let ck = c.finish();
+    out[26] = (ck >> 8) as u8;
+    out[27] = (ck & 0xFF) as u8;
+    out
+}
+
 impl Segment {
     /// True if the FIN flag is set.
     pub fn is_fin(&self) -> bool {
@@ -107,33 +149,19 @@ impl Segment {
         self.seq + self.payload.len() as u64 + u64::from(self.is_fin())
     }
 
-    /// Encode to wire bytes: the payload is copied into the frame and
-    /// checksummed in the same sweep (ILP-fused — one read and one write
-    /// per payload byte, the transport's whole per-segment data cost).
+    /// Encode to wire bytes (see [`encode`]).
+    ///
+    /// # Panics
+    /// If the payload is longer than the 16-bit length field can say.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_BYTES + self.payload.len());
-        let mut w = HeaderWriter::new(&mut out);
-        w.put_u16(self.src_port)
-            .put_u16(self.dst_port)
-            .put_u64(self.seq)
-            .put_u64(self.ack)
-            .put_u8(self.flags)
-            .put_u8(0)
-            .put_u32(self.window)
-            .put_u16(0) // checksum placeholder
-            .put_u16(self.payload.len() as u16);
-        out.resize(HEADER_BYTES + self.payload.len(), 0);
-        let pck = ct_wire::fused::copy_and_checksum(&self.payload, &mut out[HEADER_BYTES..]);
-        // Combine the header sum (checksum field still zero) with the
-        // payload sum recovered from the fused kernel's complement; the
-        // even header length keeps both on the same 16-bit word grid.
-        let mut c = InternetChecksum::new();
-        c.update(&out[..HEADER_BYTES]);
-        c.update_u16(!pck);
-        let ck = c.finish();
-        out[26] = (ck >> 8) as u8;
-        out[27] = (ck & 0xFF) as u8;
-        out
+        encode(
+            (self.src_port, self.dst_port),
+            self.seq,
+            self.ack,
+            self.flags,
+            self.window,
+            &self.payload,
+        )
     }
 
     /// Decode and verify a segment from a borrowed buffer (the payload is

@@ -24,16 +24,17 @@
 //!   decrease on loss;
 //! * sliding-window flow control from the peer's advertised window.
 
-use crate::segment::{Segment, SegmentError, FLAG_ACK, FLAG_FIN};
+use crate::buf::ByteFifo;
+use crate::segment::{self, Segment, SegmentError, FLAG_ACK, FLAG_FIN};
 use ct_netsim::time::{SimDuration, SimTime};
-use ct_wire::buf::ByteFifo;
 use ct_wire::WireBuf;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Static configuration of a [`StreamTransport`].
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Maximum segment payload size.
+    /// Maximum segment payload size; [`StreamTransport::new`] clamps it to
+    /// `1..=65_535`, what the segment header's 16-bit length field can say.
     pub mss: usize,
     /// Send buffer capacity (unsent + in-flight bytes).
     pub send_buffer: usize,
@@ -84,6 +85,9 @@ pub struct StreamStats {
     pub checksum_drops: u64,
     /// Arrived segments wholly below `rcv_nxt` (duplicates).
     pub old_segments: u64,
+    /// Segments dropped on arrival because they acknowledge bytes never
+    /// sent (`ack > snd_nxt`; RFC 793 drops these too).
+    pub bad_acks: u64,
     /// Segments that arrived out of order and were buffered.
     pub ooo_segments: u64,
     /// Peak bytes held in the out-of-order store.
@@ -103,7 +107,7 @@ impl StreamStats {
     /// `stream.a.segments_out`). End-of-run publication: allocates one name
     /// string per metric, so keep it off per-segment paths.
     pub fn publish(&self, reg: &mut ct_telemetry::MetricsRegistry, prefix: &str) {
-        let counters: [(&str, u64); 11] = [
+        let counters: [(&str, u64); 12] = [
             ("segments_out", self.segments_out),
             ("segments_in", self.segments_in),
             ("bytes_delivered", self.bytes_delivered),
@@ -111,6 +115,7 @@ impl StreamStats {
             ("fast_retransmits", self.fast_retransmits),
             ("checksum_drops", self.checksum_drops),
             ("old_segments", self.old_segments),
+            ("bad_acks", self.bad_acks),
             ("ooo_segments", self.ooo_segments),
             ("ooo_bytes_peak", self.ooo_bytes_peak as u64),
             (
@@ -129,12 +134,13 @@ impl StreamStats {
     }
 }
 
-/// A segment in flight awaiting acknowledgement. The payload is a
-/// [`WireBuf`] view, so holding it for retransmission shares the chunk cut
-/// from the send buffer rather than copying it.
-#[derive(Debug, Clone)]
+/// A segment in flight awaiting acknowledgement. Its payload is not held
+/// here: it stays in the send buffer until the segment is acknowledged, at
+/// the offset the lengths of the older in-flight segments add up to.
+#[derive(Debug, Clone, Copy)]
 struct Inflight {
-    payload: WireBuf,
+    seq: u64,
+    len: usize,
     fin: bool,
     sent_at: SimTime,
     retransmitted: bool,
@@ -155,10 +161,17 @@ pub struct StreamTransport {
     remote_port: u16,
 
     // --- send side ---
+    /// Send buffer and retransmission buffer in one, as BSD's `so_snd`: the
+    /// first `inflight_bytes` bytes belong to the segments in `inflight`
+    /// (oldest first) and leave only when those are acknowledged; the rest
+    /// is data not yet cut into segments.
     send_buf: ByteFifo,
+    inflight_bytes: usize,
     snd_una: u64,
     snd_nxt: u64,
-    inflight: BTreeMap<u64, Inflight>,
+    /// In sequence order: segments are cut in order and cumulatively
+    /// acknowledged from the front.
+    inflight: VecDeque<Inflight>,
     cwnd: usize,
     ssthresh: usize,
     peer_window: usize,
@@ -194,15 +207,17 @@ pub struct StreamTransport {
 
 impl StreamTransport {
     /// Create an endpoint with the given ports.
-    pub fn new(cfg: StreamConfig, local_port: u16, remote_port: u16) -> Self {
+    pub fn new(mut cfg: StreamConfig, local_port: u16, remote_port: u16) -> Self {
+        cfg.mss = cfg.mss.clamp(1, usize::from(u16::MAX));
         Self {
             cfg,
             local_port,
             remote_port,
             send_buf: ByteFifo::new(),
+            inflight_bytes: 0,
             snd_una: 0,
             snd_nxt: 0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             cwnd: cfg.initial_cwnd_segments * cfg.mss,
             ssthresh: cfg.initial_ssthresh,
             peer_window: cfg.recv_buffer, // optimistic until first segment
@@ -266,7 +281,7 @@ impl StreamTransport {
     /// Queue bytes for transmission; returns how many were accepted
     /// (bounded by send-buffer space).
     pub fn send(&mut self, data: &[u8]) -> usize {
-        let used = self.send_buf.len() + self.flight_bytes();
+        let used = self.unsent_bytes() + self.flight_bytes();
         let room = self.cfg.send_buffer.saturating_sub(used);
         let take = room.min(data.len());
         self.send_buf.push(&data[..take]);
@@ -311,9 +326,10 @@ impl StreamTransport {
     }
 
     /// Bytes the sender is holding for possible retransmission — the memory
-    /// cost of transport-level recovery (experiment X4).
+    /// cost of transport-level recovery (experiment X4): the part of the
+    /// send buffer that belongs to segments still in flight.
     pub fn retransmit_buffer_bytes(&self) -> usize {
-        self.inflight.values().map(|s| s.payload.len()).sum()
+        self.inflight_bytes
     }
 
     /// The earliest pending timer, for event-loop integration.
@@ -355,45 +371,41 @@ impl StreamTransport {
             let window = self.cwnd.min(self.peer_window);
             let flight = self.flight_bytes();
             let avail = window.saturating_sub(flight);
-            let take = self.cfg.mss.min(self.send_buf.len()).min(avail);
+            let take = self.cfg.mss.min(self.unsent_bytes()).min(avail);
             if take == 0 {
                 break;
             }
-            let payload: WireBuf = self.send_buf.take(take).into();
-            let seq = self.snd_nxt;
+            let seg = Inflight {
+                seq: self.snd_nxt,
+                len: take,
+                fin: false,
+                sent_at: now,
+                retransmitted: false,
+            };
+            out.push(self.make_segment(seg.seq, self.inflight_bytes, take, false));
             self.snd_nxt += take as u64;
-            self.inflight.insert(
-                seq,
-                Inflight {
-                    payload: payload.clone(),
-                    fin: false,
-                    sent_at: now,
-                    retransmitted: false,
-                },
-            );
-            out.push(self.make_segment(seq, payload, false));
+            self.inflight_bytes += take;
+            self.inflight.push_back(seg);
             if self.rto_deadline.is_none() {
                 self.rto_deadline = Some(now + self.rto);
             }
         }
 
         // 4. FIN once the send buffer has drained.
-        if self.fin_pending && !self.fin_sent && self.send_buf.is_empty() {
+        if self.fin_pending && !self.fin_sent && self.unsent_bytes() == 0 {
             let window = self.cwnd.min(self.peer_window);
             if window > self.flight_bytes() {
                 let seq = self.snd_nxt;
                 self.snd_nxt += 1;
                 self.fin_sent = true;
-                self.inflight.insert(
+                self.inflight.push_back(Inflight {
                     seq,
-                    Inflight {
-                        payload: WireBuf::empty(),
-                        fin: true,
-                        sent_at: now,
-                        retransmitted: false,
-                    },
-                );
-                out.push(self.make_segment(seq, WireBuf::empty(), true));
+                    len: 0,
+                    fin: true,
+                    sent_at: now,
+                    retransmitted: false,
+                });
+                out.push(self.make_segment(seq, 0, 0, true));
                 if self.rto_deadline.is_none() {
                     self.rto_deadline = Some(now + self.rto);
                 }
@@ -403,7 +415,7 @@ impl StreamTransport {
         // 5. Pure ACK if nothing else carried it.
         if self.ack_pending && out.is_empty() {
             let seq = self.snd_nxt;
-            out.push(self.make_segment(seq, WireBuf::empty(), false));
+            out.push(self.make_segment(seq, 0, 0, false));
         }
 
         self.stats.segments_out += out.len() as u64;
@@ -446,6 +458,12 @@ impl StreamTransport {
             // Mis-delivery; a full implementation would demultiplex.
             return;
         }
+        if seg.flags & FLAG_ACK != 0 && seg.ack > self.snd_nxt {
+            // An ACK for bytes never sent: forged or from another
+            // connection's past. RFC 793 drops the whole segment.
+            self.stats.bad_acks += 1;
+            return;
+        }
         self.stats.segments_in += 1;
 
         // --- ACK processing (the sender half of the control path) ---
@@ -469,24 +487,30 @@ impl StreamTransport {
         (self.snd_nxt - self.snd_una) as usize
     }
 
+    /// Queued bytes not yet cut into a segment.
+    fn unsent_bytes(&self) -> usize {
+        self.send_buf.len() - self.inflight_bytes
+    }
+
     fn advertised_window(&self) -> u32 {
         self.cfg
             .recv_buffer
             .saturating_sub(self.recv_ready.len() + self.ooo_bytes) as u32
     }
 
-    fn make_segment(&mut self, seq: u64, payload: WireBuf, fin: bool) -> Vec<u8> {
+    /// Encode a segment carrying the `len` send-buffer bytes at `offset`
+    /// (first transmission and retransmission alike), piggybacking the
+    /// current ACK and window.
+    fn make_segment(&mut self, seq: u64, offset: usize, len: usize, fin: bool) -> Vec<u8> {
         self.ack_pending = false;
-        Segment {
-            src_port: self.local_port,
-            dst_port: self.remote_port,
+        segment::encode(
+            (self.local_port, self.remote_port),
             seq,
-            ack: self.rcv_nxt,
-            flags: FLAG_ACK | if fin { FLAG_FIN } else { 0 },
-            window: self.advertised_window(),
-            payload,
-        }
-        .encode()
+            self.rcv_nxt,
+            FLAG_ACK | if fin { FLAG_FIN } else { 0 },
+            self.advertised_window(),
+            self.send_buf.slice(offset, len),
+        )
     }
 
     fn process_ack(&mut self, now: SimTime, seg: &Segment) {
@@ -494,15 +518,16 @@ impl StreamTransport {
             let acked = seg.ack - self.snd_una;
             self.snd_una = seg.ack;
             self.dup_acks = 0;
-            // Drop fully covered in-flight segments; RTT-sample fresh ones.
-            let covered: Vec<u64> = self
-                .inflight
-                .range(..seg.ack)
-                .filter(|(&seq, s)| seq + s.payload.len() as u64 + u64::from(s.fin) <= seg.ack)
-                .map(|(&seq, _)| seq)
-                .collect();
-            for seq in covered {
-                let s = self.inflight.remove(&seq).expect("listed");
+            // Drop fully covered in-flight segments, releasing their bytes
+            // from the send buffer; RTT-sample fresh ones. A segment the ACK
+            // lands inside stays whole, to be retransmitted whole.
+            while let Some(&s) = self.inflight.front() {
+                if s.seq + s.len as u64 + u64::from(s.fin) > seg.ack {
+                    break;
+                }
+                self.inflight.pop_front();
+                self.send_buf.release(s.len);
+                self.inflight_bytes -= s.len;
                 if !s.retransmitted {
                     self.rtt_sample(now.saturating_since(s.sent_at));
                 }
@@ -680,16 +705,13 @@ impl StreamTransport {
     }
 
     fn retransmit_first(&mut self, now: SimTime, out: &mut Vec<Vec<u8>>) {
-        let Some((&seq, _)) = self.inflight.first_key_value() else {
+        let Some(s) = self.inflight.front_mut() else {
             return;
         };
-        let (payload, fin) = {
-            let s = self.inflight.get_mut(&seq).expect("checked");
-            s.retransmitted = true;
-            s.sent_at = now;
-            (s.payload.clone(), s.fin)
-        };
-        out.push(self.make_segment(seq, payload, fin));
+        s.retransmitted = true;
+        s.sent_at = now;
+        let (seq, len, fin) = (s.seq, s.len, s.fin);
+        out.push(self.make_segment(seq, 0, len, fin));
     }
 
     /// RFC 6298 smoothing.
@@ -1057,6 +1079,98 @@ mod tests {
         a.send(&vec![0u8; 3000]);
         a.poll(SimTime::ZERO);
         assert_eq!(a.retransmit_buffer_bytes(), 3000);
+    }
+
+    #[test]
+    fn partially_acked_segment_is_retransmitted_whole() {
+        let (mut a, _) = pair();
+        a.send(&[5u8; 2800]);
+        let t = SimTime::ZERO;
+        let first = a.poll(t);
+        assert_eq!(first.len(), 2);
+        // The peer kept 600 bytes of the second segment (its window closed).
+        let ack = Segment {
+            src_port: 2,
+            dst_port: 1,
+            seq: 0,
+            ack: 2000,
+            flags: FLAG_ACK,
+            window: 0,
+            payload: WireBuf::empty(),
+        };
+        a.on_frame(t, ack.encode().into());
+        assert_eq!(
+            a.retransmit_buffer_bytes(),
+            1400,
+            "second segment held whole"
+        );
+        assert_eq!(a.send(&[6u8; 300_000]), 256 * 1024 - 800);
+        let retx = a.poll(a.next_timeout().unwrap());
+        assert_eq!(retx.len(), 1);
+        assert_eq!(
+            Segment::decode(&retx[0]).unwrap().payload,
+            Segment::decode(&first[1]).unwrap().payload
+        );
+        assert_eq!(Segment::decode(&retx[0]).unwrap().seq, 1400);
+    }
+
+    #[test]
+    fn ack_beyond_snd_nxt_is_dropped() {
+        // Regression: `snd_una` jumped past `snd_nxt` and the next
+        // `flight_bytes()` aborted with "attempt to subtract with overflow".
+        let (mut a, mut b) = pair();
+        a.send(&[9u8; 3000]);
+        let t = SimTime::ZERO;
+        let frames = a.poll(t);
+        let forged = Segment {
+            src_port: 2,
+            dst_port: 1,
+            seq: 0,
+            ack: 1_000_000,
+            flags: FLAG_ACK,
+            window: 0,
+            payload: WireBuf::empty(),
+        };
+        a.on_frame(t, forged.encode().into());
+        assert_eq!(a.stats.bad_acks, 1);
+        assert_eq!(
+            a.stats.segments_in, 0,
+            "dropped whole: window untouched too"
+        );
+        assert!(a.poll(t).is_empty());
+        assert_eq!(a.retransmit_buffer_bytes(), 3000);
+        // The genuine ACKs still complete the transfer.
+        for f in frames {
+            b.on_frame(t, f.into());
+        }
+        pump(&mut a, &mut b, t);
+        assert!(a.send_complete());
+        assert_eq!(b.recv_available(), 3000);
+    }
+
+    #[test]
+    fn mss_beyond_length_field_is_clamped() {
+        // Regression: `paylen` is 16 bits, so an unclamped 70 000-byte MSS cut
+        // segments every receiver rejected with `LengthMismatch`, forever.
+        let cfg = StreamConfig {
+            mss: 70_000,
+            ..StreamConfig::default()
+        };
+        let mut a = StreamTransport::new(cfg, 1, 2);
+        let mut b = StreamTransport::new(cfg, 2, 1);
+        let msg: Vec<u8> = (0..200_000).map(|i| (i % 253) as u8).collect();
+        assert_eq!(a.send(&msg), msg.len());
+        let first = a.poll(SimTime::ZERO);
+        assert_eq!(first[0].len(), crate::segment::HEADER_BYTES + 65_535);
+        for f in first {
+            b.on_frame(SimTime::ZERO, f.into());
+        }
+        pump(&mut a, &mut b, SimTime::ZERO);
+        assert_eq!(b.stats.checksum_drops, 0);
+        let mut got = vec![0u8; msg.len()];
+        assert_eq!(b.recv(&mut got), msg.len());
+        assert_eq!(got, msg);
+        assert!(a.send_complete());
     }
 
     #[test]

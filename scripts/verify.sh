@@ -20,6 +20,10 @@ cargo check -q -p alf-core --features debug-loss
 # unit tests, and a --scale 0.01 smoke of all five workloads in which every
 # delivered op is byte-verified through the production kernels.
 ( cd benchmark && cargo test --offline -q )
+# One full-scale traced round of the layered straw man: the benchmark's
+# `accounted >= 0.85` and generator-share <= 0.15 guards only run at scale 1
+# (the smoke above skips them), and a faster stack is what pushes on them.
+benchmark/run.sh --workload layered_bulk --seed 1990 --seconds 1 --trace 1 > /dev/null
 
 # Observability smoke: the X9 experiment asserts integrated < layered
 # passes-per-byte at every chain depth and exercises a telemetry-enabled

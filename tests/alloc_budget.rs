@@ -1,4 +1,5 @@
-//! Allocation budgets for the ALF per-frame control path.
+//! Allocation budgets for the per-frame control paths: the ALF transport
+//! and the byte-stream straw man it is compared with.
 //!
 //! Counts, not times: a warm association must run its steady-state calls
 //! with only the heap allocations the public API forces (an owned frame per
@@ -11,6 +12,7 @@ use alf_core::adu::AduName;
 use alf_core::transport::{AduTransport, AlfConfig};
 use ct_bench::ALF_CONTROL_STEPS;
 use ct_netsim::time::SimTime;
+use ct_transport::{StreamConfig, StreamTransport};
 use ct_wire::WireBuf;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -144,5 +146,41 @@ fn twelve_tu_adu_round_within_budget() {
     for index in 8..12 {
         let (n, ()) = allocs_in(|| one_adu(&mut a, &mut b, index, &payload));
         assert!(n <= 40, "12-TU ADU round allocated {n} (budget 40)");
+    }
+}
+
+/// One data segment from `a` to `b` and its ACK back: `send → poll →
+/// on_frame → poll → on_frame`, then the application's `recv`.
+fn one_segment(a: &mut StreamTransport, b: &mut StreamTransport, data: &[u8], sink: &mut [u8]) {
+    assert_eq!(a.send(data), data.len());
+    let mut frames = a.poll(NOW);
+    assert_eq!(frames.len(), 1);
+    b.on_frame(NOW, frames.pop().expect("the segment").into());
+    let mut acks = b.poll(NOW);
+    assert_eq!(acks.len(), 1);
+    a.on_frame(NOW, acks.pop().expect("the ACK").into());
+    assert!(a.send_complete(), "ACKed");
+    assert_eq!(b.recv(sink), data.len());
+}
+
+#[test]
+fn stream_segment_round_allocates_only_what_the_api_forces() {
+    // Two `poll` result `Vec`s, two frame `Vec`s and the two `WireBuf` chunk
+    // headers the caller wraps them in: 6. Nothing for the send/retransmit
+    // FIFO, the in-flight ring or the in-order receive queue once warm. (The
+    // parent of this test spent 10: a `take` copy, its `Rc`, a tree node and
+    // the `covered` list on top.)
+    let (mut a, mut b) = (
+        StreamTransport::new(StreamConfig::default(), 1, 2),
+        StreamTransport::new(StreamConfig::default(), 2, 1),
+    );
+    let data = [7u8; 1400];
+    let mut sink = [0u8; 1400];
+    for _ in 0..16 {
+        one_segment(&mut a, &mut b, &data, &mut sink);
+    }
+    for _ in 0..8 {
+        let (n, ()) = allocs_in(|| one_segment(&mut a, &mut b, &data, &mut sink));
+        assert_eq!(n, 6, "stream data-segment round allocated {n}");
     }
 }
