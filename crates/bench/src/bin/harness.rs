@@ -2342,11 +2342,14 @@ fn x13_many_assoc(
     // bounded. "Flat" allows the cost of cold endpoint state at 100k — four
     // cold visits per ADU (client send, server ingest, server poll, client
     // ACK) — and nothing that scales with the table (a scan or a sweep
-    // overshoots by orders of magnitude). The allowance is what one
-    // association cost when the bar was set (≈ 1 750 ns/ADU, "100k ≤ 2× one
-    // association"), held as a difference so a faster single-association
-    // path cannot fail it.
-    const COLD_STATE_BUDGET_NS: f64 = 1_800.0;
+    // overshoots by orders of magnitude). Held as a difference so a faster
+    // single-association path cannot fail it. The allowance started as what
+    // one association cost when the bar was set (≈ 1 750 ns/ADU, "100k ≤ 2×
+    // one association" → 1 800) and moved with the state it pays for: the
+    // hot-first endpoint cut the growth to 0.69× the parent's on the same
+    // host and day (580–726 ns over ten runs against 934–1 016), so the
+    // allowance is 0.69 × 1 800.
+    const COLD_STATE_BUDGET_NS: f64 = 1_250.0;
     let single = reports[0].ns_per_adu();
     let at_scale = reports[2].ns_per_adu();
     assert!(reports[2].assocs >= 100_000);
@@ -2356,9 +2359,13 @@ fn x13_many_assoc(
          {single:.0} ns/ADU at 1 association (grew by more than \
          {COLD_STATE_BUDGET_NS:.0} ns)"
     );
+    // 1 288 B when this bound was set: the slot record, the endpoint's
+    // 928 inline bytes, its completed-ADU queue and ACK ids, its share of
+    // the index. A field added to the hot part, a container allocating
+    // before it holds something or a slab that copies on growth shows here.
     assert!(
-        reports[2].bytes_per_assoc() < 16.0 * 1024.0,
-        "an association must stay under 16 KiB at 100k-scale, got {:.0}",
+        reports[2].bytes_per_assoc() <= 1536.0,
+        "an association must stay within 1 536 B at 100k-scale, got {:.0}",
         reports[2].bytes_per_assoc()
     );
 

@@ -164,15 +164,24 @@ pub struct ExpiryActions {
     pub abandoned: Vec<(u64, AduName)>,
 }
 
-/// Statistics for stage-1 reassembly.
+/// Statistics for stage-1 reassembly. `repr(C)`: the four counters a
+/// fault-free TU touches lead, directly behind the ready queue in
+/// [`Assembler`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C)]
 pub struct AssemblerStats {
     /// TUs accepted.
     pub tus_in: u64,
-    /// TUs that contributed no new bytes (duplicates/overlaps).
-    pub duplicate_tus: u64,
     /// ADUs completed and released.
     pub adus_completed: u64,
+    /// ADUs released without a gather pass: a single frame chunk covered
+    /// the whole payload, so the application got a view, not a copy.
+    pub zero_copy_releases: u64,
+    /// Bytes copied by multi-fragment gather passes at release — the only
+    /// receive-side data touch the reassembler itself ever pays.
+    pub gathered_bytes: u64,
+    /// TUs that contributed no new bytes (duplicates/overlaps).
+    pub duplicate_tus: u64,
     /// ADUs abandoned (deadline or budget) — §5's whole-ADU loss.
     pub adus_abandoned: u64,
     /// Incomplete ADUs evicted to fit the byte budget (DropOldest policy).
@@ -180,12 +189,6 @@ pub struct AssemblerStats {
     /// TUs refused because the byte budget left no room (Backpressure
     /// policy, or an ADU larger than the whole budget).
     pub tus_refused: u64,
-    /// ADUs released without a gather pass: a single frame chunk covered
-    /// the whole payload, so the application got a view, not a copy.
-    pub zero_copy_releases: u64,
-    /// Bytes copied by multi-fragment gather passes at release — the only
-    /// receive-side data touch the reassembler itself ever pays.
-    pub gathered_bytes: u64,
     /// Assemblies evicted because their stored fragment-view count
     /// exceeded the per-ADU quota — the signature of a hostile peer
     /// shredding one ADU into pathologically many tiny fragments.
@@ -209,15 +212,26 @@ pub enum ShedPolicy {
 }
 
 /// Stage-1 reassembler: turns TUs into complete ADUs, out of order.
+///
+/// `repr(C)`, grouped by the question asked: is anything under reassembly
+/// or over budget (what every poll asks); was this id released already;
+/// what completed.
 #[derive(Debug)]
+#[repr(C)]
 pub struct Assembler {
+    // ---- open assemblies and the budget they charge ----
     pending: BTreeMap<u64, Assembly>,
     /// Sum of the declared totals of `pending` — what the byte budget
     /// charges — kept running so admission and the advertised window are
     /// O(1) however many assemblies are open.
     reserved: usize,
-    /// Completed ADUs ready for release, in completion order.
-    ready: VecDeque<(u64, Adu, SimTime)>,
+    /// Byte ceiling across all incomplete assemblies (0 = unlimited).
+    budget_bytes: usize,
+    /// ADUs evicted by [`ShedPolicy::DropOldest`], for the transport to
+    /// report as lost.
+    shed_notices: Vec<(u64, AduName)>,
+
+    // ---- replay suppression, and the limits only a fragment consults ----
     /// ADU ids already released — suppresses late duplicate TUs. Ids
     /// trimmed from the window slide under its floor instead of losing
     /// suppression: a replayed ancient TU can neither re-charge the
@@ -232,14 +246,17 @@ pub struct Assembler {
     /// its whole arrival frame's chunk. Crossing the quota evicts the
     /// offending assembly (deterministically: it alone misbehaved).
     frag_quota: usize,
-    /// Byte ceiling across all incomplete assemblies (0 = unlimited).
-    budget_bytes: usize,
-    shed: ShedPolicy,
-    /// ADUs evicted by [`ShedPolicy::DropOldest`], for the transport to
-    /// report as lost.
-    shed_notices: Vec<(u64, AduName)>,
+
+    // ---- completions ----
+    /// Completed ADUs awaiting the application, in completion order, each
+    /// with its delivery latency (first TU arrival → completion). The one
+    /// queue between reassembly and the application: the transport reads
+    /// what a frame completed off its back and pops the front on
+    /// `recv_adu`.
+    ready: VecDeque<(u64, Adu, SimDuration)>,
     /// Counters.
     pub stats: AssemblerStats,
+    shed: ShedPolicy,
 }
 
 impl Assembler {
@@ -357,7 +374,7 @@ impl Assembler {
             // The ADU arrived whole in one TU with nothing pending for its
             // id: the TU's view already is the payload, so there is no
             // assembly to build.
-            self.release(tu.adu_id, tu.name, tu.payload.clone(), 0, now);
+            self.release(tu.adu_id, tu.name, tu.payload.clone(), 0, SimDuration::ZERO);
             return true;
         }
         self.assemble(now, tu, known)
@@ -420,9 +437,9 @@ impl Assembler {
         }
         if assembly.is_complete() {
             let done = self.remove_pending(tu.adu_id).expect("present");
-            let (name, first_at) = (done.name, done.first_tu_at);
+            let (name, latency) = (done.name, now.saturating_since(done.first_tu_at));
             let (payload, gathered) = done.into_payload();
-            self.release(tu.adu_id, name, payload, gathered, first_at);
+            self.release(tu.adu_id, name, payload, gathered, latency);
         } else if self.pending.len() > self.max_pending {
             // Budget overflow: abandon the oldest assembly.
             let oldest = self
@@ -453,7 +470,7 @@ impl Assembler {
         name: AduName,
         payload: WireBuf,
         gathered: usize,
-        first_at: SimTime,
+        latency: SimDuration,
     ) {
         self.stats.adus_completed += 1;
         self.released.insert(adu_id);
@@ -463,7 +480,7 @@ impl Assembler {
             self.stats.gathered_bytes += gathered as u64;
         }
         self.ready
-            .push_back((adu_id, Adu::new(name, payload), first_at));
+            .push_back((adu_id, Adu::new(name, payload), latency));
     }
 
     /// Abandon assemblies whose deadline has passed; returns the
@@ -559,9 +576,21 @@ impl Assembler {
         Some(out)
     }
 
-    /// Pop the next completed ADU: `(adu_id, adu, first_tu_arrival)`.
-    pub fn pop_ready(&mut self) -> Option<(u64, Adu, SimTime)> {
+    /// Pop the next completed ADU: `(adu_id, adu, delivery latency)` — the
+    /// latency runs from the ADU's first TU arrival to its completion.
+    pub fn pop_ready(&mut self) -> Option<(u64, Adu, SimDuration)> {
         self.ready.pop_front()
+    }
+
+    /// Completed ADUs waiting in the ready queue.
+    pub(crate) fn ready_len(&self) -> usize {
+        self.ready.len()
+    }
+
+    /// The ready queue from position `from` on, in completion order — what
+    /// completed since a caller last read [`Assembler::ready_len`].
+    pub(crate) fn ready_from(&self, from: usize) -> impl Iterator<Item = &(u64, Adu, SimDuration)> {
+        self.ready.range(from..)
     }
 
     /// Number of ADUs currently under reassembly.
@@ -603,11 +632,14 @@ impl Assembler {
         !self.pending.is_empty() || !self.shed_notices.is_empty()
     }
 
-    /// Approximate heap bytes held: the reservations of open assemblies
-    /// plus the replay window's run slots. Deterministic (lengths and
-    /// capacities, never allocator internals).
+    /// Approximate heap bytes held: the reservations of open assemblies,
+    /// the ready queue's slots and the replay window's islands (none for
+    /// in-order traffic). Deterministic (lengths and capacities, never
+    /// allocator internals).
     pub fn approx_mem_bytes(&self) -> usize {
-        self.pending_bytes() + self.released.capacity() * std::mem::size_of::<(u64, u64)>()
+        self.pending_bytes()
+            + self.ready.capacity() * std::mem::size_of::<(u64, Adu, SimDuration)>()
+            + self.released.heap_bytes()
     }
 }
 

@@ -2,13 +2,18 @@
 //!
 //! ADU ids are monotone per association, so the two per-frame id structures
 //! need no tree: the sender window is a ring sorted by id ([`IdRing`]) and
-//! the receiver's replay window a deque of id runs ([`ReplayWindow`]). For
-//! in-order traffic both are O(1) and allocate nothing once warm; anything
-//! else is a binary search plus a bounded shift.
+//! the receiver's replay window a list of id runs ([`ReplayWindow`]) whose
+//! lowest run lives inline. For in-order traffic both are O(1), the replay
+//! window never allocates and the ring allocates nothing once warm;
+//! anything else is a binary search plus a bounded shift.
 
 use std::collections::VecDeque;
 
-/// A map from ADU id to `T`, stored as a ring sorted by id.
+/// A map from ADU id to `T`, stored as a ring sorted by id, with a *parked*
+/// tail: entries queued behind the map under ids above every mapped one,
+/// invisible to the map operations until [`IdRing::admit`] moves the oldest
+/// of them in. One ring is then both the sender's admission queue and its
+/// window of unacknowledged ADUs, and admitting an ADU moves no data.
 ///
 /// Sorted by id, *not* indexed by `id - oldest`: one stuck ADU at the front
 /// would let a dense span grow without bound while newer ADUs are admitted
@@ -16,23 +21,32 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 pub(crate) struct IdRing<T> {
     entries: VecDeque<(u64, T)>,
+    /// Entries at the back that are parked, not mapped.
+    parked: usize,
 }
 
 impl<T> Default for IdRing<T> {
     fn default() -> Self {
         Self {
             entries: VecDeque::new(),
+            parked: 0,
         }
     }
 }
 
 impl<T> IdRing<T> {
+    /// Mapped entries (parked ones excluded).
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() - self.parked
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// Parked entries.
+    pub(crate) fn parked_len(&self) -> usize {
+        self.parked
     }
 
     /// Slots allocated (for memory accounting).
@@ -40,22 +54,36 @@ impl<T> IdRing<T> {
         self.entries.capacity()
     }
 
-    /// `Ok(index)` of `id`, or `Err(index)` where it would be inserted. The
-    /// oldest entry is tried first: ACKs arrive in send order.
+    /// Make room for `additional` more entries.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
+    }
+
+    /// `Ok(index)` of mapped `id`, or `Err(index)` where it would be
+    /// inserted. The oldest entry is tried first: ACKs arrive in send order.
     fn position(&self, id: u64) -> Result<usize, usize> {
+        let live = self.len();
         match self.entries.front() {
-            Some(&(oldest, _)) if oldest == id => Ok(0),
-            _ => self.entries.binary_search_by_key(&id, |&(k, _)| k),
+            Some(&(oldest, _)) if oldest == id && live > 0 => Ok(0),
+            // Parked ids lie above every mapped one, so the whole ring is
+            // sorted and a hit at or past `live` is a parked entry.
+            _ => match self.entries.binary_search_by_key(&id, |&(k, _)| k) {
+                Ok(i) if i < live => Ok(i),
+                Ok(_) => Err(live),
+                Err(i) => Err(i.min(live)),
+            },
         }
     }
 
-    /// Insert or replace; returns the displaced value. A new highest id —
-    /// what a sender produces — is a `push_back`.
+    /// Insert or replace a mapped entry; returns the displaced value. Only
+    /// the oracle test maps entries directly — the transport parks, then
+    /// admits.
+    #[cfg(test)]
     pub(crate) fn insert(&mut self, id: u64, value: T) -> Option<T> {
-        if self.entries.back().is_none_or(|&(newest, _)| newest < id) {
-            self.entries.push_back((id, value));
-            return None;
-        }
+        assert_eq!(
+            self.parked, 0,
+            "direct inserts and a parked tail do not mix"
+        );
         match self.position(id) {
             Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
             Err(i) => {
@@ -63,6 +91,35 @@ impl<T> IdRing<T> {
                 None
             }
         }
+    }
+
+    /// Queue `value` behind the map. `id` must exceed every id in the ring
+    /// (sender ids are assigned monotonically at submission).
+    pub(crate) fn park(&mut self, id: u64, value: T) {
+        debug_assert!(self.entries.back().is_none_or(|&(newest, _)| newest < id));
+        self.entries.push_back((id, value));
+        self.parked += 1;
+    }
+
+    /// Parked values, oldest first.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = &T> {
+        self.entries.range(self.len()..).map(|(_, v)| v)
+    }
+
+    /// Map the oldest parked entry in place.
+    pub(crate) fn admit(&mut self) -> Option<(u64, &mut T)> {
+        let i = self.len();
+        let (id, value) = self.entries.get_mut(i)?;
+        self.parked -= 1;
+        Some((*id, value))
+    }
+
+    /// Remove the oldest parked entry without mapping it.
+    pub(crate) fn pop_parked(&mut self) -> Option<(u64, T)> {
+        let i = self.len();
+        let entry = self.entries.remove(i)?;
+        self.parked -= 1;
+        Some(entry)
     }
 
     pub(crate) fn get(&self, id: u64) -> Option<&T> {
@@ -82,13 +139,15 @@ impl<T> IdRing<T> {
         self.entries.remove(i).map(|(_, v)| v)
     }
 
-    /// Values in id order.
+    /// Mapped values in id order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter().map(|(_, v)| v)
+        self.entries.range(..self.len()).map(|(_, v)| v)
     }
 
-    /// Remove every entry, in id order; the ring keeps its allocation.
+    /// Remove every entry, mapped then parked, in id order; the ring keeps
+    /// its allocation.
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
+        self.parked = 0;
         self.entries.drain(..)
     }
 }
@@ -100,58 +159,120 @@ const REPLAY_WINDOW_IDS: usize = 4096;
 /// recent [`REPLAY_WINDOW_IDS`] as sorted, disjoint, non-adjacent inclusive
 /// runs, plus a floor below which every id counts as released. Sender ids
 /// are monotone, so trimmed (oldest) ids slide under the floor instead of
-/// losing suppression, and in-order traffic is a single run.
+/// losing suppression.
+///
+/// The lowest run is held inline and only the runs above it — islands left
+/// by out-of-order release — in a deque: in-order traffic is one run from
+/// its first id, so its window never owns a heap block.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayWindow {
-    runs: VecDeque<(u64, u64)>,
+    /// The lowest run (valid while `len > 0`).
+    first: (u64, u64),
+    /// The runs above `first`; allocated by the first island. Boxed on
+    /// purpose: an endpoint whose traffic stays in order carries a null
+    /// pointer here, not a 32-byte deque header.
+    #[allow(clippy::box_collection)]
+    islands: Option<Box<VecDeque<(u64, u64)>>>,
     /// Ids held across all runs.
     len: usize,
     floor: u64,
 }
 
 impl ReplayWindow {
+    /// Runs held: `first`, then the islands.
+    #[cfg(test)]
+    fn run_count(&self) -> usize {
+        match self.len {
+            0 => 0,
+            _ => 1 + self.islands.as_ref().map_or(0, |d| d.len()),
+        }
+    }
+
+    fn run(&self, i: usize) -> Option<(u64, u64)> {
+        match i {
+            0 => (self.len > 0).then_some(self.first),
+            _ => self.islands.as_ref()?.get(i - 1).copied(),
+        }
+    }
+
+    /// Run `i`, which must exist.
+    fn run_mut(&mut self, i: usize) -> &mut (u64, u64) {
+        match i {
+            0 => &mut self.first,
+            _ => &mut self.islands.as_mut().expect("run exists")[i - 1],
+        }
+    }
+
+    fn insert_run(&mut self, i: usize, run: (u64, u64)) {
+        if self.len == 0 {
+            self.first = run;
+            return;
+        }
+        let islands = self.islands.get_or_insert_with(Box::default);
+        match i {
+            0 => islands.push_front(std::mem::replace(&mut self.first, run)),
+            _ => islands.insert(i - 1, run),
+        }
+    }
+
+    /// Drop run `i`, which must exist (and, for the lowest run, have a
+    /// successor or be the last id leaving the window).
+    fn remove_run(&mut self, i: usize) {
+        let islands = self.islands.as_mut();
+        match i {
+            0 => {
+                if let Some(next) = islands.and_then(|d| d.pop_front()) {
+                    self.first = next;
+                }
+            }
+            _ => {
+                islands.expect("run exists").remove(i - 1);
+            }
+        }
+    }
+
+    /// Index of the first run whose `last` fails `below`.
+    fn partition_point(&self, below: impl Fn(u64) -> bool) -> usize {
+        if self.len == 0 || !below(self.first.1) {
+            return 0;
+        }
+        1 + self
+            .islands
+            .as_ref()
+            .map_or(0, |d| d.partition_point(|&(_, last)| below(last)))
+    }
+
     /// Record `id` as released, then trim to the cap.
     pub(crate) fn insert(&mut self, id: u64) {
         // The first run reaching `id - 1`: it holds `id`, is extended by
         // it, or lies wholly above it.
-        let i = self
-            .runs
-            .partition_point(|&(_, last)| id > 0 && last < id - 1);
-        match self.runs.get(i).copied() {
+        let i = self.partition_point(|last| id > 0 && last < id - 1);
+        match self.run(i) {
             Some((first, last)) if first <= id && id <= last => return,
             Some((_, last)) if id > 0 && last == id - 1 => {
-                self.runs[i].1 = id;
+                self.run_mut(i).1 = id;
                 // `id` may have closed the gap to the next run.
-                if let Some(&(next_first, next_last)) = self.runs.get(i + 1) {
+                if let Some((next_first, next_last)) = self.run(i + 1) {
                     if next_first - 1 == id {
-                        self.runs[i].1 = next_last;
-                        self.runs.remove(i + 1);
+                        self.run_mut(i).1 = next_last;
+                        self.remove_run(i + 1);
                     }
                 }
             }
             // Not held and not adjacent below, so `first > id`.
-            Some((first, _)) if first - 1 == id => self.runs[i].0 = id,
-            _ => {
-                // In-order traffic never needs a second run: start with one
-                // slot, not the four a first `insert` would reserve (48 B
-                // on each of a server's 10^5 endpoints).
-                if self.runs.capacity() == 0 {
-                    self.runs.reserve_exact(1);
-                }
-                self.runs.insert(i, (id, id));
-            }
+            Some((first, _)) if first - 1 == id => self.run_mut(i).0 = id,
+            _ => self.insert_run(i, (id, id)),
         }
         self.len += 1;
         while self.len > REPLAY_WINDOW_IDS {
-            let oldest = self.runs.front_mut().expect("len > 0 implies a run");
-            let first = oldest.0;
-            if oldest.0 == oldest.1 {
-                self.runs.pop_front();
+            let oldest = self.first.0;
+            if self.first.0 == self.first.1 {
+                self.remove_run(0);
             } else {
-                oldest.0 += 1;
+                self.first.0 += 1;
             }
             self.len -= 1;
-            self.floor = self.floor.max(first.saturating_add(1));
+            self.floor = self.floor.max(oldest.saturating_add(1));
         }
     }
 
@@ -160,8 +281,8 @@ impl ReplayWindow {
         if id < self.floor {
             return true;
         }
-        let i = self.runs.partition_point(|&(_, last)| last < id);
-        self.runs.get(i).is_some_and(|&(first, _)| first <= id)
+        let i = self.partition_point(|last| last < id);
+        self.run(i).is_some_and(|(first, _)| first <= id)
     }
 
     /// Ids below this count as released.
@@ -174,9 +295,13 @@ impl ReplayWindow {
         self.len
     }
 
-    /// Run slots allocated (for memory accounting).
-    pub(crate) fn capacity(&self) -> usize {
-        self.runs.capacity()
+    /// Heap bytes held: nothing until an out-of-order release leaves an
+    /// island (for memory accounting; capacity-derived).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.islands.as_ref().map_or(0, |d| {
+            std::mem::size_of::<VecDeque<(u64, u64)>>()
+                + d.capacity() * std::mem::size_of::<(u64, u64)>()
+        })
     }
 }
 
@@ -312,5 +437,55 @@ mod proptests {
         assert!(!win.contains(2));
         assert_eq!(win.len(), 5);
         assert_eq!(win.floor(), 0);
+    }
+
+    #[test]
+    fn in_order_replay_window_owns_no_heap_block() {
+        // One run from 0, trimmed at the front once the cap is reached:
+        // the deque is never created, and the cap and floor slide are the
+        // parent's bit for bit.
+        let mut win = ReplayWindow::default();
+        for id in 0..100_000u64 {
+            win.insert(id);
+            assert!(win.islands.is_none(), "island deque allocated at id {id}");
+            assert_eq!(win.len(), (id as usize + 1).min(4096));
+            assert_eq!(win.floor(), (id + 1).saturating_sub(4096));
+        }
+        assert_eq!(win.heap_bytes(), 0);
+        assert!(win.contains(0) && win.contains(99_999) && !win.contains(100_000));
+        // An island above the run is what allocates; filling the gap
+        // merges it back into the inline run.
+        win.insert(100_001);
+        assert!(win.heap_bytes() > 0);
+        win.insert(100_000);
+        assert_eq!(win.run_count(), 1);
+        assert_eq!(win.first.1, 100_001);
+    }
+
+    #[test]
+    fn parked_tail_is_invisible_until_admitted() {
+        let mut ring: IdRing<&str> = IdRing::default();
+        ring.park(3, "a");
+        ring.park(5, "b");
+        ring.park(6, "c");
+        assert_eq!((ring.len(), ring.parked_len()), (0, 3));
+        assert!(ring.is_empty() && !ring.contains_key(3) && ring.get(5).is_none());
+        assert_eq!(ring.remove(3), None);
+        assert!(ring.parked().eq(["a", "b", "c"].iter()));
+        let (id, v) = ring.admit().expect("parked");
+        assert_eq!((id, *v), (3, "a"));
+        let (id, _) = ring.admit().expect("parked");
+        assert_eq!(id, 5);
+        assert_eq!((ring.len(), ring.parked_len()), (2, 1));
+        assert!(ring.contains_key(3) && ring.contains_key(5) && !ring.contains_key(6));
+        assert!(ring.values().eq(["a", "b"].iter()));
+        // Acknowledge out of order, then skip the queue entirely.
+        assert_eq!(ring.remove(5), Some("b"));
+        assert_eq!(ring.pop_parked(), Some((6, "c")));
+        assert_eq!(ring.pop_parked(), None);
+        assert!(ring.admit().is_none());
+        ring.park(9, "d");
+        assert!(ring.drain().eq([(3, "a"), (9, "d")]));
+        assert_eq!((ring.len(), ring.parked_len()), (0, 0));
     }
 }

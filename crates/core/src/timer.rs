@@ -42,6 +42,7 @@ use ct_netsim::time::{SimDuration, SimTime};
 /// use these to prove timer cost does not scale with the number of
 /// pending entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(C)]
 pub struct WheelStats {
     /// Entries inserted over the wheel's lifetime.
     pub inserts: u64,
@@ -54,21 +55,26 @@ pub struct WheelStats {
     pub slots_scanned: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Slot<K> {
-    entries: Vec<(SimTime, K)>,
-    /// Exact minimum deadline among `entries` (`None` when empty).
-    /// Maintained incrementally on insert, recomputed on scan.
-    min: Option<SimTime>,
-}
+/// "No node": the end of a list, an empty slot, an exhausted free list.
+const NIL: u32 = u32::MAX;
 
-impl<K> Slot<K> {
-    fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            min: None,
-        }
-    }
+/// One cell of the wheel's single storage block. The first `slots + 1`
+/// cells are list headers — one per slot, then the overdue pocket — and
+/// every other cell is a pending entry or a link of the free list, so a
+/// wheel is one heap block however many slots have held entries.
+#[derive(Debug, Clone, Copy)]
+struct Node<K> {
+    /// Entry: its exact deadline. Header: the exact minimum deadline of
+    /// its list, meaningful only while the list is non-empty.
+    at: SimTime,
+    /// Entry: its key. Header: filler (the first key ever inserted).
+    key: K,
+    /// Entry or free link: the next cell of its list. Header: the list's
+    /// first entry. [`NIL`] ends a list.
+    next: u32,
+    /// Header only: the list's last entry, so insertion appends in O(1)
+    /// and entries fire in insertion order.
+    tail: u32,
 }
 
 /// A hashed timer wheel over copyable keys.
@@ -77,18 +83,34 @@ impl<K> Slot<K> {
 /// once `advance` passes the deadline. It knows nothing about what a key
 /// means: the caller owns the authoritative deadline per key and treats
 /// any fired entry that no longer matches it as a lazy cancellation.
+///
+/// Storage is allocated by the first [`TimerWheel::insert`]: a wheel that
+/// never held an entry owns no heap block, and an empty one answers
+/// [`TimerWheel::next_deadline`] and [`TimerWheel::advance`] from its
+/// inline fields.
+///
+/// `repr(C)`: what an empty wheel's `advance` and every insert read comes
+/// first, the lifetime counters last.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct TimerWheel<K> {
-    slots: Vec<Slot<K>>,
-    granularity: SimDuration,
+    len: usize,
     /// Every entry with `deadline <= cursor` has been drained.
     cursor: SimTime,
-    /// Safety pocket for entries inserted at or before the cursor (they
-    /// would otherwise wait a full rotation); drained first on `advance`.
-    overdue: Vec<(SimTime, K)>,
-    len: usize,
+    granularity: SimDuration,
+    /// Headers then entries; empty until the first insert.
+    nodes: Vec<Node<K>>,
+    /// Slot count; the overdue pocket's header sits at this index. The
+    /// pocket holds entries inserted at or before the cursor (they would
+    /// otherwise wait a full rotation) and is drained first on `advance`.
+    slots: u32,
+    /// Head of the free-cell list.
+    free: u32,
     stats: WheelStats,
 }
+
+/// Entry cells reserved beyond the headers by the first insert.
+const FIRST_ENTRIES: usize = 4;
 
 impl<K: Copy> TimerWheel<K> {
     /// A wheel of `slots` buckets, each `granularity` wide (one rotation
@@ -96,20 +118,36 @@ impl<K: Copy> TimerWheel<K> {
     /// simply rescanned each time their slot comes around.
     ///
     /// # Panics
-    /// When `slots` is zero or `granularity` is zero.
+    /// When `slots` is zero (or does not fit the 32-bit cell index) or
+    /// `granularity` is zero.
     pub fn new(slots: usize, granularity: SimDuration) -> Self {
         assert!(slots > 0, "timer wheel needs at least one slot");
         assert!(
             granularity > SimDuration::ZERO,
             "timer wheel granularity must be positive"
         );
+        let slots = u32::try_from(slots)
+            .ok()
+            .filter(|&n| n < NIL - 1)
+            .expect("timer wheel slot count fits the 32-bit cell index");
         Self {
-            slots: (0..slots).map(|_| Slot::new()).collect(),
-            granularity,
-            cursor: SimTime::ZERO,
-            overdue: Vec::new(),
             len: 0,
+            cursor: SimTime::ZERO,
+            granularity,
+            nodes: Vec::new(),
+            slots,
+            free: NIL,
             stats: WheelStats::default(),
+        }
+    }
+
+    /// Allocate the storage the first [`TimerWheel::insert`] would, now —
+    /// for an owner that wants the wheel's block next to the others it is
+    /// about to allocate.
+    pub(crate) fn reserve(&mut self) {
+        if self.nodes.capacity() == 0 {
+            self.nodes
+                .reserve_exact(self.slots as usize + 1 + FIRST_ENTRIES);
         }
     }
 
@@ -128,16 +166,39 @@ impl<K: Copy> TimerWheel<K> {
         self.stats
     }
 
-    /// Approximate heap bytes held by the wheel (slot vectors plus their
-    /// entries). Deterministic: derived from capacities only.
+    /// Approximate heap bytes held by the wheel: its one storage block
+    /// (nothing before the first insert). Deterministic: derived from the
+    /// capacity only.
     pub fn approx_mem_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(SimTime, K)>();
-        self.slots
-            .iter()
-            .map(|s| s.entries.capacity() * entry)
-            .sum::<usize>()
-            + self.slots.capacity() * std::mem::size_of::<Slot<K>>()
-            + self.overdue.capacity() * entry
+        self.nodes.capacity() * std::mem::size_of::<Node<K>>()
+    }
+
+    /// The header cell of the list `deadline` belongs to: the overdue
+    /// pocket at or before the cursor, otherwise its hashed slot.
+    fn list_of(&self, deadline: SimTime) -> usize {
+        if deadline <= self.cursor {
+            self.slots as usize
+        } else {
+            (deadline.as_nanos() / self.granularity.as_nanos()) as usize % self.slots as usize
+        }
+    }
+
+    /// Return cell `i` to the free list.
+    fn release(&mut self, i: u32) {
+        self.nodes[i as usize].next = self.free;
+        self.free = i;
+    }
+
+    /// Exact minimum deadline of the list headed by `head` (the header's
+    /// own `at` is left for the caller to store).
+    fn list_min(&self, head: usize) -> SimTime {
+        let mut min = SimTime::MAX;
+        let mut cur = self.nodes[head].next;
+        while cur != NIL {
+            min = min.min(self.nodes[cur as usize].at);
+            cur = self.nodes[cur as usize].next;
+        }
+        min
     }
 
     /// Cancel a previously inserted `(deadline, key)` entry. O(1)
@@ -149,51 +210,100 @@ impl<K: Copy> TimerWheel<K> {
     where
         K: PartialEq,
     {
-        if deadline <= self.cursor {
-            // Slotted entries at or before the cursor have been drained;
-            // only the overdue pocket can still hold this deadline.
-            if let Some(pos) = self
-                .overdue
-                .iter()
-                .position(|&(d, k)| d == deadline && k == key)
-            {
-                self.overdue.swap_remove(pos);
-                self.len -= 1;
-                return true;
-            }
+        if self.len == 0 {
             return false;
         }
-        let idx = (deadline.as_nanos() / self.granularity.as_nanos()) as usize % self.slots.len();
-        let slot = &mut self.slots[idx];
-        if let Some(pos) = slot
-            .entries
-            .iter()
-            .position(|&(d, k)| d == deadline && k == key)
-        {
-            slot.entries.swap_remove(pos);
-            self.len -= 1;
-            if slot.min == Some(deadline) {
-                slot.min = slot.entries.iter().map(|&(d, _)| d).min();
+        // Slotted entries at or before the cursor have been drained; only
+        // the overdue pocket can still hold such a deadline.
+        let head = self.list_of(deadline);
+        let (mut prev, mut cur) = (NIL, self.nodes[head].next);
+        while cur != NIL {
+            let n = self.nodes[cur as usize];
+            if n.at == deadline && n.key == key {
+                break;
             }
-            return true;
+            (prev, cur) = (cur, n.next);
         }
-        false
+        if cur == NIL {
+            return false;
+        }
+        // Unordered removal, as a bucket vector's `swap_remove`: the
+        // list's last entry takes the removed one's place, so the order
+        // entries later fire in does not depend on the storage scheme.
+        let tail = self.nodes[head].tail;
+        if cur != tail {
+            let mut before_tail = cur;
+            while self.nodes[before_tail as usize].next != tail {
+                before_tail = self.nodes[before_tail as usize].next;
+            }
+            let last = self.nodes[tail as usize];
+            let hole = &mut self.nodes[cur as usize];
+            (hole.at, hole.key) = (last.at, last.key);
+            prev = before_tail;
+        }
+        if prev == NIL {
+            self.nodes[head].next = NIL;
+        } else {
+            self.nodes[prev as usize].next = NIL;
+        }
+        self.nodes[head].tail = prev;
+        self.release(tail);
+        self.len -= 1;
+        if self.nodes[head].at == deadline {
+            self.nodes[head].at = self.list_min(head);
+        }
+        true
     }
 
     /// Schedule `key` at the exact `deadline`. O(1).
     pub fn insert(&mut self, deadline: SimTime, key: K) {
         self.stats.inserts += 1;
         self.len += 1;
-        if deadline <= self.cursor {
-            // Already due (caller scheduled into the past): keep it out of
-            // the rotation so the very next `advance` returns it.
-            self.overdue.push((deadline, key));
-            return;
+        if self.nodes.is_empty() {
+            let headers = self.slots as usize + 1;
+            self.reserve();
+            self.nodes.resize(
+                headers,
+                Node {
+                    at: SimTime::MAX,
+                    key,
+                    next: NIL,
+                    tail: NIL,
+                },
+            );
         }
-        let idx = (deadline.as_nanos() / self.granularity.as_nanos()) as usize % self.slots.len();
-        let slot = &mut self.slots[idx];
-        slot.min = Some(slot.min.map_or(deadline, |m| m.min(deadline)));
-        slot.entries.push((deadline, key));
+        let entry = Node {
+            at: deadline,
+            key,
+            next: NIL,
+            tail: NIL,
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i < NIL)
+                .expect("timer wheel holds fewer than 2^32 entries");
+            self.nodes.push(entry);
+            i
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = entry;
+            i
+        };
+        // A deadline at or before the cursor is already due (the caller
+        // scheduled into the past): the overdue pocket keeps it out of the
+        // rotation so the very next `advance` returns it.
+        let head = self.list_of(deadline);
+        let tail = self.nodes[head].tail;
+        if tail == NIL {
+            self.nodes[head].next = i;
+            self.nodes[head].at = deadline;
+        } else {
+            self.nodes[tail as usize].next = i;
+            self.nodes[head].at = self.nodes[head].at.min(deadline);
+        }
+        self.nodes[head].tail = i;
     }
 
     /// Earliest pending deadline, or `None` when the wheel is empty.
@@ -201,12 +311,50 @@ impl<K: Copy> TimerWheel<K> {
     /// lazily-cancelled entry's deadline counts until its slot is next
     /// scanned — but it is never later than the true earliest deadline.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        let overdue = self.overdue.iter().map(|&(d, _)| d).min();
-        let slotted = self.slots.iter().filter_map(|s| s.min).min();
-        match (overdue, slotted) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        if self.len == 0 {
+            return None;
         }
+        self.nodes[..=self.slots as usize]
+            .iter()
+            .filter(|h| h.next != NIL)
+            .map(|h| h.at)
+            .min()
+    }
+
+    /// Unlink every entry of the list headed by `head` whose deadline is
+    /// at or before `now`, appending it to `due` in list order; the rest
+    /// stay, in order, and the header's minimum is recomputed exactly.
+    /// Returns `(entries looked at, entries drained)`.
+    fn drain_due(&mut self, head: usize, now: SimTime, due: &mut Vec<(SimTime, K)>) -> (u64, u64) {
+        let (mut examined, mut drained) = (0u64, 0u64);
+        let (mut kept, mut min) = (NIL, SimTime::MAX);
+        let mut cur = self.nodes[head].next;
+        while cur != NIL {
+            let n = self.nodes[cur as usize];
+            examined += 1;
+            if n.at <= now {
+                due.push((n.at, n.key));
+                drained += 1;
+                self.release(cur);
+            } else {
+                if kept == NIL {
+                    self.nodes[head].next = cur;
+                } else {
+                    self.nodes[kept as usize].next = cur;
+                }
+                kept = cur;
+                min = min.min(n.at);
+            }
+            cur = n.next;
+        }
+        if kept == NIL {
+            self.nodes[head].next = NIL;
+        } else {
+            self.nodes[kept as usize].next = NIL;
+        }
+        self.nodes[head].tail = kept;
+        self.nodes[head].at = min;
+        (examined, drained)
     }
 
     /// Move the cursor to `now`, appending every entry with
@@ -216,11 +364,17 @@ impl<K: Copy> TimerWheel<K> {
     /// minima recomputed exactly. Time never moves backwards: a `now`
     /// before the cursor is a no-op.
     pub fn advance(&mut self, now: SimTime, due: &mut Vec<(SimTime, K)>) {
-        if !self.overdue.is_empty() {
-            self.stats.entries_examined += self.overdue.len() as u64;
-            self.stats.fired += self.overdue.len() as u64;
-            self.len -= self.overdue.len();
-            due.append(&mut self.overdue);
+        if self.len == 0 {
+            self.cursor = self.cursor.max(now);
+            return;
+        }
+        let pocket = self.slots as usize;
+        if self.nodes[pocket].next != NIL {
+            // Everything in the pocket was due when it was inserted.
+            let (examined, drained) = self.drain_due(pocket, SimTime::MAX, due);
+            self.stats.entries_examined += examined;
+            self.stats.fired += drained;
+            self.len -= drained as usize;
         }
         if now <= self.cursor {
             return;
@@ -230,34 +384,22 @@ impl<K: Copy> TimerWheel<K> {
             return;
         }
         let g = self.granularity.as_nanos();
-        let n = self.slots.len() as u64;
+        let n = u64::from(self.slots);
         let start = self.cursor.as_nanos() / g;
         let end = now.as_nanos() / g;
         // The cursor's own slot is rescanned every time: a partial tick
         // may hold entries that only now came due.
         let span = (end - start).min(n - 1);
         for tick in start..=start + span {
-            let idx = (tick % n) as usize;
-            let slot = &mut self.slots[idx];
-            if slot.entries.is_empty() {
-                self.stats.slots_scanned += 1;
+            let head = (tick % n) as usize;
+            self.stats.slots_scanned += 1;
+            if self.nodes[head].next == NIL {
                 continue;
             }
-            self.stats.slots_scanned += 1;
-            self.stats.entries_examined += slot.entries.len() as u64;
-            let before = due.len();
-            slot.entries.retain(|&(deadline, key)| {
-                if deadline <= now {
-                    due.push((deadline, key));
-                    false
-                } else {
-                    true
-                }
-            });
-            let drained = due.len() - before;
-            self.stats.fired += drained as u64;
-            self.len -= drained;
-            slot.min = slot.entries.iter().map(|&(d, _)| d).min();
+            let (examined, drained) = self.drain_due(head, now, due);
+            self.stats.entries_examined += examined;
+            self.stats.fired += drained;
+            self.len -= drained as usize;
         }
         self.cursor = now;
     }
@@ -387,5 +529,180 @@ mod tests {
         w.advance(at(1, 0), &mut due);
         assert_eq!(due.len(), 2, "wheel is honest; the caller dedups");
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn never_inserted_wheel_answers_from_inline_fields() {
+        let mut w = wheel();
+        assert_eq!(w.next_deadline(), None);
+        assert_eq!(w.approx_mem_bytes(), 0, "no slot table before an insert");
+        let mut due = Vec::new();
+        w.advance(at(5, 0), &mut due);
+        assert!(due.is_empty());
+        assert!(!w.remove(at(6, 0), 1));
+        assert_eq!(w.approx_mem_bytes(), 0);
+        assert_eq!(w.stats(), WheelStats::default());
+        // The cursor did move: a deadline behind it is already overdue.
+        w.insert(at(3, 0), 9);
+        w.advance(at(5, 0), &mut due);
+        assert_eq!(due, vec![(at(3, 0), 9)]);
+        // Emptied again: storage stays, the answers are still inline.
+        assert_eq!(w.next_deadline(), None);
+        let examined = w.stats().entries_examined;
+        w.advance(at(50, 0), &mut due);
+        assert_eq!(w.stats().entries_examined, examined);
+    }
+
+    /// The wheel this one replaced, literally: a vector of buckets, each a
+    /// vector of entries with a cached minimum, plus an overdue pocket.
+    /// The oracle for fire order, minima and every instrumentation count.
+    struct BucketWheel {
+        /// `(entries, cached minimum)` per slot.
+        slots: Vec<Bucket>,
+        granularity: SimDuration,
+        cursor: SimTime,
+        overdue: Vec<(SimTime, u64)>,
+        len: usize,
+        stats: WheelStats,
+    }
+
+    type Bucket = (Vec<(SimTime, u64)>, Option<SimTime>);
+
+    impl BucketWheel {
+        fn new(slots: usize, granularity: SimDuration) -> Self {
+            Self {
+                slots: vec![(Vec::new(), None); slots],
+                granularity,
+                cursor: SimTime::ZERO,
+                overdue: Vec::new(),
+                len: 0,
+                stats: WheelStats::default(),
+            }
+        }
+
+        fn slot(&self, deadline: SimTime) -> usize {
+            (deadline.as_nanos() / self.granularity.as_nanos()) as usize % self.slots.len()
+        }
+
+        fn insert(&mut self, deadline: SimTime, key: u64) {
+            self.stats.inserts += 1;
+            self.len += 1;
+            if deadline <= self.cursor {
+                self.overdue.push((deadline, key));
+                return;
+            }
+            let idx = self.slot(deadline);
+            let (entries, min) = &mut self.slots[idx];
+            *min = Some(min.map_or(deadline, |m| m.min(deadline)));
+            entries.push((deadline, key));
+        }
+
+        fn remove(&mut self, deadline: SimTime, key: u64) -> bool {
+            let idx = self.slot(deadline);
+            let (entries, min) = if deadline <= self.cursor {
+                (&mut self.overdue, None)
+            } else {
+                let (entries, min) = &mut self.slots[idx];
+                (entries, Some(min))
+            };
+            let Some(pos) = entries.iter().position(|&e| e == (deadline, key)) else {
+                return false;
+            };
+            entries.swap_remove(pos);
+            self.len -= 1;
+            if let Some(min) = min.filter(|m| **m == Some(deadline)) {
+                *min = entries.iter().map(|&(d, _)| d).min();
+            }
+            true
+        }
+
+        fn next_deadline(&self) -> Option<SimTime> {
+            let overdue = self.overdue.iter().map(|&(d, _)| d).min();
+            let slotted = self.slots.iter().filter_map(|s| s.1).min();
+            overdue.into_iter().chain(slotted).min()
+        }
+
+        fn advance(&mut self, now: SimTime, due: &mut Vec<(SimTime, u64)>) {
+            let pocket = self.overdue.len();
+            self.stats.entries_examined += pocket as u64;
+            self.stats.fired += pocket as u64;
+            self.len -= pocket;
+            due.append(&mut self.overdue);
+            if now <= self.cursor {
+                return;
+            }
+            if self.len > 0 {
+                let g = self.granularity.as_nanos();
+                let n = self.slots.len() as u64;
+                let start = self.cursor.as_nanos() / g;
+                let span = (now.as_nanos() / g - start).min(n - 1);
+                for tick in start..=start + span {
+                    let (entries, min) = &mut self.slots[(tick % n) as usize];
+                    self.stats.slots_scanned += 1;
+                    self.stats.entries_examined += entries.len() as u64;
+                    let before = due.len();
+                    entries.retain(|&e| {
+                        if e.0 <= now {
+                            due.push(e);
+                        }
+                        e.0 > now
+                    });
+                    self.stats.fired += (due.len() - before) as u64;
+                    self.len -= due.len() - before;
+                    *min = entries.iter().map(|&(d, _)| d).min();
+                }
+            }
+            self.cursor = now;
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Arbitrary insert / remove / advance sequences, including
+        /// re-arms, duplicates, inserts into the past and jumps past a
+        /// rotation: same due list in the same order, same minimum, same
+        /// counts as the bucket wheel.
+        #[test]
+        fn prop_wheel_matches_bucket_wheel(
+            slots in 1usize..10,
+            ops in prop::collection::vec((0u8..8, 0u64..12, 0u64..40_000), 0..300),
+        ) {
+            let g = SimDuration::from_micros(1_000);
+            let mut wheel: TimerWheel<u64> = TimerWheel::new(slots, g);
+            let mut model = BucketWheel::new(slots, g);
+            let mut now = SimTime::ZERO;
+            let mut armed: Vec<(SimTime, u64)> = Vec::new();
+            for (op, key, us) in ops {
+                match op {
+                    0..=3 => {
+                        // Mostly ahead of the clock, sometimes behind it.
+                        let d = SimTime::from_micros((now.as_nanos() / 1_000 + us).saturating_sub(2_000));
+                        wheel.insert(d, key);
+                        model.insert(d, key);
+                        armed.push((d, key));
+                    }
+                    4 | 5 => {
+                        // Cancel something armed earlier (or nothing).
+                        let (d, k) = if armed.is_empty() {
+                            (SimTime::from_micros(us), key)
+                        } else {
+                            armed.swap_remove(us as usize % armed.len())
+                        };
+                        prop_assert_eq!(wheel.remove(d, k), model.remove(d, k));
+                    }
+                    _ => {
+                        now += SimDuration::from_micros(us % 15_000);
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        wheel.advance(now, &mut a);
+                        model.advance(now, &mut b);
+                        prop_assert_eq!(a, b, "fire order");
+                    }
+                }
+                prop_assert_eq!(wheel.len(), model.len);
+                prop_assert_eq!(wheel.next_deadline(), model.next_deadline());
+                prop_assert_eq!(wheel.stats(), model.stats);
+            }
+        }
     }
 }

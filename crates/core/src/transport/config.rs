@@ -22,49 +22,21 @@ pub enum RecoveryMode {
 }
 
 /// Static configuration of an [`AduTransport`](super::AduTransport).
+///
+/// `repr(C)`, with the fields every `send_adu` / `poll` / `on_frame`
+/// branches on declared first: they are the first 64 of its 120 bytes.
 #[derive(Debug, Clone, Copy)]
+#[repr(C)]
 pub struct AlfConfig {
     /// Association identifier carried in every message.
     pub assoc: u16,
-    /// Maximum TU payload (fragment) size.
-    pub mtu_payload: usize,
     /// Loss-recovery policy.
     pub recovery: RecoveryMode,
-    /// Maximum unacknowledged ADUs before `send_adu` refuses
-    /// (ignored — effectively unlimited — under [`RecoveryMode::NoRetransmit`]).
-    pub window_adus: usize,
-    /// Sender retransmission deadline per ADU.
-    pub retransmit_timeout: SimDuration,
-    /// Give up after this many whole-ADU retransmissions and declare the
-    /// ADU lost (sender side).
-    pub max_retries: u32,
-    /// Receiver reassembly deadline: an incomplete ADU older than this is
-    /// abandoned and NACKed.
-    pub assembly_timeout: SimDuration,
-    /// Receiver reassembly budget (concurrent partial ADUs).
-    pub max_partial_adus: usize,
-    /// Maximum data TUs released per `poll` — a burst cap on top of
-    /// `pace_per_tu`.
-    pub burst_tus: usize,
     /// Stamp each outgoing TU with a sender timestamp (µs, wrapping) so the
     /// receiver can regenerate inter-packet timing — §3's *timestamping*
     /// transfer control. The receiver then maintains an RTP-style
     /// interarrival jitter estimate in [`AlfStats::jitter_us`](super::AlfStats::jitter_us).
     pub timestamps: bool,
-    /// Forward error correction: group size `k` for single-erasure XOR
-    /// parity across an ADU's TUs (one parity TU per `k` data TUs).
-    /// 0 disables FEC. See [`crate::fec`].
-    pub fec_group: usize,
-    /// Selective-recovery rounds: how many times the receiver NACKs an
-    /// overdue ADU's *missing fragments* (deadline restarting each round)
-    /// before declaring the whole ADU lost. 0 disables sub-ADU recovery.
-    pub nack_frag_rounds: u32,
-    /// Minimum spacing between consecutive TU releases (token pacing).
-    /// `ZERO` disables pacing. The paper puts transfer-rate computation
-    /// out of band (§3); the driver plays that role by deriving the pace
-    /// from the link's serialization time, and adaptive mode re-derives
-    /// it continuously from the measured delivery rate.
-    pub pace_per_tu: SimDuration,
     /// Adaptive transfer control — the out-of-band "smart" control of §3:
     /// (1) every released TU is stamped and the receiver echoes the stamp
     /// in its ACKs, feeding a Jacobson/Karels SRTT/RTTVAR estimator that
@@ -72,9 +44,49 @@ pub struct AlfConfig {
     /// congestion window in ADU units gates first transmissions in
     /// `poll()` (the static `window_adus` remains only as the application
     /// backpressure bound); (3) `pace_per_tu` is re-derived from the
-    /// measured delivery rate. Off by default — the fixed timers above
-    /// then apply unchanged.
+    /// measured delivery rate. Off by default — the fixed timers then
+    /// apply unchanged.
     pub adaptive: bool,
+    /// Maximum unacknowledged ADUs before `send_adu` refuses
+    /// (ignored — effectively unlimited — under [`RecoveryMode::NoRetransmit`]).
+    pub window_adus: usize,
+    /// Maximum TU payload (fragment) size.
+    pub mtu_payload: usize,
+    /// Maximum data TUs released per `poll` — a burst cap on top of
+    /// `pace_per_tu`.
+    pub burst_tus: usize,
+    /// Forward error correction: group size `k` for single-erasure XOR
+    /// parity across an ADU's TUs (one parity TU per `k` data TUs).
+    /// 0 disables FEC. See [`crate::fec`].
+    pub fec_group: usize,
+    /// Declare the peer unreachable after this long with outstanding work
+    /// and no inbound traffic (`ZERO` = never give up). On expiry every
+    /// in-flight and queued ADU is reported lost by name,
+    /// [`AduTransport::peer_unreachable`](super::AduTransport::peer_unreachable) turns true, and `send_adu`
+    /// refuses with [`SendRefused::PeerUnreachable`] until the peer is
+    /// heard from again.
+    pub peer_timeout: SimDuration,
+    /// Sender retransmission deadline per ADU.
+    pub retransmit_timeout: SimDuration,
+    /// Minimum spacing between consecutive TU releases (token pacing).
+    /// `ZERO` disables pacing. The paper puts transfer-rate computation
+    /// out of band (§3); the driver plays that role by deriving the pace
+    /// from the link's serialization time, and adaptive mode re-derives
+    /// it continuously from the measured delivery rate.
+    pub pace_per_tu: SimDuration,
+    // ---- consulted off the fault-free path only ----
+    /// Give up after this many whole-ADU retransmissions and declare the
+    /// ADU lost (sender side).
+    pub max_retries: u32,
+    /// Selective-recovery rounds: how many times the receiver NACKs an
+    /// overdue ADU's *missing fragments* (deadline restarting each round)
+    /// before declaring the whole ADU lost. 0 disables sub-ADU recovery.
+    pub nack_frag_rounds: u32,
+    /// Receiver reassembly deadline: an incomplete ADU older than this is
+    /// abandoned and NACKed.
+    pub assembly_timeout: SimDuration,
+    /// Receiver reassembly budget (concurrent partial ADUs).
+    pub max_partial_adus: usize,
     /// Lower clamp on the adaptive RTO (guards against spurious
     /// retransmission when the RTT variance collapses).
     pub rto_min: SimDuration,
@@ -87,13 +99,6 @@ pub struct AlfConfig {
     /// [`RecoveryMode::NoRetransmit`], backpressure (refuse, sender
     /// retransmits) for the buffered modes — never silent loss.
     pub reassembly_budget_bytes: usize,
-    /// Declare the peer unreachable after this long with outstanding work
-    /// and no inbound traffic (`ZERO` = never give up). On expiry every
-    /// in-flight and queued ADU is reported lost by name,
-    /// [`AduTransport::peer_unreachable`](super::AduTransport::peer_unreachable) turns true, and `send_adu`
-    /// refuses with [`SendRefused::PeerUnreachable`] until the peer is
-    /// heard from again.
-    pub peer_timeout: SimDuration,
     /// Receiver occupancy quota: maximum stored fragment views per partial
     /// ADU (0 = unlimited). Legitimate fragmentation needs at most
     /// `adu_len / mtu_payload` views; a hostile peer shredding one ADU

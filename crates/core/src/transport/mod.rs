@@ -85,11 +85,16 @@ const RETX_WHEEL_SLOTS: usize = 8;
 /// interval (one rotation = 8 × 4 ms = 32 ms).
 const RETX_WHEEL_GRANULARITY: SimDuration = SimDuration::from_millis(4);
 
-/// Sender-side record of an unacknowledged ADU.
+/// Ring and pacing-queue slots reserved by the first submission (what a
+/// first `push` would reserve anyway).
+const FIRST_SEND_SLOTS: usize = 4;
+
+/// Sender-side record of a submitted, unacknowledged ADU.
 #[derive(Debug)]
 struct SentAdu {
     name: AduName,
-    /// Payload view ([`RecoveryMode::TransportBuffer`] only) — shares the
+    /// Payload view: the whole ADU until it is admitted, afterwards kept
+    /// under [`RecoveryMode::TransportBuffer`] only — it shares the
     /// application's chunk, so "buffering" for retransmission costs no copy.
     payload: Option<WireBuf>,
     total_len: u32,
@@ -109,32 +114,20 @@ struct SentAdu {
     armed: Option<SimTime>,
 }
 
-/// The ALF transport endpoint (symmetric: both ends run the same code).
+/// State an endpoint needs only once it leaves the fault-free TU/ACK path:
+/// loss recovery, FEC, and the timestamp-driven estimators. Boxed behind
+/// [`AduTransport::cold`] and allocated by the first event that needs it,
+/// so an association that never leaves its fast path — the common one in a
+/// many-association server — carries a null pointer instead.
 #[derive(Debug)]
-pub struct AduTransport {
-    cfg: AlfConfig,
-    next_adu_id: u64,
-    /// Unacknowledged ADUs (sender side), sorted by id: ids are assigned
-    /// here and monotone, so admission appends, the oldest — the one ACKs
-    /// and timeouts usually name — is the front, and anything else is a
-    /// binary search over at most `window_adus` live entries.
-    unacked: IdRing<SentAdu>,
-    /// Hashed timer wheel shadowing `unacked`'s retransmission deadlines:
-    /// one entry per ADU with a live clock, reconciled by `sync_timer`
-    /// after every state change and cancelled eagerly on ACK. This is what
-    /// makes `poll` and [`AduTransport::next_timeout`] independent of the
-    /// number of ADUs in flight.
-    wheel: TimerWheel<u64>,
-    /// Reusable scratch for draining the wheel (no per-poll allocation).
-    wheel_scratch: Vec<(SimTime, u64)>,
-    /// ADUs queued for first transmission: `(id, name, payload)`.
-    queue: VecDeque<(u64, AduName, WireBuf)>,
+struct Cold {
     /// ADUs to (re)transmit this poll: `(id, full)` — `full` resends the
     /// whole ADU, otherwise only a first-TU probe goes out and the
     /// receiver's selective NACKs fetch the rest.
     retransmit_now: Vec<(u64, bool)>,
-    /// Pending outbound ACK ids.
-    ack_queue: Vec<u64>,
+    /// Reusable scratch for draining the wheel (a firing timer is already
+    /// off the fast path).
+    wheel_scratch: Vec<(SimTime, u64)>,
     /// Pending outbound NACK ids.
     nack_queue: Vec<u64>,
     /// Pending outbound selective NACKs: `(adu_id, missing ranges)`.
@@ -143,14 +136,6 @@ pub struct AduTransport {
     recompute_out: Vec<LossReport>,
     /// Losses to report to the local application.
     loss_reports: Vec<LossReport>,
-    /// Encoded data TUs awaiting a transmit slot (pacing queue), tagged
-    /// with their ADU id so the retransmission deadline can be refreshed
-    /// when the TU actually leaves.
-    txq: VecDeque<(u64, AduName, Vec<u8>)>,
-    /// Earliest instant the pacer will release the next TU.
-    next_tx_at: SimTime,
-    /// Receive stage 1.
-    assembler: Assembler,
     /// Parity TUs held per pending ADU (FEC).
     parities: BTreeMap<u64, Vec<fec::Parity>>,
     /// Jitter estimator state: (previous arrival µs, previous timestamp µs).
@@ -166,41 +151,123 @@ pub struct AduTransport {
     ssthresh: f64,
     /// Instant of the last multiplicative decrease (once-per-RTT guard).
     last_cwnd_cut: Option<SimTime>,
-    /// Effective inter-TU pace: `cfg.pace_per_tu` until adaptive control
-    /// derives one from the delivery rate.
-    pace_now: SimDuration,
     /// Delivery-rate window: bytes ACKed since `rate_epoch`.
     rate_bytes: u64,
     /// Start of the current delivery-rate window.
     rate_epoch: Option<SimTime>,
     /// Smoothed delivery rate, bits per second (0 = no sample yet).
     rate_bps: f64,
-    /// Completed ADUs awaiting the application: `(id, adu, latency)`.
-    deliver: VecDeque<(u64, Adu, SimDuration)>,
-    highest_delivered: Option<u64>,
-    /// Latest receiver window advertised by the peer's ACKs, bytes.
-    peer_rwnd: u32,
-    /// First transmissions are currently stalled on `peer_rwnd`.
-    rwnd_blocked: bool,
     /// Next zero-window probe instant, with its backoff exponent.
     next_probe_at: Option<SimTime>,
     probe_backoff: u32,
-    /// Karn-style global backoff exponent added to every per-ADU RTO while
-    /// timeouts fire without ACK progress; reset when new data is ACKed.
-    timeout_backoff: u32,
+}
+
+impl Default for Cold {
+    fn default() -> Self {
+        Self {
+            retransmit_now: Vec::new(),
+            wheel_scratch: Vec::new(),
+            nack_queue: Vec::new(),
+            nack_frag_out: Vec::new(),
+            recompute_out: Vec::new(),
+            loss_reports: Vec::new(),
+            parities: BTreeMap::new(),
+            prev_timing: None,
+            echo_pending: None,
+            rtt: RttEstimator::default(),
+            cwnd: CWND_INIT_ADUS,
+            ssthresh: f64::INFINITY,
+            last_cwnd_cut: None,
+            rate_bytes: 0,
+            rate_epoch: None,
+            rate_bps: 0.0,
+            next_probe_at: None,
+            probe_backoff: 0,
+        }
+    }
+}
+
+/// The ALF transport endpoint (symmetric: both ends run the same code).
+///
+/// Laid out hot first (`repr(C)` keeps the declaration order): the state
+/// every call touches; the send ring beside the ACK ids (what a poll tests
+/// for work); what an idle poll reads of the pacer and the retransmission
+/// wheel, then the rest of the wheel; stage 1; the delivery and id
+/// watermarks directly before the six counters of `stats` the fault-free
+/// path bumps; and the configuration with the fields that path branches on
+/// leading. Everything the fault-free path never reads is behind `cold`.
+#[derive(Debug)]
+#[repr(C)]
+pub struct AduTransport {
+    // ---- every call --------------------------------------------------------
     /// Last instant any valid peer message arrived (dead-peer clock).
     last_peer_activity: Option<SimTime>,
-    /// The peer was declared unreachable (cleared if it is heard again).
-    peer_dead: bool,
-    /// The receiver owes the peer a window update: emit an ACK next poll
-    /// even if no ADU ids are pending (probe answers, post-shed updates).
-    window_ack_due: bool,
     /// Attached observability handle plus the endpoint's role label
     /// (`"sender"` / `"receiver"` — the flight recorder's `layer` field).
     telemetry: Option<(Telemetry, &'static str)>,
+    /// Recovery, FEC and estimator state; `None` until first needed.
+    cold: Option<Box<Cold>>,
+    /// Latest receiver window advertised by the peer's ACKs, bytes.
+    peer_rwnd: u32,
+    /// Karn-style global backoff exponent added to every per-ADU RTO while
+    /// timeouts fire without ACK progress; reset when new data is ACKed.
+    timeout_backoff: u32,
+    /// The peer was declared unreachable (cleared if it is heard again).
+    peer_dead: bool,
+    /// First transmissions are currently stalled on `peer_rwnd`.
+    rwnd_blocked: bool,
+    /// The receiver owes the peer a window update: emit an ACK next poll
+    /// even if no ADU ids are pending (probe answers, post-shed updates).
+    window_ack_due: bool,
+
+    // ---- is there anything to send or acknowledge --------------------------
+    /// Submitted ADUs, sorted by id: the mapped part is the window of
+    /// unacknowledged ADUs, the parked tail the ADUs queued for first
+    /// transmission. Ids are assigned here and monotone, so submission
+    /// appends, admission maps the oldest parked entry in place, the
+    /// oldest — the one ACKs and timeouts usually name — is the front,
+    /// and anything else is a binary search over at most `window_adus`
+    /// entries.
+    window: IdRing<SentAdu>,
+    /// Pending outbound ACK ids.
+    ack_queue: Vec<u64>,
+
+    // ---- pacer and retransmission clock ------------------------------------
+    /// Encoded data TUs awaiting a transmit slot (pacing queue), tagged
+    /// with their ADU id so the retransmission deadline can be refreshed
+    /// when the TU actually leaves.
+    txq: VecDeque<(u64, AduName, Vec<u8>)>,
+    /// Effective inter-TU pace: `cfg.pace_per_tu` until adaptive control
+    /// derives one from the delivery rate.
+    pace_now: SimDuration,
+    /// Hashed timer wheel shadowing the window's retransmission deadlines:
+    /// one entry per ADU with a live clock, reconciled by `sync_timer`
+    /// after every state change and cancelled eagerly on ACK. This is what
+    /// makes `poll` and [`AduTransport::next_timeout`] independent of the
+    /// number of ADUs in flight.
+    wheel: TimerWheel<u64>,
+
+    // ---- receive stage 1 ---------------------------------------------------
+    /// Reassembly, replay suppression, and the queue of completed ADUs
+    /// awaiting the application.
+    assembler: Assembler,
+    /// Earliest instant the pacer will release the next TU (read only
+    /// while pacing is on).
+    next_tx_at: SimTime,
+
+    // ---- watermarks, then the counters (fast-path ones first) -------------
+    highest_delivered: Option<u64>,
+    next_adu_id: u64,
     /// Counters.
     pub stats: AlfStats,
+    cfg: AlfConfig,
 }
+
+// The next field added to the endpoint's inline part fails the build with
+// the number in view. 504 of these bytes are fixed by public types: the
+// configuration (120), `stats` (280), the assembler's and the wheel's own
+// counters (72 + 32).
+const _: () = assert!(std::mem::size_of::<AduTransport>() <= 928);
 
 impl AduTransport {
     /// Create an endpoint.
@@ -219,49 +286,41 @@ impl AduTransport {
         }
         assembler.set_frag_quota(cfg.max_frag_views);
         Self {
-            cfg,
-            next_adu_id: 0,
-            unacked: IdRing::default(),
-            wheel: TimerWheel::new(RETX_WHEEL_SLOTS, RETX_WHEEL_GRANULARITY),
-            wheel_scratch: Vec::new(),
-            queue: VecDeque::new(),
-            retransmit_now: Vec::new(),
-            ack_queue: Vec::new(),
-            nack_queue: Vec::new(),
-            nack_frag_out: Vec::new(),
-            recompute_out: Vec::new(),
-            loss_reports: Vec::new(),
-            txq: VecDeque::new(),
-            next_tx_at: SimTime::ZERO,
-            assembler,
-            parities: BTreeMap::new(),
-            prev_timing: None,
-            echo_pending: None,
-            rtt: RttEstimator::default(),
-            cwnd: CWND_INIT_ADUS,
-            ssthresh: f64::INFINITY,
-            last_cwnd_cut: None,
-            pace_now: cfg.pace_per_tu,
-            rate_bytes: 0,
-            rate_epoch: None,
-            rate_bps: 0.0,
-            deliver: VecDeque::new(),
-            highest_delivered: None,
-            peer_rwnd: RWND_UNLIMITED,
-            rwnd_blocked: false,
-            next_probe_at: None,
-            probe_backoff: 0,
-            timeout_backoff: 0,
             last_peer_activity: None,
-            peer_dead: false,
-            window_ack_due: false,
             telemetry: None,
+            cold: None,
+            peer_rwnd: RWND_UNLIMITED,
+            timeout_backoff: 0,
+            peer_dead: false,
+            rwnd_blocked: false,
+            window_ack_due: false,
+            window: IdRing::default(),
+            ack_queue: Vec::new(),
+            txq: VecDeque::new(),
+            pace_now: cfg.pace_per_tu,
+            wheel: TimerWheel::new(RETX_WHEEL_SLOTS, RETX_WHEEL_GRANULARITY),
+            assembler,
+            next_tx_at: SimTime::ZERO,
+            highest_delivered: None,
+            next_adu_id: 0,
             stats: AlfStats {
                 cwnd_adus: CWND_INIT_ADUS,
                 cwnd_peak_adus: CWND_INIT_ADUS,
                 ..AlfStats::default()
             },
+            cfg,
         }
+    }
+
+    /// The cold state, allocated on first use.
+    fn cold_mut(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// Whether the recovery/estimator state was ever needed — false for
+    /// the whole life of an association that stays on its fast path.
+    pub fn cold_state_allocated(&self) -> bool {
+        self.cold.is_some()
     }
 
     /// The configuration in force.
@@ -340,7 +399,7 @@ impl AduTransport {
             return Err(SendRefused::TooBig);
         }
         if self.cfg.recovery != RecoveryMode::NoRetransmit
-            && self.unacked.len() + self.queue.len() >= self.cfg.window_adus
+            && self.window.len() + self.window.parked_len() >= self.cfg.window_adus
         {
             if self.rwnd_blocked {
                 self.stats.send_backpressured += 1;
@@ -357,39 +416,70 @@ impl AduTransport {
         let id = self.next_adu_id;
         self.next_adu_id += 1;
         self.stats.adus_sent += 1;
-        self.queue.push_back((id, name, payload));
+        if self.window.capacity() == 0 {
+            // The send side's blocks, reserved together: ring, pacing
+            // queue and wheel end up side by side in memory (under 1 KB,
+            // usually one page) instead of the ring in one place and the
+            // other two — first needed in the middle of the first `poll`,
+            // after it has allocated a frame — in another. Worth a tenth
+            // of `server_fanin` at 10^5 endpoints, nothing at 10^3.
+            self.window.reserve(FIRST_SEND_SLOTS);
+            self.txq.reserve(FIRST_SEND_SLOTS);
+            if self.cfg.recovery != RecoveryMode::NoRetransmit {
+                self.wheel.reserve();
+            }
+        }
+        self.window.park(
+            id,
+            SentAdu {
+                name,
+                total_len: payload.len() as u32,
+                payload: Some(payload),
+                deadline: SimTime::ZERO,
+                retries: 0,
+                awaiting_recompute: false,
+                tus_unreleased: 0,
+                armed: None,
+            },
+        );
         Ok(id)
     }
 
     /// Losses the transport has given up on, in application terms (name,
     /// not byte range). Draining.
     pub fn take_loss_reports(&mut self) -> Vec<LossReport> {
-        std::mem::take(&mut self.loss_reports)
+        match &mut self.cold {
+            Some(cold) => std::mem::take(&mut cold.loss_reports),
+            None => Vec::new(),
+        }
     }
 
     /// Recompute requests for the sending application
     /// ([`RecoveryMode::AppRecompute`] only). Draining. The application
     /// answers each via [`AduTransport::provide_recomputed`].
     pub fn take_recompute_requests(&mut self) -> Vec<LossReport> {
-        std::mem::take(&mut self.recompute_out)
+        match &mut self.cold {
+            Some(cold) => std::mem::take(&mut cold.recompute_out),
+            None => Vec::new(),
+        }
     }
 
     /// Recompute requests waiting to be taken (drivers use this to avoid
     /// declaring the sender stuck while a question to the application is
     /// outstanding).
     pub fn pending_recompute_requests(&self) -> usize {
-        self.recompute_out.len()
+        self.cold.as_ref().map_or(0, |c| c.recompute_out.len())
     }
 
     /// Deliver a recomputed payload for a previously requested ADU. The
     /// payload is retransmitted as the same ADU id. Returns false if the
     /// request is no longer live (e.g. ACKed in the meantime).
     pub fn provide_recomputed(&mut self, adu_id: u64, payload: impl Into<WireBuf>) -> bool {
-        match self.unacked.get_mut(adu_id) {
+        match self.window.get_mut(adu_id) {
             Some(sent) if sent.awaiting_recompute => {
                 sent.payload = Some(payload.into());
                 sent.awaiting_recompute = false;
-                self.retransmit_now.push((adu_id, true));
+                self.cold_mut().retransmit_now.push((adu_id, true));
                 self.sync_timer(adu_id);
                 true
             }
@@ -412,15 +502,12 @@ impl AduTransport {
 
     /// True when nothing is queued, paced, or unacknowledged (sender drained).
     pub fn send_complete(&self) -> bool {
-        self.queue.is_empty()
-            && self.txq.is_empty()
-            && self.unacked.is_empty()
-            && self.retransmit_now.is_empty()
+        !self.work_outstanding()
     }
 
     /// Sender memory held for retransmission (X4's buffering cost).
     pub fn retransmit_buffer_bytes(&self) -> usize {
-        self.unacked
+        self.window
             .values()
             .map(|s| s.payload.as_ref().map_or(0, WireBuf::len))
             .sum()
@@ -434,11 +521,9 @@ impl AduTransport {
     /// arrival → completion). Delivery order is completion order, NOT name
     /// or id order — out-of-order by design.
     pub fn recv_adu(&mut self) -> Option<(Adu, SimDuration)> {
-        let (id, adu, latency) = self.deliver.pop_front()?;
-        if let Some(hi) = self.highest_delivered {
-            if id < hi {
-                self.stats.adus_delivered_out_of_order += 1;
-            }
+        let (id, adu, latency) = self.assembler.pop_ready()?;
+        if self.highest_delivered.is_some_and(|hi| id < hi) {
+            self.stats.adus_delivered_out_of_order += 1;
         }
         self.highest_delivered = Some(self.highest_delivered.map_or(id, |h| h.max(id)));
         Some((adu, latency))
@@ -446,7 +531,7 @@ impl AduTransport {
 
     /// Complete ADUs waiting for the application.
     pub fn recv_available(&self) -> usize {
-        self.deliver.len()
+        self.assembler.ready_len()
     }
 
     // ------------------------------------------------------------------
@@ -469,21 +554,17 @@ impl AduTransport {
 
         if self.assembler.needs_sweep() {
             // Receiver: overdue assemblies get selective-fragment NACKs for
-            // a few rounds, then a whole-ADU NACK and abandonment.
+            // a few rounds, then a whole-ADU NACK and abandonment — and
+            // assemblies shed to honor the byte budget (drop-oldest policy)
+            // are NACKed too, so a retransmitting sender stops resending.
             let actions = self.assembler.expire_policy(now, self.cfg.nack_frag_rounds);
-            for (id, ranges) in actions.request_frags {
-                self.nack_frag_out.push((id, ranges));
-            }
-            let mut budget_freed = !actions.abandoned.is_empty();
-            for (id, _name) in actions.abandoned {
-                self.nack_queue.push(id);
-            }
-            // Receiver: assemblies shed to honor the byte budget
-            // (drop-oldest policy). NACK them so a retransmitting sender
-            // stops resending.
-            for (id, _name) in self.assembler.take_shed() {
-                self.nack_queue.push(id);
-                budget_freed = true;
+            let shed = self.assembler.take_shed();
+            let budget_freed = !actions.abandoned.is_empty() || !shed.is_empty();
+            if budget_freed || !actions.request_frags.is_empty() {
+                let cold = self.cold.get_or_insert_with(Box::default);
+                cold.nack_frag_out.extend(actions.request_frags);
+                let lost = actions.abandoned.iter().chain(&shed);
+                cold.nack_queue.extend(lost.map(|&(id, _name)| id));
             }
             self.stats.adus_shed = self.assembler.stats.adus_shed;
             self.stats.quota_evictions = self.assembler.stats.quota_evictions;
@@ -495,54 +576,19 @@ impl AduTransport {
         }
 
         // Sender: retransmission deadlines, via the hashed timer wheel —
-        // only expired slots are touched, never the whole in-flight set.
-        // A fired entry is authoritative only if it still matches the
-        // ADU's current deadline (lazy cancellation) and the ADU is
-        // neither awaiting a recompute nor still draining through the
-        // pacer — every path out of those states rewrites the deadline
-        // and re-arms the wheel, so dropping a gated entry loses nothing.
-        let mut due = std::mem::take(&mut self.wheel_scratch);
-        self.wheel.advance(now, &mut due);
-        let mut overdue: Vec<u64> = Vec::with_capacity(due.len());
-        for &(deadline, id) in &due {
-            if let Some(sent) = self.unacked.get_mut(id) {
-                if sent.armed == Some(deadline) {
-                    // The wheel consumed this entry; it is no longer armed.
-                    sent.armed = None;
-                }
-                if sent.deadline == deadline && !sent.awaiting_recompute && sent.tus_unreleased == 0
-                {
-                    overdue.push(id);
-                }
-            }
-        }
-        due.clear();
-        self.wheel_scratch = due;
-        // Defense in depth: the one-entry-per-ADU invariant makes
-        // duplicates impossible, but the loss event must only ever fire
-        // once per ADU, in id order (the order the old full scan produced).
-        overdue.sort_unstable();
-        overdue.dedup();
-        let timeouts_fired = !overdue.is_empty();
-        for id in overdue {
-            self.handle_loss_event(id, now);
-        }
-        if timeouts_fired {
-            // Karn-style escalation, applied from the *next* sweep on:
-            // consecutive timeout sweeps with no intervening ACK progress
-            // stretch every RTO further (the ACK handler resets this once
-            // new data is acknowledged). A single isolated timeout keeps
-            // the plain per-ADU backoff.
-            self.timeout_backoff = (self.timeout_backoff + 1).min(6);
-            self.stats.rto_backoff_events += 1;
-        }
+        // only expired slots are touched, never the whole in-flight set,
+        // and an empty wheel only moves its cursor.
+        self.fire_retransmit_timers(now);
 
         // Sender: explicit retransmissions (timeout-, NACK- or recompute-
         // triggered).
         let base = self.rto_base();
-        let retx = std::mem::take(&mut self.retransmit_now);
+        let retx = match &mut self.cold {
+            Some(cold) => std::mem::take(&mut cold.retransmit_now),
+            None => Vec::new(),
+        };
         for (id, full) in retx {
-            if let Some(sent) = self.unacked.get_mut(id) {
+            if let Some(sent) = self.window.get_mut(id) {
                 // Buffer mode keeps its copy for further losses; recompute
                 // mode hands the regenerated payload straight through — the
                 // transport holds no standing copy ("recompute the lost
@@ -581,7 +627,7 @@ impl AduTransport {
                         self.txq.push_back((id, name, tu.encode()));
                         1
                     };
-                    if let Some(sent) = self.unacked.get_mut(id) {
+                    if let Some(sent) = self.window.get_mut(id) {
                         sent.tus_unreleased += queued;
                     }
                 }
@@ -594,10 +640,11 @@ impl AduTransport {
         // advertised reassembly window in bytes. NoRetransmit flows are
         // held back by neither (no ACK clock to grow a cwnd; the receiver
         // sheds drop-oldest rather than pushing back).
-        if !self.queue.is_empty() || self.rwnd_blocked {
+        if self.window.parked_len() > 0 || self.rwnd_blocked {
             let cwnd_slots = if self.cfg.adaptive && self.cfg.recovery != RecoveryMode::NoRetransmit
             {
-                (self.cwnd as usize).saturating_sub(self.unacked.len())
+                let cwnd = self.cold.as_ref().map_or(CWND_INIT_ADUS, |c| c.cwnd);
+                (cwnd as usize).saturating_sub(self.window.len())
             } else {
                 usize::MAX
             };
@@ -606,18 +653,18 @@ impl AduTransport {
             {
                 None
             } else {
-                let inflight: u64 = self.unacked.values().map(|s| u64::from(s.total_len)).sum();
+                let inflight: u64 = self.window.values().map(|s| u64::from(s.total_len)).sum();
                 Some(u64::from(self.peer_rwnd).saturating_sub(inflight))
             };
             let mut admit = 0usize;
             let was_blocked = self.rwnd_blocked;
             self.rwnd_blocked = false;
-            for (i, (_, _, payload)) in self.queue.iter().enumerate() {
+            for (i, queued) in self.window.parked().enumerate() {
                 if i >= cwnd_slots {
                     break;
                 }
                 if let Some(free) = rwnd_free {
-                    let need = payload.len() as u64;
+                    let need = u64::from(queued.total_len);
                     if need > free {
                         // Admitting this ADU could overflow the receiver's
                         // budget and be shed; hold it until the window reopens.
@@ -629,30 +676,35 @@ impl AduTransport {
                 admit = i + 1;
             }
             if was_blocked && !self.rwnd_blocked {
-                self.next_probe_at = None;
-                self.probe_backoff = 0;
-            }
-            let keep_payload = self.cfg.recovery == RecoveryMode::TransportBuffer;
-            for _ in 0..admit {
-                let (id, name, payload) = self.queue.pop_front().expect("admit <= queue length");
-                if self.cfg.recovery != RecoveryMode::NoRetransmit {
-                    self.unacked.insert(
-                        id,
-                        SentAdu {
-                            name,
-                            payload: keep_payload.then(|| payload.clone()),
-                            total_len: payload.len() as u32,
-                            deadline: now + base,
-                            retries: 0,
-                            awaiting_recompute: false,
-                            tus_unreleased: 0,
-                            armed: None,
-                        },
-                    );
+                if let Some(cold) = &mut self.cold {
+                    cold.next_probe_at = None;
+                    cold.probe_backoff = 0;
                 }
+            }
+            for _ in 0..admit {
+                // An admitted ADU joins the window where it already sits;
+                // under NoRetransmit nothing is ever acknowledged, so it
+                // leaves the ring instead.
+                let (id, name, payload) = match self.cfg.recovery {
+                    RecoveryMode::NoRetransmit => {
+                        let (id, sent) = self.window.pop_parked().expect("admit <= parked");
+                        (id, sent.name, sent.payload)
+                    }
+                    recovery => {
+                        let (id, sent) = self.window.admit().expect("admit <= parked");
+                        sent.deadline = now + base;
+                        let payload = if recovery == RecoveryMode::TransportBuffer {
+                            sent.payload.clone()
+                        } else {
+                            sent.payload.take()
+                        };
+                        (id, sent.name, payload)
+                    }
+                };
+                let payload = payload.expect("a queued ADU holds its payload");
                 self.trace(now, "adu_send", Some(name), id, 0, payload.len() as u64);
                 let queued = self.emit_adu(now, id, name, &payload);
-                if let Some(sent) = self.unacked.get_mut(id) {
+                if let Some(sent) = self.window.get_mut(id) {
                     sent.tus_unreleased += queued;
                 }
                 self.sync_timer(id);
@@ -681,7 +733,7 @@ impl AduTransport {
                 // a fresh stamp, making Karn's filter unnecessary.
                 restamp_tu(&mut frame, micros_wrapping(now));
             }
-            if let Some(sent) = self.unacked.get_mut(id) {
+            if let Some(sent) = self.window.get_mut(id) {
                 let retries = sent.retries;
                 sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
                 sent.deadline = now + rto_for(base, retries + self.timeout_backoff);
@@ -696,21 +748,22 @@ impl AduTransport {
         // stalled (nothing in flight whose ACKs could carry an update),
         // probe with exponential backoff so a window reopening is noticed
         // without retransmitting data into a full receiver.
-        if self.rwnd_blocked && self.unacked.is_empty() && self.txq.is_empty() && !self.peer_dead {
-            let due = self.next_probe_at.is_none_or(|t| now >= t);
-            if due {
+        if self.rwnd_blocked && self.window.is_empty() && self.txq.is_empty() && !self.peer_dead {
+            let rto = self.rto_base();
+            let cold = self.cold.get_or_insert_with(Box::default);
+            if cold.next_probe_at.is_none_or(|t| now >= t) {
                 out.push(
                     Message::WindowProbe {
                         assoc: self.cfg.assoc,
                     }
                     .encode(),
                 );
+                let backoff = cold.probe_backoff;
+                cold.probe_backoff = (backoff + 1).min(6);
+                cold.next_probe_at = Some(now + rto_for(rto, backoff));
                 self.stats.zero_window_probes += 1;
                 self.stats.control_sent += 1;
-                self.trace(now, "win_probe", None, u64::from(self.probe_backoff), 0, 0);
-                let wait = rto_for(self.rto_base(), self.probe_backoff);
-                self.probe_backoff = (self.probe_backoff + 1).min(6);
-                self.next_probe_at = Some(now + wait);
+                self.trace(now, "win_probe", None, u64::from(backoff), 0, 0);
             }
         }
 
@@ -724,8 +777,9 @@ impl AduTransport {
         if !self.ack_queue.is_empty() || self.window_ack_due {
             self.window_ack_due = false;
             let echo = self
-                .echo_pending
-                .take()
+                .cold
+                .as_mut()
+                .and_then(|c| c.echo_pending.take())
                 .map(|(ts, arrival)| (ts, micros_wrapping(now).wrapping_sub(arrival)));
             out.push(encode_ack(
                 self.cfg.assoc,
@@ -736,29 +790,84 @@ impl AduTransport {
             self.ack_queue.clear();
             self.stats.control_sent += 1;
         }
-        if !self.nack_queue.is_empty() {
-            let ids = std::mem::take(&mut self.nack_queue);
-            out.push(
-                Message::Nack {
-                    assoc: self.cfg.assoc,
-                    ids,
-                }
-                .encode(),
-            );
-            self.stats.control_sent += 1;
-        }
-        for (adu_id, ranges) in std::mem::take(&mut self.nack_frag_out) {
-            out.push(
-                Message::NackFrags {
-                    assoc: self.cfg.assoc,
-                    adu_id,
-                    ranges,
-                }
-                .encode(),
-            );
-            self.stats.control_sent += 1;
+        if let Some(cold) = &mut self.cold {
+            if !cold.nack_queue.is_empty() {
+                let ids = std::mem::take(&mut cold.nack_queue);
+                out.push(
+                    Message::Nack {
+                        assoc: self.cfg.assoc,
+                        ids,
+                    }
+                    .encode(),
+                );
+                self.stats.control_sent += 1;
+            }
+            for (adu_id, ranges) in std::mem::take(&mut cold.nack_frag_out) {
+                out.push(
+                    Message::NackFrags {
+                        assoc: self.cfg.assoc,
+                        adu_id,
+                        ranges,
+                    }
+                    .encode(),
+                );
+                self.stats.control_sent += 1;
+            }
         }
         out
+    }
+
+    /// Fire the retransmission deadlines `now` has passed. A fired entry
+    /// is authoritative only if it still matches the ADU's current
+    /// deadline (lazy cancellation) and the ADU is neither awaiting a
+    /// recompute nor still draining through the pacer — every path out of
+    /// those states rewrites the deadline and re-arms the wheel, so
+    /// dropping a gated entry loses nothing.
+    fn fire_retransmit_timers(&mut self, now: SimTime) {
+        let mut due = match &mut self.cold {
+            Some(cold) => std::mem::take(&mut cold.wheel_scratch),
+            None => Vec::new(),
+        };
+        self.wheel.advance(now, &mut due);
+        if due.is_empty() {
+            if let Some(cold) = &mut self.cold {
+                cold.wheel_scratch = due;
+            }
+            return;
+        }
+        let mut overdue: Vec<u64> = Vec::with_capacity(due.len());
+        for &(deadline, id) in &due {
+            if let Some(sent) = self.window.get_mut(id) {
+                if sent.armed == Some(deadline) {
+                    // The wheel consumed this entry; it is no longer armed.
+                    sent.armed = None;
+                }
+                if sent.deadline == deadline && !sent.awaiting_recompute && sent.tus_unreleased == 0
+                {
+                    overdue.push(id);
+                }
+            }
+        }
+        due.clear();
+        self.cold_mut().wheel_scratch = due;
+        // Defense in depth: the one-entry-per-ADU invariant makes
+        // duplicates impossible, but the loss event must only ever fire
+        // once per ADU, in id order (the order the old full scan produced).
+        overdue.sort_unstable();
+        overdue.dedup();
+        let timeouts_fired = !overdue.is_empty();
+        for id in overdue {
+            self.handle_loss_event(id, now);
+        }
+        if timeouts_fired {
+            // Karn-style escalation, applied from the *next* sweep on:
+            // consecutive timeout sweeps with no intervening ACK progress
+            // stretch every RTO further (the ACK handler resets this once
+            // new data is acknowledged). A single isolated timeout keeps
+            // the plain per-ADU backoff.
+            self.timeout_backoff = (self.timeout_backoff + 1).min(6);
+            self.stats.rto_backoff_events += 1;
+        }
     }
 
     /// Ingest one wire message from a borrowed buffer. A data TU's payload
@@ -833,12 +942,14 @@ impl AduTransport {
                 self.ledger_touch("alf/verify", tu.payload.len() as u64, 0);
                 if tu.flags & TU_FLAG_TIMESTAMP != 0 {
                     self.update_jitter(now, tu.timestamp_us);
-                    self.echo_pending = Some((tu.timestamp_us, micros_wrapping(now)));
+                    self.cold_mut().echo_pending = Some((tu.timestamp_us, micros_wrapping(now)));
                 }
                 let gathered_before = self.assembler.stats.gathered_bytes;
+                let ready_before = self.assembler.ready_len();
                 if tu.flags & TU_FLAG_PARITY != 0 {
                     if let Some(p) = fec::parse_parity(&tu) {
-                        self.parities.entry(tu.adu_id).or_default().push(p);
+                        let held = &mut self.cold_mut().parities;
+                        held.entry(tu.adu_id).or_default().push(p);
                     } else {
                         self.stats.bad_messages += 1;
                         self.count_rejected("bad_parity");
@@ -864,14 +975,20 @@ impl AduTransport {
                     );
                 }
                 self.try_fec_reconstruct(now, tu.adu_id, tu.name);
-                while let Some((id, adu, first_at)) = self.assembler.pop_ready() {
-                    self.parities.remove(&id);
+                // Completion-time bookkeeping for whatever this frame (or
+                // a reconstruction it triggered) completed, read off the
+                // back of the ready queue: the ADUs themselves stay there
+                // until `recv_adu` pops them.
+                for &(id, ref adu, latency) in self.assembler.ready_from(ready_before) {
+                    if let Some(cold) = &mut self.cold {
+                        cold.parities.remove(&id);
+                    }
                     #[cfg(feature = "debug-loss")]
                     eprintln!("adu {id} complete at {now}");
-                    let latency = now.saturating_since(first_at);
                     self.stats.adus_delivered += 1;
                     self.stats.delivery_latency_total += latency;
                     self.stats.delivery_latency_max = self.stats.delivery_latency_max.max(latency);
+                    self.ack_queue.push(id);
                     self.trace(
                         now,
                         "adu_deliver",
@@ -880,8 +997,6 @@ impl AduTransport {
                         latency.as_nanos() / 1_000,
                         adu.payload.len() as u64,
                     );
-                    self.ack_queue.push(id);
-                    self.deliver.push_back((id, adu, latency));
                 }
                 // A multi-fragment release gathered: one read of each
                 // stored view, one write into the contiguous payload. A
@@ -910,11 +1025,12 @@ impl AduTransport {
                     // as an implausibly huge delta; discard it.
                     let rtt = micros_wrapping(now).wrapping_sub(ts).wrapping_sub(hold);
                     if rtt < 1 << 31 {
-                        self.rtt.on_sample(rtt as f64);
-                        self.stats.srtt_us = self.rtt.srtt_us;
-                        self.stats.rttvar_us = self.rtt.rttvar_us;
-                        self.stats.rtt_samples = self.rtt.samples;
-                        if let Some(rto) = self.rtt.rto(self.cfg.rto_min, self.cfg.rto_max) {
+                        let est = &mut self.cold.get_or_insert_with(Box::default).rtt;
+                        est.on_sample(rtt as f64);
+                        self.stats.srtt_us = est.srtt_us;
+                        self.stats.rttvar_us = est.rttvar_us;
+                        self.stats.rtt_samples = est.samples;
+                        if let Some(rto) = est.rto(self.cfg.rto_min, self.cfg.rto_max) {
                             self.stats.rto_us = rto.as_nanos() as f64 / 1_000.0;
                         }
                     }
@@ -922,7 +1038,7 @@ impl AduTransport {
                 let mut newly_acked = 0u64;
                 let mut acked_bytes = 0u64;
                 for id in ids {
-                    if let Some(sent) = self.unacked.remove(id) {
+                    if let Some(sent) = self.window.remove(id) {
                         if let Some(d) = sent.armed {
                             self.wheel.remove(d, id);
                         }
@@ -942,7 +1058,7 @@ impl AduTransport {
                     return;
                 }
                 for id in ids {
-                    if self.unacked.contains_key(id) {
+                    if self.window.contains_key(id) {
                         self.handle_loss_event(id, now);
                     }
                 }
@@ -978,7 +1094,7 @@ impl AduTransport {
         let pace =
             (!self.txq.is_empty() && self.pace_now > SimDuration::ZERO).then_some(self.next_tx_at);
         let probe = if self.rwnd_blocked && !self.peer_dead {
-            self.next_probe_at
+            self.cold.as_ref().and_then(|c| c.next_probe_at)
         } else {
             None
         };
@@ -1006,22 +1122,25 @@ impl AduTransport {
     }
 
     /// Approximate memory footprint of this endpoint, in bytes: the struct
-    /// itself plus the sender window's slots and buffered retransmission
-    /// payloads, queued ADUs, reassembly and replay-window state, delivery
-    /// queue, and the timer wheel. Deterministic
-    /// (derived from lengths and capacities, never allocator internals) —
-    /// X13 uses it for the bytes-per-association bound.
+    /// itself plus every heap block behind it — the send ring's slots and
+    /// the retransmission payloads they buffer, the pacing queue, the ACK
+    /// id queue, stage 1 (open assemblies, the completed-ADU queue, replay
+    /// islands), the timer wheel's block, and the cold state once it
+    /// exists. Deterministic (derived from lengths and capacities, never
+    /// allocator internals) — X13 uses it for the bytes-per-association
+    /// bound.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + self.unacked.capacity() * size_of::<(u64, SentAdu)>()
+            + self.window.capacity() * size_of::<(u64, SentAdu)>()
             + self.retransmit_buffer_bytes()
-            + self.queue.capacity() * size_of::<(u64, AduName, WireBuf)>()
             + self.txq.capacity() * size_of::<(u64, AduName, Vec<u8>)>()
-            + self.deliver.capacity() * size_of::<(u64, Adu, SimDuration)>()
+            + self.ack_queue.capacity() * size_of::<u64>()
             + self.assembler.approx_mem_bytes()
             + self.wheel.approx_mem_bytes()
-            + self.wheel_scratch.capacity() * size_of::<(SimTime, u64)>()
+            + self.cold.as_ref().map_or(0, |c| {
+                size_of::<Cold>() + c.wheel_scratch.capacity() * size_of::<(SimTime, u64)>()
+            })
     }
 
     /// Stage-1 statistics.
@@ -1035,10 +1154,13 @@ impl AduTransport {
 
     /// Sender work that expects the peer to eventually answer.
     fn work_outstanding(&self) -> bool {
-        !self.unacked.is_empty()
-            || !self.queue.is_empty()
+        !self.window.is_empty()
+            || self.window.parked_len() > 0
             || !self.txq.is_empty()
-            || !self.retransmit_now.is_empty()
+            || self
+                .cold
+                .as_ref()
+                .is_some_and(|c| !c.retransmit_now.is_empty())
     }
 
     /// Dead-peer clock: declare the peer unreachable after `peer_timeout`
@@ -1063,31 +1185,28 @@ impl AduTransport {
             now,
             "peer_dead",
             None,
-            self.unacked.len() as u64,
-            self.queue.len() as u64,
+            self.window.len() as u64,
+            self.window.parked_len() as u64,
             0,
         );
-        for (id, sent) in self.unacked.drain() {
+        let cold = self.cold.get_or_insert_with(Box::default);
+        // In-flight ADUs, then the ones still queued, in id order.
+        for (id, sent) in self.window.drain() {
             if let Some(d) = sent.armed {
                 self.wheel.remove(d, id);
             }
             self.stats.adus_given_up += 1;
             self.stats.losses_reported += 1;
-            self.loss_reports.push(LossReport {
+            cold.loss_reports.push(LossReport {
                 adu_id: id,
                 name: sent.name,
             });
         }
-        for (id, name, _) in self.queue.drain(..) {
-            self.stats.adus_given_up += 1;
-            self.stats.losses_reported += 1;
-            self.loss_reports.push(LossReport { adu_id: id, name });
-        }
         self.txq.clear();
-        self.retransmit_now.clear();
-        self.recompute_out.clear();
-        self.next_probe_at = None;
-        self.probe_backoff = 0;
+        cold.retransmit_now.clear();
+        cold.recompute_out.clear();
+        cold.next_probe_at = None;
+        cold.probe_backoff = 0;
         self.rwnd_blocked = false;
     }
 
@@ -1182,20 +1301,20 @@ impl AduTransport {
     fn update_jitter(&mut self, now: SimTime, ts_us: u32) {
         let arrival = micros_wrapping(now);
         self.stats.timestamped_tus += 1;
-        if let Some((prev_arrival, prev_ts)) = self.prev_timing {
+        let prev = self.cold_mut().prev_timing.replace((arrival, ts_us));
+        if let Some((prev_arrival, prev_ts)) = prev {
             let d = (arrival.wrapping_sub(prev_arrival) as i32)
                 .wrapping_sub(ts_us.wrapping_sub(prev_ts) as i32);
             let d = (d as f64).abs();
             self.stats.jitter_us += (d - self.stats.jitter_us) / 16.0;
         }
-        self.prev_timing = Some((arrival, ts_us));
     }
 
     /// Try to rebuild missing fragments of `adu_id` from held parity TUs,
     /// feeding reconstructions back into stage 1 (which may complete the
     /// ADU and let `pop_ready` release it).
     fn try_fec_reconstruct(&mut self, now: SimTime, adu_id: u64, name: AduName) {
-        let Some(plist) = self.parities.get(&adu_id) else {
+        let Some(plist) = self.cold.as_ref().and_then(|c| c.parities.get(&adu_id)) else {
             return;
         };
         let Some(adu_len) = self.assembler.declared_len(adu_id) else {
@@ -1246,7 +1365,7 @@ impl AduTransport {
     fn retransmit_fragments(&mut self, now: SimTime, adu_id: u64, ranges: &[(u32, u32)]) {
         let base = self.rto_base();
         let stamp = self.cfg.timestamps.then(|| micros_wrapping(now));
-        let Some(sent) = self.unacked.get(adu_id) else {
+        let Some(sent) = self.window.get(adu_id) else {
             return; // already ACKed — the NACK raced the final TU
         };
         if sent.tus_unreleased > 0 {
@@ -1315,7 +1434,7 @@ impl AduTransport {
             return;
         }
         let sent = self
-            .unacked
+            .window
             .get_mut(adu_id)
             .expect("checked live above; no removal since");
         sent.retries += 1;
@@ -1338,12 +1457,13 @@ impl AduTransport {
     /// adaptive control, the congestion response (timeouts and NACKs both
     /// land here — there is exactly one loss-signal point).
     fn handle_loss_event(&mut self, id: u64, now: SimTime) {
-        if !self.unacked.contains_key(id) {
+        if !self.window.contains_key(id) {
             return;
         }
         self.cwnd_on_loss(now);
         let base = self.rto_base();
-        let Some(sent) = self.unacked.get_mut(id) else {
+        let cold = self.cold.get_or_insert_with(Box::default);
+        let Some(sent) = self.window.get_mut(id) else {
             return;
         };
         #[cfg(feature = "debug-loss")]
@@ -1354,14 +1474,14 @@ impl AduTransport {
         if sent.retries >= self.cfg.max_retries {
             let name = sent.name;
             let armed = sent.armed;
-            self.unacked.remove(id);
+            self.window.remove(id);
             if let Some(d) = armed {
                 self.wheel.remove(d, id);
             }
             self.stats.adus_given_up += 1;
             self.stats.losses_reported += 1;
+            cold.loss_reports.push(LossReport { adu_id: id, name });
             self.trace(now, "adu_lost", Some(name), id, 0, 0);
-            self.loss_reports.push(LossReport { adu_id: id, name });
             return;
         }
         sent.retries += 1;
@@ -1369,18 +1489,18 @@ impl AduTransport {
         sent.deadline = deadline;
         match self.cfg.recovery {
             RecoveryMode::TransportBuffer => {
-                self.retransmit_now.push((id, false));
+                cold.retransmit_now.push((id, false));
             }
             RecoveryMode::AppRecompute => {
                 if !sent.awaiting_recompute && sent.payload.is_none() {
                     sent.awaiting_recompute = true;
                     let name = sent.name;
                     self.stats.recompute_requests += 1;
-                    self.recompute_out.push(LossReport { adu_id: id, name });
+                    cold.recompute_out.push(LossReport { adu_id: id, name });
                 } else if sent.payload.is_some() {
                     // A recomputed payload is still cached from a previous
                     // round: reuse it.
-                    self.retransmit_now.push((id, true));
+                    cold.retransmit_now.push((id, true));
                 }
             }
             RecoveryMode::NoRetransmit => unreachable!("no unacked in NoRetransmit"),
@@ -1395,7 +1515,7 @@ impl AduTransport {
     /// clock and [`AduTransport::next_timeout`] reproduces the old O(n)
     /// min-scan bit-for-bit. O(1) expected (slot-addressed removal).
     fn sync_timer(&mut self, id: u64) {
-        let Some(sent) = self.unacked.get_mut(id) else {
+        let Some(sent) = self.window.get_mut(id) else {
             return;
         };
         let desired =
@@ -1416,7 +1536,8 @@ impl AduTransport {
     /// control (once a sample exists), the fixed config value otherwise.
     fn rto_base(&self) -> SimDuration {
         if self.cfg.adaptive {
-            if let Some(rto) = self.rtt.rto(self.cfg.rto_min, self.cfg.rto_max) {
+            let est = self.cold.as_ref().map(|c| &c.rtt);
+            if let Some(rto) = est.and_then(|e| e.rto(self.cfg.rto_min, self.cfg.rto_max)) {
                 return rto;
             }
         }
@@ -1430,16 +1551,17 @@ impl AduTransport {
         if !self.cfg.adaptive {
             return;
         }
+        let cold = self.cold.get_or_insert_with(Box::default);
         for _ in 0..newly_acked {
-            if self.cwnd < self.ssthresh {
-                self.cwnd += 1.0;
+            if cold.cwnd < cold.ssthresh {
+                cold.cwnd += 1.0;
             } else {
-                self.cwnd += 1.0 / self.cwnd;
+                cold.cwnd += 1.0 / cold.cwnd;
             }
         }
-        self.cwnd = self.cwnd.min(self.cfg.window_adus as f64);
-        self.stats.cwnd_adus = self.cwnd;
-        self.stats.cwnd_peak_adus = self.stats.cwnd_peak_adus.max(self.cwnd);
+        cold.cwnd = cold.cwnd.min(self.cfg.window_adus as f64);
+        self.stats.cwnd_adus = cold.cwnd;
+        self.stats.cwnd_peak_adus = self.stats.cwnd_peak_adus.max(cold.cwnd);
     }
 
     /// AIMD multiplicative decrease, at most once per round trip — the
@@ -1449,16 +1571,17 @@ impl AduTransport {
         if !self.cfg.adaptive {
             return;
         }
-        let guard = self.rtt.srtt().unwrap_or(self.cfg.retransmit_timeout);
-        if let Some(last) = self.last_cwnd_cut {
+        let cold = self.cold.get_or_insert_with(Box::default);
+        let guard = cold.rtt.srtt().unwrap_or(self.cfg.retransmit_timeout);
+        if let Some(last) = cold.last_cwnd_cut {
             if now.saturating_since(last) < guard {
                 return;
             }
         }
-        self.last_cwnd_cut = Some(now);
-        self.ssthresh = (self.cwnd / 2.0).max(1.0);
-        self.cwnd = self.ssthresh;
-        self.stats.cwnd_adus = self.cwnd;
+        cold.last_cwnd_cut = Some(now);
+        cold.ssthresh = (cold.cwnd / 2.0).max(1.0);
+        cold.cwnd = cold.ssthresh;
+        self.stats.cwnd_adus = cold.cwnd;
         self.stats.loss_events += 1;
     }
 
@@ -1470,23 +1593,24 @@ impl AduTransport {
         if !self.cfg.adaptive {
             return;
         }
-        self.rate_bytes += bytes;
-        let epoch = *self.rate_epoch.get_or_insert(now);
+        let cold = self.cold.get_or_insert_with(Box::default);
+        cold.rate_bytes += bytes;
+        let epoch = *cold.rate_epoch.get_or_insert(now);
         let dt = now.saturating_since(epoch);
         if dt < MIN_RATE_WINDOW {
             return;
         }
-        let sample_bps = self.rate_bytes as f64 * 8.0 / (dt.as_nanos() as f64 / 1e9);
-        self.rate_bps = if self.rate_bps == 0.0 {
+        let sample_bps = cold.rate_bytes as f64 * 8.0 / (dt.as_nanos() as f64 / 1e9);
+        cold.rate_bps = if cold.rate_bps == 0.0 {
             sample_bps
         } else {
-            self.rate_bps + (sample_bps - self.rate_bps) / 4.0
+            cold.rate_bps + (sample_bps - cold.rate_bps) / 4.0
         };
-        self.rate_bytes = 0;
-        self.rate_epoch = Some(now);
-        self.stats.delivery_rate_mbps = self.rate_bps / 1e6;
+        cold.rate_bytes = 0;
+        cold.rate_epoch = Some(now);
+        self.stats.delivery_rate_mbps = cold.rate_bps / 1e6;
         let wire_bits = (self.cfg.mtu_payload + crate::wire::TU_HEADER_BYTES) as f64 * 8.0;
-        let pace_ns = wire_bits / (self.rate_bps * PACING_GAIN) * 1e9;
+        let pace_ns = wire_bits / (cold.rate_bps * PACING_GAIN) * 1e9;
         self.pace_now = SimDuration::from_nanos(pace_ns as u64).min(MAX_PACE);
     }
 }

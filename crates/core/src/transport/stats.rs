@@ -3,7 +3,12 @@
 use ct_netsim::time::SimDuration;
 
 /// Counters for an [`AduTransport`](super::AduTransport).
+///
+/// `repr(C)` with the six counters the fault-free TU/ACK path bumps
+/// declared first: an endpoint that stays on that path writes the first 48
+/// of these 280 bytes and nothing else.
 #[derive(Debug, Clone, Copy, Default)]
+#[repr(C)]
 pub struct AlfStats {
     /// ADUs accepted from the sending application.
     pub adus_sent: u64,
@@ -13,6 +18,11 @@ pub struct AlfStats {
     pub control_sent: u64,
     /// ADUs delivered complete to the receiving application.
     pub adus_delivered: u64,
+    /// Sum of per-ADU delivery latency (first TU arrival → release).
+    pub delivery_latency_total: SimDuration,
+    /// Maximum per-ADU delivery latency.
+    pub delivery_latency_max: SimDuration,
+    // ---- off the fault-free, in-order path from here on ----
     /// ADUs delivered whose id is lower than an already-delivered id —
     /// i.e. delivered out of order (the ALF win: these would have stalled a
     /// byte stream).
@@ -40,10 +50,6 @@ pub struct AlfStats {
     pub losses_reported: u64,
     /// Arriving messages dropped for checksum/parse failure.
     pub bad_messages: u64,
-    /// Sum of per-ADU delivery latency (first TU arrival → release).
-    pub delivery_latency_total: SimDuration,
-    /// Maximum per-ADU delivery latency.
-    pub delivery_latency_max: SimDuration,
     /// Smoothed round-trip time from ACK timestamp echoes, µs (sender).
     pub srtt_us: f64,
     /// RTT mean-deviation estimate, µs (sender).

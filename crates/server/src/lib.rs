@@ -26,6 +26,8 @@
 //! `ct-netsim` and is what experiment X13 measures: per-ADU cost flat from
 //! 1 to 100 000 concurrent associations, memory bounded per association.
 
+#![forbid(unsafe_code)]
+
 pub mod cluster;
 
 use alf_core::adu::Adu;
@@ -160,29 +162,73 @@ struct ShardCounters {
     stuck_assocs: u64,
 }
 
-/// One association's slot in a shard.
-#[derive(Debug)]
-struct AssocEntry {
-    ep: AduTransport,
+/// One association's dense slot record: everything the batch loop decides
+/// on before (and after) it touches the endpoint — is this wakeup or dirty
+/// mark still the tenant's, is it already listed, does its armed deadline
+/// need to move. Sixteen of these fit where one endpoint does, so timer-fire
+/// validation, dirty marking and the re-arm comparison stay in a handful of
+/// cache lines per batch.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: AssocKey,
     /// The wakeup deadline currently armed in the shard wheel for this
     /// association (strict one-entry-per-association protocol: re-arming
     /// removes the old entry first, so the wheel's minimum is exact).
     armed: Option<SimTime>,
-    /// Already on the shard's dirty list this batch.
-    dirty: bool,
     /// Watchdog epoch: when outstanding work was first seen with no
     /// delivery progress since. `None` while idle or progressing.
     stalled_since: Option<SimTime>,
+    /// Bumped every time the slot is vacated. Dirty-list and wheel entries
+    /// carry the generation they were made under ([`SlotRef`]); one that no
+    /// longer matches belongs to a previous tenant and is skipped.
+    generation: u32,
+    /// Occupied (vacant slots wait on [`Shard::free`]).
+    live: bool,
+    /// Already on the shard's dirty list this batch.
+    dirty: bool,
     /// Already flagged for the current stall episode (flag once, clear on
     /// progress).
     stuck: bool,
 }
 
-/// A shard is a *slab*: entries live contiguously in [`Shard::slots`] and
-/// every hot structure (wheel, dirty list) is keyed by the 32-bit slot
-/// index, so the frame/timer/poll paths never walk a tree — one hash
-/// lookup on ingress, direct indexing everywhere after. The dirty drain
-/// sorts its indexes first, which on a slab is address order: polling
+// The next field added to the slot record fails the build with the number
+// in view: one record must stay within a cache line.
+const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
+
+/// A slot index plus the generation of the tenant it was taken for — the
+/// key of every dirty-list and shard-wheel entry. Ordered by index first,
+/// so a sorted dirty list is still slab (= memory) order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct SlotRef {
+    idx: u32,
+    generation: u32,
+}
+
+/// Endpoints per storage chunk.
+const EP_CHUNK: usize = 64;
+
+/// Chunked endpoint storage: entry `i` is `chunks[i / EP_CHUNK][i % EP_CHUNK]`,
+/// `Some` exactly while slot `i` is live. Chunks are allocated full-size and
+/// never reallocated.
+type Endpoints = Vec<Vec<Option<AduTransport>>>;
+
+fn entry(chunks: &Endpoints, idx: u32) -> &Option<AduTransport> {
+    let i = idx as usize;
+    &chunks[i / EP_CHUNK][i % EP_CHUNK]
+}
+
+fn entry_mut(chunks: &mut Endpoints, idx: u32) -> &mut Option<AduTransport> {
+    let i = idx as usize;
+    &mut chunks[i / EP_CHUNK][i % EP_CHUNK]
+}
+
+/// A shard is a *slab* in two parallel parts, both addressed by the 32-bit
+/// slot index: the dense [`Slot`] records, and the endpoints in fixed-size
+/// chunks that are never reallocated — growing a shard allocates the next
+/// chunk and copies no endpoint. Every hot structure (wheel, dirty list) is
+/// keyed by [`SlotRef`], so the frame/timer/poll paths never walk a tree —
+/// one hash lookup on ingress, direct indexing everywhere after. The dirty
+/// drain sorts its refs first, which on a slab is address order: polling
 /// 10 000 touched associations walks their endpoints forward through
 /// memory instead of hopping the heap.
 #[derive(Debug)]
@@ -190,17 +236,22 @@ struct Shard {
     /// Key → slot index. Lookups only — never iterated — so the std
     /// hasher's per-process seed cannot leak into run-to-run behavior.
     index: HashMap<AssocKey, u32>,
-    /// Slot storage; freed slots become `None` and are recycled LIFO via
-    /// [`Shard::free`].
-    slots: Vec<Option<(AssocKey, AssocEntry)>>,
+    /// Slot records; vacated ones are recycled LIFO via [`Shard::free`].
+    slots: Vec<Slot>,
+    endpoints: Endpoints,
     free: Vec<u32>,
-    wheel: TimerWheel<u32>,
-    wheel_scratch: Vec<(SimTime, u32)>,
-    /// Slot indexes needing a poll: touched by ingress, a fired timer, or
-    /// an application send since the last drain. Deduplicated by
-    /// `AssocEntry::dirty`, sorted (→ memory order) at drain time —
-    /// deterministic.
-    dirty: Vec<u32>,
+    wheel: TimerWheel<SlotRef>,
+    wheel_scratch: Vec<(SimTime, SlotRef)>,
+    /// Slots needing a poll: touched by ingress, a fired timer, or an
+    /// application send since the last drain. Deduplicated by
+    /// [`Slot::dirty`], sorted (→ memory order) at drain time —
+    /// deterministic. Refs of since-removed tenants stay until the drain
+    /// skips them.
+    dirty: Vec<SlotRef>,
+    /// The list a drain is working through — swapped with `dirty` so that
+    /// marks made during the drain land on the next list and neither
+    /// allocation is ever dropped.
+    draining: Vec<SlotRef>,
     counters: ShardCounters,
 }
 
@@ -209,17 +260,91 @@ impl Shard {
         Self {
             index: HashMap::new(),
             slots: Vec::new(),
+            endpoints: Vec::new(),
             free: Vec::new(),
             wheel: TimerWheel::new(cfg.wheel_slots, cfg.wheel_granularity),
             wheel_scratch: Vec::new(),
             dirty: Vec::new(),
+            draining: Vec::new(),
             counters: ShardCounters::default(),
         }
     }
 
-    /// Occupied entries, in slot (= memory) order.
-    fn entries(&self) -> impl Iterator<Item = &AssocEntry> {
-        self.slots.iter().filter_map(|s| s.as_ref().map(|(_, e)| e))
+    /// Live endpoints, in slot (= memory) order.
+    fn endpoints(&self) -> impl Iterator<Item = &AduTransport> {
+        self.endpoints.iter().flatten().flatten()
+    }
+
+    /// The endpoint of live slot `idx`.
+    fn endpoint_mut(&mut self, idx: u32) -> &mut AduTransport {
+        entry_mut(&mut self.endpoints, idx)
+            .as_mut()
+            .expect("indexed slot holds an endpoint")
+    }
+
+    /// Put slot `idx` on the dirty list unless it is already there.
+    fn mark_dirty(&mut self, idx: u32) {
+        let slot = &mut self.slots[idx as usize];
+        if !slot.dirty {
+            slot.dirty = true;
+            self.dirty.push(SlotRef {
+                idx,
+                generation: slot.generation,
+            });
+        }
+    }
+
+    /// Install `ep` under `key` in a recycled or fresh slot.
+    fn insert(&mut self, key: AssocKey, ep: AduTransport) {
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                // `remove` left everything but the key and `live` reset.
+                let slot = &mut self.slots[idx as usize];
+                slot.key = key;
+                slot.live = true;
+                idx
+            }
+            None => {
+                let idx = u32::try_from(self.slots.len()).expect("fewer than 2^32 slots per shard");
+                self.slots.push(Slot {
+                    key,
+                    armed: None,
+                    stalled_since: None,
+                    generation: 0,
+                    live: true,
+                    dirty: false,
+                    stuck: false,
+                });
+                if self.endpoints.last().is_none_or(|c| c.len() == EP_CHUNK) {
+                    self.endpoints.push(Vec::with_capacity(EP_CHUNK));
+                }
+                self.endpoints.last_mut().expect("just ensured").push(None);
+                idx
+            }
+        };
+        *entry_mut(&mut self.endpoints, idx) = Some(ep);
+        self.index.insert(key, idx);
+    }
+
+    /// Vacate `key`'s slot: cancel its wakeup, bump the generation so
+    /// every ref the old tenant left behind goes stale, recycle the index.
+    fn remove(&mut self, key: AssocKey) -> Option<AduTransport> {
+        let idx = self.index.remove(&key)?;
+        let slot = &mut self.slots[idx as usize];
+        if let Some(d) = slot.armed.take() {
+            let armed_as = SlotRef {
+                idx,
+                generation: slot.generation,
+            };
+            self.wheel.remove(d, armed_as);
+        }
+        slot.generation = slot.generation.wrapping_add(1);
+        slot.live = false;
+        slot.dirty = false;
+        slot.stuck = false;
+        slot.stalled_since = None;
+        self.free.push(idx);
+        entry_mut(&mut self.endpoints, idx).take()
     }
 }
 
@@ -293,6 +418,10 @@ pub struct AlfServer {
     /// Loss reports awaiting [`AlfServer::take_losses`].
     losses: Vec<(AssocKey, LossReport)>,
     assoc_count: usize,
+    /// The last key routed and where it lives. Frames and sends come in
+    /// trains for one association, and a train pays the two hashes (shard
+    /// placement, then the index) once. Cleared whenever the table changes.
+    last_route: Option<(AssocKey, usize, u32)>,
     batches: u64,
     telemetry: Option<ct_telemetry::Telemetry>,
     /// Prebuilt names for the per-batch flush (set with the telemetry
@@ -321,6 +450,7 @@ impl AlfServer {
             delivered: Vec::new(),
             losses: Vec::new(),
             assoc_count: 0,
+            last_route: None,
             batches: 0,
             telemetry: None,
             batch_names: None,
@@ -347,6 +477,19 @@ impl AlfServer {
 
     fn shard_of(&self, key: AssocKey) -> usize {
         (shard_hash(key) % self.cfg.shards as u64) as usize
+    }
+
+    /// The shard and slot index `key` is bound to, if any.
+    fn route(&mut self, key: AssocKey) -> Option<(usize, u32)> {
+        if let Some((last, si, idx)) = self.last_route {
+            if last == key {
+                return Some((si, idx));
+            }
+        }
+        let si = self.shard_of(key);
+        let idx = *self.shards[si].index.get(&key)?;
+        self.last_route = Some((key, si, idx));
+        Some((si, idx))
     }
 
     /// Associations currently terminated.
@@ -396,52 +539,29 @@ impl AlfServer {
         if let Some(tel) = &self.telemetry {
             ep.attach_telemetry(tel.clone(), self.role);
         }
-        let entry = AssocEntry {
-            ep,
-            armed: None,
-            dirty: false,
-            stalled_since: None,
-            stuck: false,
-        };
-        let idx = match shard.free.pop() {
-            Some(i) => {
-                shard.slots[i as usize] = Some((key, entry));
-                i
-            }
-            None => {
-                shard.slots.push(Some((key, entry)));
-                (shard.slots.len() - 1) as u32
-            }
-        };
-        shard.index.insert(key, idx);
+        shard.insert(key, ep);
         self.assoc_count += 1;
+        self.last_route = None;
         Ok(())
     }
 
     /// Tear an association down, returning its endpoint (e.g. to drain
-    /// final deliveries). Its armed wakeup, if any, is cancelled. A stale
-    /// dirty-list index is harmless: the drain skips empty slots, and a
-    /// recycled slot merely absorbs one spurious (idempotent) poll.
+    /// final deliveries). Its armed wakeup, if any, is cancelled, and the
+    /// slot's generation moves on: a dirty mark the association left behind
+    /// is skipped by the next drain, even if the slot has a new tenant by
+    /// then — the newcomer is polled for its own events only.
     pub fn remove_association(&mut self, key: AssocKey) -> Option<AduTransport> {
         let si = self.shard_of(key);
-        let shard = &mut self.shards[si];
-        let idx = shard.index.remove(&key)?;
-        let (_, entry) = shard.slots[idx as usize]
-            .take()
-            .expect("indexed slot occupied");
-        if let Some(d) = entry.armed {
-            shard.wheel.remove(d, idx);
-        }
-        shard.free.push(idx);
+        let ep = self.shards[si].remove(key)?;
         self.assoc_count -= 1;
-        Some(entry.ep)
+        self.last_route = None;
+        Some(ep)
     }
 
     /// Borrow one association's endpoint.
     pub fn endpoint(&self, key: AssocKey) -> Option<&AduTransport> {
         let shard = &self.shards[self.shard_of(key)];
-        let idx = *shard.index.get(&key)?;
-        shard.slots[idx as usize].as_ref().map(|(_, e)| &e.ep)
+        entry(&shard.endpoints, *shard.index.get(&key)?).as_ref()
     }
 
     /// Mutably borrow one association's endpoint. The association is
@@ -449,15 +569,10 @@ impl AlfServer {
     /// request, reconfigure), the next batch polls it and re-arms its
     /// wakeup.
     pub fn endpoint_mut(&mut self, key: AssocKey) -> Option<&mut AduTransport> {
-        let si = self.shard_of(key);
+        let (si, idx) = self.route(key)?;
         let shard = &mut self.shards[si];
-        let idx = *shard.index.get(&key)?;
-        let (_, entry) = shard.slots[idx as usize].as_mut()?;
-        if !entry.dirty {
-            entry.dirty = true;
-            shard.dirty.push(idx);
-        }
-        Some(&mut entry.ep)
+        shard.mark_dirty(idx);
+        Some(shard.endpoint_mut(idx))
     }
 
     /// Submit an ADU for transmission on `key`'s association. The frames
@@ -473,19 +588,12 @@ impl AlfServer {
         name: alf_core::adu::AduName,
         payload: impl Into<ct_wire::WireBuf>,
     ) -> Result<u64, SendRefused> {
-        let si = self.shard_of(key);
-        let shard = &mut self.shards[si];
-        let Some(&idx) = shard.index.get(&key) else {
+        let Some((si, idx)) = self.route(key) else {
             return Err(SendRefused::PeerUnreachable);
         };
-        let (_, entry) = shard.slots[idx as usize]
-            .as_mut()
-            .expect("indexed slot occupied");
-        let id = entry.ep.send_adu(name, payload)?;
-        if !entry.dirty {
-            entry.dirty = true;
-            shard.dirty.push(idx);
-        }
+        let shard = &mut self.shards[si];
+        let id = shard.endpoint_mut(idx).send_adu(name, payload)?;
+        shard.mark_dirty(idx);
         Ok(id)
     }
 
@@ -539,21 +647,17 @@ impl AlfServer {
                 continue;
             };
             let key = AssocKey { peer, assoc };
-            let si = self.shard_of(key);
-            let shard = &mut self.shards[si];
-            match shard.index.get(&key) {
-                Some(&idx) => {
+            match self.route(key) {
+                Some((si, idx)) => {
+                    let shard = &mut self.shards[si];
                     shard.counters.frames_in += 1;
-                    let (_, entry) = shard.slots[idx as usize]
-                        .as_mut()
-                        .expect("indexed slot occupied");
-                    entry.ep.on_frame(now, frame.into());
-                    if !entry.dirty {
-                        entry.dirty = true;
-                        shard.dirty.push(idx);
-                    }
+                    shard.endpoint_mut(idx).on_frame(now, frame.into());
+                    shard.mark_dirty(idx);
                 }
-                None => shard.counters.misdelivered += 1,
+                None => {
+                    let si = self.shard_of(key);
+                    self.shards[si].counters.misdelivered += 1;
+                }
             }
         }
 
@@ -561,17 +665,15 @@ impl AlfServer {
         for shard in &mut self.shards {
             let mut due = std::mem::take(&mut shard.wheel_scratch);
             shard.wheel.advance(now, &mut due);
-            for &(deadline, idx) in &due {
-                if let Some((_, entry)) = shard.slots[idx as usize].as_mut() {
-                    if entry.armed == Some(deadline) {
-                        entry.armed = None;
-                        shard.counters.timer_fires += 1;
-                        report.timers_fired += 1;
-                        if !entry.dirty {
-                            entry.dirty = true;
-                            shard.dirty.push(idx);
-                        }
-                    }
+            for &(deadline, at) in &due {
+                // Validated on the slot record alone: the wakeup must be
+                // the current tenant's, and still its armed deadline.
+                let slot = &mut shard.slots[at.idx as usize];
+                if slot.live && slot.generation == at.generation && slot.armed == Some(deadline) {
+                    slot.armed = None;
+                    shard.counters.timer_fires += 1;
+                    report.timers_fired += 1;
+                    shard.mark_dirty(at.idx);
                 }
             }
             due.clear();
@@ -589,17 +691,25 @@ impl AlfServer {
         // slot order — deterministic.
         let mut slowest: Option<(AssocKey, u64)> = None;
         for shard in &mut self.shards {
-            let mut dirty = std::mem::take(&mut shard.dirty);
-            dirty.sort_unstable();
-            for idx in dirty {
-                let Some((key, entry)) = shard.slots[idx as usize].as_mut() else {
-                    continue; // removed since it was marked
-                };
-                let key = *key;
-                entry.dirty = false;
+            std::mem::swap(&mut shard.dirty, &mut shard.draining);
+            shard.draining.sort_unstable();
+            for n in 0..shard.draining.len() {
+                let at = shard.draining[n];
+                let slot = &mut shard.slots[at.idx as usize];
+                if !slot.live || slot.generation != at.generation {
+                    continue; // marked by a tenant removed since
+                }
+                slot.dirty = false;
+                let key = slot.key;
                 report.assocs_polled += 1;
                 shard.counters.polls += 1;
-                let frames = entry.ep.poll(now);
+
+                // The endpoint's one visit: poll it, drain what it
+                // produced, and read off what the slot record needs.
+                let ep = entry_mut(&mut shard.endpoints, at.idx)
+                    .as_mut()
+                    .expect("live slot holds an endpoint");
+                let frames = ep.poll(now);
                 let moved = !frames.is_empty();
                 let mut work = 0u64;
                 for f in frames {
@@ -609,15 +719,18 @@ impl AlfServer {
                     egress.push((key.peer, f));
                 }
                 let mut delivered_now = false;
-                while let Some((adu, latency)) = entry.ep.recv_adu() {
+                while let Some((adu, latency)) = ep.recv_adu() {
                     report.adus_delivered += 1;
                     work += 1;
                     delivered_now = true;
                     self.delivered.push((key, adu, latency));
                 }
-                for loss in entry.ep.take_loss_reports() {
+                for loss in ep.take_loss_reports() {
                     self.losses.push((key, loss));
                 }
+                let outstanding = !ep.send_complete() || ep.reassembly_bytes() > 0;
+                let desired = ep.next_timeout();
+
                 if work > 0 && slowest.is_none_or(|(_, w)| work > w) {
                     slowest = Some((key, work));
                 }
@@ -625,18 +738,16 @@ impl AlfServer {
                 // past the deadline flags the association — once per
                 // episode, cleared by progress. Pure observation: nothing
                 // about the poll, re-arm, or dirty protocol changes.
-                let outstanding = !entry.ep.send_complete() || entry.ep.reassembly_bytes() > 0;
                 if delivered_now || !outstanding {
-                    entry.stalled_since = None;
-                    entry.stuck = false;
+                    slot.stalled_since = None;
+                    slot.stuck = false;
                 } else {
-                    match entry.stalled_since {
-                        None => entry.stalled_since = Some(now),
+                    match slot.stalled_since {
+                        None => slot.stalled_since = Some(now),
                         Some(since) => {
-                            if !entry.stuck
-                                && now.saturating_since(since) >= self.cfg.stuck_deadline
+                            if !slot.stuck && now.saturating_since(since) >= self.cfg.stuck_deadline
                             {
-                                entry.stuck = true;
+                                slot.stuck = true;
                                 shard.counters.stuck_assocs += 1;
                                 if let Some(tel) = &self.telemetry {
                                     if tel.tracing_enabled() {
@@ -657,23 +768,23 @@ impl AlfServer {
                     }
                 }
                 // Re-arm: strict one-entry protocol against the shard wheel.
-                let desired = entry.ep.next_timeout();
-                if desired != entry.armed {
-                    if let Some(old) = entry.armed {
-                        shard.wheel.remove(old, idx);
+                if desired != slot.armed {
+                    if let Some(old) = slot.armed {
+                        shard.wheel.remove(old, at);
                     }
                     if let Some(d) = desired {
-                        shard.wheel.insert(d, idx);
+                        shard.wheel.insert(d, at);
                     }
-                    entry.armed = desired;
+                    slot.armed = desired;
                 }
-                if moved && !entry.dirty {
+                if moved && !slot.dirty {
                     // Output at this instant may beget more output (burst
                     // caps, ACK-triggered sends): keep it on the list.
-                    entry.dirty = true;
-                    shard.dirty.push(idx);
+                    slot.dirty = true;
+                    shard.dirty.push(at);
                 }
             }
+            shard.draining.clear();
         }
 
         // 4. One telemetry flush for the whole batch — prebuilt names (no
@@ -738,7 +849,7 @@ impl AlfServer {
             && self
                 .shards
                 .iter()
-                .all(|s| s.entries().all(|e| e.ep.send_complete()))
+                .all(|s| s.endpoints().all(AduTransport::send_complete))
     }
 
     /// Completed ADUs since the last call: `(key, adu, delivery latency)`.
@@ -754,8 +865,8 @@ impl AlfServer {
     /// Aggregate transport stats of every association in shard `i`.
     pub fn shard_stats(&self, i: usize) -> AlfStats {
         let mut total = AlfStats::default();
-        for entry in self.shards[i].entries() {
-            total.merge(&entry.ep.stats);
+        for ep in self.shards[i].endpoints() {
+            total.merge(&ep.stats);
         }
         total
     }
@@ -796,6 +907,97 @@ impl AlfServer {
         reg.counter_set(&format!("{prefix}.batches"), self.batches);
     }
 
+    /// Check that shard `i`'s five structures — key index, slot records,
+    /// endpoint storage, wakeup wheel and dirty list — describe the same
+    /// set of associations; the error names the first disagreement. The
+    /// chaos soak calls this every iteration while associations are created
+    /// and destroyed under fire. O(slots + wheel entries).
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn check_shard_layout(&self, i: usize) -> Result<(), String> {
+        let shard = &self.shards[i];
+        let live = shard.slots.iter().filter(|s| s.live).count();
+        if live != shard.index.len() {
+            return Err(format!(
+                "{live} live slot records but {} indexed keys",
+                shard.index.len()
+            ));
+        }
+        let stored: usize = shard.endpoints.iter().map(Vec::len).sum();
+        if stored != shard.slots.len() {
+            return Err(format!(
+                "{} slot records but endpoint storage for {stored}",
+                shard.slots.len()
+            ));
+        }
+        // Free list and live set are disjoint and cover every slot.
+        let mut free = vec![false; shard.slots.len()];
+        for &idx in &shard.free {
+            if std::mem::replace(&mut free[idx as usize], true) {
+                return Err(format!("slot {idx} is on the free list twice"));
+            }
+        }
+        let mut armed = HashMap::new();
+        for (idx, slot) in shard.slots.iter().enumerate() {
+            let held = entry(&shard.endpoints, idx as u32).is_some();
+            if slot.live == free[idx] || slot.live != held {
+                return Err(format!(
+                    "slot {idx}: live {}, on free list {}, endpoint stored {held}",
+                    slot.live, free[idx]
+                ));
+            }
+            if slot.live && shard.index.get(&slot.key) != Some(&(idx as u32)) {
+                return Err(format!(
+                    "slot {idx}: index does not map {:?} here",
+                    slot.key
+                ));
+            }
+            if !slot.live && (slot.dirty || slot.armed.is_some()) {
+                return Err(format!("vacant slot {idx} is dirty or armed"));
+            }
+            if let Some(d) = slot.armed {
+                armed.insert((idx as u32, slot.generation), d);
+            }
+        }
+        // Every armed record has exactly one wheel entry, under its own
+        // generation, and the wheel holds nothing else.
+        if shard.wheel.len() != armed.len() {
+            return Err(format!(
+                "{} armed records but {} wheel entries",
+                armed.len(),
+                shard.wheel.len()
+            ));
+        }
+        let mut wheel = shard.wheel.clone();
+        let mut entries = Vec::new();
+        wheel.advance(SimTime::MAX, &mut entries);
+        for (d, at) in entries {
+            if armed.remove(&(at.idx, at.generation)) != Some(d) {
+                return Err(format!("wheel entry {at:?} at {d} matches no armed record"));
+            }
+        }
+        // Every current dirty ref names a live record whose flag is set,
+        // once; refs of removed tenants are stale and skipped by the drain.
+        let mut listed = 0;
+        for at in &shard.dirty {
+            let slot = &shard.slots[at.idx as usize];
+            if slot.generation == at.generation {
+                if !(slot.live && slot.dirty) {
+                    return Err(format!("dirty ref {at:?} names a clean or vacant slot"));
+                }
+                listed += 1;
+            }
+        }
+        let flagged = shard.slots.iter().filter(|s| s.dirty).count();
+        if listed != flagged {
+            return Err(format!(
+                "{flagged} records flagged dirty but {listed} current dirty refs"
+            ));
+        }
+        Ok(())
+    }
+
     /// Ground-truth occupancy of shard `i`, read straight off the slab,
     /// wheel and dirty list. The rollup gauges must agree with this — the
     /// occupancy tests and the chaos soak's in-loop invariants compare
@@ -809,7 +1011,7 @@ impl AlfServer {
             occupied: shard.index.len(),
             slots: shard.slots.len(),
             wheel_pending: shard.wheel.len(),
-            armed: shard.entries().filter(|e| e.armed.is_some()).count(),
+            armed: shard.slots.iter().filter(|s| s.armed.is_some()).count(),
             dirty: shard.dirty.len(),
         }
     }
@@ -921,35 +1123,39 @@ impl AlfServer {
         }
     }
 
-    /// Approximate resident footprint in bytes: every association's own
-    /// accounting ([`AduTransport::approx_mem_bytes`]) plus table, wheel
-    /// and queue overhead. Deterministic (capacity-derived, no allocator
-    /// introspection) so X13 can commit it to a gated baseline.
+    /// Approximate resident footprint in bytes: per shard, the slot
+    /// records, the endpoint chunks' filled entries (an endpoint's inline
+    /// part lives there), each live endpoint's heap blocks (the rest of
+    /// [`AduTransport::approx_mem_bytes`]), the key index, wheel, dirty and
+    /// free lists; plus the ingress and delivery queues. Deterministic
+    /// (capacity-derived, no allocator introspection) so X13 can commit it
+    /// to a gated baseline.
     pub fn approx_mem_bytes(&self) -> usize {
-        let mut total = std::mem::size_of::<Self>();
+        use std::mem::size_of;
+        let mut total = size_of::<Self>();
         for shard in &self.shards {
-            total += std::mem::size_of::<Shard>();
+            total += size_of::<Shard>();
             total += shard.wheel.approx_mem_bytes();
-            total += shard.wheel_scratch.capacity() * std::mem::size_of::<(SimTime, u32)>();
-            total += shard.dirty.capacity() * std::mem::size_of::<u32>();
-            total += shard.free.capacity() * std::mem::size_of::<u32>();
-            // Slab slot overhead (the endpoint body itself is counted by
-            // `ep.approx_mem_bytes()` below) plus the hash index (entry +
-            // control-byte overhead per bucket).
-            total += shard.slots.capacity()
-                * (std::mem::size_of::<Option<(AssocKey, AssocEntry)>>()
-                    - std::mem::size_of::<AduTransport>());
-            total += shard.index.capacity() * (std::mem::size_of::<(AssocKey, u32)>() + 2);
-            for entry in shard.entries() {
-                total += entry.ep.approx_mem_bytes();
+            total += shard.wheel_scratch.capacity() * size_of::<(SimTime, SlotRef)>();
+            total += (shard.dirty.capacity() + shard.draining.capacity()) * size_of::<SlotRef>();
+            total += shard.free.capacity() * size_of::<u32>();
+            total += shard.slots.capacity() * size_of::<Slot>();
+            total += shard.endpoints.capacity() * size_of::<Vec<Option<AduTransport>>>();
+            // A chunk's unfilled tail is reserved address space the shard
+            // has never written, not resident memory.
+            total += shard.slots.len() * size_of::<Option<AduTransport>>();
+            // Hash index: entry + control-byte overhead per bucket.
+            total += shard.index.capacity() * (size_of::<(AssocKey, u32)>() + 2);
+            for ep in shard.endpoints() {
+                total += ep.approx_mem_bytes() - size_of::<AduTransport>();
             }
         }
         total += self
             .ingress
             .iter()
-            .map(|(_, f)| f.capacity() + std::mem::size_of::<(u64, Vec<u8>)>())
+            .map(|(_, f)| f.capacity() + size_of::<(u64, Vec<u8>)>())
             .sum::<usize>();
-        total += self.delivered.capacity() * std::mem::size_of::<(AssocKey, Adu, SimDuration)>();
+        total += self.delivered.capacity() * size_of::<(AssocKey, Adu, SimDuration)>();
         total
     }
 }
@@ -1154,6 +1360,73 @@ mod tests {
         assert!(!ep.send_complete());
         assert_eq!(server.next_wakeup(), None);
         assert_eq!(server.assoc_count(), 0);
+    }
+
+    #[test]
+    fn recycled_slot_does_not_inherit_its_previous_tenants_marks() {
+        // One shard, so the second association provably lands on the slot
+        // the first one vacates (LIFO recycling).
+        let mut server = AlfServer::new(ServerConfig {
+            shards: 1,
+            ..ServerConfig::default()
+        });
+        let (old, new) = (key(1, 1), key(2, 1));
+        let mut egress = Vec::new();
+        let now = SimTime::from_millis(1);
+        server.add_association(old, AlfConfig::default()).unwrap();
+        // Armed: an un-ACKed ADU leaves a retransmission wakeup behind.
+        server
+            .send_adu(old, AduName::Seq { index: 0 }, payload(100))
+            .unwrap();
+        while server.pending_work() {
+            if server.poll_batch(now, &mut egress).idle() {
+                break;
+            }
+        }
+        let old_wakeup = server.next_wakeup().expect("armed");
+        // Dirty: a second submission, not yet polled.
+        server
+            .send_adu(old, AduName::Seq { index: 1 }, payload(100))
+            .unwrap();
+        assert_eq!(server.shard_occupancy(0).dirty, 1);
+
+        // Within the same tick: the tenant leaves, a new one takes the slot
+        // and is marked dirty on its own account.
+        server.remove_association(old).expect("was added");
+        server.add_association(new, AlfConfig::default()).unwrap();
+        assert_eq!(server.shard_occupancy(0).slots, 1, "slot was recycled");
+        server
+            .send_adu(new, AduName::Seq { index: 0 }, payload(100))
+            .unwrap();
+        server.check_shard_layout(0).expect("stale mark tolerated");
+
+        // The old tenant's mark is skipped: exactly one poll, for `new`.
+        let polls_before = server.shard_registry(0).counter("polls");
+        let later = now + SimDuration::from_micros(500);
+        egress.clear();
+        let report = server.poll_batch(later, &mut egress);
+        assert_eq!(report.assocs_polled, 1, "the stale dirty ref was polled");
+        assert_eq!(server.shard_registry(0).counter("polls"), polls_before + 1);
+        assert_eq!(egress.len(), 1);
+        assert_eq!(egress[0].0, new.peer, "the frame is the new tenant's");
+        while server.pending_work() {
+            if server.poll_batch(later, &mut egress).idle() {
+                break;
+            }
+        }
+
+        // The old tenant's wakeup died with it: at its deadline nothing
+        // fires; the new tenant's own, armed half a millisecond later, does.
+        let new_wakeup = server.next_wakeup().expect("new tenant armed");
+        assert!(new_wakeup > old_wakeup);
+        let occ = server.shard_occupancy(0);
+        assert_eq!((occ.armed, occ.wheel_pending), (1, 1));
+        let fired = server.poll_batch(old_wakeup, &mut egress).timers_fired;
+        assert_eq!(fired, 0, "the old tenant's wakeup reached the new one");
+        assert_eq!(server.poll_batch(new_wakeup, &mut egress).timers_fired, 1);
+        let occ = server.shard_occupancy(0);
+        assert_eq!(occ.armed, occ.wheel_pending);
+        server.check_shard_layout(0).expect("layout agrees");
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! message, a `Vec` per non-empty `poll` result, the `WireBuf` chunk header
 //! an owned frame is wrapped in, the decoded ACK id list). A tree node, a
 //! scratch `Vec` or a thrown-away queue capacity on that path shows up here
-//! as a number, on any host, every run.
+//! as a number, on any host, every run. So does the structure a warm, idle
+//! endpoint keeps: how many heap blocks it holds, each one named.
 
 use alf_core::adu::AduName;
 use alf_core::transport::{AduTransport, AlfConfig};
 use ct_bench::ALF_CONTROL_STEPS;
 use ct_netsim::time::SimTime;
+use ct_server::{AlfServer, AssocKey, ServerConfig};
 use ct_transport::{StreamConfig, StreamTransport};
 use ct_wire::WireBuf;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -21,6 +23,8 @@ thread_local! {
     // Per thread, so the test harness's other threads stay out of a count;
     // `const` and destructor-free, so safe to touch inside the allocator.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // Blocks this thread allocated and has not freed yet.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
@@ -31,6 +35,7 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        let _ = LIVE.try_with(|c| c.set(c.get() + 1));
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -42,6 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| c.set(c.get() - 1));
         // SAFETY: same contract as the caller's.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -55,6 +61,13 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
     let r = f();
     (ALLOCS.with(Cell::get) - before, r)
+}
+
+/// Heap blocks freed by dropping `value` — the blocks it was holding.
+fn blocks_held<T>(value: T) -> i64 {
+    let before = LIVE.with(Cell::get);
+    drop(value);
+    before - LIVE.with(Cell::get)
 }
 
 const NOW: SimTime = SimTime::ZERO;
@@ -146,6 +159,110 @@ fn twelve_tu_adu_round_within_budget() {
     for index in 8..12 {
         let (n, ()) = allocs_in(|| one_adu(&mut a, &mut b, index, &payload));
         assert!(n <= 40, "12-TU ADU round allocated {n} (budget 40)");
+    }
+}
+
+#[test]
+fn warm_idle_endpoint_holds_three_blocks_and_no_cold_state() {
+    // What an association costs while nothing is in flight. Sender: the
+    // send ring (admission queue and unacknowledged window in one), the
+    // pacing queue, the retransmission wheel's single block. Receiver: the
+    // completed-ADU queue and the ACK id list — its wheel never saw an
+    // insert and its in-order replay window is two inline words. (The
+    // parent of this test held five each: a wheel slot table allocated at
+    // construction and a bucket per touched slot, `unacked` and `queue`
+    // apart, `ready` and `deliver` apart, a replay-run deque.)
+    let one_tu = WireBuf::from_vec(vec![7u8; 200]);
+    let twelve_tus = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
+    for (payload, rounds) in [
+        (&one_tu, 1),
+        (&one_tu, 16),
+        (&twelve_tus, 1),
+        (&twelve_tus, 8),
+    ] {
+        let cfg = AlfConfig {
+            mtu_payload: 1400,
+            ..AlfConfig::default()
+        };
+        let (a, b) = warm_pair(cfg, payload, rounds);
+        // Default configuration — no timestamps, adaptive control or FEC —
+        // and no fault: the recovery/estimator box was never needed.
+        assert!(!a.cold_state_allocated() && !b.cold_state_allocated());
+        let tus = payload.len().div_ceil(1400);
+        assert_eq!(blocks_held(a), 3, "sender after {rounds} x {tus}-TU rounds");
+        // A receiver that has reassembled fragments keeps a third block:
+        // the leaf node of the open-assemblies map, which `BTreeMap` holds
+        // on to once it has had an entry.
+        let rx_blocks = if tus > 1 { 3 } else { 2 };
+        assert_eq!(
+            blocks_held(b),
+            rx_blocks,
+            "receiver after {rounds} x {tus}-TU rounds"
+        );
+    }
+    // Never used: nothing at all.
+    assert_eq!(blocks_held(AduTransport::new(AlfConfig::default())), 0);
+}
+
+/// One single-TU ADU from a client stack to a server stack and its ACK
+/// back, each side driven until it goes quiet — the shape of the
+/// `server_fanin` benchmark's inner loop.
+fn one_adu_through_servers(
+    client: &mut AlfServer,
+    server: &mut AlfServer,
+    index: u64,
+    payload: &WireBuf,
+    egress: &mut Vec<(u64, Vec<u8>)>,
+) {
+    let key = AssocKey { peer: 0, assoc: 1 };
+    client
+        .send_adu(key, AduName::Seq { index }, payload.clone())
+        .expect("window open");
+    while client.pending_work() && !client.poll_batch(NOW, egress).idle() {}
+    for (_, frame) in egress.drain(..) {
+        server.ingest(0, frame);
+    }
+    while server.pending_work() && !server.poll_batch(NOW, egress).idle() {}
+    for (_, frame) in egress.drain(..) {
+        client.ingest(0, frame);
+    }
+    while client.pending_work() && !client.poll_batch(NOW, egress).idle() {}
+    let delivered = server.take_delivered();
+    assert_eq!(delivered.len(), 1);
+    assert_eq!(delivered[0].1.payload, *payload);
+    assert!(client.drained(), "ACKed");
+}
+
+#[test]
+fn server_adu_round_allocates_only_what_the_api_forces() {
+    // Eight, each forced by a public signature:
+    //   client `poll_batch`  the TU frame and the endpoint's `poll` result
+    //                        `Vec` (both owned by the caller afterwards)  2
+    //   server `poll_batch`  the `WireBuf` chunk header the ingested frame
+    //                        is wrapped in, the `poll` result `Vec`, the
+    //                        ACK frame                                    3
+    //   `take_delivered`     hands its `Vec` to the caller, so the next
+    //                        delivery starts a new one                    1
+    //   client `poll_batch`  the ACK's chunk header and its decoded id
+    //                        list (`Message::Ack { ids: Vec<u64> }`)      2
+    // Nothing for the slab, the slot records, the dirty lists, the shard
+    // wheels or the endpoint's rings. (`server_fanin` reports 3.5 per ADU:
+    // there four TUs share each `poll` result, ACK and delivery `Vec`.)
+    let mut client = AlfServer::new(ServerConfig::default());
+    let mut server = AlfServer::new(ServerConfig::default());
+    let key = AssocKey { peer: 0, assoc: 1 };
+    client.add_association(key, AlfConfig::default()).unwrap();
+    server.add_association(key, AlfConfig::default()).unwrap();
+    let payload = WireBuf::from_vec(vec![7u8; 600]);
+    let mut egress = Vec::new();
+    for index in 0..16 {
+        one_adu_through_servers(&mut client, &mut server, index, &payload, &mut egress);
+    }
+    for index in 16..24 {
+        let (n, ()) = allocs_in(|| {
+            one_adu_through_servers(&mut client, &mut server, index, &payload, &mut egress)
+        });
+        assert_eq!(n, 8, "single-TU ADU through two AlfServers allocated {n}");
     }
 }
 

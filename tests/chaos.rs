@@ -656,9 +656,9 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
         // Occupancy gauges vs ground truth, mid-churn: the slab, wheel
         // and dirty list are authoritative, and the §13 rollup gauges
         // must agree with them exactly while associations are being
-        // destroyed and created under fire — a leaked wheel entry or a
-        // stale slab gauge shows up here long before it would wedge the
-        // run.
+        // destroyed and created under fire — a leaked wheel entry, a
+        // stale slab gauge or a slot whose record and endpoint disagree
+        // shows up here long before it would wedge the run.
         let shards = ServerConfig::default().shards;
         let (mut occupied_total, mut wheel_total, mut dirty_total) = (0, 0, 0);
         for i in 0..shards {
@@ -695,6 +695,20 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             occupied_total += truth.occupied;
             wheel_total += truth.wheel_pending;
             dirty_total += truth.dirty;
+            // The layout itself: key index, slot records, endpoint storage,
+            // wheel and dirty list name the same associations — on the
+            // server, and on the client stacks churning in step with it.
+            let stacks =
+                std::iter::once(("server", &server)).chain(clients.iter().map(|c| ("client", c)));
+            for (who, stack) in stacks {
+                if let Err(why) = stack.check_shard_layout(i) {
+                    violation(
+                        &tel,
+                        seed,
+                        &format!("{who} shard {i} layout disagrees at {now}: {why}"),
+                    );
+                }
+            }
         }
         if occupied_total != live.len() {
             violation(
