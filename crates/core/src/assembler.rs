@@ -578,6 +578,13 @@ impl Assembler {
 
     /// Pop the next completed ADU: `(adu_id, adu, delivery latency)` — the
     /// latency runs from the ADU's first TU arrival to its completion.
+    ///
+    /// API break (ISSUE 18): the third element used to be that first
+    /// arrival as a `SimTime`, for the transport to turn into a latency as
+    /// it moved the ADU to a second queue. This queue is now the only one,
+    /// so the latency is taken at completion and travels with the ADU; a
+    /// caller that wants the arrival instant subtracts it from the `now`
+    /// it passed to the completing [`Assembler::on_tu`].
     pub fn pop_ready(&mut self) -> Option<(u64, Adu, SimDuration)> {
         self.ready.pop_front()
     }

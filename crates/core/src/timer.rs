@@ -72,9 +72,10 @@ struct Node<K> {
     /// Entry or free link: the next cell of its list. Header: the list's
     /// first entry. [`NIL`] ends a list.
     next: u32,
-    /// Header only: the list's last entry, so insertion appends in O(1)
-    /// and entries fire in insertion order.
-    tail: u32,
+    /// Header: the list's last entry, so insertion appends in O(1) and
+    /// entries fire in insertion order. Entry: the previous entry of its
+    /// list ([`NIL`] for the first), so the last entry unlinks in O(1).
+    back: u32,
 }
 
 /// A hashed timer wheel over copyable keys.
@@ -201,11 +202,13 @@ impl<K: Copy> TimerWheel<K> {
         min
     }
 
-    /// Cancel a previously inserted `(deadline, key)` entry. O(1)
-    /// expected: the deadline addresses its slot directly and only that
-    /// slot's bucket is scanned. Returns false when no such entry is
-    /// pending (already fired, or never inserted) — callers treat that as
-    /// a no-op.
+    /// Cancel a previously inserted `(deadline, key)` entry. The deadline
+    /// addresses its slot directly and only that slot's list is walked: up
+    /// to the entry, and once more in full when the entry held the slot's
+    /// minimum — O(1) while deadlines spread over the slots, O(entries in
+    /// the slot) when they cluster in one. Returns false when no such
+    /// entry is pending (already fired, or never inserted) — callers treat
+    /// that as a no-op.
     pub fn remove(&mut self, deadline: SimTime, key: K) -> bool
     where
         K: PartialEq,
@@ -216,13 +219,13 @@ impl<K: Copy> TimerWheel<K> {
         // Slotted entries at or before the cursor have been drained; only
         // the overdue pocket can still hold such a deadline.
         let head = self.list_of(deadline);
-        let (mut prev, mut cur) = (NIL, self.nodes[head].next);
+        let mut cur = self.nodes[head].next;
         while cur != NIL {
             let n = self.nodes[cur as usize];
             if n.at == deadline && n.key == key {
                 break;
             }
-            (prev, cur) = (cur, n.next);
+            cur = n.next;
         }
         if cur == NIL {
             return false;
@@ -230,23 +233,18 @@ impl<K: Copy> TimerWheel<K> {
         // Unordered removal, as a bucket vector's `swap_remove`: the
         // list's last entry takes the removed one's place, so the order
         // entries later fire in does not depend on the storage scheme.
-        let tail = self.nodes[head].tail;
+        let tail = self.nodes[head].back;
+        let last = self.nodes[tail as usize];
         if cur != tail {
-            let mut before_tail = cur;
-            while self.nodes[before_tail as usize].next != tail {
-                before_tail = self.nodes[before_tail as usize].next;
-            }
-            let last = self.nodes[tail as usize];
             let hole = &mut self.nodes[cur as usize];
             (hole.at, hole.key) = (last.at, last.key);
-            prev = before_tail;
         }
-        if prev == NIL {
+        if last.back == NIL {
             self.nodes[head].next = NIL;
         } else {
-            self.nodes[prev as usize].next = NIL;
+            self.nodes[last.back as usize].next = NIL;
         }
-        self.nodes[head].tail = prev;
+        self.nodes[head].back = last.back;
         self.release(tail);
         self.len -= 1;
         if self.nodes[head].at == deadline {
@@ -268,15 +266,20 @@ impl<K: Copy> TimerWheel<K> {
                     at: SimTime::MAX,
                     key,
                     next: NIL,
-                    tail: NIL,
+                    back: NIL,
                 },
             );
         }
+        // A deadline at or before the cursor is already due (the caller
+        // scheduled into the past): the overdue pocket keeps it out of the
+        // rotation so the very next `advance` returns it.
+        let head = self.list_of(deadline);
+        let tail = self.nodes[head].back;
         let entry = Node {
             at: deadline,
             key,
             next: NIL,
-            tail: NIL,
+            back: tail,
         };
         let i = if self.free == NIL {
             let i = u32::try_from(self.nodes.len())
@@ -291,11 +294,6 @@ impl<K: Copy> TimerWheel<K> {
             self.nodes[i as usize] = entry;
             i
         };
-        // A deadline at or before the cursor is already due (the caller
-        // scheduled into the past): the overdue pocket keeps it out of the
-        // rotation so the very next `advance` returns it.
-        let head = self.list_of(deadline);
-        let tail = self.nodes[head].tail;
         if tail == NIL {
             self.nodes[head].next = i;
             self.nodes[head].at = deadline;
@@ -303,7 +301,7 @@ impl<K: Copy> TimerWheel<K> {
             self.nodes[tail as usize].next = i;
             self.nodes[head].at = self.nodes[head].at.min(deadline);
         }
-        self.nodes[head].tail = i;
+        self.nodes[head].back = i;
     }
 
     /// Earliest pending deadline, or `None` when the wheel is empty.
@@ -342,6 +340,7 @@ impl<K: Copy> TimerWheel<K> {
                 } else {
                     self.nodes[kept as usize].next = cur;
                 }
+                self.nodes[cur as usize].back = kept;
                 kept = cur;
                 min = min.min(n.at);
             }
@@ -352,7 +351,7 @@ impl<K: Copy> TimerWheel<K> {
         } else {
             self.nodes[kept as usize].next = NIL;
         }
-        self.nodes[head].tail = kept;
+        self.nodes[head].back = kept;
         self.nodes[head].at = min;
         (examined, drained)
     }
@@ -654,6 +653,43 @@ mod tests {
             }
             self.cursor = now;
         }
+    }
+
+    /// Clustered deadlines — a thousand entries in one slot, as when many
+    /// associations arm the same RTO — cancelled from the back (the re-arm
+    /// pattern), the front and the middle: every removal agrees with the
+    /// bucket wheel, and so does the order the survivors fire in.
+    #[test]
+    fn clustered_slot_removals_match_bucket_wheel() {
+        let g = SimDuration::from_millis(1);
+        let mut wheel: TimerWheel<u64> = TimerWheel::new(8, g);
+        let mut model = BucketWheel::new(8, g);
+        // One slot: deadlines 3 ms + k ns, all distinct, newest = largest.
+        let d = |k: u64| at(3, k);
+        for k in 0..1024 {
+            wheel.insert(d(k), k);
+            model.insert(d(k), k);
+        }
+        let back = (900..1024).rev();
+        let front = 0..100;
+        let middle = (100..900).filter(|k| k % 7 == 3);
+        for k in back.chain(front).chain(middle) {
+            assert_eq!(wheel.remove(d(k), k), model.remove(d(k), k));
+            assert!(!wheel.remove(d(k), k), "gone after one removal");
+            assert_eq!(wheel.len(), model.len);
+            assert_eq!(wheel.next_deadline(), model.next_deadline());
+        }
+        // Re-arm into the thinned slot, then fire everything.
+        for k in 2000..2010 {
+            wheel.insert(d(k), k);
+            model.insert(d(k), k);
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        wheel.advance(at(4, 0), &mut a);
+        model.advance(at(4, 0), &mut b);
+        assert_eq!(a, b, "fire order");
+        assert!(wheel.is_empty());
+        assert_eq!(wheel.stats(), model.stats);
     }
 
     use proptest::prelude::*;

@@ -418,10 +418,6 @@ pub struct AlfServer {
     /// Loss reports awaiting [`AlfServer::take_losses`].
     losses: Vec<(AssocKey, LossReport)>,
     assoc_count: usize,
-    /// The last key routed and where it lives. Frames and sends come in
-    /// trains for one association, and a train pays the two hashes (shard
-    /// placement, then the index) once. Cleared whenever the table changes.
-    last_route: Option<(AssocKey, usize, u32)>,
     batches: u64,
     telemetry: Option<ct_telemetry::Telemetry>,
     /// Prebuilt names for the per-batch flush (set with the telemetry
@@ -450,7 +446,6 @@ impl AlfServer {
             delivered: Vec::new(),
             losses: Vec::new(),
             assoc_count: 0,
-            last_route: None,
             batches: 0,
             telemetry: None,
             batch_names: None,
@@ -477,19 +472,6 @@ impl AlfServer {
 
     fn shard_of(&self, key: AssocKey) -> usize {
         (shard_hash(key) % self.cfg.shards as u64) as usize
-    }
-
-    /// The shard and slot index `key` is bound to, if any.
-    fn route(&mut self, key: AssocKey) -> Option<(usize, u32)> {
-        if let Some((last, si, idx)) = self.last_route {
-            if last == key {
-                return Some((si, idx));
-            }
-        }
-        let si = self.shard_of(key);
-        let idx = *self.shards[si].index.get(&key)?;
-        self.last_route = Some((key, si, idx));
-        Some((si, idx))
     }
 
     /// Associations currently terminated.
@@ -541,7 +523,6 @@ impl AlfServer {
         }
         shard.insert(key, ep);
         self.assoc_count += 1;
-        self.last_route = None;
         Ok(())
     }
 
@@ -554,7 +535,6 @@ impl AlfServer {
         let si = self.shard_of(key);
         let ep = self.shards[si].remove(key)?;
         self.assoc_count -= 1;
-        self.last_route = None;
         Some(ep)
     }
 
@@ -569,8 +549,9 @@ impl AlfServer {
     /// request, reconfigure), the next batch polls it and re-arms its
     /// wakeup.
     pub fn endpoint_mut(&mut self, key: AssocKey) -> Option<&mut AduTransport> {
-        let (si, idx) = self.route(key)?;
+        let si = self.shard_of(key);
         let shard = &mut self.shards[si];
+        let idx = *shard.index.get(&key)?;
         shard.mark_dirty(idx);
         Some(shard.endpoint_mut(idx))
     }
@@ -588,10 +569,11 @@ impl AlfServer {
         name: alf_core::adu::AduName,
         payload: impl Into<ct_wire::WireBuf>,
     ) -> Result<u64, SendRefused> {
-        let Some((si, idx)) = self.route(key) else {
+        let si = self.shard_of(key);
+        let shard = &mut self.shards[si];
+        let Some(&idx) = shard.index.get(&key) else {
             return Err(SendRefused::PeerUnreachable);
         };
-        let shard = &mut self.shards[si];
         let id = shard.endpoint_mut(idx).send_adu(name, payload)?;
         shard.mark_dirty(idx);
         Ok(id)
@@ -647,17 +629,15 @@ impl AlfServer {
                 continue;
             };
             let key = AssocKey { peer, assoc };
-            match self.route(key) {
-                Some((si, idx)) => {
-                    let shard = &mut self.shards[si];
+            let si = self.shard_of(key);
+            let shard = &mut self.shards[si];
+            match shard.index.get(&key) {
+                Some(&idx) => {
                     shard.counters.frames_in += 1;
                     shard.endpoint_mut(idx).on_frame(now, frame.into());
                     shard.mark_dirty(idx);
                 }
-                None => {
-                    let si = self.shard_of(key);
-                    self.shards[si].counters.misdelivered += 1;
-                }
+                None => shard.counters.misdelivered += 1,
             }
         }
 
