@@ -356,10 +356,10 @@ mod tests {
             }
             now += SimDuration::from_micros(50);
             for f in tx.poll(now) {
-                rx.on_message(now, &f);
+                rx.on_frame(now, f.into());
             }
             for f in rx.poll(now) {
-                tx.on_message(now, &f);
+                tx.on_frame(now, f.into());
             }
             while let Some((adu, _latency)) = rx.recv_adu() {
                 sink.ingest_adu(&adu).unwrap();

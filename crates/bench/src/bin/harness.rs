@@ -541,8 +541,11 @@ fn t2_control_vs_manipulation() {
         payload: vec![].into(),
     }
     .encode();
+    // The frame is built once; each timed call ingests a clone of the view
+    // (a reference-count increment, no allocation).
+    let ack = ct_wire::WireBuf::from(ack);
     let ack_ns = time_ns_per_call(|| {
-        sender.on_segment(ct_netsim::time::SimTime::ZERO, &ack);
+        sender.on_frame(ct_netsim::time::SimTime::ZERO, ack.clone());
     });
     // The ACK segment itself is checksummed on arrival (30 bytes); subtract
     // nothing — report both raw and header-checksum-free figures.
@@ -1192,7 +1195,12 @@ fn x9_telemetry() {
         let lay = TouchLedger::new();
         let int = TouchLedger::new();
         let a = p.run_layered_ledgered(&input, &lay);
-        let b = p.run_integrated_ledgered(&input, &int);
+        let b = p.run_integrated(&input);
+        int.touch(
+            "pipeline/integrated",
+            input.len() as u64,
+            b.data.len() as u64,
+        );
         assert_eq!(a, b, "the two engineerings must be bit-identical");
         lay.deliver(input.len() as u64);
         int.deliver(input.len() as u64);
@@ -1318,17 +1326,9 @@ fn x10_zero_copy() {
     );
     let lay_e2e = tel_lay.ledger().passes_per_delivered_byte();
 
-    let mut t = Table::new(&[
-        "path",
-        "send p/B",
-        "verify p/B",
-        "gather p/B",
-        "decode copy p/B",
-        "e2e p/B",
-    ]);
+    let mut t = Table::new(&["path", "send p/B", "verify p/B", "gather p/B", "e2e p/B"]);
     t.row(&[
         "layered stream stack".into(),
-        "-".into(),
         "-".into(),
         "-".into(),
         "-".into(),
@@ -1367,12 +1367,7 @@ fn x10_zero_copy() {
         let send = stage_passes_per_byte(&tel, "alf/tu_encode");
         let verify = stage_passes_per_byte(&tel, "alf/verify");
         let gather = stage_passes_per_byte(&tel, "alf/gather");
-        let copy = stage_passes_per_byte(&tel, "alf/decode_copy");
         let e2e = tel.ledger().passes_per_delivered_byte();
-        assert_eq!(
-            copy, 0.0,
-            "{label}: the owned-frame ingest must never take the decode copy"
-        );
         if label.ends_with("clean") {
             clean_send = send;
             clean_e2e = e2e;
@@ -1385,14 +1380,12 @@ fn x10_zero_copy() {
             format!("{send:.3}"),
             format!("{verify:.3}"),
             format!("{gather:.3}"),
-            format!("{copy:.3}"),
             format!("{e2e:.3}"),
         ]);
         json_rows.push(format!(
             "    {{\"path\": \"{label}\", \"send_passes_per_byte\": {send:.4}, \
              \"verify_passes_per_byte\": {verify:.4}, \
              \"gather_passes_per_byte\": {gather:.4}, \
-             \"decode_copy_passes_per_byte\": {copy:.4}, \
              \"e2e_passes_per_byte\": {e2e:.4}}}"
         ));
     }
@@ -1425,8 +1418,7 @@ fn x10_zero_copy() {
          slices the ADU without copying, the checksum rides the encode sweep,\n\
          receive verifies the frame where it lies, and an ADU that fits one\n\
          frame is released as a view into it — the gather pass above only\n\
-         counts multi-frame ADUs, and the decode-copy column stays zero\n\
-         because both substrates hand owned frames to the zero-copy ingest."
+         counts multi-frame ADUs."
     );
 }
 
@@ -1862,11 +1854,11 @@ fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
         }
         while let Some(frame) = net.recv(node_b) {
             moved = true;
-            b.on_message(net.now(), &frame.payload);
+            b.on_frame(net.now(), frame.payload.into());
         }
         while let Some(frame) = net.recv(node_a) {
             moved = true;
-            a.on_message(net.now(), &frame.payload);
+            a.on_frame(net.now(), frame.payload.into());
         }
 
         while let Some((adu, _latency)) = b.recv_adu() {
@@ -2039,7 +2031,7 @@ fn x12_frame_flood(target: u64) -> X12Flood {
         }
         net.run_until_idle();
         while let Some(frame) = net.recv(node_b) {
-            r.on_message(net.now(), &frame.payload);
+            r.on_frame(net.now(), frame.payload.into());
         }
         // Control replies (ACKs, NACKs, window probes) are dropped on the
         // floor; poll still runs so expiry sweeps and shed notices fire.

@@ -653,7 +653,7 @@ impl Assembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::fragment_adu;
+    use crate::wire::fragment_adu_buf;
 
     fn asm() -> Assembler {
         Assembler::new(SimDuration::from_millis(100), 64)
@@ -668,7 +668,7 @@ mod tests {
         let mut a = asm();
         let data = payload(3000);
         let name = AduName::Seq { index: 0 };
-        for tu in fragment_adu(1, 0, name, &data, 1000) {
+        for tu in fragment_adu_buf(1, 0, name, &data.as_slice().into(), 1000) {
             a.on_tu(SimTime::ZERO, &tu);
         }
         let (id, adu, _) = a.pop_ready().unwrap();
@@ -682,7 +682,13 @@ mod tests {
     fn reversed_fragments_reassemble() {
         let mut a = asm();
         let data = payload(5000);
-        let mut tus = fragment_adu(1, 3, AduName::Seq { index: 3 }, &data, 700);
+        let mut tus = fragment_adu_buf(
+            1,
+            3,
+            AduName::Seq { index: 3 },
+            &data.as_slice().into(),
+            700,
+        );
         tus.reverse();
         for tu in &tus {
             a.on_tu(SimTime::ZERO, tu);
@@ -696,8 +702,8 @@ mod tests {
         let mut a = asm();
         let d0 = payload(2000);
         let d1 = payload(900);
-        let tus0 = fragment_adu(1, 0, AduName::Seq { index: 0 }, &d0, 1000);
-        let tus1 = fragment_adu(1, 1, AduName::Seq { index: 1 }, &d1, 1000);
+        let tus0 = fragment_adu_buf(1, 0, AduName::Seq { index: 0 }, &d0.as_slice().into(), 1000);
+        let tus1 = fragment_adu_buf(1, 1, AduName::Seq { index: 1 }, &d1.as_slice().into(), 1000);
         // ADU 0 is missing its first fragment; ADU 1 completes: ADU 1 must
         // be released immediately — no head-of-line blocking.
         a.on_tu(SimTime::ZERO, &tus0[1]);
@@ -717,7 +723,13 @@ mod tests {
     fn duplicates_counted_not_corrupting() {
         let mut a = asm();
         let data = payload(1500);
-        let tus = fragment_adu(1, 5, AduName::Seq { index: 5 }, &data, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            5,
+            AduName::Seq { index: 5 },
+            &data.as_slice().into(),
+            1000,
+        );
         a.on_tu(SimTime::ZERO, &tus[0]);
         a.on_tu(SimTime::ZERO, &tus[0]);
         a.on_tu(SimTime::ZERO, &tus[1]);
@@ -730,7 +742,13 @@ mod tests {
     fn late_tu_after_release_suppressed() {
         let mut a = asm();
         let data = payload(500);
-        let tus = fragment_adu(1, 9, AduName::Seq { index: 9 }, &data, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            9,
+            AduName::Seq { index: 9 },
+            &data.as_slice().into(),
+            1000,
+        );
         a.on_tu(SimTime::ZERO, &tus[0]);
         assert!(a.pop_ready().is_some());
         a.on_tu(SimTime::ZERO, &tus[0]);
@@ -777,7 +795,13 @@ mod tests {
     fn expiry_reports_lost_adus() {
         let mut a = asm();
         let data = payload(2000);
-        let tus = fragment_adu(1, 4, AduName::Media { frame: 1, slot: 0 }, &data, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            4,
+            AduName::Media { frame: 1, slot: 0 },
+            &data.as_slice().into(),
+            1000,
+        );
         a.on_tu(SimTime::ZERO, &tus[0]); // second fragment never arrives
         assert!(a.expire(SimTime::from_millis(50)).is_empty());
         let lost = a.expire(SimTime::from_millis(200));
@@ -791,7 +815,13 @@ mod tests {
         let mut a = Assembler::new(SimDuration::from_secs(10), 2);
         for id in 0..4u64 {
             let data = payload(2000);
-            let tus = fragment_adu(1, id, AduName::Seq { index: id }, &data, 1000);
+            let tus = fragment_adu_buf(
+                1,
+                id,
+                AduName::Seq { index: id },
+                &data.as_slice().into(),
+                1000,
+            );
             a.on_tu(SimTime::from_millis(id), &tus[0]); // all incomplete
         }
         assert!(a.pending_count() <= 3);
@@ -805,7 +835,13 @@ mod tests {
         let mut a = Assembler::new(SimDuration::from_secs(10), 2);
         for id in 0..3u64 {
             let data = payload(2000);
-            let tus = fragment_adu(1, id, AduName::Seq { index: id }, &data, 1000);
+            let tus = fragment_adu_buf(
+                1,
+                id,
+                AduName::Seq { index: id },
+                &data.as_slice().into(),
+                1000,
+            );
             a.on_tu(SimTime::from_millis(id), &tus[0]); // all incomplete
         }
         // Inserting id=2 pushed pending to 3 > 2, evicting id=0 (oldest).
@@ -816,7 +852,13 @@ mod tests {
         assert!(a.declared_len(2).is_some());
         // The survivor still completes normally.
         let data = payload(2000);
-        let tus = fragment_adu(1, 1, AduName::Seq { index: 1 }, &data, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            1,
+            AduName::Seq { index: 1 },
+            &data.as_slice().into(),
+            1000,
+        );
         a.on_tu(SimTime::from_millis(5), &tus[1]);
         let (id, adu, _) = a.pop_ready().unwrap();
         assert_eq!(id, 1);
@@ -832,7 +874,13 @@ mod tests {
         let mut a = asm();
         let data = payload(100);
         for id in 0..5000u64 {
-            let tus = fragment_adu(1, id, AduName::Seq { index: id }, &data, 1000);
+            let tus = fragment_adu_buf(
+                1,
+                id,
+                AduName::Seq { index: id },
+                &data.as_slice().into(),
+                1000,
+            );
             a.on_tu(SimTime::ZERO, &tus[0]);
         }
         assert_eq!(a.stats.adus_completed, 5000);
@@ -850,9 +898,21 @@ mod tests {
         let mut a = asm();
         a.set_budget(8000, ShedPolicy::Backpressure);
         let data = payload(100);
-        let captured = fragment_adu(1, 0, AduName::Seq { index: 0 }, &data, 1000);
+        let captured = fragment_adu_buf(
+            1,
+            0,
+            AduName::Seq { index: 0 },
+            &data.as_slice().into(),
+            1000,
+        );
         for id in 0..5000u64 {
-            let tus = fragment_adu(1, id, AduName::Seq { index: id }, &data, 1000);
+            let tus = fragment_adu_buf(
+                1,
+                id,
+                AduName::Seq { index: id },
+                &data.as_slice().into(),
+                1000,
+            );
             a.on_tu(SimTime::ZERO, &tus[0]);
         }
         while a.pop_ready().is_some() {}
@@ -893,7 +953,13 @@ mod tests {
         assert_eq!(a.take_shed(), vec![(0, name)]);
         // Normal fragmentation stays far under the quota and completes.
         let data = payload(4000);
-        for tu in fragment_adu(1, 1, AduName::Seq { index: 1 }, &data, 1000) {
+        for tu in fragment_adu_buf(
+            1,
+            1,
+            AduName::Seq { index: 1 },
+            &data.as_slice().into(),
+            1000,
+        ) {
             assert!(a.on_tu(SimTime::ZERO, &tu));
         }
         let (_, adu, _) = a.pop_ready().unwrap();
@@ -905,10 +971,10 @@ mod tests {
         let mut a = asm();
         a.set_budget(3000, ShedPolicy::Backpressure);
         let d0 = payload(2000);
-        let tus0 = fragment_adu(1, 0, AduName::Seq { index: 0 }, &d0, 1000);
+        let tus0 = fragment_adu_buf(1, 0, AduName::Seq { index: 0 }, &d0.as_slice().into(), 1000);
         assert!(a.on_tu(SimTime::ZERO, &tus0[0])); // 2000 bytes allocated
                                                    // A second 2000-byte ADU would exceed the 3000-byte budget: refused.
-        let tus1 = fragment_adu(1, 1, AduName::Seq { index: 1 }, &payload(2000), 1000);
+        let tus1 = fragment_adu_buf(1, 1, AduName::Seq { index: 1 }, &payload(2000).into(), 1000);
         assert!(!a.on_tu(SimTime::ZERO, &tus1[0]));
         assert_eq!(a.stats.tus_refused, 1);
         assert_eq!(a.pending_count(), 1);
@@ -928,12 +994,18 @@ mod tests {
         let mut a = asm();
         a.set_budget(3000, ShedPolicy::DropOldest);
         for id in 0..2u64 {
-            let tus = fragment_adu(1, id, AduName::Seq { index: id }, &payload(1400), 1000);
+            let tus = fragment_adu_buf(
+                1,
+                id,
+                AduName::Seq { index: id },
+                &payload(1400).into(),
+                1000,
+            );
             a.on_tu(SimTime::from_millis(id), &tus[0]); // incomplete
         }
         assert_eq!(a.pending_bytes(), 2800);
         // A third 1400-byte ADU needs room: the oldest (id 0) is shed.
-        let tus = fragment_adu(1, 2, AduName::Seq { index: 2 }, &payload(1400), 1000);
+        let tus = fragment_adu_buf(1, 2, AduName::Seq { index: 2 }, &payload(1400).into(), 1000);
         assert!(a.on_tu(SimTime::from_millis(2), &tus[0]));
         assert_eq!(a.stats.adus_shed, 1);
         assert!(a.pending_bytes() <= 3000);
@@ -946,7 +1018,8 @@ mod tests {
         for policy in [ShedPolicy::DropOldest, ShedPolicy::Backpressure] {
             let mut a = asm();
             a.set_budget(1000, policy);
-            let tus = fragment_adu(1, 0, AduName::Seq { index: 0 }, &payload(4000), 1000);
+            let tus =
+                fragment_adu_buf(1, 0, AduName::Seq { index: 0 }, &payload(4000).into(), 1000);
             assert!(!a.on_tu(SimTime::ZERO, &tus[0]));
             assert_eq!(a.stats.tus_refused, 1);
             assert_eq!(a.pending_count(), 0);
@@ -959,7 +1032,7 @@ mod tests {
         assert_eq!(a.budget_free(), None);
         a.set_budget(8000, ShedPolicy::Backpressure);
         assert_eq!(a.budget_free(), Some(8000));
-        let tus = fragment_adu(1, 0, AduName::Seq { index: 0 }, &payload(5000), 1000);
+        let tus = fragment_adu_buf(1, 0, AduName::Seq { index: 0 }, &payload(5000).into(), 1000);
         a.on_tu(SimTime::ZERO, &tus[0]);
         assert_eq!(a.budget_free(), Some(3000));
     }
@@ -967,7 +1040,13 @@ mod tests {
     #[test]
     fn zero_length_adu_completes() {
         let mut a = asm();
-        let tus = fragment_adu(1, 8, AduName::Rpc { call: 1, part: 0 }, &[], 1000);
+        let tus = fragment_adu_buf(
+            1,
+            8,
+            AduName::Rpc { call: 1, part: 0 },
+            &WireBuf::empty(),
+            1000,
+        );
         a.on_tu(SimTime::ZERO, &tus[0]);
         let (id, adu, _) = a.pop_ready().unwrap();
         assert_eq!(id, 8);
@@ -1003,7 +1082,7 @@ mod tests {
     #[test]
     fn pending_bytes_tracks() {
         let mut a = asm();
-        let tus = fragment_adu(1, 2, AduName::Seq { index: 2 }, &payload(5000), 1000);
+        let tus = fragment_adu_buf(1, 2, AduName::Seq { index: 2 }, &payload(5000).into(), 1000);
         a.on_tu(SimTime::ZERO, &tus[0]);
         assert_eq!(a.pending_bytes(), 5000); // reservation covers the whole ADU
         assert_eq!(a.stored_bytes(), 1000); // but only received bytes are held
@@ -1017,7 +1096,13 @@ mod tests {
         let mut a = asm();
         a.set_budget(5000, ShedPolicy::Backpressure);
         let data = payload(4000);
-        let tus = fragment_adu(1, 0, AduName::Seq { index: 0 }, &data, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            0,
+            AduName::Seq { index: 0 },
+            &data.as_slice().into(),
+            1000,
+        );
         // First three fragments land; the last is "lost".
         for tu in &tus[..3] {
             assert!(a.on_tu(SimTime::ZERO, tu));
@@ -1077,7 +1162,13 @@ mod tests {
         // fragment covering everything) is released without a gather pass.
         let mut a = asm();
         let data = payload(900);
-        let tus = fragment_adu(1, 0, AduName::Seq { index: 0 }, &data, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            0,
+            AduName::Seq { index: 0 },
+            &data.as_slice().into(),
+            1000,
+        );
         assert_eq!(tus.len(), 1);
         a.on_tu(SimTime::ZERO, &tus[0]);
         let (_, adu, _) = a.pop_ready().unwrap();
@@ -1091,7 +1182,13 @@ mod tests {
     fn multi_fragment_release_gathers_once() {
         let mut a = asm();
         let data = payload(2500);
-        for tu in fragment_adu(1, 0, AduName::Seq { index: 0 }, &data, 1000) {
+        for tu in fragment_adu_buf(
+            1,
+            0,
+            AduName::Seq { index: 0 },
+            &data.as_slice().into(),
+            1000,
+        ) {
             a.on_tu(SimTime::ZERO, &tu);
         }
         let (_, adu, _) = a.pop_ready().unwrap();
@@ -1106,7 +1203,13 @@ mod tests {
         // stored fragment views.
         let mut a = asm();
         let data = payload(3000);
-        let mut tus = fragment_adu(1, 0, AduName::Seq { index: 0 }, &data, 1000);
+        let mut tus = fragment_adu_buf(
+            1,
+            0,
+            AduName::Seq { index: 0 },
+            &data.as_slice().into(),
+            1000,
+        );
         tus.pop(); // keep the ADU incomplete so it stays pending
         for tu in &tus {
             a.on_tu(SimTime::ZERO, tu);

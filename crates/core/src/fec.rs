@@ -26,7 +26,7 @@ use crate::wire::{Tu, TU_FLAG_PARITY};
 pub const MAX_GROUP: usize = 64;
 
 /// Build parity TUs for `data_tus` (the output of
-/// [`crate::wire::fragment_adu`] — uniform `mtu`-sized fragments with a
+/// [`crate::wire::fragment_adu_buf`] — uniform `mtu`-sized fragments with a
 /// short tail), one parity TU per run of `k` fragments.
 ///
 /// Returns an empty vector when protection is pointless (`k == 0`, a
@@ -151,7 +151,7 @@ pub fn reconstruct(
 mod tests {
     use super::*;
     use crate::adu::AduName;
-    use crate::wire::fragment_adu;
+    use crate::wire::fragment_adu_buf;
 
     fn payload(n: usize) -> Vec<u8> {
         (0..n)
@@ -161,7 +161,13 @@ mod tests {
 
     fn tus(len: usize, mtu: usize) -> (Vec<u8>, Vec<Tu>) {
         let data = payload(len);
-        let t = fragment_adu(1, 5, AduName::Seq { index: 5 }, &data, mtu);
+        let t = fragment_adu_buf(
+            1,
+            5,
+            AduName::Seq { index: 5 },
+            &data.as_slice().into(),
+            mtu,
+        );
         (data, t)
     }
 
@@ -181,7 +187,7 @@ mod tests {
         let parity = build_parity(&t, 5);
         assert_eq!(parity.len(), 1);
         let wire = crate::wire::Message::Tu(parity[0].clone()).encode();
-        match crate::wire::Message::decode(&wire).unwrap() {
+        match crate::wire::Message::decode_frame(&wire.into()).unwrap() {
             crate::wire::Message::Tu(tu) => {
                 let p = parse_parity(&tu).expect("valid parity");
                 assert_eq!(p.k, 5);
@@ -265,7 +271,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::adu::AduName;
-    use crate::wire::fragment_adu;
+    use crate::wire::fragment_adu_buf;
     use proptest::prelude::*;
 
     proptest! {
@@ -276,7 +282,7 @@ mod proptests {
             k in 2usize..10,
             lost_sel in any::<prop::sample::Index>(),
         ) {
-            let t = fragment_adu(1, 1, AduName::Seq { index: 1 }, &data, mtu);
+            let t = fragment_adu_buf(1, 1, AduName::Seq { index: 1 }, &data.as_slice().into(), mtu);
             prop_assume!(t.len() > 1);
             let parities = build_parity(&t, k);
             let lost = lost_sel.index(t.len());

@@ -28,7 +28,8 @@
 //!   ordering-constraint analysis.
 //! * [`wire`] — the transmission-unit (TU) wire format: fragmentation of
 //!   ADUs into network-sized units, per-TU integrity, control messages
-//!   (ACK/NACK).
+//!   (ACK/NACK), and the association id every message leads with (the
+//!   demultiplexing key of §3; the association table is `ct-server`'s).
 //! * [`assembler`] — receive stage 1: TU → ADU reassembly with per-ADU
 //!   completion detection, loss detection, and out-of-order ADU release.
 //! * [`transport`] — [`transport::AduTransport`]: the full ALF transport
@@ -37,8 +38,6 @@
 //! * [`fec`] — ADU-level forward error correction (§5 footnote 10):
 //!   single-erasure XOR parity across an ADU's TUs, repairing one lost
 //!   fragment per group without a retransmission round trip.
-//! * [`mux`] — association multiplexing (§3): one endpoint per association
-//!   id, dispatch without mis-delivery.
 //! * [`timer`] — hashed timer wheel: O(1) deadline scheduling with lazy
 //!   cancellation, so timer cost never scales with in-flight count.
 //! * [`driver`] — glue running ADU workloads over `ct-netsim` (packet or
@@ -62,7 +61,6 @@ pub mod assembler;
 pub mod driver;
 pub mod fec;
 mod ids;
-pub mod mux;
 pub mod pipeline;
 pub mod timer;
 pub mod transport;

@@ -174,7 +174,35 @@ impl Pipeline {
     /// Execute conventionally: one full memory pass per stage, with an
     /// intermediate buffer materialised between stages.
     pub fn run_layered(&self, input: &[u8]) -> PipelineOutput {
+        self.layered(input, None)
+    }
+
+    /// [`Pipeline::run_layered`] with every memory pass reported to the
+    /// data-touch ledger: the initial move as stage `pipeline/move`, then
+    /// one entry per manipulation (`wire/checksum`, `crypto/xor`,
+    /// `wire/swap32`, `wire/copy`). For the canonical N-stage receive chain
+    /// this books `1 + N` traversals — the number
+    /// [`Pipeline::layered_passes`] predicts and experiment X9 tabulates.
+    pub fn run_layered_ledgered(
+        &self,
+        input: &[u8],
+        ledger: &ct_telemetry::TouchLedger,
+    ) -> PipelineOutput {
+        self.layered(input, Some(ledger))
+    }
+
+    /// The layered stage loop. Every pass traverses all `input.len()`
+    /// bytes, so each ledger entry is that many reads and (but for the
+    /// read-only checksum) that many writes.
+    fn layered(&self, input: &[u8], ledger: Option<&ct_telemetry::TouchLedger>) -> PipelineOutput {
+        let len = input.len() as u64;
+        let touch = |stage, writes| {
+            if let Some(l) = ledger {
+                l.touch(stage, len, writes);
+            }
+        };
         let mut data = input.to_vec(); // the unavoidable first move
+        touch("pipeline/move", len);
         let mut checksums = Vec::new();
         for s in &self.stages {
             match s {
@@ -182,6 +210,7 @@ impl Pipeline {
                     // A dedicated read-only pass (the production kernel — the
                     // layered baseline is competently implemented).
                     checksums.push(ct_wire::checksum::internet_checksum(&data));
+                    touch("wire/checksum", 0);
                 }
                 Manipulation::Xor { key, offset } => {
                     // A dedicated read-write pass into a fresh buffer
@@ -190,78 +219,23 @@ impl Pipeline {
                     let mut out = vec![0u8; data.len()];
                     cipher.apply(*offset, &data, &mut out);
                     data = out;
+                    touch("crypto/xor", len);
                 }
                 Manipulation::Swap32 => {
                     let mut out = vec![0u8; data.len()];
                     ct_wire::swap::swap32_copy(&data, &mut out);
                     data = out;
+                    touch("wire/swap32", len);
                 }
                 Manipulation::Copy => {
                     let mut out = vec![0u8; data.len()];
                     ct_wire::copy::copy_bytes(&data, &mut out);
                     data = out;
+                    touch("wire/copy", len);
                 }
             }
         }
         PipelineOutput { data, checksums }
-    }
-
-    /// [`Pipeline::run_layered`] with every memory pass reported to the
-    /// data-touch ledger: the initial move as stage `pipeline/move`, then
-    /// each manipulation through its ledgered kernel (`wire/checksum`,
-    /// `crypto/xor`, `wire/swap32`, `wire/copy`). For the canonical N-stage
-    /// receive chain this books `1 + N` traversals — the number
-    /// [`Pipeline::layered_passes`] predicts and experiment X9 tabulates.
-    pub fn run_layered_ledgered(
-        &self,
-        input: &[u8],
-        ledger: &ct_telemetry::TouchLedger,
-    ) -> PipelineOutput {
-        let mut data = input.to_vec();
-        ledger.touch("pipeline/move", input.len() as u64, data.len() as u64);
-        let mut checksums = Vec::new();
-        for s in &self.stages {
-            match s {
-                Manipulation::Checksum => {
-                    checksums.push(ct_wire::ledgered::internet_checksum(&data, ledger));
-                }
-                Manipulation::Xor { key, offset } => {
-                    let cipher = XorStream::new(*key);
-                    let mut out = vec![0u8; data.len()];
-                    cipher.apply_ledgered(*offset, &data, &mut out, ledger);
-                    data = out;
-                }
-                Manipulation::Swap32 => {
-                    let mut out = vec![0u8; data.len()];
-                    ct_wire::ledgered::swap32_copy(&data, &mut out, ledger);
-                    data = out;
-                }
-                Manipulation::Copy => {
-                    let mut out = vec![0u8; data.len()];
-                    ct_wire::ledgered::copy_bytes(&data, &mut out, ledger);
-                    data = out;
-                }
-            }
-        }
-        PipelineOutput { data, checksums }
-    }
-
-    /// [`Pipeline::run_integrated`] with its single traversal reported to
-    /// the data-touch ledger as stage `pipeline/integrated` (`len` reads +
-    /// `len` writes, regardless of chain depth — that constancy is the ILP
-    /// claim).
-    pub fn run_integrated_ledgered(
-        &self,
-        input: &[u8],
-        ledger: &ct_telemetry::TouchLedger,
-    ) -> PipelineOutput {
-        let out = self.run_integrated(input);
-        ledger.touch(
-            "pipeline/integrated",
-            input.len() as u64,
-            out.data.len() as u64,
-        );
-        out
     }
 
     /// Execute integrated: one traversal of memory, whatever the chain.
@@ -271,8 +245,9 @@ impl Pipeline {
     /// output once — the only time its bytes cross the memory bus in either
     /// direction — and then every stage runs over it in place, with the
     /// production kernels, while it sits in L1: the paper's "holding the
-    /// data in cache or registers", and the `len` reads + `len` writes that
-    /// [`Pipeline::run_integrated_ledgered`] books.
+    /// data in cache or registers". Whatever the chain depth that is `len`
+    /// reads + `len` writes — what a caller books in the data-touch ledger
+    /// as stage `pipeline/integrated`, and that constancy is the ILP claim.
     pub fn run_integrated(&self, input: &[u8]) -> PipelineOutput {
         let n_checksums = self
             .stages
@@ -498,7 +473,12 @@ mod tests {
             let lay_ledger = ct_telemetry::TouchLedger::new();
             let int_ledger = ct_telemetry::TouchLedger::new();
             let lay = p.run_layered_ledgered(&input, &lay_ledger);
-            let int = p.run_integrated_ledgered(&input, &int_ledger);
+            let int = p.run_integrated(&input);
+            int_ledger.touch(
+                "pipeline/integrated",
+                input.len() as u64,
+                int.data.len() as u64,
+            );
             assert_eq!(lay, p.run_layered(&input), "n={n}");
             assert_eq!(int, p.run_integrated(&input), "n={n}");
             lay_ledger.deliver(input.len() as u64);

@@ -17,7 +17,7 @@
 //!
 //! Like [`ct_transport::StreamTransport`], the endpoint is synchronous and
 //! poll-driven: `poll(now)` emits wire messages and recompute requests;
-//! `on_message(now, bytes)` ingests them.
+//! `on_frame(now, frame)` ingests them.
 //!
 //! [`ct_transport::StreamTransport`]: ../../ct_transport/stream/struct.StreamTransport.html
 
@@ -26,8 +26,8 @@ use crate::assembler::{Assembler, ShedPolicy};
 use crate::fec;
 use crate::ids::IdRing;
 use crate::wire::{
-    encode_ack, fragments, restamp_tu, Message, Tu, RWND_UNLIMITED, TU_FLAG_PARITY,
-    TU_FLAG_TIMESTAMP,
+    encode_ack, encode_nack, encode_nack_frags, fragments, restamp_tu, Message, Tu,
+    MAX_FRAME_ENTRIES, RWND_UNLIMITED, TU_FLAG_PARITY, TU_FLAG_TIMESTAMP,
 };
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
@@ -780,45 +780,40 @@ impl AduTransport {
         // receiver window (free reassembly budget). A pending window
         // update (probe answer, freed budget) forces an ACK out even with
         // no ids to acknowledge. The id queue is encoded in place and
-        // keeps its allocation.
+        // keeps its allocation. A frame's count field is 16 bits, so a
+        // queue longer than that (a peer replaying one delivered TU queues
+        // an id per replay) goes out as several frames.
         if !self.ack_queue.is_empty() || self.window_ack_due {
             self.window_ack_due = false;
-            let echo = self
+            let mut echo = self
                 .cold
                 .as_mut()
                 .and_then(|c| c.echo_pending.take())
                 .map(|(ts, arrival)| (ts, micros_wrapping(now).wrapping_sub(arrival)));
-            out.push(encode_ack(
-                self.cfg.assoc,
-                &self.ack_queue,
-                echo,
-                self.advertised_rwnd(),
-            ));
+            let rwnd = self.advertised_rwnd();
+            // At least one frame: a pure window update is an id-less ACK.
+            let mut ids = self.ack_queue.as_slice();
+            loop {
+                let (head, rest) = ids.split_at(ids.len().min(MAX_FRAME_ENTRIES));
+                out.push(encode_ack(self.cfg.assoc, head, echo.take(), rwnd));
+                self.stats.control_sent += 1;
+                if rest.is_empty() {
+                    break;
+                }
+                ids = rest;
+            }
             self.ack_queue.clear();
-            self.stats.control_sent += 1;
         }
         if let Some(cold) = &mut self.cold {
-            if !cold.nack_queue.is_empty() {
-                let ids = std::mem::take(&mut cold.nack_queue);
-                out.push(
-                    Message::Nack {
-                        assoc: self.cfg.assoc,
-                        ids,
-                    }
-                    .encode(),
-                );
+            for ids in std::mem::take(&mut cold.nack_queue).chunks(MAX_FRAME_ENTRIES) {
+                out.push(encode_nack(self.cfg.assoc, ids));
                 self.stats.control_sent += 1;
             }
             for (adu_id, ranges) in std::mem::take(&mut cold.nack_frag_out) {
-                out.push(
-                    Message::NackFrags {
-                        assoc: self.cfg.assoc,
-                        adu_id,
-                        ranges,
-                    }
-                    .encode(),
-                );
-                self.stats.control_sent += 1;
+                for ranges in ranges.chunks(MAX_FRAME_ENTRIES) {
+                    out.push(encode_nack_frags(self.cfg.assoc, adu_id, ranges));
+                    self.stats.control_sent += 1;
+                }
             }
         }
         out
@@ -877,28 +872,6 @@ impl AduTransport {
         }
     }
 
-    /// Ingest one wire message from a borrowed buffer. A data TU's payload
-    /// is copied out of the borrow; callers that own the frame should
-    /// prefer [`AduTransport::on_frame`], which reassembles from views.
-    pub fn on_message(&mut self, now: SimTime, buf: &[u8]) {
-        let msg = match Message::decode(buf) {
-            Ok(m) => m,
-            Err(e) => {
-                self.stats.bad_messages += 1;
-                self.count_rejected(e.reason());
-                self.trace(now, "bad_msg", None, 0, 0, buf.len() as u64);
-                return;
-            }
-        };
-        if let Message::Tu(tu) = &msg {
-            // The borrowed-buffer path had to copy the payload out of the
-            // caller's frame — book the pass the zero-copy path eliminates.
-            let len = tu.payload.len() as u64;
-            self.ledger_touch("alf/decode_copy", len, len);
-        }
-        self.on_decoded(now, msg);
-    }
-
     /// Ingest one owned frame, zero-copy: a data TU's payload stays an
     /// O(1) view into `frame` through reassembly, so a single-fragment (or
     /// single-chunk) ADU is released without ever copying its bytes.
@@ -915,8 +888,7 @@ impl AduTransport {
         self.on_decoded(now, msg);
     }
 
-    /// Shared handler behind [`AduTransport::on_message`] /
-    /// [`AduTransport::on_frame`]: the message is already verified.
+    /// The rest of [`AduTransport::on_frame`]: the message is verified.
     fn on_decoded(&mut self, now: SimTime, msg: Message) {
         // Any intact message restarts the dead-peer clock — and revives a
         // peer previously declared unreachable (its lost ADUs stay lost;

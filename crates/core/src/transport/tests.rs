@@ -1,5 +1,10 @@
 use super::*;
-use crate::wire::fragment_adu;
+use crate::wire::{fragment_adu_buf, WireError};
+
+/// Decode an emitted frame (the one copy is this helper's, not the stack's).
+fn decode(frame: &[u8]) -> Result<Message, WireError> {
+    Message::decode_frame(&frame.into())
+}
 
 fn cfg(recovery: RecoveryMode) -> AlfConfig {
     AlfConfig {
@@ -22,10 +27,10 @@ fn pump(a: &mut AduTransport, b: &mut AduTransport, mut now: SimTime) -> SimTime
             return now;
         }
         for f in fa {
-            b.on_message(now, &f);
+            b.on_frame(now, f.into());
         }
         for f in fb {
-            a.on_message(now, &f);
+            a.on_frame(now, f.into());
         }
     }
     panic!("did not quiesce");
@@ -124,7 +129,7 @@ fn buffer_mode_recovers_from_total_loss() {
     assert_eq!(probe.len(), 1, "first-TU probe only");
     assert_eq!(a.stats.probe_tus, 1);
     for f in probe {
-        b.on_message(t1, &f);
+        b.on_frame(t1, f.into());
     }
     // Receiver now has 1400/2000 bytes; its deadline expires and it
     // NACKs the missing range.
@@ -132,13 +137,13 @@ fn buffer_mode_recovers_from_total_loss() {
     let nacks = b.poll(t2);
     assert_eq!(nacks.len(), 1);
     for f in nacks {
-        a.on_message(t2, &f);
+        a.on_frame(t2, f.into());
     }
     let repair = a.poll(t2);
     assert_eq!(repair.len(), 1, "just the missing fragment");
     assert_eq!(a.stats.tus_retransmitted_selective, 1);
     for f in repair {
-        b.on_message(t2, &f);
+        b.on_frame(t2, f.into());
     }
     let (adu, _) = b.recv_adu().unwrap();
     assert_eq!(adu.payload, data);
@@ -182,7 +187,7 @@ fn recompute_mode_asks_application() {
     let retx = a.poll(later);
     assert!(!retx.is_empty());
     for f in retx {
-        b.on_message(later, &f);
+        b.on_frame(later, f.into());
     }
     let (adu, _) = b.recv_adu().unwrap();
     assert_eq!(adu.payload, data);
@@ -222,13 +227,13 @@ fn out_of_order_delivery_counted() {
     // ADU 0 = 3 TUs, ADU 1 = 1 TU. Drop ADU 0's first TU initially.
     assert_eq!(frames.len(), 4);
     let now = SimTime::from_micros(10);
-    b.on_message(now, &frames[1]);
-    b.on_message(now, &frames[2]);
-    b.on_message(now, &frames[3]); // ADU 1 completes first
+    b.on_frame(now, frames[1].as_slice().into());
+    b.on_frame(now, frames[2].as_slice().into());
+    b.on_frame(now, frames[3].as_slice().into()); // ADU 1 completes first
     let (adu, _) = b.recv_adu().unwrap();
     assert_eq!(adu.name, AduName::Seq { index: 1 });
     // Now ADU 0's missing TU arrives.
-    b.on_message(SimTime::from_micros(20), &frames[0]);
+    b.on_frame(SimTime::from_micros(20), frames[0].as_slice().into());
     let (adu0, _) = b.recv_adu().unwrap();
     assert_eq!(adu0.name, AduName::Seq { index: 0 });
     assert_eq!(b.stats.adus_delivered_out_of_order, 1);
@@ -249,11 +254,11 @@ fn nack_triggers_selective_recovery() {
     let frames = a.poll(SimTime::ZERO);
     assert_eq!(frames.len(), 3);
     // Deliver only the first TU: b starts an assembly that will expire.
-    b.on_message(SimTime::from_micros(10), &frames[0]);
+    b.on_frame(SimTime::from_micros(10), frames[0].as_slice().into());
     let nacks = b.poll(SimTime::from_millis(10));
     assert!(!nacks.is_empty(), "expired assembly must be NACKed");
     for f in nacks {
-        a.on_message(SimTime::from_millis(10), &f);
+        a.on_frame(SimTime::from_millis(10), f.into());
     }
     // The first recovery round is selective: only the two missing TUs
     // are resent, not the whole ADU.
@@ -262,7 +267,7 @@ fn nack_triggers_selective_recovery() {
     assert_eq!(a.stats.tus_retransmitted_selective, 2);
     assert_eq!(a.stats.adus_retransmitted, 0);
     for f in retx {
-        b.on_message(SimTime::from_millis(11), &f);
+        b.on_frame(SimTime::from_millis(11), f.into());
     }
     let (adu, _) = b.recv_adu().expect("completed after selective repair");
     assert_eq!(adu.payload, data);
@@ -279,13 +284,13 @@ fn selective_rounds_exhaust_to_whole_adu_nack() {
     a.send_adu(AduName::Seq { index: 0 }, payload(3000))
         .unwrap();
     let frames = a.poll(SimTime::ZERO);
-    b.on_message(SimTime::from_micros(10), &frames[0]);
+    b.on_frame(SimTime::from_micros(10), frames[0].as_slice().into());
     // Round 1 and 2: selective NACKs. Round 3: abandoned + whole NACK.
     let mut whole_nack_seen = false;
     for round in 1..=3u64 {
         let out = b.poll(SimTime::from_millis(10 * round));
         for f in &out {
-            match crate::wire::Message::decode(f).unwrap() {
+            match decode(f).unwrap() {
                 crate::wire::Message::NackFrags { ranges, .. } => {
                     assert!(round <= 2);
                     assert_eq!(ranges, vec![(1400, 1600)]);
@@ -321,7 +326,7 @@ fn out_of_range_repair_request_rejected_and_counted() {
         ranges: vec![(3000, 100), (2900, 200), (0, 0)],
     }
     .encode();
-    a.on_message(SimTime::from_millis(1), &bad);
+    a.on_frame(SimTime::from_millis(1), bad.into());
     assert_eq!(a.stats.nack_range_errors, 3);
     assert_eq!(a.stats.tus_retransmitted_selective, 0);
     assert!(
@@ -336,7 +341,7 @@ fn out_of_range_repair_request_rejected_and_counted() {
         ranges: vec![(u32::MAX - 7, 8), (0, 1400)],
     }
     .encode();
-    a.on_message(SimTime::from_millis(2), &mixed);
+    a.on_frame(SimTime::from_millis(2), mixed.into());
     assert_eq!(a.stats.nack_range_errors, 4);
     assert_eq!(a.stats.tus_retransmitted_selective, 1);
     assert_eq!(a.poll(SimTime::from_millis(2)).len(), 1);
@@ -379,8 +384,8 @@ fn bidirectional_adu_exchange() {
 #[test]
 fn corrupt_messages_counted() {
     let mut b = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
-    b.on_message(SimTime::ZERO, &[0u8; 40]);
-    b.on_message(SimTime::ZERO, &[1, 2, 3]);
+    b.on_frame(SimTime::ZERO, [0u8; 40].into());
+    b.on_frame(SimTime::ZERO, [1u8, 2, 3].into());
     assert_eq!(b.stats.bad_messages, 2);
 }
 
@@ -396,7 +401,7 @@ fn wrong_assoc_ignored() {
     });
     a.send_adu(AduName::Seq { index: 0 }, payload(10)).unwrap();
     for f in a.poll(SimTime::ZERO) {
-        b.on_message(SimTime::ZERO, &f);
+        b.on_frame(SimTime::ZERO, f.into());
     }
     assert!(b.recv_adu().is_none());
 }
@@ -419,7 +424,7 @@ fn fec_repairs_single_tu_loss_without_retransmission() {
         if i == 1 {
             continue;
         }
-        b.on_message(SimTime::from_micros(i as u64), f);
+        b.on_frame(SimTime::from_micros(i as u64), f.as_slice().into());
     }
     let (adu, _) = b.recv_adu().expect("FEC must complete the ADU");
     assert_eq!(adu.payload, data);
@@ -438,7 +443,7 @@ fn fec_parity_loss_harmless() {
     let frames = a.poll(SimTime::ZERO);
     // Drop the parity (last frame), deliver all data.
     for f in &frames[..frames.len() - 1] {
-        b.on_message(SimTime::ZERO, f);
+        b.on_frame(SimTime::ZERO, f.as_slice().into());
     }
     let (adu, _) = b.recv_adu().unwrap();
     assert_eq!(adu.payload, data);
@@ -460,16 +465,16 @@ fn fec_two_losses_fall_back_to_retransmission() {
     a.send_adu(AduName::Seq { index: 0 }, data.clone()).unwrap();
     let frames = a.poll(SimTime::ZERO);
     // Drop two data TUs: parity can't help; NACK path must.
-    b.on_message(SimTime::ZERO, &frames[0]); // first data TU
-    b.on_message(SimTime::ZERO, &frames[3]); // parity (travels last)
+    b.on_frame(SimTime::ZERO, frames[0].as_slice().into()); // first data TU
+    b.on_frame(SimTime::ZERO, frames[3].as_slice().into()); // parity (travels last)
     assert!(b.recv_adu().is_none());
     let nacks = b.poll(SimTime::from_millis(5));
     assert!(!nacks.is_empty());
     for f in nacks {
-        a.on_message(SimTime::from_millis(5), &f);
+        a.on_frame(SimTime::from_millis(5), f.into());
     }
     for f in a.poll(SimTime::from_millis(5)) {
-        b.on_message(SimTime::from_millis(6), &f);
+        b.on_frame(SimTime::from_millis(6), f.into());
     }
     let (adu, _) = b.recv_adu().expect("selective repair completes it");
     assert_eq!(adu.payload, data);
@@ -482,7 +487,7 @@ fn timestamps_off_by_default_zero_jitter() {
     a.send_adu(AduName::Seq { index: 0 }, payload(3000))
         .unwrap();
     for (i, f) in a.poll(SimTime::ZERO).iter().enumerate() {
-        b.on_message(SimTime::from_micros(100 * i as u64), f);
+        b.on_frame(SimTime::from_micros(100 * i as u64), f.as_slice().into());
     }
     assert_eq!(b.stats.timestamped_tus, 0);
     assert_eq!(b.stats.jitter_us, 0.0);
@@ -501,7 +506,7 @@ fn steady_arrivals_converge_to_low_jitter() {
         let t = SimTime::from_micros(i * 1000);
         a.send_adu(AduName::Seq { index: i }, payload(100)).unwrap();
         for f in a.poll(t) {
-            b.on_message(t + SimDuration::from_micros(40), &f);
+            b.on_frame(t + SimDuration::from_micros(40), f.into());
         }
     }
     assert_eq!(b.stats.timestamped_tus, 50);
@@ -525,7 +530,7 @@ fn variable_delay_raises_jitter() {
         // Alternate 40 µs and 640 µs transit: |D| = 600 µs.
         let transit = if i % 2 == 0 { 40 } else { 640 };
         for f in a.poll(t) {
-            b.on_message(t + SimDuration::from_micros(transit), &f);
+            b.on_frame(t + SimDuration::from_micros(transit), f.into());
         }
     }
     assert!(
@@ -551,7 +556,7 @@ fn probe_retransmission_carries_timestamp_when_configured() {
     let probe = a.poll(t1);
     assert_eq!(probe.len(), 1);
     assert_eq!(a.stats.probe_tus, 1);
-    let Ok(Message::Tu(tu)) = Message::decode(&probe[0]) else {
+    let Ok(Message::Tu(tu)) = decode(&probe[0]) else {
         panic!("probe must decode as a TU");
     };
     assert_ne!(tu.flags & TU_FLAG_TIMESTAMP, 0, "probe must be stamped");
@@ -571,16 +576,16 @@ fn selective_repair_tus_carry_timestamps_when_configured() {
     a.send_adu(AduName::Seq { index: 0 }, payload(3000))
         .unwrap(); // 3 TUs
     let frames = a.poll(SimTime::ZERO);
-    b.on_message(SimTime::from_micros(10), &frames[0]);
+    b.on_frame(SimTime::from_micros(10), frames[0].as_slice().into());
     let nacks = b.poll(SimTime::from_millis(10));
     for f in nacks {
-        a.on_message(SimTime::from_millis(10), &f);
+        a.on_frame(SimTime::from_millis(10), f.into());
     }
     let t = SimTime::from_millis(10);
     let repairs = a.poll(t);
     assert_eq!(repairs.len(), 2);
     for f in &repairs {
-        let Ok(Message::Tu(tu)) = Message::decode(f) else {
+        let Ok(Message::Tu(tu)) = decode(f) else {
             panic!("repair must decode as a TU");
         };
         assert_ne!(tu.flags & TU_FLAG_TIMESTAMP, 0, "repair must be stamped");
@@ -606,11 +611,11 @@ fn rtt_sampling_survives_microsecond_clock_wrap() {
         a.send_adu(AduName::Seq { index: i }, payload(400)).unwrap();
         now += SimDuration::from_micros(100);
         for f in a.poll(now) {
-            b.on_message(now + SimDuration::from_micros(50), &f);
+            b.on_frame(now + SimDuration::from_micros(50), f.into());
         }
         now += SimDuration::from_micros(100);
         for f in b.poll(now) {
-            a.on_message(now + SimDuration::from_micros(50), &f);
+            a.on_frame(now + SimDuration::from_micros(50), f.into());
         }
     }
     // The wrap falls inside the second iteration; well over half the
@@ -639,7 +644,7 @@ fn jitter_estimator_survives_microsecond_clock_wrap() {
         let t = SimTime::from_micros((1u64 << 32) - 25_000 + i * 1000);
         a.send_adu(AduName::Seq { index: i }, payload(100)).unwrap();
         for f in a.poll(t) {
-            b.on_message(t + SimDuration::from_micros(40), &f);
+            b.on_frame(t + SimDuration::from_micros(40), f.into());
         }
     }
     assert_eq!(b.stats.timestamped_tus, 50);
@@ -709,7 +714,7 @@ fn cwnd_halves_on_loss_and_regrows_on_acks() {
     );
     // Recovery: deliver the retransmission, keep exchanging cleanly.
     for f in retx {
-        b.on_message(now, &f);
+        b.on_frame(now, f.into());
     }
     now = pump(&mut a, &mut b, now);
     for i in 100..130u64 {
@@ -779,9 +784,9 @@ fn delivery_latency_recorded() {
     a.send_adu(AduName::Seq { index: 0 }, payload(3000))
         .unwrap();
     let frames = a.poll(SimTime::ZERO);
-    b.on_message(SimTime::from_millis(1), &frames[0]);
-    b.on_message(SimTime::from_millis(2), &frames[1]);
-    b.on_message(SimTime::from_millis(4), &frames[2]);
+    b.on_frame(SimTime::from_millis(1), frames[0].as_slice().into());
+    b.on_frame(SimTime::from_millis(2), frames[1].as_slice().into());
+    b.on_frame(SimTime::from_millis(4), frames[2].as_slice().into());
     let (_, latency) = b.recv_adu().unwrap();
     assert_eq!(latency, SimDuration::from_millis(3));
     assert_eq!(b.stats.delivery_latency_max, SimDuration::from_millis(3));
@@ -802,12 +807,12 @@ fn acks_advertise_receiver_window() {
         .unwrap();
     let frames = a.poll(SimTime::ZERO);
     for f in &frames {
-        b.on_message(SimTime::ZERO, f);
+        b.on_frame(SimTime::ZERO, f.as_slice().into());
     }
     let out = b.poll(SimTime::from_micros(10));
     let ack = out
         .iter()
-        .find_map(|f| match Message::decode(f) {
+        .find_map(|f| match decode(f) {
             Ok(Message::Ack { ids, rwnd, .. }) => Some((ids, rwnd)),
             _ => None,
         })
@@ -817,11 +822,11 @@ fn acks_advertise_receiver_window() {
     assert_eq!(ack.1, 64 * 1024);
     // An endpoint without a budget advertises an unlimited window.
     let mut c = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
-    c.on_message(SimTime::ZERO, &frames[0]);
+    c.on_frame(SimTime::ZERO, frames[0].as_slice().into());
     let out = c.poll(SimTime::from_micros(10));
     let rwnd = out
         .iter()
-        .find_map(|f| match Message::decode(f) {
+        .find_map(|f| match decode(f) {
             Ok(Message::Ack { rwnd, .. }) => Some(rwnd),
             _ => None,
         })
@@ -856,7 +861,7 @@ fn backpressure_never_exceeds_budget_and_recovers() {
         let fb = b.poll(now);
         for f in fa {
             if tail_drops < 6 {
-                if let Ok(Message::Tu(tu)) = Message::decode(&f) {
+                if let Ok(Message::Tu(tu)) = decode(&f) {
                     if tu.frag_off > 0
                         && tu.frag_off as usize + tu.payload.len() == tu.adu_len as usize
                     {
@@ -865,10 +870,10 @@ fn backpressure_never_exceeds_budget_and_recovers() {
                     }
                 }
             }
-            b.on_message(now, &f);
+            b.on_frame(now, f.into());
         }
         for f in fb {
-            a.on_message(now, &f);
+            a.on_frame(now, f.into());
         }
         // The invariant the budget exists to enforce:
         assert!(
@@ -913,12 +918,12 @@ fn zero_window_probe_backs_off_and_resumes() {
         rwnd: 0,
     }
     .encode();
-    a.on_message(SimTime::ZERO, &shut);
+    a.on_frame(SimTime::ZERO, shut.into());
     let frames = a.poll(SimTime::ZERO);
     assert!(
         frames
             .iter()
-            .all(|f| matches!(Message::decode(f), Ok(Message::WindowProbe { .. }))),
+            .all(|f| matches!(decode(f), Ok(Message::WindowProbe { .. }))),
         "no data may move through a zero window"
     );
     assert_eq!(a.stats.zero_window_probes, 1);
@@ -938,11 +943,11 @@ fn zero_window_probe_backs_off_and_resumes() {
         rwnd: RWND_UNLIMITED,
     }
     .encode();
-    a.on_message(SimTime::from_millis(200), &open);
+    a.on_frame(SimTime::from_millis(200), open.into());
     let frames = a.poll(SimTime::from_millis(200));
     assert!(frames
         .iter()
-        .any(|f| matches!(Message::decode(f), Ok(Message::Tu(_)))));
+        .any(|f| matches!(decode(f), Ok(Message::Tu(_)))));
     assert_eq!(a.stats.zero_window_probes, 2, "no probe after reopen");
 }
 
@@ -952,11 +957,14 @@ fn window_probe_answered_with_id_less_ack() {
         reassembly_budget_bytes: 4096,
         ..cfg(RecoveryMode::TransportBuffer)
     });
-    b.on_message(SimTime::ZERO, &Message::WindowProbe { assoc: 1 }.encode());
+    b.on_frame(
+        SimTime::ZERO,
+        Message::WindowProbe { assoc: 1 }.encode().into(),
+    );
     let out = b.poll(SimTime::from_micros(10));
     let (ids, rwnd) = out
         .iter()
-        .find_map(|f| match Message::decode(f) {
+        .find_map(|f| match decode(f) {
             Ok(Message::Ack { ids, rwnd, .. }) => Some((ids, rwnd)),
             _ => None,
         })
@@ -997,7 +1005,7 @@ fn silent_peer_declared_unreachable_then_heals() {
         rwnd: RWND_UNLIMITED,
     }
     .encode();
-    a.on_message(now, &ack);
+    a.on_frame(now, ack.into());
     assert!(!a.peer_unreachable());
     assert!(a.send_adu(AduName::Seq { index: 8 }, payload(10)).is_ok());
 }
@@ -1061,23 +1069,54 @@ fn drop_oldest_shedding_for_media_counted() {
     // Three incomplete 3000-byte assemblies can't coexist under 4 KiB:
     // each newcomer evicts the previous (oldest) one.
     for id in 0..3u64 {
-        let tus = fragment_adu(
+        let tus = fragment_adu_buf(
             1,
             id,
             AduName::Media {
                 frame: id as u32,
                 slot: 0,
             },
-            &payload(3000),
+            &payload(3000).into(),
             1400,
         );
-        b.on_message(
-            SimTime::from_millis(id),
-            &Message::Tu(tus[0].clone()).encode(),
-        );
+        b.on_frame(SimTime::from_millis(id), tus[0].encode().into());
         assert!(b.reassembly_bytes() <= BUDGET);
     }
     assert_eq!(b.assembler_stats().adus_shed, 2);
     let _ = b.poll(SimTime::from_millis(10));
     assert_eq!(b.stats.adus_shed, 2, "sheds surface in AlfStats");
+}
+
+#[test]
+fn ack_queue_past_the_count_field_goes_out_as_whole_frames() {
+    // An ACK's id count is 16 bits. A peer (or a replaying middlebox) that
+    // repeats one delivered TU queues one re-ACK id per repeat; 70 000 of
+    // them between two polls must leave as frames that each decode, not
+    // as one frame whose count wrapped.
+    const REPLAYS: usize = 70_000;
+    let mut a = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
+    let mut b = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
+    a.send_adu(AduName::Seq { index: 0 }, payload(100)).unwrap();
+    let frames = a.poll(SimTime::ZERO);
+    assert_eq!(frames.len(), 1);
+    let tu = WireBuf::from(frames.into_iter().next().unwrap());
+    b.on_frame(SimTime::ZERO, tu.clone());
+    assert!(b.recv_adu().is_some());
+    assert_eq!(b.poll(SimTime::ZERO).len(), 1, "the first ACK");
+    for _ in 0..REPLAYS {
+        b.on_frame(SimTime::from_micros(1), tu.clone());
+    }
+    assert_eq!(b.stats.tus_replayed, REPLAYS as u64);
+    let acks = b.poll(SimTime::from_micros(2));
+    assert_eq!(acks.len(), 2);
+    let mut acked = 0;
+    for f in &acks {
+        let Ok(Message::Ack { ids, .. }) = decode(f) else {
+            panic!("every emitted frame must decode as an ACK");
+        };
+        assert!(ids.iter().all(|&id| id == 0));
+        acked += ids.len();
+    }
+    assert_eq!(acked, REPLAYS);
+    assert_eq!(b.stats.control_sent, 3);
 }

@@ -49,6 +49,25 @@ const ACK_FLAG_ECHO: u8 = 0x01;
 /// Byte offset of `timestamp_us` within an encoded TU frame.
 const TU_TIMESTAMP_OFFSET: usize = 1 + 1 + 2 + 2 + 8 + 4 + 4 + 2;
 
+/// Byte offset of `assoc` within every encoded message: type, flags,
+/// checksum, then the association id — in the fixed prefix, where stage-1
+/// control can demultiplex without touching the payload (§6: "at least some
+/// part of the data must be extracted from the network before it can be
+/// demultiplexed").
+const ASSOC_OFFSET: usize = 4;
+
+/// The most ids (ACK, NACK) or ranges (selective NACK) one control frame
+/// carries: its count field is 16 bits. Senders of longer queues emit
+/// several frames.
+pub(crate) const MAX_FRAME_ENTRIES: usize = u16::MAX as usize;
+
+/// Read the association id out of a wire message without decoding it.
+/// Returns `None` for messages too short to carry one.
+pub fn peek_assoc(buf: &[u8]) -> Option<u16> {
+    let field = buf.get(ASSOC_OFFSET..ASSOC_OFFSET + 2)?;
+    Some(u16::from_be_bytes([field[0], field[1]]))
+}
+
 /// One transmission unit: a fragment of an ADU.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tu {
@@ -125,7 +144,7 @@ pub enum Message {
     },
 }
 
-/// Errors from [`Message::decode`].
+/// Errors from [`Message::decode_frame`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// Shorter than any valid message.
@@ -224,9 +243,20 @@ impl Tu {
     }
 }
 
+/// A control frame's 16-bit entry count. A cast here would wrap a longer
+/// list to a count that disagrees with the entries behind it — a frame
+/// every receiver rejects — so the bound is checked, and the transport
+/// chunks its queues to [`MAX_FRAME_ENTRIES`] before encoding.
+fn entry_count(n: usize) -> u16 {
+    u16::try_from(n).expect("a control frame carries at most u16::MAX entries")
+}
+
 /// Encode an ACK to wire bytes (checksum sealed) from borrowed fields — the
 /// one ACK encoder: the transport passes its pending-id queue as a slice
 /// (and keeps the queue's allocation), [`Message::encode`] its `ids`.
+///
+/// # Panics
+/// If `ids` is longer than the 16-bit count field can state.
 pub fn encode_ack(assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(20 + ids.len() * 8);
     let mut w = HeaderWriter::new(&mut out);
@@ -235,7 +265,7 @@ pub fn encode_ack(assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) 
         .put_u8(flags)
         .put_u16(0)
         .put_u16(assoc)
-        .put_u16(ids.len() as u16)
+        .put_u16(entry_count(ids.len()))
         .put_u32(rwnd);
     if let Some((ts, hold)) = echo {
         out.extend_from_slice(&ts.to_be_bytes());
@@ -248,8 +278,46 @@ pub fn encode_ack(assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) 
     out
 }
 
+/// Encode a whole-ADU NACK from a borrowed id list (see [`encode_ack`]).
+pub(crate) fn encode_nack(assoc: u16, ids: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + ids.len() * 8);
+    let mut w = HeaderWriter::new(&mut out);
+    w.put_u8(T_NACK)
+        .put_u8(0)
+        .put_u16(0)
+        .put_u16(assoc)
+        .put_u16(entry_count(ids.len()));
+    for id in ids {
+        out.extend_from_slice(&id.to_be_bytes());
+    }
+    seal_checksum(&mut out);
+    out
+}
+
+/// Encode a selective NACK from a borrowed range list (see [`encode_ack`]).
+pub(crate) fn encode_nack_frags(assoc: u16, adu_id: u64, ranges: &[(u32, u32)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16 + ranges.len() * 8);
+    let mut w = HeaderWriter::new(&mut out);
+    w.put_u8(T_NACK_FRAGS)
+        .put_u8(0)
+        .put_u16(0)
+        .put_u16(assoc)
+        .put_u64(adu_id)
+        .put_u16(entry_count(ranges.len()));
+    for (off, len) in ranges {
+        out.extend_from_slice(&off.to_be_bytes());
+        out.extend_from_slice(&len.to_be_bytes());
+    }
+    seal_checksum(&mut out);
+    out
+}
+
 impl Message {
     /// Encode to wire bytes (checksum sealed).
+    ///
+    /// # Panics
+    /// If an id or range list is longer than the frame's 16-bit count
+    /// field can state.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Message::Tu(tu) => tu.encode(),
@@ -257,22 +325,7 @@ impl Message {
                 assoc,
                 adu_id,
                 ranges,
-            } => {
-                let mut out = Vec::with_capacity(16 + ranges.len() * 8);
-                let mut w = HeaderWriter::new(&mut out);
-                w.put_u8(T_NACK_FRAGS)
-                    .put_u8(0)
-                    .put_u16(0)
-                    .put_u16(*assoc)
-                    .put_u64(*adu_id)
-                    .put_u16(ranges.len() as u16);
-                for (off, len) in ranges {
-                    out.extend_from_slice(&off.to_be_bytes());
-                    out.extend_from_slice(&len.to_be_bytes());
-                }
-                seal_checksum(&mut out);
-                out
-            }
+            } => encode_nack_frags(*assoc, *adu_id, ranges),
             Message::Ack {
                 assoc,
                 ids,
@@ -290,32 +343,8 @@ impl Message {
                 seal_checksum(&mut out);
                 out
             }
-            Message::Nack { assoc, ids } => {
-                let mut out = Vec::with_capacity(8 + ids.len() * 8);
-                let mut w = HeaderWriter::new(&mut out);
-                w.put_u8(T_NACK)
-                    .put_u8(0)
-                    .put_u16(0)
-                    .put_u16(*assoc)
-                    .put_u16(ids.len() as u16);
-                for id in ids {
-                    out.extend_from_slice(&id.to_be_bytes());
-                }
-                seal_checksum(&mut out);
-                out
-            }
+            Message::Nack { assoc, ids } => encode_nack(*assoc, ids),
         }
-    }
-
-    /// Decode and verify a wire message from a borrowed buffer. A decoded
-    /// TU's payload is copied out (the borrow cannot outlive the call) —
-    /// callers that own the frame should prefer [`Message::decode_frame`],
-    /// which keeps the payload as a view into it.
-    ///
-    /// # Errors
-    /// [`WireError`] on truncation, corruption, or malformed fields.
-    pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
-        Self::decode_impl(buf, None)
     }
 
     /// Decode and verify a wire message from an owned frame, zero-copy: a
@@ -325,10 +354,7 @@ impl Message {
     /// # Errors
     /// [`WireError`] on truncation, corruption, or malformed fields.
     pub fn decode_frame(frame: &WireBuf) -> Result<Message, WireError> {
-        Self::decode_impl(frame.as_slice(), Some(frame))
-    }
-
-    fn decode_impl(buf: &[u8], frame: Option<&WireBuf>) -> Result<Message, WireError> {
+        let buf = frame.as_slice();
         if buf.len() < 8 {
             return Err(WireError::Truncated);
         }
@@ -354,8 +380,7 @@ impl Message {
                 let frag_len = r.get_u16().map_err(|_| WireError::Truncated)? as usize;
                 let timestamp_us = r.get_u32().map_err(|_| WireError::Truncated)?;
                 let name = AduName::decode(&mut r).map_err(WireError::Name)?;
-                let payload = r.rest();
-                if payload.len() != frag_len {
+                if r.remaining() != frag_len {
                     return Err(WireError::LengthMismatch);
                 }
                 // Data fragments must fit inside the ADU; parity TUs cover
@@ -364,11 +389,6 @@ impl Message {
                 {
                     return Err(WireError::FragmentOutOfRange);
                 }
-                let payload = match frame {
-                    // Zero-copy: the payload is the frame's tail, viewed.
-                    Some(f) => f.slice(TU_HEADER_BYTES..),
-                    None => WireBuf::copy_from_slice(payload),
-                };
                 Ok(Message::Tu(Tu {
                     flags,
                     assoc,
@@ -377,7 +397,8 @@ impl Message {
                     adu_len,
                     frag_off,
                     name,
-                    payload,
+                    // Zero-copy: the payload is the frame's tail, viewed.
+                    payload: frame.slice(TU_HEADER_BYTES..),
                 }))
             }
             T_NACK_FRAGS => {
@@ -460,31 +481,13 @@ pub fn restamp_tu(frame: &mut [u8], ts_us: u32) {
     seal_checksum(frame);
 }
 
-/// Split an ADU payload into TUs of at most `mtu_payload` fragment bytes.
-/// Zero-length ADUs produce a single empty TU (the name still travels).
-///
-/// Borrowed-slice compatibility wrapper: pays one copy into a fresh chunk,
-/// which every fragment then views. Callers holding a [`WireBuf`] (or an
-/// owned `Vec`) should use [`fragment_adu_buf`], which copies nothing.
-pub fn fragment_adu(
-    assoc: u16,
-    adu_id: u64,
-    name: AduName,
-    payload: &[u8],
-    mtu_payload: usize,
-) -> Vec<Tu> {
-    fragment_adu_buf(
-        assoc,
-        adu_id,
-        name,
-        &WireBuf::copy_from_slice(payload),
-        mtu_payload,
-    )
-}
-
 /// Split an ADU payload into TUs of at most `mtu_payload` fragment bytes,
 /// zero-copy: every fragment is an O(1) view into `payload`'s chunk.
 /// Zero-length ADUs produce a single empty TU (the name still travels).
+///
+/// This is the crate's lazy fragmenter, collected. The transport encodes
+/// each TU as it is cut and never calls this; it is `pub`, with this
+/// signature, because `benchmark/src/probes.rs` imports it.
 pub fn fragment_adu_buf(
     assoc: u16,
     adu_id: u64,
@@ -495,8 +498,8 @@ pub fn fragment_adu_buf(
     fragments(assoc, adu_id, name, payload, mtu_payload).collect()
 }
 
-/// [`fragment_adu_buf`], lazily: the send path encodes each TU as it is
-/// cut and never holds the list.
+/// The fragmenter: the send path encodes each TU as it is cut and never
+/// holds the list.
 pub(crate) fn fragments(
     assoc: u16,
     adu_id: u64,
@@ -522,6 +525,10 @@ pub(crate) fn fragments(
 mod tests {
     use super::*;
 
+    fn decode(wire: &[u8]) -> Result<Message, WireError> {
+        Message::decode_frame(&wire.into())
+    }
+
     fn sample_tu() -> Tu {
         Tu {
             flags: 0,
@@ -540,7 +547,7 @@ mod tests {
         let m = Message::Tu(sample_tu());
         let wire = m.encode();
         assert_eq!(wire.len(), TU_HEADER_BYTES + 250);
-        assert_eq!(Message::decode(&wire).unwrap(), m);
+        assert_eq!(decode(&wire).unwrap(), m);
     }
 
     #[test]
@@ -586,7 +593,7 @@ mod tests {
                 ranges: vec![(0, 100), (1400, 2800), (u32::MAX - 8, 8)],
             },
         ] {
-            assert_eq!(Message::decode(&m.encode()).unwrap(), m);
+            assert_eq!(decode(&m.encode()).unwrap(), m);
         }
     }
 
@@ -596,15 +603,15 @@ mod tests {
         for i in (0..wire.len()).step_by(7) {
             let mut bad = wire.clone();
             bad[i] ^= 0x08;
-            assert!(Message::decode(&bad).is_err(), "flip at {i}");
+            assert!(decode(&bad).is_err(), "flip at {i}");
         }
     }
 
     #[test]
     fn truncation_caught() {
         let wire = Message::Tu(sample_tu()).encode();
-        assert_eq!(Message::decode(&wire[..4]), Err(WireError::Truncated));
-        assert!(Message::decode(&wire[..TU_HEADER_BYTES - 1]).is_err());
+        assert_eq!(decode(&wire[..4]), Err(WireError::Truncated));
+        assert!(decode(&wire[..TU_HEADER_BYTES - 1]).is_err());
     }
 
     #[test]
@@ -615,13 +622,19 @@ mod tests {
             ..sample_tu()
         };
         let wire = Message::Tu(tu).encode();
-        assert_eq!(Message::decode(&wire), Err(WireError::FragmentOutOfRange));
+        assert_eq!(decode(&wire), Err(WireError::FragmentOutOfRange));
     }
 
     #[test]
     fn fragmentation_covers_exactly() {
         let payload: Vec<u8> = (0..2500u32).map(|i| i as u8).collect();
-        let tus = fragment_adu(1, 9, AduName::Seq { index: 9 }, &payload, 1000);
+        let tus = fragment_adu_buf(
+            1,
+            9,
+            AduName::Seq { index: 9 },
+            &payload.clone().into(),
+            1000,
+        );
         assert_eq!(tus.len(), 3);
         assert_eq!(tus[0].payload.len(), 1000);
         assert_eq!(tus[2].payload.len(), 500);
@@ -637,13 +650,13 @@ mod tests {
 
     #[test]
     fn empty_adu_single_tu() {
-        let tus = fragment_adu(1, 2, AduName::Seq { index: 2 }, &[], 1000);
+        let tus = fragment_adu_buf(1, 2, AduName::Seq { index: 2 }, &WireBuf::empty(), 1000);
         assert_eq!(tus.len(), 1);
         assert!(tus[0].payload.is_empty());
         assert_eq!(tus[0].adu_len, 0);
         // And it survives the wire.
         let wire = Message::Tu(tus[0].clone()).encode();
-        assert!(Message::decode(&wire).is_ok());
+        assert!(decode(&wire).is_ok());
     }
 
     #[test]
@@ -651,9 +664,9 @@ mod tests {
         // §7: any single TU identifies its ADU, name, and placement.
         let payload = vec![1u8; 5000];
         let name = AduName::Media { frame: 30, slot: 2 };
-        for tu in fragment_adu(3, 77, name, &payload, 1400) {
+        for tu in fragment_adu_buf(3, 77, name, &payload.into(), 1400) {
             let wire = Message::Tu(tu.clone()).encode();
-            match Message::decode(&wire).unwrap() {
+            match decode(&wire).unwrap() {
                 Message::Tu(got) => {
                     assert_eq!(got.adu_id, 77);
                     assert_eq!(got.name, name);
@@ -667,14 +680,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "mtu_payload must be positive")]
     fn zero_mtu_panics() {
-        fragment_adu(1, 1, AduName::Seq { index: 1 }, &[1], 0);
+        fragment_adu_buf(1, 1, AduName::Seq { index: 1 }, &[1u8].into(), 0);
     }
 
     #[test]
     fn restamp_patches_timestamp_and_reseals() {
         let mut wire = Message::Tu(sample_tu()).encode();
         restamp_tu(&mut wire, 0xDEAD_BEEF);
-        match Message::decode(&wire).expect("checksum must be resealed") {
+        match decode(&wire).expect("checksum must be resealed") {
             Message::Tu(tu) => {
                 assert_eq!(tu.timestamp_us, 0xDEAD_BEEF);
                 assert_ne!(tu.flags & TU_FLAG_TIMESTAMP, 0);
@@ -717,39 +730,15 @@ mod tests {
     }
 
     #[test]
-    fn decode_frame_matches_decode() {
-        // Both decode paths agree on every message shape, including errors.
-        for m in [
-            Message::Tu(sample_tu()),
-            Message::Ack {
-                assoc: 1,
-                ids: vec![5, 6],
-                echo: Some((9, 9)),
-                rwnd: 100,
-            },
-            Message::Nack {
-                assoc: 2,
-                ids: vec![1],
-            },
-            Message::NackFrags {
-                assoc: 3,
-                adu_id: 4,
-                ranges: vec![(0, 10)],
-            },
-            Message::WindowProbe { assoc: 5 },
-        ] {
-            let wire = m.encode();
-            assert_eq!(
-                Message::decode(&wire).unwrap(),
-                Message::decode_frame(&WireBuf::from_vec(wire.clone())).unwrap()
-            );
-            let mut bad = wire;
-            bad[4] ^= 0xFF;
-            assert_eq!(
-                Message::decode(&bad),
-                Message::decode_frame(&WireBuf::from_vec(bad.clone()))
-            );
-        }
+    fn peek_assoc_reads_header() {
+        let tu = Tu {
+            assoc: 0xBEEF,
+            ..sample_tu()
+        };
+        assert_eq!(peek_assoc(&tu.encode()), Some(0xBEEF));
+        let ack = encode_ack(0x0102, &[], None, RWND_UNLIMITED);
+        assert_eq!(peek_assoc(&ack), Some(0x0102));
+        assert_eq!(peek_assoc(&[1, 2, 3]), None);
     }
 
     #[test]
@@ -782,22 +771,9 @@ mod proptests {
 
     proptest! {
         #[test]
-        fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let _ = Message::decode(&bytes);
-        }
-
-        #[test]
         fn prop_decode_frame_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-            // The owned-frame ingest path must be just as total as the
-            // borrowed one: every input returns Ok or a typed WireError.
-            let frame = WireBuf::from_vec(bytes.clone());
-            let owned = Message::decode_frame(&frame);
-            let borrowed = Message::decode(&bytes);
-            match (&owned, &borrowed) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(a), Err(b)) => prop_assert_eq!(a.reason(), b.reason()),
-                _ => prop_assert!(false, "ingest paths disagree: {owned:?} vs {borrowed:?}"),
-            }
+            // Total: every input returns Ok or a typed WireError.
+            let _ = Message::decode_frame(&bytes.into());
         }
 
         #[test]
@@ -805,7 +781,7 @@ mod proptests {
             payload in proptest::collection::vec(any::<u8>(), 0..5000),
             mtu in 1usize..2000,
         ) {
-            let tus = fragment_adu(1, 1, AduName::Seq { index: 1 }, &payload, mtu);
+            let tus = fragment_adu_buf(1, 1, AduName::Seq { index: 1 }, &payload.clone().into(), mtu);
             let mut rebuilt = vec![0u8; payload.len()];
             let mut covered = 0usize;
             for tu in &tus {

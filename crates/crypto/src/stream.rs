@@ -78,32 +78,6 @@ impl XorStream {
         pos
     }
 
-    /// [`XorStream::apply_in_place`], reporting the read-modify-write pass
-    /// (`len` reads + `len` writes) to the data-touch ledger as stage
-    /// `crypto/xor`.
-    pub fn apply_in_place_ledgered(
-        &self,
-        offset: u64,
-        data: &mut [u8],
-        ledger: &ct_telemetry::TouchLedger,
-    ) {
-        self.apply_in_place(offset, data);
-        ledger.touch("crypto/xor", data.len() as u64, data.len() as u64);
-    }
-
-    /// [`XorStream::apply`], reporting `len` reads + `len` writes to the
-    /// data-touch ledger as stage `crypto/xor`.
-    pub fn apply_ledgered(
-        &self,
-        offset: u64,
-        src: &[u8],
-        dst: &mut [u8],
-        ledger: &ct_telemetry::TouchLedger,
-    ) {
-        self.apply(offset, src, dst);
-        ledger.touch("crypto/xor", src.len() as u64, dst.len() as u64);
-    }
-
     /// Encrypt/decrypt from `src` into `dst`: each L1-sized piece is moved
     /// and then run through [`XorStream::apply_in_place`] while it is
     /// cache-resident, so memory is still traversed once.

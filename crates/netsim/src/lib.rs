@@ -23,7 +23,7 @@
 //!   the adaptation sublayer), segmentation and reassembly with cell-loss
 //!   detection; lost cell ⇒ whole PDU discarded, as the paper's §5
 //!   footnote 9 describes.
-//! * [`trace`] — counters and an optional per-frame trace ring.
+//! * [`trace`] — the always-on counter block ([`trace::NetStats`]).
 //!
 //! ## Determinism
 //!

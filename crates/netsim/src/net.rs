@@ -29,7 +29,7 @@ use crate::fault::{
 use crate::link::{LinkConfig, LinkRefusal, LinkState};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{FrameEvent, FrameTrace, NetStats, TraceRecord};
+use crate::trace::{FrameEvent, NetStats};
 use ct_telemetry::Telemetry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -132,7 +132,6 @@ pub struct Network {
     now: SimTime,
     rng: SimRng,
     stats: NetStats,
-    trace: Option<FrameTrace>,
     telemetry: Option<Telemetry>,
 }
 
@@ -151,23 +150,11 @@ impl Network {
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             stats: NetStats::default(),
-            trace: None,
             telemetry: None,
         }
     }
 
-    /// Turn on per-frame event tracing, keeping the most recent `capacity`
-    /// records (smoltcp's `--pcap` in spirit; text instead of libpcap).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(FrameTrace::new(capacity));
-    }
-
-    /// The frame trace, if enabled.
-    pub fn trace(&self) -> Option<&FrameTrace> {
-        self.trace.as_ref()
-    }
-
-    /// Attach a shared telemetry sink: frame events additionally land in
+    /// Attach a shared telemetry sink: frame events land in
     /// its unified flight recorder (layer `"net"`, operands = node ids) and
     /// its counters mirror [`NetStats`] as `net.*` at each event.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
@@ -175,15 +162,6 @@ impl Network {
     }
 
     fn record(&mut self, event: FrameEvent, src: NodeId, dst: NodeId, len: usize) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(TraceRecord {
-                at: self.now,
-                event,
-                src,
-                dst,
-                len,
-            });
-        }
         if let Some(tel) = self.telemetry.as_ref() {
             // With span sampling armed, the per-frame mirror is suppressed:
             // at 100k associations this firehose of counter bumps and
@@ -866,11 +844,17 @@ mod tests {
         assert_eq!(net.now(), SimTime::from_millis(1));
     }
 
+    /// The `(kind, src, dst)` of every event the attached recorder holds.
+    fn recorded(tel: &Telemetry) -> Vec<(&'static str, u64, u64)> {
+        let events = tel.trace_events();
+        events.iter().map(|e| (e.kind, e.a, e.b)).collect()
+    }
+
     #[test]
     fn trace_records_full_frame_lifecycle() {
-        use crate::trace::FrameEvent;
+        let tel = Telemetry::with_tracing(64);
         let mut net = Network::new(44);
-        net.enable_trace(64);
+        net.attach_telemetry(tel.clone());
         let a = net.add_node();
         let r = net.add_node();
         let b = net.add_node();
@@ -878,31 +862,31 @@ mod tests {
         net.connect(r, b, LinkConfig::lan(), FaultConfig::none());
         net.send(a, b, vec![1, 2, 3]).unwrap();
         net.run_until_idle();
-        let events: Vec<FrameEvent> = net.trace().unwrap().records().map(|r| r.event).collect();
+        // Every event names the frame's end points: n0 -> n2.
         assert_eq!(
-            events,
+            recorded(&tel),
             vec![
-                FrameEvent::Sent,
-                FrameEvent::Forwarded,
-                FrameEvent::Delivered
+                ("frame_send", 0, 2),
+                ("frame_forward", 0, 2),
+                ("frame_deliver", 0, 2)
             ]
         );
-        let dump = net.trace().unwrap().dump();
-        assert!(dump.contains("n0 -> n2"));
     }
 
     #[test]
     fn trace_records_drops() {
-        use crate::trace::FrameEvent;
+        let tel = Telemetry::with_tracing(64);
         let mut net = Network::new(45);
-        net.enable_trace(64);
+        net.attach_telemetry(tel.clone());
         let a = net.add_node();
         let b = net.add_node();
         net.connect(a, b, LinkConfig::lan(), FaultConfig::loss(1.0));
         net.send(a, b, vec![9]).unwrap();
         net.run_until_idle();
-        let events: Vec<FrameEvent> = net.trace().unwrap().records().map(|r| r.event).collect();
-        assert_eq!(events, vec![FrameEvent::Sent, FrameEvent::FaultDropped]);
+        assert_eq!(
+            recorded(&tel),
+            vec![("frame_send", 0, 1), ("frame_drop", 0, 1)]
+        );
     }
 
     #[test]

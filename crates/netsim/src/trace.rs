@@ -1,24 +1,16 @@
-//! Network statistics and tracing.
+//! Network statistics.
 //!
-//! [`NetStats`] is the always-on counter block; [`FrameTrace`] is an
-//! optional bounded ring of per-frame events (the spirit of smoltcp's
-//! `--pcap` option, rendered as text rather than libpcap) that
-//! [`crate::net::Network::enable_trace`] turns on for debugging runs.
-//!
-//! The ring itself is `ct-telemetry`'s shared [`Ring`] — [`FrameTrace`] is
-//! a thin domain-typed alias over it, kept for one release so existing
-//! callers don't churn. New code that wants net events alongside transport
-//! and pipeline events should attach a `ct_telemetry::Telemetry` handle via
-//! `crate::net::Network::attach_telemetry` instead.
+//! [`NetStats`] is the always-on counter block. Per-frame events go to the
+//! `ct_telemetry::Telemetry` handle attached with
+//! `crate::net::Network::attach_telemetry` — its counters (`net.frame_*`)
+//! and, when tracing is armed, its flight recorder — so net events sit
+//! beside transport and pipeline events in one ring.
 
-use crate::net::NodeId;
-use crate::time::SimTime;
-use ct_telemetry::Ring;
 use std::fmt;
 
 /// What happened to a frame at a trace point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameEvent {
+pub(crate) enum FrameEvent {
     /// Injected by a sender.
     Sent,
     /// Delivered to the destination inbox.
@@ -31,95 +23,6 @@ pub enum FrameEvent {
     CongestionDropped,
     /// Payload corrupted in transit.
     Corrupted,
-}
-
-impl fmt::Display for FrameEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            FrameEvent::Sent => "SEND",
-            FrameEvent::Delivered => "DLVR",
-            FrameEvent::Forwarded => "FWD ",
-            FrameEvent::FaultDropped => "DROP",
-            FrameEvent::CongestionDropped => "CONG",
-            FrameEvent::Corrupted => "CRPT",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// When it happened.
-    pub at: SimTime,
-    /// The event kind.
-    pub event: FrameEvent,
-    /// Frame source.
-    pub src: NodeId,
-    /// Frame destination.
-    pub dst: NodeId,
-    /// Payload length in bytes.
-    pub len: usize,
-}
-
-impl fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:>12}  {}  {} -> {}  {} B",
-            format!("{}", self.at),
-            self.event,
-            self.src,
-            self.dst,
-            self.len
-        )
-    }
-}
-
-/// A bounded ring buffer of frame events — a domain-typed wrapper over the
-/// shared [`ct_telemetry::Ring`] flight recorder.
-#[derive(Debug, Default)]
-pub struct FrameTrace {
-    ring: Ring<TraceRecord>,
-}
-
-impl FrameTrace {
-    /// A trace holding the most recent `capacity` records.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            ring: Ring::new(capacity),
-        }
-    }
-
-    /// Append a record, evicting the oldest when full.
-    pub fn record(&mut self, rec: TraceRecord) {
-        self.ring.push(rec);
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.ring.iter()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Records pushed out of the ring by newer ones.
-    pub fn overwritten(&self) -> u64 {
-        self.ring.overwritten()
-    }
-
-    /// Render as a text dump, one line per record.
-    pub fn dump(&self) -> String {
-        self.ring.dump()
-    }
 }
 
 /// Cumulative counters maintained by [`crate::net::Network`].
@@ -185,47 +88,6 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rec(ns: u64, event: FrameEvent) -> TraceRecord {
-        TraceRecord {
-            at: SimTime::from_nanos(ns),
-            event,
-            src: NodeId(0),
-            dst: NodeId(1),
-            len: 42,
-        }
-    }
-
-    #[test]
-    fn trace_ring_bounds_and_orders() {
-        let mut t = FrameTrace::new(3);
-        for i in 0..5 {
-            t.record(rec(i, FrameEvent::Sent));
-        }
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.overwritten(), 2);
-        let times: Vec<u64> = t.records().map(|r| r.at.as_nanos()).collect();
-        assert_eq!(times, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn trace_zero_capacity_noop() {
-        let mut t = FrameTrace::new(0);
-        t.record(rec(1, FrameEvent::Delivered));
-        assert!(t.is_empty());
-    }
-
-    #[test]
-    fn trace_dump_readable() {
-        let mut t = FrameTrace::new(8);
-        t.record(rec(1_000, FrameEvent::Sent));
-        t.record(rec(2_000, FrameEvent::FaultDropped));
-        let dump = t.dump();
-        assert!(dump.contains("SEND"));
-        assert!(dump.contains("DROP"));
-        assert!(dump.contains("n0 -> n1"));
-        assert_eq!(dump.lines().count(), 2);
-    }
 
     #[test]
     fn loss_rate_computation() {

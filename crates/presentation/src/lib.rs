@@ -109,43 +109,6 @@ impl TransferSyntax {
         }
     }
 
-    /// [`TransferSyntax::encode_u32s`], reporting the conversion pass to the
-    /// data-touch ledger as stage `presentation/encode` (`4 * values.len()`
-    /// bytes read, the encoded length written).
-    pub fn encode_u32s_ledgered(
-        self,
-        values: &[u32],
-        ledger: &ct_telemetry::TouchLedger,
-    ) -> Vec<u8> {
-        let out = self.encode_u32s(values);
-        ledger.touch(
-            "presentation/encode",
-            values.len() as u64 * 4,
-            out.len() as u64,
-        );
-        out
-    }
-
-    /// [`TransferSyntax::decode_u32s`], reporting the conversion pass to the
-    /// data-touch ledger as stage `presentation/decode` (the wire bytes read,
-    /// `4 * values.len()` bytes written).
-    ///
-    /// # Errors
-    /// [`CodecError`] on malformed input (nothing is ledgered on error).
-    pub fn decode_u32s_ledgered(
-        self,
-        bytes: &[u8],
-        ledger: &ct_telemetry::TouchLedger,
-    ) -> Result<Vec<u32>, CodecError> {
-        let vals = self.decode_u32s(bytes)?;
-        ledger.touch(
-            "presentation/decode",
-            bytes.len() as u64,
-            vals.len() as u64 * 4,
-        );
-        Ok(vals)
-    }
-
     /// Name used in bench output rows.
     pub fn name(self) -> &'static str {
         match self {

@@ -31,9 +31,9 @@
 pub mod cluster;
 
 use alf_core::adu::Adu;
-use alf_core::mux::peek_assoc;
 use alf_core::timer::TimerWheel;
 use alf_core::transport::{AduTransport, AlfConfig, AlfStats, LossReport, SendRefused};
+use alf_core::wire::peek_assoc;
 use ct_netsim::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
 
@@ -1233,7 +1233,7 @@ mod tests {
                 for (peer, _, client) in &mut clients {
                     if *peer == p {
                         // The wire assoc id demultiplexes within the peer.
-                        if alf_core::mux::peek_assoc(&f) == Some(client.config().assoc) {
+                        if peek_assoc(&f) == Some(client.config().assoc) {
                             client.on_frame(now, f.clone().into());
                         }
                     }
@@ -1340,6 +1340,52 @@ mod tests {
         assert!(!ep.send_complete());
         assert_eq!(server.next_wakeup(), None);
         assert_eq!(server.assoc_count(), 0);
+        assert!(server.endpoint(k).is_none());
+        assert!(server.remove_association(k).is_none(), "removed once");
+    }
+
+    #[test]
+    fn config_assoc_overridden() {
+        // The key names the association; a disagreeing config is corrected,
+        // so the endpoint stamps (and accepts) the id frames demultiplex on.
+        let mut server = AlfServer::new(ServerConfig::default());
+        let cfg = AlfConfig {
+            assoc: 999,
+            ..AlfConfig::default()
+        };
+        server.add_association(key(1, 7), cfg).unwrap();
+        assert_eq!(server.endpoint(key(1, 7)).unwrap().config().assoc, 7);
+    }
+
+    #[test]
+    fn next_wakeup_spans_associations() {
+        let mut server = AlfServer::new(ServerConfig {
+            shards: 4,
+            ..ServerConfig::default()
+        });
+        for assoc in 1..=8u16 {
+            server
+                .add_association(key(1, assoc), AlfConfig::default())
+                .unwrap();
+        }
+        assert_eq!(server.next_wakeup(), None);
+        // Whichever shard holds the one association with a live timer, the
+        // server's earliest wakeup is that timer.
+        let k = key(1, 8);
+        server
+            .send_adu(k, AduName::Seq { index: 0 }, payload(10))
+            .unwrap();
+        let mut egress = Vec::new();
+        while server.pending_work() {
+            if server.poll_batch(SimTime::ZERO, &mut egress).idle() {
+                break;
+            }
+        }
+        assert_eq!(
+            server.next_wakeup(),
+            server.endpoint(k).unwrap().next_timeout()
+        );
+        assert!(server.next_wakeup().is_some());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! The bounded ring buffer behind every flight recorder in the workspace.
+//! The bounded ring buffer behind the flight recorder.
 //!
 //! [`Ring`] retains the most recent `capacity` items and counts what it
 //! evicted, so a dump can say "…and 1234 earlier events were overwritten"
-//! instead of silently truncating history. `ct-netsim`'s `FrameTrace` and
-//! the unified [`crate::trace`] recorder are both thin wrappers over it.
+//! instead of silently truncating history. The unified [`crate::trace`]
+//! recorder is a thin wrapper over it.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -61,11 +61,11 @@ impl TransportPair {
         }
         while let Some(frame) = self.net.recv(self.node_b) {
             moved = true;
-            self.b.on_segment(self.net.now(), &frame.payload);
+            self.b.on_frame(self.net.now(), frame.payload.into());
         }
         while let Some(frame) = self.net.recv(self.node_a) {
             moved = true;
-            self.a.on_segment(self.net.now(), &frame.payload);
+            self.a.on_frame(self.net.now(), frame.payload.into());
         }
         if !self.net.is_idle() {
             self.net.step();

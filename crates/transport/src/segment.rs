@@ -51,7 +51,7 @@ pub struct Segment {
     pub payload: WireBuf,
 }
 
-/// Errors from [`Segment::decode`].
+/// Errors from [`Segment::decode_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentError {
     /// Buffer shorter than the fixed header.
@@ -164,26 +164,13 @@ impl Segment {
         )
     }
 
-    /// Decode and verify a segment from a borrowed buffer (the payload is
-    /// copied out). Callers that own the frame should prefer
-    /// [`Segment::decode_frame`], which keeps the payload as a view.
-    ///
-    /// # Errors
-    /// [`SegmentError`] for truncation, length mismatch, or checksum failure.
-    pub fn decode(buf: &[u8]) -> Result<Segment, SegmentError> {
-        Self::decode_impl(buf, None)
-    }
-
     /// Decode and verify a segment from an owned frame, zero-copy: the
     /// payload is an O(1) [`WireBuf`] slice of `frame`.
     ///
     /// # Errors
     /// [`SegmentError`] for truncation, length mismatch, or checksum failure.
     pub fn decode_frame(frame: &WireBuf) -> Result<Segment, SegmentError> {
-        Self::decode_impl(frame.as_slice(), Some(frame))
-    }
-
-    fn decode_impl(buf: &[u8], frame: Option<&WireBuf>) -> Result<Segment, SegmentError> {
+        let buf = frame.as_slice();
         if buf.len() < HEADER_BYTES {
             return Err(SegmentError::Truncated);
         }
@@ -207,18 +194,12 @@ impl Segment {
         let window = r.get_u32().map_err(|_| SegmentError::Truncated)?;
         let _ck = r.get_u16().map_err(|_| SegmentError::Truncated)?;
         let paylen = r.get_u16().map_err(|_| SegmentError::Truncated)? as usize;
-        let payload = r.rest();
-        if payload.len() != paylen {
+        if r.remaining() != paylen {
             return Err(SegmentError::LengthMismatch {
                 claimed: paylen,
-                actual: payload.len(),
+                actual: r.remaining(),
             });
         }
-        let payload = match frame {
-            // Zero-copy: the payload is the frame's tail, viewed.
-            Some(f) => f.slice(HEADER_BYTES..),
-            None => WireBuf::copy_from_slice(payload),
-        };
         Ok(Segment {
             src_port,
             dst_port,
@@ -226,7 +207,8 @@ impl Segment {
             ack,
             flags,
             window,
-            payload,
+            // Zero-copy: the payload is the frame's tail, viewed.
+            payload: frame.slice(HEADER_BYTES..),
         })
     }
 }
@@ -234,6 +216,10 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(wire: &[u8]) -> Result<Segment, SegmentError> {
+        Segment::decode_frame(&wire.into())
+    }
 
     fn sample() -> Segment {
         Segment {
@@ -252,7 +238,7 @@ mod tests {
         let s = sample();
         let wire = s.encode();
         assert_eq!(wire.len(), HEADER_BYTES + 15);
-        assert_eq!(Segment::decode(&wire).unwrap(), s);
+        assert_eq!(decode(&wire).unwrap(), s);
     }
 
     #[test]
@@ -261,7 +247,7 @@ mod tests {
             payload: vec![].into(),
             ..sample()
         };
-        assert_eq!(Segment::decode(&s.encode()).unwrap(), s);
+        assert_eq!(decode(&s.encode()).unwrap(), s);
     }
 
     #[test]
@@ -272,7 +258,7 @@ mod tests {
             bad[i] ^= 0x10;
             assert!(
                 matches!(
-                    Segment::decode(&bad),
+                    decode(&bad),
                     Err(SegmentError::BadChecksum) | Err(SegmentError::LengthMismatch { .. })
                 ),
                 "flip at byte {i} must be caught"
@@ -283,9 +269,9 @@ mod tests {
     #[test]
     fn truncation_caught() {
         let wire = sample().encode();
-        assert_eq!(Segment::decode(&wire[..10]), Err(SegmentError::Truncated));
+        assert_eq!(decode(&wire[..10]), Err(SegmentError::Truncated));
         // Header intact but payload cut: checksum fails first (it covers payload).
-        assert!(Segment::decode(&wire[..HEADER_BYTES + 3]).is_err());
+        assert!(decode(&wire[..HEADER_BYTES + 3]).is_err());
     }
 
     #[test]
@@ -304,7 +290,7 @@ mod tests {
             ..sample()
         };
         let wire = s.encode();
-        assert_eq!(Segment::decode(&wire).unwrap().payload.len(), 65535);
+        assert_eq!(decode(&wire).unwrap().payload.len(), 65535);
     }
 }
 
@@ -325,26 +311,13 @@ mod proptests {
             payload in proptest::collection::vec(any::<u8>(), 0..512),
         ) {
             let s = Segment { src_port, dst_port, seq, ack, flags, window, payload: payload.into() };
-            prop_assert_eq!(Segment::decode(&s.encode()).unwrap(), s);
-        }
-
-        #[test]
-        fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = Segment::decode(&bytes);
+            prop_assert_eq!(Segment::decode_frame(&s.encode().into()).unwrap(), s);
         }
 
         #[test]
         fn prop_decode_frame_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            // The zero-copy ingest path must be just as total as the
-            // borrowed one: every input returns Ok or a typed SegmentError.
-            let frame = WireBuf::from_vec(bytes.clone());
-            let owned = Segment::decode_frame(&frame);
-            let borrowed = Segment::decode(&bytes);
-            match (&owned, &borrowed) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(a), Err(b)) => prop_assert_eq!(a.reason(), b.reason()),
-                _ => prop_assert!(false, "ingest paths disagree: {owned:?} vs {borrowed:?}"),
-            }
+            // Total: every input returns Ok or a typed SegmentError.
+            let _ = Segment::decode_frame(&bytes.into());
         }
     }
 }

@@ -57,7 +57,7 @@ pub struct LayerTimes {
     pub presentation: f64,
     /// Encryption + decryption.
     pub crypto: f64,
-    /// Transport machine: poll / on_segment / send / recv, including the
+    /// Transport machine: poll / on_frame / send / recv, including the
     /// per-segment checksum and all stream copies.
     pub transport: f64,
 }
@@ -247,9 +247,9 @@ pub fn run_layered_transfer_telemetry(
             // Layer pass 2: encryption (in place counts as a pass).
             if cfg.encrypt {
                 let t1 = Instant::now();
-                match ledger {
-                    Some(l) => cipher.apply_in_place_ledgered(crypto_pos_tx, &mut body, l),
-                    None => cipher.apply_in_place(crypto_pos_tx, &mut body),
+                cipher.apply_in_place(crypto_pos_tx, &mut body);
+                if let Some(l) = ledger {
+                    l.touch("crypto/xor", body.len() as u64, body.len() as u64);
                 }
                 crypto_pos_tx += body.len() as u64;
                 times.crypto += t1.elapsed().as_secs_f64();
@@ -368,9 +368,9 @@ pub fn run_layered_transfer_telemetry(
                 }
                 if cfg.encrypt {
                     let t4 = Instant::now();
-                    match ledger {
-                        Some(l) => cipher.apply_in_place_ledgered(crypto_pos_rx, &mut body, l),
-                        None => cipher.apply_in_place(crypto_pos_rx, &mut body),
+                    cipher.apply_in_place(crypto_pos_rx, &mut body);
+                    if let Some(l) = ledger {
+                        l.touch("crypto/xor", body.len() as u64, body.len() as u64);
                     }
                     crypto_pos_rx += body.len() as u64;
                     times.crypto += t4.elapsed().as_secs_f64();

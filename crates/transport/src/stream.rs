@@ -25,7 +25,7 @@
 //! * sliding-window flow control from the peer's advertised window.
 
 use crate::buf::ByteFifo;
-use crate::segment::{self, Segment, SegmentError, FLAG_ACK, FLAG_FIN};
+use crate::segment::{self, Segment, FLAG_ACK, FLAG_FIN};
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_wire::WireBuf;
 use std::collections::{BTreeMap, VecDeque};
@@ -422,24 +422,6 @@ impl StreamTransport {
         out
     }
 
-    /// Ingest one wire frame addressed to this endpoint (borrowed buffer —
-    /// the payload is copied out; prefer [`StreamTransport::on_frame`] when
-    /// the frame is owned).
-    pub fn on_segment(&mut self, now: SimTime, buf: &[u8]) {
-        let seg = match Segment::decode(buf) {
-            Ok(s) => s,
-            Err(SegmentError::BadChecksum) => {
-                self.stats.checksum_drops += 1;
-                return;
-            }
-            Err(_) => {
-                self.stats.checksum_drops += 1;
-                return;
-            }
-        };
-        self.on_parsed(now, seg);
-    }
-
     /// Ingest one owned wire frame, zero-copy: out-of-order payloads are
     /// buffered as views into the frame instead of copies.
     pub fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
@@ -754,6 +736,10 @@ fn clamp(v: SimDuration, lo: SimDuration, hi: SimDuration) -> SimDuration {
 mod tests {
     use super::*;
 
+    fn decode(frame: &[u8]) -> Result<Segment, segment::SegmentError> {
+        Segment::decode_frame(&frame.into())
+    }
+
     fn pair() -> (StreamTransport, StreamTransport) {
         let cfg = StreamConfig::default();
         (
@@ -773,10 +759,10 @@ mod tests {
                 return now;
             }
             for f in fa {
-                b.on_segment(now, &f);
+                b.on_frame(now, f.into());
             }
             for f in fb {
-                a.on_segment(now, &f);
+                a.on_frame(now, f.into());
             }
         }
         panic!("did not quiesce");
@@ -808,10 +794,10 @@ mod tests {
             let fb = b.poll(now);
             let idle = fa.is_empty() && fb.is_empty();
             for f in fa {
-                b.on_segment(now, &f);
+                b.on_frame(now, f.into());
             }
             for f in fb {
-                a.on_segment(now, &f);
+                a.on_frame(now, f.into());
             }
             let mut buf = [0u8; 4096];
             loop {
@@ -854,7 +840,7 @@ mod tests {
         let retx = a.poll(now);
         assert_eq!(retx.len(), 1, "RTO retransmission expected");
         assert_eq!(a.stats.rto_retransmits, 1);
-        b.on_segment(now, &retx[0]);
+        b.on_frame(now, retx[0].as_slice().into());
         let mut out = [0u8; 64];
         let n = b.recv(&mut out);
         assert_eq!(&out[..n], b"data that will be lost");
@@ -887,11 +873,11 @@ mod tests {
         let frames = a.poll(t0);
         assert_eq!(frames.len(), 2);
         let t1 = SimTime::from_millis(1);
-        b.on_segment(t1, &frames[1]); // second segment first
+        b.on_frame(t1, frames[1].as_slice().into()); // second segment first
         assert_eq!(b.recv_available(), 0, "gap blocks delivery");
         assert_eq!(b.stats.ooo_segments, 1);
         let t2 = SimTime::from_millis(5);
-        b.on_segment(t2, &frames[0]); // gap fills
+        b.on_frame(t2, frames[0].as_slice().into()); // gap fills
         assert_eq!(b.recv_available(), 2800);
         assert_eq!(b.stats.hol_delayed_bytes, 1400);
         assert_eq!(b.stats.hol_delay_max, SimDuration::from_millis(4));
@@ -902,9 +888,9 @@ mod tests {
         let (mut a, mut b) = pair();
         a.send(b"once only");
         let frames = a.poll(SimTime::ZERO);
-        b.on_segment(SimTime::ZERO, &frames[0]);
-        b.on_segment(SimTime::ZERO, &frames[0]);
-        b.on_segment(SimTime::ZERO, &frames[0]);
+        b.on_frame(SimTime::ZERO, frames[0].as_slice().into());
+        b.on_frame(SimTime::ZERO, frames[0].as_slice().into());
+        b.on_frame(SimTime::ZERO, frames[0].as_slice().into());
         let mut out = [0u8; 64];
         let n = b.recv(&mut out);
         assert_eq!(&out[..n], b"once only");
@@ -918,7 +904,7 @@ mod tests {
         a.send(b"integrity matters");
         let mut frames = a.poll(SimTime::ZERO);
         frames[0][35] ^= 0xFF;
-        b.on_segment(SimTime::ZERO, &frames[0]);
+        b.on_frame(SimTime::ZERO, frames[0].as_slice().into());
         assert_eq!(b.recv_available(), 0);
         assert_eq!(b.stats.checksum_drops, 1);
     }
@@ -933,12 +919,12 @@ mod tests {
         assert!(frames.len() >= 4);
         // Lose frames[0]; deliver 1..4 -> three dup ACKs.
         for f in &frames[1..] {
-            b.on_segment(t, f);
+            b.on_frame(t, f.as_slice().into());
         }
         let acks = b.poll(t);
         assert!(!acks.is_empty());
         for ack in &acks {
-            a.on_segment(t, ack);
+            a.on_frame(t, ack.as_slice().into());
         }
         // b sends one cumulative ack per poll; we need three dup acks, so
         // deliver the segments one at a time instead.
@@ -946,15 +932,15 @@ mod tests {
         a.send(&data);
         let frames = a.poll(t);
         for f in &frames[1..4] {
-            b.on_segment(t, f);
+            b.on_frame(t, f.as_slice().into());
             for ack in b.poll(t) {
-                a.on_segment(t, &ack);
+                a.on_frame(t, ack.into());
             }
         }
         assert_eq!(a.stats.fast_retransmits, 1);
         let retx = a.poll(t);
         assert!(!retx.is_empty(), "fast retransmission sent");
-        b.on_segment(t, &retx[0]);
+        b.on_frame(t, retx[0].as_slice().into());
         assert_eq!(b.recv_available(), 1400 * 4);
     }
 
@@ -974,10 +960,10 @@ mod tests {
             now += SimDuration::from_micros(200);
             sent += a.send(&big[sent..]);
             for f in a.poll(now) {
-                b.on_segment(now, &f);
+                b.on_frame(now, f.into());
             }
             for f in b.poll(now) {
-                a.on_segment(now, &f);
+                a.on_frame(now, f.into());
             }
         }
         assert!(
@@ -999,10 +985,10 @@ mod tests {
             }
             sent += a.send(&big[sent..]);
             for f in a.poll(now) {
-                b.on_segment(now, &f);
+                b.on_frame(now, f.into());
             }
             for f in b.poll(now) {
-                a.on_segment(now, &f);
+                a.on_frame(now, f.into());
             }
             if got == big.len() {
                 break;
@@ -1022,10 +1008,10 @@ mod tests {
         a.send(&vec![7u8; 2800]);
         let t = SimTime::ZERO;
         for f in a.poll(t) {
-            b.on_segment(t, &f);
+            b.on_frame(t, f.into());
         }
         for f in b.poll(t) {
-            a.on_segment(t, &f);
+            a.on_frame(t, f.into());
         }
         // b's window is now closed; a cannot send more.
         a.send(&vec![8u8; 1400]);
@@ -1036,7 +1022,7 @@ mod tests {
         assert_eq!(b.recv(&mut buf), 2800);
         let updates = b.poll(t);
         assert_eq!(updates.len(), 1, "window update expected");
-        a.on_segment(t, &updates[0]);
+        a.on_frame(t, updates[0].as_slice().into());
         assert_eq!(a.poll(t).len(), 1, "sender resumes immediately");
     }
 
@@ -1108,10 +1094,10 @@ mod tests {
         let retx = a.poll(a.next_timeout().unwrap());
         assert_eq!(retx.len(), 1);
         assert_eq!(
-            Segment::decode(&retx[0]).unwrap().payload,
-            Segment::decode(&first[1]).unwrap().payload
+            decode(&retx[0]).unwrap().payload,
+            decode(&first[1]).unwrap().payload
         );
-        assert_eq!(Segment::decode(&retx[0]).unwrap().seq, 1400);
+        assert_eq!(decode(&retx[0]).unwrap().seq, 1400);
     }
 
     #[test]
@@ -1180,7 +1166,7 @@ mod tests {
         other.send(b"to port 1... but b is port 2");
         let frames = other.poll(SimTime::ZERO);
         let mut b = StreamTransport::new(StreamConfig::default(), 2, 1);
-        b.on_segment(SimTime::ZERO, &frames[0]);
+        b.on_frame(SimTime::ZERO, frames[0].as_slice().into());
         assert_eq!(b.stats.segments_in, 0);
         assert_eq!(b.recv_available(), 0);
         let _ = a;
@@ -1207,10 +1193,10 @@ mod tests {
             let fb = b.poll(now);
             let idle = fa.is_empty() && fb.is_empty();
             for f in fa {
-                b.on_segment(now, &f);
+                b.on_frame(now, f.into());
             }
             for f in fb {
-                a.on_segment(now, &f);
+                a.on_frame(now, f.into());
             }
             loop {
                 let n = b.recv(&mut buf);
@@ -1239,10 +1225,10 @@ mod tests {
         let (mut a, mut b) = pair();
         a.send(b"ping");
         let frames = a.poll(SimTime::ZERO);
-        b.on_segment(SimTime::ZERO, &frames[0]);
+        b.on_frame(SimTime::ZERO, frames[0].as_slice().into());
         let acks = b.poll(SimTime::ZERO);
         assert_eq!(acks.len(), 1);
-        let seg = Segment::decode(&acks[0]).unwrap();
+        let seg = decode(&acks[0]).unwrap();
         assert!(seg.payload.is_empty());
         assert_eq!(seg.ack, 4);
     }

@@ -116,7 +116,7 @@ fn run(sc: &Scenario) -> Outcome {
             fnv1a(&mut digest, b"a");
             fnv1a(&mut digest, &(f.len() as u32).to_be_bytes());
             fnv1a(&mut digest, &f);
-            let seg = Segment::decode(&f).expect("own frame");
+            let seg = Segment::decode_frame(&f.as_slice().into()).expect("own frame");
             boundaries.insert(seg.seq);
             boundaries.insert(seg.seq_end());
             let _ = pair.net.send(pair.node_a, pair.node_b, f);
@@ -126,7 +126,7 @@ fn run(sc: &Scenario) -> Outcome {
             fnv1a(&mut digest, b"b");
             fnv1a(&mut digest, &(f.len() as u32).to_be_bytes());
             fnv1a(&mut digest, &f);
-            let seg = Segment::decode(&f).expect("own frame");
+            let seg = Segment::decode_frame(&f.as_slice().into()).expect("own frame");
             if !boundaries.contains(&seg.ack) {
                 partial_acks += 1;
             }

@@ -15,16 +15,12 @@
 //!
 //! ## Module map
 //!
-//! * [`buf`] — owned buffers, windowed views, and scatter/gather lists
-//!   (the "application address space" target of the paper's final copy).
 //! * [`copy`] — data-movement kernels: byte-wise, word-wise, and unrolled.
 //! * [`checksum`] — error-detection codes: Internet (RFC 1071) one's
 //!   complement, Fletcher-16/32, Adler-32, CRC-32 — rolled and unrolled.
 //! * [`swap`] — byte-order (presentation-adjacent) conversion kernels.
 //! * [`fused`] — ILP kernels: copy+checksum, xor+checksum, copy+xor+checksum,
 //!   swap+checksum, and the generic fused traversal used by `alf-core`.
-//! * [`ledgered`] — the same kernels wrapped to report byte touches into
-//!   `ct-telemetry`'s data-touch ledger (memory passes per delivered byte).
 //! * [`header`] — safe, explicit header field encode/decode helpers used by
 //!   the protocol crates above this one.
 //! * [`wirebuf`] — reference-counted sliceable buffer views ([`WireBuf`]),
@@ -41,16 +37,13 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod buf;
 pub mod checksum;
 pub mod copy;
 pub mod fused;
 pub mod header;
-pub mod ledgered;
 pub mod swap;
 pub mod wirebuf;
 
-pub use buf::{Gather, OwnedBuf, Scatter};
 pub use checksum::{crc32, fletcher32, internet_checksum, InternetChecksum};
 pub use copy::{copy_bytes, copy_words_unrolled};
 pub use fused::{copy_and_checksum, xor_and_checksum};

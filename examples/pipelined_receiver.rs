@@ -108,10 +108,10 @@ fn main() {
             let _ = net.send(rx_node, tx_node, m);
         }
         while let Some(f) = net.recv(rx_node) {
-            rx.on_message(net.now(), &f.payload);
+            rx.on_frame(net.now(), f.payload.into());
         }
         while let Some(f) = net.recv(tx_node) {
-            tx.on_message(net.now(), &f.payload);
+            tx.on_frame(net.now(), f.payload.into());
         }
         while let Some((adu, _)) = rx.recv_adu() {
             completions += 1;

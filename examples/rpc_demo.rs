@@ -64,10 +64,10 @@ fn main() {
             let _ = net.send(server_node, client_node, msg);
         }
         while let Some(frame) = net.recv(server_node) {
-            server_tp.on_message(net.now(), &frame.payload);
+            server_tp.on_frame(net.now(), frame.payload.into());
         }
         while let Some(frame) = net.recv(client_node) {
-            client_tp.on_message(net.now(), &frame.payload);
+            client_tp.on_frame(net.now(), frame.payload.into());
         }
         // Server executes whatever requests have fully arrived.
         while let Some((adu, _)) = server_tp.recv_adu() {

@@ -91,11 +91,11 @@ fn main() {
         // Network → cells → transport → playout.
         atm_rx.pump(&mut net);
         while let Some((_, pdu)) = atm_rx.recv_pdu() {
-            rx.on_message(net.now(), &pdu);
+            rx.on_frame(net.now(), pdu.into());
         }
         atm_tx.pump(&mut net);
         while let Some((_, pdu)) = atm_tx.recv_pdu() {
-            tx.on_message(net.now(), &pdu);
+            tx.on_frame(net.now(), pdu.into());
         }
         while let Some((adu, _latency)) = rx.recv_adu() {
             debug_assert!(matches!(adu.name, AduName::Media { .. }));

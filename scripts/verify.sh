@@ -34,9 +34,8 @@ benchmark/run.sh --workload server_fanin --seed 1990 --seconds 1 --trace 1 > /de
 cargo run --release -q -p ct-bench --bin harness x9 > /dev/null
 
 # Zero-copy datapath smoke: X10 asserts the fused send path stays at
-# <= 2 memory passes per byte, single-frame ADUs release without a
-# gather copy, and the owned-frame ingest never takes the decode copy;
-# it also refreshes BENCH_x10.json.
+# <= 2 memory passes per byte and single-frame ADUs release without a
+# gather copy; it also refreshes BENCH_x10.json.
 #
 # Bench-regression gate: the harness runs on a deterministic simulator,
 # so the committed BENCH_*.json baselines must reproduce within 5%.

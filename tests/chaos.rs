@@ -200,11 +200,11 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
         }
         while let Some(frame) = net.recv(node_b) {
             moved = true;
-            b.on_message(net.now(), &frame.payload);
+            b.on_frame(net.now(), frame.payload.into());
         }
         while let Some(frame) = net.recv(node_a) {
             moved = true;
-            a.on_message(net.now(), &frame.payload);
+            a.on_frame(net.now(), frame.payload.into());
         }
 
         // --- In-loop invariants (violations dump the flight recorder) ---

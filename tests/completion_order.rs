@@ -12,7 +12,7 @@
 use alf_core::adu::AduName;
 use alf_core::assembler::Assembler;
 use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode};
-use alf_core::wire::fragment_adu;
+use alf_core::wire::fragment_adu_buf;
 use ct_netsim::time::{SimDuration, SimTime};
 
 /// SplitMix64: the storm's only source of randomness.
@@ -130,7 +130,7 @@ fn bare_assembler_yields_the_adu_as_the_benchmark_probe_drives_it() {
     // a single `pop_ready` — no transport around it.
     let data = payload(7, 16 << 10);
     let name = AduName::Seq { index: 7 };
-    let tus = fragment_adu(1, 7, name, &data, 1400);
+    let tus = fragment_adu_buf(1, 7, name, &data.as_slice().into(), 1400);
     let mut asm = Assembler::new(SimDuration::from_millis(30), 256);
     for (i, tu) in tus.iter().enumerate() {
         assert!(asm.on_tu(SimTime::from_micros(i as u64), tu));

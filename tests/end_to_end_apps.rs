@@ -53,11 +53,11 @@ impl World {
         }
         while let Some(f) = self.net.recv(self.b_node) {
             moved = true;
-            self.b.on_message(self.net.now(), &f.payload);
+            self.b.on_frame(self.net.now(), f.payload.into());
         }
         while let Some(f) = self.net.recv(self.a_node) {
             moved = true;
-            self.a.on_message(self.net.now(), &f.payload);
+            self.a.on_frame(self.net.now(), f.payload.into());
         }
         if !self.net.is_idle() {
             self.net.step();

@@ -5,7 +5,6 @@
 
 use alf_core::adu::AduName;
 use alf_core::driver::{run_alf_transfer, seq_workload, Substrate};
-use alf_core::mux::Mux;
 use alf_core::transport::{AlfConfig, RecoveryMode};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
@@ -14,11 +13,12 @@ use ct_netsim::time::SimDuration;
 use ct_presentation::negotiate::{negotiate, ConversionPlan, LocalSyntax, SyntaxCaps};
 use ct_presentation::stream::BerU32Stream;
 use ct_presentation::{ber, TransferSyntax};
+use ct_server::{AlfServer, AssocKey, ServerConfig};
 
 #[test]
 fn mux_carries_isolated_associations_over_lossy_network() {
-    // Three associations share one lossy wire through a Mux at each end;
-    // every association's data arrives intact and uncrossed.
+    // Three associations share one lossy wire through an AlfServer at each
+    // end; every association's data arrives intact and uncrossed.
     let mut net = Network::new(61);
     let na = net.add_node();
     let nb = net.add_node();
@@ -28,11 +28,14 @@ fn mux_carries_isolated_associations_over_lossy_network() {
         assembly_timeout: SimDuration::from_millis(2),
         ..AlfConfig::default()
     };
-    let mut a = Mux::new();
-    let mut b = Mux::new();
+    // Each end knows the other as one peer.
+    const PEER: u64 = 1;
+    let key = |assoc| AssocKey { peer: PEER, assoc };
+    let mut a = AlfServer::new(ServerConfig::default());
+    let mut b = AlfServer::new(ServerConfig::default());
     for assoc in [10u16, 20, 30] {
-        a.add(assoc, snappy).unwrap();
-        b.add(assoc, snappy).unwrap();
+        a.add_association(key(assoc), snappy).unwrap();
+        b.add_association(key(assoc), snappy).unwrap();
     }
     // Distinct payload per association.
     let payload_for = |assoc: u16, i: u64| -> Vec<u8> {
@@ -42,42 +45,43 @@ fn mux_carries_isolated_associations_over_lossy_network() {
     };
     for assoc in [10u16, 20, 30] {
         for i in 0..10u64 {
-            a.get_mut(assoc)
-                .unwrap()
-                .send_adu(AduName::Seq { index: i }, payload_for(assoc, i))
+            a.send_adu(key(assoc), AduName::Seq { index: i }, payload_for(assoc, i))
                 .unwrap();
         }
     }
     let mut received = 0usize;
+    let mut egress = Vec::new();
     for _ in 0..1_000_000 {
-        let now = net.now();
-        for f in a.poll_all(now) {
-            let _ = net.send(na, nb, f);
-        }
-        for f in b.poll_all(now) {
-            let _ = net.send(nb, na, f);
-        }
         while let Some(fr) = net.recv(nb) {
-            b.on_message(net.now(), &fr.payload);
+            b.ingest(PEER, fr.payload);
         }
         while let Some(fr) = net.recv(na) {
-            a.on_message(net.now(), &fr.payload);
+            a.ingest(PEER, fr.payload);
         }
-        for assoc in [10u16, 20, 30] {
-            while let Some((adu, _)) = b.get_mut(assoc).unwrap().recv_adu() {
-                let AduName::Seq { index } = adu.name else {
-                    panic!()
-                };
-                assert_eq!(adu.payload, payload_for(assoc, index), "assoc {assoc}");
-                received += 1;
-            }
+        let now = net.now();
+        a.poll_batch(now, &mut egress);
+        for (_, f) in egress.drain(..) {
+            let _ = net.send(na, nb, f);
+        }
+        b.poll_batch(now, &mut egress);
+        for (_, f) in egress.drain(..) {
+            let _ = net.send(nb, na, f);
+        }
+        for (k, adu, _) in b.take_delivered() {
+            let AduName::Seq { index } = adu.name else {
+                panic!()
+            };
+            assert_eq!(adu.payload, payload_for(k.assoc, index), "{k:?}");
+            received += 1;
         }
         if received == 30 {
             break;
         }
         if !net.is_idle() {
             net.step();
-        } else if let Some(t) = [a.next_timeout(), b.next_timeout()]
+        } else if a.pending_work() || b.pending_work() {
+            continue;
+        } else if let Some(t) = [a.next_wakeup(), b.next_wakeup()]
             .into_iter()
             .flatten()
             .min()
@@ -90,7 +94,11 @@ fn mux_carries_isolated_associations_over_lossy_network() {
         }
     }
     assert_eq!(received, 30, "all associations must complete");
-    assert_eq!(b.stats.misdelivered, 0, "nothing crosses associations");
+    assert_eq!(
+        b.rollup().counter("misdelivered"),
+        0,
+        "nothing crosses associations"
+    );
 }
 
 #[test]

@@ -1,21 +1,20 @@
-//! Cross-crate integration: the full receive chain, stage 1 to application
-//! memory — wire decode → ADU reassembly → integrated stage-2 pipeline →
-//! scatter into the application region — with property tests pinning the
-//! integrated execution to the layered one through real wire bytes.
+//! Cross-crate integration: the full receive chain — wire decode → ADU
+//! reassembly → integrated stage-2 pipeline → presentation decode — with
+//! property tests pinning the integrated execution to the layered one
+//! through real wire bytes.
 
 use alf_core::adu::{Adu, AduName};
 use alf_core::assembler::Assembler;
 use alf_core::pipeline::{canonical_receive_chain, Manipulation, Pipeline};
-use alf_core::wire::{fragment_adu, Message};
+use alf_core::wire::{fragment_adu_buf, Message};
 use ct_crypto::stream::XorStream;
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_presentation::{fused, TransferSyntax};
-use ct_wire::buf::{Extent, Scatter};
 use proptest::prelude::*;
 
 /// Encode an ADU's payload (encrypted), fragment it, scramble the TUs,
-/// reassemble, run the integrated stage-2 chain, and scatter the result —
-/// the whole §6 two-stage receive, in miniature.
+/// reassemble, and run the integrated stage-2 chain — the whole §6
+/// two-stage receive, in miniature.
 #[test]
 fn two_stage_receive_full_path() {
     let values: Vec<u32> = (0..2000u32).map(|i| i.wrapping_mul(77)).collect();
@@ -26,7 +25,7 @@ fn two_stage_receive_full_path() {
 
     // Fragment into TUs, encode to wire, shuffle deterministically.
     let name = AduName::Rpc { call: 1, part: 0 };
-    let mut tus = fragment_adu(1, 7, name, &wire_body, 1000);
+    let mut tus = fragment_adu_buf(1, 7, name, &wire_body.as_slice().into(), 1000);
     tus.reverse();
     let mid = tus.len() / 2;
     tus.swap(0, mid);
@@ -34,8 +33,8 @@ fn two_stage_receive_full_path() {
     // Stage 1: reassembly from scrambled TUs (after wire decode).
     let mut asm = Assembler::new(SimDuration::from_millis(10), 16);
     for tu in &tus {
-        let bytes = Message::Tu(tu.clone()).encode();
-        match Message::decode(&bytes).expect("clean wire") {
+        let frame = tu.encode().into();
+        match Message::decode_frame(&frame).expect("clean wire") {
             Message::Tu(tu) => {
                 asm.on_tu(SimTime::ZERO, &tu);
             }
@@ -59,23 +58,6 @@ fn two_stage_receive_full_path() {
     let (decoded, ck_ok) = fused::xdr_decode_u32s_checksummed(&out.data, wire_ck).unwrap();
     assert!(ck_ok, "fused checksum must verify after decrypt");
     assert_eq!(decoded, values);
-
-    // Application placement: scatter the first few values into "variables".
-    let flat: Vec<u8> = decoded
-        .iter()
-        .take(4)
-        .flat_map(|v| v.to_be_bytes())
-        .collect();
-    let scatter = Scatter::from_extents(vec![
-        Extent::new(32, 4),
-        Extent::new(0, 4),
-        Extent::new(16, 4),
-        Extent::new(8, 4),
-    ]);
-    let mut region = vec![0u8; 40];
-    scatter.scatter(&flat, &mut region).unwrap();
-    assert_eq!(&region[32..36], &decoded[0].to_be_bytes());
-    assert_eq!(&region[0..4], &decoded[1].to_be_bytes());
 }
 
 proptest! {
@@ -89,7 +71,7 @@ proptest! {
         mtu in 1usize..1500,
     ) {
         let name = AduName::Seq { index: 1 };
-        let mut tus = fragment_adu(1, 1, name, &payload, mtu);
+        let mut tus = fragment_adu_buf(1, 1, name, &payload.as_slice().into(), mtu);
         tus.reverse();
         let mut asm = Assembler::new(SimDuration::from_millis(10), 1024);
         for tu in &tus {
@@ -124,7 +106,7 @@ proptest! {
         swap_b in 0usize..32,
     ) {
         let name = AduName::Media { frame: 2, slot: 0 };
-        let mut tus = fragment_adu(1, 9, name, &payload, 256);
+        let mut tus = fragment_adu_buf(1, 9, name, &payload.as_slice().into(), 256);
         let n = tus.len();
         let (rot, sa, sb) = (rot % n, swap_a % n, swap_b % n);
         tus.rotate_left(rot);
@@ -138,9 +120,10 @@ proptest! {
     }
 
     /// Zero-copy invariance: the released ADU bytes are identical under any
-    /// fragment arrival permutation and overlap pattern, whether frames are
-    /// ingested through the borrowed-buffer decode (payload copied out) or
-    /// the owned-frame decode (payload stays a WireBuf view into the frame).
+    /// fragment arrival permutation and overlap pattern, whether stage 1 is
+    /// handed the TUs as cut (payloads viewing the sender's chunk) or as
+    /// decoded off the wire (each payload a view into its own frame, so the
+    /// release gathers).
     #[test]
     fn prop_release_identical_with_and_without_wirebuf_path(
         payload in proptest::collection::vec(any::<u8>(), 1..4000),
@@ -154,7 +137,7 @@ proptest! {
         let total = payload.len();
         // Base fragmentation guarantees coverage; extra TUs overlap it
         // arbitrarily (retransmission-shaped traffic).
-        let mut tus = fragment_adu(1, 4, name, &payload, mtu);
+        let mut tus = fragment_adu_buf(1, 4, name, &payload.as_slice().into(), mtu);
         for &(start, len) in &extra {
             let off = start as usize % total;
             let len = (len as usize).min(total - off);
@@ -176,29 +159,23 @@ proptest! {
         tus.rotate_left(rot % n);
         tus.swap(swap_a % n, swap_b % n);
 
-        let frames: Vec<Vec<u8>> = tus.iter().map(|tu| Message::Tu(tu.clone()).encode()).collect();
-        let mut asm_copy = Assembler::new(SimDuration::from_millis(10), 1024);
-        let mut asm_view = Assembler::new(SimDuration::from_millis(10), 1024);
-        for bytes in &frames {
-            // Borrowed-buffer path: payload copied out of the frame.
-            match Message::decode(bytes).expect("clean wire") {
-                Message::Tu(tu) => { asm_copy.on_tu(SimTime::ZERO, &tu); }
-                _ => unreachable!(),
-            }
-            // Owned-frame path: payload is a view into the frame.
-            let frame: ct_wire::WireBuf = bytes.clone().into();
+        let mut asm_cut = Assembler::new(SimDuration::from_millis(10), 1024);
+        let mut asm_wire = Assembler::new(SimDuration::from_millis(10), 1024);
+        for tu in &tus {
+            asm_cut.on_tu(SimTime::ZERO, tu);
+            let frame = tu.encode().into();
             match Message::decode_frame(&frame).expect("clean wire") {
-                Message::Tu(tu) => { asm_view.on_tu(SimTime::ZERO, &tu); }
+                Message::Tu(tu) => { asm_wire.on_tu(SimTime::ZERO, &tu); }
                 _ => unreachable!(),
             }
         }
-        let (_, adu_copy, _) = asm_copy.pop_ready().expect("copy path complete");
-        let (_, adu_view, _) = asm_view.pop_ready().expect("view path complete");
-        prop_assert_eq!(&adu_copy.payload, &payload);
-        prop_assert_eq!(&adu_view.payload, &payload);
-        prop_assert_eq!(adu_copy, adu_view);
-        prop_assert!(asm_copy.pop_ready().is_none());
-        prop_assert!(asm_view.pop_ready().is_none());
+        let (_, adu_cut, _) = asm_cut.pop_ready().expect("cut path complete");
+        let (_, adu_wire, _) = asm_wire.pop_ready().expect("wire path complete");
+        prop_assert_eq!(&adu_cut.payload, &payload);
+        prop_assert_eq!(&adu_wire.payload, &payload);
+        prop_assert_eq!(adu_cut, adu_wire);
+        prop_assert!(asm_cut.pop_ready().is_none());
+        prop_assert!(asm_wire.pop_ready().is_none());
     }
 
     /// Duplicated TUs never corrupt reassembly.
@@ -208,7 +185,7 @@ proptest! {
         dup_idx in any::<prop::sample::Index>(),
     ) {
         let name = AduName::Seq { index: 3 };
-        let tus = fragment_adu(1, 3, name, &payload, 512);
+        let tus = fragment_adu_buf(1, 3, name, &payload.as_slice().into(), 512);
         let dup = dup_idx.get(&tus).clone();
         let mut asm = Assembler::new(SimDuration::from_millis(10), 1024);
         asm.on_tu(SimTime::ZERO, &dup);
