@@ -777,6 +777,81 @@ fn x2_ilp_stages() {
         }
     }
     print!("{}", t.render());
+
+    // Where the multi-stage rows get their speed: `bulk_pair`'s send chain
+    // on its 64 KiB record. Run as separate passes over L1-resident tiles
+    // the stages' costs *add*; hosted on the keystream pass — which is
+    // bound by its multiplies, not by loads and stores — the chain costs
+    // about what that one stage does. Best of five windows each: this is a
+    // sum of small differences, and noise only ever adds time.
+    use alf_core::pipeline::{Manipulation, Pipeline};
+    const TILE: usize = 4096;
+    let record = byte_workload(64 * 1024);
+    let mut out = record.clone();
+    let cipher = ct_crypto::stream::XorStream::new(0xC1A);
+    let chain = Pipeline::new()
+        .stage(Manipulation::Swap32)
+        .stage(Manipulation::Xor {
+            key: 0xC1A,
+            offset: 0,
+        })
+        .stage(Manipulation::Checksum);
+    fn best_ns(mut f: impl FnMut()) -> f64 {
+        (0..5)
+            .map(|_| time_ns_per_call(&mut f))
+            .fold(f64::INFINITY, f64::min)
+    }
+    let passes = [
+        (
+            "move",
+            best_ns(|| {
+                for (s, d) in record.chunks(TILE).zip(out.chunks_mut(TILE)) {
+                    std::hint::black_box(d).copy_from_slice(s);
+                }
+            }),
+        ),
+        (
+            "swap32",
+            best_ns(|| {
+                for tile in out.chunks_mut(TILE) {
+                    ct_wire::swap::swap32_in_place(std::hint::black_box(tile));
+                }
+            }),
+        ),
+        (
+            "xor",
+            best_ns(|| {
+                for tile in out.chunks_mut(TILE) {
+                    cipher.apply_in_place(0, std::hint::black_box(tile));
+                }
+            }),
+        ),
+        (
+            "checksum",
+            best_ns(|| {
+                for tile in out.chunks(TILE) {
+                    std::hint::black_box(internet_checksum(std::hint::black_box(tile)));
+                }
+            }),
+        ),
+    ];
+    let hosted = best_ns(|| {
+        std::hint::black_box(chain.run_integrated(&record));
+    });
+    let us = |ns: f64| format!("{:.1}", ns / 1000.0);
+    let mut t = Table::new(&["swap32+xor+checksum over 64 kB", "us"]);
+    for (name, ns) in passes {
+        t.row(&[format!("{name} alone, tile by tile"), us(ns)]);
+    }
+    let sum: f64 = passes.iter().map(|(_, ns)| ns).sum();
+    let max = passes.iter().map(|(_, ns)| *ns).fold(0.0, f64::max);
+    t.row(&["sum of the four passes".into(), us(sum)]);
+    t.row(&["slowest pass".into(), us(max)]);
+    t.row(&[
+        "run_integrated (allocates its output too)".into(),
+        us(hosted),
+    ]);
+    print!("\n{}", t.render());
 }
 
 // ---------------------------------------------------------------------
@@ -2482,21 +2557,22 @@ fn x14_observability(
         return;
     }
 
-    // The full comparison: X13's 100k point, unarmed vs armed, interleaved.
-    // Wall clocks are min-of-REPS per side (scheduling noise only ever adds
-    // time) and the whole attempt retries — shared machines are noisy in
-    // exactly one direction, so a clean attempt is proof, a dirty one is
-    // not disproof.
+    // The full comparison: X13's 100k point, unarmed vs armed.
     const POINT: (usize, usize, usize) = (100_000, 4, 4);
     const REPS: usize = 3;
     const ATTEMPTS: usize = 3;
     // The plane's cost is a fixed amount of work per ADU (sampler hash,
-    // phase observations, rollup flush), so the guard bounds the
-    // *difference* armed - unarmed, not the ratio: a faster datapath must
-    // not fail a guard on unchanged telemetry. 90 ns was 2 % of the
-    // unarmed cost when the bound was set.
+    // phase observations, rollup flush), so the figure is the *difference*
+    // armed - unarmed, not the ratio: a faster datapath must not look worse
+    // on unchanged telemetry. 90 ns was 2 % of the unarmed cost when the
+    // bound was set. This VM's noise is about the size of the bound, so it
+    // is an observation unless WALLCLOCK=1 asks for it to be enforced (then
+    // the best of ATTEMPTS counts: a clean attempt is proof, a dirty one is
+    // not disproof). What must hold on every run is asserted below as
+    // counts: the armed plane changes nothing the simulator derives.
     const BOUND_NS: f64 = 90.0;
     let (assocs, clients, adus) = POINT;
+    let enforced = ct_bench::wallclock_enforced();
 
     // One untimed warm-up pays the process's one-time costs (allocator
     // growth, page faults) before either side is measured.
@@ -2504,26 +2580,29 @@ fn x14_observability(
 
     let mut best_extra_ns = f64::INFINITY;
     let mut kept: Option<(ct_server::cluster::ClusterReport, Telemetry)> = None;
-    for attempt in 1..=ATTEMPTS {
-        let mut base_ns = f64::INFINITY;
-        let mut armed_ns = f64::INFINITY;
-        for _ in 0..REPS {
-            let (rb, _) = x14_run(assocs, clients, adus, None, false);
-            let (ra, tel) = x14_run(assocs, clients, adus, None, true);
+    for attempt in 1..=if enforced { ATTEMPTS } else { 1 } {
+        let mut unarmed = None;
+        let (base_ns, armed_ns) = ct_bench::interleaved_min_ns(REPS, |armed| {
+            let (r, tel) = x14_run(assocs, clients, adus, None, armed);
+            let ns = r.ns_per_adu();
+            let Some(tel) = tel else {
+                unarmed = Some(r);
+                return ns;
+            };
             // The plane observes; it must never steer. Every
             // simulator-derived number agrees bit-for-bit.
+            let rb = unarmed.take().expect("the unarmed side runs first");
             assert_eq!(
-                rb.adus_delivered, ra.adus_delivered,
+                rb.adus_delivered, r.adus_delivered,
                 "armed run changed delivery"
             );
-            assert_eq!(rb.batches, ra.batches, "armed run changed batching");
-            assert_eq!(rb.frames_in, ra.frames_in, "armed run changed ingress");
-            assert_eq!(rb.frames_out, ra.frames_out, "armed run changed egress");
-            assert_eq!(rb.elapsed, ra.elapsed, "armed run changed sim time");
-            base_ns = base_ns.min(rb.ns_per_adu());
-            armed_ns = armed_ns.min(ra.ns_per_adu());
-            kept = Some((ra, tel.expect("armed run carries telemetry")));
-        }
+            assert_eq!(rb.batches, r.batches, "armed run changed batching");
+            assert_eq!(rb.frames_in, r.frames_in, "armed run changed ingress");
+            assert_eq!(rb.frames_out, r.frames_out, "armed run changed egress");
+            assert_eq!(rb.elapsed, r.elapsed, "armed run changed sim time");
+            kept = Some((r, tel));
+            ns
+        });
         let extra_ns = armed_ns - base_ns;
         println!(
             "attempt {attempt}: unarmed {base_ns:.0} ns/ADU, armed {armed_ns:.0} ns/ADU, \
@@ -2535,7 +2614,7 @@ fn x14_observability(
         }
     }
     assert!(
-        best_extra_ns <= BOUND_NS,
+        !enforced || best_extra_ns <= BOUND_NS,
         "armed observability plane must cost <= {BOUND_NS:.0} ns/ADU at {assocs} \
          associations; best armed - unarmed over {ATTEMPTS} attempts was \
          {best_extra_ns:+.0} ns/ADU"
@@ -2570,7 +2649,8 @@ fn x14_observability(
          ~{:.0}% of associations (whole spans, chosen by a seeded hash of the\n\
          association id and ADU name), merged {} shard registries into the\n\
          rollup above, and attributed every batch's work to its event-loop\n\
-         phase — for under {BOUND_NS:.0} ns per ADU on top of the unarmed cost.",
+         phase — for {best_extra_ns:+.0} ns per ADU on top of the unarmed cost here\n\
+         (min of {REPS} interleaved runs a side; WALLCLOCK=1 enforces <= {BOUND_NS:.0} ns).",
         X14_SAMPLE_RATE * 100.0,
         r.assocs.min(ct_server::ServerConfig::default().shards),
     );

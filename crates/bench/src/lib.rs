@@ -53,6 +53,30 @@ pub fn time_ns_per_call<F: FnMut()>(mut f: F) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Wall-clock nanoseconds of two alternatives, for a bound on their
+/// *difference*: `side(false)` and `side(true)` alternate rep by rep, so a
+/// drift in machine speed hits both alike, and each keeps its minimum (noise
+/// only ever adds time, so the least-disturbed rep is closest to the code's
+/// cost). Returns `(min of side(false), min of side(true))`.
+pub fn interleaved_min_ns(reps: usize, mut side: impl FnMut(bool) -> f64) -> (f64, f64) {
+    let mut min = [f64::INFINITY; 2];
+    for _ in 0..reps {
+        for second in [false, true] {
+            let m = &mut min[usize::from(second)];
+            *m = m.min(side(second));
+        }
+    }
+    (min[0], min[1])
+}
+
+/// Whether nanosecond bounds are enforced (`WALLCLOCK=1`). On a shared
+/// machine a wall-clock gate fails first-attempt for reasons that are not in
+/// the code, so by default such a bound is printed as an observation and
+/// what it protects is asserted by a count instead.
+pub fn wallclock_enforced() -> bool {
+    std::env::var_os("WALLCLOCK").is_some_and(|v| v == "1")
+}
+
 /// The per-frame control steps of the ALF transport that T2 times, each with
 /// the heap allocations it makes once the endpoints are warm. The counts are
 /// measured — `tests/alloc_budget.rs` asserts them under a counting global

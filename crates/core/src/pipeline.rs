@@ -241,13 +241,14 @@ impl Pipeline {
     /// Execute integrated: one traversal of memory, whatever the chain.
     /// Bit-identical to [`Pipeline::run_layered`].
     ///
-    /// The input is walked in 4 KiB tiles. Each tile is moved into the
-    /// output once — the only time its bytes cross the memory bus in either
-    /// direction — and then every stage runs over it in place, with the
-    /// production kernels, while it sits in L1: the paper's "holding the
-    /// data in cache or registers". Whatever the chain depth that is `len`
-    /// reads + `len` writes — what a caller books in the data-touch ledger
-    /// as stage `pipeline/integrated`, and that constancy is the ILP claim.
+    /// The input is walked in 4 KiB tiles. Stages that only read a tile do
+    /// so in `input`; the first that writes moves it into the output as it
+    /// goes, and the rest run over it in place while it sits in L1. An `Xor`
+    /// goes further and carries the `Checksum` and `Swap32` stages next to
+    /// it through its own registers (`hosted_run` below): the paper's "holding
+    /// the data in cache or registers". Whatever the chain depth that is
+    /// `len` reads + `len` writes — what a caller books in the data-touch
+    /// ledger as `pipeline/integrated`, and that constancy is the ILP claim.
     pub fn run_integrated(&self, input: &[u8]) -> PipelineOutput {
         let n_checksums = self
             .stages
@@ -256,38 +257,61 @@ impl Pipeline {
             .count();
         // Each entry is the checksum of the tiles so far (0xFFFF: of none).
         let mut checksums = vec![0xFFFFu16; n_checksums];
-        let mut out = Vec::with_capacity(input.len());
+        let mut data = Vec::with_capacity(input.len());
         for src in input.chunks(TILE) {
-            // TILE is a multiple of 8, so every tile but the last starts and
-            // ends on a Swap32 word and on a 16-bit checksum word.
-            let start = out.len();
-            out.extend_from_slice(src);
-            let tile = &mut out[start..];
-            let mut checksum = checksums.iter_mut();
-            for s in &self.stages {
-                match s {
-                    Manipulation::Checksum => {
-                        let ck = checksum.next().expect("one per Checksum stage");
-                        // Resume from the running checksum's complement.
-                        let mut sum = InternetChecksum::new();
-                        sum.update_u16(!*ck);
-                        sum.update(tile);
-                        *ck = sum.finish();
+            // TILE is a multiple of 16, so every tile but the last is whole
+            // hosted pairs and starts on a Swap32 and a checksum word.
+            let start = data.len();
+            // The first stage that writes moves the tile, into a place
+            // zeroed as late as possible: an L1 pass here, a pass over the
+            // whole output if done up front.
+            data.resize(start + src.len(), 0);
+            let (pos, tile) = (start as u64, &mut data[start..]);
+            let (mut src, mut at, mut ck_at) = (Some(src), 0, 0);
+            while at < self.stages.len() {
+                // An `Xor` takes its riders along over the `done` bytes its
+                // pass can host; anything else is one stage, hosting none.
+                let (n, host) = hosted_run(&self.stages[at..]);
+                let (done, sums) =
+                    host.map_or_else(Default::default, |(riders, cipher, offset)| {
+                        cipher.apply_hosting(offset.wrapping_add(pos), riders, src.take(), tile)
+                    });
+                // Then each stage as a pass of its own over the rest: a
+                // run's ragged end, or all of it off the keystream block.
+                let rest = &mut tile[done..];
+                let mut side = 0; // of the run's `Xor`: sums[0] before, sums[1] after
+                for stage in &self.stages[at..at + n] {
+                    match stage {
+                        Manipulation::Checksum => {
+                            // Resume from the running checksum's complement.
+                            let mut sum = InternetChecksum::new();
+                            sum.update_u16(!checksums[ck_at]);
+                            sum.update_u16(sums[side].sum());
+                            sum.update(src.unwrap_or(rest));
+                            checksums[ck_at] = sum.finish();
+                            ck_at += 1;
+                        }
+                        Manipulation::Xor { key, offset } => {
+                            let offset = offset.wrapping_add(pos + done as u64);
+                            XorStream::new(*key).apply_in_place(offset, rest);
+                            side = 1;
+                        }
+                        Manipulation::Swap32 => match src.take() {
+                            Some(src) => ct_wire::swap::swap32_copy(src, rest),
+                            None => ct_wire::swap::swap32_in_place(rest),
+                        },
+                        // Moving the tile is some other stage's by-product.
+                        Manipulation::Copy => {}
                     }
-                    Manipulation::Xor { key, offset } => {
-                        XorStream::new(*key)
-                            .apply_in_place(offset.wrapping_add(start as u64), tile);
-                    }
-                    Manipulation::Swap32 => ct_wire::swap::swap32_in_place(tile),
-                    // The move into the output already happened.
-                    Manipulation::Copy => {}
                 }
+                at += n;
+            }
+            // No stage wrote: the tile is still to be moved.
+            if let Some(src) = src {
+                tile.copy_from_slice(src);
             }
         }
-        PipelineOutput {
-            data: out,
-            checksums,
-        }
+        PipelineOutput { data, checksums }
     }
 
     /// Number of memory passes the layered execution makes (for reports):
@@ -295,6 +319,33 @@ impl Pipeline {
     pub fn layered_passes(&self) -> usize {
         1 + self.stages.len()
     }
+}
+
+/// An `Xor` stage and the neighbours its keystream pass hosts: the maximal
+/// run `[Checksum]? [Swap32]? Xor [Swap32]? [Checksum]?` at the head of
+/// `stages`, with `Copy` free anywhere — stage adjacency, not a list of
+/// known chains. Returns how many stages the run spans (one if no `Xor`
+/// hosts it) and, if hosted, its riders in chain order, cipher and offset.
+fn hosted_run(stages: &[Manipulation]) -> (usize, Option<([bool; 4], XorStream, u64)>) {
+    use Manipulation::{Checksum, Copy, Swap32, Xor};
+    let mut it = stages.iter().enumerate().peekable();
+    let mut n = 1;
+    // Step over the next stage if it is the one the run may hold here.
+    let mut take = |fits: fn(&Manipulation) -> bool| {
+        while it.next_if(|(_, s)| matches!(s, Copy)).is_some() {}
+        let (i, stage) = it.next_if(|(_, s)| fits(s))?;
+        n = i + 1;
+        Some(stage)
+    };
+    let sum_in = take(|s| matches!(s, Checksum)).is_some();
+    let swap_in = take(|s| matches!(s, Swap32)).is_some();
+    let Some(&Xor { key, offset }) = take(|s| matches!(s, Xor { .. })) else {
+        return (1, None);
+    };
+    let swap_out = take(|s| matches!(s, Swap32)).is_some();
+    let sum_out = take(|s| matches!(s, Checksum)).is_some();
+    let riders = [sum_in, swap_in, swap_out, sum_out];
+    (n, Some((riders, XorStream::new(key), offset)))
 }
 
 /// Bytes per tile of [`Pipeline::run_integrated`]: small enough that a tile
@@ -430,6 +481,108 @@ mod tests {
         }
     }
 
+    /// `[Checksum]? [Swap32]? Xor [Swap32]? [Checksum]?` for one of the 16
+    /// rider combinations (bit 0: the leading checksum ... bit 3: the
+    /// trailing one).
+    fn hosted_chain(riders: u8, offset: u64) -> Pipeline {
+        let stages = [
+            (riders & 1 != 0, Manipulation::Checksum),
+            (riders & 2 != 0, Manipulation::Swap32),
+            (
+                true,
+                Manipulation::Xor {
+                    key: 0xFEED,
+                    offset,
+                },
+            ),
+            (riders & 4 != 0, Manipulation::Swap32),
+            (riders & 8 != 0, Manipulation::Checksum),
+        ];
+        stages
+            .into_iter()
+            .filter(|(riding, _)| *riding)
+            .fold(Pipeline::new(), |p, (_, stage)| p.stage(stage))
+    }
+
+    /// Every instantiation of the hosted kernel against the layered passes:
+    /// all 16 rider combinations, at every alignment of the cipher offset
+    /// with the keystream block (only `% 8 == 0` is hosted) and of the
+    /// length with the 16-byte pair, across tile seams, and with the 2^64
+    /// wrap at, inside and just past the unit.
+    #[test]
+    fn every_rider_combination_equals_layered() {
+        let lens = (0..=100).chain(4095..=4097).chain([65_536]);
+        let input = pattern(65_536);
+        let near_wrap = [0u64, 7, 8, 15, 16, 100, 4096, 65_535].map(|back| u64::MAX - back);
+        let offsets: Vec<u64> = (0..8).chain(near_wrap).collect();
+        for len in lens {
+            for &offset in &offsets {
+                for riders in 0..16 {
+                    let p = hosted_chain(riders, offset);
+                    assert_eq!(
+                        p.run_integrated(&input[..len]),
+                        p.run_layered(&input[..len]),
+                        "riders {riders:#06b} len {len} offset {offset}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The grouping is stage adjacency: riders attach to the nearest `Xor`,
+    /// a chain may hold several runs, and what is not next to an `Xor`
+    /// stays a pass of its own.
+    #[test]
+    fn hosted_runs_are_found_by_adjacency() {
+        use Manipulation::{Checksum, Copy, Swap32};
+        let xor = Manipulation::Xor { key: 1, offset: 8 };
+        let spans = |stages: &[Manipulation]| {
+            let (mut at, mut spans) = (0, Vec::new());
+            while at < stages.len() {
+                let (n, _) = hosted_run(&stages[at..]);
+                spans.push(n);
+                at += n;
+            }
+            spans
+        };
+        assert_eq!(spans(&[Swap32, xor.clone(), Checksum]), [3]);
+        assert_eq!(spans(&[Checksum, xor.clone(), Swap32, Copy]), [3, 1]);
+        assert_eq!(spans(&[Checksum, Copy, Swap32, Copy, xor.clone()]), [5]);
+        // Swap-then-sum is not a hosted order: the swap stands alone.
+        assert_eq!(spans(&[Swap32, Checksum, xor.clone()]), [1, 2]);
+        // Two runs; the stage between two `Xor`s rides with the first.
+        assert_eq!(
+            spans(&[xor.clone(), Checksum, Swap32, xor.clone(), Swap32]),
+            [2, 3]
+        );
+        assert_eq!(spans(&[xor.clone(), Swap32, xor.clone()]), [2, 1]);
+        assert_eq!(spans(&[Checksum, Swap32, Checksum, Copy]), [1, 1, 1, 1]);
+    }
+
+    /// The two chains `benchmark/`'s `bulk_pair` runs, on its 64 KiB
+    /// record: the receive chain undoes the send chain, and both checksums
+    /// are the ciphertext's.
+    #[test]
+    fn bulk_pair_chains_round_trip() {
+        let record = pattern(65_536);
+        let (key, offset) = (0x5EED, 3 * 65_536);
+        let tx = Pipeline::new()
+            .stage(Manipulation::Swap32)
+            .stage(Manipulation::Xor { key, offset })
+            .stage(Manipulation::Checksum);
+        let rx = Pipeline::new()
+            .stage(Manipulation::Checksum)
+            .stage(Manipulation::Xor { key, offset })
+            .stage(Manipulation::Swap32)
+            .stage(Manipulation::Copy);
+        let sent = tx.run_integrated(&record);
+        assert_eq!(sent, tx.run_layered(&record));
+        let received = rx.run_integrated(&sent.data);
+        assert_eq!(received, rx.run_layered(&sent.data));
+        assert_eq!(received.data, record);
+        assert_eq!(received.checksums, sent.checksums);
+    }
+
     #[test]
     fn alf_compat_accepts_seekable_chain() {
         let p = canonical_receive_chain(4, 1);
@@ -519,21 +672,60 @@ mod proptests {
     fn arb_stage() -> impl Strategy<Value = Manipulation> {
         prop_oneof![
             Just(Manipulation::Checksum),
-            (any::<u64>(), any::<u64>())
+            (any::<u64>(), arb_offset())
                 .prop_map(|(key, offset)| Manipulation::Xor { key, offset }),
             Just(Manipulation::Swap32),
             Just(Manipulation::Copy),
         ]
     }
 
+    /// Cipher offsets: any at all (7 in 8 are off the keystream block, so
+    /// the run takes the separate passes), block-aligned ones (hosted), and
+    /// ones that put the 2^64 wrap inside the unit.
+    fn arb_offset() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            any::<u64>().prop_map(|o| o & !7),
+            (0u64..3 * TILE as u64).prop_map(|back| u64::MAX - back),
+            (0u64..3 * TILE as u64).prop_map(|back| (u64::MAX - back) & !7),
+        ]
+    }
+
+    /// An `Xor` flanked by at least one `Swap32`/`Checksum` rider.
+    fn arb_hosted_run() -> impl Strategy<Value = Vec<Manipulation>> {
+        (1u8..16, any::<u64>(), arb_offset()).prop_map(|(riders, key, offset)| {
+            let stages = [
+                (riders & 1 != 0, Manipulation::Checksum),
+                (riders & 2 != 0, Manipulation::Swap32),
+                (true, Manipulation::Xor { key, offset }),
+                (riders & 4 != 0, Manipulation::Swap32),
+                (riders & 8 != 0, Manipulation::Checksum),
+            ];
+            let run = stages.into_iter().filter(|(riding, _)| *riding);
+            run.map(|(_, stage)| stage).collect()
+        })
+    }
+
+    /// Chains: a third anything, a third around one hosted run, a third
+    /// around two.
+    fn arb_chain() -> impl Strategy<Value = Vec<Manipulation>> {
+        let filler = || proptest::collection::vec(arb_stage(), 0..3);
+        prop_oneof![
+            proptest::collection::vec(arb_stage(), 0..6),
+            (filler(), arb_hosted_run(), filler()).prop_map(|(a, run, b)| [a, run, b].concat()),
+            (arb_hosted_run(), filler(), arb_hosted_run())
+                .prop_map(|(run, a, other)| [run, a, other].concat()),
+        ]
+    }
+
     proptest! {
         /// Inputs span zero to three tiles and a ragged end, so tile seams,
         /// an odd final tile and the `len % 4` unswapped tail are crossed;
-        /// cipher offsets are arbitrary (any alignment with the keystream
-        /// block).
+        /// two chains in three hold an `Xor` with riders (see `arb_chain`,
+        /// `arb_offset`).
         #[test]
         fn prop_integrated_equals_layered(
-            stages in proptest::collection::vec(arb_stage(), 0..6),
+            stages in arb_chain(),
             input in proptest::collection::vec(any::<u8>(), 0..3 * TILE + 8),
         ) {
             let mut p = Pipeline::new();

@@ -88,6 +88,34 @@ pub(crate) fn sum_words(data: &[u8]) -> u64 {
     sum + sum_tail(blocks.remainder())
 }
 
+/// The summation core one register at a time, for a loop that already holds
+/// each 8-byte word of the data for another manipulation (the hosted
+/// keystream pass in `ct-crypto`) and so pays no load of its own.
+///
+/// The accumulator is the one's-complement sum of the words mod 2^64 - 1 —
+/// add, then add the carry back in — which 0xFFFF divides, so it folds to
+/// the 16-bit sum; no number of words can overflow it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordSum(u64);
+
+impl WordSum {
+    /// Absorb the eight data bytes `word.to_le_bytes()`.
+    #[inline(always)]
+    pub fn add(&mut self, word: u64) {
+        let (sum, carry) = self.0.overflowing_add(word);
+        // A carry leaves `sum <= 2^64 - 2`: the end-around add cannot wrap.
+        self.0 = sum.wrapping_add(u64::from(carry));
+    }
+
+    /// The absorbed bytes as a sum of **big-endian** 16-bit words folded to
+    /// 16 bits: what [`InternetChecksum::update_u16`] takes.
+    pub fn sum(self) -> u16 {
+        // The words were little-endian; swapping the folded sum's bytes
+        // swaps every word's (RFC 1071 §2(B)).
+        fold16(self.0).swap_bytes()
+    }
+}
+
 /// Incremental Internet checksum (RFC 1071 one's-complement sum).
 ///
 /// Feeding data in multiple chunks yields the same result as one shot,
@@ -394,6 +422,26 @@ pub(crate) mod tests {
                     c.update(&data[mid..]);
                     assert_eq!(c.finish(), want, "len {len} split {mid}");
                 }
+            }
+        }
+    }
+
+    /// Word-wise absorption joins the byte-wise state through `update_u16`,
+    /// carries and the all-ones sum included.
+    #[test]
+    fn word_sum_matches_naive_reference() {
+        for words in [0, 1, 2, 3, 64, 8192] {
+            for data in [pattern(words * 8), vec![0xFF; words * 8]] {
+                let mut sum = WordSum::default();
+                for w in data.chunks_exact(8) {
+                    sum.add(u64::from_le_bytes(w.try_into().unwrap()));
+                }
+                let mut c = InternetChecksum::new();
+                c.update(&[0x12, 0x34]);
+                c.update_u16(sum.sum());
+                c.update(&[0x56]);
+                let whole = [&[0x12, 0x34][..], &data, &[0x56]].concat();
+                assert_eq!(c.finish(), naive_internet_checksum(&whole), "{words} words");
             }
         }
     }

@@ -19,8 +19,7 @@
 //! * [`checksum`] — error-detection codes: Internet (RFC 1071) one's
 //!   complement, Fletcher-16/32, Adler-32, CRC-32 — rolled and unrolled.
 //! * [`swap`] — byte-order (presentation-adjacent) conversion kernels.
-//! * [`fused`] — ILP kernels: copy+checksum, xor+checksum, copy+xor+checksum,
-//!   swap+checksum, and the generic fused traversal used by `alf-core`.
+//! * [`fused`] — the ILP kernel: copy+checksum in one pass.
 //! * [`header`] — safe, explicit header field encode/decode helpers used by
 //!   the protocol crates above this one.
 //! * [`wirebuf`] — reference-counted sliceable buffer views ([`WireBuf`]),
@@ -46,7 +45,7 @@ pub mod wirebuf;
 
 pub use checksum::{crc32, fletcher32, internet_checksum, InternetChecksum};
 pub use copy::{copy_bytes, copy_words_unrolled};
-pub use fused::{copy_and_checksum, xor_and_checksum};
+pub use fused::copy_and_checksum;
 pub use wirebuf::WireBuf;
 
 /// Number of bits per byte; used in throughput arithmetic (`Mb/s` figures).

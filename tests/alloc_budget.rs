@@ -301,3 +301,41 @@ fn stream_segment_round_allocates_only_what_the_api_forces() {
         assert_eq!(n, 6, "stream data-segment round allocated {n}");
     }
 }
+
+/// `run_integrated` allocates what it returns — the output and the checksum
+/// list (the latter only when the chain has a `Checksum`) — however many
+/// hosted `Xor` runs the chain holds: the runs are found by walking the
+/// stage list per tile, so there is no plan to allocate.
+#[test]
+fn integrated_pipeline_allocates_only_its_output() {
+    use alf_core::pipeline::{Manipulation, Pipeline};
+    let xor = |key| Manipulation::Xor { key, offset: 64 };
+    let chain =
+        |stages: Vec<Manipulation>| stages.into_iter().fold(Pipeline::new(), Pipeline::stage);
+    let none = chain(vec![
+        Manipulation::Swap32,
+        Manipulation::Checksum,
+        Manipulation::Copy,
+    ]);
+    let one = chain(vec![Manipulation::Swap32, xor(1), Manipulation::Checksum]);
+    let two = chain(vec![
+        Manipulation::Checksum,
+        xor(1),
+        Manipulation::Swap32,
+        Manipulation::Copy,
+        Manipulation::Swap32,
+        xor(2),
+        Manipulation::Checksum,
+    ]);
+    let no_sum = chain(vec![xor(1), Manipulation::Swap32]);
+    let record: Vec<u8> = (0..65_536 + 5).map(|i| (i * 7) as u8).collect();
+    for (runs, p, budget) in [(0, &none, 2), (1, &one, 2), (2, &two, 2), (1, &no_sum, 1)] {
+        let (n, out) = allocs_in(|| p.run_integrated(&record));
+        assert_eq!(out, p.run_layered(&record));
+        assert!(
+            n <= budget,
+            "{runs} hosted run(s), {} stages: {n} allocations (budget {budget})",
+            p.len()
+        );
+    }
+}

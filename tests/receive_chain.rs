@@ -82,17 +82,36 @@ proptest! {
     }
 
     /// The canonical integrated chains match layered execution over wire
-    /// bytes produced by every transfer syntax.
+    /// bytes produced by every transfer syntax — and so does a relay's
+    /// chain, which holds two hosted runs: verify and decrypt under one key,
+    /// re-encrypt at another stream position under a second, checksum the
+    /// new ciphertext. (From two stages up the canonical chain is itself an
+    /// `Xor` with riders; `block` puts the relay's second run on and off
+    /// the keystream block.)
     #[test]
     fn prop_integrated_chain_over_real_wire(
         values in proptest::collection::vec(any::<u32>(), 0..400),
         key in any::<u64>(),
         n_stages in 1usize..=4,
+        offset in any::<u64>(),
+        block in any::<bool>(),
     ) {
+        let relay = Pipeline::new()
+            .stage(Manipulation::Checksum)
+            .stage(Manipulation::Xor { key, offset: 0 })
+            .stage(Manipulation::Swap32)
+            .stage(Manipulation::Copy)
+            .stage(Manipulation::Swap32)
+            .stage(Manipulation::Xor {
+                key: !key,
+                offset: if block { offset & !7 } else { offset },
+            })
+            .stage(Manipulation::Checksum);
         for syntax in [TransferSyntax::Raw, TransferSyntax::Lwts, TransferSyntax::Xdr, TransferSyntax::Ber] {
             let wire = syntax.encode_u32s(&values);
-            let chain = canonical_receive_chain(n_stages, key);
-            prop_assert_eq!(chain.run_integrated(&wire), chain.run_layered(&wire));
+            for chain in [&canonical_receive_chain(n_stages, key), &relay] {
+                prop_assert_eq!(chain.run_integrated(&wire), chain.run_layered(&wire));
+            }
         }
     }
 

@@ -5,9 +5,10 @@
 //!   delivery-latency histogram, the flight recorder, and the data-touch
 //!   ledger coherently with the run's own report;
 //! * the registry and trace JSONL exports survive a round trip losslessly;
-//! * the overhead guards: the ledgered fused kernel, with tracing off (the
+//! * the overhead guard: the ledgered fused kernel, with tracing off (the
 //!   always-on fast path) and with the lifecycle-span trace points armed,
-//!   pays a fixed per-call cost that does not grow with the buffer.
+//!   books one entry per call whatever the buffer size (and, under
+//!   `WALLCLOCK=1`, pays a fixed nanosecond cost for it).
 
 use alf_core::driver::{run_alf_transfer_scenario, seq_workload, ScenarioOpts, Substrate};
 use alf_core::transport::AlfConfig;
@@ -102,53 +103,61 @@ fn registry_jsonl_round_trips_from_a_real_run() {
     assert_eq!(back, snap, "registry must survive its own export");
 }
 
-/// Nanoseconds per `copy_and_checksum` call on a `len`-byte buffer, bare
-/// and followed by its ledger entry (one traversal: `len` reads + `len`
-/// writes, the checksum folded into the same pass). The two sides alternate rep by rep,
-/// so a drift in machine speed hits both alike, and each side keeps its
-/// minimum (the least-disturbed rep is the closest to the code's cost).
-fn bare_and_booked_ns(ledger: &TouchLedger, len: usize, calls_per_rep: usize) -> (f64, f64) {
-    const REPS: usize = 100;
-    let src: Vec<u8> = (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
-    let mut dst = vec![0u8; len];
-    let mut rep = |ledgered: bool| -> f64 {
-        let t = std::time::Instant::now();
-        for _ in 0..calls_per_rep {
-            let src = std::hint::black_box(&src[..]);
-            std::hint::black_box(ct_wire::fused::copy_and_checksum(src, &mut dst));
-            if ledgered {
-                ledger.touch("wire/fused_copy_ck", len as u64, len as u64);
-            }
+/// `calls` runs of `copy_and_checksum` from `src` into `dst`, each followed
+/// — if `ledgered` — by its ledger entry (one traversal: `len` reads + `len`
+/// writes, the checksum folded into the same pass). Returns nanoseconds per
+/// call.
+fn kernel_calls_ns(
+    ledger: &TouchLedger,
+    (src, dst): (&[u8], &mut [u8]),
+    calls: usize,
+    ledgered: bool,
+) -> f64 {
+    let len = src.len() as u64;
+    let t = std::time::Instant::now();
+    for _ in 0..calls {
+        std::hint::black_box(ct_wire::fused::copy_and_checksum(
+            std::hint::black_box(src),
+            dst,
+        ));
+        if ledgered {
+            ledger.touch("wire/fused_copy_ck", len, len);
         }
-        t.elapsed().as_nanos() as f64 / calls_per_rep as f64
-    };
-    let (mut bare, mut ledgered) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..REPS {
-        bare = bare.min(rep(false));
-        ledgered = ledgered.min(rep(true));
     }
-    (bare, ledgered)
+    t.elapsed().as_nanos() as f64 / calls as f64
 }
 
-/// What the overhead guard protects: the ledgered path posts one O(1)
-/// entry per kernel call and has no per-byte hook. Stated as two facts
-/// that do not depend on how fast the kernel is (a ratio to kernel time
-/// flapped on shared hardware and tightens whenever the kernel speeds up):
-/// the entry fits a fixed per-call budget, measured where a 64-byte kernel
+/// A `len`-byte source and a destination for it.
+fn buffers(len: usize) -> (Vec<u8>, Vec<u8>) {
+    let src = (0..len).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect();
+    (src, vec![0u8; len])
+}
+
+/// The nanosecond form of the guard, enforced under `WALLCLOCK=1` only: the
+/// entry fits a fixed per-call budget, measured where a 64-byte kernel
 /// cannot hide it; and it costs no more on a 256 KiB buffer than on a
 /// 4 KiB one, to within a twentieth of the large kernel's own time — any
-/// per-byte hook costs a multiple of that. Returns what was violated.
+/// per-byte hook costs a multiple of that. Both are differences, not ratios
+/// to kernel time (which tighten whenever the kernel speeds up). Returns
+/// what was violated.
 fn ledger_cost_violation(ledger: &TouchLedger) -> Option<String> {
     const BUDGET_NS: f64 = 250.0;
-    let (bare, ledgered) = bare_and_booked_ns(ledger, 64, 4096);
+    const REPS: usize = 100;
+    let bare_and_booked = |len, calls| {
+        let (src, mut dst) = buffers(len);
+        ct_bench::interleaved_min_ns(REPS, |ledgered| {
+            kernel_calls_ns(ledger, (&src, &mut dst), calls, ledgered)
+        })
+    };
+    let (bare, ledgered) = bare_and_booked(64, 4096);
     let per_call = ledgered - bare;
     if per_call >= BUDGET_NS {
         return Some(format!(
             "ledger entry costs {per_call:.0} ns per call (budget {BUDGET_NS} ns)"
         ));
     }
-    let (bare_4k, ledgered_4k) = bare_and_booked_ns(ledger, 4 << 10, 64);
-    let (bare_256k, ledgered_256k) = bare_and_booked_ns(ledger, 256 << 10, 1);
+    let (bare_4k, ledgered_4k) = bare_and_booked(4 << 10, 64);
+    let (bare_256k, ledgered_256k) = bare_and_booked(256 << 10, 1);
     let growth = (ledgered_256k - bare_256k) - (ledgered_4k - bare_4k);
     (growth >= bare_256k / 20.0).then(|| {
         format!(
@@ -159,20 +168,42 @@ fn ledger_cost_violation(ledger: &TouchLedger) -> Option<String> {
 }
 
 /// The always-on telemetry fast path — data-touch accounting with tracing
-/// disarmed — costs a fixed few nanoseconds per kernel call, whatever the
-/// buffer size; and the lifecycle-span instrumentation is strictly per-TU,
-/// so a **tracing-armed** [`Telemetry`]'s ledger meets the same bounds. If
-/// span arming ever grows a per-byte hook, this fails loudly.
+/// disarmed — posts one O(1) entry per kernel call and has no per-byte
+/// hook; and the lifecycle-span instrumentation is strictly per-TU, so a
+/// **tracing-armed** [`Telemetry`]'s ledger does exactly the same. Asserted
+/// as counts: whatever the buffer size, `calls` kernel calls leave one
+/// stage with `calls` entries and `calls x len` reads and writes, and
+/// nothing in the flight recorder.
 ///
-/// One test, so the two timed loops never run beside each other; and a
-/// violation must repeat three times, because the other tests of this
-/// binary run beside this one and can keep either side from ever seeing
-/// an undisturbed rep — a real hook fails every attempt.
+/// Under `WALLCLOCK=1` the same is also bounded in nanoseconds. One test,
+/// so the timed loops never run beside each other; and a violation must
+/// repeat three times, because the other tests of this binary run beside
+/// this one — a real hook fails every attempt.
 #[test]
 fn ledgered_fast_path_cost_is_per_call_armed_or_not() {
     let tel = Telemetry::with_tracing(1 << 15);
     assert!(tel.tracing_enabled(), "span layer must actually be armed");
     for ledger in [&TouchLedger::new(), tel.ledger()] {
+        for (len, calls) in [(64usize, 4096usize), (4 << 10, 64), (256 << 10, 4)] {
+            ledger.reset();
+            let (src, mut dst) = buffers(len);
+            kernel_calls_ns(ledger, (&src, &mut dst), calls, true);
+            let booked = (calls * len) as u64;
+            assert_eq!(
+                ledger.stages(),
+                [ct_telemetry::StageTouch {
+                    stage: "wire/fused_copy_ck",
+                    reads: booked,
+                    writes: booked,
+                    calls: calls as u64,
+                }],
+                "{calls} calls of {len} bytes"
+            );
+        }
+        assert_eq!(tel.trace_len(), 0, "a ledger entry is not a trace event");
+        if !ct_bench::wallclock_enforced() {
+            continue;
+        }
         let mut violation = None;
         for _attempt in 0..3 {
             violation = ledger_cost_violation(ledger);
