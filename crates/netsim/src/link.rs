@@ -9,8 +9,14 @@
 //! finish = start + serialization(len, bandwidth)
 //! arrive = finish + propagation
 //! ```
+//!
+//! The queue is the set of accepted frames whose `finish` is still ahead of
+//! the clock: it drains frame by frame as those instants pass, so a link
+//! kept busy forever by a sender that never has more than `queue_frames`
+//! outstanding refuses nothing.
 
 use crate::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Static configuration of one unidirectional link direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,19 +98,17 @@ pub enum LinkRefusal {
 }
 
 /// Dynamic state of one unidirectional link direction: when the
-/// transmitter frees up and how many frames are queued before that.
+/// transmitter frees up and which frames are still ahead of it.
 #[derive(Debug, Clone)]
 pub struct LinkState {
     config: LinkConfig,
     /// Simulated instant at which the transmitter finishes everything
     /// currently accepted.
     free_at: SimTime,
-    /// Frames accepted but not yet started at `free_at` accounting —
-    /// tracked as (count, drain deadline) pairs compressed into a count
-    /// plus the shared `free_at` horizon.
-    queued: usize,
-    /// Time at which `queued` was last recomputed.
-    last_update: SimTime,
+    /// Transmit-finish times of the accepted frames not yet fully on the
+    /// wire, oldest first (the frame in transmission, then those waiting).
+    /// Its length is the occupancy `queue_frames` bounds.
+    unfinished: VecDeque<SimTime>,
     /// Cumulative accepted frames.
     pub accepted: u64,
     /// Cumulative congestion drops.
@@ -117,8 +121,7 @@ impl LinkState {
         Self {
             config,
             free_at: SimTime::ZERO,
-            queued: 0,
-            last_update: SimTime::ZERO,
+            unfinished: VecDeque::new(),
             accepted: 0,
             congestion_drops: 0,
         }
@@ -138,13 +141,13 @@ impl LinkState {
                 mtu: self.config.mtu,
             });
         }
-        // Queue occupancy decays as the transmitter drains: if `free_at`
-        // has passed, the queue is empty. Otherwise approximate occupancy
-        // by counting frames accepted since the last time we were idle.
-        if now >= self.free_at {
-            self.queued = 0;
+        // The queue drains frame by frame: everything the transmitter has
+        // finished by `now` is gone. What remains is one frame on the wire
+        // plus those waiting behind it.
+        while self.unfinished.front().is_some_and(|&t| t <= now) {
+            self.unfinished.pop_front();
         }
-        if self.queued > self.config.queue_frames {
+        if self.unfinished.len() > self.config.queue_frames {
             self.congestion_drops += 1;
             return Err(LinkRefusal::QueueFull);
         }
@@ -153,9 +156,8 @@ impl LinkState {
         let finish = start + ser;
         self.free_at = finish;
         if finish > now {
-            self.queued += 1;
+            self.unfinished.push_back(finish);
         }
-        self.last_update = now;
         self.accepted += 1;
         Ok(finish + self.config.propagation)
     }
@@ -251,6 +253,86 @@ mod tests {
         assert_eq!(link.congestion_drops, 7);
         // After the queue drains, frames are accepted again.
         assert!(link.offer(SimTime::from_millis(10), 1000).is_ok());
+    }
+
+    /// 1000-byte frames on an 8 Mb/s link: 1 ms each.
+    fn ms_per_frame(queue_frames: usize) -> LinkState {
+        LinkState::new(LinkConfig {
+            bandwidth_bps: 8_000_000,
+            propagation: SimDuration::ZERO,
+            queue_frames,
+            mtu: 1500,
+        })
+    }
+
+    #[test]
+    fn busy_link_with_bounded_backlog_refuses_nothing() {
+        // A paced sender tops the link back up to `queue_frames`
+        // outstanding every millisecond, so the transmitter never idles.
+        // Counting frames accepted since it was last idle (the old model)
+        // refuses everything after the first `queue_frames + 1`.
+        let mut link = ms_per_frame(4);
+        for _ in 0..4 {
+            link.offer(SimTime::ZERO, 1000).unwrap();
+        }
+        for ms in 1..10_000 {
+            let now = SimTime::from_millis(ms);
+            assert!(link.free_at() > now, "transmitter went idle at {now}");
+            link.offer(now, 1000).unwrap();
+        }
+        assert_eq!(link.congestion_drops, 0);
+        assert_eq!(link.accepted, 4 + 9_999);
+    }
+
+    #[test]
+    fn burst_one_past_the_queue_refuses_exactly_one() {
+        // One frame on the wire + `queue_frames` waiting fit; the next does not.
+        let mut link = ms_per_frame(5);
+        let refused = (0..5 + 2)
+            .filter(|_| link.offer(SimTime::ZERO, 1000) == Err(LinkRefusal::QueueFull))
+            .count();
+        assert_eq!(refused, 1);
+        assert_eq!(link.congestion_drops, 1);
+        assert_eq!(link.accepted, 6);
+    }
+
+    #[test]
+    fn occupancy_decays_frame_by_frame() {
+        let mut link = ms_per_frame(3);
+        for _ in 0..4 {
+            link.offer(SimTime::ZERO, 1000).unwrap(); // finish at 1, 2, 3, 4 ms
+        }
+        assert_eq!(
+            link.offer(SimTime::from_micros(999), 1000),
+            Err(LinkRefusal::QueueFull),
+            "nothing has finished yet"
+        );
+        // Each finish time that passes makes room for exactly one frame.
+        for ms in 1..=4 {
+            let now = SimTime::from_millis(ms);
+            assert!(link.offer(now, 1000).is_ok(), "one slot at {now}");
+            assert_eq!(link.offer(now, 1000), Err(LinkRefusal::QueueFull));
+        }
+        assert_eq!(link.congestion_drops, 5);
+    }
+
+    #[test]
+    fn ideal_link_never_queues() {
+        let mut link = LinkState::new(LinkConfig::ideal());
+        for _ in 0..100_000 {
+            link.offer(SimTime::ZERO, 9000).unwrap();
+        }
+        assert_eq!(link.congestion_drops, 0);
+        assert!(link.unfinished.is_empty(), "nothing ever waits");
+        // Not even with no queue at all: a frame that takes no time to send
+        // is never in the transmitter's way.
+        let mut link = LinkState::new(LinkConfig {
+            queue_frames: 0,
+            ..LinkConfig::ideal()
+        });
+        for _ in 0..1000 {
+            link.offer(SimTime::ZERO, 9000).unwrap();
+        }
     }
 
     #[test]

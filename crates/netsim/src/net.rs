@@ -132,6 +132,10 @@ pub struct Network {
     now: SimTime,
     rng: SimRng,
     stats: NetStats,
+    /// Frames taken in and then found unroutable or over a hop's MTU (the
+    /// sender is told at the first hop; an interior hop is silent). Not a
+    /// `net.*` drop cause, but conservation does not close without it.
+    refused: u64,
     telemetry: Option<Telemetry>,
 }
 
@@ -150,6 +154,7 @@ impl Network {
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             stats: NetStats::default(),
+            refused: 0,
             telemetry: None,
         }
     }
@@ -448,9 +453,12 @@ impl Network {
         self.stats.frames_sent += 1;
         self.stats.bytes_sent += frame.payload.len() as u64;
         self.record(FrameEvent::Sent, from, to, frame.payload.len());
-        self.forward(from, frame).map_err(|e| match e {
-            ForwardFailure::NoRoute { from, to } => SendError::NoRoute { from, to },
-            ForwardFailure::Refused(r) => SendError::Refused(r),
+        self.forward(from, frame).map_err(|e| {
+            self.refused += 1;
+            match e {
+                ForwardFailure::NoRoute { from, to } => SendError::NoRoute { from, to },
+                ForwardFailure::Refused(r) => SendError::Refused(r),
+            }
         })
     }
 
@@ -583,8 +591,18 @@ impl Network {
                 frame.dst,
                 frame.payload.len(),
             );
-            let _ = self.forward(node, frame);
+            if self.forward(node, frame).is_err() {
+                self.refused += 1;
+            }
         }
+        // Every run, however it is driven, ends on one of these.
+        debug_assert!(
+            self.frames_conserved(),
+            "frames not conserved: {}, refused {}, in flight {}",
+            self.stats,
+            self.refused,
+            self.queue.len()
+        );
         Some(self.now)
     }
 
@@ -606,6 +624,20 @@ impl Network {
     /// True if no events are in flight (inboxes may still hold frames).
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
+    }
+
+    /// Frame conservation: every frame that entered the network — offered
+    /// by a sender, injected by a mutator or copied by a duplication fault
+    /// — was delivered, dropped for a counted cause, refused, or is still
+    /// in flight. A link model that loses count of its queue breaks this.
+    fn frames_conserved(&self) -> bool {
+        let s = &self.stats;
+        s.frames_sent + s.injected + s.duplicates
+            == s.frames_delivered
+                + s.fault_drops
+                + s.congestion_drops
+                + self.refused
+                + self.queue.len() as u64
     }
 }
 
@@ -947,6 +979,58 @@ mod tests {
         assert!(net.mutator_stats(b, a).is_none());
         net.clear_mutator(a, b);
         assert!(net.mutator_stats(a, b).is_none());
+    }
+
+    #[test]
+    fn frames_are_conserved_on_a_lossy_congested_two_hop_path() {
+        // a - r - b. The second hop is slower with a short queue, so bursts
+        // overflow it; both hops lose, duplicate and reorder; a mutator
+        // replays and forges on the first, and extends some frames past the
+        // second hop's MTU. Checked with frames in flight, idle, and after
+        // more traffic — not left to the `debug_assert` in `step`, which a
+        // release test run compiles out.
+        let mut net = Network::new(17);
+        let a = net.add_node();
+        let r = net.add_node();
+        let b = net.add_node();
+        let faults = FaultConfig {
+            drop: 0.05,
+            duplicate: 0.05,
+            reorder: 0.1,
+            ..FaultConfig::default()
+        };
+        net.connect(a, r, LinkConfig::lan(), faults);
+        let narrow = LinkConfig {
+            bandwidth_bps: 10_000_000,
+            queue_frames: 8,
+            mtu: 1000,
+            ..LinkConfig::lan()
+        };
+        net.connect(r, b, narrow, faults);
+        net.set_mutator(a, r, MutatorConfig::hostile(0.05));
+        for burst in 0..200 {
+            for _ in 0..20 {
+                net.send(a, b, vec![0x5A; 990]).unwrap();
+            }
+            // Over the first hop's MTU too, unless a fault takes it first.
+            let _ = net.send(a, b, vec![0; 9001]);
+            assert!(net.frames_conserved(), "{}", net.stats());
+            if burst % 2 == 0 {
+                net.advance(SimDuration::from_micros(300));
+            } else {
+                net.run_until_idle();
+            }
+            assert!(net.frames_conserved(), "{}", net.stats());
+        }
+        let s = *net.stats();
+        assert!(s.fault_drops > 0 && s.congestion_drops > 0, "{s}");
+        assert!(s.duplicates > 0 && s.injected > 0, "{s}");
+        assert!(net.refused > 200, "interior MTU refusals: {}", net.refused);
+        assert!(s.frames_delivered > 0 && s.frames_delivered < s.frames_sent);
+        // Losing one frame from any term is seen.
+        net.stats.congestion_drops -= 1;
+        assert!(!net.frames_conserved());
+        net.stats.congestion_drops += 1;
     }
 
     #[test]

@@ -134,8 +134,14 @@ impl SimDuration {
         if bits_per_second == 0 {
             return SimDuration::ZERO; // "infinite" capacity link
         }
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(bits_per_second as u128);
+        // Every frame on a paced link comes through here, and a 128-bit
+        // divide is a library call: stay in `u64` whenever the numerator
+        // fits (frames up to 2.3 GB do).
+        if let Some(bit_ns) = (bytes as u64).checked_mul(8 * 1_000_000_000) {
+            return SimDuration(bit_ns.div_ceil(bits_per_second));
+        }
+        let bit_ns = bytes as u128 * (8 * 1_000_000_000);
+        let ns = bit_ns.div_ceil(bits_per_second as u128);
         SimDuration(ns.min(u64::MAX as u128) as u64)
     }
 }
@@ -215,6 +221,59 @@ mod tests {
         assert_eq!(
             SimDuration::serialization(1, 1_000_000_000_000).as_nanos(),
             1
+        );
+    }
+
+    #[test]
+    fn serialization_u64_and_u128_paths_agree() {
+        // What the function computed before it had a fast path.
+        fn wide(bytes: usize, bps: u64) -> u64 {
+            let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(bps as u128);
+            ns.min(u64::MAX as u128) as u64
+        }
+        // The largest frame whose bit-nanoseconds fit in a u64, and around it.
+        let edge = (u64::MAX / 8_000_000_000) as usize;
+        assert!((edge as u64).checked_mul(8_000_000_000).is_some());
+        assert!((edge as u64 + 1).checked_mul(8_000_000_000).is_none());
+        let sizes = [
+            0,
+            1,
+            64,
+            1430,
+            9000,
+            65_535,
+            edge - 1,
+            edge,
+            edge + 1,
+            edge + 2,
+            usize::MAX,
+        ];
+        let rates = [
+            1,
+            3,
+            7,
+            10_000_000,
+            100_000_000,
+            1_000_000_000,
+            999_999_937,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for bytes in sizes {
+            for bps in rates {
+                assert_eq!(
+                    SimDuration::serialization(bytes, bps).as_nanos(),
+                    wide(bytes, bps),
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
+        // At the top rate anything non-empty rounds up to one nanosecond,
+        // and the slowest link saturates rather than wrapping.
+        assert_eq!(SimDuration::serialization(1430, u64::MAX).as_nanos(), 1);
+        assert_eq!(
+            SimDuration::serialization(usize::MAX, 1).as_nanos(),
+            u64::MAX
         );
     }
 
