@@ -314,6 +314,21 @@ mod tests {
     }
 
     #[test]
+    fn clean_transfer_cuts_no_more_segments_than_it_needs() {
+        // One data segment per MSS and one ACK each, plus FINs and slack:
+        // no slivers, no retransmissions, nothing refused by the link.
+        let data = payload(400_000);
+        let cfg = StreamConfig::default();
+        let r = run_transfer(1990, LinkConfig::gigabit(), FaultConfig::none(), cfg, &data);
+        assert!(r.complete);
+        assert_eq!(r.received_crc32, payload_crc(&data));
+        let segments = r.sender.segments_out + r.receiver.segments_out;
+        let bound = 2 * data.len().div_ceil(cfg.mss) as u64 + 16;
+        assert!(segments <= bound, "{segments} segments > {bound}");
+        assert_eq!(r.net_loss_rate, 0.0);
+    }
+
+    #[test]
     fn deterministic_runs() {
         let data = payload(80_000);
         let r1 = run_transfer(

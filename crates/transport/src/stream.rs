@@ -295,14 +295,17 @@ impl StreamTransport {
 
     /// Read delivered in-order bytes into `out`; returns the count.
     pub fn recv(&mut self, out: &mut [u8]) -> usize {
-        let was_closed = self.advertised_window() < self.cfg.mss as u32;
+        // "Open" is room for a full segment, or the whole buffer where that
+        // is smaller: a buffer under one MSS can never offer a full segment.
+        let open = self.cfg.mss.min(self.cfg.recv_buffer) as u32;
+        let was_closed = self.advertised_window() < open;
         let n = self.recv_ready.pop_into(out);
         self.stats.bytes_delivered += n as u64;
         // Window-update ACK: if the advertised window was effectively
         // closed and the application just opened it, tell the peer —
         // otherwise the sender sits on a zero window until its
         // retransmission timer limps in (TCP's persist-timer problem).
-        if n > 0 && was_closed && self.advertised_window() >= self.cfg.mss as u32 {
+        if n > 0 && was_closed && self.advertised_window() >= open {
             self.ack_pending = true;
         }
         n
@@ -371,8 +374,15 @@ impl StreamTransport {
             let window = self.cwnd.min(self.peer_window);
             let flight = self.flight_bytes();
             let avail = window.saturating_sub(flight);
-            let take = self.cfg.mss.min(self.unsent_bytes()).min(avail);
+            let unsent = self.unsent_bytes();
+            let take = self.cfg.mss.min(unsent).min(avail);
             if take == 0 {
+                break;
+            }
+            // Sender-side silly-window avoidance (RFC 1122 §4.2.3.4): a
+            // window-limited sliver waits for the ACK that widens the
+            // window. Something is in flight, so an ACK or the RTO re-polls.
+            if take < self.cfg.mss && take < unsent && flight > 0 {
                 break;
             }
             let seg = Inflight {
@@ -1026,6 +1036,102 @@ mod tests {
         assert_eq!(a.poll(t).len(), 1, "sender resumes immediately");
     }
 
+    /// A bare ACK from the peer (port 2 → 1) with the given window.
+    fn ack(ack: u64, window: u32) -> WireBuf {
+        Segment {
+            src_port: 2,
+            dst_port: 1,
+            seq: 0,
+            ack,
+            flags: FLAG_ACK,
+            window,
+            payload: WireBuf::empty(),
+        }
+        .encode()
+        .into()
+    }
+
+    #[test]
+    fn window_limited_sliver_waits_for_an_empty_flight() {
+        let (mut a, _) = pair();
+        let t = SimTime::ZERO;
+        a.send(&[3u8; 4200]);
+        assert_eq!(a.poll(t).len(), 3);
+        // The first segment is acknowledged and the peer offers 3 400 bytes:
+        // 2 800 are in flight, so 600 are usable and 5 000 are waiting.
+        a.on_frame(t, ack(1400, 3400));
+        a.send(&[4u8; 5000]);
+        assert!(a.poll(t).is_empty(), "a 600-byte sliver must not be cut");
+        assert_eq!(a.retransmit_buffer_bytes(), 2800);
+        // A wider window releases full segments, and only full segments.
+        a.on_frame(t, ack(1400, 2800 + 1400 + 1399));
+        let out = a.poll(t);
+        assert_eq!(out.len(), 1);
+        assert_eq!(decode(&out[0]).unwrap().payload.len(), 1400);
+        // Everything is acknowledged; the peer has 600 bytes of room. With
+        // nothing in flight the sliver goes, or nothing ever would.
+        a.on_frame(t, ack(5600, 600));
+        let out = a.poll(t);
+        assert_eq!(out.len(), 1);
+        let seg = decode(&out[0]).unwrap();
+        assert_eq!((seg.seq, seg.payload.len()), (5600, 600));
+        assert!(a.poll(t).is_empty(), "window used up");
+    }
+
+    #[test]
+    fn sub_mss_write_goes_out_at_once() {
+        // Holding a sliver is about the window, not about small writes:
+        // what carries everything unsent is sent, in flight or not.
+        let (mut a, _) = pair();
+        let t = SimTime::ZERO;
+        a.send(&[1u8; 100]);
+        let out = a.poll(t);
+        assert_eq!(out.len(), 1);
+        assert_eq!(decode(&out[0]).unwrap().payload.len(), 100);
+        a.send(&[2u8; 50]);
+        let out = a.poll(t);
+        assert_eq!(out.len(), 1, "no waiting for the first to be acknowledged");
+        assert_eq!(decode(&out[0]).unwrap().payload.len(), 50);
+        // And a write that ends in a short tail: full segments, then the tail.
+        a.send(&[3u8; 1400 + 7]);
+        let lens: Vec<usize> = a
+            .poll(t)
+            .iter()
+            .map(|f| decode(f).unwrap().payload.len())
+            .collect();
+        assert_eq!(lens, [1400, 7]);
+    }
+
+    #[test]
+    fn window_update_sent_when_buffer_is_under_one_mss() {
+        // Regression: "reopened" meant room for a full MSS, which a smaller
+        // buffer never has — no update was ever sent and, with nothing in
+        // flight to time out, the sender sat on the zero window for good.
+        let cfg = StreamConfig {
+            recv_buffer: 500,
+            ..StreamConfig::default()
+        };
+        let mut a = StreamTransport::new(StreamConfig::default(), 1, 2);
+        let mut b = StreamTransport::new(cfg, 2, 1);
+        a.send(&[7u8; 1000]);
+        let t = SimTime::ZERO;
+        a.on_frame(t, ack(0, 500)); // the peer's real window
+        for f in a.poll(t) {
+            b.on_frame(t, f.into());
+        }
+        for f in b.poll(t) {
+            a.on_frame(t, f.into());
+        }
+        assert!(a.poll(t).is_empty(), "zero window");
+        assert_eq!(a.next_timeout(), None, "and no timer to end it");
+        let mut buf = [0u8; 500];
+        assert_eq!(b.recv(&mut buf), 500);
+        let updates = b.poll(t);
+        assert_eq!(updates.len(), 1, "window update expected");
+        a.on_frame(t, updates[0].as_slice().into());
+        assert_eq!(a.poll(t).len(), 1, "sender resumes");
+    }
+
     #[test]
     fn cwnd_grows_on_acks() {
         let (mut a, mut b) = pair();
@@ -1075,16 +1181,7 @@ mod tests {
         let first = a.poll(t);
         assert_eq!(first.len(), 2);
         // The peer kept 600 bytes of the second segment (its window closed).
-        let ack = Segment {
-            src_port: 2,
-            dst_port: 1,
-            seq: 0,
-            ack: 2000,
-            flags: FLAG_ACK,
-            window: 0,
-            payload: WireBuf::empty(),
-        };
-        a.on_frame(t, ack.encode().into());
+        a.on_frame(t, ack(2000, 0));
         assert_eq!(
             a.retransmit_buffer_bytes(),
             1400,
@@ -1108,16 +1205,7 @@ mod tests {
         a.send(&[9u8; 3000]);
         let t = SimTime::ZERO;
         let frames = a.poll(t);
-        let forged = Segment {
-            src_port: 2,
-            dst_port: 1,
-            seq: 0,
-            ack: 1_000_000,
-            flags: FLAG_ACK,
-            window: 0,
-            payload: WireBuf::empty(),
-        };
-        a.on_frame(t, forged.encode().into());
+        a.on_frame(t, ack(1_000_000, 0)); // forged
         assert_eq!(a.stats.bad_acks, 1);
         assert_eq!(
             a.stats.segments_in, 0,
@@ -1218,6 +1306,82 @@ mod tests {
         }
         assert_eq!(got_b, to_b);
         assert_eq!(got_a, to_a);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// Whatever the application's write sizes, the reader's pace and the
+        /// two buffers (either may be smaller than one segment), the
+        /// transfer completes with the same bytes, and every first
+        /// transmission of data is a full segment, the tail of everything
+        /// written so far, or was cut with nothing in flight.
+        #[test]
+        fn prop_no_silly_segments_and_no_deadlock(
+            writes in proptest::collection::vec(1usize..3000, 1..12),
+            send_buffer in 64usize..6000,
+            recv_buffer in 64usize..6000,
+            read_every in 1usize..4,
+            read_chunk in 1usize..4000,
+        ) {
+            let cfg = StreamConfig::default();
+            let mss = cfg.mss;
+            let mut a = StreamTransport::new(StreamConfig { send_buffer, ..cfg }, 1, 2);
+            let mut b = StreamTransport::new(StreamConfig { recv_buffer, ..cfg }, 2, 1);
+            let data: Vec<u8> = (0..20_000usize).map(|i| ((i * 31) >> 2) as u8).collect();
+            let mut written = 0;
+            let mut got = Vec::new();
+            let mut buf = vec![0u8; read_chunk];
+            let mut now = SimTime::ZERO;
+            let mut done = false;
+            for round in 0..200_000 {
+                let want = writes[round % writes.len()].min(data.len() - written);
+                let accepted = a.send(&data[written..written + want]);
+                written += accepted;
+                now += SimDuration::from_micros(100);
+                let una = a.snd_una;
+                let mut nxt = a.snd_nxt;
+                let fa = a.poll(now);
+                for f in &fa {
+                    let seg = decode(f).unwrap();
+                    let len = seg.payload.len();
+                    if len == 0 || seg.seq < nxt {
+                        continue; // bare ACK or retransmission
+                    }
+                    proptest::prop_assert!(
+                        len == mss || seg.seq_end() == written as u64 || nxt == una,
+                        "silly segment: {len} bytes at {} with {} in flight, {written} written",
+                        seg.seq, nxt - una
+                    );
+                    nxt = seg.seq_end();
+                }
+                let mut moved = accepted > 0 || !fa.is_empty();
+                for f in fa {
+                    b.on_frame(now, f.into());
+                }
+                if round % read_every == 0 {
+                    let n = b.recv(&mut buf);
+                    got.extend_from_slice(&buf[..n]);
+                    moved |= n > 0;
+                }
+                for f in b.poll(now) {
+                    moved = true;
+                    a.on_frame(now, f.into());
+                }
+                if got.len() == data.len() && a.send_complete() {
+                    done = true;
+                    break;
+                }
+                if !moved && b.recv_available() == 0 {
+                    // Quiet: only a timer can move things now.
+                    let t = a.next_timeout().or(b.next_timeout());
+                    proptest::prop_assert!(t.is_some(), "deadlock at {} bytes", got.len());
+                    now = now.max(t.unwrap());
+                }
+            }
+            proptest::prop_assert!(done, "did not finish: {} of {}", got.len(), data.len());
+            proptest::prop_assert_eq!(got, data);
+        }
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! Each scenario drives a seeded [`TransportPair`] to completion and folds
 //! every frame either endpoint emits (direction, length, bytes — in emission
 //! order) into one FNV-1a digest, then reads both endpoints' final counters.
-//! The constants were captured at the commit *before* the send side was
-//! rebuilt on a single send/retransmit FIFO and an in-order `VecDeque`
-//! (ISSUE 17); a change to segmentation, ACK generation, retransmission
-//! choice, window arithmetic or the wire encoding moves a digest, so "no
-//! protocol behaviour changed" is a test, not a claim.
+//! A change to segmentation, ACK generation, retransmission choice, window
+//! arithmetic or the wire encoding moves a digest, so "no protocol behaviour
+//! changed" is a test, not a claim.
+//!
+//! The constants were captured in ISSUE 24, with the link queue that drains
+//! (ct-netsim) and the sender that cuts no window-limited slivers (RFC 1122
+//! section 4.2.3.4); EXPERIMENTS.md has the rows they replaced and which
+//! half moved which pin.
 
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
@@ -176,11 +179,11 @@ fn clean_gigabit_transfer_is_pinned() {
     assert_eq!(
         o,
         Outcome {
-            frames_digest: 0xfeba_0f19_76ac_f79c,
-            sender: [725, 574, 0, 0, 1, 0, 0, 0, 0, 0],
-            receiver: [574, 574, 400_000, 0, 0, 0, 0, 90, 35_866, 320_553_232],
+            frames_digest: 0xb346_8603_a7f5_ab68,
+            sender: [287, 287, 0, 0, 0, 0, 0, 0, 0, 0],
+            receiver: [287, 287, 400_000, 0, 0, 0, 0, 0, 0, 0],
             partial_acks: 0,
-            sim_nanos: 11_006_336,
+            sim_nanos: 3_329_440,
         }
     );
 }
@@ -202,11 +205,11 @@ fn lossy_reordering_transfer_is_pinned() {
     assert_eq!(
         o,
         Outcome {
-            frames_digest: 0xabd1_98d9_896a_7944,
-            sender: [340, 326, 0, 0, 5, 0, 0, 0, 0, 0],
-            receiver: [333, 333, 300_000, 0, 0, 0, 2, 143, 47_600, 26_238_416],
+            frames_digest: 0x64d1_3ae0_ea5f_eca2,
+            sender: [223, 214, 0, 0, 5, 0, 0, 0, 0, 0],
+            receiver: [217, 217, 300_000, 0, 0, 0, 1, 73, 47_600, 10_942_720],
             partial_acks: 0,
-            sim_nanos: 3_912_456,
+            sim_nanos: 3_182_800,
         }
     );
 }
@@ -216,7 +219,10 @@ fn partial_ack_inside_a_segment_is_pinned() {
     // A 2 000-byte receive buffer under a 1 400-byte MSS and a slow reader:
     // the receiver keeps the head of a segment and drops its tail, so its
     // cumulative ACK lands inside a segment the sender still holds whole —
-    // and must retransmit whole, from its original sequence number.
+    // and must retransmit whole, from its original sequence number. None of
+    // the four comes from the send rule: three answer the first flight,
+    // cut against the sender's own guess before any window was advertised,
+    // and one answers the whole-segment RTO retransmission.
     let o = run(&Scenario {
         seed: 42,
         faults: FaultConfig::none(),
@@ -228,11 +234,11 @@ fn partial_ack_inside_a_segment_is_pinned() {
     assert_eq!(
         o,
         Outcome {
-            frames_digest: 0xbbd8_139a_634b_7eab,
-            sender: [87, 163, 0, 1, 0, 0, 0, 0, 0, 0],
-            receiver: [163, 87, 60_000, 0, 0, 0, 0, 0, 0, 0],
+            frames_digest: 0x5584_01e4_7ddd_16a3,
+            sender: [69, 91, 0, 1, 0, 0, 0, 0, 0, 0],
+            receiver: [91, 69, 60_000, 0, 0, 0, 0, 0, 0, 0],
             partial_acks: 4,
-            sim_nanos: 15_321_840,
+            sim_nanos: 13_590_800,
         }
     );
 }

@@ -68,7 +68,7 @@ cp BENCH_x10.json BENCH_x11.json BENCH_x12.json BENCH_x13.json BENCH_x14.json "$
 cargo run --release -q -p ct-bench --bin harness x10 > /dev/null
 
 # Lifecycle-span smoke: X11 asserts ALF HOL stall stays ~0 while the
-# stream substrate's stall grows with loss, and that the offline
+# stream substrate stalls under any loss, and that the offline
 # stitcher reproduces the in-process reports byte-identically; it
 # refreshes BENCH_x11.json and dumps target/x11_*_trace.jsonl.
 cargo run --release -q -p ct-bench --bin harness x11 > /dev/null

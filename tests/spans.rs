@@ -83,11 +83,7 @@ fn stream_hol_profile_is_deterministic_and_sees_loss() {
     let data: Vec<u8> = (0..60 * ADU_BYTES)
         .map(|i| (i.wrapping_mul(131) >> 3) as u8)
         .collect();
-    // Deep queue so injected loss is the only loss source (as in X11).
-    let link = LinkConfig {
-        queue_frames: 4096,
-        ..LinkConfig::lan()
-    };
+    let link = LinkConfig::lan();
     let run = || {
         let tel = Telemetry::with_tracing(1 << 15);
         let r = run_transfer_telemetry(
