@@ -710,6 +710,9 @@ fn x1_head_of_line() {
             alf.complete && alf.verified,
             "alf must complete at {loss_pct}%"
         );
+        // `complete` counts an ADU reported lost as accounted for; here
+        // every one must arrive, or "ALF time" is not a transfer time.
+        assert_eq!(alf.sender.adus_given_up, 0, "at {loss_pct}%");
         t.row(&[
             format!("{loss_pct}%"),
             format!("{}", tcp.elapsed),
@@ -1654,6 +1657,7 @@ fn x11_lifecycle_spans() {
     let mut json_rows = Vec::new();
     let mut alf_stall_means = Vec::new();
     let mut stream_stall_means = Vec::new();
+    let mut stream_stall_floor = Vec::new();
     let mut attribution_3pct = String::new();
 
     for &loss in &loss_rates {
@@ -1775,6 +1779,7 @@ fn x11_lifecycle_spans() {
         ));
         alf_stall_means.push(alf_stall.mean_us);
         stream_stall_means.push(ss.mean_us);
+        stream_stall_floor.push((loss, stalled, ss.max_us));
     }
     print!("{}", t.render());
 
@@ -1801,6 +1806,17 @@ fn x11_lifecycle_spans() {
         s0 == 0.0 && s1 > 0.0 && s3 > 0.0,
         "stream HOL stall must be zero clean and present under loss: {s0:.1}, {s1:.1}, {s3:.1}"
     );
+    // And present means a retransmission's worth: under loss the worst
+    // range waits at least one round trip of the link, and at least one
+    // range per `loss x ADUS` stalls (8 seeds read >= 800 us, >= 8 and >= 12
+    // ranges). A stall that shrank to microseconds is not a stall.
+    let round_trip_us = 2 * link.propagation.as_nanos() / 1_000;
+    for &(loss, stalled, max_us) in stream_stall_floor.iter().filter(|r| r.0 > 0.0) {
+        assert!(
+            max_us >= round_trip_us && stalled as f64 >= loss * ADUS as f64,
+            "stream HOL stall at {loss}: max {max_us} us (floor {round_trip_us}), {stalled} ranges"
+        );
+    }
 
     let json = format!(
         "{{\n  \"experiment\": \"x11\",\n  \"adus\": {ADUS},\n  \"adu_bytes\": {ADU_BYTES},\n  \"rows\": [\n{}\n  ]\n}}\n",

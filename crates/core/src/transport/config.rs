@@ -75,8 +75,10 @@ pub struct AlfConfig {
     /// it continuously from the measured delivery rate.
     pub pace_per_tu: SimDuration,
     // ---- consulted off the fault-free path only ----
-    /// Give up after this many whole-ADU retransmissions and declare the
-    /// ADU lost (sender side).
+    /// Give up after this many whole-ADU loss events (timeouts, whole-ADU
+    /// NACKs) and declare the ADU lost (sender side). Answering a
+    /// selective NACK is not one — up to `max_retries x nack_frag_rounds`
+    /// of them, the most an honest receiver asks for.
     pub max_retries: u32,
     /// Selective-recovery rounds: how many times the receiver NACKs an
     /// overdue ADU's *missing fragments* (deadline restarting each round)

@@ -103,7 +103,13 @@ struct SentAdu {
     payload: Option<WireBuf>,
     total_len: u32,
     deadline: SimTime,
+    /// Loss events charged to this ADU — retransmission timeouts and
+    /// whole-ADU NACKs. `max_retries` bounds these.
     retries: u32,
+    /// Selective repair rounds answered. Each stretches the RTO like a
+    /// retry but is not charged to `max_retries`: a receiver that asks for
+    /// the rest of an ADU is alive and holding part of it.
+    repairs: u32,
     /// Waiting for the application to deliver a recomputed payload.
     awaiting_recompute: bool,
     /// TUs of this ADU still sitting in the pacing queue. The retransmit
@@ -116,6 +122,13 @@ struct SentAdu {
     /// gated — so the wheel's minimum equals the old full min-scan
     /// bit-for-bit.
     armed: Option<SimTime>,
+}
+
+impl SentAdu {
+    /// Exponent of this ADU's RTO backoff: every repair attempt so far.
+    fn backoff(&self) -> u32 {
+        self.retries + self.repairs
+    }
 }
 
 /// State an endpoint needs only once it leaves the fault-free TU/ACK path:
@@ -444,6 +457,7 @@ impl AduTransport {
                 payload: Some(payload),
                 deadline: SimTime::ZERO,
                 retries: 0,
+                repairs: 0,
                 awaiting_recompute: false,
                 tus_unreleased: 0,
                 armed: None,
@@ -606,7 +620,7 @@ impl AduTransport {
                     sent.payload.take()
                 };
                 if let Some(payload) = payload {
-                    sent.deadline = now + rto_for(base, sent.retries + self.timeout_backoff);
+                    sent.deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
                     let name = sent.name;
                     let queued = if full || payload.len() <= self.cfg.mtu_payload {
                         self.stats.adus_retransmitted += 1;
@@ -741,9 +755,8 @@ impl AduTransport {
                 restamp_tu(&mut frame, micros_wrapping(now));
             }
             if let Some(sent) = self.window.get_mut(id) {
-                let retries = sent.retries;
                 sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
-                sent.deadline = now + rto_for(base, retries + self.timeout_backoff);
+                sent.deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
                 self.sync_timer(id);
             }
             self.stats.tus_sent += 1;
@@ -1353,8 +1366,16 @@ impl AduTransport {
             // duplicates behind them.
             return;
         }
-        if sent.retries >= self.cfg.max_retries {
-            // Selective recovery is still bounded by the give-up budget.
+        if sent.repairs
+            >= self
+                .cfg
+                .max_retries
+                .saturating_mul(self.cfg.nack_frag_rounds)
+        {
+            // More selective rounds than an honest receiver asks for over
+            // the whole give-up budget (`nack_frag_rounds` per loss event):
+            // charge this one as a loss event, so a forged NACK stream
+            // cannot hold an ADU in the window forever.
             self.handle_loss_event(adu_id, now);
             return;
         }
@@ -1416,8 +1437,8 @@ impl AduTransport {
             .window
             .get_mut(adu_id)
             .expect("checked live above; no removal since");
-        sent.retries += 1;
-        sent.deadline = now + rto_for(base, sent.retries + self.timeout_backoff);
+        sent.repairs += 1;
+        sent.deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
         sent.tus_unreleased += queued;
         self.stats.tus_retransmitted_selective += queued as u64;
         self.ledger_touch("alf/tu_encode", retx_bytes as u64, retx_bytes as u64);
@@ -1464,7 +1485,7 @@ impl AduTransport {
             return;
         }
         sent.retries += 1;
-        let deadline = now + rto_for(base, sent.retries + self.timeout_backoff);
+        let deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
         sent.deadline = deadline;
         match self.cfg.recovery {
             RecoveryMode::TransportBuffer => {

@@ -308,6 +308,51 @@ fn selective_rounds_exhaust_to_whole_adu_nack() {
     assert_eq!(b.assembler_stats().adus_abandoned, 1);
 }
 
+/// A receiver asking for the rest of an ADU is alive and holding part of
+/// it: answering it is not charged to `max_retries`. The allowance is what
+/// an honest receiver can ask for (`nack_frag_rounds` per loss event);
+/// past it every further request is charged, so a forged stream of them
+/// still ends in a loss report.
+#[test]
+fn selective_repairs_are_not_charged_to_the_give_up_budget() {
+    let mut a = AduTransport::new(AlfConfig {
+        max_retries: 2,
+        nack_frag_rounds: 3,
+        ..cfg(RecoveryMode::TransportBuffer)
+    });
+    a.send_adu(AduName::Seq { index: 0 }, payload(3000))
+        .unwrap();
+    assert_eq!(a.poll(SimTime::ZERO).len(), 3);
+    let nack = crate::wire::Message::NackFrags {
+        assoc: 1,
+        adu_id: 0,
+        ranges: vec![(1400, 1400)],
+    }
+    .encode();
+    // 2 x 3 requests are answered, one repair TU each, and none of them
+    // brings the ADU nearer to being given up.
+    for round in 1..=6u64 {
+        let now = SimTime::from_micros(100 * round);
+        a.on_frame(now, nack.clone().into());
+        assert_eq!(a.poll(now).len(), 1, "round {round} repaired");
+    }
+    assert_eq!(a.stats.tus_retransmitted_selective, 6);
+    assert_eq!(a.stats.adus_given_up, 0);
+    assert!(!a.send_complete());
+    // The next two are loss events (a first-TU probe each), the third
+    // finds the budget spent.
+    for round in 7..=9u64 {
+        let now = SimTime::from_micros(100 * round);
+        a.on_frame(now, nack.clone().into());
+        let _ = a.poll(now);
+    }
+    assert_eq!(a.stats.tus_retransmitted_selective, 6);
+    assert_eq!(a.stats.probe_tus, 2);
+    assert_eq!(a.stats.adus_given_up, 1);
+    assert_eq!(a.take_loss_reports().len(), 1);
+    assert!(a.send_complete());
+}
+
 /// Satellite of the zero-copy PR: a repair request whose range falls
 /// outside the ADU we declared is a protocol error — counted and
 /// refused, never silently clamped into a plausible-looking repair.

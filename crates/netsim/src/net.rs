@@ -629,7 +629,9 @@ impl Network {
     /// Frame conservation: every frame that entered the network — offered
     /// by a sender, injected by a mutator or copied by a duplication fault
     /// — was delivered, dropped for a counted cause, refused, or is still
-    /// in flight. A link model that loses count of its queue breaks this.
+    /// in flight. It checks the network's bookkeeping, not the link's
+    /// verdicts: a link that refuses frames it had room for still counts
+    /// each refusal, and conserves.
     fn frames_conserved(&self) -> bool {
         let s = &self.stats;
         s.frames_sent + s.injected + s.duplicates

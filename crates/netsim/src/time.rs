@@ -136,7 +136,8 @@ impl SimDuration {
         }
         // Every frame on a paced link comes through here, and a 128-bit
         // divide is a library call: stay in `u64` whenever the numerator
-        // fits (frames up to 2.3 GB do).
+        // fits (frames up to 2.3 GB do). No measured gain is claimed for
+        // it: the paced workloads read within noise either way.
         if let Some(bit_ns) = (bytes as u64).checked_mul(8 * 1_000_000_000) {
             return SimDuration(bit_ns.div_ceil(bits_per_second));
         }

@@ -97,14 +97,7 @@ fn file_transfer_end_to_end_with_placement() {
     let mut world = World::new(
         17,
         FaultConfig::loss(0.03),
-        // A window the path can hold: 8 ADUs x 6 TUs fit lan()'s 64-frame
-        // queue. The default 64-ADU window puts all 37 ADUs (222 TUs) on it
-        // at once, and a 5 ms timer then keeps retransmitting into a queue
-        // that takes 7 ms to drain until `max_retries` gives ADUs up.
-        AlfConfig {
-            window_adus: 8,
-            ..snappy(RecoveryMode::TransportBuffer)
-        },
+        snappy(RecoveryMode::TransportBuffer),
     );
     let mut rx = FileReceiver::new(file.len());
     let adus = sender.adus();
