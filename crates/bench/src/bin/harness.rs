@@ -1371,9 +1371,12 @@ fn x10_zero_copy() {
         "'the flow of data within the end-point should be organized so that the \
          data is touched as few times as possible' (\u{a7}6) — the WireBuf \
          datapath leaves three countable touches: the fused TU encode (one \
-         read, one write, checksum folded into the sweep), the in-place \
-         receive verify (one read), and a gather copy only when an ADU \
-         arrived in more than one frame. Every touch is booked in the \
+         read, one write, checksum folded into the sweep), placement into \
+         the ADU's buffer (one read, one write) with the receive checksum \
+         folded into it for every TU that continues the placed prefix, and \
+         a separate verify read only for the TUs that do not (an ADU's \
+         first, a reordered one). An ADU that fits one frame is released as \
+         a view of it: verified, never placed. Every touch is booked in the \
          data-touch ledger, so the pass count below is measured, not claimed",
     );
 
@@ -1404,7 +1407,7 @@ fn x10_zero_copy() {
     );
     let lay_e2e = tel_lay.ledger().passes_per_delivered_byte();
 
-    let mut t = Table::new(&["path", "send p/B", "verify p/B", "gather p/B", "e2e p/B"]);
+    let mut t = Table::new(&["path", "send p/B", "verify p/B", "place p/B", "e2e p/B"]);
     t.row(&[
         "layered stream stack".into(),
         "-".into(),
@@ -1418,9 +1421,9 @@ fn x10_zero_copy() {
     )];
     let mut clean_send = f64::NAN;
     let mut clean_e2e = f64::NAN;
-    let mut single_frame_gather = f64::NAN;
-    // 8 KiB ADUs fragment ~6 ways (the gather pass is honest work); 1200-byte
-    // ADUs fit one frame and exercise the view-through release.
+    let mut single_frame_place = f64::NAN;
+    // 8 KiB ADUs fragment ~6 ways (placement is honest work); 1200-byte ADUs
+    // fit one frame and exercise the view-through release.
     for (label, adu_bytes, faults) in [
         ("alf zero-copy, clean", ADU_BYTES, FaultConfig::none()),
         ("alf zero-copy, 3% loss", ADU_BYTES, FaultConfig::loss(0.03)),
@@ -1444,26 +1447,28 @@ fn x10_zero_copy() {
         assert!(r.complete && r.verified, "{label} failed: {r:?}");
         let send = stage_passes_per_byte(&tel, "alf/tu_encode");
         let verify = stage_passes_per_byte(&tel, "alf/verify");
-        let gather = stage_passes_per_byte(&tel, "alf/gather");
+        let place = stage_passes_per_byte(&tel, "alf/place");
         let e2e = tel.ledger().passes_per_delivered_byte();
         if label.ends_with("clean") {
             clean_send = send;
             clean_e2e = e2e;
         }
         if label.ends_with("1-frame ADUs") {
-            single_frame_gather = gather;
+            single_frame_place = place;
         }
         t.row(&[
             label.into(),
             format!("{send:.3}"),
             format!("{verify:.3}"),
-            format!("{gather:.3}"),
+            format!("{place:.3}"),
             format!("{e2e:.3}"),
         ]);
+        // The key keeps its pre-placement name so the 1-frame row, which
+        // neither gathered then nor places now, stays byte-identical.
         json_rows.push(format!(
             "    {{\"path\": \"{label}\", \"send_passes_per_byte\": {send:.4}, \
              \"verify_passes_per_byte\": {verify:.4}, \
-             \"gather_passes_per_byte\": {gather:.4}, \
+             \"gather_passes_per_byte\": {place:.4}, \
              \"e2e_passes_per_byte\": {e2e:.4}}}"
         ));
     }
@@ -1479,8 +1484,8 @@ fn x10_zero_copy() {
         "zero-copy e2e ({clean_e2e:.3}) must beat the layered stack ({lay_e2e:.3})"
     );
     assert_eq!(
-        single_frame_gather, 0.0,
-        "single-frame ADUs must release as views, without a gather pass"
+        single_frame_place, 0.0,
+        "single-frame ADUs must release as views, without a placement pass"
     );
 
     let json = format!(
@@ -1492,11 +1497,12 @@ fn x10_zero_copy() {
         Err(e) => eprintln!("\ncould not write BENCH_x10.json: {e}"),
     }
     println!(
-        "\nThe send sweep is the datapath's only write pass: fragmentation\n\
-         slices the ADU without copying, the checksum rides the encode sweep,\n\
-         receive verifies the frame where it lies, and an ADU that fits one\n\
-         frame is released as a view into it — the gather pass above only\n\
-         counts multi-frame ADUs."
+        "\nFragmentation slices the ADU without copying and the checksum rides\n\
+         the encode sweep. On receive, each TU of a multi-frame ADU is copied\n\
+         once into the ADU's buffer, the checksum riding that copy for every\n\
+         TU after the first — so verify is the first fragment's share — and\n\
+         the buffer is handed over with no gather; an ADU that fits one\n\
+         frame is verified where it lies and released as a view into it."
     );
 }
 

@@ -84,8 +84,8 @@ pub fn wallclock_enforced() -> bool {
 pub const ALF_CONTROL_STEPS: [(&str, u64); 4] = [
     // The frame's `WireBuf` chunk header; the ADU is released as a view.
     ("ALF: ingest one single-TU frame", 1),
-    // The chunk header and the decoded id list.
-    ("ALF: ingest one ACK", 2),
+    // The chunk header; the ids are read off the frame in place.
+    ("ALF: ingest one ACK", 1),
     // The result `Vec` and the encoded frame.
     ("ALF: emitting poll (one TU)", 2),
     ("ALF: idle poll", 0),

@@ -6,6 +6,14 @@
 //! operation)". No data manipulation happens here beyond placement — the
 //! integrated stage-2 pipeline runs once the ADU is whole.
 //!
+//! Placement is the one data pass: a self-describing TU knows where in its
+//! ADU it goes, so its bytes are written there as it arrives. A TU that
+//! extends an assembly's verified prefix is checked *as it is copied*
+//! (`Assembler::extend_prefix`, the transport's fast path); any other TU
+//! arrives verified, and is copied behind the prefix or, ahead of a hole,
+//! held as a view of its frame until the hole fills. A completed ADU is
+//! handed over as its buffer, gathered from nothing.
+//!
 //! A complete ADU is released **immediately**, regardless of the state of
 //! other ADUs: this is the out-of-order release that removes head-of-line
 //! blocking. Incomplete ADUs are abandoned after a deadline (or when the
@@ -21,19 +29,25 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// One ADU under reassembly.
 ///
-/// Fragments are held as **views into the received frames** ([`WireBuf`]),
-/// trimmed to the bytes they newly covered: stored bytes always equal
-/// covered bytes, so a retransmit-heavy peer re-sending ranges we already
-/// hold costs no reassembly memory at all. No data is copied until (and
-/// unless) release has to gather a multi-chunk ADU.
+/// The bytes from offset 0 up to the first hole are **placed**: written,
+/// verified, into the buffer that becomes the released payload. Bytes
+/// beyond a hole are **held** as views into the frames that carried them,
+/// trimmed to what they newly covered, and copied into place when the hole
+/// before them fills. Either way stored bytes equal covered bytes: a
+/// retransmit-heavy peer re-sending ranges we already hold costs no
+/// reassembly memory, and the buffer's length never runs ahead of what
+/// arrived.
 #[derive(Debug)]
 struct Assembly {
     name: AduName,
-    /// Disjoint fragment views sorted by offset; each `(offset, view)`
-    /// pair covers exactly the bytes no earlier fragment covered.
-    frags: Vec<(u32, WireBuf)>,
-    /// Sorted, disjoint received intervals `(offset, len)`.
-    intervals: Vec<(u32, u32)>,
+    /// The placed prefix `[0, placed.len())`: every byte of it covered.
+    placed: Vec<u8>,
+    /// Held views beyond the prefix, disjoint and sorted by offset; each
+    /// `(offset, view)` covers exactly bytes no earlier arrival covered.
+    /// The first starts past `placed.len()` — a view the prefix reaches is
+    /// drained into it — except a lone view of the whole ADU, which is
+    /// released as it is.
+    held: Vec<(u32, WireBuf)>,
     bytes_received: u32,
     total: u32,
     first_tu_at: SimTime,
@@ -46,11 +60,12 @@ struct Assembly {
 }
 
 impl Assembly {
-    fn new(name: AduName, total: u32, now: SimTime) -> Self {
+    /// An empty assembly whose buffer reserves `reserve` bytes up front.
+    fn new(name: AduName, total: u32, now: SimTime, reserve: usize) -> Self {
         Self {
             name,
-            frags: Vec::new(),
-            intervals: Vec::new(),
+            placed: Vec::with_capacity(reserve),
+            held: Vec::new(),
             bytes_received: 0,
             total,
             first_tu_at: now,
@@ -60,98 +75,140 @@ impl Assembly {
     }
 
     /// Insert a fragment; returns bytes newly covered (0 for duplicates).
-    /// Only the newly covered sub-ranges are retained, as O(1) sub-views of
-    /// `data` — duplicates and overlaps store nothing.
+    /// Only the newly covered sub-ranges are kept: the one that starts at
+    /// the prefix's end is copied into place, the others held as O(1)
+    /// sub-views of `data` — duplicates and overlaps store nothing. A
+    /// fragment that alone covers the whole ADU is held, so it can be
+    /// released as the view it is.
     fn insert(&mut self, off: u32, data: &WireBuf) -> u32 {
         let len = data.len() as u32;
         if len == 0 || off as u64 + len as u64 > self.total as u64 {
             return 0;
         }
-        // View only the uncovered sub-ranges of [off, end). `first..last`
-        // are the intervals the fragment overlaps or touches — the ones it
-        // merges with.
         let end = off + len;
-        let in_order = self.frags.last().is_none_or(|&(o, _)| o < off);
-        let first = self.intervals.partition_point(|&(io, il)| io + il < off);
-        let mut last = first;
+        let whole = len == self.total && self.bytes_received == 0;
+        let prefix = self.placed.len() as u32;
+        let in_order = self.held.last().is_none_or(|&(o, _)| o < off);
+        // Walk the held views overlapping the fragment past the prefix,
+        // keeping the gaps between them; the loop reads only the views
+        // that were there before it (`existing`), not the gaps it pushes.
+        let existing = self.held.len();
+        let mut i = self
+            .held
+            .partition_point(|(o, v)| o + v.len() as u32 <= off);
+        let mut cursor = off.max(prefix);
         let mut newly = 0u32;
-        let mut cursor = off;
-        while let Some(&(io, il)) = self.intervals.get(last).filter(|&&(io, _)| io <= end) {
-            if io > cursor {
-                let gap = (cursor - off) as usize..(io - off) as usize;
-                self.frags.push((cursor, data.slice(gap)));
-                newly += io - cursor;
+        while cursor < end {
+            let next = self.held[..existing]
+                .get(i)
+                .map(|(o, v)| (*o, o + v.len() as u32))
+                .filter(|&(o, _)| o < end);
+            let gap_end = next.map_or(end, |(o, _)| o.max(cursor));
+            if gap_end > cursor {
+                let gap = data.slice((cursor - off) as usize..(gap_end - off) as usize);
+                if cursor == prefix && !whole {
+                    self.placed.extend_from_slice(&gap);
+                } else {
+                    self.held.push((cursor, gap));
+                }
+                newly += gap_end - cursor;
             }
-            cursor = cursor.max(io + il);
-            last += 1;
+            let Some((_, view_end)) = next else { break };
+            cursor = cursor.max(view_end);
+            i += 1;
         }
-        if cursor < end {
-            self.frags
-                .push((cursor, data.slice((cursor - off) as usize..)));
-            newly += end - cursor;
+        if !in_order && self.held.len() > existing {
+            self.held.sort_unstable_by_key(|&(o, _)| o);
         }
-        if newly > 0 {
-            if !in_order {
-                self.frags.sort_unstable_by_key(|&(o, _)| o);
-            }
-            if first == last {
-                self.intervals.insert(first, (off, len));
-            } else {
-                let lo = off.min(self.intervals[first].0);
-                let (io, il) = self.intervals[last - 1];
-                self.intervals[first] = (lo, end.max(io + il) - lo);
-                self.intervals.drain(first + 1..last);
-            }
-            self.bytes_received += newly;
-        }
+        self.bytes_received += newly;
         newly
+    }
+
+    /// Copy the held views the prefix has reached into place; returns the
+    /// bytes moved. A lone view of the whole ADU stays a view.
+    fn drain(&mut self) -> usize {
+        if self.whole_view().is_some() {
+            return 0;
+        }
+        let mut moved = 0;
+        let mut n = 0;
+        while let Some((o, v)) = self.held.get(n) {
+            if *o as usize != self.placed.len() {
+                break;
+            }
+            self.placed.extend_from_slice(v);
+            moved += v.len();
+            n += 1;
+        }
+        self.held.drain(..n);
+        moved
+    }
+
+    /// The held view covering the whole ADU, if one does.
+    fn whole_view(&self) -> Option<&WireBuf> {
+        match &self.held[..] {
+            [(0, only)] if only.len() == self.total as usize => Some(only),
+            _ => None,
+        }
     }
 
     fn is_complete(&self) -> bool {
         self.bytes_received == self.total
     }
 
-    /// Bytes of frame memory this assembly is holding views over.
+    /// Bytes this assembly stores: its placed prefix plus its held views.
     fn stored_bytes(&self) -> usize {
-        self.frags.iter().map(|(_, f)| f.len()).sum()
+        self.placed.len() + self.held.iter().map(|(_, v)| v.len()).sum::<usize>()
     }
 
-    /// Consume the assembly into the released payload. When a single view
-    /// covers the whole ADU (the common in-order single-chunk case), the
-    /// release is zero-copy; otherwise one gather pass builds the
-    /// contiguous payload. Returns the payload and the bytes gathered
-    /// (0 for the zero-copy path).
-    fn into_payload(mut self) -> (WireBuf, usize) {
+    /// Consume a complete, drained assembly into the released payload and
+    /// whether that is zero-copy: the whole ADU's one view (or nothing,
+    /// for an empty ADU), else the placed buffer itself — no gather.
+    fn into_payload(self) -> (WireBuf, bool) {
         if self.total == 0 {
-            return (WireBuf::empty(), 0);
+            return (WireBuf::empty(), true);
         }
-        let single = matches!(&self.frags[..], [(0, only)] if only.len() == self.total as usize);
-        if single {
-            return (self.frags.pop().expect("single").1, 0);
+        if let Some(view) = self.whole_view() {
+            return (view.clone(), true);
         }
-        let mut buf = vec![0u8; self.total as usize];
-        for (o, f) in &self.frags {
-            buf[*o as usize..*o as usize + f.len()].copy_from_slice(f);
-        }
-        let gathered = buf.len();
-        (WireBuf::from_vec(buf), gathered)
+        debug_assert!(self.held.is_empty() && self.placed.len() == self.total as usize);
+        (WireBuf::from_vec(self.placed), false)
     }
 
     /// The byte ranges still missing, as `(offset, len)`.
     fn missing_ranges(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        let mut cursor = 0u32;
-        for &(o, l) in &self.intervals {
-            if o > cursor {
+        let mut cursor = self.placed.len() as u32;
+        for (o, v) in &self.held {
+            if *o > cursor {
                 out.push((cursor, o - cursor));
             }
-            cursor = o + l;
+            cursor = o + v.len() as u32;
         }
         if cursor < self.total {
             out.push((cursor, self.total - cursor));
         }
         out
     }
+}
+
+/// What [`Assembler::extend_prefix`] did with a TU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Extend {
+    /// The TU does not continue an open assembly's prefix: verify it whole
+    /// and offer it to [`Assembler::accept`].
+    NotNext,
+    /// The frame failed its checksum; the prefix is as it was.
+    Corrupt,
+    /// Placed; the bytes copied into assembly buffers (the TU's, plus any
+    /// held views it let drain).
+    Placed(usize),
+}
+
+/// A count limit, narrowed to the `u32` the assembler stores (beyond it
+/// the limit is unreachable anyway).
+fn saturate(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or(u32::MAX)
 }
 
 /// What the deadline sweep decided for overdue assemblies.
@@ -174,11 +231,13 @@ pub struct AssemblerStats {
     pub tus_in: u64,
     /// ADUs completed and released.
     pub adus_completed: u64,
-    /// ADUs released without a gather pass: a single frame chunk covered
-    /// the whole payload, so the application got a view, not a copy.
+    /// ADUs released as a view: one TU carried the whole payload, so the
+    /// application got its frame's bytes, not a copy.
     pub zero_copy_releases: u64,
-    /// Bytes copied by multi-fragment gather passes at release — the only
-    /// receive-side data touch the reassembler itself ever pays.
+    /// Bytes copied into place from held views — out-of-order arrivals
+    /// moved behind the prefix once the hole before them filled. In-order
+    /// bytes are placed as they arrive and never counted here; nothing is
+    /// gathered at release.
     pub gathered_bytes: u64,
     /// TUs that contributed no new bytes (duplicates/overlaps).
     pub duplicate_tus: u64,
@@ -189,7 +248,7 @@ pub struct AssemblerStats {
     /// TUs refused because the byte budget left no room (Backpressure
     /// policy, or an ADU larger than the whole budget).
     pub tus_refused: u64,
-    /// Assemblies evicted because their stored fragment-view count
+    /// Assemblies evicted because their held fragment-view count
     /// exceeded the per-ADU quota — the signature of a hostile peer
     /// shredding one ADU into pathologically many tiny fragments.
     pub quota_evictions: u64,
@@ -230,6 +289,12 @@ pub struct Assembler {
     /// ADUs evicted by [`ShedPolicy::DropOldest`], for the transport to
     /// report as lost.
     shed_notices: Vec<(u64, AduName)>,
+    /// A lower bound on the earliest instant an open assembly can be
+    /// overdue (`last_progress_at + deadline`, minimised): lowered when an
+    /// assembly opens, recomputed by every sweep, never raised in between
+    /// — progress only moves a deadline later. Until `now` passes it the
+    /// sweep has nothing to find, so [`Assembler::needs_sweep`] says no.
+    sweep_after: SimTime,
 
     // ---- replay suppression, and the limits only a fragment consults ----
     /// ADU ids already released — suppresses late duplicate TUs. Ids
@@ -238,14 +303,18 @@ pub struct Assembler {
     /// reassembly budget nor resurrect a consumed ADU, however old its id.
     released: ReplayWindow,
     deadline: SimDuration,
-    max_pending: usize,
-    /// Maximum stored fragment views per assembly (0 = unlimited). Stored
-    /// views are trimmed to newly covered bytes, so legitimate traffic
-    /// needs at most `adu_len / mtu` of them — but a hostile peer can
-    /// shred an ADU into thousands of tiny disjoint views, each pinning
-    /// its whole arrival frame's chunk. Crossing the quota evicts the
-    /// offending assembly (deterministically: it alone misbehaved).
-    frag_quota: usize,
+    max_pending: u32,
+    /// Maximum held fragment views per assembly (0 = unlimited). Held
+    /// views are trimmed to newly covered bytes and in-order bytes are
+    /// placed, not held, so legitimate traffic holds at most one view per
+    /// TU it reordered — but a hostile peer can shred an ADU into
+    /// thousands of tiny disjoint views, each pinning its whole arrival
+    /// frame's chunk. Crossing the quota evicts the offending assembly
+    /// (deterministically: it alone misbehaved). It also caps the buffer
+    /// an assembly reserves when it opens, at `frag_quota` times its first
+    /// TU's length — the largest ADU a fragmentation within the quota
+    /// could carry.
+    frag_quota: u32,
 
     // ---- completions ----
     /// Completed ADUs awaiting the application, in completion order, each
@@ -270,26 +339,27 @@ impl Assembler {
             ready: VecDeque::new(),
             released: ReplayWindow::default(),
             deadline,
-            max_pending,
+            max_pending: saturate(max_pending),
             frag_quota: 0,
             budget_bytes: 0,
             shed: ShedPolicy::default(),
             shed_notices: Vec::new(),
+            sweep_after: SimTime::MAX,
             stats: AssemblerStats::default(),
         }
     }
 
-    /// Install a per-assembly stored fragment-view quota (0 = unlimited).
+    /// Install a per-assembly held fragment-view quota (0 = unlimited).
     /// Combined with `max_pending` this bounds total reassembly occupancy:
     /// at most `max_pending * views` fragment views, whatever a hostile
     /// peer sends.
     pub fn set_frag_quota(&mut self, views: usize) {
-        self.frag_quota = views;
+        self.frag_quota = saturate(views);
     }
 
-    /// Total stored fragment views across all pending assemblies.
+    /// Total held fragment views across all pending assemblies.
     pub fn frag_views(&self) -> usize {
-        self.pending.values().map(|a| a.frags.len()).sum()
+        self.pending.values().map(|a| a.held.len()).sum()
     }
 
     /// Install a reassembly byte budget (0 = unlimited) and the policy to
@@ -366,55 +436,86 @@ impl Assembler {
     /// under a [`ShedPolicy::Backpressure`] byte budget (the caller should
     /// signal the sender rather than treat the TU as consumed).
     pub fn on_tu(&mut self, now: SimTime, tu: &Tu) -> bool {
-        let known = match self.screen(tu) {
-            Ok(known) => known,
-            Err(consumed) => return consumed,
-        };
+        if self.was_released(tu.adu_id) {
+            self.stats.duplicate_tus += 1;
+            return true;
+        }
+        self.accept(now, tu).is_some()
+    }
+
+    /// [`Assembler::on_tu`] for a TU whose id the caller has already
+    /// checked against the replay window — the transport, which answers a
+    /// replay itself, so a TU costs one lookup. `None` when refused under a
+    /// backpressure budget; otherwise the bytes copied into assembly
+    /// buffers, for the caller's data-touch ledger.
+    pub(crate) fn accept(&mut self, now: SimTime, tu: &Tu) -> Option<usize> {
+        let known = self.screen(tu)?;
         if !known && tu.frag_off == 0 && tu.payload.len() == tu.adu_len as usize {
             // The ADU arrived whole in one TU with nothing pending for its
             // id: the TU's view already is the payload, so there is no
             // assembly to build.
-            self.release(tu.adu_id, tu.name, tu.payload.clone(), 0, SimDuration::ZERO);
-            return true;
+            self.release(
+                tu.adu_id,
+                tu.name,
+                tu.payload.clone(),
+                true,
+                SimDuration::ZERO,
+            );
+            return Some(0);
         }
-        self.assemble(now, tu, known)
+        Some(self.assemble(now, tu, known))
     }
 
-    /// The checks every TU passes before it may touch reassembly state:
-    /// replay suppression, then (for an ADU not yet pending) admission
-    /// under the byte budget. `Ok(known)` says whether an assembly is
-    /// already open for the ADU; `Err` is [`Assembler::on_tu`]'s verdict
-    /// for a TU that stops here.
-    fn screen(&mut self, tu: &Tu) -> Result<bool, bool> {
-        if self.was_released(tu.adu_id) {
-            self.stats.duplicate_tus += 1;
-            return Err(true);
-        }
+    /// Admission, for a TU past the replay window: an ADU not yet pending
+    /// must fit the byte budget. `Some(known)` says whether an assembly is
+    /// already open for the ADU; `None` that the TU was refused.
+    fn screen(&mut self, tu: &Tu) -> Option<bool> {
         let known = self.pending.contains_key(&tu.adu_id);
         if !known && !self.admit(tu.adu_len) {
-            return Err(false);
+            return None;
         }
         self.stats.tus_in += 1;
-        Ok(known)
+        Some(known)
+    }
+
+    /// The earliest instant an assembly that progressed at `at` is overdue
+    /// *after*.
+    fn due(&self, at: SimTime) -> SimTime {
+        at.checked_add(self.deadline).unwrap_or(SimTime::MAX)
     }
 
     /// Place a screened TU into its (possibly new) assembly and release
-    /// the ADU if that completes it.
-    fn assemble(&mut self, now: SimTime, tu: &Tu, known: bool) -> bool {
+    /// the ADU if that completes it; returns the bytes copied into place.
+    fn assemble(&mut self, now: SimTime, tu: &Tu, known: bool) -> usize {
         if !known {
             self.reserved += tu.adu_len as usize;
+            let due = self.due(now);
+            self.sweep_after = if self.pending.is_empty() {
+                due
+            } else {
+                self.sweep_after.min(due)
+            };
         }
+        // The buffer is reserved once, at the size the view quota lets an
+        // honest ADU reach from this fragment length (or the declared
+        // length, if smaller) — so a forged `adu_len` reserves no more than
+        // that, and never writes past what arrived. Beyond it, or without
+        // a quota, the buffer grows by doubling.
+        let reserve = (self.frag_quota as usize)
+            .saturating_mul(tu.payload.len())
+            .min(tu.adu_len as usize);
         let assembly = self
             .pending
             .entry(tu.adu_id)
-            .or_insert_with(|| Assembly::new(tu.name, tu.adu_len, now));
+            .or_insert_with(|| Assembly::new(tu.name, tu.adu_len, now, reserve));
         // A TU whose metadata disagrees with the first-seen TU of this ADU
         // is either corruption that survived the checksum (vanishingly rare)
         // or a protocol error: ignore it rather than corrupt the buffer.
         if assembly.total != tu.adu_len || assembly.name != tu.name {
             self.stats.duplicate_tus += 1;
-            return true;
+            return 0;
         }
+        let before = assembly.placed.len();
         let newly = assembly.insert(tu.frag_off, &tu.payload);
         if newly > 0 {
             assembly.last_progress_at = now;
@@ -424,23 +525,21 @@ impl Assembler {
         } else if tu.adu_len != 0 {
             self.stats.duplicate_tus += 1;
         }
-        if self.frag_quota > 0 && assembly.frags.len() > self.frag_quota {
+        let drained = assembly.drain();
+        self.stats.gathered_bytes += drained as u64;
+        let placed = assembly.placed.len() - before;
+        if self.frag_quota > 0 && assembly.held.len() > self.frag_quota as usize {
             // Fragment-view occupancy quota: this assembly has been
-            // shredded into more stored views than any legitimate
+            // shredded into more held views than any legitimate
             // fragmentation could produce. Evict it (and NACK it via the
             // shed notice) rather than let its views pin unbounded frame
             // memory.
             let a = self.remove_pending(tu.adu_id).expect("present");
             self.stats.quota_evictions += 1;
             self.shed_notices.push((tu.adu_id, a.name));
-            return true;
-        }
-        if assembly.is_complete() {
-            let done = self.remove_pending(tu.adu_id).expect("present");
-            let (name, latency) = (done.name, now.saturating_since(done.first_tu_at));
-            let (payload, gathered) = done.into_payload();
-            self.release(tu.adu_id, name, payload, gathered, latency);
-        } else if self.pending.len() > self.max_pending {
+        } else if assembly.is_complete() {
+            self.complete(now, tu.adu_id);
+        } else if self.pending.len() > self.max_pending as usize {
             // Budget overflow: abandon the oldest assembly.
             let oldest = self
                 .pending
@@ -451,7 +550,64 @@ impl Assembler {
             self.remove_pending(oldest);
             self.stats.adus_abandoned += 1;
         }
-        true
+        placed
+    }
+
+    /// The fast path, for a TU not yet verified: place it if it continues
+    /// an open assembly's prefix — same length and name, `frag_off` at the
+    /// prefix's end, no held view in the way — by running `copy`, which
+    /// moves the payload into the slot it is given and says whether the
+    /// frame verified, so the frame is read once. A corrupt frame leaves
+    /// the prefix as it was. Any other TU is [`Extend::NotNext`], for the
+    /// caller to verify whole and [`Assembler::accept`]. That includes ids
+    /// under the replay window's floor, the one way an open assembly's id
+    /// can count as released, so this path needs no replay lookup.
+    pub(crate) fn extend_prefix(
+        &mut self,
+        now: SimTime,
+        tu: &Tu,
+        copy: impl FnOnce(&mut [u8]) -> bool,
+    ) -> Extend {
+        let len = tu.payload.len();
+        if len == 0 || tu.adu_id < self.released.floor() {
+            return Extend::NotNext;
+        }
+        let Some(a) = self.pending.get_mut(&tu.adu_id) else {
+            return Extend::NotNext;
+        };
+        let at = a.placed.len();
+        let end = at + len;
+        if a.bytes_received == 0
+            || tu.frag_off as usize != at
+            || a.total != tu.adu_len
+            || a.name != tu.name
+            || a.held.first().is_some_and(|&(o, _)| (o as usize) < end)
+        {
+            return Extend::NotNext;
+        }
+        a.placed.resize(end, 0);
+        if !copy(&mut a.placed[at..]) {
+            a.placed.truncate(at);
+            return Extend::Corrupt;
+        }
+        self.stats.tus_in += 1;
+        a.bytes_received += len as u32;
+        a.last_progress_at = now;
+        a.nack_rounds = 0;
+        let drained = a.drain();
+        self.stats.gathered_bytes += drained as u64;
+        if a.is_complete() {
+            self.complete(now, tu.adu_id);
+        }
+        Extend::Placed(len + drained)
+    }
+
+    /// Release the complete assembly for `adu_id`.
+    fn complete(&mut self, now: SimTime, adu_id: u64) {
+        let done = self.remove_pending(adu_id).expect("present");
+        let (name, latency) = (done.name, now.saturating_since(done.first_tu_at));
+        let (payload, zero_copy) = done.into_payload();
+        self.release(adu_id, name, payload, zero_copy, latency);
     }
 
     /// Close an assembly: drop it from `pending` and return its reservation.
@@ -462,22 +618,20 @@ impl Assembler {
     }
 
     /// Hand a complete ADU to the ready queue and remember its id.
-    /// `gathered` is the bytes a multi-fragment gather copied (0 when the
-    /// payload is a view of one received chunk).
+    /// `zero_copy` says the payload is a view of the one frame that
+    /// carried the whole ADU, rather than an assembly's buffer.
     fn release(
         &mut self,
         adu_id: u64,
         name: AduName,
         payload: WireBuf,
-        gathered: usize,
+        zero_copy: bool,
         latency: SimDuration,
     ) {
         self.stats.adus_completed += 1;
         self.released.insert(adu_id);
-        if gathered == 0 {
+        if zero_copy {
             self.stats.zero_copy_releases += 1;
-        } else {
-            self.stats.gathered_bytes += gathered as u64;
         }
         self.ready
             .push_back((adu_id, Adu::new(name, payload), latency));
@@ -492,15 +646,20 @@ impl Assembler {
     /// Deadline sweep with selective recovery: an overdue assembly gets up
     /// to `max_nack_rounds` rounds of missing-range NACKs (its deadline
     /// restarting each round) before being abandoned — §5's "artificial set
-    /// of subunits ... for error recovery", as an independent module.
+    /// of subunits ... for error recovery", as an independent module. The
+    /// sweep also re-arms [`Assembler::needs_sweep`] at the earliest
+    /// deadline it leaves behind.
     pub fn expire_policy(&mut self, now: SimTime, max_nack_rounds: u32) -> ExpiryActions {
         let deadline = self.deadline;
-        let overdue: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, a)| now.saturating_since(a.last_progress_at) > deadline)
-            .map(|(&id, _)| id)
-            .collect();
+        let mut overdue = Vec::new();
+        let mut next = SimTime::MAX;
+        for (&id, a) in &self.pending {
+            if now.saturating_since(a.last_progress_at) > deadline {
+                overdue.push(id);
+            } else {
+                next = next.min(self.due(a.last_progress_at));
+            }
+        }
         let mut actions = ExpiryActions::default();
         for id in overdue {
             let a = self.pending.get_mut(&id).expect("listed");
@@ -508,12 +667,14 @@ impl Assembler {
                 a.nack_rounds += 1;
                 a.last_progress_at = now; // restart the deadline for this round
                 actions.request_frags.push((id, a.missing_ranges()));
+                next = next.min(self.due(now));
             } else {
                 let a = self.remove_pending(id).expect("listed");
                 self.stats.adus_abandoned += 1;
                 actions.abandoned.push((id, a.name));
             }
         }
+        self.sweep_after = next;
         actions
     }
 
@@ -541,39 +702,39 @@ impl Assembler {
         self.pending.get(&adu_id).map(|a| a.bytes_received)
     }
 
+    /// A pending ADU's placed prefix: the buffer itself, so a test can
+    /// read its bytes, length and reservation.
+    #[cfg(test)]
+    pub(crate) fn placed(&self, adu_id: u64) -> Option<&Vec<u8>> {
+        self.pending.get(&adu_id).map(|a| &a.placed)
+    }
+
     /// The bytes of `[off, off+len)` of a pending ADU, if that range is
     /// fully covered — the lookup FEC reconstruction uses. The range may
-    /// span several stored fragment views; they are gathered into the
-    /// returned vec.
+    /// span the placed prefix and several held views; they are gathered
+    /// into the returned vec.
     pub fn fragment_if_present(&self, adu_id: u64, off: u32, len: usize) -> Option<Vec<u8>> {
         let a = self.pending.get(&adu_id)?;
         let end = off as u64 + len as u64;
         if end > a.total as u64 {
             return None;
         }
-        let covered = a
-            .intervals
-            .iter()
-            .any(|&(io, il)| io <= off && (io + il) as u64 >= end);
-        if !covered {
-            return None;
-        }
-        let end = end as u32;
+        let end = end as usize;
+        let mut cursor = off as usize;
         let mut out = Vec::with_capacity(len);
-        for (fo, f) in &a.frags {
-            let fe = fo + f.len() as u32;
-            if fe <= off {
-                continue;
-            }
-            if *fo >= end {
+        let pieces = std::iter::once((0, &a.placed[..]))
+            .chain(a.held.iter().map(|(o, v)| (*o as usize, &v[..])));
+        for (o, bytes) in pieces {
+            if cursor >= end || o > cursor {
                 break;
             }
-            let s = off.max(*fo);
-            let e = end.min(fe);
-            out.extend_from_slice(&f[(s - fo) as usize..(e - fo) as usize]);
+            let e = end.min(o + bytes.len());
+            if e > cursor {
+                out.extend_from_slice(&bytes[cursor - o..e - o]);
+                cursor = e;
+            }
         }
-        debug_assert_eq!(out.len(), len);
-        Some(out)
+        (cursor >= end).then_some(out)
     }
 
     /// Pop the next completed ADU: `(adu_id, adu, delivery latency)` — the
@@ -621,8 +782,9 @@ impl Assembler {
         self.reserved
     }
 
-    /// Bytes of frame memory actually held by fragment views — always
-    /// `<=` the covered bytes, never inflated by duplicates or overlaps.
+    /// Bytes actually stored for partial ADUs — placed prefixes plus held
+    /// views — always equal to the covered bytes, never inflated by
+    /// duplicates, overlaps or a declared length.
     pub fn stored_bytes(&self) -> usize {
         self.pending.values().map(Assembly::stored_bytes).sum()
     }
@@ -632,11 +794,12 @@ impl Assembler {
         self.released.len()
     }
 
-    /// Whether a poll has anything to do here: an assembly that could
-    /// expire, or a shed notice to collect. False on an association whose
-    /// ADUs all arrive whole — its polls skip the receive sweep.
-    pub fn needs_sweep(&self) -> bool {
-        !self.pending.is_empty() || !self.shed_notices.is_empty()
+    /// Whether a poll at `now` has anything to do here: an assembly that
+    /// may be overdue, or a shed notice to collect. False on an
+    /// association whose ADUs all arrive whole, and until the earliest
+    /// deadline of those that don't — its polls skip the receive sweep.
+    pub fn needs_sweep(&self, now: SimTime) -> bool {
+        !self.shed_notices.is_empty() || (!self.pending.is_empty() && now > self.sweep_after)
     }
 
     /// Approximate heap bytes held: the reservations of open assemblies,
@@ -1179,47 +1342,63 @@ mod tests {
     }
 
     #[test]
-    fn multi_fragment_release_gathers_once() {
-        let mut a = asm();
-        let data = payload(2500);
-        for tu in fragment_adu_buf(
-            1,
-            0,
-            AduName::Seq { index: 0 },
-            &data.as_slice().into(),
-            1000,
-        ) {
-            a.on_tu(SimTime::ZERO, &tu);
+    fn multi_fragment_release_is_placed_not_gathered() {
+        // In order, every fragment is copied into place as it arrives and
+        // the buffer is the payload: nothing gathered. Reversed, the two
+        // fragments ahead of the hole are held and drained when it fills.
+        for (reversed, gathered) in [(false, 0), (true, 1500)] {
+            let mut a = asm();
+            let data = payload(2500);
+            let mut tus = fragment_adu_buf(
+                1,
+                0,
+                AduName::Seq { index: 0 },
+                &data.as_slice().into(),
+                1000,
+            );
+            if reversed {
+                tus.reverse();
+            }
+            for tu in &tus {
+                a.on_tu(SimTime::ZERO, tu);
+            }
+            let (_, adu, _) = a.pop_ready().unwrap();
+            assert_eq!(adu.payload, data);
+            assert!(!adu.payload.same_chunk(&tus[0].payload));
+            assert_eq!(a.stats.zero_copy_releases, 0);
+            assert_eq!(a.stats.gathered_bytes, gathered, "reversed: {reversed}");
         }
-        let (_, adu, _) = a.pop_ready().unwrap();
-        assert_eq!(adu.payload, data);
-        assert_eq!(a.stats.zero_copy_releases, 0);
-        assert_eq!(a.stats.gathered_bytes, 2500);
     }
 
     #[test]
     fn fragment_if_present_spans_stored_views() {
-        // FEC reconstruction asks for ranges that may straddle several
-        // stored fragment views.
+        // FEC reconstruction asks for ranges that may straddle the placed
+        // prefix and several held views.
         let mut a = asm();
-        let data = payload(3000);
-        let mut tus = fragment_adu_buf(
+        let data = payload(4000);
+        let tus = fragment_adu_buf(
             1,
             0,
             AduName::Seq { index: 0 },
             &data.as_slice().into(),
             1000,
         );
-        tus.pop(); // keep the ADU incomplete so it stays pending
-        for tu in &tus {
+        // Fragment 1 is missing: [0, 1000) is placed, the last two held.
+        for tu in [&tus[0], &tus[2], &tus[3]] {
             a.on_tu(SimTime::ZERO, tu);
         }
+        assert_eq!(a.frag_views(), 2);
         assert_eq!(
-            a.fragment_if_present(0, 500, 1000).as_deref(),
-            Some(&data[500..1500])
+            a.fragment_if_present(0, 200, 700).as_deref(),
+            Some(&data[200..900])
         );
+        assert_eq!(
+            a.fragment_if_present(0, 2500, 1000).as_deref(),
+            Some(&data[2500..3500])
+        );
+        assert_eq!(a.fragment_if_present(0, 500, 1000), None); // spans the hole
         assert_eq!(a.fragment_if_present(0, 1500, 1000), None); // not covered
-        assert_eq!(a.fragment_if_present(0, 2900, 200), None); // past total
+        assert_eq!(a.fragment_if_present(0, 3900, 200), None); // past total
     }
 }
 
@@ -1228,104 +1407,168 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The parent's `Assembly::insert`, literally: scan every interval for
-    /// the gaps, push, sort both lists, rebuild the merged interval list.
-    fn insert_reference(a: &mut Assembly, off: u32, data: &WireBuf) -> u32 {
-        let len = data.len() as u32;
-        if len == 0 || off as u64 + len as u64 > a.total as u64 {
-            return 0;
-        }
-        let mut newly = 0u32;
-        let mut cursor = off;
-        let end = off + len;
-        for &(io, il) in &a.intervals {
-            let iend = io + il;
-            if iend <= cursor {
-                continue;
+    /// The pre-placement reassembly model (ISSUE 15's), as the oracle:
+    /// every newly covered sub-range kept as a view, the covered intervals
+    /// merged beside them.
+    #[derive(Default)]
+    struct Reference {
+        frags: Vec<(u32, WireBuf)>,
+        intervals: Vec<(u32, u32)>,
+        bytes_received: u32,
+    }
+
+    impl Reference {
+        /// Scan every interval for the gaps, push, sort both lists, rebuild
+        /// the merged interval list.
+        fn insert(&mut self, off: u32, data: &WireBuf) -> u32 {
+            let len = data.len() as u32;
+            if len == 0 || off as u64 + len as u64 > TOTAL as u64 {
+                return 0;
             }
-            if io >= end {
-                break;
-            }
-            if io > cursor {
-                let (s, e) = ((cursor - off) as usize, (io - off) as usize);
-                a.frags.push((cursor, data.slice(s..e)));
-                newly += io - cursor;
-            }
-            cursor = cursor.max(iend);
-            if cursor >= end {
-                break;
-            }
-        }
-        if cursor < end {
-            a.frags
-                .push((cursor, data.slice((cursor - off) as usize..)));
-            newly += end - cursor;
-        }
-        if newly > 0 {
-            a.frags.sort_unstable_by_key(|&(o, _)| o);
-            a.intervals.push((off, len));
-            a.intervals.sort_unstable();
-            let mut merged: Vec<(u32, u32)> = Vec::with_capacity(a.intervals.len());
-            for &(o, l) in &a.intervals {
-                if let Some(last) = merged.last_mut() {
-                    if o <= last.0 + last.1 {
-                        last.1 = (o + l).max(last.0 + last.1) - last.0;
-                        continue;
-                    }
+            let mut newly = 0u32;
+            let mut cursor = off;
+            let end = off + len;
+            for &(io, il) in &self.intervals {
+                let iend = io + il;
+                if iend <= cursor {
+                    continue;
                 }
-                merged.push((o, l));
+                if io >= end {
+                    break;
+                }
+                if io > cursor {
+                    let (s, e) = ((cursor - off) as usize, (io - off) as usize);
+                    self.frags.push((cursor, data.slice(s..e)));
+                    newly += io - cursor;
+                }
+                cursor = cursor.max(iend);
+                if cursor >= end {
+                    break;
+                }
             }
-            a.intervals = merged;
-            a.bytes_received += newly;
+            if cursor < end {
+                self.frags
+                    .push((cursor, data.slice((cursor - off) as usize..)));
+                newly += end - cursor;
+            }
+            if newly > 0 {
+                self.frags.sort_unstable_by_key(|&(o, _)| o);
+                self.intervals.push((off, len));
+                self.intervals.sort_unstable();
+                let mut merged: Vec<(u32, u32)> = Vec::with_capacity(self.intervals.len());
+                for &(o, l) in &self.intervals {
+                    if let Some(last) = merged.last_mut() {
+                        if o <= last.0 + last.1 {
+                            last.1 = (o + l).max(last.0 + last.1) - last.0;
+                            continue;
+                        }
+                    }
+                    merged.push((o, l));
+                }
+                self.intervals = merged;
+                self.bytes_received += newly;
+            }
+            newly
         }
-        newly
+
+        fn missing_ranges(&self) -> Vec<(u32, u32)> {
+            let mut out = Vec::new();
+            let mut cursor = 0u32;
+            for &(o, l) in &self.intervals {
+                if o > cursor {
+                    out.push((cursor, o - cursor));
+                }
+                cursor = o + l;
+            }
+            if cursor < TOTAL {
+                out.push((cursor, TOTAL - cursor));
+            }
+            out
+        }
+
+        /// Every stored byte at its ADU offset, 0 where nothing is held.
+        fn image(&self) -> Vec<u8> {
+            let mut buf = vec![0u8; TOTAL as usize];
+            for (o, f) in &self.frags {
+                buf[*o as usize..*o as usize + f.len()].copy_from_slice(f);
+            }
+            buf
+        }
     }
 
     const TOTAL: u32 = 300;
 
     fn pattern(off: u32, len: u32) -> WireBuf {
+        salted(off, len, 0)
+    }
+
+    /// [`pattern`] with every byte offset by `salt`: fragments of different
+    /// arrivals disagree where they overlap, so the bytes kept show which
+    /// arrival won.
+    fn salted(off: u32, len: u32, salt: u32) -> WireBuf {
         (off..off + len)
-            .map(|i| (i * 7 + 3) as u8)
+            .map(|i| (i * 7 + 3 + salt) as u8)
             .collect::<Vec<_>>()
             .into()
     }
 
-    /// Every stored byte at its ADU offset, 0 where nothing is held.
-    fn stored(a: &Assembly) -> Vec<u8> {
+    /// The intervals an assembly covers: its prefix, then its held views,
+    /// touching ones merged.
+    fn coverage(a: &Assembly) -> Vec<(u32, u32)> {
+        let prefix = (!a.placed.is_empty()).then_some((0, a.placed.len() as u32));
+        let held = a.held.iter().map(|(o, v)| (*o, v.len() as u32));
+        let mut out: Vec<(u32, u32)> = Vec::new();
+        for (o, l) in prefix.into_iter().chain(held) {
+            match out.last_mut() {
+                Some(last) if last.0 + last.1 == o => last.1 += l,
+                _ => out.push((o, l)),
+            }
+        }
+        out
+    }
+
+    /// Every stored byte at its ADU offset, 0 where nothing is stored.
+    fn image(a: &Assembly) -> Vec<u8> {
         let mut buf = vec![0u8; a.total as usize];
-        for (o, f) in &a.frags {
-            buf[*o as usize..*o as usize + f.len()].copy_from_slice(f);
+        buf[..a.placed.len()].copy_from_slice(&a.placed);
+        for (o, v) in &a.held {
+            buf[*o as usize..*o as usize + v.len()].copy_from_slice(v);
         }
         buf
     }
 
     proptest! {
-        /// In-place interval merge against push-sort-merge: random,
-        /// overlapping, duplicate, touching, out-of-order and out-of-range
-        /// fragments.
+        /// Placement against the view-per-fragment model it replaced:
+        /// random, overlapping, duplicate, touching, out-of-order and
+        /// out-of-range fragments, each arrival's bytes distinct. Coverage,
+        /// missing ranges and the bytes kept (the first arrival's, at
+        /// every offset) are the model's; nothing is stored twice; held
+        /// views stay sorted, disjoint and past the prefix.
         #[test]
         fn prop_insert_matches_push_sort_merge(
             frags in prop::collection::vec((0u32..TOTAL + 8, 0u32..90, any::<bool>()), 1..40),
         ) {
             let name = AduName::Seq { index: 0 };
-            let mut fast = Assembly::new(name, TOTAL, SimTime::ZERO);
-            let mut slow = Assembly::new(name, TOTAL, SimTime::ZERO);
+            let mut fast = Assembly::new(name, TOTAL, SimTime::ZERO, 0);
+            let mut slow = Reference::default();
             let mut prev = (0u32, 1u32);
-            for (off, len, repeat) in frags {
+            for (k, (off, len, repeat)) in frags.into_iter().enumerate() {
                 // A repeat re-sends the previous fragment: an exact duplicate.
                 let (off, len) = if repeat { prev } else { (off, len) };
                 prev = (off, len);
-                let data = pattern(off, len);
-                prop_assert_eq!(fast.insert(off, &data), insert_reference(&mut slow, off, &data));
-                prop_assert_eq!(&fast.intervals, &slow.intervals);
+                let data = salted(off, len, k as u32);
+                prop_assert_eq!(fast.insert(off, &data), slow.insert(off, &data));
+                fast.drain();
+                prop_assert_eq!(coverage(&fast), slow.intervals.clone());
                 prop_assert_eq!(fast.bytes_received, slow.bytes_received);
                 prop_assert_eq!(fast.missing_ranges(), slow.missing_ranges());
-                prop_assert_eq!(&fast.frags, &slow.frags);
+                prop_assert_eq!(image(&fast), slow.image());
                 prop_assert_eq!(fast.stored_bytes(), fast.bytes_received as usize);
+                prop_assert!(fast.held.first().is_none_or(|&(o, _)| o as usize > fast.placed.len()));
+                prop_assert!(fast.held.windows(2).all(|w| w[0].0 + w[0].1.len() as u32 <= w[1].0));
             }
-            prop_assert_eq!(stored(&fast), stored(&slow));
             if fast.is_complete() {
-                prop_assert_eq!(fast.into_payload().0, pattern(0, TOTAL));
+                prop_assert_eq!(fast.into_payload().0, slow.image());
             }
         }
     }
@@ -1333,9 +1576,16 @@ mod proptests {
     /// [`Assembler::on_tu`] without its whole-ADU branch: every TU takes
     /// the general path.
     fn on_tu_general(a: &mut Assembler, now: SimTime, tu: &Tu) -> bool {
+        if a.was_released(tu.adu_id) {
+            a.stats.duplicate_tus += 1;
+            return true;
+        }
         match a.screen(tu) {
-            Ok(known) => a.assemble(now, tu, known),
-            Err(consumed) => consumed,
+            Some(known) => {
+                a.assemble(now, tu, known);
+                true
+            }
+            None => false,
         }
     }
 
@@ -1418,6 +1668,54 @@ mod proptests {
                 for probe in 0..13 {
                     prop_assert_eq!(fast.was_released(probe), slow.was_released(probe));
                 }
+            }
+        }
+    }
+
+    proptest! {
+        /// The lazily armed sweep against the sweep on every poll it
+        /// replaced, polled as the transport polls (sweep, then collect
+        /// shed notices): random arrivals of in-order, out-of-order and
+        /// duplicate fragments for a handful of ADUs, polls at random
+        /// instants straddling the deadline, NACK rounds, abandonment,
+        /// `max_pending` overflow and drop-oldest shedding. Every poll's
+        /// NACK requests, abandonments and shed notices, and every counter
+        /// after every step, are the per-poll sweep's: skipping a sweep
+        /// never moves a NACK or an abandonment.
+        #[test]
+        fn prop_lazy_sweep_fires_at_the_per_poll_instants(
+            rounds in 0u32..4,
+            shed in any::<bool>(),
+            script in prop::collection::vec((0u8..3, 0u64..10, 0u32..4, 0u64..3_000), 1..120),
+        ) {
+            let mk = || {
+                let mut a = Assembler::new(SimDuration::from_micros(2_000), 4);
+                if shed {
+                    a.set_budget(1_600, ShedPolicy::DropOldest);
+                }
+                a
+            };
+            let (mut lazy, mut every) = (mk(), mk());
+            let mut now = SimTime::ZERO;
+            for (kind, id, frag, step_us) in script {
+                now += SimDuration::from_micros(step_us);
+                if kind == 0 {
+                    let (l, l_shed) = if lazy.needs_sweep(now) {
+                        (lazy.expire_policy(now, rounds), lazy.take_shed())
+                    } else {
+                        (ExpiryActions::default(), Vec::new())
+                    };
+                    let e = every.expire_policy(now, rounds);
+                    prop_assert_eq!(l.request_frags, e.request_frags);
+                    prop_assert_eq!(l.abandoned, e.abandoned);
+                    prop_assert_eq!(l_shed, every.take_shed());
+                } else {
+                    let t = tu(id, 400, AduName::Seq { index: id }, frag * 100, 100);
+                    prop_assert_eq!(lazy.on_tu(now, &t), every.on_tu(now, &t));
+                    prop_assert_eq!(lazy.pop_ready(), every.pop_ready());
+                }
+                prop_assert_eq!(lazy.stats, every.stats);
+                prop_assert_eq!(lazy.pending_count(), every.pending_count());
             }
         }
     }

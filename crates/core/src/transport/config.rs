@@ -101,13 +101,20 @@ pub struct AlfConfig {
     /// [`RecoveryMode::NoRetransmit`], backpressure (refuse, sender
     /// retransmits) for the buffered modes — never silent loss.
     pub reassembly_budget_bytes: usize,
-    /// Receiver occupancy quota: maximum stored fragment views per partial
-    /// ADU (0 = unlimited). Legitimate fragmentation needs at most
-    /// `adu_len / mtu_payload` views; a hostile peer shredding one ADU
+    /// Receiver occupancy quota: maximum fragment views a partial ADU may
+    /// hold (0 = unlimited). In-order bytes are copied into the ADU's
+    /// buffer as they arrive; only a fragment ahead of a hole is held, as
+    /// a view of the frame that carried it, so legitimate traffic holds at
+    /// most one view per reordered TU. A hostile peer shredding one ADU
     /// into thousands of tiny disjoint fragments (each pinning its whole
     /// arrival frame) trips the quota and the assembly is evicted and
-    /// NACKed. Combined with `max_partial_adus` this bounds total
-    /// reassembly occupancy per association.
+    /// NACKed. The quota also caps an assembly's up-front buffer
+    /// reservation at `max_frag_views` × its first fragment's length —
+    /// the largest ADU a fragmentation within the quota could carry — so
+    /// a forged `adu_len` reserves no more than that (beyond it the buffer
+    /// grows by doubling, and never past the bytes actually received).
+    /// Combined with `max_partial_adus` this bounds total reassembly
+    /// occupancy per association.
     pub max_frag_views: usize,
 }
 

@@ -22,12 +22,12 @@
 //! [`ct_transport::StreamTransport`]: ../../ct_transport/stream/struct.StreamTransport.html
 
 use crate::adu::{Adu, AduName};
-use crate::assembler::{Assembler, ShedPolicy};
+use crate::assembler::{Assembler, Extend, ShedPolicy};
 use crate::fec;
 use crate::ids::IdRing;
 use crate::wire::{
-    encode_ack, encode_nack, encode_nack_frags, fragments, restamp_tu, Message, Tu,
-    MAX_FRAME_ENTRIES, RWND_UNLIMITED, TU_FLAG_PARITY, TU_FLAG_TIMESTAMP,
+    self, encode_ack, encode_nack, encode_nack_frags, fragments, restamp_tu, Frame, Message, Tu,
+    WireError, MAX_FRAME_ENTRIES, RWND_UNLIMITED, TU_FLAG_PARITY, TU_FLAG_TIMESTAMP,
 };
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
@@ -573,7 +573,7 @@ impl AduTransport {
         // to loss reports instead of retrying forever.
         self.check_peer_silence(now);
 
-        if self.assembler.needs_sweep() {
+        if self.assembler.needs_sweep(now) {
             // Receiver: overdue assemblies get selective-fragment NACKs for
             // a few rounds, then a whole-ADU NACK and abandonment — and
             // assemblies shed to honor the byte budget (drop-oldest policy)
@@ -885,31 +885,120 @@ impl AduTransport {
         }
     }
 
-    /// Ingest one owned frame, zero-copy: a data TU's payload stays an
-    /// O(1) view into `frame` through reassembly, so a single-fragment (or
-    /// single-chunk) ADU is released without ever copying its bytes.
+    /// Ingest one owned frame. A data TU that continues an assembly's
+    /// verified prefix — every TU of a clean transfer after the first — is
+    /// checked as it is copied into place: one read of the frame, one
+    /// write. Any other frame is verified whole first; a TU among them is
+    /// then placed, or held as an O(1) view into `frame` until the bytes
+    /// before it arrive, and a single-TU ADU is released as that view.
     pub fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
-        let msg = match Message::decode_frame(&frame) {
-            Ok(m) => m,
-            Err(e) => {
-                self.stats.bad_messages += 1;
-                self.count_rejected(e.reason());
-                self.trace(now, "bad_msg", None, 0, 0, frame.len() as u64);
-                return;
+        let parsed = wire::parse(&frame);
+        if let Ok(Frame::Tu(tu)) = &parsed {
+            if tu.assoc == self.cfg.assoc && tu.flags & TU_FLAG_PARITY == 0 {
+                let ready_before = self.assembler.ready_len();
+                match self
+                    .assembler
+                    .extend_prefix(now, tu, |dst| wire::copy_verified(&frame, dst))
+                {
+                    Extend::NotNext => {}
+                    Extend::Corrupt => {
+                        self.reject(now, WireError::BadChecksum.reason(), frame.len());
+                        return;
+                    }
+                    Extend::Placed(placed) => {
+                        self.heard_from_peer(now);
+                        self.note_stamp(now, tu);
+                        // The checksum rode the copy: one read and one
+                        // write per payload byte, no verify pass.
+                        self.ledger_touch("alf/place", placed as u64, placed as u64);
+                        self.tu_placed(now, tu, ready_before);
+                        return;
+                    }
+                }
             }
+        }
+        let verified = if wire::checksum_ok(&frame) {
+            parsed
+        } else {
+            Err(WireError::BadChecksum)
         };
-        self.on_decoded(now, msg);
+        match verified {
+            Ok(msg) => self.on_verified(now, msg),
+            Err(e) => self.reject(now, e.reason(), frame.len()),
+        }
     }
 
-    /// The rest of [`AduTransport::on_frame`]: the message is verified.
-    fn on_decoded(&mut self, now: SimTime, msg: Message) {
-        // Any intact message restarts the dead-peer clock — and revives a
-        // peer previously declared unreachable (its lost ADUs stay lost;
-        // new sends flow again).
+    /// Count and trace a frame refused at ingest.
+    fn reject(&mut self, now: SimTime, reason: &'static str, len: usize) {
+        self.stats.bad_messages += 1;
+        self.count_rejected(reason);
+        self.trace(now, "bad_msg", None, 0, 0, len as u64);
+    }
+
+    /// Any intact message restarts the dead-peer clock — and revives a
+    /// peer previously declared unreachable (its lost ADUs stay lost; new
+    /// sends flow again).
+    fn heard_from_peer(&mut self, now: SimTime) {
         self.last_peer_activity = Some(now);
         self.peer_dead = false;
+    }
+
+    /// A stamped TU feeds the jitter estimate and the next ACK's echo.
+    fn note_stamp(&mut self, now: SimTime, tu: &Tu) {
+        if tu.flags & TU_FLAG_TIMESTAMP != 0 {
+            self.update_jitter(now, tu.timestamp_us);
+            self.cold_mut().echo_pending = Some((tu.timestamp_us, micros_wrapping(now)));
+        }
+    }
+
+    /// After a TU entered reassembly: trace its arrival, try FEC, and do
+    /// the completion bookkeeping for whatever it completed.
+    fn tu_placed(&mut self, now: SimTime, tu: &Tu, ready_before: usize) {
+        // Fragment accepted into reassembly: the arrival edge of the ADU's
+        // lifecycle span.
+        self.trace(
+            now,
+            "tu_recv",
+            Some(tu.name),
+            tu.adu_id,
+            u64::from(tu.frag_off),
+            tu.payload.len() as u64,
+        );
+        self.try_fec_reconstruct(now, tu.adu_id, tu.name);
+        self.completed_since(now, ready_before);
+    }
+
+    /// Completion-time bookkeeping for whatever this frame (or a
+    /// reconstruction it triggered) completed, read off the back of the
+    /// ready queue: the ADUs themselves stay there until `recv_adu` pops
+    /// them.
+    fn completed_since(&mut self, now: SimTime, ready_before: usize) {
+        for &(id, ref adu, latency) in self.assembler.ready_from(ready_before) {
+            if let Some(cold) = &mut self.cold {
+                cold.parities.remove(&id);
+            }
+            #[cfg(feature = "debug-loss")]
+            eprintln!("adu {id} complete at {now}");
+            self.stats.adus_delivered += 1;
+            self.stats.delivery_latency_total += latency;
+            self.stats.delivery_latency_max = self.stats.delivery_latency_max.max(latency);
+            self.ack_queue.push(id);
+            self.trace(
+                now,
+                "adu_deliver",
+                Some(adu.name),
+                id,
+                latency.as_nanos() / 1_000,
+                adu.payload.len() as u64,
+            );
+        }
+    }
+
+    /// The rest of [`AduTransport::on_frame`] for a verified message.
+    fn on_verified(&mut self, now: SimTime, msg: Frame<'_>) {
+        self.heard_from_peer(now);
         match msg {
-            Message::Tu(tu) => {
+            Frame::Tu(tu) => {
                 if tu.assoc != self.cfg.assoc {
                     self.stats.bad_messages += 1;
                     self.count_rejected("assoc_mismatch");
@@ -922,21 +1011,18 @@ impl AduTransport {
                     // charges nothing and resurrects nothing: re-ACK and
                     // drop. The replay window behind `was_released` keeps
                     // this check sound even for ancient ids (see
-                    // [`crate::assembler::Assembler`]).
+                    // [`crate::assembler::Assembler`]), and it is the TU's
+                    // only replay lookup: stage 1 trusts it.
                     self.stats.tus_replayed += 1;
                     self.count_rejected("replayed");
                     self.ack_queue.push(tu.adu_id);
                     return;
                 }
-                // Checksum verification read every payload byte once,
-                // inside decode (the whole sealed frame folds to zero; the
-                // header's share is O(1) control cost, excluded by policy).
+                // Checksum verification read every payload byte once (the
+                // whole sealed frame folds to zero; the header's share is
+                // O(1) control cost, excluded by policy).
                 self.ledger_touch("alf/verify", tu.payload.len() as u64, 0);
-                if tu.flags & TU_FLAG_TIMESTAMP != 0 {
-                    self.update_jitter(now, tu.timestamp_us);
-                    self.cold_mut().echo_pending = Some((tu.timestamp_us, micros_wrapping(now)));
-                }
-                let gathered_before = self.assembler.stats.gathered_bytes;
+                self.note_stamp(now, &tu);
                 let ready_before = self.assembler.ready_len();
                 if tu.flags & TU_FLAG_PARITY != 0 {
                     if let Some(p) = fec::parse_parity(&tu) {
@@ -946,7 +1032,11 @@ impl AduTransport {
                         self.stats.bad_messages += 1;
                         self.count_rejected("bad_parity");
                     }
-                } else if !self.assembler.on_tu(now, &tu) {
+                    self.try_fec_reconstruct(now, tu.adu_id, tu.name);
+                    self.completed_since(now, ready_before);
+                    return;
+                }
+                let Some(placed) = self.assembler.accept(now, &tu) else {
                     // Byte budget full, backpressure policy: the TU is
                     // refused (not silently lost — the sender still holds
                     // the ADU). Owe the peer a window update so it stops
@@ -954,52 +1044,16 @@ impl AduTransport {
                     self.stats.tus_backpressured += 1;
                     self.window_ack_due = true;
                     return;
-                } else {
-                    // Fragment accepted into reassembly: the arrival edge
-                    // of the ADU's lifecycle span.
-                    self.trace(
-                        now,
-                        "tu_recv",
-                        Some(tu.name),
-                        tu.adu_id,
-                        u64::from(tu.frag_off),
-                        tu.payload.len() as u64,
-                    );
+                };
+                // Placement: one read of the bytes copied behind the
+                // prefix (this TU's, or held views it let drain), one
+                // write. A view released whole books nothing.
+                if placed > 0 {
+                    self.ledger_touch("alf/place", placed as u64, placed as u64);
                 }
-                self.try_fec_reconstruct(now, tu.adu_id, tu.name);
-                // Completion-time bookkeeping for whatever this frame (or
-                // a reconstruction it triggered) completed, read off the
-                // back of the ready queue: the ADUs themselves stay there
-                // until `recv_adu` pops them.
-                for &(id, ref adu, latency) in self.assembler.ready_from(ready_before) {
-                    if let Some(cold) = &mut self.cold {
-                        cold.parities.remove(&id);
-                    }
-                    #[cfg(feature = "debug-loss")]
-                    eprintln!("adu {id} complete at {now}");
-                    self.stats.adus_delivered += 1;
-                    self.stats.delivery_latency_total += latency;
-                    self.stats.delivery_latency_max = self.stats.delivery_latency_max.max(latency);
-                    self.ack_queue.push(id);
-                    self.trace(
-                        now,
-                        "adu_deliver",
-                        Some(adu.name),
-                        id,
-                        latency.as_nanos() / 1_000,
-                        adu.payload.len() as u64,
-                    );
-                }
-                // A multi-fragment release gathered: one read of each
-                // stored view, one write into the contiguous payload. A
-                // single-chunk release books nothing — the views ARE the
-                // payload.
-                let gathered = self.assembler.stats.gathered_bytes - gathered_before;
-                if gathered > 0 {
-                    self.ledger_touch("alf/gather", gathered, gathered);
-                }
+                self.tu_placed(now, &tu, ready_before);
             }
-            Message::Ack {
+            Frame::Ack {
                 assoc,
                 ids,
                 echo,
@@ -1010,7 +1064,7 @@ impl AduTransport {
                 }
                 self.peer_rwnd = rwnd;
                 #[cfg(feature = "debug-loss")]
-                eprintln!("ack in: {ids:?} at {now}");
+                eprintln!("ack in: {:?} at {now}", ids.clone().collect::<Vec<_>>());
                 if let Some((ts, hold)) = echo {
                     // rtt = now − stamp − receiver hold, all wrapping on
                     // the 32-bit µs clock. A garbled/ancient echo shows up
@@ -1045,7 +1099,7 @@ impl AduTransport {
                     self.timeout_backoff = 0;
                 }
             }
-            Message::Nack { assoc, ids } => {
+            Frame::Nack { assoc, ids } => {
                 if assoc != self.cfg.assoc {
                     return;
                 }
@@ -1055,7 +1109,7 @@ impl AduTransport {
                     }
                 }
             }
-            Message::NackFrags {
+            Frame::NackFrags {
                 assoc,
                 adu_id,
                 ranges,
@@ -1063,9 +1117,9 @@ impl AduTransport {
                 if assoc != self.cfg.assoc {
                     return;
                 }
-                self.retransmit_fragments(now, adu_id, &ranges);
+                self.retransmit_fragments(now, adu_id, ranges.map(wire::split_range));
             }
-            Message::WindowProbe { assoc } => {
+            Frame::WindowProbe { assoc } => {
                 if assoc != self.cfg.assoc {
                     return;
                 }
@@ -1334,6 +1388,7 @@ impl AduTransport {
         if rebuilt.is_empty() {
             return;
         }
+        let mut placed = 0;
         for (frag_off, payload) in rebuilt {
             self.stats.fec_reconstructions += 1;
             let tu = Tu {
@@ -1346,7 +1401,16 @@ impl AduTransport {
                 name,
                 payload: payload.into(),
             };
-            self.assembler.on_tu(now, &tu);
+            // An earlier rebuilt fragment may have completed the ADU: then
+            // this one is a duplicate, and `on_tu` counts it as one.
+            if self.assembler.was_released(adu_id) {
+                self.assembler.on_tu(now, &tu);
+            } else {
+                placed += self.assembler.accept(now, &tu).unwrap_or(0);
+            }
+        }
+        if placed > 0 {
+            self.ledger_touch("alf/place", placed as u64, placed as u64);
         }
     }
 
@@ -1354,7 +1418,12 @@ impl AduTransport {
     /// ADU (requires the payload at hand — buffer mode, or a still-cached
     /// recomputed payload). Falls back to the whole-ADU loss path when the
     /// payload is gone.
-    fn retransmit_fragments(&mut self, now: SimTime, adu_id: u64, ranges: &[(u32, u32)]) {
+    fn retransmit_fragments(
+        &mut self,
+        now: SimTime,
+        adu_id: u64,
+        ranges: impl Iterator<Item = (u32, u32)>,
+    ) {
         let base = self.rto_base();
         let stamp = self.cfg.timestamps.then(|| micros_wrapping(now));
         let Some(sent) = self.window.get(adu_id) else {
@@ -1389,7 +1458,7 @@ impl AduTransport {
         // Each repair TU is encoded into the pacing queue as it is cut.
         let mut queued = 0usize;
         let mut retx_bytes = 0usize;
-        for &(off, len) in ranges {
+        for (off, len) in ranges {
             if len == 0 || off as u64 + u64::from(len) > u64::from(total) {
                 // A repair request outside the ADU we declared is a
                 // protocol error (corrupted or forged NACK) — reject the

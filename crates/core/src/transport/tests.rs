@@ -1165,3 +1165,178 @@ fn ack_queue_past_the_count_field_goes_out_as_whole_frames() {
     assert_eq!(acked, REPLAYS);
     assert_eq!(b.stats.control_sent, 3);
 }
+
+/// ISSUE 25: a TU that continues an assembly's prefix is verified as it is
+/// copied into place. One flipped payload byte in such a TU must be
+/// rejected as a bad checksum with exactly the counters a frame verified
+/// whole gets, and must leave the prefix's length and bytes as they were.
+#[test]
+fn corrupt_in_order_tu_is_rejected_and_leaves_the_prefix() {
+    let data = payload(5000);
+    let tus = fragment_adu_buf(1, 0, AduName::Seq { index: 0 }, &data.clone().into(), 1400);
+    let mut bad = tus[1].encode();
+    *bad.last_mut().unwrap() ^= 0x10;
+    // The verdict a frame verified whole gets: a receiver with nothing
+    // open for the ADU never copies it.
+    let whole = Telemetry::new();
+    let mut fresh = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
+    fresh.attach_telemetry(whole.clone(), "receiver");
+    let before = format!("{:?} {:?}", fresh.stats, fresh.assembler_stats());
+    fresh.on_frame(SimTime::ZERO, bad.clone().into());
+    assert_eq!(fresh.stats.bad_messages, 1);
+
+    let placed = Telemetry::new();
+    let mut b = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
+    b.attach_telemetry(placed.clone(), "receiver");
+    b.on_frame(SimTime::ZERO, tus[0].encode().into());
+    let prefix = b.assembler.placed(0).expect("open").clone();
+    assert_eq!(prefix, data[..1400]);
+    let stats = format!("{:?} {:?}", b.stats, b.assembler_stats());
+    b.on_frame(SimTime::ZERO, bad.into());
+    assert_eq!(b.stats.bad_messages, 1);
+    b.stats.bad_messages = 0;
+    fresh.stats.bad_messages = 0;
+    assert_eq!(format!("{:?} {:?}", b.stats, b.assembler_stats()), stats);
+    assert_eq!(
+        format!("{:?} {:?}", fresh.stats, fresh.assembler_stats()),
+        before
+    );
+    for tel in [&whole, &placed] {
+        assert_eq!(tel.metrics().counter("alf.rx_rejected.bad_checksum"), 1);
+    }
+    let placed_now = b.assembler.placed(0).expect("still open");
+    assert_eq!(
+        (placed_now.len(), &placed_now[..]),
+        (prefix.len(), &prefix[..])
+    );
+    // The intact TUs still complete the ADU.
+    for tu in &tus[1..] {
+        b.on_frame(SimTime::ZERO, tu.encode().into());
+    }
+    assert_eq!(b.recv_adu().expect("complete").0.payload, data);
+}
+
+/// ISSUE 25: a checksum-valid first TU that declares a 4 GiB ADU reserves
+/// no more than the view quota lets an honest ADU of its fragment length
+/// reach, writes only the bytes that arrived, and is NACKed and abandoned
+/// as before.
+#[test]
+fn forged_adu_len_reserves_at_most_the_quota_and_is_abandoned() {
+    let c = cfg(RecoveryMode::TransportBuffer);
+    let mut b = AduTransport::new(c);
+    let forged = Tu {
+        flags: 0,
+        assoc: c.assoc,
+        timestamp_us: 0,
+        adu_id: 0,
+        adu_len: u32::MAX,
+        frag_off: 0,
+        name: AduName::Seq { index: 0 },
+        payload: payload(1400).into(),
+    };
+    b.on_frame(SimTime::ZERO, forged.encode().into());
+    let buf = b.assembler.placed(0).expect("admitted");
+    assert!(
+        buf.capacity() <= c.max_frag_views * 1400,
+        "{}",
+        buf.capacity()
+    );
+    assert_eq!(buf.len(), 1400);
+    let (mut now, mut rounds, mut nacked) = (SimTime::ZERO, 0, false);
+    while !nacked {
+        assert!(now < SimTime::from_secs(1), "never abandoned");
+        now += c.assembly_timeout + SimDuration::from_millis(1);
+        for f in b.poll(now) {
+            match decode(&f).unwrap() {
+                Message::NackFrags { adu_id, ranges, .. } => {
+                    assert_eq!((adu_id, ranges), (0, vec![(1400, u32::MAX - 1400)]));
+                    rounds += 1;
+                }
+                Message::Nack { ids, .. } => nacked = ids == [0],
+                _ => {}
+            }
+        }
+    }
+    assert_eq!(rounds, c.nack_frag_rounds);
+    assert_eq!(b.assembler_stats().adus_abandoned, 1);
+    assert_eq!(b.reassembly_bytes(), 0);
+}
+
+mod placement {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// ISSUE 25: placement under any arrival schedule — fragments in
+        /// random order, duplicated, overlapping (each ADU is cut at two
+        /// MTUs), dropped and bit-flipped — with the clean frames replayed
+        /// at the end so every ADU can complete. Each ADU is delivered once,
+        /// with exactly its bytes; at every step the bytes stage 1 stores
+        /// equal the bytes it covers, no buffer runs ahead of them, and
+        /// none of it exceeds the verified payload bytes it was handed.
+        #[test]
+        fn prop_placement_delivers_exact_bytes_once(
+            lens in prop::collection::vec(0usize..5000, 1..5),
+            schedule in prop::collection::vec((any::<u16>(), 0u8..6, any::<u16>()), 0..80),
+        ) {
+            let c = cfg(RecoveryMode::TransportBuffer);
+            let mut b = AduTransport::new(c);
+            let adus: Vec<Vec<u8>> = lens
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| (0..n).map(|j| (j * 31 + i * 7) as u8).collect())
+                .collect();
+            let mut frames = Vec::new();
+            for (i, p) in adus.iter().enumerate() {
+                let p: WireBuf = p.clone().into();
+                for mtu in [1400, 1000] {
+                    let name = AduName::Seq { index: i as u64 };
+                    for tu in fragment_adu_buf(c.assoc, i as u64, name, &p, mtu) {
+                        frames.push(tu.encode());
+                    }
+                }
+            }
+            let mut delivered = vec![false; adus.len()];
+            let mut fed = 0usize;
+            let clean = frames.clone().into_iter().map(|f| (f, false));
+            let scheduled = schedule.into_iter().filter_map(|(pick, action, pos)| {
+                let mut f = frames[pick as usize % frames.len()].clone();
+                match action {
+                    0 => None, // dropped
+                    1 => {
+                        let i = pos as usize % f.len();
+                        f[i] ^= 1 << (pos % 8);
+                        Some((f, true))
+                    }
+                    _ => Some((f, false)),
+                }
+            });
+            for (f, corrupt) in scheduled.collect::<Vec<_>>().into_iter().chain(clean) {
+                if !corrupt {
+                    fed += f.len() - crate::wire::TU_HEADER_BYTES;
+                }
+                let bad = b.stats.bad_messages;
+                b.on_frame(SimTime::ZERO, f.into());
+                // A single flipped bit always breaks the Internet checksum.
+                prop_assert_eq!(b.stats.bad_messages, bad + u64::from(corrupt));
+                while let Some((adu, _)) = b.recv_adu() {
+                    let AduName::Seq { index } = adu.name else { unreachable!() };
+                    let i = index as usize;
+                    prop_assert!(!delivered[i], "ADU {} delivered twice", i);
+                    prop_assert_eq!(&adu.payload, &adus[i]);
+                    delivered[i] = true;
+                }
+                let mut covered = 0usize;
+                for i in 0..adus.len() as u64 {
+                    if let Some(n) = b.assembler.bytes_covered(i) {
+                        prop_assert!(b.assembler.placed(i).unwrap().len() <= n as usize);
+                        covered += n as usize;
+                    }
+                }
+                prop_assert_eq!(b.assembler.stored_bytes(), covered);
+                prop_assert!(covered <= fed);
+            }
+            prop_assert!(delivered.iter().all(|&d| d));
+        }
+    }
+}

@@ -201,9 +201,10 @@ fn seal_checksum(buf: &mut [u8]) {
 /// a 16-bit-aligned offset, the one's-complement sum of the *whole* frame
 /// folds to 0xFFFF exactly when the frame is intact — so
 /// [`internet_checksum`] (the complement) is zero. One read pass, no
-/// scratch buffer, regardless of where in the frame the field lives.
-fn verify_checksum(buf: &[u8]) -> bool {
-    internet_checksum(buf) == 0
+/// scratch buffer, regardless of where in the frame the field lives. A
+/// frame shorter than any message passes, for [`parse`] to call truncated.
+pub(crate) fn checksum_ok(buf: &[u8]) -> bool {
+    buf.len() < 8 || internet_checksum(buf) == 0
 }
 
 impl Tu {
@@ -348,119 +349,213 @@ impl Message {
     }
 
     /// Decode and verify a wire message from an owned frame, zero-copy: a
-    /// TU's payload is an O(1) [`WireBuf`] slice of `frame` — reassembly
-    /// then holds views into received frames instead of copies.
+    /// TU's payload is an O(1) [`WireBuf`] slice of `frame`. The transport
+    /// ingests through the same parser (`wire::parse`) without building a
+    /// `Message`.
     ///
     /// # Errors
     /// [`WireError`] on truncation, corruption, or malformed fields.
     pub fn decode_frame(frame: &WireBuf) -> Result<Message, WireError> {
-        let buf = frame.as_slice();
-        if buf.len() < 8 {
-            return Err(WireError::Truncated);
-        }
-        if !verify_checksum(buf) {
+        if !checksum_ok(frame) {
             return Err(WireError::BadChecksum);
         }
-        let mut r = HeaderReader::new(buf);
-        // The 8-byte minimum guard above makes these reads infallible, but
-        // the decode path stays total anyway: hostile bytes must never be
-        // able to reach a panic, whatever the guards upstream look like.
-        let ty = r.get_u8().map_err(|_| WireError::Truncated)?;
-        let flags = r.get_u8().map_err(|_| WireError::Truncated)?;
-        let _ck = r.get_u16().map_err(|_| WireError::Truncated)?;
-        let assoc = r.get_u16().map_err(|_| WireError::Truncated)?;
-        match ty {
-            T_TU => {
-                if buf.len() < TU_HEADER_BYTES {
-                    return Err(WireError::Truncated);
-                }
-                let adu_id = r.get_u64().map_err(|_| WireError::Truncated)?;
-                let adu_len = r.get_u32().map_err(|_| WireError::Truncated)?;
-                let frag_off = r.get_u32().map_err(|_| WireError::Truncated)?;
-                let frag_len = r.get_u16().map_err(|_| WireError::Truncated)? as usize;
-                let timestamp_us = r.get_u32().map_err(|_| WireError::Truncated)?;
-                let name = AduName::decode(&mut r).map_err(WireError::Name)?;
-                if r.remaining() != frag_len {
-                    return Err(WireError::LengthMismatch);
-                }
-                // Data fragments must fit inside the ADU; parity TUs cover
-                // positions, not content, and may extend past a short tail.
-                if flags & TU_FLAG_PARITY == 0 && frag_off as u64 + frag_len as u64 > adu_len as u64
-                {
-                    return Err(WireError::FragmentOutOfRange);
-                }
-                Ok(Message::Tu(Tu {
-                    flags,
-                    assoc,
-                    timestamp_us,
-                    adu_id,
-                    adu_len,
-                    frag_off,
-                    name,
-                    // Zero-copy: the payload is the frame's tail, viewed.
-                    payload: frame.slice(TU_HEADER_BYTES..),
-                }))
-            }
-            T_NACK_FRAGS => {
-                let adu_id = r.get_u64().map_err(|_| WireError::Truncated)?;
-                let count = r.get_u16().map_err(|_| WireError::Truncated)? as usize;
-                let mut ranges = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let off = r.get_u32().map_err(|_| WireError::Truncated)?;
-                    let len = r.get_u32().map_err(|_| WireError::Truncated)?;
-                    ranges.push((off, len));
-                }
-                if r.remaining() != 0 {
-                    return Err(WireError::LengthMismatch);
-                }
-                Ok(Message::NackFrags {
-                    assoc,
-                    adu_id,
-                    ranges,
-                })
-            }
-            T_ACK | T_NACK => {
-                let count = r.get_u16().map_err(|_| WireError::Truncated)? as usize;
-                let rwnd = if ty == T_ACK {
-                    r.get_u32().map_err(|_| WireError::Truncated)?
-                } else {
-                    RWND_UNLIMITED
-                };
-                let echo = if ty == T_ACK && flags & ACK_FLAG_ECHO != 0 {
-                    let ts = r.get_u32().map_err(|_| WireError::Truncated)?;
-                    let hold = r.get_u32().map_err(|_| WireError::Truncated)?;
-                    Some((ts, hold))
-                } else {
-                    None
-                };
-                let mut ids = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    ids.push(r.get_u64().map_err(|_| WireError::Truncated)?);
-                }
-                if r.remaining() != 0 {
-                    return Err(WireError::LengthMismatch);
-                }
-                if ty == T_ACK {
-                    Ok(Message::Ack {
-                        assoc,
-                        ids,
-                        echo,
-                        rwnd,
-                    })
-                } else {
-                    Ok(Message::Nack { assoc, ids })
-                }
-            }
-            T_WINDOW_PROBE => {
-                let _pad = r.get_u16().map_err(|_| WireError::Truncated)?;
-                if r.remaining() != 0 {
-                    return Err(WireError::LengthMismatch);
-                }
-                Ok(Message::WindowProbe { assoc })
-            }
-            other => Err(WireError::UnknownType(other)),
-        }
+        Ok(match parse(frame)? {
+            Frame::Tu(tu) => Message::Tu(tu),
+            Frame::Ack {
+                assoc,
+                ids,
+                echo,
+                rwnd,
+            } => Message::Ack {
+                assoc,
+                ids: ids.collect(),
+                echo,
+                rwnd,
+            },
+            Frame::Nack { assoc, ids } => Message::Nack {
+                assoc,
+                ids: ids.collect(),
+            },
+            Frame::NackFrags {
+                assoc,
+                adu_id,
+                ranges,
+            } => Message::NackFrags {
+                assoc,
+                adu_id,
+                ranges: ranges.map(split_range).collect(),
+            },
+            Frame::WindowProbe { assoc } => Message::WindowProbe { assoc },
+        })
     }
+}
+
+/// A control frame's 8-byte entries (ids, or `(offset, len)` ranges as
+/// `offset << 32 | len`), read in place: iterating one allocates nothing.
+#[derive(Debug, Clone)]
+pub(crate) struct Entries<'a>(std::slice::ChunksExact<'a, u8>);
+
+impl Iterator for Entries<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        let e = self.0.next()?;
+        Some(u64::from_be_bytes(e.try_into().ok()?))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Entries<'_> {}
+
+/// A selective-NACK entry as its `(offset, len)` range.
+pub(crate) fn split_range(entry: u64) -> (u32, u32) {
+    ((entry >> 32) as u32, entry as u32)
+}
+
+/// A wire message parsed in place: nothing copied, nothing collected (a
+/// TU's payload is a view of the frame's tail).
+#[derive(Debug, Clone)]
+pub(crate) enum Frame<'a> {
+    Tu(Tu),
+    Ack {
+        assoc: u16,
+        ids: Entries<'a>,
+        echo: Option<(u32, u32)>,
+        rwnd: u32,
+    },
+    Nack {
+        assoc: u16,
+        ids: Entries<'a>,
+    },
+    NackFrags {
+        assoc: u16,
+        adu_id: u64,
+        ranges: Entries<'a>,
+    },
+    WindowProbe {
+        assoc: u16,
+    },
+}
+
+/// The one frame parser: every field check [`Message::decode_frame`]
+/// makes except the checksum, which the caller runs — over the whole frame
+/// ([`checksum_ok`]), or fused into the copy that places a TU's payload
+/// ([`copy_verified`]). A frame's verdict is the same either way: a bad
+/// checksum is reported before any field error.
+pub(crate) fn parse(frame: &WireBuf) -> Result<Frame<'_>, WireError> {
+    let buf = frame.as_slice();
+    if buf.len() < 8 {
+        return Err(WireError::Truncated);
+    }
+    let mut r = HeaderReader::new(buf);
+    // The 8-byte minimum guard above makes these reads infallible, but
+    // the decode path stays total anyway: hostile bytes must never be
+    // able to reach a panic, whatever the guards upstream look like.
+    let ty = r.get_u8().map_err(|_| WireError::Truncated)?;
+    let flags = r.get_u8().map_err(|_| WireError::Truncated)?;
+    let _ck = r.get_u16().map_err(|_| WireError::Truncated)?;
+    let assoc = r.get_u16().map_err(|_| WireError::Truncated)?;
+    match ty {
+        T_TU => {
+            if buf.len() < TU_HEADER_BYTES {
+                return Err(WireError::Truncated);
+            }
+            let adu_id = r.get_u64().map_err(|_| WireError::Truncated)?;
+            let adu_len = r.get_u32().map_err(|_| WireError::Truncated)?;
+            let frag_off = r.get_u32().map_err(|_| WireError::Truncated)?;
+            let frag_len = r.get_u16().map_err(|_| WireError::Truncated)? as usize;
+            let timestamp_us = r.get_u32().map_err(|_| WireError::Truncated)?;
+            let name = AduName::decode(&mut r).map_err(WireError::Name)?;
+            if r.remaining() != frag_len {
+                return Err(WireError::LengthMismatch);
+            }
+            // Data fragments must fit inside the ADU; parity TUs cover
+            // positions, not content, and may extend past a short tail.
+            if flags & TU_FLAG_PARITY == 0 && frag_off as u64 + frag_len as u64 > adu_len as u64 {
+                return Err(WireError::FragmentOutOfRange);
+            }
+            Ok(Frame::Tu(Tu {
+                flags,
+                assoc,
+                timestamp_us,
+                adu_id,
+                adu_len,
+                frag_off,
+                name,
+                // Zero-copy: the payload is the frame's tail, viewed.
+                payload: frame.slice(TU_HEADER_BYTES..),
+            }))
+        }
+        T_NACK_FRAGS => {
+            let adu_id = r.get_u64().map_err(|_| WireError::Truncated)?;
+            let count = r.get_u16().map_err(|_| WireError::Truncated)?;
+            Ok(Frame::NackFrags {
+                assoc,
+                adu_id,
+                ranges: entries(&mut r, count)?,
+            })
+        }
+        T_ACK => {
+            let count = r.get_u16().map_err(|_| WireError::Truncated)?;
+            let rwnd = r.get_u32().map_err(|_| WireError::Truncated)?;
+            let echo = if flags & ACK_FLAG_ECHO != 0 {
+                let ts = r.get_u32().map_err(|_| WireError::Truncated)?;
+                let hold = r.get_u32().map_err(|_| WireError::Truncated)?;
+                Some((ts, hold))
+            } else {
+                None
+            };
+            Ok(Frame::Ack {
+                assoc,
+                ids: entries(&mut r, count)?,
+                echo,
+                rwnd,
+            })
+        }
+        T_NACK => {
+            let count = r.get_u16().map_err(|_| WireError::Truncated)?;
+            Ok(Frame::Nack {
+                assoc,
+                ids: entries(&mut r, count)?,
+            })
+        }
+        T_WINDOW_PROBE => {
+            let _pad = r.get_u16().map_err(|_| WireError::Truncated)?;
+            if r.remaining() != 0 {
+                return Err(WireError::LengthMismatch);
+            }
+            Ok(Frame::WindowProbe { assoc })
+        }
+        other => Err(WireError::UnknownType(other)),
+    }
+}
+
+/// A control frame's `count` 8-byte entries, and nothing after them.
+fn entries<'a>(r: &mut HeaderReader<'a>, count: u16) -> Result<Entries<'a>, WireError> {
+    let bytes = r
+        .get_slice(usize::from(count) * 8)
+        .map_err(|_| WireError::Truncated)?;
+    if r.remaining() != 0 {
+        return Err(WireError::LengthMismatch);
+    }
+    Ok(Entries(bytes.chunks_exact(8)))
+}
+
+/// Copy a parsed TU frame's payload into `dst` and verify the whole frame
+/// in the same pass: [`ct_wire::fused::copy_and_checksum`] sums the payload
+/// as it moves it, and the header's sum is folded in after — the receive
+/// mirror of [`Tu::encode`]. True when the frame is intact; `dst` holds
+/// the payload either way, so a caller discards it on `false`.
+pub(crate) fn copy_verified(frame: &[u8], dst: &mut [u8]) -> bool {
+    let (header, payload) = frame.split_at(TU_HEADER_BYTES);
+    let pck = ct_wire::fused::copy_and_checksum(payload, dst);
+    let mut c = InternetChecksum::new();
+    c.update(header);
+    c.update_u16(!pck);
+    c.finish() == 0
 }
 
 /// Patch the sender timestamp of an already-encoded TU frame in place,
@@ -774,6 +869,37 @@ mod proptests {
         fn prop_decode_frame_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
             // Total: every input returns Ok or a typed WireError.
             let _ = Message::decode_frame(&bytes.into());
+        }
+
+        /// The transport's fused check (payload summed as it is copied,
+        /// header folded in after) gives every TU frame the whole-frame
+        /// verdict, intact or with random bits flipped anywhere, and copies
+        /// the payload exactly either way.
+        #[test]
+        fn prop_copy_verified_agrees_with_whole_frame(
+            payload in proptest::collection::vec(any::<u8>(), 0..1500),
+            flips in proptest::collection::vec(any::<u32>(), 0..3),
+        ) {
+            let tu = Tu {
+                flags: 0,
+                assoc: 7,
+                timestamp_us: 123_456,
+                adu_id: 42,
+                adu_len: payload.len() as u32 + 500,
+                frag_off: 500,
+                name: AduName::Seq { index: 42 },
+                payload: payload.into(),
+            };
+            let mut wire = tu.encode();
+            for f in flips {
+                let bit = f as usize % (wire.len() * 8);
+                wire[bit / 8] ^= 1 << (bit % 8);
+            }
+            if let Ok(Frame::Tu(_)) = parse(&wire.clone().into()) {
+                let mut dst = vec![0u8; wire.len() - TU_HEADER_BYTES];
+                prop_assert_eq!(copy_verified(&wire, &mut dst), checksum_ok(&wire));
+                prop_assert_eq!(&dst[..], &wire[TU_HEADER_BYTES..]);
+            }
         }
 
         #[test]

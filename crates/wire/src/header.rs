@@ -36,46 +36,54 @@ pub struct HeaderWriter<'a> {
 
 impl<'a> HeaderWriter<'a> {
     /// Start writing at the current end of `buf`.
+    #[inline]
     pub fn new(buf: &'a mut Vec<u8>) -> Self {
         Self { buf }
     }
 
     /// Write a `u8`.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
     }
 
     /// Write a `u16` big-endian.
+    #[inline]
     pub fn put_u16(&mut self, v: u16) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Write a `u32` big-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Write a `u64` big-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) -> &mut Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Append raw bytes (a data copy of `bytes`).
+    #[inline]
     pub fn put_slice(&mut self, bytes: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(bytes);
         self
     }
 
     /// Bytes written so far into the underlying buffer.
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True if nothing has been written to the underlying buffer.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
@@ -90,10 +98,12 @@ pub struct HeaderReader<'a> {
 
 impl<'a> HeaderReader<'a> {
     /// Read from the start of `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
         // `pos <= len` always holds, so `len - pos` cannot underflow; the
         // obvious `pos + n > len` form would overflow (and with
@@ -111,23 +121,27 @@ impl<'a> HeaderReader<'a> {
     }
 
     /// Read a `u8`.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, Truncated> {
         Ok(self.take(1)?[0])
     }
 
     /// Read a big-endian `u16`.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, Truncated> {
         let s = self.take(2)?;
         Ok(u16::from_be_bytes([s[0], s[1]]))
     }
 
     /// Read a big-endian `u32`.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, Truncated> {
         let s = self.take(4)?;
         Ok(u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
     }
 
     /// Read a big-endian `u64`.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, Truncated> {
         let s = self.take(8)?;
         Ok(u64::from_be_bytes([
@@ -136,11 +150,13 @@ impl<'a> HeaderReader<'a> {
     }
 
     /// Borrow the next `n` bytes without copying.
+    #[inline]
     pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
         self.take(n)
     }
 
     /// Borrow everything remaining without copying.
+    #[inline]
     pub fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
@@ -148,11 +164,13 @@ impl<'a> HeaderReader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Current read offset.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }

@@ -55,8 +55,8 @@ fi
 cargo run --release -q -p ct-bench --bin harness x9 > /dev/null
 
 # Zero-copy datapath smoke: X10 asserts the fused send path stays at
-# <= 2 memory passes per byte and single-frame ADUs release without a
-# gather copy; it also refreshes BENCH_x10.json.
+# <= 2 memory passes per byte and single-frame ADUs release as views,
+# without a placement copy; it also refreshes BENCH_x10.json.
 #
 # Bench-regression gate: the harness runs on a deterministic simulator,
 # so the committed BENCH_*.json baselines must reproduce within 5%.

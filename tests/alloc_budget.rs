@@ -4,7 +4,7 @@
 //! Counts, not times: a warm association must run its steady-state calls
 //! with only the heap allocations the public API forces (an owned frame per
 //! message, a `Vec` per non-empty `poll` result, the `WireBuf` chunk header
-//! an owned frame is wrapped in, the decoded ACK id list). A tree node, a
+//! an owned frame is wrapped in). A tree node, a
 //! scratch `Vec` or a thrown-away queue capacity on that path shows up here
 //! as a number, on any host, every run. So does the structure a warm, idle
 //! endpoint keeps: how many heap blocks it holds, each one named.
@@ -135,21 +135,26 @@ fn control_steps_allocate_what_t2_prints() {
 
 #[test]
 fn single_tu_adu_round_within_budget() {
-    // Two frames, two `poll` result `Vec`s, two `WireBuf` chunk headers and
-    // the decoded ACK id list: 7. (The parent of this test spent 13.)
+    // Two frames, two `poll` result `Vec`s and two `WireBuf` chunk headers:
+    // 6 — the ACK's ids are read off its frame, not collected. (The parent
+    // of this test spent 13; ISSUE 25's parent 7.)
     let payload = WireBuf::from_vec(vec![7u8; 200]);
     let (mut a, mut b) = warm_pair(AlfConfig::default(), &payload, 16);
     for index in 16..24 {
         let (n, ()) = allocs_in(|| one_adu(&mut a, &mut b, index, &payload));
-        assert!(n <= 8, "single-TU ADU round allocated {n} (budget 8)");
+        assert_eq!(n, 6, "single-TU ADU round allocated {n}");
     }
 }
 
 #[test]
 fn twelve_tu_adu_round_within_budget() {
-    // 16 KiB at 1400 bytes per TU: twelve frames and their chunk headers,
-    // the growing `poll` result and fragment list, the gathered payload.
-    // (The parent of this test spent 53.)
+    // 16 KiB at 1400 bytes per TU: twelve frames and their chunk headers
+    // (24), the `poll` result growing to twelve (3), the ACK frame, its
+    // `poll` result and chunk header (3), the assembly's buffer — which
+    // becomes the payload, no gather — and that payload's chunk header
+    // (2): 32. No fragment list and no interval list: in-order bytes are
+    // placed, not held. (The parent of this test spent 53; ISSUE 25's
+    // parent 37.)
     let cfg = AlfConfig {
         mtu_payload: 1400,
         ..AlfConfig::default()
@@ -158,7 +163,7 @@ fn twelve_tu_adu_round_within_budget() {
     let (mut a, mut b) = warm_pair(cfg, &payload, 8);
     for index in 8..12 {
         let (n, ()) = allocs_in(|| one_adu(&mut a, &mut b, index, &payload));
-        assert!(n <= 40, "12-TU ADU round allocated {n} (budget 40)");
+        assert_eq!(n, 32, "12-TU ADU round allocated {n}");
     }
 }
 
@@ -235,7 +240,7 @@ fn one_adu_through_servers(
 
 #[test]
 fn server_adu_round_allocates_only_what_the_api_forces() {
-    // Eight, each forced by a public signature:
+    // Seven, each forced by a public signature:
     //   client `poll_batch`  the TU frame and the endpoint's `poll` result
     //                        `Vec` (both owned by the caller afterwards)  2
     //   server `poll_batch`  the `WireBuf` chunk header the ingested frame
@@ -243,8 +248,8 @@ fn server_adu_round_allocates_only_what_the_api_forces() {
     //                        ACK frame                                    3
     //   `take_delivered`     hands its `Vec` to the caller, so the next
     //                        delivery starts a new one                    1
-    //   client `poll_batch`  the ACK's chunk header and its decoded id
-    //                        list (`Message::Ack { ids: Vec<u64> }`)      2
+    //   client `poll_batch`  the ACK's chunk header (its ids are read off
+    //                        the frame in place)                          1
     // Nothing for the slab, the slot records, the dirty lists, the shard
     // wheels or the endpoint's rings. (`server_fanin` reports 3.5 per ADU:
     // there four TUs share each `poll` result, ACK and delivery `Vec`.)
@@ -262,7 +267,7 @@ fn server_adu_round_allocates_only_what_the_api_forces() {
         let (n, ()) = allocs_in(|| {
             one_adu_through_servers(&mut client, &mut server, index, &payload, &mut egress)
         });
-        assert_eq!(n, 8, "single-TU ADU through two AlfServers allocated {n}");
+        assert_eq!(n, 7, "single-TU ADU through two AlfServers allocated {n}");
     }
 }
 

@@ -229,3 +229,186 @@ fn adu_equality_semantics() {
     };
     assert_eq!(a, b);
 }
+
+/// Every per-reason rejection counter, the receiver's replay and
+/// reassembly counters, and when the transfer finished (in the order the
+/// test below lists), for one seeded X12-shaped transfer (6 KiB buffered
+/// ADUs, budgeted receiver) through a hostile mutator: truncation,
+/// extension, unsealed header flips, replays, random and grammar-correct
+/// forgeries.
+fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
+    use alf_core::driver::workload_payload;
+    use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode};
+    use ct_netsim::fault::{FaultConfig, MutatorConfig};
+    use ct_netsim::link::LinkConfig;
+    use ct_netsim::Network;
+    use ct_telemetry::Telemetry;
+
+    const ADUS: u64 = 24;
+    let tel = Telemetry::new();
+    let mut net = Network::new(seed);
+    let (na, nb) = (net.add_node(), net.add_node());
+    net.connect(na, nb, LinkConfig::lan(), FaultConfig::none());
+    net.set_mutator(na, nb, MutatorConfig::hostile(hostility));
+    let cfg = AlfConfig {
+        recovery: RecoveryMode::TransportBuffer,
+        reassembly_budget_bytes: 96 * 1024,
+        window_adus: 16,
+        max_retries: 200,
+        ..AlfConfig::default()
+    };
+    let (mut a, mut b) = (AduTransport::new(cfg), AduTransport::new(cfg));
+    b.attach_telemetry(tel.clone(), "receiver");
+    let expected: Vec<Vec<u8>> = (0..ADUS).map(|i| workload_payload(i, 6 * 1024)).collect();
+    let (mut next, mut delivered) = (0u64, 0u64);
+    while delivered < ADUS || !a.send_complete() {
+        assert!(net.now() < SimTime::from_secs(60), "no convergence");
+        let now = net.now();
+        while next < ADUS
+            && a.send_adu(
+                AduName::Seq { index: next },
+                expected[next as usize].clone(),
+            )
+            .is_ok()
+        {
+            next += 1;
+        }
+        let mut moved = false;
+        for msg in a.poll(now) {
+            moved = true;
+            let _ = net.send(na, nb, msg);
+        }
+        for msg in b.poll(now) {
+            moved = true;
+            let _ = net.send(nb, na, msg);
+        }
+        while let Some(frame) = net.recv(nb) {
+            moved = true;
+            b.on_frame(net.now(), frame.payload.into());
+        }
+        while let Some(frame) = net.recv(na) {
+            moved = true;
+            a.on_frame(net.now(), frame.payload.into());
+        }
+        while let Some((adu, _)) = b.recv_adu() {
+            let AduName::Seq { index } = adu.name else {
+                panic!("foreign name {:?}", adu.name);
+            };
+            assert_eq!(
+                adu.payload, expected[index as usize],
+                "ADU {index} corrupted"
+            );
+            delivered += 1;
+        }
+        if !net.is_idle() {
+            net.step();
+        } else if !moved {
+            let timer = [a.next_timeout(), b.next_timeout()]
+                .into_iter()
+                .flatten()
+                .min();
+            match timer {
+                Some(t) if t > now => net.advance(t.saturating_since(now)),
+                Some(_) => {}
+                None => net.advance(cfg.assembly_timeout + SimDuration::from_millis(1)),
+            }
+        }
+    }
+    let reasons = [
+        "truncated",
+        "unknown_type",
+        "bad_checksum",
+        "length_mismatch",
+        "bad_name",
+        "frag_out_of_range",
+        "assoc_mismatch",
+        "bad_parity",
+        "replayed",
+        "other",
+    ];
+    let mut out: Vec<u64> = reasons
+        .iter()
+        .map(|r| tel.metrics().counter(&format!("alf.rx_rejected.{r}")))
+        .collect();
+    let s = b.assembler_stats();
+    out.extend([
+        b.stats.bad_messages,
+        b.stats.tus_replayed,
+        b.stats.adus_delivered,
+        b.stats.tus_backpressured,
+        s.tus_in,
+        s.duplicate_tus,
+        s.adus_abandoned,
+        s.tus_refused,
+        net.now().as_nanos(),
+    ]);
+    out
+}
+
+/// Placement moved the checksum of every in-order TU into the copy that
+/// places it: a frame's verdict must not move with it. The values below
+/// were recorded by running this function on the receiver that verified
+/// every frame whole before looking at it (ISSUE 25's parent).
+#[test]
+fn hostile_rejections_by_reason_match_the_verify_first_receiver() {
+    // Order: the ten `alf.rx_rejected.*` reasons (truncated, unknown_type,
+    // bad_checksum, length_mismatch, bad_name, frag_out_of_range,
+    // assoc_mismatch, bad_parity, replayed, other), then bad_messages,
+    // tus_replayed, adus_delivered, tus_backpressured, the assembler's
+    // tus_in, duplicate_tus, adus_abandoned, tus_refused, and the
+    // simulated nanosecond the transfer finished.
+    let recorded: [(f64, [u64; 19]); 2] = [
+        (
+            0.15,
+            [
+                2,
+                0,
+                95,
+                0,
+                0,
+                0,
+                0,
+                0,
+                14,
+                0,
+                97,
+                14,
+                24,
+                8,
+                167,
+                21,
+                19,
+                8,
+                15_853_398_560,
+            ],
+        ),
+        (
+            0.4,
+            [
+                17,
+                0,
+                460,
+                0,
+                0,
+                0,
+                0,
+                0,
+                52,
+                0,
+                477,
+                52,
+                24,
+                141,
+                291,
+                64,
+                88,
+                141,
+                41_101_486_960,
+            ],
+        ),
+    ];
+    for (hostility, want) in recorded {
+        let got = hostile_transfer_verdicts(0x0012_5EED, hostility);
+        assert_eq!(got, want, "hostility {hostility}");
+    }
+}
