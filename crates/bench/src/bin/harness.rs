@@ -2367,17 +2367,14 @@ fn x13_many_assoc(
     }
 
     // The sweep: association count grows 1 → 1k → 100k while the per-point
-    // ADU volume stays large enough to time. Wall-clock ns/ADU is asserted
-    // flat in-process (machine-dependent, so it is *not* written to the
-    // gated baseline); everything in BENCH_x13.json is simulator- or
-    // capacity-derived and reproduces bit-identically. The two ratio
-    // points run three times and keep the fastest wall clock — the
-    // standard noise estimator: scheduling interference only ever adds
-    // time, so the minimum is the closest observation of the true cost.
+    // ADU volume stays large enough to time. Everything in BENCH_x13.json
+    // is simulator- or capacity-derived and reproduces bit-identically;
+    // wall-clock ns/ADU is machine-dependent, so it is printed, not gated
+    // there, and bounded only under WALLCLOCK=1 (below).
     let points = [
-        (1usize, 1usize, 20_000usize, 3usize),
-        (1_000, 2, 20, 1),
-        (100_000, 4, 4, 3),
+        (1usize, 1usize, 20_000usize),
+        (1_000, 2, 20),
+        (100_000, 4, 4),
     ];
     let mut t = Table::new(&[
         "assocs",
@@ -2386,14 +2383,15 @@ fn x13_many_assoc(
         "bytes/assoc",
         "batches",
         "sim elapsed ms",
+        "polls/assoc",
+        "wheel entries/assoc",
+        "wheel slots/assoc",
     ]);
     let mut rows = Vec::new();
     let mut reports = Vec::new();
-    for &(assocs, clients, adus, reps) in &points {
-        let r = (0..reps)
-            .map(|_| x13_point(assocs, clients, adus, None))
-            .min_by_key(|r| r.wall)
-            .expect("reps >= 1");
+    for &(assocs, clients, adus) in &points {
+        let r = x13_point(assocs, clients, adus, None);
+        let per_assoc = |n: u64| format!("{:.3}", n as f64 / assocs as f64);
         t.row(&[
             format!("{assocs}"),
             format!("{}", r.adus_delivered),
@@ -2401,18 +2399,26 @@ fn x13_many_assoc(
             format!("{:.0}", r.bytes_per_assoc()),
             format!("{}", r.batches),
             format!("{:.2}", r.elapsed.as_nanos() as f64 / 1e6),
+            per_assoc(r.work.polls),
+            per_assoc(r.work.wheel_entries_examined),
+            per_assoc(r.work.wheel_slots_scanned),
         ]);
         rows.push(format!(
             "    {{\"assocs\": {assocs}, \"clients\": {clients}, \
              \"adus_per_assoc\": {adus}, \"adus_delivered\": {}, \
              \"frames_in\": {}, \"frames_out\": {}, \"batches\": {}, \
-             \"elapsed_ns\": {}, \"mem_bytes_per_assoc\": {:.0}}}",
+             \"elapsed_ns\": {}, \"mem_bytes_per_assoc\": {:.0}, \
+             \"assoc_polls\": {}, \"wheel_entries_examined\": {}, \
+             \"wheel_slots_scanned\": {}}}",
             r.adus_delivered,
             r.frames_in,
             r.frames_out,
             r.batches,
             r.elapsed.as_nanos(),
             r.bytes_per_assoc(),
+            r.work.polls,
+            r.work.wheel_entries_examined,
+            r.work.wheel_slots_scanned,
         ));
         reports.push(r);
     }
@@ -2420,22 +2426,76 @@ fn x13_many_assoc(
 
     // The acceptance bar (ISSUE 8): ≥100k concurrent associations, per-ADU
     // cost flat in the association count, and per-association memory
-    // bounded. "Flat" allows the cost of cold endpoint state at 100k — four
-    // cold visits per ADU (client send, server ingest, server poll, client
-    // ACK) — and nothing that scales with the table (a scan or a sweep
-    // overshoots by orders of magnitude). Held as a difference so a faster
-    // single-association path cannot fail it. The allowance started as what
-    // one association cost when the bar was set (≈ 1 750 ns/ADU, "100k ≤ 2×
-    // one association" → 1 800) and moved with the state it pays for: the
+    // bounded. "Flat" is gated on what a cost growing with the table would
+    // move, counted exactly: associations polled (a sweep that visits every
+    // slot), and shard-wheel entries examined and slots scanned (a wheel
+    // that walks dead entries). None may be higher per association at 100k
+    // than at 1k associations. Per association, not per ADU: the 1k point
+    // sends 20 ADUs per association and the 100k point 4, and an honest
+    // server polls an association about twice per burst of arrivals
+    // whatever the burst's size (2.06 and 2.0 polls per association; 0.10
+    // and 0.50 per ADU). A loop that visits every slot each batch polls
+    // each association once per batch instead: 80 times at 1k, 1 564 at
+    // 100k.
+    assert!(reports[2].assocs >= 100_000);
+    let (k, big) = (&reports[1], &reports[2]);
+    for (what, at_1k, at_100k) in [
+        ("polls", k.work.polls, big.work.polls),
+        (
+            "wheel entries examined",
+            k.work.wheel_entries_examined,
+            big.work.wheel_entries_examined,
+        ),
+        (
+            "wheel slots scanned",
+            k.work.wheel_slots_scanned,
+            big.work.wheel_slots_scanned,
+        ),
+    ] {
+        // at_100k / 100k associations <= at_1k / 1k associations, in integers.
+        assert!(
+            u128::from(at_100k) * k.assocs as u128 <= u128::from(at_1k) * big.assocs as u128,
+            "{what} per association must not grow with the table: {at_100k} at {} \
+             associations vs {at_1k} at {}",
+            big.assocs,
+            k.assocs
+        );
+    }
+    // The wall-clock form of the same bar, an observation unless WALLCLOCK=1
+    // enforces it (this VM's noise trips it a run in four or five): 100k −
+    // one association ≤ 1 250 ns/ADU, min of REPS interleaved runs a side.
+    // The allowance is the cost of cold endpoint state at 100k — four cold
+    // visits per ADU (client send, server ingest, server poll, client ACK) —
+    // and nothing that scales with the table (a scan or a sweep overshoots
+    // by orders of magnitude). Held as a difference so a faster
+    // single-association path cannot fail it. It started as what one
+    // association cost when the bar was set (≈ 1 750 ns/ADU, "100k ≤ 2× one
+    // association" → 1 800) and moved with the state it pays for: the
     // hot-first endpoint cut the growth to 0.69× the parent's on the same
     // host and day (580–726 ns over ten runs against 934–1 016), so the
     // allowance is 0.69 × 1 800.
     const COLD_STATE_BUDGET_NS: f64 = 1_250.0;
-    let single = reports[0].ns_per_adu();
-    let at_scale = reports[2].ns_per_adu();
-    assert!(reports[2].assocs >= 100_000);
+    const REPS: usize = 3;
+    let (single, at_scale) = if ct_bench::wallclock_enforced() {
+        ct_bench::interleaved_min_ns(REPS, |at_scale| {
+            let (assocs, clients, adus) = points[if at_scale { 2 } else { 0 }];
+            x13_point(assocs, clients, adus, None).ns_per_adu()
+        })
+    } else {
+        (reports[0].ns_per_adu(), reports[2].ns_per_adu())
+    };
+    println!(
+        "\n100k − 1 association: {:+.0} ns/ADU ({}; WALLCLOCK=1 enforces <= \
+         {COLD_STATE_BUDGET_NS:.0} ns over the min of {REPS} interleaved runs a side)",
+        at_scale - single,
+        if ct_bench::wallclock_enforced() {
+            "enforced"
+        } else {
+            "one run each, observed"
+        }
+    );
     assert!(
-        at_scale - single <= COLD_STATE_BUDGET_NS,
+        !ct_bench::wallclock_enforced() || at_scale - single <= COLD_STATE_BUDGET_NS,
         "per-ADU cost must stay flat: {at_scale:.0} ns/ADU at 100k vs \
          {single:.0} ns/ADU at 1 association (grew by more than \
          {COLD_STATE_BUDGET_NS:.0} ns)"

@@ -26,8 +26,9 @@ use crate::assembler::{Assembler, Extend, ShedPolicy};
 use crate::fec;
 use crate::ids::IdRing;
 use crate::wire::{
-    self, encode_ack, encode_nack, encode_nack_frags, fragments, restamp_tu, Frame, Message, Tu,
-    WireError, MAX_FRAME_ENTRIES, RWND_UNLIMITED, TU_FLAG_PARITY, TU_FLAG_TIMESTAMP,
+    self, encode_ack, encode_nack, encode_nack_frags, fragments, restamp_tu, AckView, Frame,
+    Message, Tu, WireError, MAX_FRAME_ENTRIES, RWND_UNLIMITED, TU_FLAG_ACK_FOLLOWS, TU_FLAG_PARITY,
+    TU_FLAG_TIMESTAMP, TU_HEADER_BYTES,
 };
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
@@ -737,6 +738,9 @@ impl AduTransport {
         // moment its TUs actually leave, not from when they were queued
         // behind the pacer.
         let pace = self.pace_now;
+        // Where in `out` the last TU this poll released sits: the frame a
+        // pending ACK may ride in.
+        let mut carrier = None;
         for _ in 0..self.cfg.burst_tus {
             if pace > SimDuration::ZERO && now < self.next_tx_at {
                 break;
@@ -761,6 +765,7 @@ impl AduTransport {
             }
             self.stats.tus_sent += 1;
             self.trace(now, "tu_send", Some(name), id, 0, frame.len() as u64);
+            carrier = Some(out.len());
             out.push(frame);
         }
 
@@ -793,9 +798,12 @@ impl AduTransport {
         // receiver window (free reassembly budget). A pending window
         // update (probe answer, freed budget) forces an ACK out even with
         // no ids to acknowledge. The id queue is encoded in place and
-        // keeps its allocation. A frame's count field is 16 bits, so a
-        // queue longer than that (a peer replaying one delivered TU queues
-        // an id per replay) goes out as several frames.
+        // keeps its allocation. When this poll released a data TU, the ACK
+        // rides in that frame's tailroom if it fits (an RPC turn: one frame
+        // each way, not two). Otherwise it leaves in frames of its own: a
+        // frame's count field is 16 bits, so a queue longer than that (a
+        // peer replaying one delivered TU queues an id per replay) goes out
+        // as several.
         if !self.ack_queue.is_empty() || self.window_ack_due {
             self.window_ack_due = false;
             let mut echo = self
@@ -804,16 +812,23 @@ impl AduTransport {
                 .and_then(|c| c.echo_pending.take())
                 .map(|(ts, arrival)| (ts, micros_wrapping(now).wrapping_sub(arrival)));
             let rwnd = self.advertised_rwnd();
-            // At least one frame: a pure window update is an id-less ACK.
-            let mut ids = self.ack_queue.as_slice();
-            loop {
-                let (head, rest) = ids.split_at(ids.len().min(MAX_FRAME_ENTRIES));
-                out.push(encode_ack(self.cfg.assoc, head, echo.take(), rwnd));
+            let max_len = TU_HEADER_BYTES + self.cfg.mtu_payload;
+            let (assoc, mut ids) = (self.cfg.assoc, self.ack_queue.as_slice());
+            if carrier
+                .is_some_and(|i| wire::bundle_ack(&mut out[i], max_len, assoc, ids, echo, rwnd))
+            {
                 self.stats.control_sent += 1;
-                if rest.is_empty() {
-                    break;
+            } else {
+                // At least one frame: a pure window update is an id-less ACK.
+                loop {
+                    let (head, rest) = ids.split_at(ids.len().min(MAX_FRAME_ENTRIES));
+                    out.push(encode_ack(assoc, head, echo.take(), rwnd));
+                    self.stats.control_sent += 1;
+                    if rest.is_empty() {
+                        break;
+                    }
+                    ids = rest;
                 }
-                ids = rest;
             }
             self.ack_queue.clear();
         }
@@ -891,14 +906,24 @@ impl AduTransport {
     /// write. Any other frame is verified whole first; a TU among them is
     /// then placed, or held as an O(1) view into `frame` until the bytes
     /// before it arrive, and a single-TU ADU is released as that view.
+    ///
+    /// A TU may carry an ACK behind its payload: the two are processed in
+    /// wire order, each verified on its own, so a damaged ACK is refused
+    /// without costing the data in front of it.
     pub fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
         let parsed = wire::parse(&frame);
+        let own = wire::covered(&frame, &parsed);
+        // Where the ACK a TU says it carries starts.
+        let carried = match &parsed {
+            Ok(Frame::Tu(tu)) if tu.flags & TU_FLAG_ACK_FOLLOWS != 0 => Some(own.len()),
+            _ => None,
+        };
         if let Ok(Frame::Tu(tu)) = &parsed {
             if tu.assoc == self.cfg.assoc && tu.flags & TU_FLAG_PARITY == 0 {
                 let ready_before = self.assembler.ready_len();
                 match self
                     .assembler
-                    .extend_prefix(now, tu, |dst| wire::copy_verified(&frame, dst))
+                    .extend_prefix(now, tu, |dst| wire::copy_verified(own, dst))
                 {
                     Extend::NotNext => {}
                     Extend::Corrupt => {
@@ -912,19 +937,39 @@ impl AduTransport {
                         // write per payload byte, no verify pass.
                         self.ledger_touch("alf/place", placed as u64, placed as u64);
                         self.tu_placed(now, tu, ready_before);
+                        if let Some(at) = carried {
+                            self.on_carried_ack(now, frame.slice(at..));
+                        }
                         return;
                     }
                 }
             }
         }
-        let verified = if wire::checksum_ok(&frame) {
+        let verified = if wire::checksum_ok(own) {
             parsed
         } else {
             Err(WireError::BadChecksum)
         };
         match verified {
-            Ok(msg) => self.on_verified(now, msg),
+            Ok(msg) => {
+                self.on_verified(now, msg);
+                if let Some(at) = carried {
+                    self.on_carried_ack(now, frame.slice(at..));
+                }
+            }
             Err(e) => self.reject(now, e.reason(), frame.len()),
+        }
+    }
+
+    /// The ACK a verified TU carried behind its payload: accepted, or
+    /// refused and counted under its reason, on its own.
+    fn on_carried_ack(&mut self, now: SimTime, ack: WireBuf) {
+        match wire::carried_ack(&ack) {
+            Ok(view) => {
+                self.heard_from_peer(now);
+                self.on_ack(now, view);
+            }
+            Err(e) => self.reject(now, e.reason(), ack.len()),
         }
     }
 
@@ -1053,52 +1098,7 @@ impl AduTransport {
                 }
                 self.tu_placed(now, &tu, ready_before);
             }
-            Frame::Ack {
-                assoc,
-                ids,
-                echo,
-                rwnd,
-            } => {
-                if assoc != self.cfg.assoc {
-                    return;
-                }
-                self.peer_rwnd = rwnd;
-                #[cfg(feature = "debug-loss")]
-                eprintln!("ack in: {:?} at {now}", ids.clone().collect::<Vec<_>>());
-                if let Some((ts, hold)) = echo {
-                    // rtt = now − stamp − receiver hold, all wrapping on
-                    // the 32-bit µs clock. A garbled/ancient echo shows up
-                    // as an implausibly huge delta; discard it.
-                    let rtt = micros_wrapping(now).wrapping_sub(ts).wrapping_sub(hold);
-                    if rtt < 1 << 31 {
-                        let est = &mut self.cold.get_or_insert_with(Box::default).rtt;
-                        est.on_sample(rtt as f64);
-                        self.stats.srtt_us = est.srtt_us;
-                        self.stats.rttvar_us = est.rttvar_us;
-                        self.stats.rtt_samples = est.samples;
-                        if let Some(rto) = est.rto(self.cfg.rto_min, self.cfg.rto_max) {
-                            self.stats.rto_us = rto.as_nanos() as f64 / 1_000.0;
-                        }
-                    }
-                }
-                let mut newly_acked = 0u64;
-                let mut acked_bytes = 0u64;
-                for id in ids {
-                    if let Some(sent) = self.window.remove(id) {
-                        if let Some(d) = sent.armed {
-                            self.wheel.remove(d, id);
-                        }
-                        newly_acked += 1;
-                        acked_bytes += u64::from(sent.total_len);
-                    }
-                }
-                if newly_acked > 0 {
-                    self.cwnd_on_acked(newly_acked);
-                    self.note_delivery(now, acked_bytes);
-                    // ACK progress ends the Karn-style escalation.
-                    self.timeout_backoff = 0;
-                }
-            }
+            Frame::Ack(ack) => self.on_ack(now, ack),
             Frame::Nack { assoc, ids } => {
                 if assoc != self.cfg.assoc {
                     return;
@@ -1127,6 +1127,56 @@ impl AduTransport {
                 // current receiver window.
                 self.window_ack_due = true;
             }
+        }
+    }
+
+    /// An intact ACK: the peer's window, an RTT sample from its echo, and
+    /// the ADUs it acknowledges leaving the send window.
+    fn on_ack(&mut self, now: SimTime, ack: AckView<'_>) {
+        let AckView {
+            assoc,
+            ids,
+            echo,
+            rwnd,
+        } = ack;
+        if assoc != self.cfg.assoc {
+            return;
+        }
+        self.peer_rwnd = rwnd;
+        #[cfg(feature = "debug-loss")]
+        eprintln!("ack in: {:?} at {now}", ids.clone().collect::<Vec<_>>());
+        if let Some((ts, hold)) = echo {
+            // rtt = now − stamp − receiver hold, all wrapping on the 32-bit
+            // µs clock. A garbled/ancient echo shows up as an implausibly
+            // huge delta; discard it.
+            let rtt = micros_wrapping(now).wrapping_sub(ts).wrapping_sub(hold);
+            if rtt < 1 << 31 {
+                let est = &mut self.cold.get_or_insert_with(Box::default).rtt;
+                est.on_sample(rtt as f64);
+                self.stats.srtt_us = est.srtt_us;
+                self.stats.rttvar_us = est.rttvar_us;
+                self.stats.rtt_samples = est.samples;
+                if let Some(rto) = est.rto(self.cfg.rto_min, self.cfg.rto_max) {
+                    self.stats.rto_us = rto.as_nanos() as f64 / 1_000.0;
+                }
+            }
+        }
+        let mut newly_acked = 0u64;
+        let mut acked_bytes = 0u64;
+        for id in ids {
+            if let Some(sent) = self.window.remove(id) {
+                if let Some(d) = sent.armed {
+                    self.wheel.remove(d, id);
+                }
+                newly_acked += 1;
+                acked_bytes += u64::from(sent.total_len);
+            }
+        }
+        if newly_acked > 0 {
+            self.cwnd_on_acked(newly_acked);
+            self.note_delivery(now, acked_bytes);
+            // ACK progress ends the Karn-style escalation.
+            self.timeout_backoff = 0;
         }
     }
 
@@ -1285,6 +1335,7 @@ impl AduTransport {
                 "unknown_type" => "alf.rx_rejected.unknown_type",
                 "bad_checksum" => "alf.rx_rejected.bad_checksum",
                 "length_mismatch" => "alf.rx_rejected.length_mismatch",
+                "not_an_ack" => "alf.rx_rejected.not_an_ack",
                 "bad_name" => "alf.rx_rejected.bad_name",
                 "frag_out_of_range" => "alf.rx_rejected.frag_out_of_range",
                 "assoc_mismatch" => "alf.rx_rejected.assoc_mismatch",

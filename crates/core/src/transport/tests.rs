@@ -1340,3 +1340,270 @@ mod placement {
         }
     }
 }
+
+/// FNV-1a over every frame's length and bytes, in emission order.
+fn frames_digest(frames: &[Vec<u8>]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for f in frames {
+        for &b in (f.len() as u32).to_be_bytes().iter().chain(f) {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every frame of a one-way transfer of 24 ADUs (one, one and four TUs),
+/// both directions, in emission order.
+fn one_way_frames(c: AlfConfig) -> Vec<Vec<u8>> {
+    let (mut a, mut b) = (AduTransport::new(c), AduTransport::new(c));
+    for i in 0..24u64 {
+        let len = [40, 1400, 5000][i as usize % 3];
+        a.send_adu(AduName::Seq { index: i }, payload(len)).unwrap();
+    }
+    let (mut all, mut now) = (Vec::new(), SimTime::ZERO);
+    for _ in 0..1000 {
+        now += SimDuration::from_micros(50);
+        let (fa, fb) = (a.poll(now), b.poll(now));
+        if fa.is_empty() && fb.is_empty() {
+            break;
+        }
+        for f in fa {
+            all.push(f.clone());
+            b.on_frame(now, f.into());
+        }
+        for f in fb {
+            all.push(f.clone());
+            a.on_frame(now, f.into());
+        }
+    }
+    assert!(a.send_complete());
+    assert_eq!(b.stats.adus_delivered, 24);
+    all
+}
+
+/// In a one-way flow no poll has both a TU and an ACK to send, so bundling
+/// changes no frame: the counts and digests below were recorded on the
+/// receiver that never bundled, with plain and with stamped (restamped,
+/// echoed) TUs.
+#[test]
+fn one_way_transfer_emits_the_frames_it_did_before_bundling() {
+    let stamped = AlfConfig {
+        timestamps: true,
+        adaptive: true,
+        ..cfg(RecoveryMode::TransportBuffer)
+    };
+    for (c, want) in [
+        (
+            cfg(RecoveryMode::TransportBuffer),
+            (52, 0x6414_d2a1_2fd1_d138),
+        ),
+        (stamped, (53, 0x53cc_db03_bc63_4c95)),
+    ] {
+        let frames = one_way_frames(c);
+        assert_eq!((frames.len(), frames_digest(&frames)), want);
+    }
+}
+
+/// One call from `a` and its answer from `b`, each leaving in the poll after
+/// the ADU it answers arrived; returns the frames each poll emitted.
+fn rpc_turn(a: &mut AduTransport, b: &mut AduTransport, call: u32, now: SimTime) -> [usize; 2] {
+    a.send_adu(AduName::Rpc { call, part: 0 }, payload(64))
+        .unwrap();
+    let request = a.poll(now);
+    let sent = request.len();
+    for f in request {
+        b.on_frame(now, f.into());
+    }
+    let (req, _) = b.recv_adu().expect("request delivered");
+    b.send_adu(AduName::Rpc { call, part: 1 }, req.payload)
+        .unwrap();
+    let response = b.poll(now);
+    let answered = response.len();
+    for f in response {
+        a.on_frame(now, f.into());
+    }
+    assert_eq!(
+        a.recv_adu().expect("response delivered").0.payload,
+        payload(64)
+    );
+    [sent, answered]
+}
+
+/// An RPC exchange: each side's ACK for the ADU it just received rides the
+/// ADU it sends next, so a call costs one frame each way — and the counters
+/// still count every message.
+#[test]
+fn an_rpc_call_is_one_frame_each_way() {
+    let (mut a, mut b) = (
+        AduTransport::new(cfg(RecoveryMode::TransportBuffer)),
+        AduTransport::new(cfg(RecoveryMode::TransportBuffer)),
+    );
+    let mut now = SimTime::ZERO;
+    for call in 0..50 {
+        now += SimDuration::from_micros(10);
+        assert_eq!(rpc_turn(&mut a, &mut b, call, now), [1, 1], "call {call}");
+        // The response carried the request's ACK; the next request carries
+        // the response's.
+        assert!(a.send_complete(), "call {call}: request ACKed");
+        assert!(!b.send_complete(), "call {call}: response not yet ACKed");
+    }
+    // The last response's ACK has no ADU to ride: it leaves alone.
+    let last = a.poll(now);
+    assert_eq!(last.len(), 1);
+    for f in last {
+        b.on_frame(now, f.into());
+    }
+    assert!(b.send_complete());
+    for ep in [&a, &b] {
+        assert_eq!((ep.stats.tus_sent, ep.stats.control_sent), (50, 50));
+        assert_eq!(ep.stats.bad_messages, 0);
+    }
+}
+
+/// A bundle's two messages are verified apart: one flipped bit in the
+/// carried ACK costs the ACK (counted as a bad checksum) but delivers the
+/// TU; one in the TU rejects the frame as a bad checksum, exactly as an
+/// unbundled TU's would be, and leaves the ACK unread.
+#[test]
+fn a_damaged_bundle_costs_only_the_damaged_message() {
+    let tu_len = TU_HEADER_BYTES + 64;
+    for (flip_at, delivered, acked) in [(tu_len + 13, true, false), (tu_len - 9, false, false)] {
+        let (mut a, mut b) = (
+            AduTransport::new(cfg(RecoveryMode::TransportBuffer)),
+            AduTransport::new(cfg(RecoveryMode::TransportBuffer)),
+        );
+        let tel = Telemetry::new();
+        a.attach_telemetry(tel.clone(), "client");
+        a.send_adu(AduName::Rpc { call: 0, part: 0 }, payload(64))
+            .unwrap();
+        for f in a.poll(SimTime::ZERO) {
+            b.on_frame(SimTime::ZERO, f.into());
+        }
+        let (req, _) = b.recv_adu().unwrap();
+        b.send_adu(AduName::Rpc { call: 0, part: 1 }, req.payload)
+            .unwrap();
+        let mut frames = b.poll(SimTime::ZERO);
+        assert_eq!(frames.len(), 1);
+        let mut bundle = frames.pop().unwrap();
+        assert!(bundle.len() > tu_len, "the ACK rides the response");
+        bundle[flip_at] ^= 0x04;
+        a.on_frame(SimTime::ZERO, bundle.into());
+        assert_eq!(a.recv_adu().is_some(), delivered);
+        assert_eq!(a.send_complete(), acked);
+        assert_eq!(a.stats.bad_messages, 1);
+        assert_eq!(tel.metrics().counter("alf.rx_rejected.bad_checksum"), 1);
+    }
+}
+
+mod bundling {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Both endpoints send ADUs (single- and multi-TU) over one
+        /// association while a hostile scheduler polls, delivers in any
+        /// order, duplicates, drops and lets time pass; then the link turns
+        /// clean. Every ADU is delivered exactly once with its bytes, both
+        /// send windows drain, and no frame — bundled or not — is longer
+        /// than a full TU.
+        #[test]
+        fn prop_bidirectional_schedules_deliver_once_and_drain(
+            adus in prop::collection::vec((0usize..700, any::<bool>()), 1..12),
+            schedule in prop::collection::vec((0u8..8, any::<u16>()), 0..200),
+        ) {
+            let c = AlfConfig {
+                mtu_payload: 300,
+                max_retries: 1_000,
+                ..cfg(RecoveryMode::TransportBuffer)
+            };
+            let max_frame = TU_HEADER_BYTES + c.mtu_payload;
+            let mut ends = [AduTransport::new(c), AduTransport::new(c)];
+            // ADU i goes from end `from` to the other; its bytes name it.
+            let bytes = |i: usize, len: usize| -> Vec<u8> {
+                (0..len).map(|j| (j * 7 + i * 13) as u8).collect()
+            };
+            let mut next = [0usize; 2]; // next ADU index (into `adus`) per sender
+            let mut delivered = vec![false; adus.len()];
+            let mut wire: [Vec<Vec<u8>>; 2] = [Vec::new(), Vec::new()]; // towards end 0 / 1
+            let mut now = SimTime::ZERO;
+
+            // Offer `from`'s next ADU, if any is left and the window takes it.
+            let offer = |ends: &mut [AduTransport; 2], next: &mut [usize; 2], from: usize| {
+                let Some(i) = (next[from]..adus.len()).find(|&i| usize::from(adus[i].1) == from) else {
+                    next[from] = adus.len();
+                    return;
+                };
+                let name = AduName::Seq { index: i as u64 };
+                if ends[from].send_adu(name, bytes(i, adus[i].0)).is_ok() {
+                    next[from] = i + 1;
+                }
+            };
+            let poll = |ends: &mut [AduTransport; 2], wire: &mut [Vec<Vec<u8>>; 2], now| {
+                for from in 0..2 {
+                    for f in ends[from].poll(now) {
+                        assert!(f.len() <= max_frame, "{}-byte frame", f.len());
+                        wire[1 - from].push(f);
+                    }
+                }
+            };
+            let take = |ends: &mut [AduTransport; 2], delivered: &mut Vec<bool>| {
+                for end in ends.iter_mut() {
+                    while let Some((adu, _)) = end.recv_adu() {
+                        let AduName::Seq { index } = adu.name else { unreachable!() };
+                        let i = index as usize;
+                        assert!(!delivered[i], "ADU {i} delivered twice");
+                        assert_eq!(adu.payload, bytes(i, adus[i].0));
+                        delivered[i] = true;
+                    }
+                }
+            };
+
+            for (action, pick) in schedule {
+                let to = usize::from(pick & 1);
+                let len = wire[to].len();
+                match action {
+                    0 => poll(&mut ends, &mut wire, now),
+                    1 | 2 if len > 0 => {
+                        let f = wire[to].remove(usize::from(pick) % len);
+                        ends[to].on_frame(now, f.into());
+                    }
+                    3 if len > 0 => {
+                        let f = wire[to][usize::from(pick) % len].clone();
+                        ends[to].on_frame(now, f.into());
+                    }
+                    4 if len > 0 => {
+                        wire[to].remove(usize::from(pick) % len);
+                    }
+                    5 => now += SimDuration::from_micros(u64::from(pick) % 60_000),
+                    _ => offer(&mut ends, &mut next, to),
+                }
+                take(&mut ends, &mut delivered);
+            }
+
+            // A clean link: poll, deliver everything in order, let timers run.
+            for _ in 0..100_000 {
+                if delivered.iter().all(|&d| d) && ends.iter().all(AduTransport::send_complete) {
+                    break;
+                }
+                offer(&mut ends, &mut next, 0);
+                offer(&mut ends, &mut next, 1);
+                poll(&mut ends, &mut wire, now);
+                let quiet = wire.iter().all(Vec::is_empty);
+                for to in 0..2 {
+                    for f in std::mem::take(&mut wire[to]) {
+                        ends[to].on_frame(now, f.into());
+                    }
+                }
+                take(&mut ends, &mut delivered);
+                if quiet {
+                    now += SimDuration::from_millis(1);
+                }
+            }
+            prop_assert!(delivered.iter().all(|&d| d), "undelivered: {:?}", delivered);
+            for end in &ends {
+                prop_assert!(end.send_complete());
+                prop_assert_eq!(end.stats.adus_given_up, 0);
+            }
+        }
+    }
+}

@@ -43,8 +43,25 @@ pub const TU_FLAG_PARITY: u8 = 0x01;
 /// TU flag bit: `timestamp_us` carries a valid sender timestamp.
 pub const TU_FLAG_TIMESTAMP: u8 = 0x02;
 
+/// TU flag bit: one ACK, sealed on its own, follows the payload in the same
+/// frame (see [`Message::decode_frame`]). The TU's checksum covers the flag
+/// and the TU's own bytes only, so a damaged ACK never costs the data it
+/// rode on, and a damaged length field cannot make a TU look bundled.
+pub const TU_FLAG_ACK_FOLLOWS: u8 = 0x04;
+
 /// ACK flag bit: the ACK carries a timestamp echo (`echo` is `Some`).
 const ACK_FLAG_ECHO: u8 = 0x01;
+
+/// An ACK's fixed part: type, flags, checksum, assoc, id count, rwnd.
+const ACK_FIXED_BYTES: usize = 1 + 1 + 2 + 2 + 2 + 4;
+
+/// An ACK's optional timestamp echo.
+const ACK_ECHO_BYTES: usize = 4 + 4;
+
+/// Spare capacity [`Tu::encode`] leaves behind the payload, the mirror of
+/// the header's headroom: an ACK with its echo and four ids fits without
+/// reallocating the frame.
+const TU_TAILROOM: usize = ACK_FIXED_BYTES + ACK_ECHO_BYTES + 4 * 8;
 
 /// Byte offset of `timestamp_us` within an encoded TU frame.
 const TU_TIMESTAMP_OFFSET: usize = 1 + 1 + 2 + 2 + 8 + 4 + 4 + 2;
@@ -155,6 +172,9 @@ pub enum WireError {
     BadChecksum,
     /// Fragment length disagrees with buffer size.
     LengthMismatch,
+    /// The message behind a TU flagged [`TU_FLAG_ACK_FOLLOWS`] is a
+    /// well-formed message, but not an ACK.
+    NotAnAck,
     /// Bad ADU name field.
     Name(NameError),
     /// A fragment that would extend past the declared ADU length.
@@ -168,6 +188,7 @@ impl std::fmt::Display for WireError {
             WireError::UnknownType(t) => write!(f, "unknown message type {t}"),
             WireError::BadChecksum => write!(f, "message checksum failed"),
             WireError::LengthMismatch => write!(f, "fragment length mismatch"),
+            WireError::NotAnAck => write!(f, "bundled message is not an ACK"),
             WireError::Name(e) => write!(f, "bad ADU name: {e}"),
             WireError::FragmentOutOfRange => write!(f, "fragment exceeds ADU length"),
         }
@@ -183,6 +204,7 @@ impl WireError {
             WireError::UnknownType(_) => "unknown_type",
             WireError::BadChecksum => "bad_checksum",
             WireError::LengthMismatch => "length_mismatch",
+            WireError::NotAnAck => "not_an_ack",
             WireError::Name(_) => "bad_name",
             WireError::FragmentOutOfRange => "frag_out_of_range",
         }
@@ -207,15 +229,42 @@ pub(crate) fn checksum_ok(buf: &[u8]) -> bool {
     buf.len() < 8 || internet_checksum(buf) == 0
 }
 
+/// The bytes a parsed message's checksum covers: a TU's header and
+/// payload, without an ACK bundled behind them; the whole frame for
+/// anything else — a frame that did not parse included, so a bad checksum
+/// is reported before any field error.
+pub(crate) fn covered<'a>(frame: &'a [u8], parsed: &Result<Frame<'_>, WireError>) -> &'a [u8] {
+    match parsed {
+        Ok(Frame::Tu(tu)) => &frame[..TU_HEADER_BYTES + tu.payload.len()],
+        _ => frame,
+    }
+}
+
+/// Verify and parse the bytes behind a TU flagged [`TU_FLAG_ACK_FOLLOWS`]
+/// on their own: they must be exactly one well-formed, intact ACK.
+/// Anything else is refused with its reason — truncated, bad checksum,
+/// trailing bytes, or [`WireError::NotAnAck`].
+pub(crate) fn carried_ack(ack: &WireBuf) -> Result<AckView<'_>, WireError> {
+    let parsed = parse(ack);
+    if !checksum_ok(covered(ack, &parsed)) {
+        return Err(WireError::BadChecksum);
+    }
+    match parsed? {
+        Frame::Ack(ack) => Ok(ack),
+        _ => Err(WireError::NotAnAck),
+    }
+}
+
 impl Tu {
     /// Encode to wire bytes (checksum sealed) — the one TU encoder; the
     /// transport calls it per fragment, [`Message::encode`] for its TU arm.
     pub fn encode(&self) -> Vec<u8> {
-        // One allocation at final size: the header region is reserved up
-        // front (headroom), then the payload is copied in behind it *fused
-        // with its checksum pass* — the frame's data bytes are touched
-        // exactly once on the way out.
-        let mut out = Vec::with_capacity(TU_HEADER_BYTES + self.payload.len());
+        // One allocation: the header region is reserved up front
+        // (headroom), then the payload is copied in behind it *fused with
+        // its checksum pass* — the frame's data bytes are touched exactly
+        // once on the way out — and room for an ACK is left behind it
+        // (tailroom; see `bundle_ack`).
+        let mut out = Vec::with_capacity(TU_HEADER_BYTES + self.payload.len() + TU_TAILROOM);
         let mut w = HeaderWriter::new(&mut out);
         w.put_u8(T_TU)
             .put_u8(self.flags)
@@ -259,8 +308,15 @@ fn entry_count(n: usize) -> u16 {
 /// # Panics
 /// If `ids` is longer than the 16-bit count field can state.
 pub fn encode_ack(assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + ids.len() * 8);
-    let mut w = HeaderWriter::new(&mut out);
+    let mut out = Vec::with_capacity(ACK_FIXED_BYTES + ACK_ECHO_BYTES + ids.len() * 8);
+    put_ack(&mut out, assoc, ids, echo, rwnd);
+    out
+}
+
+/// Append one ACK to `out` and seal it over its own bytes.
+fn put_ack(out: &mut Vec<u8>, assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) {
+    let start = out.len();
+    let mut w = HeaderWriter::new(out);
     let flags = if echo.is_some() { ACK_FLAG_ECHO } else { 0 };
     w.put_u8(T_ACK)
         .put_u8(flags)
@@ -275,8 +331,44 @@ pub fn encode_ack(assoc: u16, ids: &[u64], echo: Option<(u32, u32)>, rwnd: u32) 
     for id in ids {
         out.extend_from_slice(&id.to_be_bytes());
     }
-    seal_checksum(&mut out);
-    out
+    seal_checksum(&mut out[start..]);
+}
+
+/// Bundle an ACK behind an encoded, sealed data TU: set the TU's
+/// [`TU_FLAG_ACK_FOLLOWS`], updating its checksum incrementally (RFC 1624
+/// eqn. 3 — O(1), the frame is not summed again), and append the ACK,
+/// sealed on its own. Refused — `false`, `frame` untouched — unless `frame`
+/// is a data TU that carries no ACK yet and the ACK fits both the frame's
+/// spare capacity (so it never reallocates) and `max_len`.
+pub(crate) fn bundle_ack(
+    frame: &mut Vec<u8>,
+    max_len: usize,
+    assoc: u16,
+    ids: &[u64],
+    echo: Option<(u32, u32)>,
+    rwnd: u32,
+) -> bool {
+    let ack_len = ACK_FIXED_BYTES + if echo.is_some() { ACK_ECHO_BYTES } else { 0 } + ids.len() * 8;
+    let fits = frame.len() + ack_len <= max_len.min(frame.capacity());
+    if !fits
+        || frame.len() < TU_HEADER_BYTES
+        || frame[0] != T_TU
+        || frame[1] & (TU_FLAG_PARITY | TU_FLAG_ACK_FOLLOWS) != 0
+    {
+        return false;
+    }
+    // The flags byte is the low half of the first 16-bit word, `m`:
+    // HC' = ~(~HC + ~m + m'), with end-around carries.
+    let old = u16::from_be_bytes([frame[0], frame[1]]);
+    frame[1] |= TU_FLAG_ACK_FOLLOWS;
+    let new = u16::from_be_bytes([frame[0], frame[1]]);
+    let hc = u16::from_be_bytes([frame[2], frame[3]]);
+    let sum = u32::from(!hc) + u32::from(!old) + u32::from(new);
+    let sum = (sum & 0xFFFF) + (sum >> 16);
+    let sum = (sum & 0xFFFF) + (sum >> 16);
+    frame[2..4].copy_from_slice(&(!(sum as u16)).to_be_bytes());
+    put_ack(frame, assoc, ids, echo, rwnd);
+    true
 }
 
 /// Encode a whole-ADU NACK from a borrowed id list (see [`encode_ack`]).
@@ -353,20 +445,26 @@ impl Message {
     /// ingests through the same parser (`wire::parse`) without building a
     /// `Message`.
     ///
+    /// A frame is one message, or a TU with [`TU_FLAG_ACK_FOLLOWS`] set and
+    /// one ACK behind its payload. This returns the first message — for a
+    /// bundle, the TU, verified over its own bytes; the transport's
+    /// `on_frame` reads and checks the ACK too.
+    ///
     /// # Errors
     /// [`WireError`] on truncation, corruption, or malformed fields.
     pub fn decode_frame(frame: &WireBuf) -> Result<Message, WireError> {
-        if !checksum_ok(frame) {
+        let parsed = parse(frame);
+        if !checksum_ok(covered(frame, &parsed)) {
             return Err(WireError::BadChecksum);
         }
-        Ok(match parse(frame)? {
+        Ok(match parsed? {
             Frame::Tu(tu) => Message::Tu(tu),
-            Frame::Ack {
+            Frame::Ack(AckView {
                 assoc,
                 ids,
                 echo,
                 rwnd,
-            } => Message::Ack {
+            }) => Message::Ack {
                 assoc,
                 ids: ids.collect(),
                 echo,
@@ -420,12 +518,7 @@ pub(crate) fn split_range(entry: u64) -> (u32, u32) {
 #[derive(Debug, Clone)]
 pub(crate) enum Frame<'a> {
     Tu(Tu),
-    Ack {
-        assoc: u16,
-        ids: Entries<'a>,
-        echo: Option<(u32, u32)>,
-        rwnd: u32,
-    },
+    Ack(AckView<'a>),
     Nack {
         assoc: u16,
         ids: Entries<'a>,
@@ -440,11 +533,23 @@ pub(crate) enum Frame<'a> {
     },
 }
 
+/// An ACK read in place: the fields of [`Message::Ack`], its ids not
+/// collected.
+#[derive(Debug, Clone)]
+pub(crate) struct AckView<'a> {
+    pub(crate) assoc: u16,
+    pub(crate) ids: Entries<'a>,
+    pub(crate) echo: Option<(u32, u32)>,
+    pub(crate) rwnd: u32,
+}
+
 /// The one frame parser: every field check [`Message::decode_frame`]
-/// makes except the checksum, which the caller runs — over the whole frame
-/// ([`checksum_ok`]), or fused into the copy that places a TU's payload
-/// ([`copy_verified`]). A frame's verdict is the same either way: a bad
-/// checksum is reported before any field error.
+/// makes except the checksum, which the caller runs over the bytes it
+/// covers ([`covered`]) — whole, or fused into the copy that places a TU's
+/// payload ([`copy_verified`]). A frame's verdict is the same either way:
+/// a bad checksum is reported before any field error. A TU is followed by
+/// nothing, or — with [`TU_FLAG_ACK_FOLLOWS`] set — by bytes the caller
+/// checks apart ([`carried_ack`]).
 pub(crate) fn parse(frame: &WireBuf) -> Result<Frame<'_>, WireError> {
     let buf = frame.as_slice();
     if buf.len() < 8 {
@@ -469,8 +574,10 @@ pub(crate) fn parse(frame: &WireBuf) -> Result<Frame<'_>, WireError> {
             let frag_len = r.get_u16().map_err(|_| WireError::Truncated)? as usize;
             let timestamp_us = r.get_u32().map_err(|_| WireError::Truncated)?;
             let name = AduName::decode(&mut r).map_err(WireError::Name)?;
-            if r.remaining() != frag_len {
-                return Err(WireError::LengthMismatch);
+            match r.remaining().checked_sub(frag_len) {
+                Some(0) => {}
+                Some(_) if flags & TU_FLAG_ACK_FOLLOWS != 0 => {}
+                _ => return Err(WireError::LengthMismatch),
             }
             // Data fragments must fit inside the ADU; parity TUs cover
             // positions, not content, and may extend past a short tail.
@@ -485,8 +592,8 @@ pub(crate) fn parse(frame: &WireBuf) -> Result<Frame<'_>, WireError> {
                 adu_len,
                 frag_off,
                 name,
-                // Zero-copy: the payload is the frame's tail, viewed.
-                payload: frame.slice(TU_HEADER_BYTES..),
+                // Zero-copy: the payload is a view of the frame.
+                payload: frame.slice(TU_HEADER_BYTES..TU_HEADER_BYTES + frag_len),
             }))
         }
         T_NACK_FRAGS => {
@@ -508,12 +615,12 @@ pub(crate) fn parse(frame: &WireBuf) -> Result<Frame<'_>, WireError> {
             } else {
                 None
             };
-            Ok(Frame::Ack {
+            Ok(Frame::Ack(AckView {
                 assoc,
                 ids: entries(&mut r, count)?,
                 echo,
                 rwnd,
-            })
+            }))
         }
         T_NACK => {
             let count = r.get_u16().map_err(|_| WireError::Truncated)?;
@@ -544,13 +651,14 @@ fn entries<'a>(r: &mut HeaderReader<'a>, count: u16) -> Result<Entries<'a>, Wire
     Ok(Entries(bytes.chunks_exact(8)))
 }
 
-/// Copy a parsed TU frame's payload into `dst` and verify the whole frame
-/// in the same pass: [`ct_wire::fused::copy_and_checksum`] sums the payload
-/// as it moves it, and the header's sum is folded in after — the receive
-/// mirror of [`Tu::encode`]. True when the frame is intact; `dst` holds
-/// the payload either way, so a caller discards it on `false`.
-pub(crate) fn copy_verified(frame: &[u8], dst: &mut [u8]) -> bool {
-    let (header, payload) = frame.split_at(TU_HEADER_BYTES);
+/// Copy a parsed TU's payload into `dst` and verify the TU in the same
+/// pass: [`ct_wire::fused::copy_and_checksum`] sums the payload as it moves
+/// it, and the header's sum is folded in after — the receive mirror of
+/// [`Tu::encode`]. `tu` is the TU's own bytes ([`covered`]). True when
+/// they are intact; `dst` holds the payload either way, so a caller
+/// discards it on `false`.
+pub(crate) fn copy_verified(tu: &[u8], dst: &mut [u8]) -> bool {
+    let (header, payload) = tu.split_at(TU_HEADER_BYTES);
     let pck = ct_wire::fused::copy_and_checksum(payload, dst);
     let mut c = InternetChecksum::new();
     c.update(header);
@@ -857,6 +965,157 @@ mod tests {
         restamp_tu(&mut ack, 99);
         assert_eq!(ack, before);
     }
+
+    const ACK_IDS: [u64; 2] = [5, 9];
+    const ECHO: Option<(u32, u32)> = Some((1234, 56));
+
+    /// `sample_tu` with one ACK bundled behind it.
+    fn bundle() -> Vec<u8> {
+        let mut frame = sample_tu().encode();
+        assert!(bundle_ack(&mut frame, usize::MAX, 7, &ACK_IDS, ECHO, 4096));
+        frame
+    }
+
+    /// What [`carried_ack`] makes of the bytes behind a bundle's TU.
+    fn carried(frame: Vec<u8>) -> Result<Message, WireError> {
+        let frame = WireBuf::from_vec(frame);
+        let parsed = parse(&frame);
+        let own = covered(&frame, &parsed).len();
+        assert!(checksum_ok(&frame[..own]), "the TU must verify on its own");
+        let Ok(Frame::Tu(tu)) = parsed else {
+            panic!("a TU");
+        };
+        assert_ne!(tu.flags & TU_FLAG_ACK_FOLLOWS, 0);
+        let tail = frame.slice(own..);
+        let ack = carried_ack(&tail)?;
+        Ok(Message::Ack {
+            assoc: ack.assoc,
+            ids: ack.ids.collect(),
+            echo: ack.echo,
+            rwnd: ack.rwnd,
+        })
+    }
+
+    #[test]
+    fn bundled_ack_rides_the_tailroom_and_each_message_verifies_alone() {
+        let plain = sample_tu().encode();
+        let frame = bundle();
+        // The TU's bytes are what encoding it with the flag set gives: the
+        // O(1) checksum update agrees with a full seal.
+        let flagged = Tu {
+            flags: TU_FLAG_ACK_FOLLOWS,
+            ..sample_tu()
+        }
+        .encode();
+        assert_eq!(frame[..plain.len()], flagged[..]);
+        let ack = encode_ack(7, &ACK_IDS, ECHO, 4096);
+        assert_eq!(frame[plain.len()..], ack[..]);
+        // decode_frame returns the TU; the trailer is the ACK.
+        assert_eq!(
+            decode(&frame),
+            Ok(Message::Tu(Tu {
+                flags: TU_FLAG_ACK_FOLLOWS,
+                ..sample_tu()
+            }))
+        );
+        assert_eq!(carried(frame.clone()), Message::decode_frame(&ack.into()));
+        assert_eq!(peek_assoc(&frame), Some(7));
+    }
+
+    #[test]
+    fn bundling_never_reallocates_or_grows_past_the_bound() {
+        let mut frame = sample_tu().encode();
+        let (ptr, cap) = (frame.as_ptr(), frame.capacity());
+        assert!(cap >= frame.len() + TU_TAILROOM);
+        assert!(bundle_ack(
+            &mut frame,
+            usize::MAX,
+            7,
+            &[1, 2, 3, 4],
+            ECHO,
+            0
+        ));
+        assert_eq!((frame.as_ptr(), frame.capacity()), (ptr, cap));
+        // A fifth id beside the echo does not fit the tailroom; a bound one
+        // byte short of the bundle refuses it; either way the frame is
+        // untouched.
+        let bound = TU_HEADER_BYTES + 250 + ACK_FIXED_BYTES + 8;
+        for (ids, echo, max_len) in [
+            (&[1, 2, 3, 4, 5][..], ECHO, usize::MAX),
+            (&[1][..], None, bound - 1),
+        ] {
+            let mut frame = sample_tu().encode();
+            let before = frame.clone();
+            assert!(!bundle_ack(&mut frame, max_len, 7, ids, echo, 0));
+            assert_eq!(frame, before);
+        }
+        let mut frame = sample_tu().encode();
+        assert!(bundle_ack(&mut frame, bound, 7, &[1], None, 0));
+        assert_eq!(frame.len(), bound);
+    }
+
+    #[test]
+    fn only_a_data_tu_without_an_ack_carries_one() {
+        let parity = Tu {
+            flags: TU_FLAG_PARITY,
+            ..sample_tu()
+        }
+        .encode();
+        let ack = encode_ack(7, &[1], None, 0);
+        let mut nack = encode_nack(7, &[1]);
+        nack.reserve(64);
+        for mut frame in [parity, bundle(), ack, nack, vec![T_TU; 8]] {
+            let before = frame.clone();
+            assert!(!bundle_ack(&mut frame, usize::MAX, 7, &[1], None, 0));
+            assert_eq!(frame, before);
+        }
+    }
+
+    #[test]
+    fn hostile_bundles_reject_the_trailer_and_keep_the_tu() {
+        let tu_len = TU_HEADER_BYTES + 250;
+        let ack = encode_ack(7, &ACK_IDS, ECHO, 4096);
+        let with = |tail: &[u8]| [&bundle()[..tu_len], tail].concat();
+        let mut flipped = bundle();
+        flipped[tu_len + ACK_FIXED_BYTES + 3] ^= 0x20;
+        let second_tu = sample_tu().encode();
+        for (frame, want) in [
+            (with(&[0xA5; 23]), WireError::BadChecksum),
+            (with(&[]), WireError::Truncated),
+            (with(&ack[..5]), WireError::Truncated),
+            (with(&ack[..ack.len() - 8]), WireError::BadChecksum),
+            (with(&second_tu), WireError::NotAnAck),
+            (with(&encode_nack(7, &[1])), WireError::NotAnAck),
+            (
+                with(&[&ack[..], &[0, 0]].concat()),
+                WireError::LengthMismatch,
+            ),
+            (flipped, WireError::BadChecksum),
+        ] {
+            assert!(matches!(decode(&frame), Ok(Message::Tu(_))));
+            assert_eq!(carried(frame), Err(want));
+        }
+    }
+
+    #[test]
+    fn without_the_flag_a_trailer_is_a_length_mismatch_and_a_tu_flip_a_bad_checksum() {
+        let plain = sample_tu().encode();
+        let ack = encode_ack(7, &ACK_IDS, ECHO, 4096);
+        let unflagged = [&plain[..], &ack[..]].concat();
+        assert_eq!(decode(&unflagged), Err(WireError::LengthMismatch));
+        // Any one flipped bit of a bundle's TU — the flag, the length field
+        // or the payload included — is a bad checksum, as an unbundled
+        // TU's is.
+        let tu_len = plain.len();
+        for bit in 0..tu_len * 8 {
+            if (16..32).contains(&bit) {
+                continue; // the checksum field itself
+            }
+            let mut frame = bundle();
+            frame[bit / 8] ^= 0x80 >> (bit % 8);
+            assert_eq!(decode(&frame), Err(WireError::BadChecksum), "bit {bit}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -895,10 +1154,13 @@ mod proptests {
                 let bit = f as usize % (wire.len() * 8);
                 wire[bit / 8] ^= 1 << (bit % 8);
             }
-            if let Ok(Frame::Tu(_)) = parse(&wire.clone().into()) {
-                let mut dst = vec![0u8; wire.len() - TU_HEADER_BYTES];
-                prop_assert_eq!(copy_verified(&wire, &mut dst), checksum_ok(&wire));
-                prop_assert_eq!(&dst[..], &wire[TU_HEADER_BYTES..]);
+            let frame = WireBuf::from(wire.clone());
+            let parsed = parse(&frame);
+            if let Ok(Frame::Tu(tu)) = &parsed {
+                let own = covered(&wire, &parsed);
+                let mut dst = vec![0u8; tu.payload.len()];
+                prop_assert_eq!(copy_verified(own, &mut dst), checksum_ok(own));
+                prop_assert_eq!(&dst[..], &own[TU_HEADER_BYTES..]);
             }
         }
 

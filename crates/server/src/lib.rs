@@ -143,6 +143,33 @@ impl BatchReport {
     }
 }
 
+/// The batch loop's work over a server's lifetime, summed over shards:
+/// exact counts of what a cost growing with the association count would
+/// move — an association polled that nothing happened to, a wheel walk past
+/// dead entries — read off the structures, never timed.
+/// See [`AlfServer::loop_work`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopWork {
+    /// Associations polled (dirty-list visits).
+    pub polls: u64,
+    /// Shard-wheel entries looked at while scanning expired slots.
+    pub wheel_entries_examined: u64,
+    /// Shard-wheel slots scanned.
+    pub wheel_slots_scanned: u64,
+}
+
+impl std::ops::Sub for LoopWork {
+    type Output = LoopWork;
+
+    fn sub(self, earlier: LoopWork) -> LoopWork {
+        LoopWork {
+            polls: self.polls - earlier.polls,
+            wheel_entries_examined: self.wheel_entries_examined - earlier.wheel_entries_examined,
+            wheel_slots_scanned: self.wheel_slots_scanned - earlier.wheel_slots_scanned,
+        }
+    }
+}
+
 /// Server-level counters, aggregated over all shards by
 /// [`AlfServer::publish_stats`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -492,6 +519,18 @@ impl AlfServer {
     /// Batches executed so far.
     pub fn batches(&self) -> u64 {
         self.batches
+    }
+
+    /// The batch loop's work so far. O(shards).
+    pub fn loop_work(&self) -> LoopWork {
+        let mut work = LoopWork::default();
+        for shard in &self.shards {
+            let wheel = shard.wheel.stats();
+            work.polls += shard.counters.polls;
+            work.wheel_entries_examined += wheel.entries_examined;
+            work.wheel_slots_scanned += wheel.slots_scanned;
+        }
+        work
     }
 
     /// True while another [`AlfServer::poll_batch`] call would do work at

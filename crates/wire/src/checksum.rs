@@ -9,36 +9,43 @@
 //! pipeline in `alf-core` can interleave checksumming with other
 //! manipulations in one traversal, and a one-shot convenience function.
 
-/// Bytes per iteration of the wide summation core: eight 32-bit lanes.
-pub(crate) const LANE_BLOCK: usize = 32;
+/// Bytes per step of the wide summation core: one 64-bit word.
+pub(crate) const LANE_BLOCK: usize = 8;
 
-/// Eight independent lane accumulators, one per 32-bit word of a
-/// [`LANE_BLOCK`]. Words are loaded **native-endian** (RFC 1071 §2(B): the
-/// one's-complement sum is byte-order independent, so the swap happens once,
-/// on the folded result, in [`Lanes::sum`]) and added with `wrapping_add`:
-/// a lane gains less than 2^32 per block, so it cannot wrap before 2^32
-/// blocks — 128 GiB in one call, where an ADU is at most `u32::MAX` bytes.
-/// Fixed width, no carried dependency between lanes and no overflow branch,
-/// so the loop vectorises under `overflow-checks = true`.
+/// The wide core's two accumulators: each 8-byte word is loaded
+/// **native-endian** (RFC 1071 §2(B): the one's-complement sum is byte-order
+/// independent, so the swap happens once, on the folded result, in
+/// [`Lanes::sum`]) and its low and high 32-bit halves are added apart with
+/// `wrapping_add`. An accumulator gains less than 2^32 per word, so it
+/// cannot wrap before 2^32 words — 32 GiB in one call, where an ADU is at
+/// most `u32::MAX` bytes. No carried dependency but the two adds and no
+/// overflow branch, so LLVM turns the word loop into SSE2 `pand`, `psrlq`
+/// and `paddq` under `overflow-checks = true` (`scripts/verify.sh` checks
+/// the `paddq`).
 #[derive(Default)]
-pub(crate) struct Lanes([u64; 8]);
+pub(crate) struct Lanes {
+    lo: u64,
+    hi: u64,
+}
 
 impl Lanes {
-    /// Absorb one block.
+    /// Absorb one word.
     #[inline(always)]
-    pub(crate) fn add(&mut self, block: &[u8; LANE_BLOCK]) {
-        for (lane, w) in self.0.iter_mut().zip(block.chunks_exact(4)) {
-            let w = u32::from_ne_bytes([w[0], w[1], w[2], w[3]]);
-            *lane = lane.wrapping_add(u64::from(w));
-        }
+    pub(crate) fn add(&mut self, word: &[u8; LANE_BLOCK]) {
+        let w = u64::from_ne_bytes(*word);
+        self.lo = self.lo.wrapping_add(w & 0xFFFF_FFFF);
+        self.hi = self.hi.wrapping_add(w >> 32);
     }
 
-    /// The lanes' total as a sum of **big-endian** 16-bit words, folded
+    /// The words' total as a sum of **big-endian** 16-bit words, folded
     /// to 16 bits.
     #[inline]
     pub(crate) fn sum(self) -> u64 {
-        // Each lane folds below 2^33 first, so the eight add without wrapping.
-        let native = fold16(self.0.iter().map(|l| (l & 0xFFFF_FFFF) + (l >> 32)).sum());
+        // Each accumulator folds below 2^33 first, so the two add without
+        // wrapping.
+        let native = fold16(
+            (self.lo & 0xFFFF_FFFF) + (self.lo >> 32) + (self.hi & 0xFFFF_FFFF) + (self.hi >> 32),
+        );
         // The native sum's bytes in memory order are the big-endian sum's.
         u64::from(u16::from_be_bytes(native.to_ne_bytes()))
     }
@@ -55,8 +62,7 @@ pub(crate) fn fold16(mut s: u64) -> u16 {
 }
 
 /// Sum of fewer than [`LANE_BLOCK`] bytes as big-endian 16-bit words, an odd
-/// final byte zero-padded in the low-order position: the plain loop that
-/// short control frames and every kernel's tail run.
+/// final byte zero-padded in the low-order position: every kernel's tail.
 #[inline]
 pub(crate) fn sum_tail(tail: &[u8]) -> u64 {
     debug_assert!(tail.len() < LANE_BLOCK);
@@ -76,16 +82,12 @@ pub(crate) fn sum_tail(tail: &[u8]) -> u64 {
 /// complemented.
 #[inline]
 pub(crate) fn sum_words(data: &[u8]) -> u64 {
-    let mut blocks = data.chunks_exact(LANE_BLOCK);
-    let mut sum = 0;
-    if data.len() >= LANE_BLOCK {
-        let mut lanes = Lanes::default();
-        for b in &mut blocks {
-            lanes.add(b.try_into().expect("chunks_exact(LANE_BLOCK)"));
-        }
-        sum = lanes.sum();
+    let mut words = data.chunks_exact(LANE_BLOCK);
+    let mut lanes = Lanes::default();
+    for w in &mut words {
+        lanes.add(w.try_into().expect("chunks_exact(LANE_BLOCK)"));
     }
-    sum + sum_tail(blocks.remainder())
+    lanes.sum() + sum_tail(words.remainder())
 }
 
 /// The summation core one register at a time, for a loop that already holds

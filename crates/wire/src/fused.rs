@@ -11,8 +11,8 @@ use crate::checksum::{fold16, sum_tail, Lanes, LANE_BLOCK};
 /// the paper's flagship fused loop (its hand-coded version ran at 90 Mb/s
 /// where serial copy-then-checksum achieved ~60).
 ///
-/// One pass: each lane block is loaded once, stored once, and added into
-/// the checksum lanes (the same core as
+/// One pass: each 8-byte word is loaded once, stored once, and its halves
+/// added into the checksum accumulators (the same core as
 /// [`internet_checksum`](crate::checksum::internet_checksum)) while still in
 /// registers.
 pub fn copy_and_checksum(src: &[u8], dst: &mut [u8]) -> u16 {

@@ -3,6 +3,9 @@
 #
 # SOAK=1 additionally runs the extended chaos sweep (32 extra seeds of
 # fault churn against the flow-controlled transport; see tests/chaos.rs).
+# WALLCLOCK=1 additionally enforces the wall-clock bounds (X13's and X14's
+# ns/ADU growth, tests/telemetry.rs's ledger ns, and the traced benchmark
+# rounds' span-share guards); without it they are printed, not asserted.
 # HOSTILE=1 additionally runs the bounded hostile soak (extra seeds with
 # the adversarial frame mutator armed for the whole run).
 set -eux
@@ -20,33 +23,46 @@ cargo check -q -p alf-core --features debug-loss
 # unit tests, and a --scale 0.01 smoke of all five workloads in which every
 # delivered op is byte-verified through the production kernels.
 ( cd benchmark && cargo test --offline -q )
-# One full-scale traced round of the layered straw man: the benchmark's
-# `accounted >= 0.85` and generator-share <= 0.15 guards only run at scale 1
-# (the smoke above skips them), and a faster stack is what pushes on them.
-benchmark/run.sh --workload layered_bulk --seed 1990 --seconds 1 --trace 1 > /dev/null
-# And of the many-association server, for the same reason: a faster
-# ct-server shrinks the spans the guards divide by.
-benchmark/run.sh --workload server_fanin --seed 1990 --seconds 1 --trace 1 > /dev/null
-# And of the fused pair: its pipeline spans are what a faster kernel shrinks.
-benchmark/run.sh --workload bulk_pair --seed 1990 --seconds 1 --trace 1 > /dev/null
+if [ "${WALLCLOCK:-0}" = "1" ]; then
+    # One full-scale traced round of the layered straw man: the benchmark's
+    # `accounted >= 0.85` and generator-share <= 0.15 guards only run at
+    # scale 1 (the smoke above skips them), and a faster stack is what
+    # pushes on them. They are ratios of wall-clock spans, so a host
+    # disturbance can trip them: like every ns bound, WALLCLOCK=1 only.
+    benchmark/run.sh --workload layered_bulk --seed 1990 --seconds 1 --trace 1 > /dev/null
+    # And of the many-association server, for the same reason: a faster
+    # ct-server shrinks the spans the guards divide by.
+    benchmark/run.sh --workload server_fanin --seed 1990 --seconds 1 --trace 1 > /dev/null
+    # And of the fused pair: its pipeline spans are what a faster kernel
+    # shrinks.
+    benchmark/run.sh --workload bulk_pair --seed 1990 --seconds 1 --trace 1 > /dev/null
+fi
 
-# DESIGN.md section 7's kernel rule, read off the machine code: every
+# Two kernel rules, read off the machine code. DESIGN.md section 7: every
 # instantiation of the keystream block loop lives in the one symbol
-# `XorStream::apply_hosting`, whose multiplies must be scalar `imul`. Left to
-# LLVM's vectorisers they become SSE2 `pmuludq` triples at 0.6x the speed.
-# x86-64 mnemonics, so other hosts skip it; so does a build that has no such
-# symbol (inlined away, or mangled otherwise): absent is not "not scalar".
+# `XorStream::apply_hosting`, whose multiplies must be scalar `imul` (left to
+# LLVM's vectorisers they become SSE2 `pmuludq` triples at 0.6x the speed).
+# And the fused copy-and-checksum's word loop must stay vectorised: its
+# accumulators are added with SSE2 `paddq`. x86-64 mnemonics, so other hosts
+# skip both; so does a build that lacks the symbol (inlined away, or mangled
+# otherwise): absent is not "not scalar" or "not vectorised".
 if [ "$(uname -m)" = x86_64 ] && command -v objdump > /dev/null; then
     objdump -d --no-show-raw-insn target/release/harness | awk '
-        /^[0-9a-f]+ <.*>:$/ { inside = /XorStream13apply_hosting/; found += inside }
-        inside && /imul/ { scalar++ }
-        inside && /pmuludq/ { vector++ }
+        /^[0-9a-f]+ <.*>:$/ {
+            xor = /XorStream13apply_hosting/; xor_found += xor
+            sum = /ct_wire5fused17copy_and_checksum/; sum_found += sum
+        }
+        xor && /imul/ { scalar++ }
+        xor && /pmuludq/ { vector++ }
+        sum && /paddq/ { paddq++ }
         END {
-            if (!found) { print "scalar-multiply check skipped: no apply_hosting symbol"; exit 0 }
-            if (!scalar || vector) { print "apply_hosting: imul " scalar+0 ", pmuludq " vector+0; exit 1 }
+            if (!xor_found) print "scalar-multiply check skipped: no apply_hosting symbol"
+            else if (!scalar || vector) { print "apply_hosting: imul " scalar+0 ", pmuludq " vector+0; exit 1 }
+            if (!sum_found) print "vectorised-checksum check skipped: no copy_and_checksum symbol"
+            else if (!paddq) { print "copy_and_checksum: no paddq"; exit 1 }
         }'
 else
-    echo "scalar-multiply check skipped: needs x86_64 and objdump"
+    echo "machine-code checks skipped: need x86_64 and objdump"
 fi
 
 # Observability smoke: the X9 experiment asserts integrated < layered
@@ -88,9 +104,10 @@ cargo run --release -q -p ct-bench --bin harness x12 > /dev/null
 
 # Many-association server: a quick 512-association smoke (CLI-validated
 # args, per-ADU cost printed) and then the full X13 sweep — 1 → 1k → 100k
-# associations through one AlfServer — which asserts the per-ADU cost
-# curve stays flat, bounds per-association memory, and refreshes
-# BENCH_x13.json.
+# associations through one AlfServer — which asserts the batch loop's work
+# per association (polls, shard-wheel entries and slots) does not grow with
+# the table, bounds per-association memory, prints the per-ADU wall-clock
+# growth (bounded only under WALLCLOCK=1), and refreshes BENCH_x13.json.
 cargo run --release -q -p ct-bench --bin harness x13 --assoc 512 > /dev/null
 cargo run --release -q -p ct-bench --bin harness x13 > /dev/null
 

@@ -167,6 +167,48 @@ fn twelve_tu_adu_round_within_budget() {
     }
 }
 
+/// One RPC round between two endpoints: `a` sends a request, `b` answers
+/// it, each side sending from the poll after the ADU it answers arrived —
+/// `send_adu → poll → on_frame → recv_adu`, twice.
+fn rpc_round(a: &mut AduTransport, b: &mut AduTransport, call: u32, req: &WireBuf, resp: &WireBuf) {
+    a.send_adu(AduName::Rpc { call, part: 0 }, req.clone())
+        .expect("window open");
+    for frame in a.poll(NOW) {
+        b.on_frame(NOW, frame.into());
+    }
+    assert_eq!(b.recv_adu().expect("request").0.payload, *req);
+    b.send_adu(AduName::Rpc { call, part: 1 }, resp.clone())
+        .expect("window open");
+    for frame in b.poll(NOW) {
+        a.on_frame(NOW, frame.into());
+    }
+    assert_eq!(a.recv_adu().expect("response").0.payload, *resp);
+    assert!(a.send_complete(), "the response carried the request's ACK");
+}
+
+#[test]
+fn rpc_round_carries_both_acks_and_allocates_six() {
+    // Each side's ACK rides the ADU it sends next, so a round is two
+    // frames, not four: per direction the frame, its `poll` result `Vec`
+    // and its `WireBuf` chunk header — 6. (Each ACK in a frame of its own
+    // costs its frame and chunk header on top: 10.)
+    let req = WireBuf::from_vec(vec![3u8; 64]);
+    let resp = WireBuf::from_vec(vec![5u8; 200]);
+    let mut a = AduTransport::new(AlfConfig::default());
+    let mut b = AduTransport::new(AlfConfig::default());
+    for call in 0..16 {
+        rpc_round(&mut a, &mut b, call, &req, &resp);
+    }
+    for call in 16..24 {
+        let (n, ()) = allocs_in(|| rpc_round(&mut a, &mut b, call, &req, &resp));
+        assert_eq!(n, 6, "RPC round allocated {n}");
+    }
+    assert_eq!(
+        (a.stats.tus_sent, a.stats.control_sent, b.stats.control_sent),
+        (24, 23, 24)
+    );
+}
+
 #[test]
 fn warm_idle_endpoint_holds_three_blocks_and_no_cold_state() {
     // What an association costs while nothing is in flight. Sender: the
