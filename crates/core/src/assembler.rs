@@ -633,6 +633,12 @@ impl Assembler {
         if zero_copy {
             self.stats.zero_copy_releases += 1;
         }
+        if self.ready.capacity() == 0 {
+            // A frame completes at most one ADU, and a server takes it
+            // before the next frame arrives: one slot, not the four a first
+            // push reserves. A queue that needs more grows as usual.
+            self.ready.reserve_exact(1);
+        }
         self.ready
             .push_back((adu_id, Adu::new(name, payload), latency));
     }

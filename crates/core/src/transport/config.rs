@@ -5,7 +5,7 @@ use crate::adu::AduName;
 use ct_netsim::time::SimDuration;
 
 /// §5's three options for dealing with a lost ADU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryMode {
     /// "buffering by the sender transport": the transport keeps a copy of
     /// every unacknowledged ADU and retransmits the whole ADU on timeout or
@@ -23,12 +23,17 @@ pub enum RecoveryMode {
 
 /// Static configuration of an [`AduTransport`](super::AduTransport).
 ///
+/// An endpoint holds it behind a shared pointer, so every association of a
+/// server built from the same configuration reads one copy (see
+/// [`AduTransport::with_template`](super::AduTransport::with_template)).
 /// `repr(C)`, with the fields every `send_adu` / `poll` / `on_frame`
 /// branches on declared first: they are the first 64 of its 120 bytes.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(C)]
 pub struct AlfConfig {
-    /// Association identifier carried in every message.
+    /// Association identifier carried in every message. An endpoint made
+    /// from a shared template carries its own id instead
+    /// ([`AduTransport::assoc`](super::AduTransport::assoc)).
     pub assoc: u16,
     /// Loss-recovery policy.
     pub recovery: RecoveryMode,
@@ -78,7 +83,8 @@ pub struct AlfConfig {
     /// Give up after this many whole-ADU loss events (timeouts, whole-ADU
     /// NACKs) and declare the ADU lost (sender side). Answering a
     /// selective NACK is not one — up to `max_retries x nack_frag_rounds`
-    /// of them, the most an honest receiver asks for.
+    /// of them, the most an honest receiver asks for. Each count is held
+    /// in 16 bits, so either bound beyond 65 535 acts as 65 535.
     pub max_retries: u32,
     /// Selective-recovery rounds: how many times the receiver NACKs an
     /// overdue ADU's *missing fragments* (deadline restarting each round)

@@ -34,6 +34,7 @@ use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
 use ct_wire::WireBuf;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 mod config;
 mod rtt;
@@ -54,6 +55,12 @@ use rtt::RttEstimator;
 /// fixed `retransmit_timeout`.
 fn rto_for(base: SimDuration, retries: u32) -> SimDuration {
     base.saturating_mul(1u64 << retries.min(6))
+}
+
+/// Bytes of one shared configuration block: the configuration behind the
+/// `Arc`'s two reference counts.
+pub fn config_block_bytes() -> usize {
+    std::mem::size_of::<AlfConfig>() + 2 * std::mem::size_of::<usize>()
 }
 
 /// Simulated time as wrapping microseconds (the TU timestamp clock).
@@ -86,13 +93,18 @@ const RETX_WHEEL_SLOTS: usize = 8;
 /// interval (one rotation = 8 × 4 ms = 32 ms).
 const RETX_WHEEL_GRANULARITY: SimDuration = SimDuration::from_millis(4);
 
-/// Ring and pacing-queue slots reserved by the first submission (what a
-/// first `push` would reserve anyway). Reserving them then, with the
-/// wheel's block, changes no count and no size — only which addresses the
-/// allocator hands out, so what it is worth (see `send_adu`) is a property
-/// of the system allocator's placement, not of this code: re-measure
-/// before relying on it under another allocator.
+/// Ring slots reserved by the first submission (what a first `push` would
+/// reserve anyway). Reserving them then, with the wheel's block, changes no
+/// count and no size — only which addresses the allocator hands out, so
+/// what it is worth (see `send_adu`) is a property of the system
+/// allocator's placement, not of this code: re-measure before relying on
+/// it under another allocator.
 const FIRST_SEND_SLOTS: usize = 4;
+
+/// A configured bound on a 16-bit count: beyond 65 535 it acts as 65 535.
+fn limit16(n: u32) -> u16 {
+    u16::try_from(n).unwrap_or(u16::MAX)
+}
 
 /// Sender-side record of a submitted, unacknowledged ADU.
 #[derive(Debug)]
@@ -102,34 +114,62 @@ struct SentAdu {
     /// under [`RecoveryMode::TransportBuffer`] only — it shares the
     /// application's chunk, so "buffering" for retransmission costs no copy.
     payload: Option<WireBuf>,
-    total_len: u32,
+    /// The retransmission deadline. Moved only by [`SentAdu::set_deadline`],
+    /// which first cancels the wheel entry armed at the old one.
     deadline: SimTime,
-    /// Loss events charged to this ADU — retransmission timeouts and
-    /// whole-ADU NACKs. `max_retries` bounds these.
-    retries: u32,
-    /// Selective repair rounds answered. Each stretches the RTO like a
-    /// retry but is not charged to `max_retries`: a receiver that asks for
-    /// the rest of an ADU is alive and holding part of it.
-    repairs: u32,
-    /// Waiting for the application to deliver a recomputed payload.
-    awaiting_recompute: bool,
+    total_len: u32,
     /// TUs of this ADU still sitting in the pacing queue. The retransmit
     /// deadline is live only once this reaches zero — a queued-but-unsent
     /// ADU cannot have been lost yet.
-    tus_unreleased: usize,
-    /// The deadline currently armed in the timer wheel for this ADU, if
-    /// any. Invariant (kept by `AduTransport::sync_timer`): exactly one
-    /// wheel entry per ADU whose retransmission clock is live, none while
-    /// gated — so the wheel's minimum equals the old full min-scan
-    /// bit-for-bit.
-    armed: Option<SimTime>,
+    tus_unreleased: u32,
+    /// Loss events charged to this ADU — retransmission timeouts and
+    /// whole-ADU NACKs. `max_retries` bounds these.
+    retries: u16,
+    /// Selective repair rounds answered. Each stretches the RTO like a
+    /// retry but is not charged to `max_retries`: a receiver that asks for
+    /// the rest of an ADU is alive and holding part of it.
+    repairs: u16,
+    /// Waiting for the application to deliver a recomputed payload.
+    awaiting_recompute: bool,
+    /// The timer wheel holds `(deadline, id)` for this ADU. Invariant
+    /// (kept by `AduTransport::sync_timer`): exactly one wheel entry per
+    /// ADU whose retransmission clock is live, none while gated — so the
+    /// wheel's minimum equals the old full min-scan bit-for-bit.
+    armed: bool,
 }
+
+// A ring slot is this plus its id: 72 bytes, four to a first reservation.
+const _: () = assert!(std::mem::size_of::<SentAdu>() <= 64);
 
 impl SentAdu {
     /// Exponent of this ADU's RTO backoff: every repair attempt so far.
     fn backoff(&self) -> u32 {
-        self.retries + self.repairs
+        u32::from(self.retries) + u32::from(self.repairs)
     }
+
+    /// Move the retransmission deadline to `at`. An entry armed at the old
+    /// deadline is cancelled first — the wheel finds an entry by its
+    /// deadline — and `AduTransport::sync_timer` arms the new one.
+    fn set_deadline(&mut self, wheel: &mut TimerWheel<u64>, id: u64, at: SimTime) {
+        if self.armed && self.deadline != at {
+            wheel.remove(self.deadline, id);
+            self.armed = false;
+        }
+        self.deadline = at;
+    }
+}
+
+/// One `poll`'s output while it is built. Every data TU the poll sends goes
+/// through [`AduTransport::send_tu`].
+struct Emit {
+    frames: Vec<Vec<u8>>,
+    /// Data TUs released so far, against `burst_tus`.
+    tus: usize,
+    /// Where in `frames` the last released TU sits: the frame a pending
+    /// ACK may ride in.
+    carrier: Option<usize>,
+    /// The RTO base a released TU's retransmission clock starts from.
+    base: SimDuration,
 }
 
 /// State an endpoint needs only once it leaves the fault-free TU/ACK path:
@@ -212,8 +252,9 @@ impl Default for Cold {
 /// for work); what an idle poll reads of the pacer and the retransmission
 /// wheel, then the rest of the wheel; stage 1; the delivery and id
 /// watermarks directly before the six counters of `stats` the fault-free
-/// path bumps; and the configuration with the fields that path branches on
-/// leading. Everything the fault-free path never reads is behind `cold`.
+/// path bumps; and the pointer to the configuration, which every endpoint
+/// built from the same one shares. Everything the fault-free path never
+/// reads is behind `cold`.
 #[derive(Debug)]
 #[repr(C)]
 pub struct AduTransport {
@@ -237,6 +278,9 @@ pub struct AduTransport {
     /// The receiver owes the peer a window update: emit an ACK next poll
     /// even if no ADU ids are pending (probe answers, post-shed updates).
     window_ack_due: bool,
+    /// Association identifier carried in every message — this endpoint's,
+    /// whatever the shared configuration's `assoc` says.
+    assoc: u16,
 
     // ---- is there anything to send or acknowledge --------------------------
     /// Submitted ADUs, sorted by id: the mapped part is the window of
@@ -253,7 +297,8 @@ pub struct AduTransport {
     // ---- pacer and retransmission clock ------------------------------------
     /// Encoded data TUs awaiting a transmit slot (pacing queue), tagged
     /// with their ADU id so the retransmission deadline can be refreshed
-    /// when the TU actually leaves.
+    /// when the TU actually leaves. Only what the pacer or the burst budget
+    /// holds back waits here; an unpaced sender never allocates it.
     txq: VecDeque<(u64, AduName, Vec<u8>)>,
     /// Effective inter-TU pace: `cfg.pace_per_tu` until adaptive control
     /// derives one from the delivery rate.
@@ -278,21 +323,31 @@ pub struct AduTransport {
     next_adu_id: u64,
     /// Counters.
     pub stats: AlfStats,
-    cfg: AlfConfig,
+    /// The configuration: one block per distinct configuration, not a
+    /// copy per endpoint — an `AlfServer` interns it, so its associations
+    /// share one. `assoc` above is the one field that differs per endpoint.
+    cfg: Arc<AlfConfig>,
 }
 
 // The next field added to the endpoint's inline part fails the build with
-// the number in view. 928 is the size reached, not a target met: ISSUE 18
-// asked for 768, and the difference is public types held inline — the
-// configuration (120; `config()` hands out a reference to all of it, and
-// it differs per endpoint by `assoc`, so it can be neither split nor
-// shared without a block per endpoint), `stats` (280, a `pub` field), and
-// the assembler's and the wheel's own counters (72 + 32).
-const _: () = assert!(std::mem::size_of::<AduTransport>() <= 928);
+// the number in view. 816 is the size reached, not a target met: the rest
+// is public types held inline — `stats` (280, a `pub` field) and the
+// assembler's and the wheel's own counters (72 + 32). (928 while the
+// configuration, 120, was a copy per endpoint.)
+const _: () = assert!(std::mem::size_of::<AduTransport>() <= 816);
 
 impl AduTransport {
-    /// Create an endpoint.
+    /// Create an endpoint. It allocates its configuration's block; endpoints
+    /// that share a configuration are made with
+    /// [`AduTransport::with_template`].
     pub fn new(cfg: AlfConfig) -> Self {
+        Self::with_template(Arc::new(cfg), cfg.assoc)
+    }
+
+    /// Create an endpoint for association `assoc` that shares `template`:
+    /// every field but `assoc` comes from it, and the endpoint keeps a
+    /// pointer, not a copy.
+    pub fn with_template(cfg: Arc<AlfConfig>, assoc: u16) -> Self {
         let mut assembler = Assembler::new(cfg.assembly_timeout, cfg.max_partial_adus);
         if cfg.reassembly_budget_bytes > 0 {
             // The shed policy follows the recovery mode: media streams
@@ -315,6 +370,7 @@ impl AduTransport {
             peer_dead: false,
             rwnd_blocked: false,
             window_ack_due: false,
+            assoc,
             window: IdRing::default(),
             ack_queue: Vec::new(),
             txq: VecDeque::new(),
@@ -344,9 +400,18 @@ impl AduTransport {
         self.cold.is_some()
     }
 
-    /// The configuration in force.
+    /// The configuration in force. Its `assoc` is the template's: an
+    /// endpoint made with [`AduTransport::with_template`] (every endpoint of
+    /// an `AlfServer`) carries its own id, which [`AduTransport::assoc`]
+    /// returns.
     pub fn config(&self) -> &AlfConfig {
         &self.cfg
+    }
+
+    /// The association id this endpoint stamps on, and accepts in, every
+    /// message.
+    pub fn assoc(&self) -> u16 {
+        self.assoc
     }
 
     /// Attach an observability handle. `role` labels this endpoint's events
@@ -377,7 +442,7 @@ impl AduTransport {
                 // span, so tracing stays O(sample) at server scale while
                 // unnamed control events (ACKs, probes) always record.
                 if let Some(n) = &name {
-                    if !tel.span_sampled_key(u32::from(self.cfg.assoc), n.span_key()) {
+                    if !tel.span_sampled_key(u32::from(self.assoc), n.span_key()) {
                         return;
                     }
                 }
@@ -385,7 +450,7 @@ impl AduTransport {
                     at_nanos: at.as_nanos(),
                     layer: role,
                     kind,
-                    assoc: u32::from(self.cfg.assoc),
+                    assoc: u32::from(self.assoc),
                     adu: name.map(|n| n.to_string()),
                     a,
                     b,
@@ -438,14 +503,12 @@ impl AduTransport {
         self.next_adu_id += 1;
         self.stats.adus_sent += 1;
         if self.window.capacity() == 0 {
-            // The send side's blocks, reserved together: ring, pacing
-            // queue and wheel end up side by side in memory (under 1 KB,
-            // usually one page) instead of the ring in one place and the
-            // other two — first needed in the middle of the first `poll`,
-            // after it has allocated a frame — in another. Worth a tenth
-            // of `server_fanin` at 10^5 endpoints, nothing at 10^3.
+            // The send side's blocks, reserved together: ring and wheel end
+            // up side by side in memory instead of the ring in one place
+            // and the wheel — first needed in the middle of the first
+            // `poll`, after it has allocated a frame — in another. Worth a
+            // tenth of `server_fanin` at 10^5 endpoints, nothing at 10^3.
             self.window.reserve(FIRST_SEND_SLOTS);
-            self.txq.reserve(FIRST_SEND_SLOTS);
             if self.cfg.recovery != RecoveryMode::NoRetransmit {
                 self.wheel.reserve();
             }
@@ -457,11 +520,11 @@ impl AduTransport {
                 total_len: payload.len() as u32,
                 payload: Some(payload),
                 deadline: SimTime::ZERO,
+                tus_unreleased: 0,
                 retries: 0,
                 repairs: 0,
                 awaiting_recompute: false,
-                tus_unreleased: 0,
-                armed: None,
+                armed: false,
             },
         );
         Ok(id)
@@ -567,8 +630,6 @@ impl AduTransport {
     /// nothing to do is a handful of compares, and a working one allocates
     /// only the frames it returns.
     pub fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-
         // Sender: dead-peer clock. While work is outstanding and the peer
         // is silent past `peer_timeout`, give up *once*: flush everything
         // to loss reports instead of retrying forever.
@@ -605,6 +666,12 @@ impl AduTransport {
         // Sender: explicit retransmissions (timeout-, NACK- or recompute-
         // triggered).
         let base = self.rto_base();
+        let mut emit = Emit {
+            frames: Vec::new(),
+            tus: 0,
+            carrier: None,
+            base,
+        };
         let retx = match &mut self.cold {
             Some(cold) => std::mem::take(&mut cold.retransmit_now),
             None => Vec::new(),
@@ -621,12 +688,13 @@ impl AduTransport {
                     sent.payload.take()
                 };
                 if let Some(payload) = payload {
-                    sent.deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
+                    let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
+                    sent.set_deadline(&mut self.wheel, id, at);
                     let name = sent.name;
-                    let queued = if full || payload.len() <= self.cfg.mtu_payload {
+                    if full || payload.len() <= self.cfg.mtu_payload {
                         self.stats.adus_retransmitted += 1;
                         self.trace(now, "adu_retx", Some(name), id, 0, payload.len() as u64);
-                        self.emit_adu(now, id, name, &payload)
+                        self.emit_adu(now, &mut emit, id, name, &payload);
                     } else {
                         // Probe: resend only the first TU; the receiver's
                         // missing-range NACKs drive the rest of the repair.
@@ -634,7 +702,7 @@ impl AduTransport {
                         self.trace(now, "probe", Some(name), id, 0, self.cfg.mtu_payload as u64);
                         let mut tu = Tu {
                             flags: 0,
-                            assoc: self.cfg.assoc,
+                            assoc: self.assoc,
                             timestamp_us: 0,
                             adu_id: id,
                             adu_len: payload.len() as u32,
@@ -646,11 +714,7 @@ impl AduTransport {
                             tu.flags |= TU_FLAG_TIMESTAMP;
                             tu.timestamp_us = micros_wrapping(now);
                         }
-                        self.txq.push_back((id, name, tu.encode()));
-                        1
-                    };
-                    if let Some(sent) = self.window.get_mut(id) {
-                        sent.tus_unreleased += queued;
+                        self.send_tu(now, &mut emit, id, name, tu.encode());
                     }
                 }
                 self.sync_timer(id);
@@ -714,7 +778,7 @@ impl AduTransport {
                     }
                     recovery => {
                         let (id, sent) = self.window.admit().expect("admit <= parked");
-                        sent.deadline = now + base;
+                        sent.set_deadline(&mut self.wheel, id, now + base);
                         let payload = if recovery == RecoveryMode::TransportBuffer {
                             sent.payload.clone()
                         } else {
@@ -725,49 +789,26 @@ impl AduTransport {
                 };
                 let payload = payload.expect("a queued ADU holds its payload");
                 self.trace(now, "adu_send", Some(name), id, 0, payload.len() as u64);
-                let queued = self.emit_adu(now, id, name, &payload);
-                if let Some(sent) = self.window.get_mut(id) {
-                    sent.tus_unreleased += queued;
-                }
+                self.emit_adu(now, &mut emit, id, name, &payload);
                 self.sync_timer(id);
             }
         }
 
-        // Release paced data TUs up to the burst budget and the token
-        // pacer. The owning ADU's retransmission clock starts from the
-        // moment its TUs actually leave, not from when they were queued
-        // behind the pacer.
-        let pace = self.pace_now;
-        // Where in `out` the last TU this poll released sits: the frame a
-        // pending ACK may ride in.
-        let mut carrier = None;
-        for _ in 0..self.cfg.burst_tus {
-            if pace > SimDuration::ZERO && now < self.next_tx_at {
-                break;
-            }
-            let Some((id, name, mut frame)) = self.txq.pop_front() else {
+        // Release what the pacing queue still holds, up to the burst budget
+        // and the token pacer (a TU sent above went straight out only if
+        // nothing was queued ahead of it).
+        while self.may_release(now, &emit) {
+            let Some((id, name, frame)) = self.txq.pop_front() else {
                 break;
             };
-            if pace > SimDuration::ZERO {
-                self.next_tx_at = self.next_tx_at.max(now) + pace;
-            }
-            if self.cfg.adaptive {
-                // Stamp at actual release, not at queueing: the echo then
-                // measures the true network round trip, excluding time
-                // spent behind the pacer — and a retransmitted TU carries
-                // a fresh stamp, making Karn's filter unnecessary.
-                restamp_tu(&mut frame, micros_wrapping(now));
-            }
-            if let Some(sent) = self.window.get_mut(id) {
-                sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
-                sent.deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-                self.sync_timer(id);
-            }
-            self.stats.tus_sent += 1;
-            self.trace(now, "tu_send", Some(name), id, 0, frame.len() as u64);
-            carrier = Some(out.len());
-            out.push(frame);
+            self.release(now, &mut emit, id, name, frame);
+            self.sync_timer(id);
         }
+        let Emit {
+            frames: mut out,
+            carrier,
+            ..
+        } = emit;
 
         // Sender: zero-window probing. When the peer's window has us fully
         // stalled (nothing in flight whose ACKs could carry an update),
@@ -777,12 +818,7 @@ impl AduTransport {
             let rto = self.rto_base();
             let cold = self.cold.get_or_insert_with(Box::default);
             if cold.next_probe_at.is_none_or(|t| now >= t) {
-                out.push(
-                    Message::WindowProbe {
-                        assoc: self.cfg.assoc,
-                    }
-                    .encode(),
-                );
+                out.push(Message::WindowProbe { assoc: self.assoc }.encode());
                 let backoff = cold.probe_backoff;
                 cold.probe_backoff = (backoff + 1).min(6);
                 cold.next_probe_at = Some(now + rto_for(rto, backoff));
@@ -813,7 +849,7 @@ impl AduTransport {
                 .map(|(ts, arrival)| (ts, micros_wrapping(now).wrapping_sub(arrival)));
             let rwnd = self.advertised_rwnd();
             let max_len = TU_HEADER_BYTES + self.cfg.mtu_payload;
-            let (assoc, mut ids) = (self.cfg.assoc, self.ack_queue.as_slice());
+            let (assoc, mut ids) = (self.assoc, self.ack_queue.as_slice());
             if carrier
                 .is_some_and(|i| wire::bundle_ack(&mut out[i], max_len, assoc, ids, echo, rwnd))
             {
@@ -834,12 +870,12 @@ impl AduTransport {
         }
         if let Some(cold) = &mut self.cold {
             for ids in std::mem::take(&mut cold.nack_queue).chunks(MAX_FRAME_ENTRIES) {
-                out.push(encode_nack(self.cfg.assoc, ids));
+                out.push(encode_nack(self.assoc, ids));
                 self.stats.control_sent += 1;
             }
             for (adu_id, ranges) in std::mem::take(&mut cold.nack_frag_out) {
                 for ranges in ranges.chunks(MAX_FRAME_ENTRIES) {
-                    out.push(encode_nack_frags(self.cfg.assoc, adu_id, ranges));
+                    out.push(encode_nack_frags(self.assoc, adu_id, ranges));
                     self.stats.control_sent += 1;
                 }
             }
@@ -868,9 +904,9 @@ impl AduTransport {
         let mut overdue: Vec<u64> = Vec::with_capacity(due.len());
         for &(deadline, id) in &due {
             if let Some(sent) = self.window.get_mut(id) {
-                if sent.armed == Some(deadline) {
+                if sent.armed && sent.deadline == deadline {
                     // The wheel consumed this entry; it is no longer armed.
-                    sent.armed = None;
+                    sent.armed = false;
                 }
                 if sent.deadline == deadline && !sent.awaiting_recompute && sent.tus_unreleased == 0
                 {
@@ -919,7 +955,7 @@ impl AduTransport {
             _ => None,
         };
         if let Ok(Frame::Tu(tu)) = &parsed {
-            if tu.assoc == self.cfg.assoc && tu.flags & TU_FLAG_PARITY == 0 {
+            if tu.assoc == self.assoc && tu.flags & TU_FLAG_PARITY == 0 {
                 let ready_before = self.assembler.ready_len();
                 match self
                     .assembler
@@ -1044,7 +1080,7 @@ impl AduTransport {
         self.heard_from_peer(now);
         match msg {
             Frame::Tu(tu) => {
-                if tu.assoc != self.cfg.assoc {
+                if tu.assoc != self.assoc {
                     self.stats.bad_messages += 1;
                     self.count_rejected("assoc_mismatch");
                     return;
@@ -1100,7 +1136,7 @@ impl AduTransport {
             }
             Frame::Ack(ack) => self.on_ack(now, ack),
             Frame::Nack { assoc, ids } => {
-                if assoc != self.cfg.assoc {
+                if assoc != self.assoc {
                     return;
                 }
                 for id in ids {
@@ -1114,13 +1150,13 @@ impl AduTransport {
                 adu_id,
                 ranges,
             } => {
-                if assoc != self.cfg.assoc {
+                if assoc != self.assoc {
                     return;
                 }
                 self.retransmit_fragments(now, adu_id, ranges.map(wire::split_range));
             }
             Frame::WindowProbe { assoc } => {
-                if assoc != self.cfg.assoc {
+                if assoc != self.assoc {
                     return;
                 }
                 // Answer with a (possibly id-less) ACK carrying the
@@ -1139,7 +1175,7 @@ impl AduTransport {
             echo,
             rwnd,
         } = ack;
-        if assoc != self.cfg.assoc {
+        if assoc != self.assoc {
             return;
         }
         self.peer_rwnd = rwnd;
@@ -1165,8 +1201,8 @@ impl AduTransport {
         let mut acked_bytes = 0u64;
         for id in ids {
             if let Some(sent) = self.window.remove(id) {
-                if let Some(d) = sent.armed {
-                    self.wheel.remove(d, id);
+                if sent.armed {
+                    self.wheel.remove(sent.deadline, id);
                 }
                 newly_acked += 1;
                 acked_bytes += u64::from(sent.total_len);
@@ -1218,19 +1254,29 @@ impl AduTransport {
     }
 
     /// Approximate memory footprint of this endpoint, in bytes: the struct
-    /// itself plus every heap block behind it — the send ring's slots and
-    /// the retransmission payloads they buffer, the pacing queue, the ACK
-    /// id queue, stage 1 (open assemblies, the completed-ADU queue, replay
-    /// islands), the timer wheel's block, and the cold state once it
-    /// exists. Deterministic (derived from lengths and capacities, never
-    /// allocator internals) — X13 uses it for the bytes-per-association
-    /// bound.
+    /// itself plus every heap block behind it — the configuration's block
+    /// while this endpoint is its only owner (a shared template is charged
+    /// to whoever interned it), the send ring's slots and the
+    /// retransmission payloads they buffer, the pacing queue and its
+    /// frames, the ACK id queue, stage 1 (open assemblies, the
+    /// completed-ADU queue, replay islands), the timer wheel's block, and
+    /// the cold state once it exists. Deterministic (derived from lengths
+    /// and capacities, never allocator internals) — X13 uses it for the
+    /// bytes-per-association bound, and `tests/alloc_budget.rs` checks it
+    /// against the bytes a warm endpoint really holds.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
+        let config = if Arc::strong_count(&self.cfg) == 1 {
+            config_block_bytes()
+        } else {
+            0
+        };
         size_of::<Self>()
+            + config
             + self.window.capacity() * size_of::<(u64, SentAdu)>()
             + self.retransmit_buffer_bytes()
             + self.txq.capacity() * size_of::<(u64, AduName, Vec<u8>)>()
+            + self.txq.iter().map(|(_, _, f)| f.capacity()).sum::<usize>()
             + self.ack_queue.capacity() * size_of::<u64>()
             + self.assembler.approx_mem_bytes()
             + self.wheel.approx_mem_bytes()
@@ -1288,8 +1334,8 @@ impl AduTransport {
         let cold = self.cold.get_or_insert_with(Box::default);
         // In-flight ADUs, then the ones still queued, in id order.
         for (id, sent) in self.window.drain() {
-            if let Some(d) = sent.armed {
-                self.wheel.remove(d, id);
+            if sent.armed {
+                self.wheel.remove(sent.deadline, id);
             }
             self.stats.adus_given_up += 1;
             self.stats.losses_reported += 1;
@@ -1347,24 +1393,28 @@ impl AduTransport {
         }
     }
 
-    /// Fragment and queue an ADU's TUs (plus FEC parity when configured);
-    /// returns how many were queued.
+    /// Fragment an ADU and send its TUs (plus FEC parity when configured).
     ///
     /// Fragmentation slices the payload (O(1) views, no copy) and each TU
     /// is encoded as it is cut — no list of them is built unless FEC needs
     /// the group to compute parity over.
-    fn emit_adu(&mut self, now: SimTime, id: u64, name: AduName, payload: &WireBuf) -> usize {
+    fn emit_adu(
+        &mut self,
+        now: SimTime,
+        emit: &mut Emit,
+        id: u64,
+        name: AduName,
+        payload: &WireBuf,
+    ) {
         let stamp = self.cfg.timestamps.then(|| micros_wrapping(now));
         let fec_group = self.cfg.fec_group;
         let mut protected = Vec::new();
-        let mut n = 0usize;
-        for mut tu in fragments(self.cfg.assoc, id, name, payload, self.cfg.mtu_payload) {
+        for mut tu in fragments(self.assoc, id, name, payload, self.cfg.mtu_payload) {
             if let Some(stamp) = stamp {
                 tu.timestamp_us = stamp;
                 tu.flags |= TU_FLAG_TIMESTAMP;
             }
-            self.queue_tu(&tu);
-            n += 1;
+            self.encode_tu(now, emit, &tu);
             if fec_group > 0 {
                 protected.push(tu);
             }
@@ -1374,22 +1424,80 @@ impl AduTransport {
         // so reconstruction fires only for real erasures.
         if fec_group > 0 {
             for parity in fec::build_parity(&protected, fec_group) {
-                self.queue_tu(&parity);
+                self.encode_tu(now, emit, &parity);
                 self.stats.fec_parity_sent += 1;
-                n += 1;
             }
         }
-        n
     }
 
-    /// Encode one TU into the pacing queue. This is the send side's single
-    /// data pass: [`Tu::encode`] copies the payload into the frame and
-    /// checksums it in the same sweep — one read and one write per payload
-    /// byte, booked as `alf/tu_encode`.
-    fn queue_tu(&mut self, tu: &Tu) {
+    /// Encode one TU and send it. This is the send side's single data
+    /// pass: [`Tu::encode`] copies the payload into the frame and checksums
+    /// it in the same sweep — one read and one write per payload byte,
+    /// booked as `alf/tu_encode`.
+    fn encode_tu(&mut self, now: SimTime, emit: &mut Emit, tu: &Tu) {
         let len = tu.payload.len() as u64;
-        self.txq.push_back((tu.adu_id, tu.name, tu.encode()));
+        let frame = tu.encode();
         self.ledger_touch("alf/tu_encode", len, len);
+        self.send_tu(now, emit, tu.adu_id, tu.name, frame);
+    }
+
+    /// Whether the burst budget and the token pacer let one more data TU
+    /// out of this poll.
+    fn may_release(&self, now: SimTime, emit: &Emit) -> bool {
+        emit.tus < self.cfg.burst_tus
+            && (self.pace_now == SimDuration::ZERO || now >= self.next_tx_at)
+    }
+
+    /// Send one encoded data TU from this poll: straight into its frames
+    /// when the pacer and the burst budget allow it and nothing is queued
+    /// ahead of it, otherwise to the back of the pacing queue, counted
+    /// against its ADU (whose retransmission clock waits for it). Either
+    /// way the caller re-arms the ADU's timer once all of it is sent.
+    fn send_tu(&mut self, now: SimTime, emit: &mut Emit, id: u64, name: AduName, frame: Vec<u8>) {
+        if self.txq.is_empty() && self.may_release(now, emit) {
+            self.release(now, emit, id, name, frame);
+        } else {
+            if let Some(sent) = self.window.get_mut(id) {
+                sent.tus_unreleased += 1;
+            }
+            self.txq.push_back((id, name, frame));
+        }
+    }
+
+    /// Let one data TU out: the pacer's next slot, the release-time stamp,
+    /// and the owning ADU's retransmission deadline, which runs from the
+    /// moment its TUs actually leave, not from when they were queued
+    /// behind the pacer. The caller re-arms the wheel.
+    fn release(
+        &mut self,
+        now: SimTime,
+        emit: &mut Emit,
+        id: u64,
+        name: AduName,
+        mut frame: Vec<u8>,
+    ) {
+        if self.pace_now > SimDuration::ZERO {
+            self.next_tx_at = self.next_tx_at.max(now) + self.pace_now;
+        }
+        if self.cfg.adaptive {
+            // Stamp at actual release, not at queueing: the echo then
+            // measures the true network round trip, excluding time spent
+            // behind the pacer — and a retransmitted TU carries a fresh
+            // stamp, making Karn's filter unnecessary.
+            restamp_tu(&mut frame, micros_wrapping(now));
+        }
+        if let Some(sent) = self.window.get_mut(id) {
+            // A TU that never waited was never counted: the pacing queue
+            // was empty, so every ADU's count was zero and stays so.
+            sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
+            let at = now + rto_for(emit.base, sent.backoff() + self.timeout_backoff);
+            sent.set_deadline(&mut self.wheel, id, at);
+        }
+        self.stats.tus_sent += 1;
+        self.trace(now, "tu_send", Some(name), id, 0, frame.len() as u64);
+        emit.carrier = Some(emit.frames.len());
+        emit.frames.push(frame);
+        emit.tus += 1;
     }
 
     /// RFC 3550 §6.4.1 interarrival jitter: `J += (|D| - J) / 16` where
@@ -1444,7 +1552,7 @@ impl AduTransport {
             self.stats.fec_reconstructions += 1;
             let tu = Tu {
                 flags: 0,
-                assoc: self.cfg.assoc,
+                assoc: self.assoc,
                 timestamp_us: 0,
                 adu_id,
                 adu_len,
@@ -1487,10 +1595,11 @@ impl AduTransport {
             return;
         }
         if sent.repairs
-            >= self
-                .cfg
-                .max_retries
-                .saturating_mul(self.cfg.nack_frag_rounds)
+            >= limit16(
+                self.cfg
+                    .max_retries
+                    .saturating_mul(self.cfg.nack_frag_rounds),
+            )
         {
             // More selective rounds than an honest receiver asks for over
             // the whole give-up budget (`nack_frag_rounds` per loss event):
@@ -1506,8 +1615,9 @@ impl AduTransport {
         };
         let name = sent.name;
         let total = payload.len() as u32;
-        // Each repair TU is encoded into the pacing queue as it is cut.
-        let mut queued = 0usize;
+        // Each repair TU is encoded into the pacing queue as it is cut (a
+        // frame arrival has no poll to release it into).
+        let mut queued = 0u32;
         let mut retx_bytes = 0usize;
         for (off, len) in ranges {
             if len == 0 || off as u64 + u64::from(len) > u64::from(total) {
@@ -1536,7 +1646,7 @@ impl AduTransport {
                     } else {
                         0
                     },
-                    assoc: self.cfg.assoc,
+                    assoc: self.assoc,
                     timestamp_us: stamp.unwrap_or(0),
                     adu_id,
                     adu_len: total,
@@ -1558,7 +1668,8 @@ impl AduTransport {
             .get_mut(adu_id)
             .expect("checked live above; no removal since");
         sent.repairs += 1;
-        sent.deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
+        let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
+        sent.set_deadline(&mut self.wheel, adu_id, at);
         sent.tus_unreleased += queued;
         self.stats.tus_retransmitted_selective += queued as u64;
         self.ledger_touch("alf/tu_encode", retx_bytes as u64, retx_bytes as u64);
@@ -1591,12 +1702,11 @@ impl AduTransport {
             "loss event: adu {id} now {now} deadline {} retries {}",
             sent.deadline, sent.retries
         );
-        if sent.retries >= self.cfg.max_retries {
-            let name = sent.name;
-            let armed = sent.armed;
+        if sent.retries >= limit16(self.cfg.max_retries) {
+            let (name, armed, deadline) = (sent.name, sent.armed, sent.deadline);
             self.window.remove(id);
-            if let Some(d) = armed {
-                self.wheel.remove(d, id);
+            if armed {
+                self.wheel.remove(deadline, id);
             }
             self.stats.adus_given_up += 1;
             self.stats.losses_reported += 1;
@@ -1606,7 +1716,7 @@ impl AduTransport {
         }
         sent.retries += 1;
         let deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-        sent.deadline = deadline;
+        sent.set_deadline(&mut self.wheel, id, deadline);
         match self.cfg.recovery {
             RecoveryMode::TransportBuffer => {
                 cold.retransmit_now.push((id, false));
@@ -1631,25 +1741,25 @@ impl AduTransport {
     /// Reconcile the timer wheel with an ADU's state: arm its deadline iff
     /// its retransmission clock is live (`!awaiting_recompute` and nothing
     /// of it queued behind the pacer), disarm otherwise. Every state change
-    /// funnels through here, so the wheel holds exactly one entry per live
-    /// clock and [`AduTransport::next_timeout`] reproduces the old O(n)
-    /// min-scan bit-for-bit. O(1) expected (slot-addressed removal).
+    /// funnels through here (and a moved deadline through
+    /// [`SentAdu::set_deadline`], which disarms the old one), so the wheel
+    /// holds exactly one entry per live clock and
+    /// [`AduTransport::next_timeout`] reproduces the old O(n) min-scan
+    /// bit-for-bit. O(1) expected (slot-addressed removal).
     fn sync_timer(&mut self, id: u64) {
         let Some(sent) = self.window.get_mut(id) else {
             return;
         };
-        let desired =
-            (!sent.awaiting_recompute && sent.tus_unreleased == 0).then_some(sent.deadline);
-        if desired == sent.armed {
+        let live = !sent.awaiting_recompute && sent.tus_unreleased == 0;
+        if live == sent.armed {
             return;
         }
-        if let Some(old) = sent.armed {
-            self.wheel.remove(old, id);
+        if live {
+            self.wheel.insert(sent.deadline, id);
+        } else {
+            self.wheel.remove(sent.deadline, id);
         }
-        if let Some(d) = desired {
-            self.wheel.insert(d, id);
-        }
-        sent.armed = desired;
+        sent.armed = live;
     }
 
     /// Base retransmission timeout: the RTT-derived RTO under adaptive

@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 
 pub mod block;
-pub mod mac;
 pub mod stream;
 
 /// How a manipulation constrains the order in which data units may be

@@ -32,10 +32,15 @@ pub mod cluster;
 
 use alf_core::adu::Adu;
 use alf_core::timer::TimerWheel;
-use alf_core::transport::{AduTransport, AlfConfig, AlfStats, LossReport, SendRefused};
+use alf_core::transport::{
+    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, SendRefused,
+};
 use alf_core::wire::peek_assoc;
 use ct_netsim::time::{SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::mem::size_of;
+use std::sync::Arc;
 
 /// Identity of one association terminated by the server: the originating
 /// peer (an opaque 64-bit id the caller derives from its addressing —
@@ -53,18 +58,66 @@ pub struct AssocKey {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over the key's bytes. Deliberately *not* `std`'s `RandomState`:
-/// shard placement must be deterministic across runs so two runs of the
-/// same seed produce byte-identical telemetry.
+/// FNV-1a, the server's one hash: shard placement and the tables' keys.
+/// Deliberately *not* `std`'s `RandomState`: placement must be
+/// deterministic across runs so two runs of the same seed produce
+/// byte-identical telemetry, and on a 10-byte key SipHash costs several
+/// times as much.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(FNV_OFFSET)
+    }
+}
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Rotated by half: a table indexes by the low bits, and within one
+    /// shard the low bits of [`shard_hash`] are what placed the key there,
+    /// the same for every key when the shard count is a power of two.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+type FnvBuild = BuildHasherDefault<Fnv>;
+
+/// FNV-1a over the key's little-endian bytes: the shard a key lives on.
 fn shard_hash(key: AssocKey) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in key.peer.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    let mut h = Fnv::default();
+    h.write(&key.peer.to_le_bytes());
+    h.write(&key.assoc.to_le_bytes());
+    h.0
+}
+
+/// Heap bytes of a `std` hash table of `capacity` entries of type `T`:
+/// its buckets (the power of two that holds `capacity` at a load of 7/8),
+/// one control byte per bucket and a trailing group of control bytes,
+/// in one block. Zero before the first insert.
+fn table_bytes<T>(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
     }
-    for b in key.assoc.to_le_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    h
+    // SSE2 probes 16 control bytes at a time; the portable code a word.
+    const GROUP: usize = if cfg!(all(target_arch = "x86_64", target_feature = "sse2")) {
+        16
+    } else {
+        size_of::<usize>()
+    };
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
+    };
+    let align = std::mem::align_of::<T>().max(GROUP);
+    (buckets * size_of::<T>()).next_multiple_of(align) + buckets + GROUP
 }
 
 /// Static configuration of an [`AlfServer`].
@@ -203,12 +256,15 @@ struct Slot {
     /// removes the old entry first, so the wheel's minimum is exact).
     armed: Option<SimTime>,
     /// Watchdog epoch: when outstanding work was first seen with no
-    /// delivery progress since. `None` while idle or progressing.
-    stalled_since: Option<SimTime>,
+    /// delivery progress since. [`NOT_STALLED`] while idle or progressing.
+    stalled_since: SimTime,
     /// Bumped every time the slot is vacated. Dirty-list and wheel entries
     /// carry the generation they were made under ([`SlotRef`]); one that no
     /// longer matches belongs to a previous tenant and is skipped.
     generation: u32,
+    /// ADUs taken from the endpoint at ingest since its last poll — the
+    /// delivery progress that poll reports.
+    delivered: u32,
     /// Occupied (vacant slots wait on [`Shard::free`]).
     live: bool,
     /// Already on the shard's dirty list this batch.
@@ -220,7 +276,11 @@ struct Slot {
 
 // The next field added to the slot record fails the build with the number
 // in view: one record must stay within a cache line.
-const _: () = assert!(std::mem::size_of::<Slot>() <= 64);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 56);
+
+/// [`Slot::stalled_since`] of an association that is not stalled (an
+/// instant no poll happens at).
+const NOT_STALLED: SimTime = SimTime::MAX;
 
 /// A slot index plus the generation of the tenant it was taken for — the
 /// key of every dirty-list and shard-wheel entry. Ordered by index first,
@@ -260,9 +320,8 @@ fn entry_mut(chunks: &mut Endpoints, idx: u32) -> &mut Option<AduTransport> {
 /// memory instead of hopping the heap.
 #[derive(Debug)]
 struct Shard {
-    /// Key → slot index. Lookups only — never iterated — so the std
-    /// hasher's per-process seed cannot leak into run-to-run behavior.
-    index: HashMap<AssocKey, u32>,
+    /// Key → slot index, hashed by FNV-1a. Lookups only — never iterated.
+    index: HashMap<AssocKey, u32, FnvBuild>,
     /// Slot records; vacated ones are recycled LIFO via [`Shard::free`].
     slots: Vec<Slot>,
     endpoints: Endpoints,
@@ -285,7 +344,7 @@ struct Shard {
 impl Shard {
     fn new(cfg: &ServerConfig) -> Self {
         Self {
-            index: HashMap::new(),
+            index: HashMap::default(),
             slots: Vec::new(),
             endpoints: Vec::new(),
             free: Vec::new(),
@@ -336,8 +395,9 @@ impl Shard {
                 self.slots.push(Slot {
                     key,
                     armed: None,
-                    stalled_since: None,
+                    stalled_since: NOT_STALLED,
                     generation: 0,
+                    delivered: 0,
                     live: true,
                     dirty: false,
                     stuck: false,
@@ -369,7 +429,8 @@ impl Shard {
         slot.live = false;
         slot.dirty = false;
         slot.stuck = false;
-        slot.stalled_since = None;
+        slot.stalled_since = NOT_STALLED;
+        slot.delivered = 0;
         self.free.push(idx);
         entry_mut(&mut self.endpoints, idx).take()
     }
@@ -413,6 +474,26 @@ struct BatchMetricNames {
 }
 
 impl BatchMetricNames {
+    /// Bytes of the eleven names' buffers.
+    fn heap_bytes(&self) -> usize {
+        [
+            &self.batches,
+            &self.frames_in,
+            &self.frames_out,
+            &self.timer_fires,
+            &self.assocs,
+            &self.stuck_assocs,
+            &self.phase_ingest,
+            &self.phase_timers,
+            &self.phase_dirty,
+            &self.phase_flush,
+            &self.slowest_assoc,
+        ]
+        .iter()
+        .map(|s| s.capacity())
+        .sum()
+    }
+
     fn new(role: &str) -> Self {
         Self {
             batches: format!("{role}.batches"),
@@ -437,6 +518,10 @@ impl BatchMetricNames {
 pub struct AlfServer {
     cfg: ServerConfig,
     shards: Vec<Shard>,
+    /// One shared block per distinct endpoint configuration, with its
+    /// `assoc` zeroed: every association made from it points here instead
+    /// of holding a copy. Dropped when its last association is removed.
+    templates: HashSet<Arc<AlfConfig>, FnvBuild>,
     /// Ingress frames queued by [`AlfServer::ingest`], drained (up to
     /// `batch_frames` at a time) by [`AlfServer::poll_batch`].
     ingress: VecDeque<(u64, Vec<u8>)>,
@@ -469,6 +554,7 @@ impl AlfServer {
         Self {
             cfg,
             shards,
+            templates: HashSet::default(),
             ingress: VecDeque::new(),
             delivered: Vec::new(),
             losses: Vec::new(),
@@ -540,23 +626,30 @@ impl AlfServer {
         !self.ingress.is_empty() || self.shards.iter().any(|s| !s.dirty.is_empty())
     }
 
-    /// Create an endpoint for `key` (the config's `assoc` field is
-    /// overridden to match the key's).
+    /// Create an endpoint for `key`. The endpoint runs under the key's
+    /// association id, whatever the config's `assoc` says, and shares one
+    /// copy of the rest with every association made from an equal config
+    /// (its [`AduTransport::config`] shows `assoc` 0; its
+    /// [`AduTransport::assoc`] is the key's).
     ///
     /// # Errors
     /// [`AssocExists`] if the key is already bound.
-    pub fn add_association(
-        &mut self,
-        key: AssocKey,
-        mut cfg: AlfConfig,
-    ) -> Result<(), AssocExists> {
+    pub fn add_association(&mut self, key: AssocKey, cfg: AlfConfig) -> Result<(), AssocExists> {
         let si = self.shard_of(key);
         let shard = &mut self.shards[si];
         if shard.index.contains_key(&key) {
             return Err(AssocExists(key));
         }
-        cfg.assoc = key.assoc;
-        let mut ep = AduTransport::new(cfg);
+        let cfg = AlfConfig { assoc: 0, ..cfg };
+        let template = match self.templates.get(&cfg) {
+            Some(t) => Arc::clone(t),
+            None => {
+                let t = Arc::new(cfg);
+                self.templates.insert(Arc::clone(&t));
+                t
+            }
+        };
+        let mut ep = AduTransport::with_template(template, key.assoc);
         if let Some(tel) = &self.telemetry {
             ep.attach_telemetry(tel.clone(), self.role);
         }
@@ -574,6 +667,12 @@ impl AlfServer {
         let si = self.shard_of(key);
         let ep = self.shards[si].remove(key)?;
         self.assoc_count -= 1;
+        // Held by the set and by `ep` alone: no association uses it now.
+        if let Some(t) = self.templates.get(ep.config()) {
+            if Arc::strong_count(t) == 2 {
+                self.templates.remove(ep.config());
+            }
+        }
         Some(ep)
     }
 
@@ -673,7 +772,18 @@ impl AlfServer {
             match shard.index.get(&key) {
                 Some(&idx) => {
                     shard.counters.frames_in += 1;
-                    shard.endpoint_mut(idx).on_frame(now, frame.into());
+                    let ep = shard.endpoint_mut(idx);
+                    ep.on_frame(now, frame.into());
+                    // What the frame completed is taken now, while the
+                    // endpoint is in cache: its ready queue never holds
+                    // more than the one ADU a frame can complete.
+                    let mut delivered = 0;
+                    while let Some((adu, latency)) = ep.recv_adu() {
+                        delivered += 1;
+                        self.delivered.push((key, adu, latency));
+                    }
+                    report.adus_delivered += delivered as usize;
+                    shard.slots[idx as usize].delivered += delivered;
                     shard.mark_dirty(idx);
                 }
                 None => shard.counters.misdelivered += 1,
@@ -730,14 +840,15 @@ impl AlfServer {
                     .expect("live slot holds an endpoint");
                 let frames = ep.poll(now);
                 let moved = !frames.is_empty();
-                let mut work = 0u64;
+                let mut work = u64::from(slot.delivered);
+                let mut delivered_now = slot.delivered > 0;
+                slot.delivered = 0;
                 for f in frames {
                     report.egress_frames += 1;
                     shard.counters.frames_out += 1;
                     work += 1;
                     egress.push((key.peer, f));
                 }
-                let mut delivered_now = false;
                 while let Some((adu, latency)) = ep.recv_adu() {
                     report.adus_delivered += 1;
                     work += 1;
@@ -758,12 +869,12 @@ impl AlfServer {
                 // episode, cleared by progress. Pure observation: nothing
                 // about the poll, re-arm, or dirty protocol changes.
                 if delivered_now || !outstanding {
-                    slot.stalled_since = None;
+                    slot.stalled_since = NOT_STALLED;
                     slot.stuck = false;
                 } else {
                     match slot.stalled_since {
-                        None => slot.stalled_since = Some(now),
-                        Some(since) => {
+                        NOT_STALLED => slot.stalled_since = now,
+                        since => {
                             if !slot.stuck && now.saturating_since(since) >= self.cfg.stuck_deadline
                             {
                                 slot.stuck = true;
@@ -1142,39 +1253,55 @@ impl AlfServer {
         }
     }
 
-    /// Approximate resident footprint in bytes: per shard, the slot
-    /// records, the endpoint chunks' filled entries (an endpoint's inline
-    /// part lives there), each live endpoint's heap blocks (the rest of
-    /// [`AduTransport::approx_mem_bytes`]), the key index, wheel, dirty and
-    /// free lists; plus the ingress and delivery queues. Deterministic
-    /// (capacity-derived, no allocator introspection) so X13 can commit it
-    /// to a gated baseline.
+    /// Memory footprint in bytes: the server and every heap block it
+    /// holds — per shard the slot records, the endpoint chunks (an
+    /// endpoint's inline part lives there), each live endpoint's own heap
+    /// blocks (the rest of [`AduTransport::approx_mem_bytes`]), the key
+    /// index, wheel, dirty and free lists; the shared configuration
+    /// templates; the ingress queue and its frames, and the delivery and
+    /// loss queues. Deterministic (derived from lengths and capacities,
+    /// never allocator internals) so X13 can commit it to a gated
+    /// baseline; `tests/alloc_budget.rs` checks it against what a warm
+    /// server really holds. The payloads of undelivered ADUs and of
+    /// retransmission buffers are views of chunks shared with the
+    /// application, counted by their length.
     pub fn approx_mem_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut total = size_of::<Self>();
+        let mut total = size_of::<Self>() + self.shards.capacity() * size_of::<Shard>();
         for shard in &self.shards {
-            total += size_of::<Shard>();
             total += shard.wheel.approx_mem_bytes();
             total += shard.wheel_scratch.capacity() * size_of::<(SimTime, SlotRef)>();
             total += (shard.dirty.capacity() + shard.draining.capacity()) * size_of::<SlotRef>();
             total += shard.free.capacity() * size_of::<u32>();
             total += shard.slots.capacity() * size_of::<Slot>();
             total += shard.endpoints.capacity() * size_of::<Vec<Option<AduTransport>>>();
-            // A chunk's unfilled tail is reserved address space the shard
-            // has never written, not resident memory.
-            total += shard.slots.len() * size_of::<Option<AduTransport>>();
-            // Hash index: entry + control-byte overhead per bucket.
-            total += shard.index.capacity() * (size_of::<(AssocKey, u32)>() + 2);
+            total += shard
+                .endpoints
+                .iter()
+                .map(|c| c.capacity() * size_of::<Option<AduTransport>>())
+                .sum::<usize>();
+            total += table_bytes::<(AssocKey, u32)>(shard.index.capacity());
             for ep in shard.endpoints() {
                 total += ep.approx_mem_bytes() - size_of::<AduTransport>();
             }
         }
-        total += self
-            .ingress
-            .iter()
-            .map(|(_, f)| f.capacity() + size_of::<(u64, Vec<u8>)>())
-            .sum::<usize>();
-        total += self.delivered.capacity() * size_of::<(AssocKey, Adu, SimDuration)>();
+        total += table_bytes::<Arc<AlfConfig>>(self.templates.capacity())
+            + self.templates.len() * config_block_bytes();
+        total += self.ingress.capacity() * size_of::<(u64, Vec<u8>)>()
+            + self
+                .ingress
+                .iter()
+                .map(|(_, f)| f.capacity())
+                .sum::<usize>();
+        total += self.delivered.capacity() * size_of::<(AssocKey, Adu, SimDuration)>()
+            + self
+                .delivered
+                .iter()
+                .map(|(_, a, _)| a.len())
+                .sum::<usize>();
+        total += self.losses.capacity() * size_of::<(AssocKey, LossReport)>();
+        if let Some(names) = &self.batch_names {
+            total += names.heap_bytes();
+        }
         total
     }
 }
@@ -1272,7 +1399,7 @@ mod tests {
                 for (peer, _, client) in &mut clients {
                     if *peer == p {
                         // The wire assoc id demultiplexes within the peer.
-                        if peek_assoc(&f) == Some(client.config().assoc) {
+                        if peek_assoc(&f) == Some(client.assoc()) {
                             client.on_frame(now, f.clone().into());
                         }
                     }
@@ -1393,7 +1520,40 @@ mod tests {
             ..AlfConfig::default()
         };
         server.add_association(key(1, 7), cfg).unwrap();
-        assert_eq!(server.endpoint(key(1, 7)).unwrap().config().assoc, 7);
+        let ep = server.endpoint(key(1, 7)).unwrap();
+        assert_eq!(ep.assoc(), 7);
+        // The rest comes from the shared template, not from the key.
+        assert_eq!(ep.config().assoc, 0);
+    }
+
+    #[test]
+    fn equal_configs_share_one_template_until_their_last_association_goes() {
+        let mut server = AlfServer::new(ServerConfig::default());
+        for assoc in 1..=3u16 {
+            // Configs that differ only by `assoc` are one configuration.
+            let cfg = AlfConfig {
+                assoc,
+                ..AlfConfig::default()
+            };
+            server.add_association(key(1, assoc), cfg).unwrap();
+        }
+        let other = AlfConfig {
+            window_adus: 8,
+            ..AlfConfig::default()
+        };
+        server.add_association(key(2, 1), other).unwrap();
+        assert_eq!(server.templates.len(), 2);
+        let config = |k| server.endpoint(k).unwrap().config();
+        assert!(std::ptr::eq(config(key(1, 1)), config(key(1, 3))));
+        assert!(!std::ptr::eq(config(key(1, 1)), config(key(2, 1))));
+        assert_eq!(config(key(2, 1)).window_adus, 8);
+
+        server.remove_association(key(2, 1)).unwrap();
+        assert_eq!(server.templates.len(), 1);
+        for assoc in 1..=3u16 {
+            server.remove_association(key(1, assoc)).unwrap();
+        }
+        assert!(server.templates.is_empty());
     }
 
     #[test]

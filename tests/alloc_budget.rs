@@ -7,7 +7,9 @@
 //! an owned frame is wrapped in). A tree node, a
 //! scratch `Vec` or a thrown-away queue capacity on that path shows up here
 //! as a number, on any host, every run. So does the structure a warm, idle
-//! endpoint keeps: how many heap blocks it holds, each one named.
+//! endpoint keeps: how many heap blocks it holds, each one named, and how
+//! many bytes — which `approx_mem_bytes`, the figure X13 and the benchmark
+//! report, must equal.
 
 use alf_core::adu::AduName;
 use alf_core::transport::{AduTransport, AlfConfig};
@@ -18,13 +20,21 @@ use ct_transport::{StreamConfig, StreamTransport};
 use ct_wire::WireBuf;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     // Per thread, so the test harness's other threads stay out of a count;
     // `const` and destructor-free, so safe to touch inside the allocator.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    // Blocks this thread allocated and has not freed yet.
+    // Blocks this thread allocated and has not freed yet, and their bytes
+    // (as requested: the allocator's own headers and rounding are not
+    // counted).
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn add(counter: &'static std::thread::LocalKey<Cell<i64>>, n: i64) {
+    let _ = counter.try_with(|c| c.set(c.get() + n));
 }
 
 struct CountingAlloc;
@@ -35,19 +45,22 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        let _ = LIVE.try_with(|c| c.set(c.get() + 1));
+        add(&LIVE, 1);
+        add(&LIVE_BYTES, layout.size() as i64);
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        add(&LIVE_BYTES, new_size as i64 - layout.size() as i64);
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        let _ = LIVE.try_with(|c| c.set(c.get() - 1));
+        add(&LIVE, -1);
+        add(&LIVE_BYTES, -(layout.size() as i64));
         // SAFETY: same contract as the caller's.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -65,9 +78,17 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// Heap blocks freed by dropping `value` — the blocks it was holding.
 fn blocks_held<T>(value: T) -> i64 {
-    let before = LIVE.with(Cell::get);
+    held(value).0
+}
+
+/// `(blocks, bytes)` freed by dropping `value`: what it was holding.
+fn held<T>(value: T) -> (i64, i64) {
+    let (blocks, bytes) = (LIVE.with(Cell::get), LIVE_BYTES.with(Cell::get));
     drop(value);
-    before - LIVE.with(Cell::get)
+    (
+        blocks - LIVE.with(Cell::get),
+        bytes - LIVE_BYTES.with(Cell::get),
+    )
 }
 
 const NOW: SimTime = SimTime::ZERO;
@@ -91,7 +112,31 @@ fn one_adu(a: &mut AduTransport, b: &mut AduTransport, index: u64, payload: &Wir
 /// A pair that has already carried `warm` ADUs of `payload`, so every
 /// queue and ring is at its working capacity.
 fn warm_pair(cfg: AlfConfig, payload: &WireBuf, warm: u64) -> (AduTransport, AduTransport) {
-    let (mut a, mut b) = (AduTransport::new(cfg), AduTransport::new(cfg));
+    warm_up(
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+        payload,
+        warm,
+    )
+}
+
+/// [`warm_pair`] for two endpoints that share `template`, as the
+/// associations of an `AlfServer` do: neither owns the configuration.
+fn warm_shared_pair(
+    template: &Arc<AlfConfig>,
+    payload: &WireBuf,
+    warm: u64,
+) -> (AduTransport, AduTransport) {
+    let ep = || AduTransport::with_template(Arc::clone(template), 1);
+    warm_up(ep(), ep(), payload, warm)
+}
+
+fn warm_up(
+    mut a: AduTransport,
+    mut b: AduTransport,
+    payload: &WireBuf,
+    warm: u64,
+) -> (AduTransport, AduTransport) {
     for index in 0..warm {
         one_adu(&mut a, &mut b, index, payload);
     }
@@ -210,33 +255,34 @@ fn rpc_round_carries_both_acks_and_allocates_six() {
 }
 
 #[test]
-fn warm_idle_endpoint_holds_three_blocks_and_no_cold_state() {
-    // What an association costs while nothing is in flight. Sender: the
-    // send ring (admission queue and unacknowledged window in one), the
-    // pacing queue, the retransmission wheel's single block. Receiver: the
-    // completed-ADU queue and the ACK id list — its wheel never saw an
+fn warm_idle_endpoint_holds_two_blocks_and_no_cold_state() {
+    // What an association costs while nothing is in flight, for endpoints
+    // that share their configuration as an `AlfServer`'s do. Sender: the
+    // send ring (admission queue and unacknowledged window in one) and the
+    // retransmission wheel's single block — an unpaced sender's TUs leave
+    // in the poll that encodes them, so it has no pacing queue. Receiver:
+    // the completed-ADU queue and the ACK id list — its wheel never saw an
     // insert and its in-order replay window is two inline words. (The
-    // parent of this test held five each: a wheel slot table allocated at
-    // construction and a bucket per touched slot, `unacked` and `queue`
-    // apart, `ready` and `deliver` apart, a replay-run deque.)
+    // parent of this test held three on the sender, the pacing queue
+    // among them; the one before that five each.)
     let one_tu = WireBuf::from_vec(vec![7u8; 200]);
     let twelve_tus = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
+    let template = Arc::new(AlfConfig {
+        mtu_payload: 1400,
+        ..AlfConfig::default()
+    });
     for (payload, rounds) in [
         (&one_tu, 1),
         (&one_tu, 16),
         (&twelve_tus, 1),
         (&twelve_tus, 8),
     ] {
-        let cfg = AlfConfig {
-            mtu_payload: 1400,
-            ..AlfConfig::default()
-        };
-        let (a, b) = warm_pair(cfg, payload, rounds);
+        let (a, b) = warm_shared_pair(&template, payload, rounds);
         // Default configuration — no timestamps, adaptive control or FEC —
         // and no fault: the recovery/estimator box was never needed.
         assert!(!a.cold_state_allocated() && !b.cold_state_allocated());
         let tus = payload.len().div_ceil(1400);
-        assert_eq!(blocks_held(a), 3, "sender after {rounds} x {tus}-TU rounds");
+        assert_eq!(blocks_held(a), 2, "sender after {rounds} x {tus}-TU rounds");
         // A receiver that has reassembled fragments keeps a third block:
         // the leaf node of the open-assemblies map, which `BTreeMap` holds
         // on to once it has had an entry.
@@ -247,8 +293,78 @@ fn warm_idle_endpoint_holds_three_blocks_and_no_cold_state() {
             "receiver after {rounds} x {tus}-TU rounds"
         );
     }
-    // Never used: nothing at all.
-    assert_eq!(blocks_held(AduTransport::new(AlfConfig::default())), 0);
+    // Never used: nothing at all — and on its own, only its configuration.
+    assert_eq!(
+        blocks_held(AduTransport::with_template(Arc::clone(&template), 1)),
+        0
+    );
+    assert_eq!(blocks_held(AduTransport::new(AlfConfig::default())), 1);
+}
+
+#[test]
+fn warm_idle_endpoint_bytes_are_pinned_and_reported_exactly() {
+    // The bytes behind the blocks above, as numbers: a change to what an
+    // endpoint keeps resident fails here with the new figure in view. And
+    // `approx_mem_bytes` — the figure X13 and the benchmark's
+    // `mem_bytes_per_assoc` report — is exactly the inline part plus these.
+    //   sender    ring 4 x 72 (id + `SentAdu`) + wheel (8 slots + pocket +
+    //             4 entries) x 24                                     600
+    //   receiver  ready queue 1 x 56 + ACK ids 4 x 8                   88
+    // (The parent of this test: sender 4 x 96 + 4 x 48 pacing queue + 312
+    // = 888, receiver 4 x 56 + 32 = 256, each beside a 120-byte copy of
+    // the configuration inline.)
+    let payload = WireBuf::from_vec(vec![7u8; 200]);
+    let template = Arc::new(AlfConfig::default());
+    let (a, b) = warm_shared_pair(&template, &payload, 16);
+    let inline = std::mem::size_of::<AduTransport>();
+    assert_eq!(inline, 816, "inline part");
+    let (ra, rb) = (a.approx_mem_bytes(), b.approx_mem_bytes());
+    assert_eq!(
+        (held(a).1, held(b).1),
+        (600, 88),
+        "[sender, receiver] bytes"
+    );
+    assert_eq!((ra - inline, rb - inline), (600, 88), "approx_mem_bytes");
+
+    // On its own an endpoint owns its configuration block, and says so.
+    for (payload, rounds) in [(&payload, 16), (&payload, 1)] {
+        let (a, b) = warm_pair(AlfConfig::default(), payload, rounds);
+        for ep in [a, b] {
+            let reported = ep.approx_mem_bytes() - inline;
+            assert_eq!(held(ep).1 as usize, reported, "after {rounds} rounds");
+        }
+    }
+}
+
+#[test]
+fn server_association_bytes_are_pinned_and_reported_exactly() {
+    // One warm association on each side of the `server_fanin` shape, every
+    // byte each server holds: `approx_mem_bytes` equals it, so X13's and
+    // the benchmark's `mem_bytes_per_assoc` are measured, not estimated.
+    // Per server: 8 shards x 320, the first endpoint chunk 64 x 816, four
+    // slot records x 56, the key index 116, dirty and draining lists 64,
+    // the chunk list 96, the shared configuration 136 and its set 52, the
+    // ingress queue 128 — 55 600 — then the client's shard wheel 1 656
+    // and the endpoints' own blocks, 600 sending and 88 receiving.
+    let mut client = AlfServer::new(ServerConfig::default());
+    let mut server = AlfServer::new(ServerConfig::default());
+    let key = AssocKey { peer: 0, assoc: 1 };
+    client.add_association(key, AlfConfig::default()).unwrap();
+    server.add_association(key, AlfConfig::default()).unwrap();
+    let payload = WireBuf::from_vec(vec![7u8; 600]);
+    let mut egress = Vec::new();
+    for index in 0..16 {
+        one_adu_through_servers(&mut client, &mut server, index, &payload, &mut egress);
+    }
+    let inline = std::mem::size_of::<AlfServer>();
+    let (rc, rs) = (client.approx_mem_bytes(), server.approx_mem_bytes());
+    let (hc, hs) = (held(client).1 as usize, held(server).1 as usize);
+    assert_eq!(
+        (rc - inline, rs - inline),
+        (hc, hs),
+        "[client, server] approx_mem_bytes"
+    );
+    assert_eq!((hc, hs), (57_856, 55_688), "[client, server] bytes held");
 }
 
 /// One single-TU ADU from a client stack to a server stack and its ACK
