@@ -370,9 +370,9 @@ mod tests {
         }
         assert_eq!(sink.total_bytes(), expect.total_bytes());
         assert_eq!(sink.combined_digest(), expect.combined_digest());
-        assert!(tx.stats.rtt_samples > 0, "adaptive control was live");
+        assert!(tx.stats().rtt_samples > 0, "adaptive control was live");
         assert!(
-            tx.stats.cwnd_adus >= 4.0,
+            tx.stats().cwnd_adus >= 4.0,
             "clean transfer never shrinks the window"
         );
     }

@@ -221,11 +221,9 @@ pub struct ExpiryActions {
     pub abandoned: Vec<(u64, AduName)>,
 }
 
-/// Statistics for stage-1 reassembly. `repr(C)`: the four counters a
-/// fault-free TU touches lead, directly behind the ready queue in
-/// [`Assembler`].
+/// Statistics for stage-1 reassembly: the snapshot
+/// [`Assembler::stats`] returns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[repr(C)]
 pub struct AssemblerStats {
     /// TUs accepted.
     pub tus_in: u64,
@@ -252,6 +250,34 @@ pub struct AssemblerStats {
     /// exceeded the per-ADU quota — the signature of a hostile peer
     /// shredding one ADU into pathologically many tiny fragments.
     pub quota_evictions: u64,
+}
+
+/// The counters an [`Assembler`] holds: the three a fault-free TU moves,
+/// inline, and the other six in one block, allocated by the first of them
+/// to move.
+#[derive(Debug, Default)]
+struct Counters {
+    tus_in: u64,
+    adus_completed: u64,
+    zero_copy_releases: u64,
+    /// The rest, once first moved. Its three leading fields are never
+    /// written: the inline ones above stand for them.
+    rare: Option<Box<AssemblerStats>>,
+}
+
+impl Counters {
+    /// The rare counters, allocating their block on first use.
+    fn rare(&mut self) -> &mut AssemblerStats {
+        self.rare.get_or_insert_with(Box::default)
+    }
+
+    /// Count bytes gathered from held views; in-order traffic gathers
+    /// none, and adding none allocates nothing.
+    fn gathered(&mut self, bytes: usize) {
+        if bytes > 0 {
+            self.rare().gathered_bytes += bytes as u64;
+        }
+    }
 }
 
 /// What to do when admitting a new assembly would exceed the byte budget.
@@ -323,8 +349,8 @@ pub struct Assembler {
     /// what a frame completed off its back and pops the front on
     /// `recv_adu`.
     ready: VecDeque<(u64, Adu, SimDuration)>,
-    /// Counters.
-    pub stats: AssemblerStats,
+    /// Counters ([`Assembler::stats`] reads them).
+    counters: Counters,
     shed: ShedPolicy,
 }
 
@@ -345,7 +371,23 @@ impl Assembler {
             shed: ShedPolicy::default(),
             shed_notices: Vec::new(),
             sweep_after: SimTime::MAX,
-            stats: AssemblerStats::default(),
+            counters: Counters::default(),
+        }
+    }
+
+    /// Whether any rare counter was ever moved.
+    pub(crate) fn rare_counters_allocated(&self) -> bool {
+        self.counters.rare.is_some()
+    }
+
+    /// Every counter, inline and rare alike.
+    pub fn stats(&self) -> AssemblerStats {
+        let c = &self.counters;
+        AssemblerStats {
+            tus_in: c.tus_in,
+            adus_completed: c.adus_completed,
+            zero_copy_releases: c.zero_copy_releases,
+            ..c.rare.as_deref().copied().unwrap_or_default()
         }
     }
 
@@ -399,13 +441,13 @@ impl Assembler {
         let need = total as usize;
         if need > self.budget_bytes {
             // Can never fit, regardless of policy.
-            self.stats.tus_refused += 1;
+            self.counters.rare().tus_refused += 1;
             return false;
         }
         match self.shed {
             ShedPolicy::Backpressure => {
                 if self.pending_bytes() + need > self.budget_bytes {
-                    self.stats.tus_refused += 1;
+                    self.counters.rare().tus_refused += 1;
                     return false;
                 }
                 true
@@ -420,7 +462,7 @@ impl Assembler {
                     match oldest {
                         Some(id) => {
                             let a = self.remove_pending(id).expect("listed");
-                            self.stats.adus_shed += 1;
+                            self.counters.rare().adus_shed += 1;
                             self.shed_notices.push((id, a.name));
                         }
                         None => break,
@@ -437,7 +479,7 @@ impl Assembler {
     /// signal the sender rather than treat the TU as consumed).
     pub fn on_tu(&mut self, now: SimTime, tu: &Tu) -> bool {
         if self.was_released(tu.adu_id) {
-            self.stats.duplicate_tus += 1;
+            self.counters.rare().duplicate_tus += 1;
             return true;
         }
         self.accept(now, tu).is_some()
@@ -474,7 +516,7 @@ impl Assembler {
         if !known && !self.admit(tu.adu_len) {
             return None;
         }
-        self.stats.tus_in += 1;
+        self.counters.tus_in += 1;
         Some(known)
     }
 
@@ -512,7 +554,7 @@ impl Assembler {
         // is either corruption that survived the checksum (vanishingly rare)
         // or a protocol error: ignore it rather than corrupt the buffer.
         if assembly.total != tu.adu_len || assembly.name != tu.name {
-            self.stats.duplicate_tus += 1;
+            self.counters.rare().duplicate_tus += 1;
             return 0;
         }
         let before = assembly.placed.len();
@@ -523,10 +565,10 @@ impl Assembler {
             // as each round brings new bytes, keep going.
             assembly.nack_rounds = 0;
         } else if tu.adu_len != 0 {
-            self.stats.duplicate_tus += 1;
+            self.counters.rare().duplicate_tus += 1;
         }
         let drained = assembly.drain();
-        self.stats.gathered_bytes += drained as u64;
+        self.counters.gathered(drained);
         let placed = assembly.placed.len() - before;
         if self.frag_quota > 0 && assembly.held.len() > self.frag_quota as usize {
             // Fragment-view occupancy quota: this assembly has been
@@ -535,7 +577,7 @@ impl Assembler {
             // shed notice) rather than let its views pin unbounded frame
             // memory.
             let a = self.remove_pending(tu.adu_id).expect("present");
-            self.stats.quota_evictions += 1;
+            self.counters.rare().quota_evictions += 1;
             self.shed_notices.push((tu.adu_id, a.name));
         } else if assembly.is_complete() {
             self.complete(now, tu.adu_id);
@@ -548,7 +590,7 @@ impl Assembler {
                 .map(|(&id, _)| id)
                 .expect("non-empty");
             self.remove_pending(oldest);
-            self.stats.adus_abandoned += 1;
+            self.counters.rare().adus_abandoned += 1;
         }
         placed
     }
@@ -590,12 +632,12 @@ impl Assembler {
             a.placed.truncate(at);
             return Extend::Corrupt;
         }
-        self.stats.tus_in += 1;
+        self.counters.tus_in += 1;
         a.bytes_received += len as u32;
         a.last_progress_at = now;
         a.nack_rounds = 0;
         let drained = a.drain();
-        self.stats.gathered_bytes += drained as u64;
+        self.counters.gathered(drained);
         if a.is_complete() {
             self.complete(now, tu.adu_id);
         }
@@ -628,10 +670,10 @@ impl Assembler {
         zero_copy: bool,
         latency: SimDuration,
     ) {
-        self.stats.adus_completed += 1;
+        self.counters.adus_completed += 1;
         self.released.insert(adu_id);
         if zero_copy {
-            self.stats.zero_copy_releases += 1;
+            self.counters.zero_copy_releases += 1;
         }
         if self.ready.capacity() == 0 {
             // A frame completes at most one ADU, and a server takes it
@@ -676,7 +718,7 @@ impl Assembler {
                 next = next.min(self.due(now));
             } else {
                 let a = self.remove_pending(id).expect("listed");
-                self.stats.adus_abandoned += 1;
+                self.counters.rare().adus_abandoned += 1;
                 actions.abandoned.push((id, a.name));
             }
         }
@@ -809,13 +851,19 @@ impl Assembler {
     }
 
     /// Approximate heap bytes held: the reservations of open assemblies,
-    /// the ready queue's slots and the replay window's islands (none for
-    /// in-order traffic). Deterministic (lengths and capacities, never
-    /// allocator internals).
+    /// the ready queue's slots, the replay window's islands and the rare
+    /// counters' block (neither for in-order traffic). Deterministic
+    /// (lengths and capacities, never allocator internals).
     pub fn approx_mem_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.pending_bytes()
-            + self.ready.capacity() * std::mem::size_of::<(u64, Adu, SimDuration)>()
+            + self.ready.capacity() * size_of::<(u64, Adu, SimDuration)>()
             + self.released.heap_bytes()
+            + self
+                .counters
+                .rare
+                .as_ref()
+                .map_or(0, |_| size_of::<AssemblerStats>())
     }
 }
 
@@ -844,7 +892,7 @@ mod tests {
         assert_eq!(id, 0);
         assert_eq!(adu.payload, data);
         assert_eq!(adu.name, name);
-        assert_eq!(a.stats.adus_completed, 1);
+        assert_eq!(a.stats().adus_completed, 1);
     }
 
     #[test]
@@ -904,7 +952,7 @@ mod tests {
         a.on_tu(SimTime::ZERO, &tus[1]);
         let (_, adu, _) = a.pop_ready().unwrap();
         assert_eq!(adu.payload, data);
-        assert_eq!(a.stats.duplicate_tus, 1);
+        assert_eq!(a.stats().duplicate_tus, 1);
     }
 
     #[test]
@@ -922,7 +970,7 @@ mod tests {
         assert!(a.pop_ready().is_some());
         a.on_tu(SimTime::ZERO, &tus[0]);
         assert!(a.pop_ready().is_none());
-        assert_eq!(a.stats.duplicate_tus, 1);
+        assert_eq!(a.stats().duplicate_tus, 1);
     }
 
     #[test]
@@ -975,7 +1023,7 @@ mod tests {
         assert!(a.expire(SimTime::from_millis(50)).is_empty());
         let lost = a.expire(SimTime::from_millis(200));
         assert_eq!(lost, vec![(4, AduName::Media { frame: 1, slot: 0 })]);
-        assert_eq!(a.stats.adus_abandoned, 1);
+        assert_eq!(a.stats().adus_abandoned, 1);
         assert_eq!(a.pending_count(), 0);
     }
 
@@ -994,7 +1042,7 @@ mod tests {
             a.on_tu(SimTime::from_millis(id), &tus[0]); // all incomplete
         }
         assert!(a.pending_count() <= 3);
-        assert!(a.stats.adus_abandoned >= 1);
+        assert!(a.stats().adus_abandoned >= 1);
     }
 
     #[test]
@@ -1015,7 +1063,7 @@ mod tests {
         }
         // Inserting id=2 pushed pending to 3 > 2, evicting id=0 (oldest).
         assert_eq!(a.pending_count(), 2);
-        assert_eq!(a.stats.adus_abandoned, 1);
+        assert_eq!(a.stats().adus_abandoned, 1);
         assert!(a.declared_len(0).is_none());
         assert!(a.declared_len(1).is_some());
         assert!(a.declared_len(2).is_some());
@@ -1052,7 +1100,7 @@ mod tests {
             );
             a.on_tu(SimTime::ZERO, &tus[0]);
         }
-        assert_eq!(a.stats.adus_completed, 5000);
+        assert_eq!(a.stats().adus_completed, 5000);
         assert_eq!(a.released_count(), 4096);
         assert_eq!(a.released_floor(), 5000 - 4096);
         assert!(a.was_released(0)); // trimmed out, suppressed by the floor
@@ -1118,7 +1166,7 @@ mod tests {
             assert!(a.on_tu(SimTime::ZERO, &tu));
             assert!(a.frag_views() <= 17, "quota not enforced");
         }
-        assert_eq!(a.stats.quota_evictions, 1);
+        assert_eq!(a.stats().quota_evictions, 1);
         assert_eq!(a.take_shed(), vec![(0, name)]);
         // Normal fragmentation stays far under the quota and completes.
         let data = payload(4000);
@@ -1145,7 +1193,7 @@ mod tests {
                                                    // A second 2000-byte ADU would exceed the 3000-byte budget: refused.
         let tus1 = fragment_adu_buf(1, 1, AduName::Seq { index: 1 }, &payload(2000).into(), 1000);
         assert!(!a.on_tu(SimTime::ZERO, &tus1[0]));
-        assert_eq!(a.stats.tus_refused, 1);
+        assert_eq!(a.stats().tus_refused, 1);
         assert_eq!(a.pending_count(), 1);
         assert!(a.pending_bytes() <= 3000);
         // TUs for the already-admitted assembly still land.
@@ -1176,7 +1224,7 @@ mod tests {
         // A third 1400-byte ADU needs room: the oldest (id 0) is shed.
         let tus = fragment_adu_buf(1, 2, AduName::Seq { index: 2 }, &payload(1400).into(), 1000);
         assert!(a.on_tu(SimTime::from_millis(2), &tus[0]));
-        assert_eq!(a.stats.adus_shed, 1);
+        assert_eq!(a.stats().adus_shed, 1);
         assert!(a.pending_bytes() <= 3000);
         assert_eq!(a.take_shed(), vec![(0, AduName::Seq { index: 0 })]);
         assert!(a.take_shed().is_empty());
@@ -1190,7 +1238,7 @@ mod tests {
             let tus =
                 fragment_adu_buf(1, 0, AduName::Seq { index: 0 }, &payload(4000).into(), 1000);
             assert!(!a.on_tu(SimTime::ZERO, &tus[0]));
-            assert_eq!(a.stats.tus_refused, 1);
+            assert_eq!(a.stats().tus_refused, 1);
             assert_eq!(a.pending_count(), 0);
         }
     }
@@ -1343,8 +1391,8 @@ mod tests {
         let (_, adu, _) = a.pop_ready().unwrap();
         assert_eq!(adu.payload, data);
         assert!(adu.payload.same_chunk(&tus[0].payload), "release copied");
-        assert_eq!(a.stats.zero_copy_releases, 1);
-        assert_eq!(a.stats.gathered_bytes, 0);
+        assert_eq!(a.stats().zero_copy_releases, 1);
+        assert_eq!(a.stats().gathered_bytes, 0);
     }
 
     #[test]
@@ -1371,8 +1419,8 @@ mod tests {
             let (_, adu, _) = a.pop_ready().unwrap();
             assert_eq!(adu.payload, data);
             assert!(!adu.payload.same_chunk(&tus[0].payload));
-            assert_eq!(a.stats.zero_copy_releases, 0);
-            assert_eq!(a.stats.gathered_bytes, gathered, "reversed: {reversed}");
+            assert_eq!(a.stats().zero_copy_releases, 0);
+            assert_eq!(a.stats().gathered_bytes, gathered, "reversed: {reversed}");
         }
     }
 
@@ -1583,7 +1631,7 @@ mod proptests {
     /// the general path.
     fn on_tu_general(a: &mut Assembler, now: SimTime, tu: &Tu) -> bool {
         if a.was_released(tu.adu_id) {
-            a.stats.duplicate_tus += 1;
+            a.counters.rare().duplicate_tus += 1;
             return true;
         }
         match a.screen(tu) {
@@ -1665,7 +1713,7 @@ mod proptests {
                         break;
                     }
                 }
-                prop_assert_eq!(fast.stats, slow.stats);
+                prop_assert_eq!(fast.stats(), slow.stats());
                 prop_assert_eq!(fast.take_shed(), slow.take_shed());
                 prop_assert_eq!(fast.pending_count(), slow.pending_count());
                 prop_assert_eq!(fast.pending_bytes(), slow.pending_bytes());
@@ -1720,7 +1768,7 @@ mod proptests {
                     prop_assert_eq!(lazy.on_tu(now, &t), every.on_tu(now, &t));
                     prop_assert_eq!(lazy.pop_ready(), every.pop_ready());
                 }
-                prop_assert_eq!(lazy.stats, every.stats);
+                prop_assert_eq!(lazy.stats(), every.stats());
                 prop_assert_eq!(lazy.pending_count(), every.pending_count());
             }
         }

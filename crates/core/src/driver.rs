@@ -436,8 +436,8 @@ pub fn run_alf_transfer_scenario(
         // the application actually received into the data-touch ledger (so
         // ledgered manipulation stages divide into passes-per-byte).
         let mut reg = tel.metrics_mut();
-        a.stats.publish(&mut reg, "alf.sender");
-        b.stats.publish(&mut reg, "alf.receiver");
+        a.stats().publish(&mut reg, "alf.sender");
+        b.stats().publish(&mut reg, "alf.receiver");
         reg.counter_set("alf.run.delivered_bytes", delivered_bytes);
         reg.counter_set("alf.run.elapsed_ns", elapsed.as_nanos());
         drop(reg);
@@ -455,7 +455,7 @@ pub fn run_alf_transfer_scenario(
             }
         }
     }
-    let stats_b = b.stats;
+    let stats_b = b.stats();
     let delivered = stats_b.adus_delivered;
     let latency_mean = stats_b
         .delivery_latency_total
@@ -467,12 +467,12 @@ pub fn run_alf_transfer_scenario(
         verified: corrupt_deliveries == 0,
         adus_offered: adus.len(),
         adus_delivered: delivered,
-        adus_lost: lost_names + a.stats.adus_given_up.saturating_sub(lost_names),
+        adus_lost: lost_names + a.stats().adus_given_up.saturating_sub(lost_names),
         elapsed,
         goodput_mbps: ct_wire::mbps(delivered_bytes, elapsed.as_secs_f64()),
         latency_mean,
         latency_max: stats_b.delivery_latency_max,
-        sender: a.stats,
+        sender: a.stats(),
         receiver: stats_b,
         sender_buffer_peak,
         reassembly_peak,

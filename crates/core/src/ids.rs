@@ -60,18 +60,27 @@ impl<T> IdRing<T> {
     }
 
     /// `Ok(index)` of mapped `id`, or `Err(index)` where it would be
-    /// inserted. The oldest entry is tried first: ACKs arrive in send order.
+    /// inserted. Ids are distinct and sorted, so `id` sits at index
+    /// `id - oldest` or before it, and exactly there while the window has
+    /// no gap — the one slot tried before a binary search.
     fn position(&self, id: u64) -> Result<usize, usize> {
         let live = self.len();
-        match self.entries.front() {
-            Some(&(oldest, _)) if oldest == id && live > 0 => Ok(0),
-            // Parked ids lie above every mapped one, so the whole ring is
-            // sorted and a hit at or past `live` is a parked entry.
-            _ => match self.entries.binary_search_by_key(&id, |&(k, _)| k) {
-                Ok(i) if i < live => Ok(i),
-                Ok(_) => Err(live),
-                Err(i) => Err(i.min(live)),
-            },
+        let Some(&(oldest, _)) = self.entries.front() else {
+            return Err(0);
+        };
+        let Some(offset) = id.checked_sub(oldest) else {
+            return Err(0);
+        };
+        let found = match usize::try_from(offset) {
+            Ok(i) if self.entries.get(i).is_some_and(|&(k, _)| k == id) => Ok(i),
+            _ => self.entries.binary_search_by_key(&id, |&(k, _)| k),
+        };
+        // Parked ids lie above every mapped one, so the whole ring is
+        // sorted and a hit at or past `live` is a parked entry.
+        match found {
+            Ok(i) if i < live => Ok(i),
+            Ok(_) => Err(live),
+            Err(i) => Err(i.min(live)),
         }
     }
 
@@ -355,6 +364,39 @@ mod proptests {
             prop_assert!(ring.values().eq(model.values()));
             prop_assert!(ring.drain().eq(model.into_iter()));
             prop_assert!(ring.is_empty());
+        }
+
+        /// A window admitted densely from `base`, thinned by removals
+        /// (ACKs out of order) and followed by a parked tail: every id in
+        /// and around it is found where the model has it — at `id −
+        /// oldest` before the first gap, by the binary search past one —
+        /// and removed, parked and out-of-range ids are not.
+        #[test]
+        fn prop_id_ring_gapped_window_matches_btreemap(
+            base in 0u64..1000,
+            n in 1u64..64,
+            gaps in prop::collection::vec(0u64..64, 0..16),
+            parked in 0u64..4,
+        ) {
+            let mut ring: IdRing<u64> = IdRing::default();
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            for id in base..base + n {
+                ring.park(id, id * 7);
+                ring.admit().expect("just parked");
+                model.insert(id, id * 7);
+            }
+            for g in gaps {
+                let id = base + g % n;
+                prop_assert_eq!(ring.remove(id), model.remove(&id));
+            }
+            for id in base + n..base + n + parked {
+                ring.park(id, 0);
+            }
+            for id in base.saturating_sub(2)..base + n + parked + 2 {
+                prop_assert_eq!(ring.get(id), model.get(&id));
+                prop_assert_eq!(ring.contains_key(id), model.contains_key(&id));
+            }
+            prop_assert!(ring.values().eq(model.values()));
         }
     }
 

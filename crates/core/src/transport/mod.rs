@@ -43,7 +43,7 @@ mod stats;
 mod tests;
 
 pub use config::{AlfConfig, LossReport, RecoveryMode, SendRefused};
-pub use stats::AlfStats;
+pub use stats::{AlfStats, EndpointStats};
 
 use crate::timer::TimerWheel;
 use rtt::RttEstimator;
@@ -251,10 +251,10 @@ impl Default for Cold {
 /// every call touches; the send ring beside the ACK ids (what a poll tests
 /// for work); what an idle poll reads of the pacer and the retransmission
 /// wheel, then the rest of the wheel; stage 1; the delivery and id
-/// watermarks directly before the six counters of `stats` the fault-free
-/// path bumps; and the pointer to the configuration, which every endpoint
-/// built from the same one shares. Everything the fault-free path never
-/// reads is behind `cold`.
+/// watermarks directly before `stats`, the six counters the fault-free
+/// path bumps and the pointer to the rest; and the pointer to the
+/// configuration, which every endpoint built from the same one shares.
+/// Everything the fault-free path never reads is behind `cold`.
 #[derive(Debug)]
 #[repr(C)]
 pub struct AduTransport {
@@ -286,10 +286,10 @@ pub struct AduTransport {
     /// Submitted ADUs, sorted by id: the mapped part is the window of
     /// unacknowledged ADUs, the parked tail the ADUs queued for first
     /// transmission. Ids are assigned here and monotone, so submission
-    /// appends, admission maps the oldest parked entry in place, the
-    /// oldest — the one ACKs and timeouts usually name — is the front,
-    /// and anything else is a binary search over at most `window_adus`
-    /// entries.
+    /// appends, admission maps the oldest parked entry in place, and an
+    /// id sits `id − oldest` slots behind the front unless an ADU between
+    /// them has left first (acknowledged out of order); then it is a
+    /// binary search over at most `window_adus` entries.
     window: IdRing<SentAdu>,
     /// Pending outbound ACK ids.
     ack_queue: Vec<u64>,
@@ -321,8 +321,9 @@ pub struct AduTransport {
     // ---- watermarks, then the counters (fast-path ones first) -------------
     highest_delivered: Option<u64>,
     next_adu_id: u64,
-    /// Counters.
-    pub stats: AlfStats,
+    /// Counters: the fast path's inline, the rest behind one lazily
+    /// allocated block ([`AduTransport::stats`] reads them all).
+    pub stats: EndpointStats,
     /// The configuration: one block per distinct configuration, not a
     /// copy per endpoint — an `AlfServer` interns it, so its associations
     /// share one. `assoc` above is the one field that differs per endpoint.
@@ -330,11 +331,12 @@ pub struct AduTransport {
 }
 
 // The next field added to the endpoint's inline part fails the build with
-// the number in view. 816 is the size reached, not a target met: the rest
-// is public types held inline — `stats` (280, a `pub` field) and the
-// assembler's and the wheel's own counters (72 + 32). (928 while the
-// configuration, 120, was a copy per endpoint.)
-const _: () = assert!(std::mem::size_of::<AduTransport>() <= 816);
+// the number in view. 552 is the size reached, not a target met: the
+// counters inline are `stats` (56) and the assembler's (32), the fast
+// path's plus a pointer to the rest each, and the wheel's (32). (816 while
+// every counter was inline, 928 while the configuration, 120, was a copy
+// per endpoint.)
+const _: () = assert!(std::mem::size_of::<AduTransport>() <= 552);
 
 impl AduTransport {
     /// Create an endpoint. It allocates its configuration's block; endpoints
@@ -380,11 +382,7 @@ impl AduTransport {
             next_tx_at: SimTime::ZERO,
             highest_delivered: None,
             next_adu_id: 0,
-            stats: AlfStats {
-                cwnd_adus: CWND_INIT_ADUS,
-                cwnd_peak_adus: CWND_INIT_ADUS,
-                ..AlfStats::default()
-            },
+            stats: EndpointStats::default(),
             cfg,
         }
     }
@@ -398,6 +396,14 @@ impl AduTransport {
     /// the whole life of an association that stays on its fast path.
     pub fn cold_state_allocated(&self) -> bool {
         self.cold.is_some()
+    }
+
+    /// Rare-counter blocks held, the endpoint's and its assembler's: each
+    /// is allocated by the first write that moves one of its counters, so
+    /// an association that stays on its fast path holds none.
+    pub fn counter_blocks(&self) -> usize {
+        usize::from(self.stats.rare_allocated())
+            + usize::from(self.assembler.rare_counters_allocated())
     }
 
     /// The configuration in force. Its `assoc` is the template's: an
@@ -488,7 +494,7 @@ impl AduTransport {
             && self.window.len() + self.window.parked_len() >= self.cfg.window_adus
         {
             if self.rwnd_blocked {
-                self.stats.send_backpressured += 1;
+                self.stats.rare_mut().send_backpressured += 1;
                 return Err(SendRefused::Backpressured);
             }
             return Err(SendRefused::WindowFull);
@@ -608,7 +614,7 @@ impl AduTransport {
     pub fn recv_adu(&mut self) -> Option<(Adu, SimDuration)> {
         let (id, adu, latency) = self.assembler.pop_ready()?;
         if self.highest_delivered.is_some_and(|hi| id < hi) {
-            self.stats.adus_delivered_out_of_order += 1;
+            self.stats.rare_mut().adus_delivered_out_of_order += 1;
         }
         self.highest_delivered = Some(self.highest_delivered.map_or(id, |h| h.max(id)));
         Some((adu, latency))
@@ -649,8 +655,13 @@ impl AduTransport {
                 let lost = actions.abandoned.iter().chain(&shed);
                 cold.nack_queue.extend(lost.map(|&(id, _name)| id));
             }
-            self.stats.adus_shed = self.assembler.stats.adus_shed;
-            self.stats.quota_evictions = self.assembler.stats.quota_evictions;
+            let asm = self.assembler.stats();
+            if asm.adus_shed + asm.quota_evictions > 0 {
+                // Both only grow, so while they are zero so are the copies.
+                let rare = self.stats.rare_mut();
+                rare.adus_shed = asm.adus_shed;
+                rare.quota_evictions = asm.quota_evictions;
+            }
             if budget_freed && self.assembler.budget_bytes() > 0 {
                 // Freed budget is a window update the (possibly stalled)
                 // sender needs to hear about even if no ACK ids are pending.
@@ -692,13 +703,13 @@ impl AduTransport {
                     sent.set_deadline(&mut self.wheel, id, at);
                     let name = sent.name;
                     if full || payload.len() <= self.cfg.mtu_payload {
-                        self.stats.adus_retransmitted += 1;
+                        self.stats.rare_mut().adus_retransmitted += 1;
                         self.trace(now, "adu_retx", Some(name), id, 0, payload.len() as u64);
                         self.emit_adu(now, &mut emit, id, name, &payload);
                     } else {
                         // Probe: resend only the first TU; the receiver's
                         // missing-range NACKs drive the rest of the repair.
-                        self.stats.probe_tus += 1;
+                        self.stats.rare_mut().probe_tus += 1;
                         self.trace(now, "probe", Some(name), id, 0, self.cfg.mtu_payload as u64);
                         let mut tu = Tu {
                             flags: 0,
@@ -822,7 +833,7 @@ impl AduTransport {
                 let backoff = cold.probe_backoff;
                 cold.probe_backoff = (backoff + 1).min(6);
                 cold.next_probe_at = Some(now + rto_for(rto, backoff));
-                self.stats.zero_window_probes += 1;
+                self.stats.rare_mut().zero_window_probes += 1;
                 self.stats.control_sent += 1;
                 self.trace(now, "win_probe", None, u64::from(backoff), 0, 0);
             }
@@ -932,7 +943,7 @@ impl AduTransport {
             // new data is acknowledged). A single isolated timeout keeps
             // the plain per-ADU backoff.
             self.timeout_backoff = (self.timeout_backoff + 1).min(6);
-            self.stats.rto_backoff_events += 1;
+            self.stats.rare_mut().rto_backoff_events += 1;
         }
     }
 
@@ -1011,7 +1022,7 @@ impl AduTransport {
 
     /// Count and trace a frame refused at ingest.
     fn reject(&mut self, now: SimTime, reason: &'static str, len: usize) {
-        self.stats.bad_messages += 1;
+        self.stats.rare_mut().bad_messages += 1;
         self.count_rejected(reason);
         self.trace(now, "bad_msg", None, 0, 0, len as u64);
     }
@@ -1081,7 +1092,7 @@ impl AduTransport {
         match msg {
             Frame::Tu(tu) => {
                 if tu.assoc != self.assoc {
-                    self.stats.bad_messages += 1;
+                    self.stats.rare_mut().bad_messages += 1;
                     self.count_rejected("assoc_mismatch");
                     return;
                 }
@@ -1094,7 +1105,7 @@ impl AduTransport {
                     // this check sound even for ancient ids (see
                     // [`crate::assembler::Assembler`]), and it is the TU's
                     // only replay lookup: stage 1 trusts it.
-                    self.stats.tus_replayed += 1;
+                    self.stats.rare_mut().tus_replayed += 1;
                     self.count_rejected("replayed");
                     self.ack_queue.push(tu.adu_id);
                     return;
@@ -1110,7 +1121,7 @@ impl AduTransport {
                         let held = &mut self.cold_mut().parities;
                         held.entry(tu.adu_id).or_default().push(p);
                     } else {
-                        self.stats.bad_messages += 1;
+                        self.stats.rare_mut().bad_messages += 1;
                         self.count_rejected("bad_parity");
                     }
                     self.try_fec_reconstruct(now, tu.adu_id, tu.name);
@@ -1122,7 +1133,7 @@ impl AduTransport {
                     // refused (not silently lost — the sender still holds
                     // the ADU). Owe the peer a window update so it stops
                     // pushing until budget frees.
-                    self.stats.tus_backpressured += 1;
+                    self.stats.rare_mut().tus_backpressured += 1;
                     self.window_ack_due = true;
                     return;
                 };
@@ -1189,11 +1200,12 @@ impl AduTransport {
             if rtt < 1 << 31 {
                 let est = &mut self.cold.get_or_insert_with(Box::default).rtt;
                 est.on_sample(rtt as f64);
-                self.stats.srtt_us = est.srtt_us;
-                self.stats.rttvar_us = est.rttvar_us;
-                self.stats.rtt_samples = est.samples;
+                let rare = self.stats.rare_mut();
+                rare.srtt_us = est.srtt_us;
+                rare.rttvar_us = est.rttvar_us;
+                rare.rtt_samples = est.samples;
                 if let Some(rto) = est.rto(self.cfg.rto_min, self.cfg.rto_max) {
-                    self.stats.rto_us = rto.as_nanos() as f64 / 1_000.0;
+                    rare.rto_us = rto.as_nanos() as f64 / 1_000.0;
                 }
             }
         }
@@ -1259,11 +1271,12 @@ impl AduTransport {
     /// to whoever interned it), the send ring's slots and the
     /// retransmission payloads they buffer, the pacing queue and its
     /// frames, the ACK id queue, stage 1 (open assemblies, the
-    /// completed-ADU queue, replay islands), the timer wheel's block, and
-    /// the cold state once it exists. Deterministic (derived from lengths
-    /// and capacities, never allocator internals) — X13 uses it for the
-    /// bytes-per-association bound, and `tests/alloc_budget.rs` checks it
-    /// against the bytes a warm endpoint really holds.
+    /// completed-ADU queue, replay islands, its rare counters), the timer
+    /// wheel's block, and the cold state and the rare counters once they
+    /// exist. Deterministic (derived from lengths and capacities, never
+    /// allocator internals) — X13 uses it for the bytes-per-association
+    /// bound, and `tests/alloc_budget.rs` checks it against the bytes a
+    /// warm endpoint really holds.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
         let config = if Arc::strong_count(&self.cfg) == 1 {
@@ -1283,11 +1296,17 @@ impl AduTransport {
             + self.cold.as_ref().map_or(0, |c| {
                 size_of::<Cold>() + c.wheel_scratch.capacity() * size_of::<(SimTime, u64)>()
             })
+            + self.stats.heap_bytes()
+    }
+
+    /// Every counter and estimator read-out, inline and rare alike.
+    pub fn stats(&self) -> AlfStats {
+        AlfStats::from(&self.stats)
     }
 
     /// Stage-1 statistics.
     pub fn assembler_stats(&self) -> crate::assembler::AssemblerStats {
-        self.assembler.stats
+        self.assembler.stats()
     }
 
     // ------------------------------------------------------------------
@@ -1322,7 +1341,7 @@ impl AduTransport {
             return;
         }
         self.peer_dead = true;
-        self.stats.peer_unreachable_events += 1;
+        self.stats.rare_mut().peer_unreachable_events += 1;
         self.trace(
             now,
             "peer_dead",
@@ -1337,8 +1356,9 @@ impl AduTransport {
             if sent.armed {
                 self.wheel.remove(sent.deadline, id);
             }
-            self.stats.adus_given_up += 1;
-            self.stats.losses_reported += 1;
+            let rare = self.stats.rare_mut();
+            rare.adus_given_up += 1;
+            rare.losses_reported += 1;
             cold.loss_reports.push(LossReport {
                 adu_id: id,
                 name: sent.name,
@@ -1425,7 +1445,7 @@ impl AduTransport {
         if fec_group > 0 {
             for parity in fec::build_parity(&protected, fec_group) {
                 self.encode_tu(now, emit, &parity);
-                self.stats.fec_parity_sent += 1;
+                self.stats.rare_mut().fec_parity_sent += 1;
             }
         }
     }
@@ -1505,13 +1525,14 @@ impl AduTransport {
     /// stamped TUs (all arithmetic wrapping, µs).
     fn update_jitter(&mut self, now: SimTime, ts_us: u32) {
         let arrival = micros_wrapping(now);
-        self.stats.timestamped_tus += 1;
+        self.stats.rare_mut().timestamped_tus += 1;
         let prev = self.cold_mut().prev_timing.replace((arrival, ts_us));
         if let Some((prev_arrival, prev_ts)) = prev {
             let d = (arrival.wrapping_sub(prev_arrival) as i32)
                 .wrapping_sub(ts_us.wrapping_sub(prev_ts) as i32);
             let d = (d as f64).abs();
-            self.stats.jitter_us += (d - self.stats.jitter_us) / 16.0;
+            let rare = self.stats.rare_mut();
+            rare.jitter_us += (d - rare.jitter_us) / 16.0;
         }
     }
 
@@ -1549,7 +1570,7 @@ impl AduTransport {
         }
         let mut placed = 0;
         for (frag_off, payload) in rebuilt {
-            self.stats.fec_reconstructions += 1;
+            self.stats.rare_mut().fec_reconstructions += 1;
             let tu = Tu {
                 flags: 0,
                 assoc: self.assoc,
@@ -1625,7 +1646,7 @@ impl AduTransport {
                 // protocol error (corrupted or forged NACK) — reject the
                 // range and say so, rather than clamping it into a
                 // plausible-looking repair that masks the bug.
-                self.stats.nack_range_errors += 1;
+                self.stats.rare_mut().nack_range_errors += 1;
                 self.trace(
                     now,
                     "nack_range_err",
@@ -1671,7 +1692,7 @@ impl AduTransport {
         let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
         sent.set_deadline(&mut self.wheel, adu_id, at);
         sent.tus_unreleased += queued;
-        self.stats.tus_retransmitted_selective += queued as u64;
+        self.stats.rare_mut().tus_retransmitted_selective += queued as u64;
         self.ledger_touch("alf/tu_encode", retx_bytes as u64, retx_bytes as u64);
         self.trace(
             now,
@@ -1708,8 +1729,9 @@ impl AduTransport {
             if armed {
                 self.wheel.remove(deadline, id);
             }
-            self.stats.adus_given_up += 1;
-            self.stats.losses_reported += 1;
+            let rare = self.stats.rare_mut();
+            rare.adus_given_up += 1;
+            rare.losses_reported += 1;
             cold.loss_reports.push(LossReport { adu_id: id, name });
             self.trace(now, "adu_lost", Some(name), id, 0, 0);
             return;
@@ -1725,7 +1747,7 @@ impl AduTransport {
                 if !sent.awaiting_recompute && sent.payload.is_none() {
                     sent.awaiting_recompute = true;
                     let name = sent.name;
-                    self.stats.recompute_requests += 1;
+                    self.stats.rare_mut().recompute_requests += 1;
                     cold.recompute_out.push(LossReport { adu_id: id, name });
                 } else if sent.payload.is_some() {
                     // A recomputed payload is still cached from a previous
@@ -1790,8 +1812,9 @@ impl AduTransport {
             }
         }
         cold.cwnd = cold.cwnd.min(self.cfg.window_adus as f64);
-        self.stats.cwnd_adus = cold.cwnd;
-        self.stats.cwnd_peak_adus = self.stats.cwnd_peak_adus.max(cold.cwnd);
+        let rare = self.stats.rare_mut();
+        rare.cwnd_adus = cold.cwnd;
+        rare.cwnd_peak_adus = rare.cwnd_peak_adus.max(cold.cwnd);
     }
 
     /// AIMD multiplicative decrease, at most once per round trip — the
@@ -1811,8 +1834,9 @@ impl AduTransport {
         cold.last_cwnd_cut = Some(now);
         cold.ssthresh = (cold.cwnd / 2.0).max(1.0);
         cold.cwnd = cold.ssthresh;
-        self.stats.cwnd_adus = cold.cwnd;
-        self.stats.loss_events += 1;
+        let rare = self.stats.rare_mut();
+        rare.cwnd_adus = cold.cwnd;
+        rare.loss_events += 1;
     }
 
     /// Fold newly ACKed bytes into the delivery-rate estimate and re-derive
@@ -1838,7 +1862,7 @@ impl AduTransport {
         };
         cold.rate_bytes = 0;
         cold.rate_epoch = Some(now);
-        self.stats.delivery_rate_mbps = cold.rate_bps / 1e6;
+        self.stats.rare_mut().delivery_rate_mbps = cold.rate_bps / 1e6;
         let wire_bits = (self.cfg.mtu_payload + crate::wire::TU_HEADER_BYTES) as f64 * 8.0;
         let pace_ns = wire_bits / (cold.rate_bps * PACING_GAIN) * 1e9;
         self.pace_now = SimDuration::from_nanos(pace_ns as u64).min(MAX_PACE);

@@ -2,13 +2,83 @@
 
 use ct_netsim::time::SimDuration;
 
-/// Counters for an [`AduTransport`](super::AduTransport).
+/// The counters an [`AduTransport`](super::AduTransport) holds: the six the
+/// fault-free TU/ACK path bumps, inline, and every other counter and
+/// estimator read-out in one block, allocated by the first write that moves
+/// one of them. An association that never leaves its fast path — the common
+/// one in a many-association server — carries a null pointer instead of
+/// 224 bytes of zeros.
 ///
-/// `repr(C)` with the six counters the fault-free TU/ACK path bumps
-/// declared first: an endpoint that stays on that path writes the first 48
-/// of these 280 bytes and nothing else.
+/// [`AlfStats`] is the full snapshot: `AlfStats::from(&ep.stats)` (or
+/// [`AduTransport::stats`](super::AduTransport::stats)) builds one, and
+/// [`AlfStats::merge`] takes either.
+#[derive(Debug, Default)]
+pub struct EndpointStats {
+    /// ADUs accepted from the sending application.
+    pub adus_sent: u64,
+    /// TUs transmitted (data only; control excluded).
+    pub tus_sent: u64,
+    /// Control messages (ACK/NACK) transmitted.
+    pub control_sent: u64,
+    /// ADUs delivered complete to the receiving application.
+    pub adus_delivered: u64,
+    /// Sum of per-ADU delivery latency (first TU arrival → release).
+    pub delivery_latency_total: SimDuration,
+    /// Maximum per-ADU delivery latency.
+    pub delivery_latency_max: SimDuration,
+    /// Everything else, once first written. Its six leading fields are
+    /// never written: the inline ones above stand for them.
+    rare: Option<Box<AlfStats>>,
+}
+
+impl EndpointStats {
+    /// The rare counters, allocating their block on first use.
+    pub(super) fn rare_mut(&mut self) -> &mut AlfStats {
+        self.rare
+            .get_or_insert_with(|| Box::new(AlfStats::untouched()))
+    }
+
+    /// Whether any rare counter was ever written.
+    pub(super) fn rare_allocated(&self) -> bool {
+        self.rare.is_some()
+    }
+
+    /// Heap bytes held: the rare block, once it exists.
+    pub(super) fn heap_bytes(&self) -> usize {
+        self.rare
+            .as_ref()
+            .map_or(0, |_| std::mem::size_of::<AlfStats>())
+    }
+}
+
+impl From<&EndpointStats> for AlfStats {
+    fn from(s: &EndpointStats) -> Self {
+        AlfStats {
+            adus_sent: s.adus_sent,
+            tus_sent: s.tus_sent,
+            control_sent: s.control_sent,
+            adus_delivered: s.adus_delivered,
+            delivery_latency_total: s.delivery_latency_total,
+            delivery_latency_max: s.delivery_latency_max,
+            ..s.rare
+                .as_deref()
+                .copied()
+                .unwrap_or_else(AlfStats::untouched)
+        }
+    }
+}
+
+impl From<&AlfStats> for AlfStats {
+    fn from(s: &AlfStats) -> Self {
+        *s
+    }
+}
+
+/// Counters for an [`AduTransport`](super::AduTransport): the snapshot
+/// [`AduTransport::stats`](super::AduTransport::stats) returns, and what a
+/// many-association server sums its endpoints into. The endpoint itself
+/// holds an [`EndpointStats`].
 #[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
 pub struct AlfStats {
     /// ADUs accepted from the sending application.
     pub adus_sent: u64,
@@ -22,7 +92,6 @@ pub struct AlfStats {
     pub delivery_latency_total: SimDuration,
     /// Maximum per-ADU delivery latency.
     pub delivery_latency_max: SimDuration,
-    // ---- off the fault-free, in-order path from here on ----
     /// ADUs delivered whose id is lower than an already-delivered id —
     /// i.e. delivered out of order (the ALF win: these would have stalled a
     /// byte stream).
@@ -99,13 +168,25 @@ pub struct AlfStats {
 }
 
 impl AlfStats {
+    /// What an endpoint reports before anything happened: all zeros but
+    /// the congestion window, which starts at its initial size.
+    fn untouched() -> Self {
+        AlfStats {
+            cwnd_adus: super::CWND_INIT_ADUS,
+            cwnd_peak_adus: super::CWND_INIT_ADUS,
+            ..AlfStats::default()
+        }
+    }
+
     /// Fold another endpoint's stats into this one — how a many-association
     /// server aggregates per-shard totals. Counters add; latency and peak
     /// fields take the maximum; estimator gauges (jitter, SRTT, rate) also
     /// take the maximum, read as "worst/peak observed across the shard"
     /// rather than a population mean (the per-association values remain
-    /// available on each endpoint).
-    pub fn merge(&mut self, o: &AlfStats) {
+    /// available on each endpoint). Takes an `&AlfStats` or an endpoint's
+    /// `&EndpointStats`.
+    pub fn merge(&mut self, o: impl Into<AlfStats>) {
+        let o = o.into();
         self.adus_sent += o.adus_sent;
         self.tus_sent += o.tus_sent;
         self.control_sent += o.control_sent;

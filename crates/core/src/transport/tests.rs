@@ -1,5 +1,5 @@
 use super::*;
-use crate::wire::{fragment_adu_buf, WireError};
+use crate::wire::{encode_nack_frags, fragment_adu_buf, WireError};
 
 /// Decode an emitted frame (the one copy is this helper's, not the stack's).
 fn decode(frame: &[u8]) -> Result<Message, WireError> {
@@ -127,7 +127,7 @@ fn buffer_mode_recovers_from_total_loss() {
     let t1 = SimTime::from_millis(100);
     let probe = a.poll(t1);
     assert_eq!(probe.len(), 1, "first-TU probe only");
-    assert_eq!(a.stats.probe_tus, 1);
+    assert_eq!(a.stats().probe_tus, 1);
     for f in probe {
         b.on_frame(t1, f.into());
     }
@@ -141,7 +141,7 @@ fn buffer_mode_recovers_from_total_loss() {
     }
     let repair = a.poll(t2);
     assert_eq!(repair.len(), 1, "just the missing fragment");
-    assert_eq!(a.stats.tus_retransmitted_selective, 1);
+    assert_eq!(a.stats().tus_retransmitted_selective, 1);
     for f in repair {
         b.on_frame(t2, f.into());
     }
@@ -156,8 +156,8 @@ fn single_tu_adu_timeout_resends_whole() {
     let _ = a.poll(SimTime::ZERO);
     let retx = a.poll(SimTime::from_millis(100));
     assert_eq!(retx.len(), 1);
-    assert_eq!(a.stats.adus_retransmitted, 1);
-    assert_eq!(a.stats.probe_tus, 0);
+    assert_eq!(a.stats().adus_retransmitted, 1);
+    assert_eq!(a.stats().probe_tus, 0);
 }
 
 #[test]
@@ -213,7 +213,7 @@ fn sender_gives_up_and_reports_by_name() {
     assert_eq!(losses.len(), 1);
     assert_eq!(losses[0].name, name, "loss reported in application terms");
     assert!(a.send_complete());
-    assert_eq!(a.stats.adus_given_up, 1);
+    assert_eq!(a.stats().adus_given_up, 1);
 }
 
 #[test]
@@ -236,7 +236,7 @@ fn out_of_order_delivery_counted() {
     b.on_frame(SimTime::from_micros(20), frames[0].as_slice().into());
     let (adu0, _) = b.recv_adu().unwrap();
     assert_eq!(adu0.name, AduName::Seq { index: 0 });
-    assert_eq!(b.stats.adus_delivered_out_of_order, 1);
+    assert_eq!(b.stats().adus_delivered_out_of_order, 1);
 }
 
 #[test]
@@ -264,8 +264,8 @@ fn nack_triggers_selective_recovery() {
     // are resent, not the whole ADU.
     let retx = a.poll(SimTime::from_millis(10));
     assert_eq!(retx.len(), 2, "exactly the missing fragments");
-    assert_eq!(a.stats.tus_retransmitted_selective, 2);
-    assert_eq!(a.stats.adus_retransmitted, 0);
+    assert_eq!(a.stats().tus_retransmitted_selective, 2);
+    assert_eq!(a.stats().adus_retransmitted, 0);
     for f in retx {
         b.on_frame(SimTime::from_millis(11), f.into());
     }
@@ -336,8 +336,8 @@ fn selective_repairs_are_not_charged_to_the_give_up_budget() {
         a.on_frame(now, nack.clone().into());
         assert_eq!(a.poll(now).len(), 1, "round {round} repaired");
     }
-    assert_eq!(a.stats.tus_retransmitted_selective, 6);
-    assert_eq!(a.stats.adus_given_up, 0);
+    assert_eq!(a.stats().tus_retransmitted_selective, 6);
+    assert_eq!(a.stats().adus_given_up, 0);
     assert!(!a.send_complete());
     // The next two are loss events (a first-TU probe each), the third
     // finds the budget spent.
@@ -346,9 +346,9 @@ fn selective_repairs_are_not_charged_to_the_give_up_budget() {
         a.on_frame(now, nack.clone().into());
         let _ = a.poll(now);
     }
-    assert_eq!(a.stats.tus_retransmitted_selective, 6);
-    assert_eq!(a.stats.probe_tus, 2);
-    assert_eq!(a.stats.adus_given_up, 1);
+    assert_eq!(a.stats().tus_retransmitted_selective, 6);
+    assert_eq!(a.stats().probe_tus, 2);
+    assert_eq!(a.stats().adus_given_up, 1);
     assert_eq!(a.take_loss_reports().len(), 1);
     assert!(a.send_complete());
 }
@@ -372,8 +372,8 @@ fn out_of_range_repair_request_rejected_and_counted() {
     }
     .encode();
     a.on_frame(SimTime::from_millis(1), bad.into());
-    assert_eq!(a.stats.nack_range_errors, 3);
-    assert_eq!(a.stats.tus_retransmitted_selective, 0);
+    assert_eq!(a.stats().nack_range_errors, 3);
+    assert_eq!(a.stats().tus_retransmitted_selective, 0);
     assert!(
         a.poll(SimTime::from_millis(1)).is_empty(),
         "rejected ranges must not be answered"
@@ -387,8 +387,8 @@ fn out_of_range_repair_request_rejected_and_counted() {
     }
     .encode();
     a.on_frame(SimTime::from_millis(2), mixed.into());
-    assert_eq!(a.stats.nack_range_errors, 4);
-    assert_eq!(a.stats.tus_retransmitted_selective, 1);
+    assert_eq!(a.stats().nack_range_errors, 4);
+    assert_eq!(a.stats().tus_retransmitted_selective, 1);
     assert_eq!(a.poll(SimTime::from_millis(2)).len(), 1);
 }
 
@@ -431,7 +431,7 @@ fn corrupt_messages_counted() {
     let mut b = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
     b.on_frame(SimTime::ZERO, [0u8; 40].into());
     b.on_frame(SimTime::ZERO, [1u8, 2, 3].into());
-    assert_eq!(b.stats.bad_messages, 2);
+    assert_eq!(b.stats().bad_messages, 2);
 }
 
 #[test]
@@ -463,7 +463,7 @@ fn fec_repairs_single_tu_loss_without_retransmission() {
     a.send_adu(AduName::Seq { index: 0 }, data.clone()).unwrap();
     let frames = a.poll(SimTime::ZERO);
     assert_eq!(frames.len(), 4, "3 data + 1 parity");
-    assert_eq!(a.stats.fec_parity_sent, 1);
+    assert_eq!(a.stats().fec_parity_sent, 1);
     // Drop one data TU (the middle one); parity travels last.
     for (i, f) in frames.iter().enumerate() {
         if i == 1 {
@@ -473,7 +473,7 @@ fn fec_repairs_single_tu_loss_without_retransmission() {
     }
     let (adu, _) = b.recv_adu().expect("FEC must complete the ADU");
     assert_eq!(adu.payload, data);
-    assert_eq!(b.stats.fec_reconstructions, 1);
+    assert_eq!(b.stats().fec_reconstructions, 1);
 }
 
 #[test]
@@ -492,7 +492,7 @@ fn fec_parity_loss_harmless() {
     }
     let (adu, _) = b.recv_adu().unwrap();
     assert_eq!(adu.payload, data);
-    assert_eq!(b.stats.fec_reconstructions, 0);
+    assert_eq!(b.stats().fec_reconstructions, 0);
 }
 
 #[test]
@@ -534,8 +534,8 @@ fn timestamps_off_by_default_zero_jitter() {
     for (i, f) in a.poll(SimTime::ZERO).iter().enumerate() {
         b.on_frame(SimTime::from_micros(100 * i as u64), f.as_slice().into());
     }
-    assert_eq!(b.stats.timestamped_tus, 0);
-    assert_eq!(b.stats.jitter_us, 0.0);
+    assert_eq!(b.stats().timestamped_tus, 0);
+    assert_eq!(b.stats().jitter_us, 0.0);
 }
 
 #[test]
@@ -554,11 +554,11 @@ fn steady_arrivals_converge_to_low_jitter() {
             b.on_frame(t + SimDuration::from_micros(40), f.into());
         }
     }
-    assert_eq!(b.stats.timestamped_tus, 50);
+    assert_eq!(b.stats().timestamped_tus, 50);
     assert!(
-        b.stats.jitter_us < 1.0,
+        b.stats().jitter_us < 1.0,
         "constant transit must give ~zero jitter, got {}",
-        b.stats.jitter_us
+        b.stats().jitter_us
     );
 }
 
@@ -579,9 +579,9 @@ fn variable_delay_raises_jitter() {
         }
     }
     assert!(
-        b.stats.jitter_us > 100.0,
+        b.stats().jitter_us > 100.0,
         "alternating transit must register, got {}",
-        b.stats.jitter_us
+        b.stats().jitter_us
     );
 }
 
@@ -600,7 +600,7 @@ fn probe_retransmission_carries_timestamp_when_configured() {
     let t1 = SimTime::from_millis(100);
     let probe = a.poll(t1);
     assert_eq!(probe.len(), 1);
-    assert_eq!(a.stats.probe_tus, 1);
+    assert_eq!(a.stats().probe_tus, 1);
     let Ok(Message::Tu(tu)) = decode(&probe[0]) else {
         panic!("probe must decode as a TU");
     };
@@ -667,13 +667,13 @@ fn rtt_sampling_survives_microsecond_clock_wrap() {
     // exchanges complete across it (the rest queue behind the
     // delivery-rate pacer, which is orthogonal to this test).
     assert!(
-        a.stats.rtt_samples >= 5,
+        a.stats().rtt_samples >= 5,
         "echoes must keep flowing across the wrap"
     );
     assert!(
-        a.stats.srtt_us > 0.0 && a.stats.srtt_us < 10_000.0,
+        a.stats().srtt_us > 0.0 && a.stats().srtt_us < 10_000.0,
         "srtt must stay near the real ~100 µs RTT, got {}",
-        a.stats.srtt_us
+        a.stats().srtt_us
     );
 }
 
@@ -692,11 +692,11 @@ fn jitter_estimator_survives_microsecond_clock_wrap() {
             b.on_frame(t + SimDuration::from_micros(40), f.into());
         }
     }
-    assert_eq!(b.stats.timestamped_tus, 50);
+    assert_eq!(b.stats().timestamped_tus, 50);
     assert!(
-        b.stats.jitter_us < 1.0,
+        b.stats().jitter_us < 1.0,
         "the wrap must not spike the jitter estimate, got {}",
-        b.stats.jitter_us
+        b.stats().jitter_us
     );
 }
 
@@ -714,12 +714,12 @@ fn adaptive_rto_tracks_measured_rtt() {
         a.send_adu(AduName::Seq { index: i }, payload(500)).unwrap();
     }
     pump(&mut a, &mut b, SimTime::ZERO);
-    assert!(a.stats.rtt_samples > 0, "echoes must produce samples");
-    assert!(a.stats.rto_us >= 500.0, "RTO is clamped at rto_min");
+    assert!(a.stats().rtt_samples > 0, "echoes must produce samples");
+    assert!(a.stats().rto_us >= 500.0, "RTO is clamped at rto_min");
     assert!(
-        a.stats.rto_us < 50_000.0,
+        a.stats().rto_us < 50_000.0,
         "adaptive RTO must sit far below the fixed 50 ms default, got {} µs",
-        a.stats.rto_us
+        a.stats().rto_us
     );
 }
 
@@ -739,20 +739,20 @@ fn cwnd_halves_on_loss_and_regrows_on_acks() {
         a.send_adu(AduName::Seq { index: i }, payload(200)).unwrap();
     }
     now = pump(&mut a, &mut b, now);
-    let grown = a.stats.cwnd_adus;
+    let grown = a.stats().cwnd_adus;
     assert!(
         grown > CWND_INIT_ADUS,
         "clean ACKs must grow cwnd, got {grown}"
     );
-    assert_eq!(a.stats.loss_events, 0);
+    assert_eq!(a.stats().loss_events, 0);
     // Lose a transmission outright: the timeout is a loss event.
     a.send_adu(AduName::Seq { index: 99 }, payload(200))
         .unwrap();
     let _lost = a.poll(now); // dropped on the floor
     now += SimDuration::from_millis(200);
     let retx = a.poll(now);
-    assert_eq!(a.stats.loss_events, 1);
-    let halved = a.stats.cwnd_adus;
+    assert_eq!(a.stats().loss_events, 1);
+    let halved = a.stats().cwnd_adus;
     assert!(
         halved <= grown / 2.0 + 1e-9,
         "multiplicative decrease: {halved} !<= {grown}/2"
@@ -767,11 +767,11 @@ fn cwnd_halves_on_loss_and_regrows_on_acks() {
     }
     pump(&mut a, &mut b, now);
     assert!(
-        a.stats.cwnd_adus > halved,
+        a.stats().cwnd_adus > halved,
         "cwnd must regrow after recovery: {} !> {halved}",
-        a.stats.cwnd_adus
+        a.stats().cwnd_adus
     );
-    assert!(a.stats.cwnd_peak_adus >= grown);
+    assert!(a.stats().cwnd_peak_adus >= grown);
 }
 
 #[test]
@@ -810,9 +810,13 @@ fn adaptive_off_leaves_fixed_timers_in_force() {
         a.send_adu(AduName::Seq { index: i }, payload(100)).unwrap();
     }
     now = pump(&mut a, &mut b, now);
-    assert!(a.stats.rtt_samples > 0, "echoes still observed when off");
-    assert_eq!(a.stats.loss_events, 0);
-    assert_eq!(a.stats.cwnd_adus, CWND_INIT_ADUS, "cwnd untouched when off");
+    assert!(a.stats().rtt_samples > 0, "echoes still observed when off");
+    assert_eq!(a.stats().loss_events, 0);
+    assert_eq!(
+        a.stats().cwnd_adus,
+        CWND_INIT_ADUS,
+        "cwnd untouched when off"
+    );
     // A fresh ADU lost on the floor must wait the full fixed timeout.
     a.send_adu(AduName::Seq { index: 9 }, payload(100)).unwrap();
     let _lost = a.poll(now);
@@ -942,7 +946,7 @@ fn backpressure_never_exceeds_budget_and_recovers() {
         assert_eq!(&adu.payload, want, "byte-identical delivery");
     }
     assert!(
-        b.stats.tus_backpressured > 0,
+        b.stats().tus_backpressured > 0,
         "the squeeze must actually have engaged"
     );
     assert_eq!(b.assembler_stats().adus_shed, 0, "no silent shedding");
@@ -971,12 +975,12 @@ fn zero_window_probe_backs_off_and_resumes() {
             .all(|f| matches!(decode(f), Ok(Message::WindowProbe { .. }))),
         "no data may move through a zero window"
     );
-    assert_eq!(a.stats.zero_window_probes, 1);
+    assert_eq!(a.stats().zero_window_probes, 1);
     // Probes back off exponentially: the second comes after ~RTO, not
     // on the next poll.
     assert!(a.poll(SimTime::from_millis(1)).is_empty());
     assert!(!a.poll(SimTime::from_millis(51)).is_empty());
-    assert_eq!(a.stats.zero_window_probes, 2);
+    assert_eq!(a.stats().zero_window_probes, 2);
     assert!(a.poll(SimTime::from_millis(100)).is_empty());
     let t3 = a.next_timeout().expect("probe timer armed");
     assert!(t3 >= SimTime::from_millis(151), "backoff doubled");
@@ -993,7 +997,7 @@ fn zero_window_probe_backs_off_and_resumes() {
     assert!(frames
         .iter()
         .any(|f| matches!(decode(f), Ok(Message::Tu(_)))));
-    assert_eq!(a.stats.zero_window_probes, 2, "no probe after reopen");
+    assert_eq!(a.stats().zero_window_probes, 2, "no probe after reopen");
 }
 
 #[test]
@@ -1033,7 +1037,7 @@ fn silent_peer_declared_unreachable_then_heals() {
         let _ = a.poll(now);
     }
     assert!(a.peer_unreachable());
-    assert_eq!(a.stats.peer_unreachable_events, 1);
+    assert_eq!(a.stats().peer_unreachable_events, 1);
     let losses = a.take_loss_reports();
     assert_eq!(losses.len(), 1);
     assert_eq!(losses[0].name, name, "flushed in application terms");
@@ -1101,7 +1105,7 @@ fn consecutive_timeouts_stretch_rto() {
     for pair in gaps.windows(2) {
         assert!(pair[1] > pair[0], "RTO must keep stretching: {gaps:?}");
     }
-    assert!(a.stats.rto_backoff_events >= 2);
+    assert!(a.stats().rto_backoff_events >= 2);
 }
 
 #[test]
@@ -1129,7 +1133,7 @@ fn drop_oldest_shedding_for_media_counted() {
     }
     assert_eq!(b.assembler_stats().adus_shed, 2);
     let _ = b.poll(SimTime::from_millis(10));
-    assert_eq!(b.stats.adus_shed, 2, "sheds surface in AlfStats");
+    assert_eq!(b.stats().adus_shed, 2, "sheds surface in AlfStats");
 }
 
 #[test]
@@ -1151,7 +1155,7 @@ fn ack_queue_past_the_count_field_goes_out_as_whole_frames() {
     for _ in 0..REPLAYS {
         b.on_frame(SimTime::from_micros(1), tu.clone());
     }
-    assert_eq!(b.stats.tus_replayed, REPLAYS as u64);
+    assert_eq!(b.stats().tus_replayed, REPLAYS as u64);
     let acks = b.poll(SimTime::from_micros(2));
     assert_eq!(acks.len(), 2);
     let mut acked = 0;
@@ -1178,12 +1182,20 @@ fn corrupt_in_order_tu_is_rejected_and_leaves_the_prefix() {
     *bad.last_mut().unwrap() ^= 0x10;
     // The verdict a frame verified whole gets: a receiver with nothing
     // open for the ADU never copies it.
+    // Every counter but the one the rejection bumps.
+    let others = |ep: &AduTransport| {
+        let stats = AlfStats {
+            bad_messages: 0,
+            ..ep.stats()
+        };
+        format!("{stats:?} {:?}", ep.assembler_stats())
+    };
     let whole = Telemetry::new();
     let mut fresh = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
     fresh.attach_telemetry(whole.clone(), "receiver");
-    let before = format!("{:?} {:?}", fresh.stats, fresh.assembler_stats());
+    let before = others(&fresh);
     fresh.on_frame(SimTime::ZERO, bad.clone().into());
-    assert_eq!(fresh.stats.bad_messages, 1);
+    assert_eq!(fresh.stats().bad_messages, 1);
 
     let placed = Telemetry::new();
     let mut b = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
@@ -1191,16 +1203,11 @@ fn corrupt_in_order_tu_is_rejected_and_leaves_the_prefix() {
     b.on_frame(SimTime::ZERO, tus[0].encode().into());
     let prefix = b.assembler.placed(0).expect("open").clone();
     assert_eq!(prefix, data[..1400]);
-    let stats = format!("{:?} {:?}", b.stats, b.assembler_stats());
+    let stats = others(&b);
     b.on_frame(SimTime::ZERO, bad.into());
-    assert_eq!(b.stats.bad_messages, 1);
-    b.stats.bad_messages = 0;
-    fresh.stats.bad_messages = 0;
-    assert_eq!(format!("{:?} {:?}", b.stats, b.assembler_stats()), stats);
-    assert_eq!(
-        format!("{:?} {:?}", fresh.stats, fresh.assembler_stats()),
-        before
-    );
+    assert_eq!(b.stats().bad_messages, 1);
+    assert_eq!(others(&b), stats);
+    assert_eq!(others(&fresh), before);
     for tel in [&whole, &placed] {
         assert_eq!(tel.metrics().counter("alf.rx_rejected.bad_checksum"), 1);
     }
@@ -1315,10 +1322,10 @@ mod placement {
                 if !corrupt {
                     fed += f.len() - crate::wire::TU_HEADER_BYTES;
                 }
-                let bad = b.stats.bad_messages;
+                let bad = b.stats().bad_messages;
                 b.on_frame(SimTime::ZERO, f.into());
                 // A single flipped bit always breaks the Internet checksum.
-                prop_assert_eq!(b.stats.bad_messages, bad + u64::from(corrupt));
+                prop_assert_eq!(b.stats().bad_messages, bad + u64::from(corrupt));
                 while let Some((adu, _)) = b.recv_adu() {
                     let AduName::Seq { index } = adu.name else { unreachable!() };
                     let i = index as usize;
@@ -1456,7 +1463,7 @@ fn an_rpc_call_is_one_frame_each_way() {
     assert!(b.send_complete());
     for ep in [&a, &b] {
         assert_eq!((ep.stats.tus_sent, ep.stats.control_sent), (50, 50));
-        assert_eq!(ep.stats.bad_messages, 0);
+        assert_eq!(ep.stats().bad_messages, 0);
     }
 }
 
@@ -1490,7 +1497,7 @@ fn a_damaged_bundle_costs_only_the_damaged_message() {
         a.on_frame(SimTime::ZERO, bundle.into());
         assert_eq!(a.recv_adu().is_some(), delivered);
         assert_eq!(a.send_complete(), acked);
-        assert_eq!(a.stats.bad_messages, 1);
+        assert_eq!(a.stats().bad_messages, 1);
         assert_eq!(tel.metrics().counter("alf.rx_rejected.bad_checksum"), 1);
     }
 }
@@ -1602,8 +1609,191 @@ mod bundling {
             prop_assert!(delivered.iter().all(|&d| d), "undelivered: {:?}", delivered);
             for end in &ends {
                 prop_assert!(end.send_complete());
-                prop_assert_eq!(end.stats.adus_given_up, 0);
+                prop_assert_eq!(end.stats().adus_given_up, 0);
             }
         }
     }
+}
+
+/// One lossy, hostile exchange, scripted from a fixed seed: drops,
+/// duplicates, reordering and corruption both ways, FEC repair, replays of
+/// delivered TUs, a TU under another association and forged repair ranges,
+/// under adaptive control with timestamps and a tight receive budget. Returns the sender and receiver.
+fn lossy_hostile_script() -> (AduTransport, AduTransport) {
+    let config = AlfConfig {
+        timestamps: true,
+        adaptive: true,
+        fec_group: 3,
+        mtu_payload: 500,
+        window_adus: 16,
+        assembly_timeout: SimDuration::from_millis(3),
+        ..cfg(RecoveryMode::TransportBuffer)
+    };
+    // The receiver holds at most two views per assembly and 8 000 bytes of
+    // open assemblies: quota evictions and backpressure too.
+    let mut a = AduTransport::new(config);
+    let mut b = AduTransport::new(AlfConfig {
+        max_frag_views: 2,
+        reassembly_budget_bytes: 8_000,
+        ..config
+    });
+    let mut seed = 1990u64;
+    let mut roll = move |percent: u64| {
+        seed = seed
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (seed >> 33) % 100 < percent
+    };
+    let (mut held, mut seen): (Vec<Vec<u8>>, Vec<Vec<u8>>) = (Vec::new(), Vec::new());
+    let (mut now, mut index) = (SimTime::ZERO, 0u64);
+    for step in 0..600u64 {
+        now += SimDuration::from_micros(300);
+        if index < 120 {
+            let len = 100 + (index as usize * 97) % 2900;
+            if a.send_adu(AduName::Seq { index }, payload(len)).is_ok() {
+                index += 1;
+            }
+        }
+        let in_flight = (0..a.next_adu_id)
+            .rev()
+            .find(|&id| a.window.contains_key(id));
+        if let Some(id) = in_flight.filter(|_| step % 25 == 5) {
+            // A repair request for the newest ADU in flight with two forged
+            // ranges in it, one empty and one past the end.
+            let ranges = [(0, 0), (0, 50), (u32::MAX - 4, 9)];
+            a.on_frame(now, encode_nack_frags(a.assoc, id, &ranges).into());
+        }
+        let mut to_b = std::mem::take(&mut held);
+        for mut f in a.poll(now) {
+            if roll(6) {
+                continue; // dropped
+            }
+            if roll(4) {
+                let last = f.len() - 1;
+                f[last] ^= 0x20; // corrupted
+            }
+            if roll(5) {
+                held.push(f); // reordered behind the next poll's frames
+                continue;
+            }
+            if roll(8) {
+                to_b.push(f.clone()); // duplicated
+            }
+            if roll(3) {
+                seen.push(f.clone());
+            }
+            to_b.push(f);
+        }
+        if step % 40 == 39 {
+            // A replay of an old frame, and a TU under another association.
+            if let Some(old) = seen.first() {
+                to_b.push(old.clone());
+            }
+            let tu = Tu {
+                flags: 0,
+                assoc: 9,
+                timestamp_us: 0,
+                adu_id: step,
+                adu_len: 10,
+                frag_off: 0,
+                name: AduName::Seq { index: step },
+                payload: payload(10).into(),
+            };
+            to_b.push(tu.encode());
+        }
+        for f in to_b {
+            b.on_frame(now, f.into());
+        }
+        for mut f in b.poll(now) {
+            if roll(4) {
+                continue;
+            }
+            if roll(2) {
+                let last = f.len() - 1;
+                f[last] ^= 0x01;
+            }
+            a.on_frame(now, f.into());
+        }
+        while b.recv_adu().is_some() {}
+    }
+    for _ in 0..2000 {
+        if a.send_complete() {
+            break;
+        }
+        now += SimDuration::from_millis(1);
+        now = pump(&mut a, &mut b, now);
+        while b.recv_adu().is_some() {}
+    }
+    (a, b)
+}
+
+#[test]
+fn lossy_hostile_script_reports_the_pinned_counters() {
+    // Captured while every counter was held inline: a snapshot built from
+    // the inline counters and the rare block reads the same values.
+    let (a, b) = lossy_hostile_script();
+    let pinned = [
+        (
+            format!("{:?}", a.stats()),
+            concat!(
+                "AlfStats { adus_sent: 39, tus_sent: 178, control_sent: 0, ",
+                "adus_delivered: 0, delivery_latency_total: SimDuration(0), ",
+                "delivery_latency_max: SimDuration(0), ",
+                "adus_delivered_out_of_order: 0, adus_retransmitted: 2, ",
+                "tus_retransmitted_selective: 8, probe_tus: 11, timestamped_tus: 0, ",
+                "jitter_us: 0.0, fec_parity_sent: 39, fec_reconstructions: 0, ",
+                "recompute_requests: 0, adus_given_up: 0, losses_reported: 0, ",
+                "bad_messages: 1, srtt_us: 2.159343284028572, ",
+                "rttvar_us: 4.305975237884033, rto_us: 500.0, rtt_samples: 41, ",
+                "cwnd_adus: 5.575554607204394, cwnd_peak_adus: 6.0, loss_events: 13, ",
+                "delivery_rate_mbps: 0.27811472174580393, adus_shed: 0, ",
+                "tus_backpressured: 0, zero_window_probes: 0, ",
+                "send_backpressured: 82, rto_backoff_events: 5, ",
+                "peer_unreachable_events: 0, nack_range_errors: 2, tus_replayed: 0, ",
+                "quota_evictions: 0 }",
+            ),
+        ),
+        (
+            format!("{:?}", b.stats()),
+            concat!(
+                "AlfStats { adus_sent: 0, tus_sent: 0, control_sent: 152, ",
+                "adus_delivered: 39, delivery_latency_total: SimDuration(270800000), ",
+                "delivery_latency_max: SimDuration(26750000), ",
+                "adus_delivered_out_of_order: 3, adus_retransmitted: 0, ",
+                "tus_retransmitted_selective: 0, probe_tus: 0, timestamped_tus: 140, ",
+                "jitter_us: 1.6153047780045597, fec_parity_sent: 0, ",
+                "fec_reconstructions: 9, recompute_requests: 0, adus_given_up: 0, ",
+                "losses_reported: 0, bad_messages: 19, srtt_us: 0.0, rttvar_us: 0.0, ",
+                "rto_us: 0.0, rtt_samples: 0, cwnd_adus: 4.0, cwnd_peak_adus: 4.0, ",
+                "loss_events: 0, delivery_rate_mbps: 0.0, adus_shed: 0, ",
+                "tus_backpressured: 0, zero_window_probes: 0, send_backpressured: 0, ",
+                "rto_backoff_events: 0, peer_unreachable_events: 0, ",
+                "nack_range_errors: 0, tus_replayed: 34, quota_evictions: 1 }",
+            ),
+        ),
+        (
+            format!("{:?}", a.assembler_stats()),
+            concat!(
+                "AssemblerStats { tus_in: 0, adus_completed: 0, ",
+                "zero_copy_releases: 0, gathered_bytes: 0, duplicate_tus: 0, ",
+                "adus_abandoned: 0, adus_shed: 0, tus_refused: 0, ",
+                "quota_evictions: 0 }",
+            ),
+        ),
+        (
+            format!("{:?}", b.assembler_stats()),
+            concat!(
+                "AssemblerStats { tus_in: 140, adus_completed: 39, ",
+                "zero_copy_releases: 9, gathered_bytes: 3677, duplicate_tus: 8, ",
+                "adus_abandoned: 7, adus_shed: 0, tus_refused: 0, ",
+                "quota_evictions: 1 }",
+            ),
+        ),
+    ];
+    for (got, want) in pinned {
+        assert_eq!(got, want);
+    }
+    // The sender's assembler saw no TU; each other owner wrote a rare
+    // counter and holds its one block.
+    assert_eq!((a.counter_blocks(), b.counter_blocks()), (1, 2));
 }

@@ -166,7 +166,8 @@ fn main() {
     );
     println!(
         "FEC: {} parity TUs sent, {} fragments reconstructed in place",
-        tx.stats.fec_parity_sent, rx.stats.fec_reconstructions
+        tx.stats().fec_parity_sent,
+        rx.stats().fec_reconstructions
     );
     assert_eq!(decoded, values.len(), "every integer must arrive");
     println!(

@@ -109,8 +109,8 @@ fn main() {
     }
 
     if completed.len() != calls.len() {
-        eprintln!("client stats: {:#?}", client_tp.stats);
-        eprintln!("server stats: {:#?}", server_tp.stats);
+        eprintln!("client stats: {:#?}", client_tp.stats());
+        eprintln!("server stats: {:#?}", server_tp.stats());
         eprintln!("client outstanding calls: {}", client.outstanding());
         eprintln!("client send_complete: {}", client_tp.send_complete());
         eprintln!("server send_complete: {}", server_tp.send_complete());

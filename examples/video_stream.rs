@@ -128,7 +128,8 @@ fn main() {
     );
     println!(
         "FEC reconstructions: {}; interarrival jitter estimate: {:.1} us",
-        rx.stats.fec_reconstructions, rx.stats.jitter_us
+        rx.stats().fec_reconstructions,
+        rx.stats().jitter_us
     );
     assert!(
         s.render_ratio() > 0.5,

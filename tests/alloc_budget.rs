@@ -279,8 +279,10 @@ fn warm_idle_endpoint_holds_two_blocks_and_no_cold_state() {
     ] {
         let (a, b) = warm_shared_pair(&template, payload, rounds);
         // Default configuration — no timestamps, adaptive control or FEC —
-        // and no fault: the recovery/estimator box was never needed.
+        // and no fault: neither the recovery/estimator box nor a rare
+        // counter's block was ever needed.
         assert!(!a.cold_state_allocated() && !b.cold_state_allocated());
+        assert_eq!((a.counter_blocks(), b.counter_blocks()), (0, 0));
         let tus = payload.len().div_ceil(1400);
         assert_eq!(blocks_held(a), 2, "sender after {rounds} x {tus}-TU rounds");
         // A receiver that has reassembled fragments keeps a third block:
@@ -317,7 +319,7 @@ fn warm_idle_endpoint_bytes_are_pinned_and_reported_exactly() {
     let template = Arc::new(AlfConfig::default());
     let (a, b) = warm_shared_pair(&template, &payload, 16);
     let inline = std::mem::size_of::<AduTransport>();
-    assert_eq!(inline, 816, "inline part");
+    assert_eq!(inline, 552, "inline part");
     let (ra, rb) = (a.approx_mem_bytes(), b.approx_mem_bytes());
     assert_eq!(
         (held(a).1, held(b).1),
@@ -341,11 +343,12 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
     // One warm association on each side of the `server_fanin` shape, every
     // byte each server holds: `approx_mem_bytes` equals it, so X13's and
     // the benchmark's `mem_bytes_per_assoc` are measured, not estimated.
-    // Per server: 8 shards x 320, the first endpoint chunk 64 x 816, four
+    // Per server: 8 shards x 320, the first endpoint chunk 64 x 552, four
     // slot records x 56, the key index 116, dirty and draining lists 64,
     // the chunk list 96, the shared configuration 136 and its set 52, the
-    // ingress queue 128 — 55 600 — then the client's shard wheel 1 656
-    // and the endpoints' own blocks, 600 sending and 88 receiving.
+    // ingress queue 128 — 38 704 — then the client's shard wheel 1 656
+    // and the endpoints' own blocks, 600 sending and 88 receiving. (57 856
+    // and 55 688 while each endpoint held every counter inline, 816 B.)
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
     let key = AssocKey { peer: 0, assoc: 1 };
@@ -356,6 +359,10 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
     for index in 0..16 {
         one_adu_through_servers(&mut client, &mut server, index, &payload, &mut egress);
     }
+    for side in [&client, &server] {
+        let ep = side.endpoint(key).expect("bound");
+        assert_eq!(ep.counter_blocks(), 0, "a fault-free association");
+    }
     let inline = std::mem::size_of::<AlfServer>();
     let (rc, rs) = (client.approx_mem_bytes(), server.approx_mem_bytes());
     let (hc, hs) = (held(client).1 as usize, held(server).1 as usize);
@@ -364,7 +371,35 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
         (hc, hs),
         "[client, server] approx_mem_bytes"
     );
-    assert_eq!((hc, hs), (57_856, 55_688), "[client, server] bytes held");
+    assert_eq!((hc, hs), (40_960, 38_792), "[client, server] bytes held");
+}
+
+#[test]
+fn one_corrupt_frame_allocates_one_counter_block_and_reports_it() {
+    // A rejected frame moves one rare counter, `bad_messages`: the
+    // endpoint allocates that block and nothing else, and
+    // `approx_mem_bytes` grows by exactly its bytes.
+    let payload = WireBuf::from_vec(vec![7u8; 200]);
+    let template = Arc::new(AlfConfig::default());
+    let (mut a, mut b) = warm_shared_pair(&template, &payload, 16);
+    a.send_adu(AduName::Seq { index: 16 }, payload)
+        .expect("window open");
+    let mut frame = a.poll(NOW).pop().expect("the TU");
+    *frame.last_mut().expect("payload") ^= 0x10;
+    // A clone stays out here, so dropping the frame frees nothing.
+    let frame = WireBuf::from_vec(frame);
+    let reported = b.approx_mem_bytes();
+    let (blocks, bytes) = (LIVE.with(Cell::get), LIVE_BYTES.with(Cell::get));
+    b.on_frame(NOW, frame.clone());
+    let grown = (
+        LIVE.with(Cell::get) - blocks,
+        (LIVE_BYTES.with(Cell::get) - bytes) as usize,
+    );
+    assert_eq!(b.stats().bad_messages, 1);
+    assert_eq!(b.counter_blocks(), 1);
+    let block = std::mem::size_of::<alf_core::transport::AlfStats>();
+    assert_eq!(grown, (1, block), "[blocks, bytes] the rejection allocated");
+    assert_eq!(b.approx_mem_bytes() - reported, block, "approx_mem_bytes");
 }
 
 /// One single-TU ADU from a client stack to a server stack and its ACK

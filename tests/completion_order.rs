@@ -102,8 +102,8 @@ fn fec_storm(storm: u64, adus: u64) -> (u64, u64, u64, u64) {
     assert_eq!(rx.stats.adus_delivered, adus, "each ADU exactly once");
     (
         digest,
-        rx.stats.adus_delivered_out_of_order,
-        rx.stats.fec_reconstructions,
+        rx.stats().adus_delivered_out_of_order,
+        rx.stats().fec_reconstructions,
         rx.assembler_stats().duplicate_tus,
     )
 }

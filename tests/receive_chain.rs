@@ -332,10 +332,10 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
         .collect();
     let s = b.assembler_stats();
     out.extend([
-        b.stats.bad_messages,
-        b.stats.tus_replayed,
+        b.stats().bad_messages,
+        b.stats().tus_replayed,
         b.stats.adus_delivered,
-        b.stats.tus_backpressured,
+        b.stats().tus_backpressured,
         s.tus_in,
         s.duplicate_tus,
         s.adus_abandoned,
