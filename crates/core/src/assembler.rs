@@ -25,7 +25,7 @@ use crate::ids::ReplayWindow;
 use crate::wire::Tu;
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_wire::WireBuf;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One ADU under reassembly.
 ///
@@ -305,7 +305,13 @@ pub enum ShedPolicy {
 #[repr(C)]
 pub struct Assembler {
     // ---- open assemblies and the budget they charge ----
-    pending: BTreeMap<u64, Assembly>,
+    /// Open assemblies, sorted by id: the send ring's shape without the
+    /// wrap. In-order traffic holds one at a time, opened at the back and
+    /// completed there; an ADU waiting for a repair stays put while newer
+    /// ones open and complete behind it. A lookup is a binary search, and
+    /// opening or closing one out of order shifts at most `max_pending`
+    /// entries.
+    pending: Vec<(u64, Assembly)>,
     /// Sum of the declared totals of `pending` — what the byte budget
     /// charges — kept running so admission and the advertised window are
     /// O(1) however many assemblies are open.
@@ -360,7 +366,7 @@ impl Assembler {
     /// assemblies.
     pub fn new(deadline: SimDuration, max_pending: usize) -> Self {
         Self {
-            pending: BTreeMap::new(),
+            pending: Vec::new(),
             reserved: 0,
             ready: VecDeque::new(),
             released: ReplayWindow::default(),
@@ -401,7 +407,7 @@ impl Assembler {
 
     /// Total held fragment views across all pending assemblies.
     pub fn frag_views(&self) -> usize {
-        self.pending.values().map(|a| a.held.len()).sum()
+        self.pending.iter().map(|(_, a)| a.held.len()).sum()
     }
 
     /// Install a reassembly byte budget (0 = unlimited) and the policy to
@@ -458,7 +464,7 @@ impl Assembler {
                         .pending
                         .iter()
                         .min_by_key(|(_, a)| a.first_tu_at)
-                        .map(|(&id, _)| id);
+                        .map(|&(id, _)| id);
                     match oldest {
                         Some(id) => {
                             let a = self.remove_pending(id).expect("listed");
@@ -512,7 +518,7 @@ impl Assembler {
     /// must fit the byte budget. `Some(known)` says whether an assembly is
     /// already open for the ADU; `None` that the TU was refused.
     fn screen(&mut self, tu: &Tu) -> Option<bool> {
-        let known = self.pending.contains_key(&tu.adu_id);
+        let known = self.find(tu.adu_id).is_ok();
         if !known && !self.admit(tu.adu_len) {
             return None;
         }
@@ -546,10 +552,12 @@ impl Assembler {
         let reserve = (self.frag_quota as usize)
             .saturating_mul(tu.payload.len())
             .min(tu.adu_len as usize);
-        let assembly = self
-            .pending
-            .entry(tu.adu_id)
-            .or_insert_with(|| Assembly::new(tu.name, tu.adu_len, now, reserve));
+        let i = self.find(tu.adu_id).unwrap_or_else(|i| {
+            let fresh = Assembly::new(tu.name, tu.adu_len, now, reserve);
+            self.pending.insert(i, (tu.adu_id, fresh));
+            i
+        });
+        let assembly = &mut self.pending[i].1;
         // A TU whose metadata disagrees with the first-seen TU of this ADU
         // is either corruption that survived the checksum (vanishingly rare)
         // or a protocol error: ignore it rather than corrupt the buffer.
@@ -587,7 +595,7 @@ impl Assembler {
                 .pending
                 .iter()
                 .min_by_key(|(_, a)| a.first_tu_at)
-                .map(|(&id, _)| id)
+                .map(|&(id, _)| id)
                 .expect("non-empty");
             self.remove_pending(oldest);
             self.counters.rare().adus_abandoned += 1;
@@ -614,9 +622,10 @@ impl Assembler {
         if len == 0 || tu.adu_id < self.released.floor() {
             return Extend::NotNext;
         }
-        let Some(a) = self.pending.get_mut(&tu.adu_id) else {
+        let Ok(i) = self.find(tu.adu_id) else {
             return Extend::NotNext;
         };
+        let a = &mut self.pending[i].1;
         let at = a.placed.len();
         let end = at + len;
         if a.bytes_received == 0
@@ -652,9 +661,23 @@ impl Assembler {
         self.release(adu_id, name, payload, zero_copy, latency);
     }
 
+    /// `Ok(index)` of the open assembly for `adu_id`, or `Err(index)` where
+    /// it would open.
+    fn find(&self, adu_id: u64) -> Result<usize, usize> {
+        self.pending.binary_search_by_key(&adu_id, |&(id, _)| id)
+    }
+
+    fn get(&self, adu_id: u64) -> Option<&Assembly> {
+        self.find(adu_id).ok().map(|i| &self.pending[i].1)
+    }
+
+    fn get_mut(&mut self, adu_id: u64) -> Option<&mut Assembly> {
+        self.find(adu_id).ok().map(|i| &mut self.pending[i].1)
+    }
+
     /// Close an assembly: drop it from `pending` and return its reservation.
     fn remove_pending(&mut self, adu_id: u64) -> Option<Assembly> {
-        let a = self.pending.remove(&adu_id)?;
+        let (_, a) = self.pending.remove(self.find(adu_id).ok()?);
         self.reserved -= a.total as usize;
         Some(a)
     }
@@ -701,7 +724,7 @@ impl Assembler {
         let deadline = self.deadline;
         let mut overdue = Vec::new();
         let mut next = SimTime::MAX;
-        for (&id, a) in &self.pending {
+        for &(id, ref a) in &self.pending {
             if now.saturating_since(a.last_progress_at) > deadline {
                 overdue.push(id);
             } else {
@@ -710,7 +733,7 @@ impl Assembler {
         }
         let mut actions = ExpiryActions::default();
         for id in overdue {
-            let a = self.pending.get_mut(&id).expect("listed");
+            let a = self.get_mut(id).expect("listed");
             if a.nack_rounds < max_nack_rounds {
                 a.nack_rounds += 1;
                 a.last_progress_at = now; // restart the deadline for this round
@@ -742,19 +765,19 @@ impl Assembler {
 
     /// The declared total length of a pending ADU, if under reassembly.
     pub fn declared_len(&self, adu_id: u64) -> Option<u32> {
-        self.pending.get(&adu_id).map(|a| a.total)
+        self.get(adu_id).map(|a| a.total)
     }
 
     /// Bytes of a pending ADU covered so far, if under reassembly.
     pub fn bytes_covered(&self, adu_id: u64) -> Option<u32> {
-        self.pending.get(&adu_id).map(|a| a.bytes_received)
+        self.get(adu_id).map(|a| a.bytes_received)
     }
 
     /// A pending ADU's placed prefix: the buffer itself, so a test can
     /// read its bytes, length and reservation.
     #[cfg(test)]
     pub(crate) fn placed(&self, adu_id: u64) -> Option<&Vec<u8>> {
-        self.pending.get(&adu_id).map(|a| &a.placed)
+        self.get(adu_id).map(|a| &a.placed)
     }
 
     /// The bytes of `[off, off+len)` of a pending ADU, if that range is
@@ -762,7 +785,7 @@ impl Assembler {
     /// span the placed prefix and several held views; they are gathered
     /// into the returned vec.
     pub fn fragment_if_present(&self, adu_id: u64, off: u32, len: usize) -> Option<Vec<u8>> {
-        let a = self.pending.get(&adu_id)?;
+        let a = self.get(adu_id)?;
         let end = off as u64 + len as u64;
         if end > a.total as u64 {
             return None;
@@ -823,8 +846,8 @@ impl Assembler {
         debug_assert_eq!(
             self.reserved,
             self.pending
-                .values()
-                .map(|a| a.total as usize)
+                .iter()
+                .map(|(_, a)| a.total as usize)
                 .sum::<usize>()
         );
         self.reserved
@@ -834,7 +857,7 @@ impl Assembler {
     /// views — always equal to the covered bytes, never inflated by
     /// duplicates, overlaps or a declared length.
     pub fn stored_bytes(&self) -> usize {
-        self.pending.values().map(Assembly::stored_bytes).sum()
+        self.pending.iter().map(|(_, a)| a.stored_bytes()).sum()
     }
 
     /// Number of released-ADU ids retained for duplicate suppression.
@@ -850,13 +873,15 @@ impl Assembler {
         !self.shed_notices.is_empty() || (!self.pending.is_empty() && now > self.sweep_after)
     }
 
-    /// Approximate heap bytes held: the reservations of open assemblies,
-    /// the ready queue's slots, the replay window's islands and the rare
-    /// counters' block (neither for in-order traffic). Deterministic
-    /// (lengths and capacities, never allocator internals).
+    /// Approximate heap bytes held: the open-assemblies array's slots and
+    /// the assemblies' reservations, the ready queue's slots, the replay
+    /// window's islands and the rare counters' block (neither for in-order
+    /// traffic). Deterministic (lengths and capacities, never allocator
+    /// internals).
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.pending_bytes()
+        self.pending.capacity() * size_of::<(u64, Assembly)>()
+            + self.pending_bytes()
             + self.ready.capacity() * size_of::<(u64, Adu, SimDuration)>()
             + self.released.heap_bytes()
             + self

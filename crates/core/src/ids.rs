@@ -60,20 +60,44 @@ impl<T> IdRing<T> {
     }
 
     /// `Ok(index)` of mapped `id`, or `Err(index)` where it would be
-    /// inserted. Ids are distinct and sorted, so `id` sits at index
-    /// `id - oldest` or before it, and exactly there while the window has
-    /// no gap — the one slot tried before a binary search.
+    /// inserted. Ids are distinct and sorted, so between the oldest and the
+    /// newest `id` can only sit in `[len − 1 − (newest − id), id − oldest]`,
+    /// a range as wide as the ids missing from the ring (acknowledged out
+    /// of order, or never sent). Its top, `id − oldest`, is exactly where
+    /// `id` sits while the window has no gap — the one slot tried before
+    /// the binary search over the rest.
     fn position(&self, id: u64) -> Result<usize, usize> {
         let live = self.len();
-        let Some(&(oldest, _)) = self.entries.front() else {
+        let (Some(&(oldest, _)), Some(&(newest, _))) = (self.entries.front(), self.entries.back())
+        else {
             return Err(0);
         };
-        let Some(offset) = id.checked_sub(oldest) else {
+        if id < oldest {
             return Err(0);
-        };
-        let found = match usize::try_from(offset) {
-            Ok(i) if self.entries.get(i).is_some_and(|&(k, _)| k == id) => Ok(i),
-            _ => self.entries.binary_search_by_key(&id, |&(k, _)| k),
+        }
+        if id > newest {
+            return Err(live);
+        }
+        let last = self.entries.len() as u64 - 1;
+        let hi = (id - oldest).min(last) as usize;
+        let found = if self.entries[hi].0 == id {
+            Ok(hi)
+        } else {
+            // `[lo, hi)`: `hi` itself just missed, and the insertion point
+            // of an absent id lies in `[lo, hi]` too.
+            let mut lo = last.saturating_sub(newest - id) as usize;
+            let mut hi = hi;
+            loop {
+                if lo >= hi {
+                    break Err(lo);
+                }
+                let mid = lo + (hi - lo) / 2;
+                match self.entries[mid].0.cmp(&id) {
+                    std::cmp::Ordering::Less => lo = mid + 1,
+                    std::cmp::Ordering::Greater => hi = mid,
+                    std::cmp::Ordering::Equal => break Ok(mid),
+                }
+            }
         };
         // Parked ids lie above every mapped one, so the whole ring is
         // sorted and a hit at or past `live` is a parked entry.
@@ -321,12 +345,14 @@ mod proptests {
     use std::collections::{BTreeMap, BTreeSet};
 
     proptest! {
-        /// The ring against `BTreeMap<u64, _>`: monotone inserts with gaps,
-        /// occasional re-inserts and out-of-order inserts, arbitrary
-        /// get/get_mut/remove, iteration and drain in id order.
+        /// The ring against `BTreeMap<u64, _>`: monotone inserts with gaps
+        /// of one or two ids and with gaps of thousands, occasional
+        /// re-inserts and out-of-order inserts, arbitrary get/get_mut/remove
+        /// — probed inside the gaps as well as at the ids — iteration and
+        /// drain in id order.
         #[test]
         fn prop_id_ring_matches_btreemap(
-            ops in prop::collection::vec((0u8..6, 0u64..48, any::<u32>()), 0..200),
+            ops in prop::collection::vec((0u8..7, 0u64..48, any::<u32>()), 0..200),
         ) {
             let mut ring: IdRing<u32> = IdRing::default();
             let mut model: BTreeMap<u64, u32> = BTreeMap::new();
@@ -335,6 +361,10 @@ mod proptests {
                 match op {
                     0 | 1 => {
                         next += 1 + key % 3; // sender ids: increasing, gaps allowed
+                        prop_assert_eq!(ring.insert(next, v), model.insert(next, v));
+                    }
+                    6 => {
+                        next += 1 + u64::from(v % 5_000); // many gaps
                         prop_assert_eq!(ring.insert(next, v), model.insert(next, v));
                     }
                     2 => prop_assert_eq!(ring.insert(key, v), model.insert(key, v)),
@@ -356,7 +386,8 @@ mod proptests {
                 }
                 prop_assert_eq!(ring.len(), model.len());
                 prop_assert_eq!(ring.is_empty(), model.is_empty());
-                for probe in [key, next, key + 1] {
+                let mid = next / 2 + u64::from(v) % (next / 2 + 1);
+                for probe in [key, next, key + 1, next.saturating_sub(key), mid] {
                     prop_assert_eq!(ring.get(probe), model.get(&probe));
                     prop_assert_eq!(ring.contains_key(probe), model.contains_key(&probe));
                 }

@@ -1,10 +1,16 @@
-//! Hashed timer wheel (Varghese & Lauck, SOSP '87) for retransmission
-//! deadlines.
+//! Timers at two scales: a hashed timer wheel (Varghese & Lauck, SOSP '87)
+//! for a many-association server's wakeups, and a sorted deadline ring for
+//! one endpoint's retransmission deadlines.
 //!
 //! The ALF transport used to find its next retransmission deadline with a
 //! full min-scan over every in-flight ADU — O(n) per `poll` and per
 //! `next_timeout`, which is exactly the per-association cost curve a
-//! many-association server cannot afford. The wheel replaces both scans:
+//! many-association server cannot afford. An endpoint holds at most
+//! `window_adus` deadlines, armed as its TUs leave and so mostly in
+//! deadline order: a `DeadlineRing` keeps them sorted, so the next one is
+//! the front entry and firing pops only what is due. A server shard times
+//! one wakeup per association, tens of thousands of them, in no useful
+//! order; there the [`TimerWheel`] replaces the scan:
 //!
 //! * **insert is O(1)**: a deadline hashes to slot
 //!   `(deadline / granularity) % slots`; the slot's cached minimum is
@@ -37,10 +43,13 @@
 //!    against authoritative state.
 
 use ct_netsim::time::{SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Instrumentation counters for a [`TimerWheel`] — the regression tests
 /// use these to prove timer cost does not scale with the number of
-/// pending entries.
+/// pending entries. An endpoint's deadline ring reports the same four
+/// (`AduTransport::timer_stats`): it scans no slots, and examines only the
+/// entries it fires.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[repr(C)]
 pub struct WheelStats {
@@ -53,6 +62,151 @@ pub struct WheelStats {
     pub entries_examined: u64,
     /// Slots scanned by [`TimerWheel::advance`].
     pub slots_scanned: u64,
+}
+
+/// The armed retransmission deadlines of one endpoint, as `(deadline, id)`
+/// entries sorted by deadline and, among equal deadlines, by arrival.
+///
+/// What each operation touches:
+///
+/// * `next_deadline` reads the front entry;
+/// * `advance` pops the due entries off the front, and reads one more;
+/// * `insert` appends when the deadline is not earlier than the back
+///   entry's — a TU's clock starts when it leaves, so deadlines arrive in
+///   order unless the RTO base shrank or a retry backed off — and otherwise
+///   binary-searches its place and shifts the shorter side over;
+/// * `remove` pops the front when it is the entry asked for — the oldest
+///   ADU, acknowledged in order — and otherwise binary-searches to the
+///   first entry of that deadline, walks the entries sharing it, and
+///   shifts the shorter side over.
+///
+/// The ring holds at most one entry per unacknowledged ADU, so every walk
+/// and shift is bounded by the endpoint's `window_adus` — and the peer,
+/// which picks the order ACKs arrive in, can make it pay that bound, never
+/// more. Deadlines are exact and cancellation is the caller's, eagerly: an
+/// entry leaves when its ADU's deadline moves or its ADU leaves.
+///
+/// Of the wheel's counters it keeps only `inserts`, which every armed ADU
+/// moves; firing is off the fault-free path, so its owner counts that in a
+/// block it allocates anyway.
+#[derive(Debug, Default)]
+pub(crate) struct DeadlineRing {
+    entries: VecDeque<(SimTime, u64)>,
+    inserts: u64,
+}
+
+impl DeadlineRing {
+    /// Reserve exactly `additional` more entries — for an owner that wants
+    /// the ring's block allocated beside its others.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
+    /// Armed entries.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The ring's counter: `inserts`. The others are its owner's to fill
+    /// in.
+    pub(crate) fn stats(&self) -> WheelStats {
+        WheelStats {
+            inserts: self.inserts,
+            ..WheelStats::default()
+        }
+    }
+
+    /// Heap bytes held: the entry block, by capacity.
+    pub(crate) fn approx_mem_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(SimTime, u64)>()
+    }
+
+    /// Arm `id` at the exact `deadline`, behind every entry due no later.
+    pub(crate) fn insert(&mut self, deadline: SimTime, id: u64) {
+        self.inserts += 1;
+        if self
+            .entries
+            .back()
+            .is_none_or(|&(last, _)| last <= deadline)
+        {
+            self.entries.push_back((deadline, id));
+            return;
+        }
+        let at = self.entries.partition_point(|&(d, _)| {
+            meter::probe();
+            d <= deadline
+        });
+        meter::shift(at.min(self.entries.len() - at));
+        self.entries.insert(at, (deadline, id));
+    }
+
+    /// Cancel the entry armed as `(deadline, id)` — the earliest armed, if
+    /// there are several. Returns false when there is none.
+    pub(crate) fn remove(&mut self, deadline: SimTime, id: u64) -> bool {
+        if self.entries.front() == Some(&(deadline, id)) {
+            self.entries.pop_front();
+            return true;
+        }
+        let from = self.entries.partition_point(|&(d, _)| {
+            meter::probe();
+            d < deadline
+        });
+        let found = self
+            .entries
+            .range(from..)
+            .take_while(|&&(d, _)| {
+                meter::probe();
+                d == deadline
+            })
+            .position(|&(_, k)| k == id);
+        let Some(at) = found.map(|i| from + i) else {
+            return false;
+        };
+        meter::shift(at.min(self.entries.len() - 1 - at));
+        self.entries.remove(at);
+        true
+    }
+
+    /// The earliest armed deadline, or `None` when nothing is armed.
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
+        self.entries.front().map(|&(d, _)| d)
+    }
+
+    /// Move every entry with `deadline <= now` to `due`, in (deadline,
+    /// arrival) order.
+    pub(crate) fn advance(&mut self, now: SimTime, due: &mut Vec<(SimTime, u64)>) {
+        while let Some(&entry) = self.entries.front() {
+            if entry.0 > now {
+                break;
+            }
+            self.entries.pop_front();
+            due.push(entry);
+        }
+    }
+}
+
+/// What a [`DeadlineRing`] operation off its O(1) paths costs, counted in
+/// test builds only: entries a search or walk compared, and entries a shift
+/// moved. A release build compiles both calls to nothing.
+mod meter {
+    #[cfg(test)]
+    thread_local! {
+        pub(super) static COST: std::cell::Cell<(u64, u64)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
+    #[inline(always)]
+    pub(super) fn probe() {
+        #[cfg(test)]
+        COST.with(|c| c.set((c.get().0 + 1, c.get().1)));
+    }
+
+    #[inline(always)]
+    pub(super) fn shift(_moved: usize) {
+        #[cfg(test)]
+        COST.with(|c| c.set((c.get().0, c.get().1 + _moved as u64)));
+    }
 }
 
 /// "No node": the end of a list, an empty slot, an exhausted free list.
@@ -139,16 +293,6 @@ impl<K: Copy> TimerWheel<K> {
             slots,
             free: NIL,
             stats: WheelStats::default(),
-        }
-    }
-
-    /// Allocate the storage the first [`TimerWheel::insert`] would, now —
-    /// for an owner that wants the wheel's block next to the others it is
-    /// about to allocate.
-    pub(crate) fn reserve(&mut self) {
-        if self.nodes.capacity() == 0 {
-            self.nodes
-                .reserve_exact(self.slots as usize + 1 + FIRST_ENTRIES);
         }
     }
 
@@ -259,7 +403,7 @@ impl<K: Copy> TimerWheel<K> {
         self.len += 1;
         if self.nodes.is_empty() {
             let headers = self.slots as usize + 1;
-            self.reserve();
+            self.nodes.reserve_exact(headers + FIRST_ENTRIES);
             self.nodes.resize(
                 headers,
                 Node {
@@ -740,5 +884,143 @@ mod tests {
                 prop_assert_eq!(wheel.stats(), model.stats);
             }
         }
+
+        /// The deadline ring against the wheel it replaced in the endpoint,
+        /// and against a literal (deadline, arrival)-ordered list, over
+        /// arbitrary insert / remove / advance runs with a clock that only
+        /// moves forward — re-arms, duplicate entries, equal deadlines and
+        /// deadlines already past included: every `advance` returns the
+        /// wheel's due set in the list's order, `remove` finds what the
+        /// wheel finds, and `next_deadline` agrees with both.
+        #[test]
+        fn prop_deadline_ring_matches_wheel_in_deadline_then_arrival_order(
+            ops in prop::collection::vec((0u8..8, 0u64..12, 0u64..40_000), 0..300),
+        ) {
+            let mut ring = DeadlineRing::default();
+            let mut wheel: TimerWheel<u64> = TimerWheel::new(8, SimDuration::from_millis(4));
+            // (deadline, arrival, key), in arrival order.
+            let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let mut armed: Vec<(SimTime, u64)> = Vec::new();
+            for (arrival, (op, key, us)) in (0u64..).zip(ops) {
+                match op {
+                    0..=3 => {
+                        // Coarse deadlines, so that several share one.
+                        let at = (now.as_nanos() / 1_000 + us).saturating_sub(2_000);
+                        let d = SimTime::from_micros(at - at % 500);
+                        ring.insert(d, key);
+                        wheel.insert(d, key);
+                        model.push((d, arrival, key));
+                        armed.push((d, key));
+                    }
+                    4 | 5 => {
+                        let (d, k) = if armed.is_empty() {
+                            (SimTime::from_micros(us), key)
+                        } else {
+                            armed.swap_remove(us as usize % armed.len())
+                        };
+                        let removed = ring.remove(d, k);
+                        prop_assert_eq!(removed, wheel.remove(d, k));
+                        // The earliest arrival of that entry leaves.
+                        let first = model.iter().position(|&(md, _, mk)| (md, mk) == (d, k));
+                        prop_assert_eq!(removed, first.is_some());
+                        if let Some(i) = first {
+                            model.remove(i);
+                        }
+                    }
+                    _ => {
+                        now += SimDuration::from_micros(us % 15_000);
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        ring.advance(now, &mut got);
+                        wheel.advance(now, &mut want);
+                        let mut due: Vec<_> = model.iter().copied().filter(|e| e.0 <= now).collect();
+                        due.sort_by_key(|&(d, arrival, _)| (d, arrival));
+                        model.retain(|e| e.0 > now);
+                        let order: Vec<_> = due.iter().map(|&(d, _, k)| (d, k)).collect();
+                        prop_assert_eq!(&got, &order, "(deadline, arrival) order");
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        prop_assert_eq!(got, want, "due set");
+                    }
+                }
+                prop_assert_eq!(ring.len(), wheel.len());
+                prop_assert_eq!(ring.next_deadline(), wheel.next_deadline());
+                prop_assert_eq!(ring.next_deadline(), model.iter().map(|e| e.0).min());
+            }
+            prop_assert_eq!(ring.stats().inserts, wheel.stats().inserts);
+        }
+    }
+
+    /// Cost, counted: 1 024 armed entries, each cancelled and re-armed out
+    /// of order. Every remove and every insert that cannot append is a
+    /// binary search — at most ⌈log₂ 1 025⌉ + 1 entries compared, plus the
+    /// entry of the same deadline the walk stops at — and a shift of the
+    /// shorter side, at most half the ring; the ring never reallocates.
+    /// (The wheel this replaced walked a slot's list: with all 1 024 in one
+    /// slot, a cancel at the back walked the lot.)
+    #[test]
+    fn deadline_ring_out_of_order_rearm_is_a_search_and_a_bounded_shift() {
+        const N: u64 = 1024;
+        let d = |k: u64, late: u64| at(3, 2 * k + late);
+        let mut ring = DeadlineRing::default();
+        for k in 0..N {
+            ring.insert(d(k, 0), k);
+        }
+        let cap = ring.entries.capacity();
+        let cost = || meter::COST.with(|c| c.get());
+        assert_eq!(cost(), (0, 0), "in-order inserts append");
+        let (mut probes, mut shifted) = (0, 0);
+        // A stride coprime with N visits every entry, far from its
+        // neighbour in time.
+        for k in (0..N).map(|i| i * 389 % N) {
+            let before = cost();
+            assert!(ring.remove(d(k, 0), k));
+            // Re-armed 1 ns later: in its old place, behind the back.
+            ring.insert(d(k, 1), k);
+            let (p, s) = (cost().0 - before.0, cost().1 - before.1);
+            assert!(p <= 2 * (11 + 1), "{p} entries compared for entry {k}");
+            assert!(s <= N, "{s} entries shifted for entry {k}");
+            (probes, shifted) = (probes + p, shifted + s);
+        }
+        assert_eq!(ring.entries.capacity(), cap, "no reallocation");
+        assert!(
+            ring.entries
+                .iter()
+                .copied()
+                .eq((0..N).map(|k| (d(k, 1), k))),
+            "sorted, every entry re-armed once"
+        );
+        // A quarter of the ring per shift on average, two shifts per entry:
+        // twice the sum of min(k, N − 1 − k).
+        assert_eq!(shifted, 523_264, "entries shifted in all");
+        assert!(probes <= N * 2 * 12, "{probes} entries compared in all");
+        // In-order ACKs pop the front and compare nothing.
+        let before = cost();
+        for k in 0..N {
+            assert!(ring.remove(d(k, 1), k));
+        }
+        assert_eq!(cost(), before, "in-order removes pop the front");
+        assert_eq!(ring.next_deadline(), None);
+    }
+
+    #[test]
+    fn deadline_ring_fires_exactly_at_deadline_in_arrival_order() {
+        let mut ring = DeadlineRing::default();
+        assert_eq!(ring.approx_mem_bytes(), 0, "no block before an insert");
+        let d = at(2, 500);
+        ring.insert(d, 7);
+        ring.insert(at(1, 0), 8);
+        ring.insert(d, 9);
+        ring.insert(d, 7); // a duplicate is honest: it fires twice
+        let mut due = Vec::new();
+        ring.advance(at(2, 499), &mut due);
+        assert_eq!(due, vec![(at(1, 0), 8)]);
+        assert_eq!(ring.next_deadline(), Some(d));
+        assert!(ring.remove(d, 9));
+        assert!(!ring.remove(d, 9), "gone after one removal");
+        ring.advance(d, &mut due);
+        assert_eq!(due, vec![(at(1, 0), 8), (d, 7), (d, 7)]);
+        assert_eq!(ring.next_deadline(), None);
+        assert_eq!(ring.stats().inserts, 4);
     }
 }

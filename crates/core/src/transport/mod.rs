@@ -45,7 +45,7 @@ mod tests;
 pub use config::{AlfConfig, LossReport, RecoveryMode, SendRefused};
 pub use stats::{AlfStats, EndpointStats};
 
-use crate::timer::TimerWheel;
+use crate::timer::{DeadlineRing, WheelStats};
 use rtt::RttEstimator;
 
 /// The per-ADU retransmission deadline with exponential backoff: the base
@@ -82,23 +82,12 @@ const MAX_PACE: SimDuration = SimDuration::from_millis(20);
 /// Minimum elapsed time before a delivery-rate window closes into a sample.
 const MIN_RATE_WINDOW: SimDuration = SimDuration::from_millis(1);
 
-/// Slots in the per-endpoint retransmission timer wheel. Kept small: a
-/// many-association server instantiates one wheel per endpoint, so the
-/// fixed footprint matters more than rotation length (entries living
-/// beyond one rotation are merely rescanned when their slot comes around).
-const RETX_WHEEL_SLOTS: usize = 8;
-
-/// Tick width of the retransmission wheel. Deadlines stay exact — the
-/// granularity only bounds how many slots an `advance` scans per elapsed
-/// interval (one rotation = 8 × 4 ms = 32 ms).
-const RETX_WHEEL_GRANULARITY: SimDuration = SimDuration::from_millis(4);
-
 /// Ring slots reserved by the first submission (what a first `push` would
-/// reserve anyway). Reserving them then, with the wheel's block, changes no
-/// count and no size — only which addresses the allocator hands out, so
-/// what it is worth (see `send_adu`) is a property of the system
-/// allocator's placement, not of this code: re-measure before relying on
-/// it under another allocator.
+/// reserve anyway), and as many deadline-ring entries. Reserving them
+/// then, side by side, changes no count and no size — only which addresses
+/// the allocator hands out, so what it is worth (see `send_adu`) is a
+/// property of the system allocator's placement, not of this code:
+/// re-measure before relying on it under another allocator.
 const FIRST_SEND_SLOTS: usize = 4;
 
 /// A configured bound on a 16-bit count: beyond 65 535 it acts as 65 535.
@@ -115,7 +104,7 @@ struct SentAdu {
     /// application's chunk, so "buffering" for retransmission costs no copy.
     payload: Option<WireBuf>,
     /// The retransmission deadline. Moved only by [`SentAdu::set_deadline`],
-    /// which first cancels the wheel entry armed at the old one.
+    /// which first cancels the ring entry armed at the old one.
     deadline: SimTime,
     total_len: u32,
     /// TUs of this ADU still sitting in the pacing queue. The retransmit
@@ -131,10 +120,10 @@ struct SentAdu {
     repairs: u16,
     /// Waiting for the application to deliver a recomputed payload.
     awaiting_recompute: bool,
-    /// The timer wheel holds `(deadline, id)` for this ADU. Invariant
-    /// (kept by `AduTransport::sync_timer`): exactly one wheel entry per
+    /// The deadline ring holds `(deadline, id)` for this ADU. Invariant
+    /// (kept by `AduTransport::sync_timer`): exactly one ring entry per
     /// ADU whose retransmission clock is live, none while gated — so the
-    /// wheel's minimum equals the old full min-scan bit-for-bit.
+    /// ring's front equals the old full min-scan bit-for-bit.
     armed: bool,
 }
 
@@ -148,11 +137,11 @@ impl SentAdu {
     }
 
     /// Move the retransmission deadline to `at`. An entry armed at the old
-    /// deadline is cancelled first — the wheel finds an entry by its
+    /// deadline is cancelled first — the ring finds an entry by its
     /// deadline — and `AduTransport::sync_timer` arms the new one.
-    fn set_deadline(&mut self, wheel: &mut TimerWheel<u64>, id: u64, at: SimTime) {
+    fn set_deadline(&mut self, ring: &mut DeadlineRing, id: u64, at: SimTime) {
         if self.armed && self.deadline != at {
-            wheel.remove(self.deadline, id);
+            ring.remove(self.deadline, id);
             self.armed = false;
         }
         self.deadline = at;
@@ -183,9 +172,9 @@ struct Cold {
     /// whole ADU, otherwise only a first-TU probe goes out and the
     /// receiver's selective NACKs fetch the rest.
     retransmit_now: Vec<(u64, bool)>,
-    /// Reusable scratch for draining the wheel (a firing timer is already
-    /// off the fast path).
-    wheel_scratch: Vec<(SimTime, u64)>,
+    /// Reusable scratch for draining the deadline ring (a firing timer is
+    /// already off the fast path).
+    due_scratch: Vec<(SimTime, u64)>,
     /// Pending outbound NACK ids.
     nack_queue: Vec<u64>,
     /// Pending outbound selective NACKs: `(adu_id, missing ranges)`.
@@ -224,7 +213,7 @@ impl Default for Cold {
     fn default() -> Self {
         Self {
             retransmit_now: Vec::new(),
-            wheel_scratch: Vec::new(),
+            due_scratch: Vec::new(),
             nack_queue: Vec::new(),
             nack_frag_out: Vec::new(),
             recompute_out: Vec::new(),
@@ -249,8 +238,8 @@ impl Default for Cold {
 ///
 /// Laid out hot first (`repr(C)` keeps the declaration order): the state
 /// every call touches; the send ring beside the ACK ids (what a poll tests
-/// for work); what an idle poll reads of the pacer and the retransmission
-/// wheel, then the rest of the wheel; stage 1; the delivery and id
+/// for work); the pacer and the retransmission deadlines; stage 1; the
+/// delivery and id
 /// watermarks directly before `stats`, the six counters the fault-free
 /// path bumps and the pointer to the rest; and the pointer to the
 /// configuration, which every endpoint built from the same one shares.
@@ -303,12 +292,12 @@ pub struct AduTransport {
     /// Effective inter-TU pace: `cfg.pace_per_tu` until adaptive control
     /// derives one from the delivery rate.
     pace_now: SimDuration,
-    /// Hashed timer wheel shadowing the window's retransmission deadlines:
-    /// one entry per ADU with a live clock, reconciled by `sync_timer`
-    /// after every state change and cancelled eagerly on ACK. This is what
-    /// makes `poll` and [`AduTransport::next_timeout`] independent of the
-    /// number of ADUs in flight.
-    wheel: TimerWheel<u64>,
+    /// The window's retransmission deadlines, sorted: one entry per ADU
+    /// with a live clock, reconciled by `sync_timer` after every state
+    /// change and cancelled eagerly on ACK. The next deadline is the front
+    /// entry and firing pops only due ones, so `poll` and
+    /// [`AduTransport::next_timeout`] do not scan the ADUs in flight.
+    deadlines: DeadlineRing,
 
     // ---- receive stage 1 ---------------------------------------------------
     /// Reassembly, replay suppression, and the queue of completed ADUs
@@ -331,12 +320,13 @@ pub struct AduTransport {
 }
 
 // The next field added to the endpoint's inline part fails the build with
-// the number in view. 552 is the size reached, not a target met: the
+// the number in view. 504 is the size reached, not a target met: the
 // counters inline are `stats` (56) and the assembler's (32), the fast
-// path's plus a pointer to the rest each, and the wheel's (32). (816 while
+// path's plus a pointer to the rest each, and the deadline ring's `inserts`
+// (8). (552 while the deadlines were a hashed wheel, 88 inline; 816 while
 // every counter was inline, 928 while the configuration, 120, was a copy
 // per endpoint.)
-const _: () = assert!(std::mem::size_of::<AduTransport>() <= 552);
+const _: () = assert!(std::mem::size_of::<AduTransport>() <= 504);
 
 impl AduTransport {
     /// Create an endpoint. It allocates its configuration's block; endpoints
@@ -377,7 +367,7 @@ impl AduTransport {
             ack_queue: Vec::new(),
             txq: VecDeque::new(),
             pace_now: cfg.pace_per_tu,
-            wheel: TimerWheel::new(RETX_WHEEL_SLOTS, RETX_WHEEL_GRANULARITY),
+            deadlines: DeadlineRing::default(),
             assembler,
             next_tx_at: SimTime::ZERO,
             highest_delivered: None,
@@ -509,14 +499,15 @@ impl AduTransport {
         self.next_adu_id += 1;
         self.stats.adus_sent += 1;
         if self.window.capacity() == 0 {
-            // The send side's blocks, reserved together: ring and wheel end
-            // up side by side in memory instead of the ring in one place
-            // and the wheel — first needed in the middle of the first
-            // `poll`, after it has allocated a frame — in another. Worth a
-            // tenth of `server_fanin` at 10^5 endpoints, nothing at 10^3.
+            // The send side's blocks, reserved together: the send ring and
+            // the deadline ring end up side by side in memory instead of
+            // the send ring in one place and the deadlines — first needed
+            // in the middle of the first `poll`, after it has allocated a
+            // frame — in another. Worth a tenth of `server_fanin` at 10^5
+            // endpoints, nothing at 10^3.
             self.window.reserve(FIRST_SEND_SLOTS);
             if self.cfg.recovery != RecoveryMode::NoRetransmit {
-                self.wheel.reserve();
+                self.deadlines.reserve(FIRST_SEND_SLOTS);
             }
         }
         self.window.park(
@@ -669,9 +660,8 @@ impl AduTransport {
             }
         }
 
-        // Sender: retransmission deadlines, via the hashed timer wheel —
-        // only expired slots are touched, never the whole in-flight set,
-        // and an empty wheel only moves its cursor.
+        // Sender: retransmission deadlines — the front of the sorted ring
+        // says whether any is due, never the whole in-flight set.
         self.fire_retransmit_timers(now);
 
         // Sender: explicit retransmissions (timeout-, NACK- or recompute-
@@ -700,7 +690,7 @@ impl AduTransport {
                 };
                 if let Some(payload) = payload {
                     let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-                    sent.set_deadline(&mut self.wheel, id, at);
+                    sent.set_deadline(&mut self.deadlines, id, at);
                     let name = sent.name;
                     if full || payload.len() <= self.cfg.mtu_payload {
                         self.stats.rare_mut().adus_retransmitted += 1;
@@ -789,7 +779,7 @@ impl AduTransport {
                     }
                     recovery => {
                         let (id, sent) = self.window.admit().expect("admit <= parked");
-                        sent.set_deadline(&mut self.wheel, id, now + base);
+                        sent.set_deadline(&mut self.deadlines, id, now + base);
                         let payload = if recovery == RecoveryMode::TransportBuffer {
                             sent.payload.clone()
                         } else {
@@ -898,25 +888,20 @@ impl AduTransport {
     /// is authoritative only if it still matches the ADU's current
     /// deadline (lazy cancellation) and the ADU is neither awaiting a
     /// recompute nor still draining through the pacer — every path out of
-    /// those states rewrites the deadline and re-arms the wheel, so
+    /// those states rewrites the deadline and re-arms the ring, so
     /// dropping a gated entry loses nothing.
     fn fire_retransmit_timers(&mut self, now: SimTime) {
-        let mut due = match &mut self.cold {
-            Some(cold) => std::mem::take(&mut cold.wheel_scratch),
-            None => Vec::new(),
-        };
-        self.wheel.advance(now, &mut due);
-        if due.is_empty() {
-            if let Some(cold) = &mut self.cold {
-                cold.wheel_scratch = due;
-            }
+        if self.deadlines.next_deadline().is_none_or(|d| d > now) {
             return;
         }
+        let mut due = std::mem::take(&mut self.cold_mut().due_scratch);
+        self.deadlines.advance(now, &mut due);
+        self.stats.rare_mut().timers_fired += due.len() as u64;
         let mut overdue: Vec<u64> = Vec::with_capacity(due.len());
         for &(deadline, id) in &due {
             if let Some(sent) = self.window.get_mut(id) {
                 if sent.armed && sent.deadline == deadline {
-                    // The wheel consumed this entry; it is no longer armed.
+                    // The ring gave this entry up; it is no longer armed.
                     sent.armed = false;
                 }
                 if sent.deadline == deadline && !sent.awaiting_recompute && sent.tus_unreleased == 0
@@ -926,7 +911,7 @@ impl AduTransport {
             }
         }
         due.clear();
-        self.cold_mut().wheel_scratch = due;
+        self.cold_mut().due_scratch = due;
         // Defense in depth: the one-entry-per-ADU invariant makes
         // duplicates impossible, but the loss event must only ever fire
         // once per ADU, in id order (the order the old full scan produced).
@@ -1214,7 +1199,7 @@ impl AduTransport {
         for id in ids {
             if let Some(sent) = self.window.remove(id) {
                 if sent.armed {
-                    self.wheel.remove(sent.deadline, id);
+                    self.deadlines.remove(sent.deadline, id);
                 }
                 newly_acked += 1;
                 acked_bytes += u64::from(sent.total_len);
@@ -1231,10 +1216,10 @@ impl AduTransport {
     /// The earliest pending sender timer (retransmission deadline, pacing
     /// wake-up, zero-window probe, or dead-peer declaration).
     pub fn next_timeout(&self) -> Option<SimTime> {
-        // O(wheel slots), never O(ADUs in flight). `sync_timer` keeps the
-        // wheel holding exactly the live retransmission deadlines, so this
+        // The ring's front, never O(ADUs in flight). `sync_timer` keeps the
+        // ring holding exactly the live retransmission deadlines, so this
         // minimum is the same value the old full min-scan produced.
-        let retx = self.wheel.next_deadline();
+        let retx = self.deadlines.next_deadline();
         let pace =
             (!self.txq.is_empty() && self.pace_now > SimDuration::ZERO).then_some(self.next_tx_at);
         let probe = if self.rwnd_blocked && !self.peer_dead {
@@ -1258,11 +1243,20 @@ impl AduTransport {
         self.assembler.pending_bytes()
     }
 
-    /// Timer-wheel instrumentation. The regression tests use this to prove
-    /// that `poll` / [`AduTransport::next_timeout`] timer cost does not
-    /// scale with the number of in-flight ADUs.
-    pub fn timer_stats(&self) -> crate::timer::WheelStats {
-        self.wheel.stats()
+    /// Retransmission-timer instrumentation, in a timer wheel's terms. The
+    /// regression tests use this to prove that `poll` /
+    /// [`AduTransport::next_timeout`] timer cost does not scale with the
+    /// number of in-flight ADUs. The deadlines are a sorted ring: it scans
+    /// no slots, and the only entries an `advance` examines are the ones it
+    /// fires (the compare with the front that ends each one is the read
+    /// `next_timeout` makes, and is not counted either).
+    pub fn timer_stats(&self) -> WheelStats {
+        let fired = self.stats().timers_fired;
+        WheelStats {
+            fired,
+            entries_examined: fired,
+            ..self.deadlines.stats()
+        }
     }
 
     /// Approximate memory footprint of this endpoint, in bytes: the struct
@@ -1271,8 +1265,8 @@ impl AduTransport {
     /// to whoever interned it), the send ring's slots and the
     /// retransmission payloads they buffer, the pacing queue and its
     /// frames, the ACK id queue, stage 1 (open assemblies, the
-    /// completed-ADU queue, replay islands, its rare counters), the timer
-    /// wheel's block, and the cold state and the rare counters once they
+    /// completed-ADU queue, replay islands, its rare counters), the deadline
+    /// ring's block, and the cold state and the rare counters once they
     /// exist. Deterministic (derived from lengths and capacities, never
     /// allocator internals) — X13 uses it for the bytes-per-association
     /// bound, and `tests/alloc_budget.rs` checks it against the bytes a
@@ -1292,9 +1286,9 @@ impl AduTransport {
             + self.txq.iter().map(|(_, _, f)| f.capacity()).sum::<usize>()
             + self.ack_queue.capacity() * size_of::<u64>()
             + self.assembler.approx_mem_bytes()
-            + self.wheel.approx_mem_bytes()
+            + self.deadlines.approx_mem_bytes()
             + self.cold.as_ref().map_or(0, |c| {
-                size_of::<Cold>() + c.wheel_scratch.capacity() * size_of::<(SimTime, u64)>()
+                size_of::<Cold>() + c.due_scratch.capacity() * size_of::<(SimTime, u64)>()
             })
             + self.stats.heap_bytes()
     }
@@ -1354,7 +1348,7 @@ impl AduTransport {
         // In-flight ADUs, then the ones still queued, in id order.
         for (id, sent) in self.window.drain() {
             if sent.armed {
-                self.wheel.remove(sent.deadline, id);
+                self.deadlines.remove(sent.deadline, id);
             }
             let rare = self.stats.rare_mut();
             rare.adus_given_up += 1;
@@ -1487,7 +1481,7 @@ impl AduTransport {
     /// Let one data TU out: the pacer's next slot, the release-time stamp,
     /// and the owning ADU's retransmission deadline, which runs from the
     /// moment its TUs actually leave, not from when they were queued
-    /// behind the pacer. The caller re-arms the wheel.
+    /// behind the pacer. The caller re-arms the deadline ring.
     fn release(
         &mut self,
         now: SimTime,
@@ -1511,7 +1505,7 @@ impl AduTransport {
             // was empty, so every ADU's count was zero and stays so.
             sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
             let at = now + rto_for(emit.base, sent.backoff() + self.timeout_backoff);
-            sent.set_deadline(&mut self.wheel, id, at);
+            sent.set_deadline(&mut self.deadlines, id, at);
         }
         self.stats.tus_sent += 1;
         self.trace(now, "tu_send", Some(name), id, 0, frame.len() as u64);
@@ -1690,7 +1684,7 @@ impl AduTransport {
             .expect("checked live above; no removal since");
         sent.repairs += 1;
         let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-        sent.set_deadline(&mut self.wheel, adu_id, at);
+        sent.set_deadline(&mut self.deadlines, adu_id, at);
         sent.tus_unreleased += queued;
         self.stats.rare_mut().tus_retransmitted_selective += queued as u64;
         self.ledger_touch("alf/tu_encode", retx_bytes as u64, retx_bytes as u64);
@@ -1727,7 +1721,7 @@ impl AduTransport {
             let (name, armed, deadline) = (sent.name, sent.armed, sent.deadline);
             self.window.remove(id);
             if armed {
-                self.wheel.remove(deadline, id);
+                self.deadlines.remove(deadline, id);
             }
             let rare = self.stats.rare_mut();
             rare.adus_given_up += 1;
@@ -1738,7 +1732,7 @@ impl AduTransport {
         }
         sent.retries += 1;
         let deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-        sent.set_deadline(&mut self.wheel, id, deadline);
+        sent.set_deadline(&mut self.deadlines, id, deadline);
         match self.cfg.recovery {
             RecoveryMode::TransportBuffer => {
                 cold.retransmit_now.push((id, false));
@@ -1760,14 +1754,16 @@ impl AduTransport {
         self.sync_timer(id);
     }
 
-    /// Reconcile the timer wheel with an ADU's state: arm its deadline iff
+    /// Reconcile the deadline ring with an ADU's state: arm its deadline iff
     /// its retransmission clock is live (`!awaiting_recompute` and nothing
     /// of it queued behind the pacer), disarm otherwise. Every state change
     /// funnels through here (and a moved deadline through
-    /// [`SentAdu::set_deadline`], which disarms the old one), so the wheel
+    /// [`SentAdu::set_deadline`], which disarms the old one), so the ring
     /// holds exactly one entry per live clock and
     /// [`AduTransport::next_timeout`] reproduces the old O(n) min-scan
-    /// bit-for-bit. O(1) expected (slot-addressed removal).
+    /// bit-for-bit. O(1) for a deadline armed in order or an ADU
+    /// acknowledged in order; otherwise a search and a shift bounded by
+    /// `window_adus`.
     fn sync_timer(&mut self, id: u64) {
         let Some(sent) = self.window.get_mut(id) else {
             return;
@@ -1777,9 +1773,9 @@ impl AduTransport {
             return;
         }
         if live {
-            self.wheel.insert(sent.deadline, id);
+            self.deadlines.insert(sent.deadline, id);
         } else {
-            self.wheel.remove(sent.deadline, id);
+            self.deadlines.remove(sent.deadline, id);
         }
         sent.armed = live;
     }

@@ -7,7 +7,7 @@ use ct_netsim::time::SimDuration;
 /// estimator read-out in one block, allocated by the first write that moves
 /// one of them. An association that never leaves its fast path — the common
 /// one in a many-association server — carries a null pointer instead of
-/// 224 bytes of zeros.
+/// 232 bytes of zeros.
 ///
 /// [`AlfStats`] is the full snapshot: `AlfStats::from(&ep.stats)` (or
 /// [`AduTransport::stats`](super::AduTransport::stats)) builds one, and
@@ -165,6 +165,11 @@ pub struct AlfStats {
     /// Partial assemblies evicted by the per-association occupancy quota
     /// (fragment-view cap), deterministically oldest-first.
     pub quota_evictions: u64,
+    /// Retransmission deadlines that came due — what
+    /// [`AduTransport::timer_stats`](super::AduTransport::timer_stats)
+    /// reports as `fired` (and `entries_examined`). Read there, not
+    /// published: the `alf-core.timer.*` counts are the timer's.
+    pub timers_fired: u64,
 }
 
 impl AlfStats {
@@ -213,6 +218,7 @@ impl AlfStats {
         self.nack_range_errors += o.nack_range_errors;
         self.tus_replayed += o.tus_replayed;
         self.quota_evictions += o.quota_evictions;
+        self.timers_fired += o.timers_fired;
         self.delivery_latency_total += o.delivery_latency_total;
         self.delivery_latency_max = self.delivery_latency_max.max(o.delivery_latency_max);
         self.jitter_us = self.jitter_us.max(o.jitter_us);

@@ -1750,7 +1750,7 @@ fn lossy_hostile_script_reports_the_pinned_counters() {
                 "tus_backpressured: 0, zero_window_probes: 0, ",
                 "send_backpressured: 82, rto_backoff_events: 5, ",
                 "peer_unreachable_events: 0, nack_range_errors: 2, tus_replayed: 0, ",
-                "quota_evictions: 0 }",
+                "quota_evictions: 0, timers_fired: 5 }",
             ),
         ),
         (
@@ -1768,7 +1768,8 @@ fn lossy_hostile_script_reports_the_pinned_counters() {
                 "loss_events: 0, delivery_rate_mbps: 0.0, adus_shed: 0, ",
                 "tus_backpressured: 0, zero_window_probes: 0, send_backpressured: 0, ",
                 "rto_backoff_events: 0, peer_unreachable_events: 0, ",
-                "nack_range_errors: 0, tus_replayed: 34, quota_evictions: 1 }",
+                "nack_range_errors: 0, tus_replayed: 34, quota_evictions: 1, ",
+                "timers_fired: 0 }",
             ),
         ),
         (
@@ -1793,6 +1794,14 @@ fn lossy_hostile_script_reports_the_pinned_counters() {
     for (got, want) in pinned {
         assert_eq!(got, want);
     }
+    // The hashed wheel these deadlines lived in reported 29 inserts and 5
+    // fired, having examined 28 entries over 31 slots: the ring inserts
+    // and fires the same, and examines only what it fires.
+    let t = a.timer_stats();
+    assert_eq!(
+        (t.inserts, t.fired, t.entries_examined, t.slots_scanned),
+        (29, 5, 5, 0)
+    );
     // The sender's assembler saw no TU; each other owner wrote a rare
     // counter and holds its one block.
     assert_eq!((a.counter_blocks(), b.counter_blocks()), (1, 2));

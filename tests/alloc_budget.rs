@@ -259,12 +259,12 @@ fn warm_idle_endpoint_holds_two_blocks_and_no_cold_state() {
     // What an association costs while nothing is in flight, for endpoints
     // that share their configuration as an `AlfServer`'s do. Sender: the
     // send ring (admission queue and unacknowledged window in one) and the
-    // retransmission wheel's single block — an unpaced sender's TUs leave
-    // in the poll that encodes them, so it has no pacing queue. Receiver:
-    // the completed-ADU queue and the ACK id list — its wheel never saw an
-    // insert and its in-order replay window is two inline words. (The
-    // parent of this test held three on the sender, the pacing queue
-    // among them; the one before that five each.)
+    // deadline ring — an unpaced sender's TUs leave in the poll that
+    // encodes them, so it has no pacing queue. Receiver: the completed-ADU
+    // queue and the ACK id list — its deadline ring never saw an insert
+    // and its in-order replay window is two inline words. (An earlier
+    // version held three on the sender, the pacing queue among them; one
+    // before that five each.)
     let one_tu = WireBuf::from_vec(vec![7u8; 200]);
     let twelve_tus = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
     let template = Arc::new(AlfConfig {
@@ -286,8 +286,8 @@ fn warm_idle_endpoint_holds_two_blocks_and_no_cold_state() {
         let tus = payload.len().div_ceil(1400);
         assert_eq!(blocks_held(a), 2, "sender after {rounds} x {tus}-TU rounds");
         // A receiver that has reassembled fragments keeps a third block:
-        // the leaf node of the open-assemblies map, which `BTreeMap` holds
-        // on to once it has had an entry.
+        // the open-assemblies array, which keeps its four slots once it
+        // has had an entry.
         let rx_blocks = if tus > 1 { 3 } else { 2 };
         assert_eq!(
             blocks_held(b),
@@ -309,24 +309,35 @@ fn warm_idle_endpoint_bytes_are_pinned_and_reported_exactly() {
     // endpoint keeps resident fails here with the new figure in view. And
     // `approx_mem_bytes` — the figure X13 and the benchmark's
     // `mem_bytes_per_assoc` report — is exactly the inline part plus these.
-    //   sender    ring 4 x 72 (id + `SentAdu`) + wheel (8 slots + pocket +
-    //             4 entries) x 24                                     600
+    //   sender    ring 4 x 72 (id + `SentAdu`) + deadlines 4 x 16        352
     //   receiver  ready queue 1 x 56 + ACK ids 4 x 8                   88
-    // (The parent of this test: sender 4 x 96 + 4 x 48 pacing queue + 312
-    // = 888, receiver 4 x 56 + 32 = 256, each beside a 120-byte copy of
-    // the configuration inline.)
+    //   receiver  after fragments: + open assemblies 4 x 104           504
+    // (Earlier: sender 4 x 72 + a 13-cell hashed wheel 312 = 600; before
+    // that 4 x 96 + 4 x 48 pacing queue + 312 = 888, receiver 4 x 56 + 32
+    // = 256, each beside a 120-byte copy of the configuration inline. The
+    // open assemblies were a `BTreeMap`, whose leaf node is 1 160 bytes.)
     let payload = WireBuf::from_vec(vec![7u8; 200]);
     let template = Arc::new(AlfConfig::default());
     let (a, b) = warm_shared_pair(&template, &payload, 16);
     let inline = std::mem::size_of::<AduTransport>();
-    assert_eq!(inline, 552, "inline part");
+    assert_eq!(inline, 504, "inline part");
     let (ra, rb) = (a.approx_mem_bytes(), b.approx_mem_bytes());
     assert_eq!(
         (held(a).1, held(b).1),
-        (600, 88),
+        (352, 88),
         "[sender, receiver] bytes"
     );
-    assert_eq!((ra - inline, rb - inline), (600, 88), "approx_mem_bytes");
+    assert_eq!((ra - inline, rb - inline), (352, 88), "approx_mem_bytes");
+
+    // A receiver that has reassembled fragments: its third block.
+    let twelve_tus = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
+    let (_, b) = warm_shared_pair(&template, &twelve_tus, 8);
+    let rb = b.approx_mem_bytes() - inline;
+    assert_eq!(
+        (held(b).1, rb),
+        (504, 504),
+        "[held, reported] receiver bytes"
+    );
 
     // On its own an endpoint owns its configuration block, and says so.
     for (payload, rounds) in [(&payload, 16), (&payload, 1)] {
@@ -343,11 +354,12 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
     // One warm association on each side of the `server_fanin` shape, every
     // byte each server holds: `approx_mem_bytes` equals it, so X13's and
     // the benchmark's `mem_bytes_per_assoc` are measured, not estimated.
-    // Per server: 8 shards x 320, the first endpoint chunk 64 x 552, four
+    // Per server: 8 shards x 320, the first endpoint chunk 64 x 504, four
     // slot records x 56, the key index 116, dirty and draining lists 64,
     // the chunk list 96, the shared configuration 136 and its set 52, the
-    // ingress queue 128 — 38 704 — then the client's shard wheel 1 656
-    // and the endpoints' own blocks, 600 sending and 88 receiving. (57 856
+    // ingress queue 128 — 35 632 — then the client's shard wheel 1 656
+    // and the endpoints' own blocks, 352 sending and 88 receiving. (40 960
+    // and 38 792 with a 552-byte endpoint and a 600-byte sender; 57 856
     // and 55 688 while each endpoint held every counter inline, 816 B.)
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
@@ -371,7 +383,7 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
         (hc, hs),
         "[client, server] approx_mem_bytes"
     );
-    assert_eq!((hc, hs), (40_960, 38_792), "[client, server] bytes held");
+    assert_eq!((hc, hs), (37_640, 35_720), "[client, server] bytes held");
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //!   property BENCH_x13.json's gated values stand on);
 //! * the X13 CLI validates its arguments and exits 2 on malformed input,
 //!   matching the x8 convention;
-//! * the timer-wheel regression guard: `next_timeout()` examines no
-//!   entries, so its cost cannot scale with the in-flight ADU count (the
-//!   O(n) min-scan this PR deleted would fail this immediately).
+//! * the timer regression guard: `next_timeout()` examines no entries, so
+//!   its cost cannot scale with the in-flight ADU count (the O(n)
+//!   min-scan the timers replaced would fail this immediately).
 
 use alf_core::adu::AduName;
 use alf_core::transport::{AduTransport, AlfConfig};
@@ -108,9 +108,9 @@ fn x13_cli_accepts_valid_smoke_args() {
 }
 
 // ---------------------------------------------------------------------------
-// Timer-cost regression: the wheel answers `next_timeout()` from cached
-// per-slot minima, so asking for the next deadline examines zero timer
-// entries no matter how many ADUs are in flight.
+// Timer-cost regression: the endpoint's sorted deadline ring answers
+// `next_timeout()` from its front, so asking for the next deadline
+// examines zero timer entries no matter how many ADUs are in flight.
 // ---------------------------------------------------------------------------
 
 /// Arm `inflight` retransmission timers, then ask for the next deadline
