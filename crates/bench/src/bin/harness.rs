@@ -26,6 +26,7 @@ use ct_apps::parallel::{
 use ct_bench::{
     byte_workload, fmt_f, time_mbps, time_ns_per_call, u32_workload, Table, ALF_CONTROL_STEPS,
 };
+use ct_netsim::drive::Pair;
 use ct_netsim::fault::{FaultConfig, MutatorConfig};
 use ct_netsim::link::LinkConfig;
 use ct_netsim::net::Network;
@@ -1890,14 +1891,6 @@ const X12_BUDGET: usize = 96 * 1024;
 fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
     const ADUS: u64 = 64;
     let tel = Telemetry::new();
-    let mut net = Network::new(seed);
-    let node_a = net.add_node();
-    let node_b = net.add_node();
-    net.connect(node_a, node_b, LinkConfig::lan(), FaultConfig::none());
-    net.attach_telemetry(tel.clone());
-    if hostility > 0.0 {
-        net.set_mutator(node_a, node_b, MutatorConfig::hostile(hostility));
-    }
     // Multi-fragment ADUs by construction (6 KiB over a ~1.4 KiB MTU): a
     // forged or replayed single frame can never complete an ADU on its own,
     // so content integrity reduces to the per-frame checksum plus the
@@ -1909,10 +1902,22 @@ fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
         max_retries: 200,
         ..AlfConfig::default()
     };
-    let mut a = AduTransport::new(cfg);
-    let mut b = AduTransport::new(cfg);
-    a.attach_telemetry(tel.clone(), "sender");
-    b.attach_telemetry(tel.clone(), "receiver");
+    let mut pair = Pair::new(
+        seed,
+        LinkConfig::lan(),
+        FaultConfig::none(),
+        Substrate::Packet,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
+    let (node_a, node_b) = (pair.node_a, pair.node_b);
+    pair.net.attach_telemetry(tel.clone());
+    if hostility > 0.0 {
+        pair.net
+            .set_mutator(node_a, node_b, MutatorConfig::hostile(hostility));
+    }
+    pair.a.attach_telemetry(tel.clone(), "sender");
+    pair.b.attach_telemetry(tel.clone(), "receiver");
 
     let expected: Vec<Vec<u8>> = (0..ADUS)
         .map(|i| workload_payload(i, X12_ADU_BYTES))
@@ -1924,33 +1929,16 @@ fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
     let mut done_at = None;
 
     for _ in 0..8_000_000u64 {
-        let now = net.now();
         while next_offer < ADUS {
             let payload = expected[next_offer as usize].clone();
-            match a.send_adu(AduName::Seq { index: next_offer }, payload) {
+            match pair.a.send_adu(AduName::Seq { index: next_offer }, payload) {
                 Ok(_) => next_offer += 1,
                 Err(_) => break,
             }
         }
-        let mut moved = false;
-        for msg in a.poll(now) {
-            moved = true;
-            let _ = net.send(node_a, node_b, msg);
-        }
-        for msg in b.poll(now) {
-            moved = true;
-            let _ = net.send(node_b, node_a, msg);
-        }
-        while let Some(frame) = net.recv(node_b) {
-            moved = true;
-            b.on_frame(net.now(), frame.payload.into());
-        }
-        while let Some(frame) = net.recv(node_a) {
-            moved = true;
-            a.on_frame(net.now(), frame.payload.into());
-        }
+        let moved = pair.exchange();
 
-        while let Some((adu, _latency)) = b.recv_adu() {
+        while let Some((adu, _latency)) = pair.b.recv_adu() {
             let AduName::Seq { index } = adu.name else {
                 panic!(
                     "x12 hostility {hostility}: delivered ADU with foreign name {:?}",
@@ -1969,47 +1957,35 @@ fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
             seen[idx] = true;
             delivered += 1;
         }
-        peak = peak.max(b.reassembly_bytes());
+        peak = peak.max(pair.b.reassembly_bytes());
         assert!(
-            b.reassembly_bytes() <= X12_BUDGET,
+            pair.b.reassembly_bytes() <= X12_BUDGET,
             "x12 hostility {hostility}: reassembly {} bytes exceeds the {X12_BUDGET} byte budget",
-            b.reassembly_bytes()
+            pair.b.reassembly_bytes()
         );
         assert!(
-            a.take_loss_reports().is_empty(),
+            pair.a.take_loss_reports().is_empty(),
             "x12 hostility {hostility}: buffered sender gave up under a recoverable adversary"
         );
 
-        if next_offer == ADUS && a.send_complete() && delivered == ADUS {
-            done_at = Some(net.now());
+        if next_offer == ADUS && pair.a.send_complete() && delivered == ADUS {
+            done_at = Some(pair.net.now());
             break;
         }
         assert!(
-            net.now() < SimTime::from_secs(120),
+            pair.net.now() < SimTime::from_secs(120),
             "x12 hostility {hostility}: no convergence after 120 simulated seconds \
              ({delivered}/{ADUS} delivered)"
         );
 
-        if !net.is_idle() {
-            net.step();
-        } else if moved {
-            // Queued output leaves at the current instant on the next pass.
-        } else {
-            let timer = [a.next_timeout(), b.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min();
-            match timer {
-                Some(t) if t > now => net.advance(t.saturating_since(now)),
-                Some(_) => {}
-                None if b.reassembly_bytes() > 0 => {
-                    net.advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-                }
-                None => panic!(
-                    "x12 hostility {hostility}: wedged with nothing scheduled \
-                     ({delivered}/{ADUS} delivered)"
-                ),
-            }
+        if !pair.settle(moved, None) {
+            assert!(
+                pair.b.reassembly_bytes() > 0,
+                "x12 hostility {hostility}: wedged with nothing scheduled \
+                 ({delivered}/{ADUS} delivered)"
+            );
+            pair.net
+                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
         }
     }
     let done_at = done_at.unwrap_or_else(|| {
@@ -2019,7 +1995,8 @@ fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
     let replays_suppressed = tel.metrics().counter("alf.rx_rejected.replayed");
     X12Run {
         goodput_mbps: (ADUS as usize * X12_ADU_BYTES) as f64 * 8.0 / secs / 1e6,
-        adversarial: net
+        adversarial: pair
+            .net
             .mutator_stats(node_a, node_b)
             .map(|s| s.total())
             .unwrap_or(0),

@@ -10,22 +10,12 @@
 
 use crate::adu::{Adu, AduName};
 use crate::transport::{AduTransport, AlfConfig, AlfStats, RecoveryMode};
-use ct_netsim::atm::{AtmConfig, AtmEndpoint};
+use ct_netsim::drive::Pair;
+pub use ct_netsim::drive::Substrate;
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
 use ct_netsim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
-
-/// Which network substrate carries the TUs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Substrate {
-    /// Each TU is one network frame (classic packet switching).
-    Packet,
-    /// Each TU is segmented into 53-byte ATM cells with AAL-style
-    /// reassembly; per-cell faults, lost cell ⇒ lost TU.
-    Atm,
-}
 
 /// Outcome of an ALF transfer run.
 #[derive(Debug, Clone)]
@@ -167,13 +157,6 @@ pub fn run_alf_transfer_scenario(
     recompute: Option<RecomputeFn<'_>>,
     opts: &ScenarioOpts,
 ) -> AlfReport {
-    let mut net = Network::new(seed);
-    let node_a = net.add_node();
-    let node_b = net.add_node();
-    net.connect(node_a, node_b, link, faults);
-    for &(from, until) in &opts.outages {
-        net.schedule_outage(node_a, node_b, from, until);
-    }
     // Out-of-band rate computation (§3): derive the TU pace from the
     // substrate's per-TU wire time unless the caller fixed one — or
     // enabled adaptive control, which measures its own rate from ACKs.
@@ -194,23 +177,30 @@ pub fn run_alf_transfer_scenario(
         // 5% headroom so control traffic fits alongside data.
         cfg.pace_per_tu = SimDuration::from_nanos(ser.as_nanos() + ser.as_nanos() / 20);
     }
-    let mut a = AduTransport::new(cfg);
-    let mut b = AduTransport::new(cfg);
-    if let Some(tel) = &opts.telemetry {
-        net.attach_telemetry(tel.clone());
-        a.attach_telemetry(tel.clone(), "sender");
-        b.attach_telemetry(tel.clone(), "receiver");
+    let mut pair = Pair::new(
+        seed,
+        link,
+        faults,
+        substrate,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
+    for &(from, until) in &opts.outages {
+        pair.net
+            .schedule_outage(pair.node_a, pair.node_b, from, until);
     }
-    // ATM endpoints (used only when substrate == Atm).
-    let mut atm_a = AtmEndpoint::new(node_a, AtmConfig::default());
-    let mut atm_b = AtmEndpoint::new(node_b, AtmConfig::default());
+    if let Some(tel) = &opts.telemetry {
+        pair.net.attach_telemetry(tel.clone());
+        pair.a.attach_telemetry(tel.clone(), "sender");
+        pair.b.attach_telemetry(tel.clone(), "receiver");
+    }
 
     let expected: HashMap<AduName, &[u8]> = adus
         .iter()
         .map(|adu| (adu.name, adu.payload.as_slice()))
         .collect();
 
-    let start = net.now();
+    let start = pair.net.now();
     let mut next_offer = 0usize;
     let mut delivered_ok = 0u64;
     let mut delivered_bytes = 0u64;
@@ -236,7 +226,7 @@ pub fn run_alf_transfer_scenario(
             if next_offer >= submitted_upto {
                 trace_app(
                     &opts.telemetry,
-                    net.now(),
+                    pair.net.now(),
                     "adu_submit",
                     adu.name,
                     adu.len() as u64,
@@ -244,7 +234,7 @@ pub fn run_alf_transfer_scenario(
                 );
                 submitted_upto = next_offer + 1;
             }
-            match a.send_adu(adu.name, adu.payload.clone()) {
+            match pair.a.send_adu(adu.name, adu.payload.clone()) {
                 Ok(_) => next_offer += 1,
                 Err(_) => break,
             }
@@ -254,73 +244,19 @@ pub fn run_alf_transfer_scenario(
         // answered before the poll so the regenerated payload flows out in
         // this iteration and never lingers as sender state.
         if cfg.recovery == RecoveryMode::AppRecompute {
-            let reqs = a.take_recompute_requests();
+            let reqs = pair.a.take_recompute_requests();
             if !reqs.is_empty() {
                 let oracle = recompute.expect("AppRecompute run needs a recompute oracle");
                 for req in reqs {
-                    a.provide_recomputed(req.adu_id, oracle(req.name));
+                    pair.a.provide_recomputed(req.adu_id, oracle(req.name));
                 }
             }
         }
 
-        // Sender → network.
-        let mut moved = false;
-        let now = net.now();
-        for msg in a.poll(now) {
-            moved = true;
-            match substrate {
-                Substrate::Packet => {
-                    let _ = net.send(node_a, node_b, msg);
-                }
-                Substrate::Atm => {
-                    let _ = atm_a.send_pdu(&mut net, node_b, &msg);
-                }
-            }
-        }
-        // Receiver → network (control traffic).
-        for msg in b.poll(now) {
-            moved = true;
-            match substrate {
-                Substrate::Packet => {
-                    let _ = net.send(node_b, node_a, msg);
-                }
-                Substrate::Atm => {
-                    let _ = atm_b.send_pdu(&mut net, node_a, &msg);
-                }
-            }
-        }
-
-        // Network → endpoints.
-        match substrate {
-            // Received frames are owned here, so both substrates hand them
-            // to the zero-copy ingest: a data TU's payload stays a view
-            // into the frame through reassembly instead of being copied out.
-            Substrate::Packet => {
-                while let Some(frame) = net.recv(node_b) {
-                    moved = true;
-                    b.on_frame(net.now(), frame.payload.into());
-                }
-                while let Some(frame) = net.recv(node_a) {
-                    moved = true;
-                    a.on_frame(net.now(), frame.payload.into());
-                }
-            }
-            Substrate::Atm => {
-                atm_b.pump(&mut net);
-                while let Some((_, pdu)) = atm_b.recv_pdu() {
-                    moved = true;
-                    b.on_frame(net.now(), pdu.into());
-                }
-                atm_a.pump(&mut net);
-                while let Some((_, pdu)) = atm_a.recv_pdu() {
-                    moved = true;
-                    a.on_frame(net.now(), pdu.into());
-                }
-            }
-        }
+        let moved = pair.exchange();
 
         // Application drains out-of-order deliveries.
-        while let Some((adu, latency)) = b.recv_adu() {
+        while let Some((adu, latency)) = pair.b.recv_adu() {
             delivered_bytes += adu.len() as u64;
             if let Some(tel) = &opts.telemetry {
                 tel.metrics_mut()
@@ -328,7 +264,7 @@ pub fn run_alf_transfer_scenario(
             }
             trace_app(
                 &opts.telemetry,
-                net.now(),
+                pair.net.now(),
                 "adu_consume",
                 adu.name,
                 adu.len() as u64,
@@ -348,14 +284,14 @@ pub fn run_alf_transfer_scenario(
                 }
             }
         }
-        lost_names += a.take_loss_reports().len() as u64;
+        lost_names += pair.a.take_loss_reports().len() as u64;
 
-        sender_buffer_peak = sender_buffer_peak.max(a.retransmit_buffer_bytes());
-        reassembly_peak = reassembly_peak.max(b.reassembly_bytes());
+        sender_buffer_peak = sender_buffer_peak.max(pair.a.retransmit_buffer_bytes());
+        reassembly_peak = reassembly_peak.max(pair.b.reassembly_bytes());
 
         // Completion check.
         let accounted = delivered_ok + corrupt_deliveries + lost_names;
-        if next_offer == adus.len() && a.send_complete() && accounted >= adus.len() as u64 {
+        if next_offer == adus.len() && pair.a.send_complete() && accounted >= adus.len() as u64 {
             complete = true;
             break;
         }
@@ -363,7 +299,7 @@ pub fn run_alf_transfer_scenario(
         // above) and refuses new work — stop instead of spinning. Offered-
         // but-unsubmitted ADUs stay unaccounted, so `complete` stays false
         // unless the flush covered the whole workload.
-        if a.peer_unreachable() {
+        if pair.a.peer_unreachable() {
             break;
         }
         // NoRetransmit: the sender is done instantly, but the receiver may
@@ -371,73 +307,57 @@ pub fn run_alf_transfer_scenario(
         // clock past the assembly deadline once the wire is quiet.
         if cfg.recovery == RecoveryMode::NoRetransmit
             && next_offer == adus.len()
-            && a.send_complete()
-            && net.is_idle()
+            && pair.a.send_complete()
+            && pair.net.is_idle()
         {
             match quiet_deadline {
                 None => {
                     quiet_deadline =
-                        Some(net.now() + cfg.assembly_timeout + SimDuration::from_millis(1));
-                    net.advance(cfg.assembly_timeout + SimDuration::from_millis(1));
+                        Some(pair.net.now() + cfg.assembly_timeout + SimDuration::from_millis(1));
+                    pair.net
+                        .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
                 }
-                Some(d) if net.now() >= d => {
+                Some(d) if pair.net.now() >= d => {
                     // Expire leftovers and finish.
-                    let _ = b.poll(net.now());
+                    let _ = pair.b.poll(pair.net.now());
                     complete = true;
                     break;
                 }
                 Some(_) => {
-                    net.advance(SimDuration::from_millis(1));
+                    pair.net.advance(SimDuration::from_millis(1));
                 }
             }
             continue;
         }
 
-        // Advance the world — but never jump the clock while an endpoint
-        // just produced or consumed something: it may have queued control
-        // traffic (e.g. an ACK) that must leave at the current instant.
-        if !net.is_idle() {
-            net.step();
-        } else if moved {
-            // Loop again at the same instant so queued output gets polled.
-        } else {
-            let now = net.now();
-            let next = [a.next_timeout(), b.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min();
-            match next {
-                Some(t) if t > now => net.advance(t.saturating_since(now)),
-                Some(_) => {}
-                None => {
-                    // Nothing pending anywhere. A question to the sending
-                    // application still counts as pending work; so do
-                    // receiver partials (let them expire).
-                    if a.pending_recompute_requests() > 0 {
-                        // Answered at the top of the next iteration.
-                    } else if b.reassembly_bytes() > 0 {
-                        net.advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-                    } else if a.send_complete() && next_offer == adus.len() {
-                        // All sent; any unaccounted ADUs are silent losses
-                        // (NoRetransmit ACK losses etc.).
-                        complete = true;
-                        break;
-                    } else {
-                        break;
-                    }
-                }
+        // Nothing pending anywhere: a question to the sending application
+        // still counts as pending work; so do receiver partials (let them
+        // expire).
+        if !pair.settle(moved, None) {
+            if pair.a.pending_recompute_requests() > 0 {
+                // Answered at the top of the next iteration.
+            } else if pair.b.reassembly_bytes() > 0 {
+                pair.net
+                    .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
+            } else if pair.a.send_complete() && next_offer == adus.len() {
+                // All sent; any unaccounted ADUs are silent losses
+                // (NoRetransmit ACK losses etc.).
+                complete = true;
+                break;
+            } else {
+                break;
             }
         }
     }
 
-    let elapsed = net.now().saturating_since(start);
+    let elapsed = pair.net.now().saturating_since(start);
     if let Some(tel) = &opts.telemetry {
         // End-of-run publication: both endpoints' counters, plus the bytes
         // the application actually received into the data-touch ledger (so
         // ledgered manipulation stages divide into passes-per-byte).
         let mut reg = tel.metrics_mut();
-        a.stats().publish(&mut reg, "alf.sender");
-        b.stats().publish(&mut reg, "alf.receiver");
+        pair.a.stats().publish(&mut reg, "alf.sender");
+        pair.b.stats().publish(&mut reg, "alf.receiver");
         reg.counter_set("alf.run.delivered_bytes", delivered_bytes);
         reg.counter_set("alf.run.elapsed_ns", elapsed.as_nanos());
         drop(reg);
@@ -455,7 +375,7 @@ pub fn run_alf_transfer_scenario(
             }
         }
     }
-    let stats_b = b.stats();
+    let stats_b = pair.b.stats();
     let delivered = stats_b.adus_delivered;
     let latency_mean = stats_b
         .delivery_latency_total
@@ -467,17 +387,17 @@ pub fn run_alf_transfer_scenario(
         verified: corrupt_deliveries == 0,
         adus_offered: adus.len(),
         adus_delivered: delivered,
-        adus_lost: lost_names + a.stats().adus_given_up.saturating_sub(lost_names),
+        adus_lost: lost_names + pair.a.stats().adus_given_up.saturating_sub(lost_names),
         elapsed,
         goodput_mbps: ct_wire::mbps(delivered_bytes, elapsed.as_secs_f64()),
         latency_mean,
         latency_max: stats_b.delivery_latency_max,
-        sender: a.stats(),
+        sender: pair.a.stats(),
         receiver: stats_b,
         sender_buffer_peak,
         reassembly_peak,
-        net_loss_rate: net.stats().loss_rate(),
-        peer_unreachable: a.peer_unreachable(),
+        net_loss_rate: pair.net.stats().loss_rate(),
+        peer_unreachable: pair.a.peer_unreachable(),
     }
 }
 

@@ -24,6 +24,8 @@
 //!   detection; lost cell ⇒ whole PDU discarded, as the paper's §5
 //!   footnote 9 describes.
 //! * [`trace`] — the always-on counter block ([`trace::NetStats`]).
+//! * [`drive`] — the one two-endpoint drive loop: the [`drive::Endpoint`]
+//!   trait and [`drive::Pair`], over either substrate.
 //!
 //! ## Determinism
 //!
@@ -34,6 +36,7 @@
 #![forbid(unsafe_code)]
 
 pub mod atm;
+pub mod drive;
 pub mod event;
 pub mod fault;
 pub mod link;
@@ -43,6 +46,7 @@ pub mod time;
 pub mod trace;
 
 pub use atm::{AtmConfig, AtmEndpoint, CELL_HEADER_BYTES, CELL_PAYLOAD_BYTES, CELL_SIZE_BYTES};
+pub use drive::{Endpoint, Pair, Substrate};
 pub use fault::{FaultConfig, GilbertElliott};
 pub use link::LinkConfig;
 pub use net::{Frame, Network, NodeId};

@@ -266,23 +266,6 @@ pub fn run_cluster(
         true,
     );
     let wall = wall_start.elapsed();
-    if std::env::var_os("X13_PHASE_TIMING").is_some() {
-        let p: Vec<u128> = (0..6)
-            .map(|i| (tally.phase_ns[i] - warm.phase_ns[i]) / 1_000_000)
-            .collect();
-        eprintln!(
-            "x13 phases (ms): offer={} client_poll={} srv_ingest={} srv_batch={} verify={} \
-             cli_ingest={} iters={} wall={}",
-            p[0],
-            p[1],
-            p[2],
-            p[3],
-            p[4],
-            p[5],
-            tally.iters - warm.iters,
-            wall.as_millis()
-        );
-    }
     tally.mem_peak = tally.mem_peak.max(cx.server.approx_mem_bytes());
     let elapsed = cx.net.now().saturating_since(start);
 
@@ -332,8 +315,6 @@ struct Tally {
     frames_in: u64,
     frames_out: u64,
     mem_peak: usize,
-    phase_ns: [u128; 6],
-    iters: u64,
 }
 
 /// Everything one phase of the cluster run borrows.
@@ -364,68 +345,53 @@ fn drive_phase(
     sample_mem: bool,
 ) -> bool {
     let offered_start = t.offered;
-    let timing = std::env::var_os("X13_PHASE_TIMING").is_some();
-    macro_rules! clock {
-        ($i:expr, $body:block) => {
-            if timing {
-                let c = std::time::Instant::now();
-                $body
-                t.phase_ns[$i] += c.elapsed().as_nanos();
-            } else {
-                $body
-            }
-        };
-    }
     let mut sampled = !sample_mem;
     let max_iters = 2_000_000 + (target - offered_start) as usize * 4;
     for _ in 0..max_iters {
-        t.iters += 1;
         // Offer from the front of the queue while the in-flight budget
         // allows. The front association bursts all its remaining ADUs
         // while its endpoint is hot in cache (one touch per association,
         // not one per ADU); a refusal (window full) rotates it to the
         // back and yields the rest of the iteration to draining — never a
         // scan of every blocked association.
-        clock!(0, {
-            'budget: while t.offered < target
-                && t.offered - (t.delivered_ok + t.corrupt + t.lost) < cx.inflight_cap
-            {
-                let Some(&(peer, assoc, mut next)) = offer.front() else {
-                    break;
-                };
-                let ckey = AssocKey { peer: 0, assoc };
-                while next < idx_end {
-                    if t.offered >= target
-                        || t.offered - (t.delivered_ok + t.corrupt + t.lost) >= cx.inflight_cap
-                    {
-                        offer.front_mut().expect("front exists").2 = next;
+        'budget: while t.offered < target
+            && t.offered - (t.delivered_ok + t.corrupt + t.lost) < cx.inflight_cap
+        {
+            let Some(&(peer, assoc, mut next)) = offer.front() else {
+                break;
+            };
+            let ckey = AssocKey { peer: 0, assoc };
+            while next < idx_end {
+                if t.offered >= target
+                    || t.offered - (t.delivered_ok + t.corrupt + t.lost) >= cx.inflight_cap
+                {
+                    offer.front_mut().expect("front exists").2 = next;
+                    break 'budget;
+                }
+                let payload = assoc_payload(peer, assoc, next, cx.adu_bytes);
+                match cx.clients[peer as usize].send_adu(
+                    ckey,
+                    AduName::Seq { index: next },
+                    payload,
+                ) {
+                    Ok(_) => {
+                        t.offered += 1;
+                        next += 1;
+                    }
+                    Err(_) => {
+                        // Window full: park the association at the back
+                        // with its progress and drain before retrying.
+                        let mut item = offer.pop_front().expect("front exists");
+                        item.2 = next;
+                        offer.push_back(item);
                         break 'budget;
                     }
-                    let payload = assoc_payload(peer, assoc, next, cx.adu_bytes);
-                    match cx.clients[peer as usize].send_adu(
-                        ckey,
-                        AduName::Seq { index: next },
-                        payload,
-                    ) {
-                        Ok(_) => {
-                            t.offered += 1;
-                            next += 1;
-                        }
-                        Err(_) => {
-                            // Window full: park the association at the back
-                            // with its progress and drain before retrying.
-                            let mut item = offer.pop_front().expect("front exists");
-                            item.2 = next;
-                            offer.push_back(item);
-                            break 'budget;
-                        }
-                    }
-                }
-                if next >= idx_end {
-                    offer.pop_front();
                 }
             }
-        });
+            if next >= idx_end {
+                offer.pop_front();
+            }
+        }
 
         let now = cx.net.now();
         let mut moved = false;
@@ -433,75 +399,65 @@ fn drive_phase(
         // Clients → network: batched polls, O(dirty associations). The
         // wheel-due check matters: an expired retransmission timer is not
         // "pending work" until a batch advances the wheel and fires it.
-        clock!(1, {
-            for (peer, client) in cx.clients.iter_mut().enumerate() {
-                while client.pending_work() || client.next_wakeup().is_some_and(|w| w <= now) {
-                    if client.poll_batch(now, &mut cx.egress).idle() {
-                        break;
-                    }
-                    moved = true;
-                }
-                for (_, f) in cx.egress.drain(..) {
-                    let _ = cx.net.send(cx.client_nodes[peer], cx.server_node, f);
-                }
-                t.lost += client.take_losses().len() as u64;
-            }
-        });
-
-        // Network → server ingress queue (no per-frame clock read).
-        clock!(2, {
-            while let Some(frame) = cx.net.recv(cx.server_node) {
-                moved = true;
-                t.frames_in += 1;
-                cx.server
-                    .ingest(cx.peer_of_node[frame.src.index()], frame.payload);
-            }
-        });
-
-        // Server batches: one clock read per batch; same wheel-due gate as
-        // the clients so expired wakeups get a batch to fire in.
-        clock!(3, {
-            while cx.server.pending_work() || cx.server.next_wakeup().is_some_and(|w| w <= now) {
-                if cx.server.poll_batch(now, &mut cx.egress).idle() {
+        for (peer, client) in cx.clients.iter_mut().enumerate() {
+            while client.pending_work() || client.next_wakeup().is_some_and(|w| w <= now) {
+                if client.poll_batch(now, &mut cx.egress).idle() {
                     break;
                 }
                 moved = true;
             }
-            for (peer, f) in cx.egress.drain(..) {
-                t.frames_out += 1;
-                let _ = cx
-                    .net
-                    .send(cx.server_node, cx.client_nodes[peer as usize], f);
+            for (_, f) in cx.egress.drain(..) {
+                let _ = cx.net.send(cx.client_nodes[peer], cx.server_node, f);
             }
-        });
+            t.lost += client.take_losses().len() as u64;
+        }
+
+        // Network → server ingress queue (no per-frame clock read).
+        while let Some(frame) = cx.net.recv(cx.server_node) {
+            moved = true;
+            t.frames_in += 1;
+            cx.server
+                .ingest(cx.peer_of_node[frame.src.index()], frame.payload);
+        }
+
+        // Server batches: one clock read per batch; same wheel-due gate as
+        // the clients so expired wakeups get a batch to fire in.
+        while cx.server.pending_work() || cx.server.next_wakeup().is_some_and(|w| w <= now) {
+            if cx.server.poll_batch(now, &mut cx.egress).idle() {
+                break;
+            }
+            moved = true;
+        }
+        for (peer, f) in cx.egress.drain(..) {
+            t.frames_out += 1;
+            let _ = cx
+                .net
+                .send(cx.server_node, cx.client_nodes[peer as usize], f);
+        }
 
         // Server application: verify each delivery against the regenerated
         // bytes for its own identity — cross-association bleed cannot pass.
-        clock!(4, {
-            for (key, adu, _latency) in cx.server.take_delivered() {
-                let AduName::Seq { index } = adu.name else {
-                    t.corrupt += 1;
-                    continue;
-                };
-                let want = assoc_payload(key.peer, key.assoc, index, cx.adu_bytes);
-                if adu.payload.as_slice() == want.as_slice() {
-                    t.delivered_ok += 1;
-                } else {
-                    t.corrupt += 1;
-                }
+        for (key, adu, _latency) in cx.server.take_delivered() {
+            let AduName::Seq { index } = adu.name else {
+                t.corrupt += 1;
+                continue;
+            };
+            let want = assoc_payload(key.peer, key.assoc, index, cx.adu_bytes);
+            if adu.payload.as_slice() == want.as_slice() {
+                t.delivered_ok += 1;
+            } else {
+                t.corrupt += 1;
             }
-        });
+        }
 
         // Network → clients (ACKs, NACKs): queue only; the next
         // iteration's batched client polls process them.
-        clock!(5, {
-            for (peer, client) in cx.clients.iter_mut().enumerate() {
-                while let Some(frame) = cx.net.recv(cx.client_nodes[peer]) {
-                    moved = true;
-                    client.ingest(0, frame.payload);
-                }
+        for (peer, client) in cx.clients.iter_mut().enumerate() {
+            while let Some(frame) = cx.net.recv(cx.client_nodes[peer]) {
+                moved = true;
+                client.ingest(0, frame.payload);
             }
-        });
+        }
         if !sampled && t.offered - offered_start >= (target - offered_start).min(cx.inflight_cap) {
             // One O(n) footprint sample while the throttle window is full
             // (steady-state peak), plus the completion sample at run end.

@@ -1,94 +1,27 @@
 //! Glue between [`StreamTransport`] endpoints and the simulated network.
 //!
-//! The driver owns the event loop: it polls both endpoints, injects their
-//! segments into the network, feeds arrivals back, lets the receiving
-//! application drain continuously (the paper's pipeline requirement), and —
-//! when the wire goes quiet — advances virtual time to the next
-//! retransmission timer so loss recovery makes progress.
+//! A stream endpoint is a [`ct_netsim::drive::Endpoint`], so it runs on the
+//! workspace's one drive loop ([`Pair`]). [`run_transfer`] adds the
+//! applications: a sender that writes as fast as the window allows and a
+//! receiver that drains continuously (the paper's pipeline requirement).
 
 use crate::stream::{StreamConfig, StreamStats, StreamTransport};
+use ct_netsim::drive::{Endpoint, Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::{Network, NodeId};
-use ct_netsim::time::SimDuration;
+use ct_netsim::time::{SimDuration, SimTime};
 use ct_wire::checksum::crc32;
+use ct_wire::WireBuf;
 
-/// A pair of stream endpoints attached to the ends of one simulated link.
-#[derive(Debug)]
-pub struct TransportPair {
-    /// The network carrying the segments.
-    pub net: Network,
-    /// Node the `a` endpoint is bound to.
-    pub node_a: NodeId,
-    /// Node the `b` endpoint is bound to.
-    pub node_b: NodeId,
-    /// Endpoint a (conventionally the sender in tests).
-    pub a: StreamTransport,
-    /// Endpoint b (conventionally the receiver).
-    pub b: StreamTransport,
-}
-
-impl TransportPair {
-    /// Build a two-node network with the given link and fault profile and
-    /// attach a transport endpoint to each node.
-    pub fn new(seed: u64, link: LinkConfig, faults: FaultConfig, cfg: StreamConfig) -> Self {
-        let mut net = Network::new(seed);
-        let node_a = net.add_node();
-        let node_b = net.add_node();
-        net.connect(node_a, node_b, link, faults);
-        Self {
-            net,
-            node_a,
-            node_b,
-            a: StreamTransport::new(cfg, 1, 2),
-            b: StreamTransport::new(cfg, 2, 1),
-        }
+impl Endpoint for StreamTransport {
+    fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        StreamTransport::poll(self, now)
     }
-
-    /// One driver round: poll endpoints, exchange frames, process one
-    /// network event (or jump to the next timer if the wire is idle).
-    /// Returns `false` if nothing can make progress any more.
-    pub fn tick(&mut self) -> bool {
-        let now = self.net.now();
-        let mut moved = false;
-        for f in self.a.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.node_a, self.node_b, f);
-        }
-        for f in self.b.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.node_b, self.node_a, f);
-        }
-        while let Some(frame) = self.net.recv(self.node_b) {
-            moved = true;
-            self.b.on_frame(self.net.now(), frame.payload.into());
-        }
-        while let Some(frame) = self.net.recv(self.node_a) {
-            moved = true;
-            self.a.on_frame(self.net.now(), frame.payload.into());
-        }
-        if !self.net.is_idle() {
-            self.net.step();
-            return true;
-        }
-        if moved {
-            return true;
-        }
-        // Wire quiet, nothing produced: jump to the earliest timer.
-        let next = match (self.a.next_timeout(), self.b.next_timeout()) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (Some(x), None) => Some(x),
-            (None, Some(y)) => Some(y),
-            (None, None) => None,
-        };
-        match next {
-            Some(t) if t > now => {
-                self.net.advance(t.saturating_since(now));
-                true
-            }
-            Some(_) => true, // timer already due; next poll handles it
-            None => false,   // truly stuck (or finished)
-        }
+    fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
+        StreamTransport::on_frame(self, now, frame);
+    }
+    fn next_timeout(&self) -> Option<SimTime> {
+        StreamTransport::next_timeout(self)
     }
 }
 
@@ -114,7 +47,7 @@ pub struct TransferReport {
     pub net_loss_rate: f64,
 }
 
-/// Drive a complete `a → b` transfer of `data` over a fresh [`TransportPair`],
+/// Drive a complete `a → b` transfer of `data` over a fresh [`Pair`],
 /// with the receiving application reading continuously. Returns the report;
 /// `complete` is false if the run hit the iteration guard (pathological
 /// loss rates).
@@ -142,7 +75,11 @@ pub fn run_transfer_telemetry(
     data: &[u8],
     telemetry: Option<&ct_telemetry::Telemetry>,
 ) -> TransferReport {
-    let mut pair = TransportPair::new(seed, link, faults, cfg);
+    let (a, b) = (
+        StreamTransport::new(cfg, 1, 2),
+        StreamTransport::new(cfg, 2, 1),
+    );
+    let mut pair = Pair::new(seed, link, faults, Substrate::Packet, a, b);
     if let Some(tel) = telemetry {
         pair.net.attach_telemetry(tel.clone());
         pair.a.attach_telemetry(tel.clone(), "sender");
@@ -181,7 +118,8 @@ pub fn run_transfer_telemetry(
             complete = true;
             break;
         }
-        if !pair.tick() {
+        let moved = pair.exchange();
+        if !pair.settle(moved, None) {
             break;
         }
     }

@@ -19,8 +19,8 @@
 //!   that creates head-of-line blocking when the network loses or reorders
 //!   (§5: "a lost packet stops the application from performing presentation
 //!   conversion").
-//! * [`driver`] — glue that runs a pair of transports over a
-//!   [`ct_netsim::Network`], with timer integration.
+//! * [`driver`] — the stream endpoint as a [`ct_netsim::drive::Endpoint`],
+//!   and [`run_transfer`]: one whole transfer over a [`ct_netsim::Pair`].
 //! * [`stack`] — the **layered stack** (experiment E4): presentation,
 //!   encryption, integrity and the app copy executed as separate passes
 //!   with intermediate buffers, each pass timed so the harness can report
@@ -39,6 +39,6 @@ pub mod segment;
 pub mod stack;
 pub mod stream;
 
-pub use driver::{run_transfer, run_transfer_telemetry, TransferReport, TransportPair};
+pub use driver::{run_transfer, run_transfer_telemetry, TransferReport};
 pub use segment::{Segment, SegmentError, HEADER_BYTES};
 pub use stream::{StreamConfig, StreamStats, StreamTransport};

@@ -21,12 +21,14 @@
 //! measures manipulation cost. The two never mix: `LayerTimes` holds real
 //! seconds, `TransferReport` holds simulated seconds.
 
-use crate::driver::TransportPair;
-use crate::stream::StreamConfig;
+use crate::stream::{StreamConfig, StreamTransport};
 use ct_crypto::stream::XorStream;
+use ct_netsim::drive::{Endpoint, Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::time::SimTime;
 use ct_presentation::{ber, xdr, CodecError, PValue, TransferSyntax};
+use ct_wire::WireBuf;
 use std::time::Instant;
 
 /// One application record to be carried through the stack.
@@ -164,6 +166,34 @@ fn frame_record(tag: u8, body: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(body);
 }
 
+/// An endpoint whose drive-loop calls are charged to the transport layer.
+/// Only the protocol endpoint's work (segment encode/decode, checksums,
+/// stream copies) counts as transport CPU; the simulator's event
+/// processing is the "network", which the paper's stack accounting of
+/// course excludes.
+struct Timed<E> {
+    inner: E,
+    /// Real seconds spent in `poll` and `on_frame`.
+    secs: f64,
+}
+
+impl<E: Endpoint> Endpoint for Timed<E> {
+    fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        let t = Instant::now();
+        let frames = self.inner.poll(now);
+        self.secs += t.elapsed().as_secs_f64();
+        frames
+    }
+    fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
+        let t = Instant::now();
+        self.inner.on_frame(now, frame);
+        self.secs += t.elapsed().as_secs_f64();
+    }
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.inner.next_timeout()
+    }
+}
+
 /// Encryption key used by stack runs (both ends share it out of band).
 const STACK_KEY: u64 = 0x0C1A_12C3;
 
@@ -196,7 +226,18 @@ pub fn run_layered_transfer_telemetry(
     records: &[Record],
     telemetry: Option<&ct_telemetry::Telemetry>,
 ) -> StackReport {
-    let mut pair = TransportPair::new(seed, link, faults, cfg.transport);
+    let timed = |local, remote| Timed {
+        inner: StreamTransport::new(cfg.transport, local, remote),
+        secs: 0.0,
+    };
+    let mut pair = Pair::new(
+        seed,
+        link,
+        faults,
+        Substrate::Packet,
+        timed(1, 2),
+        timed(2, 1),
+    );
     if let Some(tel) = telemetry {
         pair.net.attach_telemetry(tel.clone());
     }
@@ -259,7 +300,7 @@ pub fn run_layered_transfer_telemetry(
         // Layer pass 3: transport send (copy into the send buffer).
         if pending_off < pending_wire.len() {
             let t2 = Instant::now();
-            let n = pair.a.send(&pending_wire[pending_off..]);
+            let n = pair.a.inner.send(&pending_wire[pending_off..]);
             pending_off += n;
             times.transport += t2.elapsed().as_secs_f64();
             if let Some(l) = ledger {
@@ -268,68 +309,18 @@ pub fn run_layered_transfer_telemetry(
             }
         }
         if next_record == records.len() && pending_off == pending_wire.len() && !fin_queued {
-            pair.a.finish();
+            pair.a.inner.finish();
             fin_queued = true;
         }
 
         // --- network + transport machinery ---
-        // Only the protocol endpoints' work (segment encode/decode,
-        // checksums, stream copies) counts as transport CPU; the simulator's
-        // event processing is the "network", which the paper's stack
-        // accounting of course excludes.
-        let progressed = {
-            let now = pair.net.now();
-            let t3 = Instant::now();
-            let frames_a = pair.a.poll(now);
-            let frames_b = pair.b.poll(now);
-            times.transport += t3.elapsed().as_secs_f64();
-            let mut moved = !frames_a.is_empty() || !frames_b.is_empty();
-            for f in frames_a {
-                let _ = pair.net.send(pair.node_a, pair.node_b, f);
-            }
-            for f in frames_b {
-                let _ = pair.net.send(pair.node_b, pair.node_a, f);
-            }
-            while let Some(frame) = pair.net.recv(pair.node_b) {
-                moved = true;
-                let t = Instant::now();
-                // Owned frame → zero-copy ingest (out-of-order segments are
-                // buffered as views). The layered stack's booked passes are
-                // its explicit per-layer copies, which are unchanged.
-                pair.b.on_frame(pair.net.now(), frame.payload.into());
-                times.transport += t.elapsed().as_secs_f64();
-            }
-            while let Some(frame) = pair.net.recv(pair.node_a) {
-                moved = true;
-                let t = Instant::now();
-                pair.a.on_frame(pair.net.now(), frame.payload.into());
-                times.transport += t.elapsed().as_secs_f64();
-            }
-            if !pair.net.is_idle() {
-                pair.net.step();
-                true
-            } else if moved {
-                true
-            } else {
-                let next = match (pair.a.next_timeout(), pair.b.next_timeout()) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                };
-                match next {
-                    Some(t) if t > now => {
-                        pair.net.advance(t.saturating_since(now));
-                        true
-                    }
-                    Some(_) => true,
-                    None => false,
-                }
-            }
-        };
+        let moved = pair.exchange();
+        let progressed = pair.settle(moved, None);
         let n_read = {
             let t3 = Instant::now();
             let mut total = 0usize;
             loop {
-                let n = pair.b.recv(&mut buf);
+                let n = pair.b.inner.recv(&mut buf);
                 if n == 0 {
                     break;
                 }
@@ -399,8 +390,8 @@ pub fn run_layered_transfer_telemetry(
         }
 
         if fin_queued
-            && pair.a.send_complete()
-            && pair.b.peer_finished()
+            && pair.a.inner.send_complete()
+            && pair.b.inner.peer_finished()
             && delivered.len() == records.len()
         {
             complete = true;
@@ -415,13 +406,14 @@ pub fn run_layered_transfer_telemetry(
         }
     }
 
+    times.transport += pair.a.secs + pair.b.secs;
     // Verify content, not just count.
     let intact = complete && delivered == records;
     let app_bytes: u64 = delivered.iter().map(|r| r.app_bytes() as u64).sum();
     if let Some(tel) = telemetry {
         let mut reg = tel.metrics_mut();
-        pair.a.stats.publish(&mut reg, "stream.a");
-        pair.b.stats.publish(&mut reg, "stream.b");
+        pair.a.inner.stats.publish(&mut reg, "stream.a");
+        pair.b.inner.stats.publish(&mut reg, "stream.b");
         reg.counter_set("stack.records_delivered", delivered.len() as u64);
         reg.counter_set("stack.app_bytes", app_bytes);
         drop(reg);

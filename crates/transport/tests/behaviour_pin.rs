@@ -1,8 +1,9 @@
 //! The stream transport's protocol decisions, pinned to the byte.
 //!
-//! Each scenario drives a seeded [`TransportPair`] to completion and folds
-//! every frame either endpoint emits (direction, length, bytes — in emission
-//! order) into one FNV-1a digest, then reads both endpoints' final counters.
+//! Each scenario drives a seeded [`Pair`] — the workspace's one drive loop —
+//! to completion and folds every frame either endpoint emits (direction,
+//! length, bytes — in emission order) into one FNV-1a digest, then reads
+//! both endpoints' final counters.
 //! A change to segmentation, ACK generation, retransmission choice, window
 //! arithmetic or the wire encoding moves a digest, so "no protocol behaviour
 //! changed" is a test, not a claim.
@@ -12,11 +13,16 @@
 //! section 4.2.3.4); EXPERIMENTS.md has the rows they replaced and which
 //! half moved which pin.
 
+use ct_netsim::drive::{Endpoint, Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
+use ct_netsim::time::SimTime;
 use ct_transport::segment::Segment;
-use ct_transport::{StreamConfig, StreamStats, StreamTransport, TransportPair};
+use ct_transport::{StreamConfig, StreamStats, StreamTransport};
+use ct_wire::WireBuf;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -72,96 +78,110 @@ fn payload(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i.wrapping_mul(131) >> 3) as u8).collect()
 }
 
+/// What both endpoints' emitted frames fold into, in emission order.
+struct Fold {
+    digest: u64,
+    /// Every sequence number at which `a` started or ended a segment.
+    boundaries: BTreeSet<u64>,
+    partial_acks: u64,
+}
+
+/// A stream endpoint whose every emitted frame is folded into the shared
+/// [`Fold`] on its way to the wire.
+struct Observed {
+    inner: StreamTransport,
+    /// `b'a'` for the sender, `b'b'` for the receiver.
+    side: u8,
+    fold: Rc<RefCell<Fold>>,
+}
+
+impl Endpoint for Observed {
+    fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        let frames = self.inner.poll(now);
+        let fold = &mut *self.fold.borrow_mut();
+        for f in &frames {
+            fnv1a(&mut fold.digest, &[self.side]);
+            fnv1a(&mut fold.digest, &(f.len() as u32).to_be_bytes());
+            fnv1a(&mut fold.digest, f);
+            let seg = Segment::decode_frame(&f.as_slice().into()).expect("own frame");
+            if self.side == b'a' {
+                fold.boundaries.insert(seg.seq);
+                fold.boundaries.insert(seg.seq_end());
+            } else if !fold.boundaries.contains(&seg.ack) {
+                fold.partial_acks += 1;
+            }
+        }
+        frames
+    }
+    fn on_frame(&mut self, now: SimTime, frame: WireBuf) {
+        self.inner.on_frame(now, frame);
+    }
+    fn next_timeout(&self) -> Option<SimTime> {
+        self.inner.next_timeout()
+    }
+}
+
 fn run(sc: &Scenario) -> Outcome {
     let cfg = StreamConfig::default();
-    let mut pair = TransportPair::new(sc.seed, LinkConfig::gigabit(), sc.faults, cfg);
-    pair.b = StreamTransport::new(
-        StreamConfig {
-            recv_buffer: sc.recv_buffer,
-            ..cfg
-        },
-        2,
-        1,
+    let fold = Rc::new(RefCell::new(Fold {
+        digest: FNV_OFFSET,
+        boundaries: BTreeSet::from([0u64]),
+        partial_acks: 0,
+    }));
+    let observed = |side, inner| Observed {
+        inner,
+        side,
+        fold: Rc::clone(&fold),
+    };
+    let receiver = StreamConfig {
+        recv_buffer: sc.recv_buffer,
+        ..cfg
+    };
+    let mut pair = Pair::new(
+        sc.seed,
+        LinkConfig::gigabit(),
+        sc.faults,
+        Substrate::Packet,
+        observed(b'a', StreamTransport::new(cfg, 1, 2)),
+        observed(b'b', StreamTransport::new(receiver, 2, 1)),
     );
     let data = payload(sc.bytes);
     let mut got = Vec::with_capacity(data.len());
     let mut offset = 0;
     let mut fin_queued = false;
-    let mut digest = FNV_OFFSET;
-    let mut boundaries = BTreeSet::from([0u64]);
-    let mut partial_acks = 0;
     let mut buf = vec![0u8; sc.read_chunk];
     let mut complete = false;
 
     for round in 0..4_000_000usize {
+        let (a, b) = (&mut pair.a.inner, &mut pair.b.inner);
         if offset < data.len() {
-            offset += pair.a.send(&data[offset..]);
+            offset += a.send(&data[offset..]);
         }
         if offset == data.len() && !fin_queued {
-            pair.a.finish();
+            a.finish();
             fin_queued = true;
         }
         if round % sc.read_every == 0 {
-            let n = pair.b.recv(&mut buf);
+            let n = b.recv(&mut buf);
             got.extend_from_slice(&buf[..n]);
         }
-        if fin_queued && pair.a.send_complete() && pair.b.peer_finished() && got.len() == data.len()
-        {
+        if fin_queued && a.send_complete() && b.peer_finished() && got.len() == data.len() {
             complete = true;
             break;
         }
-
-        // `TransportPair::tick`, with every emitted frame observed.
-        let now = pair.net.now();
-        let mut moved = false;
-        for f in pair.a.poll(now) {
-            moved = true;
-            fnv1a(&mut digest, b"a");
-            fnv1a(&mut digest, &(f.len() as u32).to_be_bytes());
-            fnv1a(&mut digest, &f);
-            let seg = Segment::decode_frame(&f.as_slice().into()).expect("own frame");
-            boundaries.insert(seg.seq);
-            boundaries.insert(seg.seq_end());
-            let _ = pair.net.send(pair.node_a, pair.node_b, f);
-        }
-        for f in pair.b.poll(now) {
-            moved = true;
-            fnv1a(&mut digest, b"b");
-            fnv1a(&mut digest, &(f.len() as u32).to_be_bytes());
-            fnv1a(&mut digest, &f);
-            let seg = Segment::decode_frame(&f.as_slice().into()).expect("own frame");
-            if !boundaries.contains(&seg.ack) {
-                partial_acks += 1;
-            }
-            let _ = pair.net.send(pair.node_b, pair.node_a, f);
-        }
-        while let Some(frame) = pair.net.recv(pair.node_b) {
-            moved = true;
-            pair.b.on_frame(pair.net.now(), frame.payload.into());
-        }
-        while let Some(frame) = pair.net.recv(pair.node_a) {
-            moved = true;
-            pair.a.on_frame(pair.net.now(), frame.payload.into());
-        }
-        if !pair.net.is_idle() {
-            pair.net.step();
-        } else if !moved {
-            let next = [pair.a.next_timeout(), pair.b.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min();
-            if let Some(t) = next {
-                pair.net.advance(t.saturating_since(now));
-            }
-        }
+        // Nothing scheduled is not the end here: a slow reader's next read
+        // can reopen the window.
+        let moved = pair.exchange();
+        pair.settle(moved, None);
     }
     assert!(complete, "transfer did not complete");
     assert_eq!(got, data, "stream delivered different bytes");
+    let fold = fold.borrow();
     Outcome {
-        frames_digest: digest,
-        sender: stat_row(&pair.a.stats),
-        receiver: stat_row(&pair.b.stats),
-        partial_acks,
+        frames_digest: fold.digest,
+        sender: stat_row(&pair.a.inner.stats),
+        receiver: stat_row(&pair.b.inner.stats),
+        partial_acks: fold.partial_acks,
         sim_nanos: pair.net.now().as_nanos(),
     }
 }

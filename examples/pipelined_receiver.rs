@@ -17,11 +17,10 @@
 //! Run: `cargo run --release --example pipelined_receiver [loss_percent]`
 
 use alf_core::adu::AduName;
-use alf_core::driver::Substrate;
 use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode, SendRefused};
+use ct_netsim::drive::{Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
 use ct_netsim::time::SimDuration;
 use ct_presentation::ber;
 use ct_presentation::stream::BerU32Stream;
@@ -47,15 +46,6 @@ fn main() {
         wire.len().div_ceil(adu_size)
     );
 
-    let mut net = Network::new(4242);
-    let tx_node = net.add_node();
-    let rx_node = net.add_node();
-    net.connect(
-        tx_node,
-        rx_node,
-        LinkConfig::gigabit(),
-        FaultConfig::loss(loss_pct / 100.0),
-    );
     let cfg = AlfConfig {
         recovery: RecoveryMode::TransportBuffer,
         retransmit_timeout: SimDuration::from_millis(5),
@@ -65,8 +55,15 @@ fn main() {
         pace_per_tu: SimDuration::from_micros(13),
         ..AlfConfig::default()
     };
-    let mut tx = AduTransport::new(cfg);
-    let mut rx = AduTransport::new(cfg);
+    // The sender is endpoint `a`, the receiver endpoint `b`.
+    let mut pair = Pair::new(
+        4242,
+        LinkConfig::gigabit(),
+        FaultConfig::loss(loss_pct / 100.0),
+        Substrate::Packet,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
 
     // ADUs to offer (stream-position names: byte offset in the BER wire);
     // offered lazily as the send window opens.
@@ -87,12 +84,14 @@ fn main() {
     let mut decoded = 0usize;
     let mut completions = 0usize;
     let mut held_back = 0usize;
-    let _ = Substrate::Packet; // (this example drives the packet substrate manually)
 
     for _ in 0..10_000_000u64 {
         while next_chunk < chunks.len() {
             let (off, bytes) = &chunks[next_chunk];
-            match tx.send_adu(AduName::FileRange { offset: *off }, bytes.clone()) {
+            match pair
+                .a
+                .send_adu(AduName::FileRange { offset: *off }, bytes.clone())
+            {
                 Ok(_) => next_chunk += 1,
                 // Our window or the receiver's budget is full; retry after
                 // ACKs reopen it.
@@ -100,20 +99,8 @@ fn main() {
                 Err(e) => panic!("transfer refused fatally: {e}"),
             }
         }
-        let now = net.now();
-        for m in tx.poll(now) {
-            let _ = net.send(tx_node, rx_node, m);
-        }
-        for m in rx.poll(now) {
-            let _ = net.send(rx_node, tx_node, m);
-        }
-        while let Some(f) = net.recv(rx_node) {
-            rx.on_frame(net.now(), f.payload.into());
-        }
-        while let Some(f) = net.recv(tx_node) {
-            tx.on_frame(net.now(), f.payload.into());
-        }
-        while let Some((adu, _)) = rx.recv_adu() {
+        let moved = pair.exchange();
+        while let Some((adu, _)) = pair.b.recv_adu() {
             completions += 1;
             let AduName::FileRange { offset } = adu.name else {
                 unreachable!()
@@ -130,7 +117,7 @@ fn main() {
             if completions.is_multiple_of(25) {
                 println!(
                     "t={:>10} completions={completions:3} decoded={decoded:6} ints ({:.0}% of stream)",
-                    format!("{}", net.now()),
+                    format!("{}", pair.net.now()),
                     100.0 * decoded as f64 / values.len() as f64
                 );
             }
@@ -138,27 +125,19 @@ fn main() {
         if decoder.is_done() {
             break;
         }
-        if !net.is_idle() {
-            net.step();
-        } else if let Some(t) = [tx.next_timeout(), rx.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min()
-        {
-            if t > net.now() {
-                net.advance(t.saturating_since(net.now()));
+        if !pair.settle(moved, None) {
+            if pair.b.reassembly_bytes() > 0 || !pending.is_empty() {
+                pair.net.advance(SimDuration::from_millis(1));
+            } else {
+                break;
             }
-        } else if rx.reassembly_bytes() > 0 || !pending.is_empty() {
-            net.advance(SimDuration::from_millis(1));
-        } else {
-            break;
         }
     }
 
     println!(
         "\ndecoded {decoded}/{} integers by {}",
         values.len(),
-        net.now()
+        pair.net.now()
     );
     println!(
         "ADUs completed: {completions}; completed out of stream order: {held_back} \
@@ -166,8 +145,8 @@ fn main() {
     );
     println!(
         "FEC: {} parity TUs sent, {} fragments reconstructed in place",
-        tx.stats().fec_parity_sent,
-        rx.stats().fec_reconstructions
+        pair.a.stats().fec_parity_sent,
+        pair.b.stats().fec_reconstructions
     );
     assert_eq!(decoded, values.len(), "every integer must arrive");
     println!(

@@ -10,21 +10,12 @@
 
 use alf_core::transport::{AduTransport, AlfConfig};
 use ct_apps::rpc::{Proc, RpcClient, RpcServer};
+use ct_netsim::drive::{Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
 use ct_netsim::time::SimDuration;
 
 fn main() {
-    let mut net = Network::new(2024);
-    let client_node = net.add_node();
-    let server_node = net.add_node();
-    net.connect(
-        client_node,
-        server_node,
-        LinkConfig::wan(), // 10 Mb/s, 10 ms — latency makes ordering visible
-        FaultConfig::loss(0.03),
-    );
     let cfg = AlfConfig {
         retransmit_timeout: SimDuration::from_millis(120),
         assembly_timeout: SimDuration::from_millis(60),
@@ -33,8 +24,15 @@ fn main() {
         pace_per_tu: SimDuration::from_micros(1200),
         ..AlfConfig::default()
     };
-    let mut client_tp = AduTransport::new(cfg);
-    let mut server_tp = AduTransport::new(cfg);
+    // The client is endpoint `a`, the server endpoint `b`.
+    let mut pair = Pair::new(
+        2024,
+        LinkConfig::wan(), // 10 Mb/s, 10 ms — latency makes ordering visible
+        FaultConfig::loss(0.03),
+        Substrate::Packet,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
     let mut client = RpcClient::new();
     let mut server = RpcServer::new();
 
@@ -49,43 +47,31 @@ fn main() {
     ];
     for (proc, args) in &calls {
         let req = client.call(*proc, args);
-        client_tp.send_adu(req.name, req.payload).expect("window");
+        pair.a.send_adu(req.name, req.payload).expect("window");
     }
     println!("issued {} calls", calls.len());
 
     // Event loop until every call completes.
     let mut completed = Vec::new();
     for _ in 0..2_000_000 {
-        let now = net.now();
-        for msg in client_tp.poll(now) {
-            let _ = net.send(client_node, server_node, msg);
-        }
-        for msg in server_tp.poll(now) {
-            let _ = net.send(server_node, client_node, msg);
-        }
-        while let Some(frame) = net.recv(server_node) {
-            server_tp.on_frame(net.now(), frame.payload.into());
-        }
-        while let Some(frame) = net.recv(client_node) {
-            client_tp.on_frame(net.now(), frame.payload.into());
-        }
+        let moved = pair.exchange();
         // Server executes whatever requests have fully arrived.
-        while let Some((adu, _)) = server_tp.recv_adu() {
+        while let Some((adu, _)) = pair.b.recv_adu() {
             match server.handle(&adu) {
                 Ok(resp) => {
-                    server_tp.send_adu(resp.name, resp.payload).expect("window");
+                    pair.b.send_adu(resp.name, resp.payload).expect("window");
                 }
                 Err(e) => eprintln!("server rejected request: {e}"),
             }
         }
         // Client matches responses as they complete.
-        while let Some((adu, _)) = client_tp.recv_adu() {
+        while let Some((adu, _)) = pair.a.recv_adu() {
             client.on_response(&adu).expect("well-formed response");
         }
         for (id, proc, result) in client.take_completed() {
             println!(
                 "call {id} ({proc:?}) completed at {} — result[0..2] = {:?}",
-                net.now(),
+                pair.net.now(),
                 &result[..result.len().min(2)]
             );
             completed.push(id);
@@ -93,30 +79,20 @@ fn main() {
         if completed.len() == calls.len() {
             break;
         }
-        if !net.is_idle() {
-            net.step();
-        } else {
-            match [client_tp.next_timeout(), server_tp.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min()
-            {
-                Some(t) if t > net.now() => net.advance(t.saturating_since(net.now())),
-                Some(_) => {}
-                None => break,
-            }
+        if !pair.settle(moved, None) {
+            break;
         }
     }
 
     if completed.len() != calls.len() {
-        eprintln!("client stats: {:#?}", client_tp.stats());
-        eprintln!("server stats: {:#?}", server_tp.stats());
+        eprintln!("client stats: {:#?}", pair.a.stats());
+        eprintln!("server stats: {:#?}", pair.b.stats());
         eprintln!("client outstanding calls: {}", client.outstanding());
-        eprintln!("client send_complete: {}", client_tp.send_complete());
-        eprintln!("server send_complete: {}", server_tp.send_complete());
-        eprintln!("client reassembly bytes: {}", client_tp.reassembly_bytes());
-        eprintln!("server reassembly bytes: {}", server_tp.reassembly_bytes());
-        eprintln!("net stats: {}", net.stats());
+        eprintln!("client send_complete: {}", pair.a.send_complete());
+        eprintln!("server send_complete: {}", pair.b.send_complete());
+        eprintln!("client reassembly bytes: {}", pair.a.reassembly_bytes());
+        eprintln!("server reassembly bytes: {}", pair.b.reassembly_bytes());
+        eprintln!("net stats: {}", pair.net.stats());
     }
     assert_eq!(completed.len(), calls.len(), "all calls must finish");
     println!("\ncompletion order: {completed:?} (issue order was [0, 1, 2, 3, 4])");

@@ -11,10 +11,9 @@
 use alf_core::adu::AduName;
 use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode};
 use ct_apps::video::{PlayoutBuffer, VideoSource};
-use ct_netsim::atm::{AtmConfig, AtmEndpoint};
+use ct_netsim::drive::{Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
 use ct_netsim::time::{SimDuration, SimTime};
 
 fn main() {
@@ -32,19 +31,6 @@ fn main() {
          cell loss {cell_loss}%"
     );
 
-    // Network: one gigabit link carrying cells.
-    let mut net = Network::new(99);
-    let tx_node = net.add_node();
-    let rx_node = net.add_node();
-    net.connect(
-        tx_node,
-        rx_node,
-        LinkConfig::gigabit(),
-        FaultConfig::loss(cell_loss / 100.0),
-    );
-    let mut atm_tx = AtmEndpoint::new(tx_node, AtmConfig::default());
-    let mut atm_rx = AtmEndpoint::new(rx_node, AtmConfig::default());
-
     // Transports: real-time profile — no retransmission, tight reassembly.
     let cfg = AlfConfig {
         recovery: RecoveryMode::NoRetransmit,
@@ -57,8 +43,16 @@ fn main() {
         pace_per_tu: SimDuration::from_micros(20),
         ..AlfConfig::default()
     };
-    let mut tx = AduTransport::new(cfg);
-    let mut rx = AduTransport::new(cfg);
+    // Network: one gigabit link carrying cells; the sender is endpoint
+    // `a`, the receiver endpoint `b`.
+    let mut pair = Pair::new(
+        99,
+        LinkConfig::gigabit(),
+        FaultConfig::loss(cell_loss / 100.0),
+        Substrate::Atm,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
 
     let frame_interval = SimDuration::from_millis(33);
     let mut playout = PlayoutBuffer::new(
@@ -71,65 +65,53 @@ fn main() {
 
     let mut next_frame_to_send: u32 = 0;
     while !playout.finished() {
-        let now = net.now();
+        let now = pair.net.now();
         // Source paces itself: emit frame f at f * interval.
         while next_frame_to_send < FRAMES
             && now >= SimTime::ZERO + frame_interval.saturating_mul(next_frame_to_send as u64)
         {
             for adu in source.frame_adus(next_frame_to_send) {
-                tx.send_adu(adu.name, adu.payload).expect("window");
+                pair.a.send_adu(adu.name, adu.payload).expect("window");
             }
             next_frame_to_send += 1;
         }
-        // Transport → cells → network.
-        for msg in tx.poll(now) {
-            let _ = atm_tx.send_pdu(&mut net, rx_node, &msg);
-        }
-        for msg in rx.poll(now) {
-            let _ = atm_rx.send_pdu(&mut net, tx_node, &msg);
-        }
-        // Network → cells → transport → playout.
-        atm_rx.pump(&mut net);
-        while let Some((_, pdu)) = atm_rx.recv_pdu() {
-            rx.on_frame(net.now(), pdu.into());
-        }
-        atm_tx.pump(&mut net);
-        while let Some((_, pdu)) = atm_tx.recv_pdu() {
-            tx.on_frame(net.now(), pdu.into());
-        }
-        while let Some((adu, _latency)) = rx.recv_adu() {
+        // Transport → cells → network → cells → transport → playout.
+        pair.exchange();
+        while let Some((adu, _latency)) = pair.b.recv_adu() {
             debug_assert!(matches!(adu.name, AduName::Media { .. }));
-            playout.on_adu(net.now(), adu);
+            playout.on_adu(pair.net.now(), adu);
         }
         // Render everything due.
-        for (frame, _tiles, concealed) in playout.advance(net.now()) {
+        for (frame, _tiles, concealed) in playout.advance(pair.net.now()) {
             if concealed > 0 {
                 println!("frame {frame:2}: rendered with {concealed} tile(s) concealed");
             }
         }
-        // Advance the world ~1 ms per iteration.
-        if !net.is_idle() {
-            net.step();
+        // Advance the world ~1 ms per iteration: the playout clock, not the
+        // transports' timers, paces this loop.
+        if !pair.net.is_idle() {
+            pair.net.step();
         } else {
-            net.advance(SimDuration::from_millis(1));
+            pair.net.advance(SimDuration::from_millis(1));
         }
     }
 
     let s = playout.stats;
-    println!("\nplayout complete at {} (simulated)", net.now());
+    println!("\nplayout complete at {} (simulated)", pair.net.now());
     println!(
         "frames: {} perfect, {} partial; tiles: {} rendered, {} concealed, {} late",
         s.frames_perfect, s.frames_partial, s.tiles_rendered, s.tiles_concealed, s.tiles_late
     );
     println!("on-time tile ratio: {:.1}%", 100.0 * s.render_ratio());
+    let (cells_tx, cells_rx) = pair.atm().expect("ATM substrate");
     println!(
         "ATM: {} cells sent, {} PDUs lost to cell loss (whole-ADU loss, as §5 predicts)",
-        atm_tx.stats.cells_out, atm_rx.stats.pdus_lost
+        cells_tx.stats.cells_out, cells_rx.stats.pdus_lost
     );
     println!(
         "FEC reconstructions: {}; interarrival jitter estimate: {:.1} us",
-        rx.stats().fec_reconstructions,
-        rx.stats().jitter_us
+        pair.b.stats().fec_reconstructions,
+        pair.b.stats().jitter_us
     );
     assert!(
         s.render_ratio() > 0.5,

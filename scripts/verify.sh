@@ -19,6 +19,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 # and no other build compiles them.
 cargo check -q -p alf-core --features debug-loss
 
+# The deterministic examples, once each: every one asserts its own outcome
+# (ilp_pipeline prints wall-clock figures, so it is built but not run).
+for example in quickstart file_transfer pipelined_receiver rpc_demo video_stream; do
+    cargo run --release -q -p ct-apps --example "$example" > /dev/null
+done
+
 # The benchmark is its own package (benchmark/, outside the workspace): its
 # unit tests, and a --scale 0.01 smoke of all five workloads in which every
 # delivered op is byte-verified through the production kernels.

@@ -44,6 +44,7 @@ use std::collections::{HashMap, HashSet};
 use alf_core::driver::workload_payload;
 use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode};
 use alf_core::AduName;
+use ct_netsim::drive::{Pair, Substrate};
 use ct_netsim::fault::{FaultConfig, GilbertElliott, MutatorConfig};
 use ct_netsim::link::LinkConfig;
 use ct_netsim::net::Network;
@@ -117,15 +118,6 @@ fn chaos_run(seed: u64) -> Telemetry {
 fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
     let tel = Telemetry::with_tracing(TRACE_CAPACITY);
     let mut rng = SimRng::new(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut net = Network::new(seed);
-    let node_a = net.add_node();
-    let node_b = net.add_node();
-    net.connect(node_a, node_b, LinkConfig::lan(), FaultConfig::none());
-    net.attach_telemetry(tel.clone());
-    if always_hostile {
-        net.set_mutator(node_a, node_b, churn_mutator());
-    }
-
     let cfg = AlfConfig {
         recovery: RecoveryMode::TransportBuffer,
         reassembly_budget_bytes: BUDGET,
@@ -135,10 +127,21 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
         max_retries: 200,
         ..AlfConfig::default()
     };
-    let mut a = AduTransport::new(cfg);
-    let mut b = AduTransport::new(cfg);
-    a.attach_telemetry(tel.clone(), "sender");
-    b.attach_telemetry(tel.clone(), "receiver");
+    let mut pair = Pair::new(
+        seed,
+        LinkConfig::lan(),
+        FaultConfig::none(),
+        Substrate::Packet,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
+    let (node_a, node_b) = (pair.node_a, pair.node_b);
+    pair.net.attach_telemetry(tel.clone());
+    if always_hostile {
+        pair.net.set_mutator(node_a, node_b, churn_mutator());
+    }
+    pair.a.attach_telemetry(tel.clone(), "sender");
+    pair.b.attach_telemetry(tel.clone(), "receiver");
 
     let expected: HashMap<u64, Vec<u8>> = (0..ADUS)
         .map(|i| (i, workload_payload(i, ADU_BYTES)))
@@ -150,7 +153,7 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
     let mut done = false;
 
     for _ in 0..4_000_000u64 {
-        let now = net.now();
+        let now = pair.net.now();
 
         // Fault churn: mutate the regime, or cut the link outright for a
         // while (the outage end is always finite, so every partition heals).
@@ -158,24 +161,24 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             if now >= next_phase_at {
                 if rng.chance(0.25) {
                     let dur = SimDuration::from_millis(50 + rng.next_below(200));
-                    net.schedule_outage(node_a, node_b, now, now + dur);
+                    pair.net.schedule_outage(node_a, node_b, now, now + dur);
                 } else {
-                    net.set_faults(node_a, node_b, next_regime(&mut rng));
+                    pair.net.set_faults(node_a, node_b, next_regime(&mut rng));
                 }
                 // Adversarial churn rides on top of the statistical regime:
                 // a third of phases arm the frame mutator, the rest disarm
                 // it (unless this run is always-hostile).
                 if always_hostile || rng.chance(0.33) {
-                    net.set_mutator(node_a, node_b, churn_mutator());
+                    pair.net.set_mutator(node_a, node_b, churn_mutator());
                 } else {
-                    net.clear_mutator(node_a, node_b);
+                    pair.net.clear_mutator(node_a, node_b);
                 }
                 next_phase_at = now + SimDuration::from_millis(100 + rng.next_below(150));
             }
         } else if !healed {
-            net.set_faults(node_a, node_b, FaultConfig::none());
+            pair.net.set_faults(node_a, node_b, FaultConfig::none());
             if !always_hostile {
-                net.clear_mutator(node_a, node_b);
+                pair.net.clear_mutator(node_a, node_b);
             }
             healed = true;
         }
@@ -183,32 +186,16 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
         // Offer work while the window (and the receiver's budget) accepts.
         while next_offer < ADUS {
             let payload = expected[&next_offer].clone();
-            match a.send_adu(AduName::Seq { index: next_offer }, payload) {
+            match pair.a.send_adu(AduName::Seq { index: next_offer }, payload) {
                 Ok(_) => next_offer += 1,
                 Err(_) => break,
             }
         }
 
-        let mut moved = false;
-        for msg in a.poll(now) {
-            moved = true;
-            let _ = net.send(node_a, node_b, msg);
-        }
-        for msg in b.poll(now) {
-            moved = true;
-            let _ = net.send(node_b, node_a, msg);
-        }
-        while let Some(frame) = net.recv(node_b) {
-            moved = true;
-            b.on_frame(net.now(), frame.payload.into());
-        }
-        while let Some(frame) = net.recv(node_a) {
-            moved = true;
-            a.on_frame(net.now(), frame.payload.into());
-        }
+        let moved = pair.exchange();
 
         // --- In-loop invariants (violations dump the flight recorder) ---
-        while let Some((adu, _latency)) = b.recv_adu() {
+        while let Some((adu, _latency)) = pair.b.recv_adu() {
             let AduName::Seq { index } = adu.name else {
                 violation(&tel, seed, &format!("unexpected ADU name {:?}", adu.name));
             };
@@ -227,17 +214,17 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
                 );
             }
         }
-        if b.reassembly_bytes() > BUDGET {
+        if pair.b.reassembly_bytes() > BUDGET {
             violation(
                 &tel,
                 seed,
                 &format!(
                     "reassembly {} bytes exceeds the {BUDGET} byte budget at {now}",
-                    b.reassembly_bytes()
+                    pair.b.reassembly_bytes()
                 ),
             );
         }
-        let lost = a.take_loss_reports();
+        let lost = pair.a.take_loss_reports();
         if !lost.is_empty() {
             violation(
                 &tel,
@@ -249,11 +236,11 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             );
         }
 
-        if next_offer == ADUS && a.send_complete() && seen.len() as u64 == ADUS {
+        if next_offer == ADUS && pair.a.send_complete() && seen.len() as u64 == ADUS {
             done = true;
             break;
         }
-        if net.now() >= SimTime::from_secs(60) {
+        if pair.net.now() >= SimTime::from_secs(60) {
             violation(
                 &tel,
                 seed,
@@ -264,35 +251,22 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             );
         }
 
-        // Advance the world, mirroring the driver: drain in-flight frames
-        // first, re-poll at the same instant while endpoints are producing,
-        // then jump to the next timer (or the next churn phase, whichever
-        // is sooner, so regimes mutate on schedule).
-        if !net.is_idle() {
-            net.step();
-        } else if moved {
-            // Queued output leaves at the current instant on the next pass.
-        } else {
-            let timer = [a.next_timeout(), b.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min();
-            let phase = (net.now() < CHURN_UNTIL).then_some(next_phase_at);
-            match [timer, phase].into_iter().flatten().min() {
-                Some(t) if t > now => net.advance(t.saturating_since(now)),
-                Some(_) => {}
-                None if b.reassembly_bytes() > 0 => {
-                    net.advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-                }
-                None => violation(
+        // Advance the world, waking for the next churn phase too so
+        // regimes mutate on schedule.
+        let phase = (pair.net.now() < CHURN_UNTIL).then_some(next_phase_at);
+        if !pair.settle(moved, phase) {
+            if pair.b.reassembly_bytes() == 0 {
+                violation(
                     &tel,
                     seed,
                     &format!(
                         "wedged with nothing scheduled ({}/{ADUS} delivered)",
                         seen.len()
                     ),
-                ),
+                );
             }
+            pair.net
+                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
         }
     }
 
@@ -306,7 +280,7 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
             ),
         );
     }
-    if b.reassembly_bytes() > BUDGET {
+    if pair.b.reassembly_bytes() > BUDGET {
         violation(&tel, seed, "terminal reassembly state exceeds budget");
     }
     tel

@@ -9,76 +9,21 @@ use ct_apps::filetransfer::{FileReceiver, FileSender};
 use ct_apps::parallel::{serialize_stream, shard_workload, ShardedSink, StreamResplitter};
 use ct_apps::rpc::{Proc, RpcClient, RpcServer};
 use ct_apps::video::{PlayoutBuffer, VideoSource};
+use ct_netsim::drive::{Pair, Substrate};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::{Network, NodeId};
 use ct_netsim::time::{SimDuration, SimTime};
 
-/// Shared scaffolding: a two-node net with two ALF endpoints and a pump
-/// closure that advances everything one step.
-struct World {
-    net: Network,
-    a_node: NodeId,
-    b_node: NodeId,
-    a: AduTransport,
-    b: AduTransport,
-}
-
-impl World {
-    fn new(seed: u64, faults: FaultConfig, cfg: AlfConfig) -> Self {
-        let mut net = Network::new(seed);
-        let a_node = net.add_node();
-        let b_node = net.add_node();
-        net.connect(a_node, b_node, LinkConfig::lan(), faults);
-        World {
-            net,
-            a_node,
-            b_node,
-            a: AduTransport::new(cfg),
-            b: AduTransport::new(cfg),
-        }
-    }
-
-    /// One driver round; returns false when nothing can progress.
-    fn tick(&mut self) -> bool {
-        let now = self.net.now();
-        let mut moved = false;
-        for m in self.a.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.a_node, self.b_node, m);
-        }
-        for m in self.b.poll(now) {
-            moved = true;
-            let _ = self.net.send(self.b_node, self.a_node, m);
-        }
-        while let Some(f) = self.net.recv(self.b_node) {
-            moved = true;
-            self.b.on_frame(self.net.now(), f.payload.into());
-        }
-        while let Some(f) = self.net.recv(self.a_node) {
-            moved = true;
-            self.a.on_frame(self.net.now(), f.payload.into());
-        }
-        if !self.net.is_idle() {
-            self.net.step();
-            return true;
-        }
-        if moved {
-            return true;
-        }
-        let next = [self.a.next_timeout(), self.b.next_timeout()]
-            .into_iter()
-            .flatten()
-            .min();
-        match next {
-            Some(t) if t > now => {
-                self.net.advance(t.saturating_since(now));
-                true
-            }
-            Some(_) => true,
-            None => false,
-        }
-    }
+/// Shared scaffolding: two ALF endpoints on the ends of one LAN link.
+fn world(seed: u64, faults: FaultConfig, cfg: AlfConfig) -> Pair<AduTransport> {
+    Pair::new(
+        seed,
+        LinkConfig::lan(),
+        faults,
+        Substrate::Packet,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    )
 }
 
 fn snappy(recovery: RecoveryMode) -> AlfConfig {
@@ -94,7 +39,7 @@ fn snappy(recovery: RecoveryMode) -> AlfConfig {
 fn file_transfer_end_to_end_with_placement() {
     let file: Vec<u8> = (0..300_000).map(|i| (i % 241) as u8).collect();
     let sender = FileSender::new(&file, 8192);
-    let mut world = World::new(
+    let mut world = world(
         17,
         FaultConfig::loss(0.03),
         snappy(RecoveryMode::TransportBuffer),
@@ -118,7 +63,8 @@ fn file_transfer_end_to_end_with_placement() {
         if rx.is_complete() {
             break;
         }
-        if !world.tick() {
+        let moved = world.exchange();
+        if !world.settle(moved, None) {
             break;
         }
     }
@@ -131,7 +77,7 @@ fn video_end_to_end_loss_tolerant() {
     const FRAMES: u32 = 30;
     const SLOTS: u16 = 6;
     let source = VideoSource::new(FRAMES, SLOTS, 1000);
-    let mut world = World::new(
+    let mut world = world(
         23,
         FaultConfig::loss(0.04),
         snappy(RecoveryMode::NoRetransmit),
@@ -162,7 +108,8 @@ fn video_end_to_end_loss_tolerant() {
             playout.on_adu(world.net.now(), adu);
         }
         playout.advance(world.net.now());
-        if !world.tick() {
+        let moved = world.exchange();
+        if !world.settle(moved, None) {
             world.net.advance(SimDuration::from_millis(1));
         }
     }
@@ -180,7 +127,7 @@ fn video_end_to_end_loss_tolerant() {
 
 #[test]
 fn rpc_end_to_end_out_of_order_completion() {
-    let mut world = World::new(
+    let mut world = world(
         29,
         FaultConfig::loss(0.02),
         snappy(RecoveryMode::TransportBuffer),
@@ -216,7 +163,8 @@ fn rpc_end_to_end_out_of_order_completion() {
         if done.len() == reqs.len() {
             break;
         }
-        if !world.tick() {
+        let moved = world.exchange();
+        if !world.settle(moved, None) {
             break;
         }
     }
@@ -234,7 +182,7 @@ fn parallel_sink_paths_agree_over_network_delivery() {
     // Ship shard-named ADUs through the real transport, ingest them at the
     // receiver, and verify the digest equals both local ingest paths.
     let adus = shard_workload(4, 16, 2048);
-    let mut world = World::new(
+    let mut world = world(
         37,
         FaultConfig::loss(0.02),
         snappy(RecoveryMode::TransportBuffer),
@@ -260,7 +208,8 @@ fn parallel_sink_paths_agree_over_network_delivery() {
         if received == adus.len() {
             break;
         }
-        if !world.tick() {
+        let moved = world.exchange();
+        if !world.settle(moved, None) {
             break;
         }
     }

@@ -241,15 +241,11 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
     use alf_core::transport::{AduTransport, AlfConfig, RecoveryMode};
     use ct_netsim::fault::{FaultConfig, MutatorConfig};
     use ct_netsim::link::LinkConfig;
-    use ct_netsim::Network;
+    use ct_netsim::{Pair, Substrate};
     use ct_telemetry::Telemetry;
 
     const ADUS: u64 = 24;
     let tel = Telemetry::new();
-    let mut net = Network::new(seed);
-    let (na, nb) = (net.add_node(), net.add_node());
-    net.connect(na, nb, LinkConfig::lan(), FaultConfig::none());
-    net.set_mutator(na, nb, MutatorConfig::hostile(hostility));
     let cfg = AlfConfig {
         recovery: RecoveryMode::TransportBuffer,
         reassembly_budget_bytes: 96 * 1024,
@@ -257,40 +253,34 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
         max_retries: 200,
         ..AlfConfig::default()
     };
-    let (mut a, mut b) = (AduTransport::new(cfg), AduTransport::new(cfg));
-    b.attach_telemetry(tel.clone(), "receiver");
+    let mut pair = Pair::new(
+        seed,
+        LinkConfig::lan(),
+        FaultConfig::none(),
+        Substrate::Packet,
+        AduTransport::new(cfg),
+        AduTransport::new(cfg),
+    );
+    pair.net
+        .set_mutator(pair.node_a, pair.node_b, MutatorConfig::hostile(hostility));
+    pair.b.attach_telemetry(tel.clone(), "receiver");
     let expected: Vec<Vec<u8>> = (0..ADUS).map(|i| workload_payload(i, 6 * 1024)).collect();
     let (mut next, mut delivered) = (0u64, 0u64);
-    while delivered < ADUS || !a.send_complete() {
-        assert!(net.now() < SimTime::from_secs(60), "no convergence");
-        let now = net.now();
+    while delivered < ADUS || !pair.a.send_complete() {
+        assert!(pair.net.now() < SimTime::from_secs(60), "no convergence");
         while next < ADUS
-            && a.send_adu(
-                AduName::Seq { index: next },
-                expected[next as usize].clone(),
-            )
-            .is_ok()
+            && pair
+                .a
+                .send_adu(
+                    AduName::Seq { index: next },
+                    expected[next as usize].clone(),
+                )
+                .is_ok()
         {
             next += 1;
         }
-        let mut moved = false;
-        for msg in a.poll(now) {
-            moved = true;
-            let _ = net.send(na, nb, msg);
-        }
-        for msg in b.poll(now) {
-            moved = true;
-            let _ = net.send(nb, na, msg);
-        }
-        while let Some(frame) = net.recv(nb) {
-            moved = true;
-            b.on_frame(net.now(), frame.payload.into());
-        }
-        while let Some(frame) = net.recv(na) {
-            moved = true;
-            a.on_frame(net.now(), frame.payload.into());
-        }
-        while let Some((adu, _)) = b.recv_adu() {
+        let moved = pair.exchange();
+        while let Some((adu, _)) = pair.b.recv_adu() {
             let AduName::Seq { index } = adu.name else {
                 panic!("foreign name {:?}", adu.name);
             };
@@ -300,18 +290,9 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
             );
             delivered += 1;
         }
-        if !net.is_idle() {
-            net.step();
-        } else if !moved {
-            let timer = [a.next_timeout(), b.next_timeout()]
-                .into_iter()
-                .flatten()
-                .min();
-            match timer {
-                Some(t) if t > now => net.advance(t.saturating_since(now)),
-                Some(_) => {}
-                None => net.advance(cfg.assembly_timeout + SimDuration::from_millis(1)),
-            }
+        if !pair.settle(moved, None) {
+            pair.net
+                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
         }
     }
     let reasons = [
@@ -330,17 +311,17 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
         .iter()
         .map(|r| tel.metrics().counter(&format!("alf.rx_rejected.{r}")))
         .collect();
-    let s = b.assembler_stats();
+    let s = pair.b.assembler_stats();
     out.extend([
-        b.stats().bad_messages,
-        b.stats().tus_replayed,
-        b.stats.adus_delivered,
-        b.stats().tus_backpressured,
+        pair.b.stats().bad_messages,
+        pair.b.stats().tus_replayed,
+        pair.b.stats.adus_delivered,
+        pair.b.stats().tus_backpressured,
         s.tus_in,
         s.duplicate_tus,
         s.adus_abandoned,
         s.tus_refused,
-        net.now().as_nanos(),
+        pair.net.now().as_nanos(),
     ]);
     out
 }
