@@ -18,7 +18,8 @@
 //! endpoints never know.
 //!
 //! Many-association servers drain a whole network phase per iteration and
-//! use peer-keyed ingest, so they keep their own star loop (DESIGN.md §3).
+//! use peer-keyed ingest, so they go through the one star loop,
+//! `ct_server::star::Star` (DESIGN.md §3).
 
 use crate::atm::{AtmConfig, AtmEndpoint};
 use crate::fault::FaultConfig;

@@ -23,12 +23,14 @@
 //!   *dirty list*), never all N.
 //!
 //! The driver in [`cluster`] wires a server node to many client nodes in
-//! `ct-netsim` and is what experiment X13 measures: per-ADU cost flat from
-//! 1 to 100 000 concurrent associations, memory bounded per association.
+//! `ct-netsim` through the one hub-and-spoke loop in [`star`], and is what
+//! experiment X13 measures: per-ADU cost flat from 1 to 100 000 concurrent
+//! associations, memory bounded per association.
 
 #![forbid(unsafe_code)]
 
 pub mod cluster;
+pub mod star;
 
 use alf_core::adu::Adu;
 use alf_core::timer::TimerWheel;

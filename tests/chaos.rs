@@ -2,15 +2,15 @@
 //! transfer, with invariants checked **inside** the pump loop — not just at
 //! the end.
 //!
-//! Each seeded run drives two [`AduTransport`] endpoints directly over the
-//! simulated [`Network`] while the fault regime mutates every ~100–250 ms:
-//! uniform loss, Gilbert–Elliott loss bursts, duplication, corruption,
-//! rate-limit flaps, and scheduled partitions that heal. Adversarial churn
-//! rides on top: phases randomly arm and disarm the link's frame mutator
-//! (replays, grammar-aware forgeries, truncation), so the
-//! statistical and adversarial injectors interact instead of being tested
-//! in isolation. After a fixed churn horizon the link is left clean, the
-//! mutator disarmed, and the run must converge.
+//! Each seeded run drives two [`AduTransport`] endpoints through the one
+//! two-endpoint loop, [`Pair`], while the fault regime mutates every
+//! ~100–250 ms: uniform loss, Gilbert–Elliott loss bursts, duplication,
+//! corruption, rate-limit flaps, and scheduled partitions that heal.
+//! Adversarial churn rides on top: phases randomly arm and disarm the
+//! link's frame mutator (replays, grammar-aware forgeries, truncation), so
+//! the statistical and adversarial injectors interact instead of being
+//! tested in isolation. After a fixed churn horizon the link is left clean,
+//! the mutator disarmed, and the run must converge.
 //!
 //! Invariants, checked every iteration:
 //!
@@ -33,7 +33,8 @@
 //!
 //! The second half of the file soaks the many-association `AlfServer`
 //! under the same storm while associations are created and destroyed
-//! mid-run (`server_churn_run`): no cross-association payload bleed, no
+//! mid-run (`server_churn_run`), driven through the one hub-and-spoke loop,
+//! `ct_server::star::Star`: no cross-association payload bleed, no
 //! delivery for destroyed associations, at-most-once delivery, per-peer
 //! reassembly quotas that hold every iteration, and occupancy telemetry
 //! (slab, timer-wheel, dirty-list gauges — DESIGN.md §13) that matches
@@ -47,7 +48,6 @@ use alf_core::AduName;
 use ct_netsim::drive::{Pair, Substrate};
 use ct_netsim::fault::{FaultConfig, GilbertElliott, MutatorConfig};
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
 use ct_netsim::rng::SimRng;
 use ct_netsim::time::{SimDuration, SimTime};
 use ct_telemetry::Telemetry;
@@ -394,21 +394,11 @@ const SRV_ASSOCS_PER_PEER: usize = 6;
 
 fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
     use ct_server::cluster::assoc_payload;
+    use ct_server::star::Star;
     use ct_server::{AlfServer, AssocKey, ServerConfig};
 
     let tel = Telemetry::with_tracing(TRACE_CAPACITY);
     let mut rng = SimRng::new(seed ^ 0x5851_f42d_4c95_7f2d);
-    let mut net = Network::new(seed);
-    let server_node = net.add_node();
-    let peer_nodes: Vec<_> = (0..SRV_PEERS).map(|_| net.add_node()).collect();
-    for &p in &peer_nodes {
-        net.connect(server_node, p, LinkConfig::lan(), FaultConfig::none());
-    }
-    net.attach_telemetry(tel.clone());
-    let mut peer_of_node = vec![u64::MAX; net.node_count()];
-    for (i, p) in peer_nodes.iter().enumerate() {
-        peer_of_node[p.index()] = i as u64;
-    }
 
     let cfg = AlfConfig {
         recovery: RecoveryMode::TransportBuffer,
@@ -418,15 +408,17 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
         max_retries: 200,
         ..AlfConfig::default()
     };
-    let mut server = AlfServer::new(ServerConfig::default());
-    server.attach_telemetry(tel.clone());
-    let mut clients: Vec<AlfServer> = (0..SRV_PEERS)
-        .map(|_| {
-            let mut c = AlfServer::new(ServerConfig::default());
-            c.attach_telemetry_as(tel.clone(), "client");
-            c
-        })
-        .collect();
+    // The server is the star's hub; client `i` is its spoke `i`.
+    let new_stack = || AlfServer::new(ServerConfig::default());
+    let clients = (0..SRV_PEERS).map(|_| new_stack()).collect();
+    let link = LinkConfig::lan();
+    let mut star = Star::new(seed, link, FaultConfig::none(), new_stack(), clients);
+    star.net.attach_telemetry(tel.clone());
+    star.hub.attach_telemetry(tel.clone());
+    for c in &mut star.spokes {
+        c.attach_telemetry_as(tel.clone(), "client");
+    }
+    let (server_node, peer_nodes) = (star.hub_node, star.spoke_nodes.clone());
 
     // Association lifecycle state. Wire ids only ever move forward, so a
     // churned-in association can never collide with a dead one's frames.
@@ -434,39 +426,34 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
     let mut live: Vec<AssocKey> = Vec::new();
     let mut removed: HashSet<AssocKey> = HashSet::new();
     let mut next_index: HashMap<AssocKey, u64> = HashMap::new();
-    let spawn = |peer: usize,
-                 next_id: &mut [u16; SRV_PEERS],
-                 server: &mut AlfServer,
-                 clients: &mut Vec<AlfServer>|
-     -> AssocKey {
+    let spawn = |peer: usize, next_id: &mut [u16; SRV_PEERS], star: &mut Star| -> AssocKey {
         let assoc = next_id[peer];
         next_id[peer] += 1;
         let key = AssocKey {
             peer: peer as u64,
             assoc,
         };
-        server.add_association(key, cfg).expect("fresh id");
-        clients[peer]
+        star.hub.add_association(key, cfg).expect("fresh id");
+        star.spokes[peer]
             .add_association(AssocKey { peer: 0, assoc }, cfg)
             .expect("fresh id");
         key
     };
     for peer in 0..SRV_PEERS {
         for _ in 0..SRV_ASSOCS_PER_PEER {
-            let key = spawn(peer, &mut next_id, &mut server, &mut clients);
+            let key = spawn(peer, &mut next_id, &mut star);
             live.push(key);
             next_index.insert(key, 0);
         }
     }
 
     let mut seen: HashSet<(u64, u16, u64)> = HashSet::new();
-    let mut egress: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut next_phase_at = SimTime::from_millis(50);
     let mut healed = false;
     let mut done = false;
 
     for _ in 0..4_000_000u64 {
-        let now = net.now();
+        let now = star.net.now();
 
         // Fault + mutator + association churn until the horizon, then heal.
         if now < CHURN_UNTIL {
@@ -474,32 +461,32 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
                 let p = rng.next_below(SRV_PEERS as u64) as usize;
                 if rng.chance(0.2) {
                     let dur = SimDuration::from_millis(50 + rng.next_below(200));
-                    net.schedule_outage(server_node, peer_nodes[p], now, now + dur);
+                    star.net
+                        .schedule_outage(server_node, peer_nodes[p], now, now + dur);
                 } else {
-                    net.set_faults(server_node, peer_nodes[p], next_regime(&mut rng));
+                    star.net
+                        .set_faults(server_node, peer_nodes[p], next_regime(&mut rng));
                 }
                 if rng.chance(0.33) {
-                    net.set_mutator(peer_nodes[p], server_node, churn_mutator());
+                    star.net
+                        .set_mutator(peer_nodes[p], server_node, churn_mutator());
                 } else {
-                    net.clear_mutator(peer_nodes[p], server_node);
+                    star.net.clear_mutator(peer_nodes[p], server_node);
                 }
                 // Destroy one association and create another, mid-storm.
                 if rng.chance(0.5) && live.len() > SRV_PEERS {
                     let victim = live.swap_remove(rng.next_below(live.len() as u64) as usize);
-                    server.remove_association(victim).expect("victim was live");
-                    clients[victim.peer as usize]
+                    star.hub
+                        .remove_association(victim)
+                        .expect("victim was live");
+                    star.spokes[victim.peer as usize]
                         .remove_association(AssocKey {
                             peer: 0,
                             assoc: victim.assoc,
                         })
                         .expect("victim was live");
                     removed.insert(victim);
-                    let fresh = spawn(
-                        victim.peer as usize,
-                        &mut next_id,
-                        &mut server,
-                        &mut clients,
-                    );
+                    let fresh = spawn(victim.peer as usize, &mut next_id, &mut star);
                     live.push(fresh);
                     next_index.insert(fresh, 0);
                 }
@@ -507,8 +494,8 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             }
         } else if !healed {
             for &p in &peer_nodes {
-                net.set_faults(server_node, p, FaultConfig::none());
-                net.clear_mutator(p, server_node);
+                star.net.set_faults(server_node, p, FaultConfig::none());
+                star.net.clear_mutator(p, server_node);
             }
             healed = true;
         }
@@ -526,7 +513,7 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
                     peer: 0,
                     assoc: key.assoc,
                 };
-                if clients[key.peer as usize]
+                if star.spokes[key.peer as usize]
                     .send_adu(ckey, AduName::Seq { index: idx }, payload)
                     .is_ok()
                 {
@@ -535,17 +522,8 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             }
         }
 
-        let mut moved = false;
-        for (peer, client) in clients.iter_mut().enumerate() {
-            while client.pending_work() || client.next_wakeup().is_some_and(|w| w <= now) {
-                if client.poll_batch(now, &mut egress).idle() {
-                    break;
-                }
-                moved = true;
-            }
-            for (_, f) in egress.drain(..) {
-                let _ = net.send(peer_nodes[peer], server_node, f);
-            }
+        let moved = star.exchange();
+        for client in &mut star.spokes {
             if let Some((key, report)) = client.take_losses().into_iter().next() {
                 violation(
                     &tel,
@@ -557,28 +535,9 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
                 );
             }
         }
-        while let Some(frame) = net.recv(server_node) {
-            moved = true;
-            server.ingest(peer_of_node[frame.src.index()], frame.payload);
-        }
-        while server.pending_work() || server.next_wakeup().is_some_and(|w| w <= now) {
-            if server.poll_batch(now, &mut egress).idle() {
-                break;
-            }
-            moved = true;
-        }
-        for (peer, f) in egress.drain(..) {
-            let _ = net.send(server_node, peer_nodes[peer as usize], f);
-        }
-        for (peer, client) in clients.iter_mut().enumerate() {
-            while let Some(frame) = net.recv(peer_nodes[peer]) {
-                moved = true;
-                client.ingest(0, frame.payload);
-            }
-        }
 
         // --- In-loop invariants ---
-        for (key, adu, _latency) in server.take_delivered() {
+        for (key, adu, _latency) in star.hub.take_delivered() {
             let AduName::Seq { index } = adu.name else {
                 violation(&tel, seed, &format!("unexpected ADU name {:?}", adu.name));
             };
@@ -612,7 +571,7 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             let (count, bytes) = live
                 .iter()
                 .filter(|k| k.peer == peer)
-                .map(|&k| server.endpoint(k).expect("live").reassembly_bytes())
+                .map(|&k| star.hub.endpoint(k).expect("live").reassembly_bytes())
                 .fold((0usize, 0usize), |(c, b), r| (c + 1, b + r));
             if bytes > count * SRV_BUDGET {
                 violation(
@@ -636,7 +595,7 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
         let shards = ServerConfig::default().shards;
         let (mut occupied_total, mut wheel_total, mut dirty_total) = (0, 0, 0);
         for i in 0..shards {
-            let truth = server.shard_occupancy(i);
+            let truth = star.hub.shard_occupancy(i);
             if truth.armed != truth.wheel_pending {
                 violation(
                     &tel,
@@ -648,7 +607,7 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
                     ),
                 );
             }
-            let reg = server.shard_registry(i);
+            let reg = star.hub.shard_registry(i);
             for (gauge, want) in [
                 ("slab_slots", truth.slots),
                 ("slab_occupied", truth.occupied),
@@ -672,8 +631,8 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             // The layout itself: key index, slot records, endpoint storage,
             // wheel and dirty list name the same associations — on the
             // server, and on the client stacks churning in step with it.
-            let stacks =
-                std::iter::once(("server", &server)).chain(clients.iter().map(|c| ("client", c)));
+            let stacks = std::iter::once(("server", &star.hub))
+                .chain(star.spokes.iter().map(|c| ("client", c)));
             for (who, stack) in stacks {
                 if let Err(why) = stack.check_shard_layout(i) {
                     violation(
@@ -694,7 +653,7 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
                 ),
             );
         }
-        let roll = server.rollup();
+        let roll = star.hub.rollup();
         for (gauge, want) in [
             ("wheel.pending_total", wheel_total),
             ("dirty.total", dirty_total),
@@ -715,14 +674,14 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
         if healed
             && !moved
             && live.iter().all(|k| next_index[k] >= SRV_ADUS_PER_ASSOC)
-            && clients.iter().all(|c| c.drained())
-            && !server.pending_work()
-            && net.is_idle()
+            && star.spokes.iter().all(AlfServer::drained)
+            && !star.hub.pending_work()
+            && star.net.is_idle()
         {
             done = true;
             break;
         }
-        if net.now() >= SimTime::from_secs(60) {
+        if star.net.now() >= SimTime::from_secs(60) {
             violation(
                 &tel,
                 seed,
@@ -734,34 +693,23 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             );
         }
 
-        if !net.is_idle() {
-            while net.step().is_some() {}
-        } else if moved {
-            // Re-poll at the same instant.
-        } else {
-            let timer = [
-                server.next_wakeup(),
-                clients.iter().filter_map(|c| c.next_wakeup()).min(),
-            ]
-            .into_iter()
-            .flatten()
-            .min();
-            let phase = (net.now() < CHURN_UNTIL).then_some(next_phase_at);
-            match [timer, phase].into_iter().flatten().min() {
-                Some(t) if t > now => net.advance(t.saturating_since(now)),
-                Some(_) => {}
-                None if live
-                    .iter()
-                    .any(|&k| server.endpoint(k).expect("live").reassembly_bytes() > 0) =>
-                {
-                    net.advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-                }
-                None => violation(
+        // Advance the world, waking for the next churn phase too. With
+        // nothing scheduled, a partial reassembly still waits on its
+        // timeout, which no wakeup reports: jump past it.
+        let phase = (now < CHURN_UNTIL).then_some(next_phase_at);
+        if !star.settle(moved, phase) {
+            if !live
+                .iter()
+                .any(|&k| star.hub.endpoint(k).expect("live").reassembly_bytes() > 0)
+            {
+                violation(
                     &tel,
                     seed,
                     &format!("wedged with nothing scheduled ({} delivered)", seen.len()),
-                ),
+                );
             }
+            star.net
+                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
         }
     }
 
@@ -799,7 +747,11 @@ fn server_churn_soak_four_seeds() {
 }
 
 /// Same-seed server churn runs must be byte-identical in their telemetry —
-/// the multi-association extension of `chaos_trace_deterministic`.
+/// the multi-association extension of `chaos_trace_deterministic` — and
+/// equal to a pinned FNV-1a 64 digest of seed 61's trace then metrics
+/// bytes. The pin is the one check on the star loop's lossy, churned path:
+/// a `Star::settle` that took one network event instead of draining the
+/// phase still passes every other test here.
 #[test]
 fn server_churn_trace_deterministic() {
     let t1 = server_churn_run(61);
@@ -807,6 +759,15 @@ fn server_churn_trace_deterministic() {
     assert!(!t1.trace_jsonl().is_empty());
     assert_eq!(t1.trace_jsonl(), t2.trace_jsonl());
     assert_eq!(t1.metrics().render_text(), t2.metrics().render_text());
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for b in t1
+        .trace_jsonl()
+        .bytes()
+        .chain(t1.metrics().render_text().bytes())
+    {
+        digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    assert_eq!(digest, 0x18eb_2c55_ddaf_d9e1, "seed 61 churn run moved");
 }
 
 /// Extended server-churn sweep, opt-in via `SOAK=1`.

@@ -8,28 +8,25 @@ use alf_core::driver::{run_alf_transfer, seq_workload, Substrate};
 use alf_core::transport::{AlfConfig, RecoveryMode};
 use ct_netsim::fault::FaultConfig;
 use ct_netsim::link::LinkConfig;
-use ct_netsim::net::Network;
 use ct_netsim::time::SimDuration;
 use ct_presentation::negotiate::{negotiate, ConversionPlan, LocalSyntax, SyntaxCaps};
 use ct_presentation::stream::BerU32Stream;
 use ct_presentation::{ber, TransferSyntax};
+use ct_server::star::Star;
 use ct_server::{AlfServer, AssocKey, ServerConfig};
 
 #[test]
 fn mux_carries_isolated_associations_over_lossy_network() {
     // Three associations share one lossy wire through an AlfServer at each
     // end; every association's data arrives intact and uncrossed.
-    let mut net = Network::new(61);
-    let na = net.add_node();
-    let nb = net.add_node();
-    net.connect(na, nb, LinkConfig::lan(), FaultConfig::loss(0.03));
     let snappy = AlfConfig {
         retransmit_timeout: SimDuration::from_millis(5),
         assembly_timeout: SimDuration::from_millis(2),
         ..AlfConfig::default()
     };
-    // Each end knows the other as one peer.
-    const PEER: u64 = 1;
+    // Each end knows the other as one peer: a one-spoke star whose hub is
+    // the receiving end, as in X13.
+    const PEER: u64 = 0;
     let key = |assoc| AssocKey { peer: PEER, assoc };
     let mut a = AlfServer::new(ServerConfig::default());
     let mut b = AlfServer::new(ServerConfig::default());
@@ -49,53 +46,24 @@ fn mux_carries_isolated_associations_over_lossy_network() {
                 .unwrap();
         }
     }
+    let mut star = Star::new(61, LinkConfig::lan(), FaultConfig::loss(0.03), b, vec![a]);
     let mut received = 0usize;
-    let mut egress = Vec::new();
     for _ in 0..1_000_000 {
-        while let Some(fr) = net.recv(nb) {
-            b.ingest(PEER, fr.payload);
-        }
-        while let Some(fr) = net.recv(na) {
-            a.ingest(PEER, fr.payload);
-        }
-        let now = net.now();
-        a.poll_batch(now, &mut egress);
-        for (_, f) in egress.drain(..) {
-            let _ = net.send(na, nb, f);
-        }
-        b.poll_batch(now, &mut egress);
-        for (_, f) in egress.drain(..) {
-            let _ = net.send(nb, na, f);
-        }
-        for (k, adu, _) in b.take_delivered() {
+        let moved = star.exchange();
+        for (k, adu, _) in star.hub.take_delivered() {
             let AduName::Seq { index } = adu.name else {
                 panic!()
             };
             assert_eq!(adu.payload, payload_for(k.assoc, index), "{k:?}");
             received += 1;
         }
-        if received == 30 {
-            break;
-        }
-        if !net.is_idle() {
-            net.step();
-        } else if a.pending_work() || b.pending_work() {
-            continue;
-        } else if let Some(t) = [a.next_wakeup(), b.next_wakeup()]
-            .into_iter()
-            .flatten()
-            .min()
-        {
-            if t > net.now() {
-                net.advance(t.saturating_since(net.now()));
-            }
-        } else {
+        if received == 30 || !star.settle(moved, None) {
             break;
         }
     }
     assert_eq!(received, 30, "all associations must complete");
     assert_eq!(
-        b.rollup().counter("misdelivered"),
+        star.hub.rollup().counter("misdelivered"),
         0,
         "nothing crosses associations"
     );
