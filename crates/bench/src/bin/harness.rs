@@ -1978,15 +1978,11 @@ fn x12_hostile_transfer(seed: u64, hostility: f64) -> X12Run {
              ({delivered}/{ADUS} delivered)"
         );
 
-        if !pair.settle(moved, None) {
-            assert!(
-                pair.b.reassembly_bytes() > 0,
-                "x12 hostility {hostility}: wedged with nothing scheduled \
-                 ({delivered}/{ADUS} delivered)"
-            );
-            pair.net
-                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-        }
+        assert!(
+            pair.settle(moved, None),
+            "x12 hostility {hostility}: wedged with nothing scheduled \
+             ({delivered}/{ADUS} delivered)"
+        );
     }
     let done_at = done_at.unwrap_or_else(|| {
         panic!("x12 hostility {hostility}: iteration cap hit ({delivered}/{ADUS} delivered)")

@@ -873,6 +873,16 @@ impl Assembler {
         !self.shed_notices.is_empty() || (!self.pending.is_empty() && now > self.sweep_after)
     }
 
+    /// The first instant at which [`Assembler::needs_sweep`] turns true for
+    /// an open assembly: one tick past `sweep_after`, since a poll *at* it
+    /// finds nothing overdue. `None` with no assembly open.
+    pub fn next_sweep(&self) -> Option<SimTime> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        self.sweep_after.checked_add(SimDuration::from_nanos(1))
+    }
+
     /// Approximate heap bytes held: the open-assemblies array's slots and
     /// the assemblies' reservations, the ready queue's slots, the replay
     /// window's islands and the rare counters' block (neither for in-order

@@ -212,7 +212,6 @@ pub fn run_alf_transfer_scenario(
     let total_bytes: usize = adus.iter().map(Adu::len).sum();
     let max_iters = 2_000_000 + total_bytes / 8;
     let mut complete = false;
-    let mut quiet_deadline: Option<SimTime> = None;
     let latency_metric = latency_metric_name(cfg.recovery);
     // ADUs whose first offer attempt has been traced (`adu_submit` marks
     // when the application first asked, even if the window refused it —
@@ -302,43 +301,11 @@ pub fn run_alf_transfer_scenario(
         if pair.a.peer_unreachable() {
             break;
         }
-        // NoRetransmit: the sender is done instantly, but the receiver may
-        // be waiting on partial ADUs that will never complete. Run the
-        // clock past the assembly deadline once the wire is quiet.
-        if cfg.recovery == RecoveryMode::NoRetransmit
-            && next_offer == adus.len()
-            && pair.a.send_complete()
-            && pair.net.is_idle()
-        {
-            match quiet_deadline {
-                None => {
-                    quiet_deadline =
-                        Some(pair.net.now() + cfg.assembly_timeout + SimDuration::from_millis(1));
-                    pair.net
-                        .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-                }
-                Some(d) if pair.net.now() >= d => {
-                    // Expire leftovers and finish.
-                    let _ = pair.b.poll(pair.net.now());
-                    complete = true;
-                    break;
-                }
-                Some(_) => {
-                    pair.net.advance(SimDuration::from_millis(1));
-                }
-            }
-            continue;
-        }
-
         // Nothing pending anywhere: a question to the sending application
-        // still counts as pending work; so do receiver partials (let them
-        // expire).
+        // still counts as pending work.
         if !pair.settle(moved, None) {
             if pair.a.pending_recompute_requests() > 0 {
                 // Answered at the top of the next iteration.
-            } else if pair.b.reassembly_bytes() > 0 {
-                pair.net
-                    .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
             } else if pair.a.send_complete() && next_offer == adus.len() {
                 // All sent; any unaccounted ADUs are silent losses
                 // (NoRetransmit ACK losses etc.).

@@ -637,7 +637,14 @@ impl AduTransport {
             // a few rounds, then a whole-ADU NACK and abandonment — and
             // assemblies shed to honor the byte budget (drop-oldest policy)
             // are NACKed too, so a retransmitting sender stops resending.
-            let actions = self.assembler.expire_policy(now, self.cfg.nack_frag_rounds);
+            // A NoRetransmit sender never answers a selective NACK, so its
+            // receiver abandons at the first deadline instead of asking.
+            let rounds = if self.cfg.recovery == RecoveryMode::NoRetransmit {
+                0
+            } else {
+                self.cfg.nack_frag_rounds
+            };
+            let actions = self.assembler.expire_policy(now, rounds);
             let shed = self.assembler.take_shed();
             let budget_freed = !actions.abandoned.is_empty() || !shed.is_empty();
             if budget_freed || !actions.request_frags.is_empty() {
@@ -1213,8 +1220,9 @@ impl AduTransport {
         }
     }
 
-    /// The earliest pending sender timer (retransmission deadline, pacing
-    /// wake-up, zero-window probe, or dead-peer declaration).
+    /// The earliest pending timer: the sender's retransmission deadline,
+    /// pacing wake-up, zero-window probe or dead-peer declaration, or the
+    /// receiver's reassembly sweep (a NACK round or an abandonment).
     pub fn next_timeout(&self) -> Option<SimTime> {
         // The ring's front, never O(ADUs in flight). `sync_timer` keeps the
         // ring holding exactly the live retransmission deadlines, so this
@@ -1235,7 +1243,8 @@ impl AduTransport {
         } else {
             None
         };
-        [retx, pace, probe, dead].into_iter().flatten().min()
+        let sweep = self.assembler.next_sweep();
+        [retx, pace, probe, dead, sweep].into_iter().flatten().min()
     }
 
     /// Receiver memory currently invested in partial ADUs.

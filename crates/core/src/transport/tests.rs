@@ -273,39 +273,53 @@ fn nack_triggers_selective_recovery() {
     assert_eq!(adu.payload, data);
 }
 
+/// The reassembly sweep reaches the clock. With only the first TU of a
+/// 3-TU ADU held, `next_timeout` names the instant a poll acts at: each of
+/// `nack_frag_rounds` selective NACK rounds, then abandonment with a
+/// whole-ADU NACK, after which nothing is held and nothing is scheduled. A
+/// NoRetransmit receiver asks for no repair its sender would never send:
+/// it abandons at its first deadline.
 #[test]
 fn selective_rounds_exhaust_to_whole_adu_nack() {
-    let mut b = AduTransport::new(AlfConfig {
-        assembly_timeout: SimDuration::from_millis(5),
-        nack_frag_rounds: 2,
-        ..cfg(RecoveryMode::TransportBuffer)
-    });
-    let mut a = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
-    a.send_adu(AduName::Seq { index: 0 }, payload(3000))
-        .unwrap();
-    let frames = a.poll(SimTime::ZERO);
-    b.on_frame(SimTime::from_micros(10), frames[0].as_slice().into());
-    // Round 1 and 2: selective NACKs. Round 3: abandoned + whole NACK.
-    let mut whole_nack_seen = false;
-    for round in 1..=3u64 {
-        let out = b.poll(SimTime::from_millis(10 * round));
-        for f in &out {
-            match decode(f).unwrap() {
-                crate::wire::Message::NackFrags { ranges, .. } => {
-                    assert!(round <= 2);
+    for (recovery, selective) in [
+        (RecoveryMode::TransportBuffer, 2),
+        (RecoveryMode::NoRetransmit, 0),
+    ] {
+        let mut b = AduTransport::new(AlfConfig {
+            assembly_timeout: SimDuration::from_millis(5),
+            nack_frag_rounds: 2,
+            ..cfg(recovery)
+        });
+        let mut a = AduTransport::new(cfg(RecoveryMode::TransportBuffer));
+        a.send_adu(AduName::Seq { index: 0 }, payload(3000))
+            .unwrap();
+        let frames = a.poll(SimTime::ZERO);
+        b.on_frame(SimTime::from_micros(10), frames[0].as_slice().into());
+        assert!(b.reassembly_bytes() > 0);
+        for round in 1..=selective + 1 {
+            let at = b
+                .next_timeout()
+                .expect("a held partial ADU reports its sweep");
+            let out = b.poll(at);
+            assert_eq!(
+                out.len(),
+                1,
+                "{recovery:?} round {round}: the poll at {at:?} acts"
+            );
+            match decode(&out[0]).unwrap() {
+                Message::NackFrags { ranges, .. } if round <= selective => {
                     assert_eq!(ranges, vec![(1400, 1600)]);
                 }
-                crate::wire::Message::Nack { ids, .. } => {
-                    assert_eq!(round, 3);
+                Message::Nack { ids, .. } if round == selective + 1 => {
                     assert_eq!(ids, vec![0]);
-                    whole_nack_seen = true;
                 }
-                other => panic!("unexpected {other:?}"),
+                other => panic!("{recovery:?} round {round}: unexpected {other:?}"),
             }
         }
+        assert_eq!(b.assembler_stats().adus_abandoned, 1);
+        assert_eq!(b.reassembly_bytes(), 0);
+        assert_eq!(b.next_timeout(), None);
     }
-    assert!(whole_nack_seen);
-    assert_eq!(b.assembler_stats().adus_abandoned, 1);
 }
 
 /// A receiver asking for the rest of an ADU is alive and holding part of

@@ -160,8 +160,8 @@ impl<E: Endpoint> Pair<E> {
     /// the round moved (an endpoint may have queued output, e.g. an ACK,
     /// that must leave at this instant); otherwise a jump to the earliest
     /// of both endpoints' timers and the caller's `wake`. Returns `false`
-    /// only when nothing is scheduled anywhere, leaving the fallback to the
-    /// caller.
+    /// only when nothing is scheduled anywhere: the caller decides whether
+    /// that is the end of the run or a wedge.
     pub fn settle(&mut self, moved: bool, wake: Option<SimTime>) -> bool {
         if !self.net.is_idle() {
             self.net.step();

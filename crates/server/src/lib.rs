@@ -1360,6 +1360,7 @@ impl AlfServer {
 mod tests {
     use super::*;
     use alf_core::adu::AduName;
+    use alf_core::wire::Message;
 
     fn key(peer: u64, assoc: u16) -> AssocKey {
         AssocKey { peer, assoc }
@@ -1635,15 +1636,52 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(server.next_wakeup(), None);
+        // A partial ADU is timed work: an association holding the first TU
+        // of a 4 000-byte ADU wakes the server for each NACK round, then
+        // abandons the ADU and stops asking for the clock.
+        let held = key(1, 3);
+        let mut client = AduTransport::new(AlfConfig {
+            assoc: held.assoc,
+            ..AlfConfig::default()
+        });
+        client
+            .send_adu(AduName::Seq { index: 0 }, payload(4000))
+            .unwrap();
+        server.ingest(held.peer, client.poll(SimTime::ZERO).swap_remove(0));
+        let mut egress = Vec::new();
+        let mut now = SimTime::ZERO;
+        server.poll_batch(now, &mut egress);
+        assert!(egress.is_empty());
+        let rounds = AlfConfig::default().nack_frag_rounds;
+        for round in 0..=rounds {
+            let ep = server.endpoint(held).unwrap();
+            assert!(ep.reassembly_bytes() > 0, "round {round}");
+            now = server.next_wakeup().expect("the sweep is a wakeup");
+            assert_eq!(Some(now), ep.next_timeout());
+            server.poll_batch(now, &mut egress);
+            let (peer, frame) = egress.pop().expect("the wakeup's batch acts");
+            assert!(egress.is_empty());
+            assert_eq!(peer, held.peer);
+            match Message::decode_frame(&frame.into()).unwrap() {
+                Message::NackFrags { ranges, .. } if round < rounds => {
+                    assert_eq!(ranges, vec![(1400, 2600)]);
+                }
+                Message::Nack { ids, .. } if round == rounds => {
+                    assert_eq!(ids, vec![0]);
+                }
+                other => panic!("round {round}: unexpected {other:?}"),
+            }
+        }
+        assert_eq!(server.endpoint(held).unwrap().reassembly_bytes(), 0);
+        assert_eq!(server.next_wakeup(), None);
         // Whichever shard holds the one association with a live timer, the
         // server's earliest wakeup is that timer.
         let k = key(1, 8);
         server
             .send_adu(k, AduName::Seq { index: 0 }, payload(10))
             .unwrap();
-        let mut egress = Vec::new();
         while server.pending_work() {
-            if server.poll_batch(SimTime::ZERO, &mut egress).idle() {
+            if server.poll_batch(now, &mut egress).idle() {
                 break;
             }
         }

@@ -96,8 +96,8 @@ impl Star {
     /// wire is busy; nothing if the round moved (a batch may have left
     /// output that must leave at this instant); otherwise a jump to the
     /// earliest of the hub's wakeup, the spokes' wakeups and the caller's
-    /// `wake`. Returns `false` only when nothing is scheduled anywhere,
-    /// leaving the fallback to the caller.
+    /// `wake`. Returns `false` only when nothing is scheduled anywhere:
+    /// the caller decides whether that is the end of the run or a wedge.
     pub fn settle(&mut self, moved: bool, wake: Option<SimTime>) -> bool {
         if !self.net.is_idle() {
             while self.net.step().is_some() {}

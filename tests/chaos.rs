@@ -255,18 +255,14 @@ fn chaos_run_mode(seed: u64, always_hostile: bool) -> Telemetry {
         // regimes mutate on schedule.
         let phase = (pair.net.now() < CHURN_UNTIL).then_some(next_phase_at);
         if !pair.settle(moved, phase) {
-            if pair.b.reassembly_bytes() == 0 {
-                violation(
-                    &tel,
-                    seed,
-                    &format!(
-                        "wedged with nothing scheduled ({}/{ADUS} delivered)",
-                        seen.len()
-                    ),
-                );
-            }
-            pair.net
-                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
+            violation(
+                &tel,
+                seed,
+                &format!(
+                    "wedged with nothing scheduled ({}/{ADUS} delivered)",
+                    seen.len()
+                ),
+            );
         }
     }
 
@@ -693,23 +689,14 @@ fn server_churn_run(seed: u64) -> ct_telemetry::Telemetry {
             );
         }
 
-        // Advance the world, waking for the next churn phase too. With
-        // nothing scheduled, a partial reassembly still waits on its
-        // timeout, which no wakeup reports: jump past it.
+        // Advance the world, waking for the next churn phase too.
         let phase = (now < CHURN_UNTIL).then_some(next_phase_at);
         if !star.settle(moved, phase) {
-            if !live
-                .iter()
-                .any(|&k| star.hub.endpoint(k).expect("live").reassembly_bytes() > 0)
-            {
-                violation(
-                    &tel,
-                    seed,
-                    &format!("wedged with nothing scheduled ({} delivered)", seen.len()),
-                );
-            }
-            star.net
-                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
+            violation(
+                &tel,
+                seed,
+                &format!("wedged with nothing scheduled ({} delivered)", seen.len()),
+            );
         }
     }
 
@@ -767,7 +754,7 @@ fn server_churn_trace_deterministic() {
     {
         digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    assert_eq!(digest, 0x18eb_2c55_ddaf_d9e1, "seed 61 churn run moved");
+    assert_eq!(digest, 0x9c3d_1645_598a_8dc3, "seed 61 churn run moved");
 }
 
 /// Extended server-churn sweep, opt-in via `SOAK=1`.

@@ -290,10 +290,7 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
             );
             delivered += 1;
         }
-        if !pair.settle(moved, None) {
-            pair.net
-                .advance(cfg.assembly_timeout + SimDuration::from_millis(1));
-        }
+        assert!(pair.settle(moved, None), "wedged with nothing scheduled");
     }
     let reasons = [
         "truncated",
@@ -328,8 +325,11 @@ fn hostile_transfer_verdicts(seed: u64, hostility: f64) -> Vec<u64> {
 
 /// Placement moved the checksum of every in-order TU into the copy that
 /// places it: a frame's verdict must not move with it. The values below
-/// were recorded by running this function on the receiver that verified
-/// every frame whole before looking at it (ISSUE 25's parent).
+/// were first recorded by running this function on the receiver that
+/// verified every frame whole before looking at it, and re-recorded once
+/// when the receiver's reassembly sweep began to reach the clock through
+/// `next_timeout` (the loop no longer idles past `assembly_timeout`, so
+/// the adversary sees a different, shorter exchange).
 #[test]
 fn hostile_rejections_by_reason_match_the_verify_first_receiver() {
     // Order: the ten `alf.rx_rejected.*` reasons (truncated, unknown_type,
@@ -342,49 +342,49 @@ fn hostile_rejections_by_reason_match_the_verify_first_receiver() {
         (
             0.15,
             [
-                2,
+                1,
                 0,
-                95,
-                0,
-                0,
+                76,
                 0,
                 0,
                 0,
-                14,
                 0,
-                97,
-                14,
+                0,
+                7,
+                0,
+                77,
+                7,
                 24,
+                4,
+                144,
                 8,
-                167,
-                21,
-                19,
-                8,
-                15_853_398_560,
+                11,
+                4,
+                241_951_208,
             ],
         ),
         (
             0.4,
             [
-                17,
+                18,
                 0,
-                460,
-                0,
-                0,
-                0,
+                536,
+                1,
                 0,
                 0,
-                52,
                 0,
-                477,
-                52,
+                0,
+                57,
+                0,
+                555,
+                57,
                 24,
-                141,
-                291,
-                64,
-                88,
-                141,
-                41_101_486_960,
+                78,
+                334,
+                51,
+                142,
+                78,
+                16_331_062_336,
             ],
         ),
     ];
