@@ -2405,10 +2405,10 @@ fn x13_many_assoc(
     // that walks dead entries). None may be higher per association at 100k
     // than at 1k associations. Per association, not per ADU: the 1k point
     // sends 20 ADUs per association and the 100k point 4, and an honest
-    // server polls an association about twice per burst of arrivals
-    // whatever the burst's size (2.06 and 2.0 polls per association; 0.10
-    // and 0.50 per ADU). A loop that visits every slot each batch polls
-    // each association once per batch instead: 80 times at 1k, 1 564 at
+    // server polls an association about once per burst of arrivals
+    // whatever the burst's size (1.032 and 1.0 polls per association; 0.05
+    // and 0.25 per ADU). A loop that visits every slot each batch polls
+    // each association once per batch instead: 40 times at 1k, 782 at
     // 100k.
     assert!(reports[2].assocs >= 100_000);
     let (k, big) = (&reports[1], &reports[2]);

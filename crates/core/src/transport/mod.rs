@@ -303,8 +303,8 @@ pub struct AduTransport {
     /// Reassembly, replay suppression, and the queue of completed ADUs
     /// awaiting the application.
     assembler: Assembler,
-    /// Earliest instant the pacer will release the next TU (read only
-    /// while pacing is on).
+    /// Earliest instant the pacer will release the next TU; unpaced, the
+    /// instant of the last release, when a burst-capped remainder is due.
     next_tx_at: SimTime,
 
     // ---- watermarks, then the counters (fast-path ones first) -------------
@@ -1221,15 +1221,15 @@ impl AduTransport {
     }
 
     /// The earliest pending timer: the sender's retransmission deadline,
-    /// pacing wake-up, zero-window probe or dead-peer declaration, or the
+    /// pacing wake-up (or, unpaced, the instant a burst cap held TUs
+    /// back), zero-window probe or dead-peer declaration, or the
     /// receiver's reassembly sweep (a NACK round or an abandonment).
     pub fn next_timeout(&self) -> Option<SimTime> {
         // The ring's front, never O(ADUs in flight). `sync_timer` keeps the
         // ring holding exactly the live retransmission deadlines, so this
         // minimum is the same value the old full min-scan produced.
         let retx = self.deadlines.next_deadline();
-        let pace =
-            (!self.txq.is_empty() && self.pace_now > SimDuration::ZERO).then_some(self.next_tx_at);
+        let pace = (!self.txq.is_empty()).then_some(self.next_tx_at);
         let probe = if self.rwnd_blocked && !self.peer_dead {
             self.cold.as_ref().and_then(|c| c.next_probe_at)
         } else {
@@ -1499,9 +1499,12 @@ impl AduTransport {
         name: AduName,
         mut frame: Vec<u8>,
     ) {
-        if self.pace_now > SimDuration::ZERO {
-            self.next_tx_at = self.next_tx_at.max(now) + self.pace_now;
-        }
+        // Unpaced, what the burst cap holds back is due at this instant.
+        self.next_tx_at = if self.pace_now > SimDuration::ZERO {
+            self.next_tx_at.max(now) + self.pace_now
+        } else {
+            now
+        };
         if self.cfg.adaptive {
             // Stamp at actual release, not at queueing: the echo then
             // measures the true network round trip, excluding time spent

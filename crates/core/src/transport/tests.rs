@@ -1283,6 +1283,62 @@ fn forged_adu_len_reserves_at_most_the_quota_and_is_abandoned() {
     assert_eq!(b.reassembly_bytes(), 0);
 }
 
+/// What bounds reassembly memory with `reassembly_budget_bytes` at its
+/// default of 0 (no byte budget): a peer declares every ADU 4 GiB long and
+/// really streams it, in order, in valid TUs. Each assembly reserves at
+/// most `max_frag_views` × its first fragment, its buffer holds exactly the
+/// bytes received, and opening one past `max_partial_adus` abandons the
+/// oldest — so the stored bytes stay at what arrived, and the reservations
+/// at `max_partial_adus × max_frag_views × first fragment`.
+#[test]
+fn declared_4_gib_adus_streamed_in_order_stay_within_the_view_and_count_bounds() {
+    let c = cfg(RecoveryMode::TransportBuffer);
+    assert_eq!(
+        c.reassembly_budget_bytes, 0,
+        "the default has no byte budget"
+    );
+    let (frag, tus_per_adu) = (64u32, 3u32);
+    let adus = c.max_partial_adus as u64 + 8;
+    let mut b = AduTransport::new(c);
+    for id in 0..adus {
+        for k in 0..tus_per_adu {
+            let tu = Tu {
+                flags: 0,
+                assoc: c.assoc,
+                timestamp_us: 0,
+                adu_id: id,
+                adu_len: u32::MAX,
+                frag_off: k * frag,
+                name: AduName::Seq { index: id },
+                payload: payload(frag as usize).into(),
+            };
+            b.on_frame(SimTime::ZERO, tu.encode().into());
+            let buf = b.assembler.placed(id).expect("open");
+            assert!(buf.capacity() <= c.max_frag_views * frag as usize);
+            assert_eq!(buf.len(), ((k + 1) * frag) as usize, "ADU {id}");
+            assert!(b.assembler.pending_count() <= c.max_partial_adus);
+        }
+    }
+    let open = c.max_partial_adus;
+    assert_eq!(b.assembler.pending_count(), open);
+    assert_eq!(b.assembler_stats().adus_abandoned, adus - open as u64);
+    assert!(b.assembler.placed(adus - open as u64 - 1).is_none());
+    assert_eq!(
+        b.assembler.stored_bytes(),
+        open * (tus_per_adu * frag) as usize
+    );
+    // The bound is reached: 256 reservations of 4 096 × 64 B (64 MiB)
+    // for 48 KiB received.
+    let reserved: usize = (adus - open as u64..adus)
+        .map(|id| b.assembler.placed(id).expect("open").capacity())
+        .sum();
+    assert_eq!(reserved, open * c.max_frag_views * frag as usize);
+    // The declared totals are what `reassembly_bytes` reports, not what is
+    // held.
+    assert_eq!(b.reassembly_bytes(), open * u32::MAX as usize);
+    assert!(b.recv_adu().is_none());
+}
+
 mod placement {
     use super::*;
     use proptest::prelude::*;

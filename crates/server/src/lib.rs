@@ -35,7 +35,7 @@ pub mod star;
 use alf_core::adu::Adu;
 use alf_core::timer::TimerWheel;
 use alf_core::transport::{
-    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, SendRefused,
+    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, RecoveryMode, SendRefused,
 };
 use alf_core::wire::peek_assoc;
 use ct_netsim::time::{SimDuration, SimTime};
@@ -796,9 +796,10 @@ impl AlfServer {
     ///    association's wakeup from its `next_timeout()`;
     /// 4. flush the batch counters to telemetry — once.
     ///
-    /// An association whose poll produced output stays dirty (it may have
-    /// more to emit at this same instant — e.g. a burst cap); drive the
-    /// loop with [`AlfServer::pending_work`].
+    /// Work an association holds for this same instant (TUs a burst cap
+    /// held back) is a wakeup at `now`, so [`AlfServer::next_wakeup`]
+    /// reports it and the next batch polls it; drive the loop with
+    /// [`AlfServer::pending_work`] and `next_wakeup`.
     pub fn poll_batch(&mut self, now: SimTime, egress: &mut Vec<(u64, Vec<u8>)>) -> BatchReport {
         let mut report = BatchReport::default();
 
@@ -889,7 +890,6 @@ impl AlfServer {
                     .as_mut()
                     .expect("live slot holds an endpoint");
                 let frames = ep.poll(now);
-                let moved = !frames.is_empty();
                 let mut work = u64::from(slot.delivered);
                 let mut delivered_now = slot.delivered > 0;
                 slot.delivered = 0;
@@ -956,12 +956,6 @@ impl AlfServer {
                         shard.wheel.insert(d, at);
                     }
                     slot.armed = desired;
-                }
-                if moved && !slot.dirty {
-                    // Output at this instant may beget more output (burst
-                    // caps, ACK-triggered sends): keep it on the list.
-                    slot.dirty = true;
-                    shard.dirty.push(at);
                 }
             }
             shard.draining.clear();
@@ -1089,9 +1083,11 @@ impl AlfServer {
 
     /// Check that shard `i`'s five structures — key index, slot records,
     /// endpoint storage, wakeup wheel and dirty list — describe the same
-    /// set of associations; the error names the first disagreement. The
-    /// chaos soak calls this every iteration while associations are created
-    /// and destroyed under fire. O(slots + wheel entries).
+    /// set of associations, and that every clean slot's wakeup is what its
+    /// endpoint's `next_timeout()` reports; the error names the first
+    /// disagreement. The chaos soak calls this every iteration while
+    /// associations are created and destroyed under fire. O(slots + wheel
+    /// entries).
     ///
     /// # Panics
     /// If `i` is out of range.
@@ -1138,6 +1134,28 @@ impl AlfServer {
             }
             if let Some(d) = slot.armed {
                 armed.insert((idx as u32, slot.generation), d);
+            }
+            // A clean slot's wakeup is the endpoint's own, and held work
+            // has one: only an AppRecompute ADU may wait on its application
+            // with no clock (DESIGN §3 "Who reports a deadline").
+            if let Some(ep) = entry(&shard.endpoints, idx as u32)
+                .as_ref()
+                .filter(|_| !slot.dirty)
+            {
+                if slot.armed != ep.next_timeout() {
+                    return Err(format!(
+                        "clean slot {idx}: wakeup {:?} but the endpoint reports {:?}",
+                        slot.armed,
+                        ep.next_timeout()
+                    ));
+                }
+                let holds = !ep.send_complete() || ep.reassembly_bytes() > 0;
+                if holds
+                    && slot.armed.is_none()
+                    && ep.config().recovery != RecoveryMode::AppRecompute
+                {
+                    return Err(format!("clean slot {idx} holds work with no wakeup armed"));
+                }
             }
         }
         // Every armed record has exactly one wheel entry, under its own
@@ -1690,6 +1708,96 @@ mod tests {
             server.endpoint(k).unwrap().next_timeout()
         );
         assert!(server.next_wakeup().is_some());
+    }
+
+    #[test]
+    fn burst_capped_remainder_leaves_at_the_same_instant() {
+        // One unpaced association cuts an ADU into more TUs than one poll
+        // may release. What the burst cap holds back is a wakeup at the
+        // same instant, so the next batch sends it: every TU leaves at
+        // `now`, as the frames a bare endpoint polled until empty at that
+        // instant sends.
+        let cfg = AlfConfig::default();
+        let tus = cfg.burst_tus + 8;
+        let body = payload(tus * cfg.mtu_payload);
+        let (k, quiet) = (key(1, 1), key(1, 2));
+        let mut server = AlfServer::new(ServerConfig::default());
+        server.add_association(k, cfg).unwrap();
+        server.add_association(quiet, cfg).unwrap();
+        let now = SimTime::from_millis(3);
+        let serve = |server: &mut AlfServer, egress: &mut Vec<(u64, Vec<u8>)>| {
+            while server.pending_work() || server.next_wakeup().is_some_and(|w| w <= now) {
+                if server.poll_batch(now, egress).idle() {
+                    break;
+                }
+            }
+        };
+        let layout_agrees = |server: &AlfServer| {
+            for i in 0..server.shard_count() {
+                server.check_shard_layout(i).expect("layout agrees");
+            }
+        };
+        let mut egress = Vec::new();
+        server
+            .send_adu(k, AduName::Seq { index: 0 }, body.clone())
+            .unwrap();
+        server.poll_batch(now, &mut egress);
+        assert_eq!(egress.len(), cfg.burst_tus);
+        assert!(!server.pending_work());
+        layout_agrees(&server);
+        assert_eq!(server.next_wakeup(), Some(now), "the held TUs are due now");
+        serve(&mut server, &mut egress);
+        assert_eq!(egress.len(), tus, "every TU left at {now}");
+        assert!(server.next_wakeup().is_some_and(|w| w > now));
+        layout_agrees(&server);
+
+        let mut bare = AduTransport::new(AlfConfig {
+            assoc: k.assoc,
+            ..cfg
+        });
+        bare.send_adu(AduName::Seq { index: 0 }, body).unwrap();
+        let mut alone = Vec::new();
+        while alone.len() < tus {
+            let frames = bare.poll(now);
+            assert!(!frames.is_empty(), "the bare endpoint stalled");
+            alone.extend(frames);
+        }
+        let frames: Vec<Vec<u8>> = egress.drain(..).map(|(_, f)| f).collect();
+        assert_eq!(frames, alone);
+        // And pinned, as FNV-1a 64: what the burst puts on the wire does
+        // not depend on which loop lets the remainder out.
+        let digest = frames
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x25a3_a4a8_cf8b_d3d3, "the burst's frames moved");
+
+        // An association that emits with nothing held back is polled once
+        // per event: a submission, then a peer's TU that it ACKs.
+        let polls = server.loop_work().polls;
+        server
+            .send_adu(quiet, AduName::Seq { index: 0 }, payload(100))
+            .unwrap();
+        serve(&mut server, &mut egress);
+        assert_eq!(egress.len(), 1);
+        assert_eq!(server.loop_work().polls, polls + 1);
+        let mut client = AduTransport::new(AlfConfig {
+            assoc: quiet.assoc,
+            ..cfg
+        });
+        client
+            .send_adu(AduName::Seq { index: 0 }, payload(100))
+            .unwrap();
+        for f in client.poll(now) {
+            server.ingest(quiet.peer, f);
+        }
+        serve(&mut server, &mut egress);
+        assert_eq!(server.take_delivered().len(), 1);
+        assert_eq!(egress.len(), 2, "the ACK left");
+        assert_eq!(server.loop_work().polls, polls + 2);
+        layout_agrees(&server);
     }
 
     #[test]

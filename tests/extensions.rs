@@ -50,6 +50,13 @@ fn mux_carries_isolated_associations_over_lossy_network() {
     let mut received = 0usize;
     for _ in 0..1_000_000 {
         let moved = star.exchange();
+        // The layout and wakeup invariants, at every step of a star whose
+        // senders' first polls (20 TUs each) hit the burst cap of 12.
+        for end in std::iter::once(&star.hub).chain(&star.spokes) {
+            for i in 0..end.shard_count() {
+                end.check_shard_layout(i).expect("layout agrees");
+            }
+        }
         for (k, adu, _) in star.hub.take_delivered() {
             let AduName::Seq { index } = adu.name else {
                 panic!()
