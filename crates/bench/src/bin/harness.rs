@@ -973,7 +973,7 @@ fn x4_recovery_modes() {
             &adus,
             Some(&oracle),
         );
-        assert!(r.verified, "{name}");
+        assert!(r.complete && r.verified, "{name}");
         t.row(&[
             name.into(),
             format!("{}/{}", r.adus_delivered, n_adus),

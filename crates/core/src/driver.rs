@@ -242,14 +242,9 @@ pub fn run_alf_transfer_scenario(
         // Recompute requests from the previous round (AppRecompute runs):
         // answered before the poll so the regenerated payload flows out in
         // this iteration and never lingers as sender state.
-        if cfg.recovery == RecoveryMode::AppRecompute {
-            let reqs = pair.a.take_recompute_requests();
-            if !reqs.is_empty() {
-                let oracle = recompute.expect("AppRecompute run needs a recompute oracle");
-                for req in reqs {
-                    pair.a.provide_recomputed(req.adu_id, oracle(req.name));
-                }
-            }
+        for req in pair.a.take_recompute_requests() {
+            let oracle = recompute.expect("AppRecompute run needs a recompute oracle");
+            pair.a.provide_recomputed(req.adu_id, oracle(req.name));
         }
 
         let moved = pair.exchange();
@@ -301,19 +296,11 @@ pub fn run_alf_transfer_scenario(
         if pair.a.peer_unreachable() {
             break;
         }
-        // Nothing pending anywhere: a question to the sending application
-        // still counts as pending work.
+        // Nothing scheduled: done if all was sent (unaccounted ADUs are
+        // silent losses, e.g. NoRetransmit ACK losses), else a wedge.
         if !pair.settle(moved, None) {
-            if pair.a.pending_recompute_requests() > 0 {
-                // Answered at the top of the next iteration.
-            } else if pair.a.send_complete() && next_offer == adus.len() {
-                // All sent; any unaccounted ADUs are silent losses
-                // (NoRetransmit ACK losses etc.).
-                complete = true;
-                break;
-            } else {
-                break;
-            }
+            complete = pair.a.send_complete() && next_offer == adus.len();
+            break;
         }
     }
 

@@ -179,8 +179,10 @@ struct Cold {
     nack_queue: Vec<u64>,
     /// Pending outbound selective NACKs: `(adu_id, missing ranges)`.
     nack_frag_out: Vec<(u64, Vec<(u32, u32)>)>,
-    /// Recompute requests awaiting `take_recompute_requests`.
+    /// Recompute requests awaiting `take_recompute_requests`, and when
+    /// the oldest was raised (`next_timeout` reports it until taken).
     recompute_out: Vec<LossReport>,
+    recompute_since: Option<SimTime>,
     /// Losses to report to the local application.
     loss_reports: Vec<LossReport>,
     /// Parity TUs held per pending ADU (FEC).
@@ -217,6 +219,7 @@ impl Default for Cold {
             nack_queue: Vec::new(),
             nack_frag_out: Vec::new(),
             recompute_out: Vec::new(),
+            recompute_since: None,
             loss_reports: Vec::new(),
             parities: BTreeMap::new(),
             prev_timing: None,
@@ -538,19 +541,13 @@ impl AduTransport {
 
     /// Recompute requests for the sending application
     /// ([`RecoveryMode::AppRecompute`] only). Draining. The application
-    /// answers each via [`AduTransport::provide_recomputed`].
+    /// answers each via [`AduTransport::provide_recomputed`]. An ADU is
+    /// asked once; left unanswered, it times out like an unacknowledged send.
     pub fn take_recompute_requests(&mut self) -> Vec<LossReport> {
-        match &mut self.cold {
-            Some(cold) => std::mem::take(&mut cold.recompute_out),
-            None => Vec::new(),
-        }
-    }
-
-    /// Recompute requests waiting to be taken (drivers use this to avoid
-    /// declaring the sender stuck while a question to the application is
-    /// outstanding).
-    pub fn pending_recompute_requests(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.recompute_out.len())
+        self.cold.as_mut().map_or_else(Vec::new, |cold| {
+            cold.recompute_since = None;
+            std::mem::take(&mut cold.recompute_out)
+        })
     }
 
     /// Deliver a recomputed payload for a previously requested ADU. The
@@ -893,10 +890,10 @@ impl AduTransport {
 
     /// Fire the retransmission deadlines `now` has passed. A fired entry
     /// is authoritative only if it still matches the ADU's current
-    /// deadline (lazy cancellation) and the ADU is neither awaiting a
-    /// recompute nor still draining through the pacer — every path out of
-    /// those states rewrites the deadline and re-arms the ring, so
-    /// dropping a gated entry loses nothing.
+    /// deadline (lazy cancellation) and the ADU is not still draining
+    /// through the pacer — every path out of that state rewrites the
+    /// deadline and re-arms the ring, so dropping a gated entry loses
+    /// nothing.
     fn fire_retransmit_timers(&mut self, now: SimTime) {
         if self.deadlines.next_deadline().is_none_or(|d| d > now) {
             return;
@@ -911,8 +908,7 @@ impl AduTransport {
                     // The ring gave this entry up; it is no longer armed.
                     sent.armed = false;
                 }
-                if sent.deadline == deadline && !sent.awaiting_recompute && sent.tus_unreleased == 0
-                {
+                if sent.deadline == deadline && sent.tus_unreleased == 0 {
                     overdue.push(id);
                 }
             }
@@ -1222,8 +1218,9 @@ impl AduTransport {
 
     /// The earliest pending timer: the sender's retransmission deadline,
     /// pacing wake-up (or, unpaced, the instant a burst cap held TUs
-    /// back), zero-window probe or dead-peer declaration, or the
-    /// receiver's reassembly sweep (a NACK round or an abandonment).
+    /// back), zero-window probe, dead-peer declaration or untaken
+    /// recompute request (due since it was raised), or the receiver's
+    /// reassembly sweep (a NACK round or an abandonment).
     pub fn next_timeout(&self) -> Option<SimTime> {
         // The ring's front, never O(ADUs in flight). `sync_timer` keeps the
         // ring holding exactly the live retransmission deadlines, so this
@@ -1244,7 +1241,9 @@ impl AduTransport {
             None
         };
         let sweep = self.assembler.next_sweep();
-        [retx, pace, probe, dead, sweep].into_iter().flatten().min()
+        let recompute = self.cold.as_ref().and_then(|c| c.recompute_since);
+        let terms = [retx, pace, probe, dead, sweep, recompute];
+        terms.into_iter().flatten().min()
     }
 
     /// Receiver memory currently invested in partial ADUs.
@@ -1370,6 +1369,7 @@ impl AduTransport {
         self.txq.clear();
         cold.retransmit_now.clear();
         cold.recompute_out.clear();
+        cold.recompute_since = None;
         cold.next_probe_at = None;
         cold.probe_backoff = 0;
         self.rwnd_blocked = false;
@@ -1755,6 +1755,7 @@ impl AduTransport {
                     let name = sent.name;
                     self.stats.rare_mut().recompute_requests += 1;
                     cold.recompute_out.push(LossReport { adu_id: id, name });
+                    cold.recompute_since.get_or_insert(now);
                 } else if sent.payload.is_some() {
                     // A recomputed payload is still cached from a previous
                     // round: reuse it.
@@ -1767,9 +1768,9 @@ impl AduTransport {
     }
 
     /// Reconcile the deadline ring with an ADU's state: arm its deadline iff
-    /// its retransmission clock is live (`!awaiting_recompute` and nothing
-    /// of it queued behind the pacer), disarm otherwise. Every state change
-    /// funnels through here (and a moved deadline through
+    /// its retransmission clock is live (nothing of it queued behind the
+    /// pacer, awaiting a recompute or not), disarm otherwise. Every state
+    /// change funnels through here (and a moved deadline through
     /// [`SentAdu::set_deadline`], which disarms the old one), so the ring
     /// holds exactly one entry per live clock and
     /// [`AduTransport::next_timeout`] reproduces the old O(n) min-scan
@@ -1780,7 +1781,7 @@ impl AduTransport {
         let Some(sent) = self.window.get_mut(id) else {
             return;
         };
-        let live = !sent.awaiting_recompute && sent.tus_unreleased == 0;
+        let live = sent.tus_unreleased == 0;
         if live == sent.armed {
             return;
         }

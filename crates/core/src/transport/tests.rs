@@ -178,10 +178,14 @@ fn recompute_mode_asks_application() {
     let later = SimTime::from_millis(100);
     let out = a.poll(later);
     assert!(out.is_empty(), "nothing to send without the payload");
+    // The waiting request is work due since the timer fired.
+    assert_eq!(a.next_timeout(), Some(later));
     let reqs = a.take_recompute_requests();
     assert_eq!(reqs.len(), 1);
     assert_eq!(reqs[0].adu_id, id);
     assert_eq!(reqs[0].name, AduName::Rpc { call: 1, part: 0 });
+    // Taken, it is not; the ADU keeps its retransmission deadline.
+    assert!(a.next_timeout().is_some_and(|t| t > later));
     // App regenerates the data.
     assert!(a.provide_recomputed(id, data.clone()));
     let retx = a.poll(later);
@@ -191,6 +195,36 @@ fn recompute_mode_asks_application() {
     }
     let (adu, _) = b.recv_adu().unwrap();
     assert_eq!(adu.payload, data);
+}
+
+#[test]
+fn unanswered_recompute_request_times_out() {
+    // The application is asked once; a question it never answers times
+    // out like an unacknowledged send.
+    let mut a = AduTransport::new(AlfConfig {
+        max_retries: 2,
+        ..cfg(RecoveryMode::AppRecompute)
+    });
+    let name = AduName::Rpc { call: 7, part: 0 };
+    let id = a.send_adu(name, payload(900)).unwrap();
+    let _lost = a.poll(SimTime::ZERO); // dropped on the floor
+    let mut asked = 0;
+    for _ in 0..10 {
+        let Some(now) = a.next_timeout() else {
+            break;
+        };
+        assert!(
+            a.poll(now).is_empty(),
+            "nothing to send without the payload"
+        );
+        asked += a.take_recompute_requests().len();
+    }
+    assert_eq!(asked, 1, "asked once");
+    assert_eq!(a.take_loss_reports(), [LossReport { adu_id: id, name }]);
+    assert!(a.send_complete());
+    assert_eq!(a.next_timeout(), None);
+    assert_eq!(a.stats().adus_given_up, 1);
+    assert!(!a.provide_recomputed(id, payload(900)), "a late answer");
 }
 
 #[test]

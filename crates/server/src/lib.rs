@@ -35,7 +35,7 @@ pub mod star;
 use alf_core::adu::Adu;
 use alf_core::timer::TimerWheel;
 use alf_core::transport::{
-    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, RecoveryMode, SendRefused,
+    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, SendRefused,
 };
 use alf_core::wire::peek_assoc;
 use ct_netsim::time::{SimDuration, SimTime};
@@ -581,6 +581,8 @@ pub struct AlfServer {
     delivered: Vec<(AssocKey, Adu, SimDuration)>,
     /// Loss reports awaiting [`AlfServer::take_losses`].
     losses: Vec<(AssocKey, LossReport)>,
+    /// Recompute requests awaiting [`AlfServer::take_recompute_requests`].
+    recompute: Vec<(AssocKey, LossReport)>,
     assoc_count: usize,
     batches: u64,
     telemetry: Option<ct_telemetry::Telemetry>,
@@ -610,6 +612,7 @@ impl AlfServer {
             ingress: VecDeque::new(),
             delivered: Vec::new(),
             losses: Vec::new(),
+            recompute: Vec::new(),
             assoc_count: 0,
             batches: 0,
             telemetry: None,
@@ -791,9 +794,9 @@ impl AlfServer {
     /// 2. advance each shard's wakeup wheel to `now` and collect the
     ///    associations whose timers expired;
     /// 3. poll exactly the dirty associations, pushing their egress frames
-    ///    into `egress` as `(peer, frame)` and their completed ADUs into
-    ///    the [`AlfServer::take_delivered`] queue; re-arm each polled
-    ///    association's wakeup from its `next_timeout()`;
+    ///    into `egress` as `(peer, frame)`, their completed ADUs, loss
+    ///    reports and recompute requests into the server's queues; re-arm
+    ///    each polled association's wakeup from its `next_timeout()`;
     /// 4. flush the batch counters to telemetry — once.
     ///
     /// Work an association holds for this same instant (TUs a burst cap
@@ -907,6 +910,9 @@ impl AlfServer {
                 }
                 for loss in ep.take_loss_reports() {
                     self.losses.push((key, loss));
+                }
+                for req in ep.take_recompute_requests() {
+                    self.recompute.push((key, req));
                 }
                 let outstanding = !ep.send_complete() || ep.reassembly_bytes() > 0;
                 let desired = ep.next_timeout();
@@ -1036,6 +1042,13 @@ impl AlfServer {
         std::mem::take(&mut self.losses)
     }
 
+    /// Recompute requests since the last call, taken off each endpoint by
+    /// the poll that raised them (DESIGN §3 "Who reports a deadline").
+    /// Answer through [`AlfServer::endpoint_mut`], or let the ADU time out.
+    pub fn take_recompute_requests(&mut self) -> Vec<(AssocKey, LossReport)> {
+        std::mem::take(&mut self.recompute)
+    }
+
     /// Aggregate transport stats of every association in shard `i`.
     pub fn shard_stats(&self, i: usize) -> AlfStats {
         let mut total = AlfStats::default();
@@ -1136,8 +1149,7 @@ impl AlfServer {
                 armed.insert((idx as u32, slot.generation), d);
             }
             // A clean slot's wakeup is the endpoint's own, and held work
-            // has one: only an AppRecompute ADU may wait on its application
-            // with no clock (DESIGN §3 "Who reports a deadline").
+            // has one (DESIGN §3 "Who reports a deadline").
             if let Some(ep) = entry(&shard.endpoints, idx as u32)
                 .as_ref()
                 .filter(|_| !slot.dirty)
@@ -1150,10 +1162,7 @@ impl AlfServer {
                     ));
                 }
                 let holds = !ep.send_complete() || ep.reassembly_bytes() > 0;
-                if holds
-                    && slot.armed.is_none()
-                    && ep.config().recovery != RecoveryMode::AppRecompute
-                {
+                if holds && slot.armed.is_none() {
                     return Err(format!("clean slot {idx} holds work with no wakeup armed"));
                 }
             }
@@ -1326,11 +1335,11 @@ impl AlfServer {
     /// endpoint's inline part lives there), each live endpoint's own heap
     /// blocks (the rest of [`AduTransport::approx_mem_bytes`]), the key
     /// index, wheel, dirty and free lists; the shared configuration
-    /// templates; the ingress queue and its frames, and the delivery and
-    /// loss queues. Deterministic (derived from lengths and capacities,
-    /// never allocator internals) so X13 can commit it to a gated
-    /// baseline; `tests/alloc_budget.rs` checks it against what a warm
-    /// server really holds. The payloads of undelivered ADUs and of
+    /// templates; the ingress queue and its frames, and the delivery,
+    /// loss and recompute queues. Deterministic (derived from lengths and
+    /// capacities, never allocator internals) so X13 can commit it to a
+    /// gated baseline; `tests/alloc_budget.rs` checks it against what a
+    /// warm server really holds. The payloads of undelivered ADUs and of
     /// retransmission buffers are views of chunks shared with the
     /// application, counted by their length.
     pub fn approx_mem_bytes(&self) -> usize {
@@ -1366,7 +1375,8 @@ impl AlfServer {
                 .iter()
                 .map(|(_, a, _)| a.len())
                 .sum::<usize>();
-        total += self.losses.capacity() * size_of::<(AssocKey, LossReport)>();
+        total += (self.losses.capacity() + self.recompute.capacity())
+            * size_of::<(AssocKey, LossReport)>();
         if let Some(names) = &self.batch_names {
             total += names.heap_bytes();
         }

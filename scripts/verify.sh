@@ -73,6 +73,13 @@ else
     echo "machine-code checks skipped: need x86_64 and objdump"
 fi
 
+# The alf_core::driver experiments nothing below runs, once each: every one
+# asserts its own invariants (X4 that each recovery mode completes and
+# verifies), and together they take under a second in release.
+for experiment in x1 x3 x4 x6 x7 x8; do
+    cargo run --release -q -p ct-bench --bin harness "$experiment" > /dev/null
+done
+
 # Observability smoke: the X9 experiment asserts integrated < layered
 # passes-per-byte at every chain depth and exercises a telemetry-enabled
 # transfer end to end.

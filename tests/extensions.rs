@@ -18,11 +18,20 @@ use ct_server::{AlfServer, AssocKey, ServerConfig};
 #[test]
 fn mux_carries_isolated_associations_over_lossy_network() {
     // Three associations share one lossy wire through an AlfServer at each
-    // end; every association's data arrives intact and uncrossed.
+    // end; every association's data arrives intact and uncrossed. The
+    // third recovers by asking its sending application to recompute.
     let snappy = AlfConfig {
         retransmit_timeout: SimDuration::from_millis(5),
         assembly_timeout: SimDuration::from_millis(2),
         ..AlfConfig::default()
+    };
+    let config_for = |assoc| AlfConfig {
+        recovery: if assoc == 30 {
+            RecoveryMode::AppRecompute
+        } else {
+            RecoveryMode::TransportBuffer
+        },
+        ..snappy
     };
     // Each end knows the other as one peer: a one-spoke star whose hub is
     // the receiving end, as in X13.
@@ -31,8 +40,8 @@ fn mux_carries_isolated_associations_over_lossy_network() {
     let mut a = AlfServer::new(ServerConfig::default());
     let mut b = AlfServer::new(ServerConfig::default());
     for assoc in [10u16, 20, 30] {
-        a.add_association(key(assoc), snappy).unwrap();
-        b.add_association(key(assoc), snappy).unwrap();
+        a.add_association(key(assoc), config_for(assoc)).unwrap();
+        b.add_association(key(assoc), config_for(assoc)).unwrap();
     }
     // Distinct payload per association.
     let payload_for = |assoc: u16, i: u64| -> Vec<u8> {
@@ -48,15 +57,30 @@ fn mux_carries_isolated_associations_over_lossy_network() {
     }
     let mut star = Star::new(61, LinkConfig::lan(), FaultConfig::loss(0.03), b, vec![a]);
     let mut received = 0usize;
+    let mut answered = 0u64;
     for _ in 0..1_000_000 {
         let moved = star.exchange();
         // The layout and wakeup invariants, at every step of a star whose
-        // senders' first polls (20 TUs each) hit the burst cap of 12.
+        // senders' first polls (20 TUs each) hit the burst cap of 12, and
+        // with no exemption for an ADU waiting on its application.
         for end in std::iter::once(&star.hub).chain(&star.spokes) {
             for i in 0..end.shard_count() {
                 end.check_shard_layout(i).expect("layout agrees");
             }
         }
+        // The batch that raised a recompute request handed it over; only
+        // an answer marks the sender's slot dirty.
+        let sender = &mut star.spokes[0];
+        for (k, req) in sender.take_recompute_requests() {
+            let AduName::Seq { index } = req.name else {
+                panic!()
+            };
+            let ep = sender.endpoint_mut(k).expect("bound");
+            assert!(ep.provide_recomputed(req.adu_id, payload_for(k.assoc, index)));
+            answered += 1;
+        }
+        let asked = sender.endpoint(key(30)).expect("bound").stats();
+        assert_eq!(asked.recompute_requests, answered, "every request taken");
         for (k, adu, _) in star.hub.take_delivered() {
             let AduName::Seq { index } = adu.name else {
                 panic!()
@@ -69,6 +93,7 @@ fn mux_carries_isolated_associations_over_lossy_network() {
         }
     }
     assert_eq!(received, 30, "all associations must complete");
+    assert!(answered > 0, "the lossy wire cost association 30 a payload");
     assert_eq!(
         star.hub.rollup().counter("misdelivered"),
         0,
