@@ -2354,6 +2354,7 @@ fn x13_many_assoc(
         "ADUs",
         "ns/ADU (wall)",
         "bytes/assoc",
+        "client bytes/assoc",
         "batches",
         "sim elapsed ms",
         "polls/assoc",
@@ -2370,6 +2371,7 @@ fn x13_many_assoc(
             format!("{}", r.adus_delivered),
             format!("{:.0}", r.ns_per_adu()),
             format!("{:.0}", r.bytes_per_assoc()),
+            format!("{:.0}", r.client_bytes_per_assoc()),
             format!("{}", r.batches),
             format!("{:.2}", r.elapsed.as_nanos() as f64 / 1e6),
             per_assoc(r.work.polls),
@@ -2381,6 +2383,7 @@ fn x13_many_assoc(
              \"adus_per_assoc\": {adus}, \"adus_delivered\": {}, \
              \"frames_in\": {}, \"frames_out\": {}, \"batches\": {}, \
              \"elapsed_ns\": {}, \"mem_bytes_per_assoc\": {:.0}, \
+             \"client_mem_bytes_per_assoc\": {:.0}, \
              \"assoc_polls\": {}, \"wheel_entries_examined\": {}, \
              \"wheel_slots_scanned\": {}}}",
             r.adus_delivered,
@@ -2389,6 +2392,7 @@ fn x13_many_assoc(
             r.batches,
             r.elapsed.as_nanos(),
             r.bytes_per_assoc(),
+            r.client_bytes_per_assoc(),
             r.work.polls,
             r.work.wheel_entries_examined,
             r.work.wheel_slots_scanned,
@@ -2483,6 +2487,18 @@ fn x13_many_assoc(
         reports[2].bytes_per_assoc() <= 720.0,
         "an association must stay within 720 B at 100k-scale, got {:.0}",
         reports[2].bytes_per_assoc()
+    );
+    // The sending side, 636 B when this bound was set: the slot record,
+    // the endpoint's 504 inline bytes, its share of the index, and send
+    // rings only for the associations in flight (the 352-byte pair of an
+    // idle sender goes to its stack's spare list; 971 B while every
+    // sender kept its own). 660 leaves 24 B, room for one more word in
+    // the slot record or the endpoint, and fails idle senders that keep
+    // their rings.
+    assert!(
+        reports[2].client_bytes_per_assoc() <= 660.0,
+        "a sending association must stay within 660 B at 100k-scale, got {:.0}",
+        reports[2].client_bytes_per_assoc()
     );
 
     let json = format!(

@@ -158,7 +158,20 @@ impl Assembly {
 
     /// Bytes this assembly stores: its placed prefix plus its held views.
     fn stored_bytes(&self) -> usize {
-        self.placed.len() + self.held.iter().map(|(_, v)| v.len()).sum::<usize>()
+        self.placed.len() + self.held_bytes()
+    }
+
+    fn held_bytes(&self) -> usize {
+        self.held.iter().map(|(_, v)| v.len()).sum()
+    }
+
+    /// Heap bytes behind this assembly: the placed buffer's capacity, the
+    /// held-view list's slots and the views' bytes — what it holds, never
+    /// what its first TU declared.
+    fn heap_bytes(&self) -> usize {
+        self.placed.capacity()
+            + self.held.capacity() * std::mem::size_of::<(u32, WireBuf)>()
+            + self.held_bytes()
     }
 
     /// Consume a complete, drained assembly into the released payload and
@@ -884,14 +897,21 @@ impl Assembler {
     }
 
     /// Approximate heap bytes held: the open-assemblies array's slots and
-    /// the assemblies' reservations, the ready queue's slots, the replay
-    /// window's islands and the rare counters' block (neither for in-order
-    /// traffic). Deterministic (lengths and capacities, never allocator
-    /// internals).
+    /// each open assembly's buffer capacity, held-view slots and views'
+    /// bytes, the ready queue's slots, the replay window's islands and the
+    /// rare counters' block (neither for in-order traffic). Deterministic
+    /// (lengths and capacities, never allocator internals). Not the
+    /// declared lengths [`Assembler::pending_bytes`] charges: a peer that
+    /// declares 4 GiB ADUs holds what it sent and what its first fragment
+    /// reserved, and that is what this counts.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
         self.pending.capacity() * size_of::<(u64, Assembly)>()
-            + self.pending_bytes()
+            + self
+                .pending
+                .iter()
+                .map(|(_, a)| a.heap_bytes())
+                .sum::<usize>()
             + self.ready.capacity() * size_of::<(u64, Adu, SimDuration)>()
             + self.released.heap_bytes()
             + self

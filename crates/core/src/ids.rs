@@ -183,6 +183,18 @@ impl<T> IdRing<T> {
         self.parked = 0;
         self.entries.drain(..)
     }
+
+    /// Hand over the slot block of an empty ring, leaving it none.
+    pub(crate) fn take_block(&mut self) -> VecDeque<(u64, T)> {
+        debug_assert!(self.entries.is_empty());
+        std::mem::take(&mut self.entries)
+    }
+
+    /// Adopt an empty slot block in place of a ring that has none.
+    pub(crate) fn install_block(&mut self, block: VecDeque<(u64, T)>) {
+        debug_assert!(self.entries.capacity() == 0 && block.is_empty());
+        self.entries = block;
+    }
 }
 
 /// Ids a [`ReplayWindow`] holds before the oldest slide under its floor.

@@ -108,6 +108,23 @@ impl DeadlineRing {
         self.entries.len()
     }
 
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Hand over the entry block of an empty ring, leaving it none; the
+    /// `inserts` counter stays.
+    pub(crate) fn take_block(&mut self) -> VecDeque<(SimTime, u64)> {
+        debug_assert!(self.entries.is_empty());
+        std::mem::take(&mut self.entries)
+    }
+
+    /// Adopt an empty entry block in place of a ring that has none.
+    pub(crate) fn install_block(&mut self, block: VecDeque<(SimTime, u64)>) {
+        debug_assert!(self.entries.capacity() == 0 && block.is_empty());
+        self.entries = block;
+    }
+
     /// The ring's counter: `inserts`. The others are its owner's to fill
     /// in.
     pub(crate) fn stats(&self) -> WheelStats {

@@ -82,12 +82,15 @@ const MAX_PACE: SimDuration = SimDuration::from_millis(20);
 /// Minimum elapsed time before a delivery-rate window closes into a sample.
 const MIN_RATE_WINDOW: SimDuration = SimDuration::from_millis(1);
 
-/// Ring slots reserved by the first submission (what a first `push` would
-/// reserve anyway), and as many deadline-ring entries. Reserving them
-/// then, side by side, changes no count and no size — only which addresses
-/// the allocator hands out, so what it is worth (see `send_adu`) is a
-/// property of the system allocator's placement, not of this code:
-/// re-measure before relying on it under another allocator.
+/// Ring slots reserved by a submission to an endpoint that holds no send
+/// rings (what a first `push` would reserve anyway), and as many
+/// deadline-ring entries: an endpoint's first activation, unless its owner
+/// gave it a recycled pair ([`AduTransport::give_send_rings`]; an
+/// `AlfServer` does while its spare list has one). Reserving them then,
+/// side by side, changes no count and no size — only which addresses the
+/// allocator hands out, so what it is worth (see `send_adu`) is a property
+/// of the system allocator's placement, not of this code: re-measure
+/// before relying on it under another allocator.
 const FIRST_SEND_SLOTS: usize = 4;
 
 /// A configured bound on a 16-bit count: beyond 65 535 it acts as 65 535.
@@ -145,6 +148,31 @@ impl SentAdu {
             self.armed = false;
         }
         self.deadline = at;
+    }
+}
+
+/// An idle sender's two ring blocks, empty: the send ring's slots and the
+/// deadline ring's entries, moved out by [`AduTransport::take_send_rings`]
+/// and into another endpoint by [`AduTransport::give_send_rings`]. An
+/// owner of many endpoints recycles them, so it holds one pair per
+/// association that is sending, not one per association that ever sent.
+#[derive(Debug)]
+pub struct SendRings {
+    window: VecDeque<(u64, SentAdu)>,
+    deadlines: VecDeque<(SimTime, u64)>,
+}
+
+impl SendRings {
+    /// Heap bytes the two blocks hold, by capacity.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.window.capacity() * size_of::<(u64, SentAdu)>()
+            + self.deadlines.capacity() * size_of::<(SimTime, u64)>()
+    }
+
+    /// True when neither block holds an entry.
+    pub fn is_empty(&self) -> bool {
+        self.window.is_empty() && self.deadlines.is_empty()
     }
 }
 
@@ -502,10 +530,11 @@ impl AduTransport {
         self.next_adu_id += 1;
         self.stats.adus_sent += 1;
         if self.window.capacity() == 0 {
-            // The send side's blocks, reserved together: the send ring and
-            // the deadline ring end up side by side in memory instead of
-            // the send ring in one place and the deadlines — first needed
-            // in the middle of the first `poll`, after it has allocated a
+            // A first activation with no recycled rings given: the send
+            // side's blocks, reserved together. The send ring and the
+            // deadline ring end up side by side in memory instead of the
+            // send ring in one place and the deadlines — first needed in
+            // the middle of the first `poll`, after it has allocated a
             // frame — in another. Worth a tenth of `server_fanin` at 10^5
             // endpoints, nothing at 10^3.
             self.window.reserve(FIRST_SEND_SLOTS);
@@ -582,6 +611,45 @@ impl AduTransport {
     /// True when nothing is queued, paced, or unacknowledged (sender drained).
     pub fn send_complete(&self) -> bool {
         !self.work_outstanding()
+    }
+
+    /// Heap bytes of the send-side rings' blocks, by capacity: the send
+    /// ring's slots and the deadline ring's entries. Zero for an endpoint
+    /// that never sent, or whose rings were taken.
+    pub fn send_ring_bytes(&self) -> usize {
+        self.window.capacity() * std::mem::size_of::<(u64, SentAdu)>()
+            + self.deadlines.approx_mem_bytes()
+    }
+
+    /// Hand out the send ring's and the deadline ring's blocks, empty, so
+    /// an idle endpoint holds neither — only when the window is empty,
+    /// nothing is parked, no deadline is armed and there is a block to
+    /// hand. Only the buffers move: every counter, the deadline ring's
+    /// `inserts` among them, stays here.
+    pub fn take_send_rings(&mut self) -> Option<SendRings> {
+        let idle =
+            self.window.is_empty() && self.window.parked_len() == 0 && self.deadlines.is_empty();
+        (idle && self.send_ring_bytes() > 0).then(|| SendRings {
+            window: self.window.take_block(),
+            deadlines: self.deadlines.take_block(),
+        })
+    }
+
+    /// Install `rings` (taken from any endpoint by
+    /// [`AduTransport::take_send_rings`]) in an endpoint that holds no send
+    /// rings, so its next `send_adu` reserves none. Refused, and handed
+    /// back, when this endpoint holds a block of its own.
+    ///
+    /// # Errors
+    /// The rings themselves, when [`AduTransport::send_ring_bytes`] is not
+    /// zero.
+    pub fn give_send_rings(&mut self, rings: SendRings) -> Result<(), SendRings> {
+        if self.send_ring_bytes() > 0 || !rings.is_empty() {
+            return Err(rings);
+        }
+        self.window.install_block(rings.window);
+        self.deadlines.install_block(rings.deadlines);
+        Ok(())
     }
 
     /// Sender memory held for retransmission (X4's buffering cost).
@@ -1270,15 +1338,15 @@ impl AduTransport {
     /// Approximate memory footprint of this endpoint, in bytes: the struct
     /// itself plus every heap block behind it — the configuration's block
     /// while this endpoint is its only owner (a shared template is charged
-    /// to whoever interned it), the send ring's slots and the
-    /// retransmission payloads they buffer, the pacing queue and its
-    /// frames, the ACK id queue, stage 1 (open assemblies, the
-    /// completed-ADU queue, replay islands, its rare counters), the deadline
-    /// ring's block, and the cold state and the rare counters once they
-    /// exist. Deterministic (derived from lengths and capacities, never
-    /// allocator internals) — X13 uses it for the bytes-per-association
-    /// bound, and `tests/alloc_budget.rs` checks it against the bytes a
-    /// warm endpoint really holds.
+    /// to whoever interned it), the send rings' blocks (while it holds
+    /// them: see [`AduTransport::take_send_rings`]) and the retransmission
+    /// payloads they buffer, the pacing queue and its frames, the ACK id
+    /// queue, stage 1 (open assemblies, the completed-ADU queue, replay
+    /// islands, its rare counters), and the cold state and the rare
+    /// counters once they exist. Deterministic (derived from lengths and
+    /// capacities, never allocator internals) — X13 uses it for the
+    /// bytes-per-association bound, and `tests/alloc_budget.rs` checks it
+    /// against the bytes a warm endpoint really holds.
     pub fn approx_mem_bytes(&self) -> usize {
         use std::mem::size_of;
         let config = if Arc::strong_count(&self.cfg) == 1 {
@@ -1288,13 +1356,12 @@ impl AduTransport {
         };
         size_of::<Self>()
             + config
-            + self.window.capacity() * size_of::<(u64, SentAdu)>()
+            + self.send_ring_bytes()
             + self.retransmit_buffer_bytes()
             + self.txq.capacity() * size_of::<(u64, AduName, Vec<u8>)>()
             + self.txq.iter().map(|(_, _, f)| f.capacity()).sum::<usize>()
             + self.ack_queue.capacity() * size_of::<u64>()
             + self.assembler.approx_mem_bytes()
-            + self.deadlines.approx_mem_bytes()
             + self.cold.as_ref().map_or(0, |c| {
                 size_of::<Cold>() + c.due_scratch.capacity() * size_of::<(SimTime, u64)>()
             })

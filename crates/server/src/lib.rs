@@ -22,6 +22,12 @@
 //!   associations actually touched by a frame or an expired timer (the
 //!   *dirty list*), never all N.
 //!
+//! Send-side state follows activity: an association the batch loop finds
+//! send-idle hands its send and deadline rings to the server's spare list,
+//! and [`AlfServer::send_adu`] gives a pair back to an endpoint that has
+//! none, so the rings a server holds scale with the associations sending,
+//! not with every association that ever sent.
+//!
 //! The driver in [`cluster`] wires a server node to many client nodes in
 //! `ct-netsim` through the one hub-and-spoke loop in [`star`], and is what
 //! experiment X13 measures: per-ADU cost flat from 1 to 100 000 concurrent
@@ -35,7 +41,7 @@ pub mod star;
 use alf_core::adu::Adu;
 use alf_core::timer::TimerWheel;
 use alf_core::transport::{
-    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, SendRefused,
+    config_block_bytes, AduTransport, AlfConfig, AlfStats, LossReport, SendRefused, SendRings,
 };
 use alf_core::wire::peek_assoc;
 use ct_netsim::time::{SimDuration, SimTime};
@@ -583,6 +589,10 @@ pub struct AlfServer {
     losses: Vec<(AssocKey, LossReport)>,
     /// Recompute requests awaiting [`AlfServer::take_recompute_requests`].
     recompute: Vec<(AssocKey, LossReport)>,
+    /// Empty send and deadline rings that send-idle associations handed
+    /// back ([`AduTransport::take_send_rings`]), for the next association
+    /// that starts sending without a pair of its own.
+    spare_rings: Vec<SendRings>,
     assoc_count: usize,
     batches: u64,
     telemetry: Option<ct_telemetry::Telemetry>,
@@ -613,6 +623,7 @@ impl AlfServer {
             delivered: Vec::new(),
             losses: Vec::new(),
             recompute: Vec::new(),
+            spare_rings: Vec::new(),
             assoc_count: 0,
             batches: 0,
             telemetry: None,
@@ -748,7 +759,8 @@ impl AlfServer {
     }
 
     /// Submit an ADU for transmission on `key`'s association. The frames
-    /// leave on the next [`AlfServer::poll_batch`].
+    /// leave on the next [`AlfServer::poll_batch`]. An endpoint that holds
+    /// no send rings gets a spare pair first, if the server has one.
     ///
     /// # Errors
     /// [`SendRefused::WindowFull`] (and friends) exactly as
@@ -765,7 +777,21 @@ impl AlfServer {
         let Some(&idx) = shard.index.get(&key) else {
             return Err(SendRefused::PeerUnreachable);
         };
-        let id = shard.endpoint_mut(idx).send_adu(name, payload)?;
+        let ep = shard.endpoint_mut(idx);
+        if let Some(rings) = self.spare_rings.pop() {
+            if let Err(rings) = ep.give_send_rings(rings) {
+                self.spare_rings.push(rings);
+            }
+        }
+        let id = match ep.send_adu(name, payload) {
+            Ok(id) => id,
+            Err(refused) => {
+                // Nothing was submitted: the rings go back rather than sit
+                // on an idle endpoint no poll is due to visit.
+                self.spare_rings.extend(ep.take_send_rings());
+                return Err(refused);
+            }
+        };
         shard.mark_dirty(idx);
         Ok(id)
     }
@@ -795,7 +821,8 @@ impl AlfServer {
     ///    associations whose timers expired;
     /// 3. poll exactly the dirty associations, pushing their egress frames
     ///    into `egress` as `(peer, frame)`, their completed ADUs, loss
-    ///    reports and recompute requests into the server's queues; re-arm
+    ///    reports and recompute requests into the server's queues; move a
+    ///    send-idle association's send rings to the spare list; re-arm
     ///    each polled association's wakeup from its `next_timeout()`;
     /// 4. flush the batch counters to telemetry — once.
     ///
@@ -914,7 +941,11 @@ impl AlfServer {
                 for req in ep.take_recompute_requests() {
                     self.recompute.push((key, req));
                 }
-                let outstanding = !ep.send_complete() || ep.reassembly_bytes() > 0;
+                let send_idle = ep.send_complete();
+                if send_idle {
+                    self.spare_rings.extend(ep.take_send_rings());
+                }
+                let outstanding = !send_idle || ep.reassembly_bytes() > 0;
                 let desired = ep.next_timeout();
 
                 if work > 0 && slowest.is_none_or(|(_, w)| work > w) {
@@ -1096,11 +1127,12 @@ impl AlfServer {
 
     /// Check that shard `i`'s five structures — key index, slot records,
     /// endpoint storage, wakeup wheel and dirty list — describe the same
-    /// set of associations, and that every clean slot's wakeup is what its
-    /// endpoint's `next_timeout()` reports; the error names the first
-    /// disagreement. The chaos soak calls this every iteration while
-    /// associations are created and destroyed under fire. O(slots + wheel
-    /// entries).
+    /// set of associations, that every clean slot's wakeup is what its
+    /// endpoint's `next_timeout()` reports, that no clean send-idle endpoint
+    /// still holds send rings, and that every spare ring is empty; the
+    /// error names the first disagreement. The chaos soak calls this every
+    /// iteration while associations are created and destroyed under fire.
+    /// O(slots + wheel entries + spare rings).
     ///
     /// # Panics
     /// If `i` is out of range.
@@ -1165,7 +1197,16 @@ impl AlfServer {
                 if holds && slot.armed.is_none() {
                     return Err(format!("clean slot {idx} holds work with no wakeup armed"));
                 }
+                // The poll that found it send-idle took its rings.
+                if ep.send_complete() && ep.send_ring_bytes() > 0 {
+                    return Err(format!(
+                        "clean slot {idx} is send-idle but holds send rings"
+                    ));
+                }
             }
+        }
+        if let Some(n) = self.spare_rings.iter().position(|r| !r.is_empty()) {
+            return Err(format!("spare send rings {n} hold entries"));
         }
         // Every armed record has exactly one wheel entry, under its own
         // generation, and the wheel holds nothing else.
@@ -1330,13 +1371,30 @@ impl AlfServer {
         }
     }
 
+    /// Heap bytes of every send and deadline ring this server holds: its
+    /// endpoints' and its spare list's. O(associations).
+    pub fn send_ring_bytes(&self) -> usize {
+        let endpoints: usize = self
+            .shards
+            .iter()
+            .flat_map(Shard::endpoints)
+            .map(AduTransport::send_ring_bytes)
+            .sum();
+        endpoints
+            + self
+                .spare_rings
+                .iter()
+                .map(SendRings::heap_bytes)
+                .sum::<usize>()
+    }
+
     /// Memory footprint in bytes: the server and every heap block it
     /// holds — per shard the slot records, the endpoint chunks (an
     /// endpoint's inline part lives there), each live endpoint's own heap
     /// blocks (the rest of [`AduTransport::approx_mem_bytes`]), the key
     /// index, wheel, dirty and free lists; the shared configuration
-    /// templates; the ingress queue and its frames, and the delivery,
-    /// loss and recompute queues. Deterministic (derived from lengths and
+    /// templates; the spare send rings; the ingress queue and its frames,
+    /// and the delivery, loss and recompute queues. Deterministic (derived from lengths and
     /// capacities, never allocator internals) so X13 can commit it to a
     /// gated baseline; `tests/alloc_budget.rs` checks it against what a
     /// warm server really holds. The payloads of undelivered ADUs and of
@@ -1363,6 +1421,12 @@ impl AlfServer {
         }
         total += table_bytes::<Arc<AlfConfig>>(self.templates.capacity())
             + self.templates.len() * config_block_bytes();
+        total += self.spare_rings.capacity() * size_of::<SendRings>()
+            + self
+                .spare_rings
+                .iter()
+                .map(SendRings::heap_bytes)
+                .sum::<usize>();
         total += self.ingress.capacity() * size_of::<(u64, Vec<u8>)>()
             + self
                 .ingress
@@ -1604,6 +1668,50 @@ mod tests {
         assert_eq!(server.assoc_count(), 0);
         assert!(server.endpoint(k).is_none());
         assert!(server.remove_association(k).is_none(), "removed once");
+    }
+
+    #[test]
+    fn send_rings_go_to_the_spare_list_and_back() {
+        // An association found send-idle hands its rings to the spare
+        // list, and the next one to send takes them instead of reserving;
+        // a send refused after they were given hands them straight back.
+        let cfg = AlfConfig {
+            peer_timeout: SimDuration::from_millis(5),
+            ..AlfConfig::default()
+        };
+        let mut server = AlfServer::new(ServerConfig::default());
+        let (a, b) = (key(1, 1), key(1, 2));
+        server.add_association(a, cfg).unwrap();
+        server.add_association(b, cfg).unwrap();
+        server
+            .send_adu(a, AduName::Seq { index: 0 }, payload(100))
+            .unwrap();
+        let mut egress = Vec::new();
+        let mut now = SimTime::ZERO;
+        // Nothing answers `a`: serve its deadlines until it gives up.
+        loop {
+            while server.pending_work() || server.next_wakeup().is_some_and(|t| t <= now) {
+                server.poll_batch(now, &mut egress);
+            }
+            if server.endpoint(a).unwrap().peer_unreachable() {
+                break;
+            }
+            now = server.next_wakeup().expect("a waits on its peer");
+        }
+        let pair = server.send_ring_bytes();
+        assert!(pair > 0);
+        assert_eq!(server.endpoint(a).unwrap().send_ring_bytes(), 0);
+        let refused = server.send_adu(a, AduName::Seq { index: 1 }, payload(100));
+        assert!(matches!(refused, Err(SendRefused::PeerUnreachable)));
+        assert_eq!(server.endpoint(a).unwrap().send_ring_bytes(), 0);
+        server
+            .send_adu(b, AduName::Seq { index: 0 }, payload(100))
+            .unwrap();
+        assert_eq!(server.endpoint(b).unwrap().send_ring_bytes(), pair);
+        assert_eq!(server.send_ring_bytes(), pair, "recycled, not reserved");
+        for i in 0..server.shard_count() {
+            server.check_shard_layout(i).unwrap();
+        }
     }
 
     #[test]

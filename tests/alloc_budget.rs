@@ -357,10 +357,13 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
     // Per server: 8 shards x 320, the first endpoint chunk 64 x 504, four
     // slot records x 56, the key index 116, dirty and draining lists 64,
     // the chunk list 96, the shared configuration 136 and its set 52, the
-    // ingress queue 128 — 35 632 — then the client's shard wheel 1 656
-    // and the endpoints' own blocks, 352 sending and 88 receiving. (40 960
-    // and 38 792 with a 552-byte endpoint and a 600-byte sender; 57 856
-    // and 55 688 while each endpoint held every counter inline, 816 B.)
+    // ingress queue 128 — 35 632 — then the client's shard wheel 1 656,
+    // the receiving endpoint's own blocks, 88, and the sender's two rings,
+    // 352, which the idle sender handed to the client's spare list, whose
+    // block is 4 x 64 = 256. (37 640 while the idle sender kept its rings
+    // and there was no spare list; 40 960 and 38 792 with a 552-byte
+    // endpoint and a 600-byte sender; 57 856 and 55 688 while each
+    // endpoint held every counter inline, 816 B.)
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
     let key = AssocKey { peer: 0, assoc: 1 };
@@ -383,7 +386,72 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
         (hc, hs),
         "[client, server] approx_mem_bytes"
     );
-    assert_eq!((hc, hs), (37_640, 35_720), "[client, server] bytes held");
+    assert_eq!((hc, hs), (37_896, 35_720), "[client, server] bytes held");
+}
+
+#[test]
+fn send_rings_follow_active_associations_not_every_association() {
+    // 1 000 associations send one ADU each through two `AlfServer`s, at
+    // most 8 in flight. An idle sender hands its rings to the client's
+    // spare list and the next one to start sending takes them, so the
+    // client never holds more than one pair (352 B: 4 x 72 + 4 x 16) per
+    // association in flight — 8 pairs, not 1 000.
+    const ASSOCS: u16 = 1_000;
+    const IN_FLIGHT: usize = 8;
+    const PAIR: usize = 352;
+    let mut client = AlfServer::new(ServerConfig::default());
+    let mut server = AlfServer::new(ServerConfig::default());
+    for assoc in 1..=ASSOCS {
+        let key = AssocKey { peer: 0, assoc };
+        client.add_association(key, AlfConfig::default()).unwrap();
+        server.add_association(key, AlfConfig::default()).unwrap();
+    }
+    let payload = WireBuf::from_vec(vec![7u8; 600]);
+    let mut egress = Vec::new();
+    let (mut next, mut delivered) = (1u16, 0usize);
+    let mut active: Vec<AssocKey> = Vec::new();
+    let (mut peak_active, mut peak_ring_bytes) = (0, 0);
+    while delivered < usize::from(ASSOCS) {
+        while active.len() < IN_FLIGHT && next <= ASSOCS {
+            let key = AssocKey {
+                peer: 0,
+                assoc: next,
+            };
+            client
+                .send_adu(key, AduName::Seq { index: 0 }, payload.clone())
+                .expect("window open");
+            active.push(key);
+            next += 1;
+        }
+        peak_active = peak_active.max(active.len());
+        peak_ring_bytes = peak_ring_bytes.max(client.send_ring_bytes());
+        exchange(&mut client, &mut server, &mut egress);
+        delivered += server.take_delivered().len();
+        active.retain(|&k| !client.endpoint(k).expect("bound").send_complete());
+        peak_ring_bytes = peak_ring_bytes.max(client.send_ring_bytes());
+    }
+    assert!(client.drained());
+    assert_eq!(peak_active, IN_FLIGHT);
+    assert!(
+        peak_ring_bytes <= peak_active * PAIR,
+        "client ring bytes {peak_ring_bytes} for {peak_active} associations in flight"
+    );
+    for assoc in 1..=ASSOCS {
+        let ep = client.endpoint(AssocKey { peer: 0, assoc }).expect("bound");
+        assert_eq!(ep.send_ring_bytes(), 0, "idle association {assoc}");
+    }
+    for i in 0..client.shard_count() {
+        client
+            .check_shard_layout(i)
+            .expect("consistent client shard");
+    }
+    // Kept, not freed: the spare list still holds every pair it made.
+    assert_eq!(client.send_ring_bytes(), peak_ring_bytes);
+    let inline = std::mem::size_of::<AlfServer>();
+    for side in [client, server] {
+        let reported = side.approx_mem_bytes() - inline;
+        assert_eq!(held(side).1 as usize, reported, "approx_mem_bytes");
+    }
 }
 
 #[test]
@@ -414,6 +482,21 @@ fn one_corrupt_frame_allocates_one_counter_block_and_reports_it() {
     assert_eq!(b.approx_mem_bytes() - reported, block, "approx_mem_bytes");
 }
 
+/// Drive a client stack and a server stack until both go quiet: the
+/// client's frames to the server, the server's answers back, and the
+/// client's poll of what they brought.
+fn exchange(client: &mut AlfServer, server: &mut AlfServer, egress: &mut Vec<(u64, Vec<u8>)>) {
+    while client.pending_work() && !client.poll_batch(NOW, egress).idle() {}
+    for (_, frame) in egress.drain(..) {
+        server.ingest(0, frame);
+    }
+    while server.pending_work() && !server.poll_batch(NOW, egress).idle() {}
+    for (_, frame) in egress.drain(..) {
+        client.ingest(0, frame);
+    }
+    while client.pending_work() && !client.poll_batch(NOW, egress).idle() {}
+}
+
 /// One single-TU ADU from a client stack to a server stack and its ACK
 /// back, each side driven until it goes quiet — the shape of the
 /// `server_fanin` benchmark's inner loop.
@@ -428,15 +511,7 @@ fn one_adu_through_servers(
     client
         .send_adu(key, AduName::Seq { index }, payload.clone())
         .expect("window open");
-    while client.pending_work() && !client.poll_batch(NOW, egress).idle() {}
-    for (_, frame) in egress.drain(..) {
-        server.ingest(0, frame);
-    }
-    while server.pending_work() && !server.poll_batch(NOW, egress).idle() {}
-    for (_, frame) in egress.drain(..) {
-        client.ingest(0, frame);
-    }
-    while client.pending_work() && !client.poll_batch(NOW, egress).idle() {}
+    exchange(client, server, egress);
     let delivered = server.take_delivered();
     assert_eq!(delivered.len(), 1);
     assert_eq!(delivered[0].1.payload, *payload);
@@ -474,6 +549,47 @@ fn server_adu_round_allocates_only_what_the_api_forces() {
         });
         assert_eq!(n, 7, "single-TU ADU through two AlfServers allocated {n}");
     }
+}
+
+#[test]
+fn a_peer_declaring_4_gib_adus_is_charged_what_it_holds() {
+    // The hostile declaration of the transport's in-order 4 GiB test: 264
+    // ADUs declared at `u32::MAX`, three 64-byte TUs each, against the
+    // default (unlimited) byte budget. 256 stay open, each buffer reserved
+    // at 4 096 views x 64 B, and `approx_mem_bytes` is the bytes the
+    // allocator holds, not 256 x 4 GiB.
+    use alf_core::wire::Tu;
+    let cfg = AlfConfig::default();
+    let (frag, tus_per_adu) = (64u32, 3u32);
+    let adus = cfg.max_partial_adus as u64 + 8;
+    let mut b = AduTransport::new(cfg);
+    for id in 0..adus {
+        for k in 0..tus_per_adu {
+            let tu = Tu {
+                flags: 0,
+                assoc: cfg.assoc,
+                timestamp_us: 0,
+                adu_id: id,
+                adu_len: u32::MAX,
+                frag_off: k * frag,
+                name: AduName::Seq { index: id },
+                payload: WireBuf::from_vec(vec![id as u8; frag as usize]),
+            };
+            b.on_frame(NOW, tu.encode().into());
+        }
+    }
+    assert_eq!(
+        b.reassembly_bytes(),
+        cfg.max_partial_adus * u32::MAX as usize,
+        "declared"
+    );
+    let reported = b.approx_mem_bytes() - std::mem::size_of::<AduTransport>();
+    let reserved = cfg.max_partial_adus * cfg.max_frag_views * frag as usize;
+    assert!(
+        reported >= reserved,
+        "{reported} below the {reserved} reserved"
+    );
+    assert_eq!(held(b).1 as usize, reported, "approx_mem_bytes");
 }
 
 /// One data segment from `a` to `b` and its ACK back: `send → poll →
