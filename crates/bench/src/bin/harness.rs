@@ -2355,6 +2355,7 @@ fn x13_many_assoc(
         "ns/ADU (wall)",
         "bytes/assoc",
         "client bytes/assoc",
+        "client send blocks (peak)",
         "batches",
         "sim elapsed ms",
         "polls/assoc",
@@ -2372,6 +2373,7 @@ fn x13_many_assoc(
             format!("{:.0}", r.ns_per_adu()),
             format!("{:.0}", r.bytes_per_assoc()),
             format!("{:.0}", r.client_bytes_per_assoc()),
+            format!("{} ({})", r.client_send_blocks, r.client_send_blocks_peak),
             format!("{}", r.batches),
             format!("{:.2}", r.elapsed.as_nanos() as f64 / 1e6),
             per_assoc(r.work.polls),
@@ -2383,7 +2385,8 @@ fn x13_many_assoc(
              \"adus_per_assoc\": {adus}, \"adus_delivered\": {}, \
              \"frames_in\": {}, \"frames_out\": {}, \"batches\": {}, \
              \"elapsed_ns\": {}, \"mem_bytes_per_assoc\": {:.0}, \
-             \"client_mem_bytes_per_assoc\": {:.0}, \
+             \"client_mem_bytes_per_assoc\": {:.0}, \"client_send_blocks\": {}, \
+             \"client_send_blocks_peak\": {}, \
              \"assoc_polls\": {}, \"wheel_entries_examined\": {}, \
              \"wheel_slots_scanned\": {}}}",
             r.adus_delivered,
@@ -2393,6 +2396,8 @@ fn x13_many_assoc(
             r.elapsed.as_nanos(),
             r.bytes_per_assoc(),
             r.client_bytes_per_assoc(),
+            r.client_send_blocks,
+            r.client_send_blocks_peak,
             r.work.polls,
             r.work.wheel_entries_examined,
             r.work.wheel_slots_scanned,
@@ -2477,27 +2482,26 @@ fn x13_many_assoc(
          {single:.0} ns/ADU at 1 association (grew by more than \
          {COLD_STATE_BUDGET_NS:.0} ns)"
     );
-    // 701 B when this bound was set: the slot record, the endpoint's 504
+    // 604 B when this bound was set: the slot record, the endpoint's 408
     // inline bytes, its completed-ADU queue and ACK ids, its share of the
     // index (every byte the server holds, checked against the allocator in
-    // tests/alloc_budget.rs). A field added to the hot part, a counter
+    // tests/alloc_budget.rs). A receive-only association holds no send
+    // block. 628 leaves 24 B: a field added to the hot part, a counter
     // block a fault-free association allocates, a container allocating
     // before it holds something or a slab that copies on growth shows here.
     assert!(
-        reports[2].bytes_per_assoc() <= 720.0,
-        "an association must stay within 720 B at 100k-scale, got {:.0}",
+        reports[2].bytes_per_assoc() <= 628.0,
+        "an association must stay within 628 B at 100k-scale, got {:.0}",
         reports[2].bytes_per_assoc()
     );
-    // The sending side, 636 B when this bound was set: the slot record,
-    // the endpoint's 504 inline bytes, its share of the index, and send
-    // rings only for the associations in flight (the 352-byte pair of an
-    // idle sender goes to its stack's spare list; 971 B while every
-    // sender kept its own). 660 leaves 24 B, room for one more word in
-    // the slot record or the endpoint, and fails idle senders that keep
-    // their rings.
+    // The sending side, 542 B when this bound was set: the slot record,
+    // the endpoint's 408 inline bytes, its share of the index, and a send
+    // block only for the associations holding send state (456 B each; an
+    // idle sender's goes to its stack's spare list). 566 leaves 24 B, and
+    // fails a stack that stops taking idle senders' blocks back (979 B).
     assert!(
-        reports[2].client_bytes_per_assoc() <= 660.0,
-        "a sending association must stay within 660 B at 100k-scale, got {:.0}",
+        reports[2].client_bytes_per_assoc() <= 566.0,
+        "a sending association must stay within 566 B at 100k-scale, got {:.0}",
         reports[2].client_bytes_per_assoc()
     );
 

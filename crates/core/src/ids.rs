@@ -44,6 +44,11 @@ impl<T> IdRing<T> {
         self.len() == 0
     }
 
+    /// True when nothing is mapped or parked.
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.entries.is_empty()
+    }
+
     /// Parked entries.
     pub(crate) fn parked_len(&self) -> usize {
         self.parked
@@ -182,18 +187,6 @@ impl<T> IdRing<T> {
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
         self.parked = 0;
         self.entries.drain(..)
-    }
-
-    /// Hand over the slot block of an empty ring, leaving it none.
-    pub(crate) fn take_block(&mut self) -> VecDeque<(u64, T)> {
-        debug_assert!(self.entries.is_empty());
-        std::mem::take(&mut self.entries)
-    }
-
-    /// Adopt an empty slot block in place of a ring that has none.
-    pub(crate) fn install_block(&mut self, block: VecDeque<(u64, T)>) {
-        debug_assert!(self.entries.capacity() == 0 && block.is_empty());
-        self.entries = block;
     }
 }
 

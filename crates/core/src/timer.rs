@@ -86,13 +86,12 @@ pub struct WheelStats {
 /// more. Deadlines are exact and cancellation is the caller's, eagerly: an
 /// entry leaves when its ADU's deadline moves or its ADU leaves.
 ///
-/// Of the wheel's counters it keeps only `inserts`, which every armed ADU
-/// moves; firing is off the fault-free path, so its owner counts that in a
-/// block it allocates anyway.
+/// It keeps none of the wheel's counters: the ring lives in an endpoint's
+/// send block, which moves between endpoints, so its owner counts the
+/// inserts beside its other counters (`AduTransport::timer_stats`).
 #[derive(Debug, Default)]
 pub(crate) struct DeadlineRing {
     entries: VecDeque<(SimTime, u64)>,
-    inserts: u64,
 }
 
 impl DeadlineRing {
@@ -112,28 +111,6 @@ impl DeadlineRing {
         self.entries.is_empty()
     }
 
-    /// Hand over the entry block of an empty ring, leaving it none; the
-    /// `inserts` counter stays.
-    pub(crate) fn take_block(&mut self) -> VecDeque<(SimTime, u64)> {
-        debug_assert!(self.entries.is_empty());
-        std::mem::take(&mut self.entries)
-    }
-
-    /// Adopt an empty entry block in place of a ring that has none.
-    pub(crate) fn install_block(&mut self, block: VecDeque<(SimTime, u64)>) {
-        debug_assert!(self.entries.capacity() == 0 && block.is_empty());
-        self.entries = block;
-    }
-
-    /// The ring's counter: `inserts`. The others are its owner's to fill
-    /// in.
-    pub(crate) fn stats(&self) -> WheelStats {
-        WheelStats {
-            inserts: self.inserts,
-            ..WheelStats::default()
-        }
-    }
-
     /// Heap bytes held: the entry block, by capacity.
     pub(crate) fn approx_mem_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(SimTime, u64)>()
@@ -141,7 +118,6 @@ impl DeadlineRing {
 
     /// Arm `id` at the exact `deadline`, behind every entry due no later.
     pub(crate) fn insert(&mut self, deadline: SimTime, id: u64) {
-        self.inserts += 1;
         if self
             .entries
             .back()
@@ -964,7 +940,6 @@ mod tests {
                 prop_assert_eq!(ring.next_deadline(), wheel.next_deadline());
                 prop_assert_eq!(ring.next_deadline(), model.iter().map(|e| e.0).min());
             }
-            prop_assert_eq!(ring.stats().inserts, wheel.stats().inserts);
         }
     }
 
@@ -1038,6 +1013,5 @@ mod tests {
         ring.advance(d, &mut due);
         assert_eq!(due, vec![(at(1, 0), 8), (d, 7), (d, 7)]);
         assert_eq!(ring.next_deadline(), None);
-        assert_eq!(ring.stats().inserts, 4);
     }
 }

@@ -82,15 +82,15 @@ const MAX_PACE: SimDuration = SimDuration::from_millis(20);
 /// Minimum elapsed time before a delivery-rate window closes into a sample.
 const MIN_RATE_WINDOW: SimDuration = SimDuration::from_millis(1);
 
-/// Ring slots reserved by a submission to an endpoint that holds no send
-/// rings (what a first `push` would reserve anyway), and as many
-/// deadline-ring entries: an endpoint's first activation, unless its owner
-/// gave it a recycled pair ([`AduTransport::give_send_rings`]; an
-/// `AlfServer` does while its spare list has one). Reserving them then,
-/// side by side, changes no count and no size — only which addresses the
-/// allocator hands out, so what it is worth (see `send_adu`) is a property
-/// of the system allocator's placement, not of this code: re-measure
-/// before relying on it under another allocator.
+/// Ring slots a first activation reserves (what a first `push` would
+/// reserve anyway), and as many deadline-ring entries: a submission to an
+/// endpoint that holds no send block and was given none
+/// ([`AduTransport::give_send_rings`]; an `AlfServer` gives one while its
+/// spare list has one). Reserving them then, right behind the block itself,
+/// changes no count and no size — only which addresses the allocator hands
+/// out, so what it is worth (see [`SendRings::first`]) is a property of the
+/// system allocator's placement, not of this code: re-measure before relying
+/// on it under another allocator.
 const FIRST_SEND_SLOTS: usize = 4;
 
 /// A configured bound on a 16-bit count: beyond 65 535 it acts as 65 535.
@@ -151,28 +151,66 @@ impl SentAdu {
     }
 }
 
-/// An idle sender's two ring blocks, empty: the send ring's slots and the
-/// deadline ring's entries, moved out by [`AduTransport::take_send_rings`]
-/// and into another endpoint by [`AduTransport::give_send_rings`]. An
-/// owner of many endpoints recycles them, so it holds one pair per
-/// association that is sending, not one per association that ever sent.
-#[derive(Debug)]
+/// The send side of an endpoint, in one heap block: the send ring, the
+/// pacing queue and the retransmission deadlines. An endpoint holds it from
+/// its first `send_adu` on. An owner of many endpoints moves it out of an
+/// idle one with [`AduTransport::take_send_rings`] and into the next one to
+/// send with [`AduTransport::give_send_rings`], so it holds one block per
+/// association that is sending, not one per association. The counters the
+/// send side moves, and the pacer's clock, stay in the endpoint.
+#[derive(Debug, Default)]
 pub struct SendRings {
-    window: VecDeque<(u64, SentAdu)>,
-    deadlines: VecDeque<(SimTime, u64)>,
+    /// Submitted ADUs, sorted by id: the mapped part is the window of
+    /// unacknowledged ADUs, the parked tail the ADUs queued for first
+    /// transmission. Ids are assigned here and monotone, so submission
+    /// appends, admission maps the oldest parked entry in place, and an
+    /// id sits `id − oldest` slots behind the front unless an ADU between
+    /// them has left first (acknowledged out of order); then it is a
+    /// binary search over at most `window_adus` entries.
+    window: IdRing<SentAdu>,
+    /// Encoded data TUs awaiting a transmit slot (pacing queue), tagged
+    /// with their ADU id so the retransmission deadline can be refreshed
+    /// when the TU actually leaves. Only what the pacer or the burst budget
+    /// holds back waits here; an unpaced sender never allocates it.
+    txq: VecDeque<(u64, AduName, Vec<u8>)>,
+    /// The window's retransmission deadlines, sorted: one entry per ADU
+    /// with a live clock, reconciled by `sync_timer` after every state
+    /// change and cancelled eagerly on ACK. The next deadline is the front
+    /// entry and firing pops only due ones, so `poll` and
+    /// [`AduTransport::next_timeout`] do not scan the ADUs in flight.
+    deadlines: DeadlineRing,
 }
 
 impl SendRings {
-    /// Heap bytes the two blocks hold, by capacity.
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.window.capacity() * size_of::<(u64, SentAdu)>()
-            + self.deadlines.capacity() * size_of::<(SimTime, u64)>()
+    /// A first activation's block: the block, then the send ring's slots
+    /// and the deadline ring's entries, allocated back to back. Allocated as
+    /// first used instead, the deadlines — first needed in the middle of the
+    /// first `poll`, after it has allocated a frame — would land elsewhere.
+    /// Side by side is worth a tenth of `server_fanin` at 10^5 endpoints,
+    /// nothing at 10^3.
+    fn first(recovery: RecoveryMode) -> Box<Self> {
+        let mut block = Box::<Self>::default();
+        block.window.reserve(FIRST_SEND_SLOTS);
+        if recovery != RecoveryMode::NoRetransmit {
+            block.deadlines.reserve(FIRST_SEND_SLOTS);
+        }
+        block
     }
 
-    /// True when neither block holds an entry.
+    /// Heap bytes the block holds: itself, and its three containers by
+    /// capacity (not the frames queued in `txq`).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        size_of::<Self>()
+            + self.window.capacity() * size_of::<(u64, SentAdu)>()
+            + self.txq.capacity() * size_of::<(u64, AduName, Vec<u8>)>()
+            + self.deadlines.approx_mem_bytes()
+    }
+
+    /// True when nothing is submitted, queued or armed: the block of a
+    /// send-idle endpoint.
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty() && self.deadlines.is_empty()
+        self.window.is_vacant() && self.txq.is_empty() && self.deadlines.is_empty()
     }
 }
 
@@ -268,13 +306,13 @@ impl Default for Cold {
 /// The ALF transport endpoint (symmetric: both ends run the same code).
 ///
 /// Laid out hot first (`repr(C)` keeps the declaration order): the state
-/// every call touches; the send ring beside the ACK ids (what a poll tests
-/// for work); the pacer and the retransmission deadlines; stage 1; the
-/// delivery and id
-/// watermarks directly before `stats`, the six counters the fault-free
-/// path bumps and the pointer to the rest; and the pointer to the
-/// configuration, which every endpoint built from the same one shares.
-/// Everything the fault-free path never reads is behind `cold`.
+/// every call touches; the pointer to the send block beside the ACK ids
+/// (what a poll tests for work); the pacer's rate and the deadline count;
+/// stage 1; the delivery and id watermarks directly before `stats`, the six
+/// counters the fault-free path bumps and the pointer to the rest; and the
+/// pointer to the configuration, which every endpoint built from the same
+/// one shares. The send side is behind `send`, held only while sending;
+/// everything the fault-free path never reads is behind `cold`.
 #[derive(Debug)]
 #[repr(C)]
 pub struct AduTransport {
@@ -303,32 +341,21 @@ pub struct AduTransport {
     assoc: u16,
 
     // ---- is there anything to send or acknowledge --------------------------
-    /// Submitted ADUs, sorted by id: the mapped part is the window of
-    /// unacknowledged ADUs, the parked tail the ADUs queued for first
-    /// transmission. Ids are assigned here and monotone, so submission
-    /// appends, admission maps the oldest parked entry in place, and an
-    /// id sits `id − oldest` slots behind the front unless an ADU between
-    /// them has left first (acknowledged out of order); then it is a
-    /// binary search over at most `window_adus` entries.
-    window: IdRing<SentAdu>,
+    /// The send side — send ring, pacing queue, retransmission deadlines —
+    /// while this endpoint holds it: from its first `send_adu` on, unless
+    /// its owner took it back while it was send-idle. `None` answers every
+    /// question as empty rings do.
+    send: Option<Box<SendRings>>,
     /// Pending outbound ACK ids.
     ack_queue: Vec<u64>,
 
-    // ---- pacer and retransmission clock ------------------------------------
-    /// Encoded data TUs awaiting a transmit slot (pacing queue), tagged
-    /// with their ADU id so the retransmission deadline can be refreshed
-    /// when the TU actually leaves. Only what the pacer or the burst budget
-    /// holds back waits here; an unpaced sender never allocates it.
-    txq: VecDeque<(u64, AduName, Vec<u8>)>,
+    // ---- pacer rate and deadline count ------------------------------------
     /// Effective inter-TU pace: `cfg.pace_per_tu` until adaptive control
     /// derives one from the delivery rate.
     pace_now: SimDuration,
-    /// The window's retransmission deadlines, sorted: one entry per ADU
-    /// with a live clock, reconciled by `sync_timer` after every state
-    /// change and cancelled eagerly on ACK. The next deadline is the front
-    /// entry and firing pops only due ones, so `poll` and
-    /// [`AduTransport::next_timeout`] do not scan the ADUs in flight.
-    deadlines: DeadlineRing,
+    /// Deadlines armed over the endpoint's life (`WheelStats::inserts`):
+    /// every armed ADU moves it, so it stays here when the block moves.
+    deadline_inserts: u64,
 
     // ---- receive stage 1 ---------------------------------------------------
     /// Reassembly, replay suppression, and the queue of completed ADUs
@@ -351,13 +378,12 @@ pub struct AduTransport {
 }
 
 // The next field added to the endpoint's inline part fails the build with
-// the number in view. 504 is the size reached, not a target met: the
+// the number in view. 408 is the size reached, not a target met: the
 // counters inline are `stats` (56) and the assembler's (32), the fast
-// path's plus a pointer to the rest each, and the deadline ring's `inserts`
-// (8). (552 while the deadlines were a hashed wheel, 88 inline; 816 while
-// every counter was inline, 928 while the configuration, 120, was a copy
-// per endpoint.)
-const _: () = assert!(std::mem::size_of::<AduTransport>() <= 504);
+// path's plus a pointer to the rest each, and `deadline_inserts` (8); the
+// send side is one pointer (DESIGN §12 has the per-field table and
+// `tests/design_figures.rs` holds it to this number).
+const _: () = assert!(std::mem::size_of::<AduTransport>() <= 408);
 
 impl AduTransport {
     /// Create an endpoint. It allocates its configuration's block; endpoints
@@ -394,11 +420,10 @@ impl AduTransport {
             rwnd_blocked: false,
             window_ack_due: false,
             assoc,
-            window: IdRing::default(),
+            send: None,
             ack_queue: Vec::new(),
-            txq: VecDeque::new(),
             pace_now: cfg.pace_per_tu,
-            deadlines: DeadlineRing::default(),
+            deadline_inserts: 0,
             assembler,
             next_tx_at: SimTime::ZERO,
             highest_delivered: None,
@@ -511,9 +536,11 @@ impl AduTransport {
         if payload.len() > u32::MAX as usize {
             return Err(SendRefused::TooBig);
         }
-        if self.cfg.recovery != RecoveryMode::NoRetransmit
-            && self.window.len() + self.window.parked_len() >= self.cfg.window_adus
-        {
+        let submitted = self
+            .send
+            .as_ref()
+            .map_or(0, |s| s.window.len() + s.window.parked_len());
+        if self.cfg.recovery != RecoveryMode::NoRetransmit && submitted >= self.cfg.window_adus {
             if self.rwnd_blocked {
                 self.stats.rare_mut().send_backpressured += 1;
                 return Err(SendRefused::Backpressured);
@@ -529,20 +556,9 @@ impl AduTransport {
         let id = self.next_adu_id;
         self.next_adu_id += 1;
         self.stats.adus_sent += 1;
-        if self.window.capacity() == 0 {
-            // A first activation with no recycled rings given: the send
-            // side's blocks, reserved together. The send ring and the
-            // deadline ring end up side by side in memory instead of the
-            // send ring in one place and the deadlines — first needed in
-            // the middle of the first `poll`, after it has allocated a
-            // frame — in another. Worth a tenth of `server_fanin` at 10^5
-            // endpoints, nothing at 10^3.
-            self.window.reserve(FIRST_SEND_SLOTS);
-            if self.cfg.recovery != RecoveryMode::NoRetransmit {
-                self.deadlines.reserve(FIRST_SEND_SLOTS);
-            }
-        }
-        self.window.park(
+        let recovery = self.cfg.recovery;
+        let send = self.send.get_or_insert_with(|| SendRings::first(recovery));
+        send.window.park(
             id,
             SentAdu {
                 name,
@@ -583,7 +599,7 @@ impl AduTransport {
     /// payload is retransmitted as the same ADU id. Returns false if the
     /// request is no longer live (e.g. ACKed in the meantime).
     pub fn provide_recomputed(&mut self, adu_id: u64, payload: impl Into<WireBuf>) -> bool {
-        match self.window.get_mut(adu_id) {
+        match self.send.as_mut().and_then(|s| s.window.get_mut(adu_id)) {
             Some(sent) if sent.awaiting_recompute => {
                 sent.payload = Some(payload.into());
                 sent.awaiting_recompute = false;
@@ -613,51 +629,42 @@ impl AduTransport {
         !self.work_outstanding()
     }
 
-    /// Heap bytes of the send-side rings' blocks, by capacity: the send
-    /// ring's slots and the deadline ring's entries. Zero for an endpoint
-    /// that never sent, or whose rings were taken.
+    /// Heap bytes of the send block ([`SendRings::heap_bytes`]): zero for
+    /// an endpoint that never sent, or whose block was taken.
     pub fn send_ring_bytes(&self) -> usize {
-        self.window.capacity() * std::mem::size_of::<(u64, SentAdu)>()
-            + self.deadlines.approx_mem_bytes()
+        self.send.as_ref().map_or(0, |s| s.heap_bytes())
     }
 
-    /// Hand out the send ring's and the deadline ring's blocks, empty, so
-    /// an idle endpoint holds neither — only when the window is empty,
-    /// nothing is parked, no deadline is armed and there is a block to
-    /// hand. Only the buffers move: every counter, the deadline ring's
-    /// `inserts` among them, stays here.
-    pub fn take_send_rings(&mut self) -> Option<SendRings> {
-        let idle =
-            self.window.is_empty() && self.window.parked_len() == 0 && self.deadlines.is_empty();
-        (idle && self.send_ring_bytes() > 0).then(|| SendRings {
-            window: self.window.take_block(),
-            deadlines: self.deadlines.take_block(),
-        })
+    /// Hand out the send block, empty, so an idle endpoint holds none —
+    /// only when nothing is submitted, queued or armed. Every counter, the
+    /// deadline count among them, and the pacer's clock stay here.
+    pub fn take_send_rings(&mut self) -> Option<Box<SendRings>> {
+        self.send.take_if(|s| s.is_empty())
     }
 
     /// Install `rings` (taken from any endpoint by
     /// [`AduTransport::take_send_rings`]) in an endpoint that holds no send
-    /// rings, so its next `send_adu` reserves none. Refused, and handed
+    /// block, so its next `send_adu` allocates none. Refused, and handed
     /// back, when this endpoint holds a block of its own.
     ///
     /// # Errors
-    /// The rings themselves, when [`AduTransport::send_ring_bytes`] is not
-    /// zero.
-    pub fn give_send_rings(&mut self, rings: SendRings) -> Result<(), SendRings> {
-        if self.send_ring_bytes() > 0 || !rings.is_empty() {
+    /// The block itself, when this endpoint holds one or it is not empty.
+    pub fn give_send_rings(&mut self, rings: Box<SendRings>) -> Result<(), Box<SendRings>> {
+        if self.send.is_some() || !rings.is_empty() {
             return Err(rings);
         }
-        self.window.install_block(rings.window);
-        self.deadlines.install_block(rings.deadlines);
+        self.send = Some(rings);
         Ok(())
     }
 
     /// Sender memory held for retransmission (X4's buffering cost).
     pub fn retransmit_buffer_bytes(&self) -> usize {
-        self.window
-            .values()
-            .map(|s| s.payload.as_ref().map_or(0, WireBuf::len))
-            .sum()
+        self.send.as_ref().map_or(0, |s| {
+            s.window
+                .values()
+                .map(|s| s.payload.as_ref().map_or(0, WireBuf::len))
+                .sum()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -750,7 +757,10 @@ impl AduTransport {
             None => Vec::new(),
         };
         for (id, full) in retx {
-            if let Some(sent) = self.window.get_mut(id) {
+            let Some(send) = self.send.as_deref_mut() else {
+                break;
+            };
+            if let Some(sent) = send.window.get_mut(id) {
                 // Buffer mode keeps its copy for further losses; recompute
                 // mode hands the regenerated payload straight through — the
                 // transport holds no standing copy ("recompute the lost
@@ -762,7 +772,7 @@ impl AduTransport {
                 };
                 if let Some(payload) = payload {
                     let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-                    sent.set_deadline(&mut self.deadlines, id, at);
+                    sent.set_deadline(&mut send.deadlines, id, at);
                     let name = sent.name;
                     if full || payload.len() <= self.cfg.mtu_payload {
                         self.stats.rare_mut().adus_retransmitted += 1;
@@ -799,11 +809,17 @@ impl AduTransport {
         // advertised reassembly window in bytes. NoRetransmit flows are
         // held back by neither (no ACK clock to grow a cwnd; the receiver
         // sheds drop-oldest rather than pushing back).
-        if self.window.parked_len() > 0 || self.rwnd_blocked {
+        // (`rwnd_blocked` holds only while an ADU is parked, so an endpoint
+        // with no send block has nothing here.)
+        if let Some(send) = self
+            .send
+            .as_deref()
+            .filter(|s| s.window.parked_len() > 0 || self.rwnd_blocked)
+        {
             let cwnd_slots = if self.cfg.adaptive && self.cfg.recovery != RecoveryMode::NoRetransmit
             {
                 let cwnd = self.cold.as_ref().map_or(CWND_INIT_ADUS, |c| c.cwnd);
-                (cwnd as usize).saturating_sub(self.window.len())
+                (cwnd as usize).saturating_sub(send.window.len())
             } else {
                 usize::MAX
             };
@@ -812,13 +828,13 @@ impl AduTransport {
             {
                 None
             } else {
-                let inflight: u64 = self.window.values().map(|s| u64::from(s.total_len)).sum();
+                let inflight: u64 = send.window.values().map(|s| u64::from(s.total_len)).sum();
                 Some(u64::from(self.peer_rwnd).saturating_sub(inflight))
             };
             let mut admit = 0usize;
             let was_blocked = self.rwnd_blocked;
             self.rwnd_blocked = false;
-            for (i, queued) in self.window.parked().enumerate() {
+            for (i, queued) in send.window.parked().enumerate() {
                 if i >= cwnd_slots {
                     break;
                 }
@@ -841,17 +857,20 @@ impl AduTransport {
                 }
             }
             for _ in 0..admit {
+                let Some(send) = self.send.as_deref_mut() else {
+                    break;
+                };
                 // An admitted ADU joins the window where it already sits;
                 // under NoRetransmit nothing is ever acknowledged, so it
                 // leaves the ring instead.
                 let (id, name, payload) = match self.cfg.recovery {
                     RecoveryMode::NoRetransmit => {
-                        let (id, sent) = self.window.pop_parked().expect("admit <= parked");
+                        let (id, sent) = send.window.pop_parked().expect("admit <= parked");
                         (id, sent.name, sent.payload)
                     }
                     recovery => {
-                        let (id, sent) = self.window.admit().expect("admit <= parked");
-                        sent.set_deadline(&mut self.deadlines, id, now + base);
+                        let (id, sent) = send.window.admit().expect("admit <= parked");
+                        sent.set_deadline(&mut send.deadlines, id, now + base);
                         let payload = if recovery == RecoveryMode::TransportBuffer {
                             sent.payload.clone()
                         } else {
@@ -871,7 +890,7 @@ impl AduTransport {
         // and the token pacer (a TU sent above went straight out only if
         // nothing was queued ahead of it).
         while self.may_release(now, &emit) {
-            let Some((id, name, frame)) = self.txq.pop_front() else {
+            let Some((id, name, frame)) = self.send.as_mut().and_then(|s| s.txq.pop_front()) else {
                 break;
             };
             self.release(now, &mut emit, id, name, frame);
@@ -887,7 +906,11 @@ impl AduTransport {
         // stalled (nothing in flight whose ACKs could carry an update),
         // probe with exponential backoff so a window reopening is noticed
         // without retransmitting data into a full receiver.
-        if self.rwnd_blocked && self.window.is_empty() && self.txq.is_empty() && !self.peer_dead {
+        let draining = self
+            .send
+            .as_ref()
+            .is_some_and(|s| !s.window.is_empty() || !s.txq.is_empty());
+        if self.rwnd_blocked && !draining && !self.peer_dead {
             let rto = self.rto_base();
             let cold = self.cold.get_or_insert_with(Box::default);
             if cold.next_probe_at.is_none_or(|t| now >= t) {
@@ -963,15 +986,19 @@ impl AduTransport {
     /// deadline and re-arms the ring, so dropping a gated entry loses
     /// nothing.
     fn fire_retransmit_timers(&mut self, now: SimTime) {
-        if self.deadlines.next_deadline().is_none_or(|d| d > now) {
+        let Some(send) = self.send.as_deref_mut() else {
+            return;
+        };
+        if send.deadlines.next_deadline().is_none_or(|d| d > now) {
             return;
         }
-        let mut due = std::mem::take(&mut self.cold_mut().due_scratch);
-        self.deadlines.advance(now, &mut due);
+        let cold = self.cold.get_or_insert_with(Box::default);
+        let mut due = std::mem::take(&mut cold.due_scratch);
+        send.deadlines.advance(now, &mut due);
         self.stats.rare_mut().timers_fired += due.len() as u64;
         let mut overdue: Vec<u64> = Vec::with_capacity(due.len());
         for &(deadline, id) in &due {
-            if let Some(sent) = self.window.get_mut(id) {
+            if let Some(sent) = send.window.get_mut(id) {
                 if sent.armed && sent.deadline == deadline {
                     // The ring gave this entry up; it is no longer armed.
                     sent.armed = false;
@@ -1207,9 +1234,7 @@ impl AduTransport {
                     return;
                 }
                 for id in ids {
-                    if self.window.contains_key(id) {
-                        self.handle_loss_event(id, now);
-                    }
+                    self.handle_loss_event(id, now);
                 }
             }
             Frame::NackFrags {
@@ -1265,12 +1290,15 @@ impl AduTransport {
                 }
             }
         }
+        let Some(send) = self.send.as_deref_mut() else {
+            return;
+        };
         let mut newly_acked = 0u64;
         let mut acked_bytes = 0u64;
         for id in ids {
-            if let Some(sent) = self.window.remove(id) {
+            if let Some(sent) = send.window.remove(id) {
                 if sent.armed {
-                    self.deadlines.remove(sent.deadline, id);
+                    send.deadlines.remove(sent.deadline, id);
                 }
                 newly_acked += 1;
                 acked_bytes += u64::from(sent.total_len);
@@ -1293,8 +1321,10 @@ impl AduTransport {
         // The ring's front, never O(ADUs in flight). `sync_timer` keeps the
         // ring holding exactly the live retransmission deadlines, so this
         // minimum is the same value the old full min-scan produced.
-        let retx = self.deadlines.next_deadline();
-        let pace = (!self.txq.is_empty()).then_some(self.next_tx_at);
+        let send = self.send.as_deref();
+        let retx = send.and_then(|s| s.deadlines.next_deadline());
+        let queued = send.is_some_and(|s| !s.txq.is_empty());
+        let pace = queued.then_some(self.next_tx_at);
         let probe = if self.rwnd_blocked && !self.peer_dead {
             self.cold.as_ref().and_then(|c| c.next_probe_at)
         } else {
@@ -1329,9 +1359,10 @@ impl AduTransport {
     pub fn timer_stats(&self) -> WheelStats {
         let fired = self.stats().timers_fired;
         WheelStats {
+            inserts: self.deadline_inserts,
             fired,
             entries_examined: fired,
-            ..self.deadlines.stats()
+            slots_scanned: 0,
         }
     }
 
@@ -1358,8 +1389,9 @@ impl AduTransport {
             + config
             + self.send_ring_bytes()
             + self.retransmit_buffer_bytes()
-            + self.txq.capacity() * size_of::<(u64, AduName, Vec<u8>)>()
-            + self.txq.iter().map(|(_, _, f)| f.capacity()).sum::<usize>()
+            + self.send.as_ref().map_or(0, |s| {
+                s.txq.iter().map(|(_, _, f)| f.capacity()).sum::<usize>()
+            })
             + self.ack_queue.capacity() * size_of::<u64>()
             + self.assembler.approx_mem_bytes()
             + self.cold.as_ref().map_or(0, |c| {
@@ -1384,9 +1416,7 @@ impl AduTransport {
 
     /// Sender work that expects the peer to eventually answer.
     fn work_outstanding(&self) -> bool {
-        !self.window.is_empty()
-            || self.window.parked_len() > 0
-            || !self.txq.is_empty()
+        self.send.as_ref().is_some_and(|s| !s.is_empty())
             || self
                 .cold
                 .as_ref()
@@ -1411,29 +1441,28 @@ impl AduTransport {
         }
         self.peer_dead = true;
         self.stats.rare_mut().peer_unreachable_events += 1;
-        self.trace(
-            now,
-            "peer_dead",
-            None,
-            self.window.len() as u64,
-            self.window.parked_len() as u64,
-            0,
-        );
+        let (inflight, parked) = self
+            .send
+            .as_ref()
+            .map_or((0, 0), |s| (s.window.len(), s.window.parked_len()));
+        self.trace(now, "peer_dead", None, inflight as u64, parked as u64, 0);
         let cold = self.cold.get_or_insert_with(Box::default);
-        // In-flight ADUs, then the ones still queued, in id order.
-        for (id, sent) in self.window.drain() {
-            if sent.armed {
-                self.deadlines.remove(sent.deadline, id);
+        if let Some(send) = self.send.as_deref_mut() {
+            // In-flight ADUs, then the ones still queued, in id order.
+            for (id, sent) in send.window.drain() {
+                if sent.armed {
+                    send.deadlines.remove(sent.deadline, id);
+                }
+                let rare = self.stats.rare_mut();
+                rare.adus_given_up += 1;
+                rare.losses_reported += 1;
+                cold.loss_reports.push(LossReport {
+                    adu_id: id,
+                    name: sent.name,
+                });
             }
-            let rare = self.stats.rare_mut();
-            rare.adus_given_up += 1;
-            rare.losses_reported += 1;
-            cold.loss_reports.push(LossReport {
-                adu_id: id,
-                name: sent.name,
-            });
+            send.txq.clear();
         }
-        self.txq.clear();
         cold.retransmit_now.clear();
         cold.recompute_out.clear();
         cold.recompute_since = None;
@@ -1544,13 +1573,17 @@ impl AduTransport {
     /// against its ADU (whose retransmission clock waits for it). Either
     /// way the caller re-arms the ADU's timer once all of it is sent.
     fn send_tu(&mut self, now: SimTime, emit: &mut Emit, id: u64, name: AduName, frame: Vec<u8>) {
-        if self.txq.is_empty() && self.may_release(now, emit) {
+        let queued = self.send.as_ref().is_some_and(|s| !s.txq.is_empty());
+        if !queued && self.may_release(now, emit) {
             self.release(now, emit, id, name, frame);
         } else {
-            if let Some(sent) = self.window.get_mut(id) {
+            // Every TU a poll sends belongs to a submitted ADU, so the
+            // block is there.
+            let send = self.send.get_or_insert_with(Box::default);
+            if let Some(sent) = send.window.get_mut(id) {
                 sent.tus_unreleased += 1;
             }
-            self.txq.push_back((id, name, frame));
+            send.txq.push_back((id, name, frame));
         }
     }
 
@@ -1579,12 +1612,15 @@ impl AduTransport {
             // stamp, making Karn's filter unnecessary.
             restamp_tu(&mut frame, micros_wrapping(now));
         }
-        if let Some(sent) = self.window.get_mut(id) {
-            // A TU that never waited was never counted: the pacing queue
-            // was empty, so every ADU's count was zero and stays so.
-            sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
-            let at = now + rto_for(emit.base, sent.backoff() + self.timeout_backoff);
-            sent.set_deadline(&mut self.deadlines, id, at);
+        if let Some(send) = self.send.as_deref_mut() {
+            if let Some(sent) = send.window.get_mut(id) {
+                // A TU that never waited was never counted: the pacing
+                // queue was empty, so every ADU's count was zero and stays
+                // so.
+                sent.tus_unreleased = sent.tus_unreleased.saturating_sub(1);
+                let at = now + rto_for(emit.base, sent.backoff() + self.timeout_backoff);
+                sent.set_deadline(&mut send.deadlines, id, at);
+            }
         }
         self.stats.tus_sent += 1;
         self.trace(now, "tu_send", Some(name), id, 0, frame.len() as u64);
@@ -1679,7 +1715,7 @@ impl AduTransport {
     ) {
         let base = self.rto_base();
         let stamp = self.cfg.timestamps.then(|| micros_wrapping(now));
-        let Some(sent) = self.window.get(adu_id) else {
+        let Some(sent) = self.send.as_ref().and_then(|s| s.window.get(adu_id)) else {
             return; // already ACKed — the NACK raced the final TU
         };
         if sent.tus_unreleased > 0 {
@@ -1748,7 +1784,10 @@ impl AduTransport {
                     name,
                     payload: payload.slice(cursor as usize..cursor as usize + take),
                 };
-                self.txq.push_back((adu_id, name, tu.encode()));
+                let Some(send) = self.send.as_deref_mut() else {
+                    return;
+                };
+                send.txq.push_back((adu_id, name, tu.encode()));
                 queued += 1;
                 retx_bytes += take;
                 cursor += take as u32;
@@ -1757,13 +1796,16 @@ impl AduTransport {
         if queued == 0 {
             return;
         }
-        let sent = self
+        let Some(send) = self.send.as_deref_mut() else {
+            return;
+        };
+        let sent = send
             .window
             .get_mut(adu_id)
             .expect("checked live above; no removal since");
         sent.repairs += 1;
         let at = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-        sent.set_deadline(&mut self.deadlines, adu_id, at);
+        sent.set_deadline(&mut send.deadlines, adu_id, at);
         sent.tus_unreleased += queued;
         self.stats.rare_mut().tus_retransmitted_selective += queued as u64;
         self.ledger_touch("alf/tu_encode", retx_bytes as u64, retx_bytes as u64);
@@ -1782,13 +1824,20 @@ impl AduTransport {
     /// adaptive control, the congestion response (timeouts and NACKs both
     /// land here — there is exactly one loss-signal point).
     fn handle_loss_event(&mut self, id: u64, now: SimTime) {
-        if !self.window.contains_key(id) {
+        if !self
+            .send
+            .as_ref()
+            .is_some_and(|s| s.window.contains_key(id))
+        {
             return;
         }
         self.cwnd_on_loss(now);
         let base = self.rto_base();
         let cold = self.cold.get_or_insert_with(Box::default);
-        let Some(sent) = self.window.get_mut(id) else {
+        let Some(send) = self.send.as_deref_mut() else {
+            return;
+        };
+        let Some(sent) = send.window.get_mut(id) else {
             return;
         };
         #[cfg(feature = "debug-loss")]
@@ -1798,9 +1847,9 @@ impl AduTransport {
         );
         if sent.retries >= limit16(self.cfg.max_retries) {
             let (name, armed, deadline) = (sent.name, sent.armed, sent.deadline);
-            self.window.remove(id);
+            send.window.remove(id);
             if armed {
-                self.deadlines.remove(deadline, id);
+                send.deadlines.remove(deadline, id);
             }
             let rare = self.stats.rare_mut();
             rare.adus_given_up += 1;
@@ -1811,7 +1860,7 @@ impl AduTransport {
         }
         sent.retries += 1;
         let deadline = now + rto_for(base, sent.backoff() + self.timeout_backoff);
-        sent.set_deadline(&mut self.deadlines, id, deadline);
+        sent.set_deadline(&mut send.deadlines, id, deadline);
         match self.cfg.recovery {
             RecoveryMode::TransportBuffer => {
                 cold.retransmit_now.push((id, false));
@@ -1845,7 +1894,10 @@ impl AduTransport {
     /// acknowledged in order; otherwise a search and a shift bounded by
     /// `window_adus`.
     fn sync_timer(&mut self, id: u64) {
-        let Some(sent) = self.window.get_mut(id) else {
+        let Some(send) = self.send.as_deref_mut() else {
+            return;
+        };
+        let Some(sent) = send.window.get_mut(id) else {
             return;
         };
         let live = sent.tus_unreleased == 0;
@@ -1853,9 +1905,10 @@ impl AduTransport {
             return;
         }
         if live {
-            self.deadlines.insert(sent.deadline, id);
+            send.deadlines.insert(sent.deadline, id);
+            self.deadline_inserts += 1;
         } else {
-            self.deadlines.remove(sent.deadline, id);
+            send.deadlines.remove(sent.deadline, id);
         }
         sent.armed = live;
     }

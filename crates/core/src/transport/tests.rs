@@ -1760,7 +1760,7 @@ fn lossy_hostile_script() -> (AduTransport, AduTransport) {
         }
         let in_flight = (0..a.next_adu_id)
             .rev()
-            .find(|&id| a.window.contains_key(id));
+            .find(|&id| a.send.as_ref().is_some_and(|s| s.window.contains_key(id)));
         if let Some(id) = in_flight.filter(|_| step % 25 == 5) {
             // A repair request for the newest ADU in flight with two forged
             // ranges in it, one empty and one past the end.

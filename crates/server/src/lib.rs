@@ -23,10 +23,11 @@
 //!   *dirty list*), never all N.
 //!
 //! Send-side state follows activity: an association the batch loop finds
-//! send-idle hands its send and deadline rings to the server's spare list,
-//! and [`AlfServer::send_adu`] gives a pair back to an endpoint that has
-//! none, so the rings a server holds scale with the associations sending,
-//! not with every association that ever sent.
+//! send-idle hands its send block (send ring, pacing queue, deadlines) to
+//! the server's spare list, and [`AlfServer::send_adu`] gives one back to
+//! an endpoint that has none, so the send blocks a server holds scale with
+//! the associations sending, not with every association. One that only
+//! receives never holds one.
 //!
 //! The driver in [`cluster`] wires a server node to many client nodes in
 //! `ct-netsim` through the one hub-and-spoke loop in [`star`], and is what
@@ -589,10 +590,13 @@ pub struct AlfServer {
     losses: Vec<(AssocKey, LossReport)>,
     /// Recompute requests awaiting [`AlfServer::take_recompute_requests`].
     recompute: Vec<(AssocKey, LossReport)>,
-    /// Empty send and deadline rings that send-idle associations handed
-    /// back ([`AduTransport::take_send_rings`]), for the next association
-    /// that starts sending without a pair of its own.
-    spare_rings: Vec<SendRings>,
+    /// Empty send blocks that send-idle associations handed back
+    /// ([`AduTransport::take_send_rings`]), for the next association that
+    /// starts sending without one of its own. Boxed because an endpoint
+    /// holds its block behind a pointer: the list moves that pointer, so
+    /// passing a block on allocates nothing.
+    #[allow(clippy::vec_box)]
+    spare_rings: Vec<Box<SendRings>>,
     assoc_count: usize,
     batches: u64,
     telemetry: Option<ct_telemetry::Telemetry>,
@@ -760,7 +764,7 @@ impl AlfServer {
 
     /// Submit an ADU for transmission on `key`'s association. The frames
     /// leave on the next [`AlfServer::poll_batch`]. An endpoint that holds
-    /// no send rings gets a spare pair first, if the server has one.
+    /// no send block gets a spare one first, if the server has one.
     ///
     /// # Errors
     /// [`SendRefused::WindowFull`] (and friends) exactly as
@@ -786,8 +790,8 @@ impl AlfServer {
         let id = match ep.send_adu(name, payload) {
             Ok(id) => id,
             Err(refused) => {
-                // Nothing was submitted: the rings go back rather than sit
-                // on an idle endpoint no poll is due to visit.
+                // Nothing was submitted: the block goes back rather than
+                // sit on an idle endpoint no poll is due to visit.
                 self.spare_rings.extend(ep.take_send_rings());
                 return Err(refused);
             }
@@ -822,7 +826,7 @@ impl AlfServer {
     /// 3. poll exactly the dirty associations, pushing their egress frames
     ///    into `egress` as `(peer, frame)`, their completed ADUs, loss
     ///    reports and recompute requests into the server's queues; move a
-    ///    send-idle association's send rings to the spare list; re-arm
+    ///    send-idle association's send block to the spare list; re-arm
     ///    each polled association's wakeup from its `next_timeout()`;
     /// 4. flush the batch counters to telemetry — once.
     ///
@@ -1129,10 +1133,10 @@ impl AlfServer {
     /// endpoint storage, wakeup wheel and dirty list — describe the same
     /// set of associations, that every clean slot's wakeup is what its
     /// endpoint's `next_timeout()` reports, that no clean send-idle endpoint
-    /// still holds send rings, and that every spare ring is empty; the
+    /// still holds a send block, and that every spare block is empty; the
     /// error names the first disagreement. The chaos soak calls this every
     /// iteration while associations are created and destroyed under fire.
-    /// O(slots + wheel entries + spare rings).
+    /// O(slots + wheel entries + spare blocks).
     ///
     /// # Panics
     /// If `i` is out of range.
@@ -1197,16 +1201,16 @@ impl AlfServer {
                 if holds && slot.armed.is_none() {
                     return Err(format!("clean slot {idx} holds work with no wakeup armed"));
                 }
-                // The poll that found it send-idle took its rings.
+                // The poll that found it send-idle took its send block.
                 if ep.send_complete() && ep.send_ring_bytes() > 0 {
                     return Err(format!(
-                        "clean slot {idx} is send-idle but holds send rings"
+                        "clean slot {idx} is send-idle but holds a send block"
                     ));
                 }
             }
         }
         if let Some(n) = self.spare_rings.iter().position(|r| !r.is_empty()) {
-            return Err(format!("spare send rings {n} hold entries"));
+            return Err(format!("spare send block {n} holds entries"));
         }
         // Every armed record has exactly one wheel entry, under its own
         // generation, and the wheel holds nothing else.
@@ -1371,8 +1375,20 @@ impl AlfServer {
         }
     }
 
-    /// Heap bytes of every send and deadline ring this server holds: its
-    /// endpoints' and its spare list's. O(associations).
+    /// Associations holding a send block now: the ones with something
+    /// submitted, queued or unacknowledged, plus any not polled since they
+    /// went send-idle. O(associations).
+    pub fn send_blocks(&self) -> usize {
+        self.shards
+            .iter()
+            .flat_map(Shard::endpoints)
+            .filter(|ep| ep.send_ring_bytes() > 0)
+            .count()
+    }
+
+    /// Heap bytes of every send block this server holds
+    /// ([`SendRings::heap_bytes`]): its endpoints' and its spare list's.
+    /// O(associations).
     pub fn send_ring_bytes(&self) -> usize {
         let endpoints: usize = self
             .shards
@@ -1384,7 +1400,7 @@ impl AlfServer {
             + self
                 .spare_rings
                 .iter()
-                .map(SendRings::heap_bytes)
+                .map(|r| r.heap_bytes())
                 .sum::<usize>()
     }
 
@@ -1393,7 +1409,7 @@ impl AlfServer {
     /// endpoint's inline part lives there), each live endpoint's own heap
     /// blocks (the rest of [`AduTransport::approx_mem_bytes`]), the key
     /// index, wheel, dirty and free lists; the shared configuration
-    /// templates; the spare send rings; the ingress queue and its frames,
+    /// templates; the spare send blocks; the ingress queue and its frames,
     /// and the delivery, loss and recompute queues. Deterministic (derived from lengths and
     /// capacities, never allocator internals) so X13 can commit it to a
     /// gated baseline; `tests/alloc_budget.rs` checks it against what a
@@ -1421,11 +1437,11 @@ impl AlfServer {
         }
         total += table_bytes::<Arc<AlfConfig>>(self.templates.capacity())
             + self.templates.len() * config_block_bytes();
-        total += self.spare_rings.capacity() * size_of::<SendRings>()
+        total += self.spare_rings.capacity() * size_of::<Box<SendRings>>()
             + self
                 .spare_rings
                 .iter()
-                .map(SendRings::heap_bytes)
+                .map(|r| r.heap_bytes())
                 .sum::<usize>();
         total += self.ingress.capacity() * size_of::<(u64, Vec<u8>)>()
             + self
@@ -1672,9 +1688,10 @@ mod tests {
 
     #[test]
     fn send_rings_go_to_the_spare_list_and_back() {
-        // An association found send-idle hands its rings to the spare
-        // list, and the next one to send takes them instead of reserving;
-        // a send refused after they were given hands them straight back.
+        // An association found send-idle hands its send block to the
+        // spare list, and the next one to send takes it instead of
+        // allocating; a send refused after it was given hands it straight
+        // back.
         let cfg = AlfConfig {
             peer_timeout: SimDuration::from_millis(5),
             ..AlfConfig::default()

@@ -258,13 +258,14 @@ fn rpc_round_carries_both_acks_and_allocates_six() {
 fn warm_idle_endpoint_holds_two_blocks_and_no_cold_state() {
     // What an association costs while nothing is in flight, for endpoints
     // that share their configuration as an `AlfServer`'s do. Sender: the
-    // send ring (admission queue and unacknowledged window in one) and the
-    // deadline ring — an unpaced sender's TUs leave in the poll that
-    // encodes them, so it has no pacing queue. Receiver: the completed-ADU
-    // queue and the ACK id list — its deadline ring never saw an insert
-    // and its in-order replay window is two inline words. (An earlier
-    // version held three on the sender, the pacing queue among them; one
-    // before that five each.)
+    // send block and behind it the send ring (admission queue and
+    // unacknowledged window in one) and the deadline ring — an unpaced
+    // sender's TUs leave in the poll that encodes them, so its pacing
+    // queue never allocates. A standalone sender keeps all three across
+    // an idle stretch; only an `AlfServer` takes the block back. Receiver:
+    // the completed-ADU queue and the ACK id list — it never sent, so it
+    // holds no send block, and its in-order replay window is two inline
+    // words.
     let one_tu = WireBuf::from_vec(vec![7u8; 200]);
     let twelve_tus = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
     let template = Arc::new(AlfConfig {
@@ -284,7 +285,7 @@ fn warm_idle_endpoint_holds_two_blocks_and_no_cold_state() {
         assert!(!a.cold_state_allocated() && !b.cold_state_allocated());
         assert_eq!((a.counter_blocks(), b.counter_blocks()), (0, 0));
         let tus = payload.len().div_ceil(1400);
-        assert_eq!(blocks_held(a), 2, "sender after {rounds} x {tus}-TU rounds");
+        assert_eq!(blocks_held(a), 3, "sender after {rounds} x {tus}-TU rounds");
         // A receiver that has reassembled fragments keeps a third block:
         // the open-assemblies array, which keeps its four slots once it
         // has had an entry.
@@ -309,25 +310,24 @@ fn warm_idle_endpoint_bytes_are_pinned_and_reported_exactly() {
     // endpoint keeps resident fails here with the new figure in view. And
     // `approx_mem_bytes` — the figure X13 and the benchmark's
     // `mem_bytes_per_assoc` report — is exactly the inline part plus these.
-    //   sender    ring 4 x 72 (id + `SentAdu`) + deadlines 4 x 16        352
+    //   sender    send block 104 + ring 4 x 72 (id + `SentAdu`)
+    //             + deadlines 4 x 16                                  456
     //   receiver  ready queue 1 x 56 + ACK ids 4 x 8                   88
     //   receiver  after fragments: + open assemblies 4 x 104           504
-    // (Earlier: sender 4 x 72 + a 13-cell hashed wheel 312 = 600; before
-    // that 4 x 96 + 4 x 48 pacing queue + 312 = 888, receiver 4 x 56 + 32
-    // = 256, each beside a 120-byte copy of the configuration inline. The
-    // open assemblies were a `BTreeMap`, whose leaf node is 1 160 bytes.)
+    // (The sender's 104-byte block held its three headers inline, in all
+    // 504 inline bytes, until the send side moved behind one pointer.)
     let payload = WireBuf::from_vec(vec![7u8; 200]);
     let template = Arc::new(AlfConfig::default());
     let (a, b) = warm_shared_pair(&template, &payload, 16);
     let inline = std::mem::size_of::<AduTransport>();
-    assert_eq!(inline, 504, "inline part");
+    assert_eq!(inline, 408, "inline part");
     let (ra, rb) = (a.approx_mem_bytes(), b.approx_mem_bytes());
     assert_eq!(
         (held(a).1, held(b).1),
-        (352, 88),
+        (456, 88),
         "[sender, receiver] bytes"
     );
-    assert_eq!((ra - inline, rb - inline), (352, 88), "approx_mem_bytes");
+    assert_eq!((ra - inline, rb - inline), (456, 88), "approx_mem_bytes");
 
     // A receiver that has reassembled fragments: its third block.
     let twelve_tus = WireBuf::from_vec((0..16 << 10).map(|i| i as u8).collect());
@@ -354,16 +354,15 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
     // One warm association on each side of the `server_fanin` shape, every
     // byte each server holds: `approx_mem_bytes` equals it, so X13's and
     // the benchmark's `mem_bytes_per_assoc` are measured, not estimated.
-    // Per server: 8 shards x 320, the first endpoint chunk 64 x 504, four
+    // Per server: 8 shards x 320, the first endpoint chunk 64 x 408, four
     // slot records x 56, the key index 116, dirty and draining lists 64,
     // the chunk list 96, the shared configuration 136 and its set 52, the
-    // ingress queue 128 — 35 632 — then the client's shard wheel 1 656,
-    // the receiving endpoint's own blocks, 88, and the sender's two rings,
-    // 352, which the idle sender handed to the client's spare list, whose
-    // block is 4 x 64 = 256. (37 640 while the idle sender kept its rings
-    // and there was no spare list; 40 960 and 38 792 with a 552-byte
-    // endpoint and a 600-byte sender; 57 856 and 55 688 while each
-    // endpoint held every counter inline, 816 B.)
+    // ingress queue 128 — 29 488 — then the client's shard wheel 1 656,
+    // the receiving endpoint's own blocks, 88, and the sender's send block,
+    // 456, which the idle sender handed to the client's spare list, whose
+    // own block is 4 x 8 = 32. (37 896 and 35 720 while each endpoint
+    // held the send side's three headers inline, 504 B, and the spare list
+    // two rings by value.)
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
     let key = AssocKey { peer: 0, assoc: 1 };
@@ -386,19 +385,20 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
         (hc, hs),
         "[client, server] approx_mem_bytes"
     );
-    assert_eq!((hc, hs), (37_896, 35_720), "[client, server] bytes held");
+    assert_eq!((hc, hs), (31_632, 29_576), "[client, server] bytes held");
 }
 
 #[test]
 fn send_rings_follow_active_associations_not_every_association() {
     // 1 000 associations send one ADU each through two `AlfServer`s, at
-    // most 8 in flight. An idle sender hands its rings to the client's
-    // spare list and the next one to start sending takes them, so the
-    // client never holds more than one pair (352 B: 4 x 72 + 4 x 16) per
-    // association in flight — 8 pairs, not 1 000.
+    // most 8 in flight. An idle sender hands its send block to the
+    // client's spare list and the next one to start sending takes it, so
+    // the client never holds more than one block (456 B: 104 + 4 x 72 +
+    // 4 x 16) per association in flight — 8 blocks, not 1 000 — and the
+    // server's associations, which only receive, hold none at all.
     const ASSOCS: u16 = 1_000;
     const IN_FLIGHT: usize = 8;
-    const PAIR: usize = 352;
+    const BLOCK: usize = 456;
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
     for assoc in 1..=ASSOCS {
@@ -433,25 +433,63 @@ fn send_rings_follow_active_associations_not_every_association() {
     assert!(client.drained());
     assert_eq!(peak_active, IN_FLIGHT);
     assert!(
-        peak_ring_bytes <= peak_active * PAIR,
+        peak_ring_bytes <= peak_active * BLOCK,
         "client ring bytes {peak_ring_bytes} for {peak_active} associations in flight"
     );
     for assoc in 1..=ASSOCS {
         let ep = client.endpoint(AssocKey { peer: 0, assoc }).expect("bound");
         assert_eq!(ep.send_ring_bytes(), 0, "idle association {assoc}");
+        // A block is never smaller than itself, so 0 is "holds none".
+        let ep = server.endpoint(AssocKey { peer: 0, assoc }).expect("bound");
+        assert_eq!(ep.send_ring_bytes(), 0, "receive-only association {assoc}");
+        assert!(ep.send_complete());
     }
+    assert_eq!(
+        server.send_blocks(),
+        0,
+        "no receive-only endpoint holds one"
+    );
+    assert_eq!(server.send_ring_bytes(), 0, "no block made, none spare");
     for i in 0..client.shard_count() {
         client
             .check_shard_layout(i)
             .expect("consistent client shard");
     }
-    // Kept, not freed: the spare list still holds every pair it made.
+    // Kept, not freed: the spare list still holds every block it made.
     assert_eq!(client.send_ring_bytes(), peak_ring_bytes);
     let inline = std::mem::size_of::<AlfServer>();
     for side in [client, server] {
         let reported = side.approx_mem_bytes() - inline;
         assert_eq!(held(side).1 as usize, reported, "approx_mem_bytes");
     }
+}
+
+#[test]
+fn a_standalone_sender_keeps_its_send_block_across_an_idle_stretch() {
+    // Only an owner of many endpoints takes a send block back; a `Pair`
+    // endpoint has one code path and simply never gives it up. Idle polls
+    // long after its last ACK neither free nor allocate anything.
+    let payload = WireBuf::from_vec(vec![7u8; 200]);
+    let (mut a, mut b) = warm_pair(AlfConfig::default(), &payload, 4);
+    assert!(a.send_complete());
+    assert_eq!(
+        a.send_ring_bytes(),
+        456,
+        "block + 4 ring slots + 4 deadlines"
+    );
+    assert_eq!(b.send_ring_bytes(), 0, "a receiver never holds one");
+    for ms in [1, 1_000, 60_000] {
+        let now = SimTime::from_millis(ms);
+        let (n, frames) = allocs_in(|| [a.poll(now), b.poll(now)]);
+        assert!(frames.iter().all(Vec::is_empty));
+        assert_eq!(n, 0, "idle polls at {ms} ms allocated");
+        assert_eq!(a.send_ring_bytes(), 456, "still held at {ms} ms");
+    }
+    assert_eq!(
+        blocks_held(a),
+        4,
+        "the block, its two rings, the configuration"
+    );
 }
 
 #[test]
