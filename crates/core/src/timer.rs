@@ -9,25 +9,30 @@
 //! `window_adus` deadlines, armed as its TUs leave and so mostly in
 //! deadline order: a `DeadlineRing` keeps them sorted, so the next one is
 //! the front entry and firing pops only what is due. A server shard times
-//! one wakeup per association, tens of thousands of them, in no useful
-//! order; there the [`TimerWheel`] replaces the scan:
+//! one wakeup per association, tens of thousands of them over many RTOs;
+//! there the [`TimerWheel`] replaces the scan:
 //!
-//! * **insert is O(1)**: a deadline hashes to slot
-//!   `(deadline / granularity) % slots`; the slot's cached minimum is
-//!   updated in the same step;
-//! * **cancellation is O(1) expected**: [`TimerWheel::remove`] addresses
-//!   the entry's slot directly from its deadline and scans only that
-//!   bucket. Callers may also cancel lazily — leave the superseded entry
-//!   behind and discard it when it fires, by validating against the
-//!   authoritative deadline — at the price of conservatively-early
-//!   `next_deadline` answers;
-//! * **firing touches only expired slots**: [`TimerWheel::advance`] scans
-//!   just the slots whose time window passed since the previous call
-//!   (capped at one full rotation), so the work is proportional to
+//! * **a slot is a list in (deadline, insertion) order**: a deadline
+//!   hashes to slot `(deadline / granularity) % slots`, and
+//!   [`TimerWheel::insert`] walks back from the slot's last entry past the
+//!   entries due later — none while deadlines arrive in order, as a batch's
+//!   `now + RTO` wakeups do — so it is O(1) then and never costs more than
+//!   the slot holds;
+//! * **cancellation is O(1) in arming order**: [`TimerWheel::remove`]
+//!   addresses the entry's slot directly from its deadline, walks from the
+//!   slot's first entry to the entry or to the first later deadline, and
+//!   unlinks it in O(1). Callers may also cancel lazily — leave the
+//!   superseded entry behind and discard it when it fires, by validating
+//!   against the authoritative deadline — at the price of
+//!   conservatively-early `next_deadline` answers;
+//! * **firing touches only expired slots and due entries**:
+//!   [`TimerWheel::advance`] scans just the slots whose time window passed
+//!   since the previous call (capped at one full rotation), and in each
+//!   stops at the first entry not yet due, so the work is proportional to
 //!   elapsed ticks plus entries actually due — never to the number of
 //!   timers pending;
-//! * **`next_deadline` is O(slots)**: the minimum over per-slot cached
-//!   minima, touching no entries at all.
+//! * **`next_deadline` is O(slots)**: the minimum over the slots' first
+//!   deadlines, cached in their headers, touching no entries at all.
 //!
 //! Two properties keep the wheel drift-free with respect to the exact
 //! min-scan it replaces:
@@ -179,9 +184,10 @@ impl DeadlineRing {
     }
 }
 
-/// What a [`DeadlineRing`] operation off its O(1) paths costs, counted in
-/// test builds only: entries a search or walk compared, and entries a shift
-/// moved. A release build compiles both calls to nothing.
+/// What a [`DeadlineRing`] operation off its O(1) paths, or a
+/// [`TimerWheel`] slot walk, costs, counted in test builds only: entries a
+/// search or walk compared, and entries a shift moved. A release build
+/// compiles both calls to nothing.
 mod meter {
     #[cfg(test)]
     thread_local! {
@@ -202,26 +208,27 @@ mod meter {
     }
 }
 
-/// "No node": the end of a list, an empty slot, an exhausted free list.
+/// "No cell": the end of the free list.
 const NIL: u32 = u32::MAX;
 
 /// One cell of the wheel's single storage block. The first `slots + 1`
 /// cells are list headers — one per slot, then the overdue pocket — and
 /// every other cell is a pending entry or a link of the free list, so a
-/// wheel is one heap block however many slots have held entries.
+/// wheel is one heap block however many slots have held entries. A list is
+/// a ring through its header, in (deadline, insertion) order: the header
+/// links to its first and last entries, they link back to it, and an empty
+/// list's header links to itself.
 #[derive(Debug, Clone, Copy)]
 struct Node<K> {
-    /// Entry: its exact deadline. Header: the exact minimum deadline of
-    /// its list, meaningful only while the list is non-empty.
+    /// Entry: its exact deadline. Header: its first entry's, the list's
+    /// minimum — `SimTime::MAX` while the list is empty.
     at: SimTime,
     /// Entry: its key. Header: filler (the first key ever inserted).
     key: K,
-    /// Entry or free link: the next cell of its list. Header: the list's
-    /// first entry. [`NIL`] ends a list.
+    /// The next cell of its list (a header's: the first entry). A free
+    /// cell's: the next free cell, or [`NIL`].
     next: u32,
-    /// Header: the list's last entry, so insertion appends in O(1) and
-    /// entries fire in insertion order. Entry: the previous entry of its
-    /// list ([`NIL`] for the first), so the last entry unlinks in O(1).
+    /// The previous cell of its list (a header's: the last entry).
     back: u32,
 }
 
@@ -311,41 +318,48 @@ impl<K: Copy> TimerWheel<K> {
         self.nodes.capacity() * std::mem::size_of::<Node<K>>()
     }
 
+    fn node(&self, i: u32) -> Node<K> {
+        self.nodes[i as usize]
+    }
+
+    fn node_mut(&mut self, i: u32) -> &mut Node<K> {
+        &mut self.nodes[i as usize]
+    }
+
     /// The header cell of the list `deadline` belongs to: the overdue
     /// pocket at or before the cursor, otherwise its hashed slot.
-    fn list_of(&self, deadline: SimTime) -> usize {
+    fn list_of(&self, deadline: SimTime) -> u32 {
         if deadline <= self.cursor {
-            self.slots as usize
+            self.slots
         } else {
-            (deadline.as_nanos() / self.granularity.as_nanos()) as usize % self.slots as usize
+            (deadline.as_nanos() / self.granularity.as_nanos() % u64::from(self.slots)) as u32
         }
     }
 
     /// Return cell `i` to the free list.
     fn release(&mut self, i: u32) {
-        self.nodes[i as usize].next = self.free;
+        self.node_mut(i).next = self.free;
         self.free = i;
     }
 
-    /// Exact minimum deadline of the list headed by `head` (the header's
-    /// own `at` is left for the caller to store).
-    fn list_min(&self, head: usize) -> SimTime {
-        let mut min = SimTime::MAX;
-        let mut cur = self.nodes[head].next;
-        while cur != NIL {
-            min = min.min(self.nodes[cur as usize].at);
-            cur = self.nodes[cur as usize].next;
-        }
-        min
+    /// Cache the minimum of the list headed by `head` — its first entry's
+    /// deadline — in the header.
+    fn refresh_min(&mut self, head: u32) {
+        let first = self.node(head).next;
+        self.node_mut(head).at = if first == head {
+            SimTime::MAX
+        } else {
+            self.node(first).at
+        };
     }
 
-    /// Cancel a previously inserted `(deadline, key)` entry. The deadline
-    /// addresses its slot directly and only that slot's list is walked: up
-    /// to the entry, and once more in full when the entry held the slot's
-    /// minimum — O(1) while deadlines spread over the slots, O(entries in
-    /// the slot) when they cluster in one. Returns false when no such
-    /// entry is pending (already fired, or never inserted) — callers treat
-    /// that as a no-op.
+    /// Cancel a previously inserted `(deadline, key)` entry — the earliest
+    /// inserted, if there are several. The deadline addresses its slot
+    /// directly; the walk from the slot's first entry stops at the entry or
+    /// at the first later deadline, and the entry unlinks in O(1). Cancels
+    /// in the order the entries were armed compare one entry each. Returns
+    /// false when no such entry is pending (already fired, or never
+    /// inserted) — callers treat that as a no-op.
     pub fn remove(&mut self, deadline: SimTime, key: K) -> bool
     where
         K: PartialEq,
@@ -356,67 +370,63 @@ impl<K: Copy> TimerWheel<K> {
         // Slotted entries at or before the cursor have been drained; only
         // the overdue pocket can still hold such a deadline.
         let head = self.list_of(deadline);
-        let mut cur = self.nodes[head].next;
-        while cur != NIL {
-            let n = self.nodes[cur as usize];
-            if n.at == deadline && n.key == key {
+        let mut cur = self.node(head).next;
+        while cur != head {
+            meter::probe();
+            let n = self.node(cur);
+            if n.at > deadline {
                 break;
+            }
+            if n.at == deadline && n.key == key {
+                self.node_mut(n.back).next = n.next;
+                self.node_mut(n.next).back = n.back;
+                self.release(cur);
+                self.len -= 1;
+                if n.back == head {
+                    self.refresh_min(head);
+                }
+                return true;
             }
             cur = n.next;
         }
-        if cur == NIL {
-            return false;
-        }
-        // Unordered removal, as a bucket vector's `swap_remove`: the
-        // list's last entry takes the removed one's place, so the order
-        // entries later fire in does not depend on the storage scheme.
-        let tail = self.nodes[head].back;
-        let last = self.nodes[tail as usize];
-        if cur != tail {
-            let hole = &mut self.nodes[cur as usize];
-            (hole.at, hole.key) = (last.at, last.key);
-        }
-        if last.back == NIL {
-            self.nodes[head].next = NIL;
-        } else {
-            self.nodes[last.back as usize].next = NIL;
-        }
-        self.nodes[head].back = last.back;
-        self.release(tail);
-        self.len -= 1;
-        if self.nodes[head].at == deadline {
-            self.nodes[head].at = self.list_min(head);
-        }
-        true
+        false
     }
 
-    /// Schedule `key` at the exact `deadline`. O(1).
+    /// Schedule `key` at the exact `deadline`, behind every entry of its
+    /// slot due no later. The walk back from the slot's last entry passes
+    /// only entries due later — none while deadlines arrive in order, as
+    /// `now + RTO` wakeups do — so it never costs more than the slot holds.
     pub fn insert(&mut self, deadline: SimTime, key: K) {
         self.stats.inserts += 1;
         self.len += 1;
         if self.nodes.is_empty() {
-            let headers = self.slots as usize + 1;
-            self.nodes.reserve_exact(headers + FIRST_ENTRIES);
-            self.nodes.resize(
-                headers,
-                Node {
-                    at: SimTime::MAX,
-                    key,
-                    next: NIL,
-                    back: NIL,
-                },
-            );
+            self.nodes
+                .reserve_exact(self.slots as usize + 1 + FIRST_ENTRIES);
+            self.nodes.extend((0..=self.slots).map(|h| Node {
+                at: SimTime::MAX,
+                key,
+                next: h,
+                back: h,
+            }));
         }
         // A deadline at or before the cursor is already due (the caller
         // scheduled into the past): the overdue pocket keeps it out of the
         // rotation so the very next `advance` returns it.
         let head = self.list_of(deadline);
-        let tail = self.nodes[head].back;
+        let mut prev = self.node(head).back;
+        while prev != head {
+            meter::probe();
+            if self.node(prev).at <= deadline {
+                break;
+            }
+            prev = self.node(prev).back;
+        }
+        let next = self.node(prev).next;
         let entry = Node {
             at: deadline,
             key,
-            next: NIL,
-            back: tail,
+            next,
+            back: prev,
         };
         let i = if self.free == NIL {
             let i = u32::try_from(self.nodes.len())
@@ -427,18 +437,15 @@ impl<K: Copy> TimerWheel<K> {
             i
         } else {
             let i = self.free;
-            self.free = self.nodes[i as usize].next;
-            self.nodes[i as usize] = entry;
+            self.free = self.node(i).next;
+            *self.node_mut(i) = entry;
             i
         };
-        if tail == NIL {
-            self.nodes[head].next = i;
-            self.nodes[head].at = deadline;
-        } else {
-            self.nodes[tail as usize].next = i;
-            self.nodes[head].at = self.nodes[head].at.min(deadline);
+        self.node_mut(prev).next = i;
+        self.node_mut(next).back = i;
+        if prev == head {
+            self.node_mut(head).at = deadline;
         }
-        self.nodes[head].back = i;
     }
 
     /// Earliest pending deadline, or `None` when the wheel is empty.
@@ -451,61 +458,42 @@ impl<K: Copy> TimerWheel<K> {
         }
         self.nodes[..=self.slots as usize]
             .iter()
-            .filter(|h| h.next != NIL)
             .map(|h| h.at)
             .min()
     }
 
-    /// Unlink every entry of the list headed by `head` whose deadline is
-    /// at or before `now`, appending it to `due` in list order; the rest
-    /// stay, in order, and the header's minimum is recomputed exactly.
-    /// Returns `(entries looked at, entries drained)`.
-    fn drain_due(&mut self, head: usize, now: SimTime, due: &mut Vec<(SimTime, K)>) -> (u64, u64) {
-        let (mut examined, mut drained) = (0u64, 0u64);
-        let (mut kept, mut min) = (NIL, SimTime::MAX);
-        let mut cur = self.nodes[head].next;
-        while cur != NIL {
-            let n = self.nodes[cur as usize];
-            examined += 1;
-            if n.at <= now {
-                due.push((n.at, n.key));
-                drained += 1;
-                self.release(cur);
-            } else {
-                if kept == NIL {
-                    self.nodes[head].next = cur;
-                } else {
-                    self.nodes[kept as usize].next = cur;
-                }
-                self.nodes[cur as usize].back = kept;
-                kept = cur;
-                min = min.min(n.at);
-            }
+    /// Unlink the entries of the list headed by `head` that are due at
+    /// `now` — a prefix, the list being sorted — appending them to `due` in
+    /// list order. Returns `(entries looked at, entries drained)`: the
+    /// prefix, and the first entry not due if there is one.
+    fn drain_due(&mut self, head: u32, now: SimTime, due: &mut Vec<(SimTime, K)>) -> (u64, u64) {
+        let mut drained = 0u64;
+        let mut cur = self.node(head).next;
+        while cur != head && self.node(cur).at <= now {
+            let n = self.node(cur);
+            due.push((n.at, n.key));
+            drained += 1;
+            self.release(cur);
             cur = n.next;
         }
-        if kept == NIL {
-            self.nodes[head].next = NIL;
-        } else {
-            self.nodes[kept as usize].next = NIL;
-        }
-        self.nodes[head].back = kept;
-        self.nodes[head].at = min;
-        (examined, drained)
+        self.node_mut(head).next = cur;
+        self.node_mut(cur).back = head;
+        self.refresh_min(head);
+        (drained + u64::from(cur != head), drained)
     }
 
     /// Move the cursor to `now`, appending every entry with
     /// `deadline <= now` to `due`. Scans only the slots whose window
-    /// elapsed since the previous call (at most one full rotation);
-    /// remaining entries in scanned slots are retained and their slot
-    /// minima recomputed exactly. Time never moves backwards: a `now`
-    /// before the cursor is a no-op.
+    /// elapsed since the previous call (at most one full rotation), and in
+    /// each only its due entries and the first one not due. Time never
+    /// moves backwards: a `now` before the cursor is a no-op.
     pub fn advance(&mut self, now: SimTime, due: &mut Vec<(SimTime, K)>) {
         if self.len == 0 {
             self.cursor = self.cursor.max(now);
             return;
         }
-        let pocket = self.slots as usize;
-        if self.nodes[pocket].next != NIL {
+        let pocket = self.slots;
+        if self.node(pocket).next != pocket {
             // Everything in the pocket was due when it was inserted.
             let (examined, drained) = self.drain_due(pocket, SimTime::MAX, due);
             self.stats.entries_examined += examined;
@@ -527,9 +515,9 @@ impl<K: Copy> TimerWheel<K> {
         // may hold entries that only now came due.
         let span = (end - start).min(n - 1);
         for tick in start..=start + span {
-            let head = (tick % n) as usize;
+            let head = (tick % n) as u32;
             self.stats.slots_scanned += 1;
-            if self.nodes[head].next == NIL {
+            if self.node(head).next == head {
                 continue;
             }
             let (examined, drained) = self.drain_due(head, now, due);
@@ -689,12 +677,14 @@ mod tests {
         assert_eq!(w.stats().entries_examined, examined);
     }
 
-    /// The wheel this one replaced, literally: a vector of buckets, each a
-    /// vector of entries with a cached minimum, plus an overdue pocket.
-    /// The oracle for fire order, minima and every instrumentation count.
+    /// The wheel's specification, written the plain way: a vector of
+    /// buckets, each a vector of entries in (deadline, insertion) order,
+    /// plus an overdue pocket kept the same way. The oracle for fire order,
+    /// minima and every instrumentation count. (Until the wheel's slot
+    /// lists were sorted, its buckets were unordered and removal was a
+    /// `swap_remove`, whose fire order the sorted lists cannot reproduce.)
     struct BucketWheel {
-        /// `(entries, cached minimum)` per slot.
-        slots: Vec<Bucket>,
+        slots: Vec<Vec<(SimTime, u64)>>,
         granularity: SimDuration,
         cursor: SimTime,
         overdue: Vec<(SimTime, u64)>,
@@ -702,12 +692,10 @@ mod tests {
         stats: WheelStats,
     }
 
-    type Bucket = (Vec<(SimTime, u64)>, Option<SimTime>);
-
     impl BucketWheel {
         fn new(slots: usize, granularity: SimDuration) -> Self {
             Self {
-                slots: vec![(Vec::new(), None); slots],
+                slots: vec![Vec::new(); slots],
                 granularity,
                 cursor: SimTime::ZERO,
                 overdue: Vec::new(),
@@ -716,54 +704,54 @@ mod tests {
             }
         }
 
-        fn slot(&self, deadline: SimTime) -> usize {
-            (deadline.as_nanos() / self.granularity.as_nanos()) as usize % self.slots.len()
+        fn bucket(&mut self, deadline: SimTime) -> &mut Vec<(SimTime, u64)> {
+            if deadline <= self.cursor {
+                return &mut self.overdue;
+            }
+            let n = self.slots.len();
+            &mut self.slots[(deadline.as_nanos() / self.granularity.as_nanos()) as usize % n]
         }
 
         fn insert(&mut self, deadline: SimTime, key: u64) {
             self.stats.inserts += 1;
             self.len += 1;
-            if deadline <= self.cursor {
-                self.overdue.push((deadline, key));
-                return;
-            }
-            let idx = self.slot(deadline);
-            let (entries, min) = &mut self.slots[idx];
-            *min = Some(min.map_or(deadline, |m| m.min(deadline)));
-            entries.push((deadline, key));
+            let entries = self.bucket(deadline);
+            let at = entries.partition_point(|&(d, _)| d <= deadline);
+            entries.insert(at, (deadline, key));
         }
 
         fn remove(&mut self, deadline: SimTime, key: u64) -> bool {
-            let idx = self.slot(deadline);
-            let (entries, min) = if deadline <= self.cursor {
-                (&mut self.overdue, None)
-            } else {
-                let (entries, min) = &mut self.slots[idx];
-                (entries, Some(min))
-            };
+            let entries = self.bucket(deadline);
             let Some(pos) = entries.iter().position(|&e| e == (deadline, key)) else {
                 return false;
             };
-            entries.swap_remove(pos);
+            entries.remove(pos);
             self.len -= 1;
-            if let Some(min) = min.filter(|m| **m == Some(deadline)) {
-                *min = entries.iter().map(|&(d, _)| d).min();
-            }
             true
         }
 
         fn next_deadline(&self) -> Option<SimTime> {
-            let overdue = self.overdue.iter().map(|&(d, _)| d).min();
-            let slotted = self.slots.iter().filter_map(|s| s.1).min();
-            overdue.into_iter().chain(slotted).min()
+            let firsts = self.slots.iter().chain([&self.overdue]);
+            firsts.filter_map(|b| b.first().map(|&(d, _)| d)).min()
+        }
+
+        /// Move `entries`' due prefix to `due`: examined, the prefix and
+        /// the first entry not due.
+        fn drain(
+            entries: &mut Vec<(SimTime, u64)>,
+            now: SimTime,
+            due: &mut Vec<(SimTime, u64)>,
+            stats: &mut WheelStats,
+        ) -> usize {
+            let k = entries.partition_point(|&(d, _)| d <= now);
+            stats.entries_examined += (k + usize::from(k < entries.len())) as u64;
+            stats.fired += k as u64;
+            due.extend(entries.drain(..k));
+            k
         }
 
         fn advance(&mut self, now: SimTime, due: &mut Vec<(SimTime, u64)>) {
-            let pocket = self.overdue.len();
-            self.stats.entries_examined += pocket as u64;
-            self.stats.fired += pocket as u64;
-            self.len -= pocket;
-            due.append(&mut self.overdue);
+            self.len -= Self::drain(&mut self.overdue, SimTime::MAX, due, &mut self.stats);
             if now <= self.cursor {
                 return;
             }
@@ -773,19 +761,9 @@ mod tests {
                 let start = self.cursor.as_nanos() / g;
                 let span = (now.as_nanos() / g - start).min(n - 1);
                 for tick in start..=start + span {
-                    let (entries, min) = &mut self.slots[(tick % n) as usize];
                     self.stats.slots_scanned += 1;
-                    self.stats.entries_examined += entries.len() as u64;
-                    let before = due.len();
-                    entries.retain(|&e| {
-                        if e.0 <= now {
-                            due.push(e);
-                        }
-                        e.0 > now
-                    });
-                    self.stats.fired += (due.len() - before) as u64;
-                    self.len -= due.len() - before;
-                    *min = entries.iter().map(|&(d, _)| d).min();
+                    let entries = &mut self.slots[(tick % n) as usize];
+                    self.len -= Self::drain(entries, now, due, &mut self.stats);
                 }
             }
             self.cursor = now;
@@ -827,6 +805,57 @@ mod tests {
         assert_eq!(a, b, "fire order");
         assert!(wheel.is_empty());
         assert_eq!(wheel.stats(), model.stats);
+    }
+
+    /// Cost, counted: 4 096 wakeups armed in arrival order into one 2 ms
+    /// slot, in runs sharing a deadline — a batch's `now + RTO` wakeups —
+    /// and cancelled oldest first, as their ACKs arrive. Each insert
+    /// compares the slot's last entry and stops; each cancel compares its
+    /// target and nothing beyond, and no slot is rescanned. Armed in
+    /// reverse, each insert walks past exactly the entries due later than
+    /// its own: never more than the slot holds.
+    #[test]
+    fn wheel_slot_walks_cost_what_arming_order_predicts() {
+        const N: u64 = 4096;
+        let probes = || meter::COST.with(|c| c.get().0);
+        let mut w: TimerWheel<u64> = TimerWheel::new(64, SimDuration::from_millis(2));
+        let d = |k: u64| at(50, k / 64);
+        for k in 0..N {
+            let before = probes();
+            w.insert(d(k), k);
+            assert_eq!(probes() - before, k.min(1), "insert {k} compares the tail");
+        }
+        assert_eq!(w.next_deadline(), Some(d(0)));
+        for k in 0..N {
+            let before = probes();
+            assert!(w.remove(d(k), k));
+            assert_eq!(probes() - before, 1, "cancel {k} compares its target only");
+            assert_eq!(w.next_deadline(), (k + 1 < N).then(|| d(k + 1)));
+        }
+        assert!(w.is_empty());
+
+        for k in (0..N).rev() {
+            let before = probes();
+            w.insert(at(50, k), k);
+            let later = N - 1 - k;
+            assert_eq!(
+                probes() - before,
+                later,
+                "walks past the later entries only"
+            );
+            assert_eq!(w.len() as u64, later + 1);
+        }
+        let mut due = Vec::new();
+        w.advance(at(52, 0), &mut due);
+        assert!(
+            due.iter().copied().eq((0..N).map(|k| (at(50, k), k))),
+            "deadline order"
+        );
+        assert_eq!(
+            w.stats().entries_examined,
+            N,
+            "the drain stops at the slot's end"
+        );
     }
 
     use proptest::prelude::*;

@@ -93,6 +93,26 @@ const MIN_RATE_WINDOW: SimDuration = SimDuration::from_millis(1);
 /// on it under another allocator.
 const FIRST_SEND_SLOTS: usize = 4;
 
+/// The earliest of `next_timeout`'s six terms, `None` when all six are.
+/// A fold of two-way minima, because it runs on every poll of every
+/// association and must stay straight-line code: the six in an array
+/// through `flatten().min()` compile to 15 KB with a 1.4 KB stack frame
+/// (`scripts/verify.sh` fails `next_timeout` above 1 KiB).
+fn earliest(
+    a: Option<SimTime>,
+    b: Option<SimTime>,
+    c: Option<SimTime>,
+    d: Option<SimTime>,
+    e: Option<SimTime>,
+    f: Option<SimTime>,
+) -> Option<SimTime> {
+    let min = |x: Option<SimTime>, y: Option<SimTime>| match (x, y) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, None) | (None, x) => x,
+    };
+    min(min(min(a, b), min(c, d)), min(e, f))
+}
+
 /// A configured bound on a 16-bit count: beyond 65 535 it acts as 65 535.
 fn limit16(n: u32) -> u16 {
     u16::try_from(n).unwrap_or(u16::MAX)
@@ -214,14 +234,14 @@ impl SendRings {
     }
 }
 
-/// One `poll`'s output while it is built. Every data TU the poll sends goes
-/// through [`AduTransport::send_tu`].
-struct Emit {
-    frames: Vec<Vec<u8>>,
+/// One `poll`'s output while it is built, appended to the caller's list.
+/// Every data TU the poll sends goes through [`AduTransport::send_tu`].
+struct Emit<'a> {
+    frames: &'a mut Vec<Vec<u8>>,
     /// Data TUs released so far, against `burst_tus`.
     tus: usize,
-    /// Where in `frames` the last released TU sits: the frame a pending
-    /// ACK may ride in.
+    /// Where in `frames` the last released TU sits — past whatever the
+    /// list held on entry: the frame a pending ACK may ride in.
     carrier: Option<usize>,
     /// The RTO base a released TU's retransmission clock starts from.
     base: SimDuration,
@@ -629,6 +649,12 @@ impl AduTransport {
         !self.work_outstanding()
     }
 
+    /// True while this endpoint holds a send block: it has sent, and the
+    /// block was not taken since ([`AduTransport::take_send_rings`]).
+    pub fn holds_send_block(&self) -> bool {
+        self.send.is_some()
+    }
+
     /// Heap bytes of the send block ([`SendRings::heap_bytes`]): zero for
     /// an endpoint that never sent, or whose block was taken.
     pub fn send_ring_bytes(&self) -> usize {
@@ -697,8 +723,16 @@ impl AduTransport {
     ///
     /// Each section is a no-op on its own emptiness test, so a poll with
     /// nothing to do is a handful of compares, and a working one allocates
-    /// only the frames it returns.
+    /// only the frames it returns and the list that holds them.
     pub fn poll(&mut self, now: SimTime) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    /// [`AduTransport::poll`], appending the frames to `out`: a caller that
+    /// keeps one list across polls allocates only the frames.
+    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<Vec<u8>>) {
         // Sender: dead-peer clock. While work is outstanding and the peer
         // is silent past `peer_timeout`, give up *once*: flush everything
         // to loss reports instead of retrying forever.
@@ -747,7 +781,7 @@ impl AduTransport {
         // triggered).
         let base = self.rto_base();
         let mut emit = Emit {
-            frames: Vec::new(),
+            frames: out,
             tus: 0,
             carrier: None,
             base,
@@ -897,7 +931,7 @@ impl AduTransport {
             self.sync_timer(id);
         }
         let Emit {
-            frames: mut out,
+            frames: out,
             carrier,
             ..
         } = emit;
@@ -976,7 +1010,6 @@ impl AduTransport {
                 }
             }
         }
-        out
     }
 
     /// Fire the retransmission deadlines `now` has passed. A fired entry
@@ -1340,8 +1373,7 @@ impl AduTransport {
         };
         let sweep = self.assembler.next_sweep();
         let recompute = self.cold.as_ref().and_then(|c| c.recompute_since);
-        let terms = [retx, pace, probe, dead, sweep, recompute];
-        terms.into_iter().flatten().min()
+        earliest(retx, pace, probe, dead, sweep, recompute)
     }
 
     /// Receiver memory currently invested in partial ADUs.

@@ -307,6 +307,35 @@ fn nack_triggers_selective_recovery() {
     assert_eq!(adu.payload, data);
 }
 
+/// `next_timeout`'s combinator against the array-flatten-min it replaced,
+/// on all 64 Some/None patterns of its six terms: each term the minimum in
+/// turn, pairs tied, and all six tied.
+#[test]
+fn earliest_matches_flatten_min_on_every_pattern() {
+    let orders: [[u64; 6]; 8] = [
+        [1, 2, 3, 4, 5, 6],
+        [6, 5, 4, 3, 2, 1],
+        [2, 1, 3, 4, 5, 6],
+        [3, 4, 1, 2, 6, 5],
+        [4, 3, 2, 1, 6, 5],
+        [5, 6, 4, 3, 1, 2],
+        [2, 2, 1, 1, 3, 3],
+        [7, 7, 7, 7, 7, 7],
+    ];
+    for ms in orders {
+        for mask in 0u32..64 {
+            let t: [Option<SimTime>; 6] =
+                std::array::from_fn(|i| (mask >> i & 1 == 1).then(|| SimTime::from_millis(ms[i])));
+            let want = t.into_iter().flatten().min();
+            assert_eq!(
+                earliest(t[0], t[1], t[2], t[3], t[4], t[5]),
+                want,
+                "{ms:?} mask {mask:06b}"
+            );
+        }
+    }
+}
+
 /// The reassembly sweep reaches the clock. With only the first TU of a
 /// 3-TU ADU held, `next_timeout` names the instant a poll acts at: each of
 /// `nack_frag_rounds` selective NACK rounds, then abandonment with a

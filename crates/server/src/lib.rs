@@ -597,6 +597,10 @@ pub struct AlfServer {
     /// passing a block on allocates nothing.
     #[allow(clippy::vec_box)]
     spare_rings: Vec<Box<SendRings>>,
+    /// The list every poll in [`AlfServer::poll_batch`] appends its frames
+    /// to ([`AduTransport::poll_into`]); emptied into the egress each time,
+    /// so it keeps its block and a poll allocates only its frames.
+    frames: Vec<Vec<u8>>,
     assoc_count: usize,
     batches: u64,
     telemetry: Option<ct_telemetry::Telemetry>,
@@ -628,6 +632,7 @@ impl AlfServer {
             losses: Vec::new(),
             recompute: Vec::new(),
             spare_rings: Vec::new(),
+            frames: Vec::new(),
             assoc_count: 0,
             batches: 0,
             telemetry: None,
@@ -782,9 +787,10 @@ impl AlfServer {
             return Err(SendRefused::PeerUnreachable);
         };
         let ep = shard.endpoint_mut(idx);
-        if let Some(rings) = self.spare_rings.pop() {
-            if let Err(rings) = ep.give_send_rings(rings) {
-                self.spare_rings.push(rings);
+        if !ep.holds_send_block() {
+            if let Some(rings) = self.spare_rings.pop() {
+                ep.give_send_rings(rings)
+                    .expect("a spare send block is empty and the endpoint holds none");
             }
         }
         let id = match ep.send_adu(name, payload) {
@@ -923,11 +929,11 @@ impl AlfServer {
                 let ep = entry_mut(&mut shard.endpoints, at.idx)
                     .as_mut()
                     .expect("live slot holds an endpoint");
-                let frames = ep.poll(now);
+                ep.poll_into(now, &mut self.frames);
                 let mut work = u64::from(slot.delivered);
                 let mut delivered_now = slot.delivered > 0;
                 slot.delivered = 0;
-                for f in frames {
+                for f in self.frames.drain(..) {
                     report.egress_frames += 1;
                     shard.counters.frames_out += 1;
                     work += 1;
@@ -1202,7 +1208,7 @@ impl AlfServer {
                     return Err(format!("clean slot {idx} holds work with no wakeup armed"));
                 }
                 // The poll that found it send-idle took its send block.
-                if ep.send_complete() && ep.send_ring_bytes() > 0 {
+                if ep.send_complete() && ep.holds_send_block() {
                     return Err(format!(
                         "clean slot {idx} is send-idle but holds a send block"
                     ));
@@ -1382,7 +1388,7 @@ impl AlfServer {
         self.shards
             .iter()
             .flat_map(Shard::endpoints)
-            .filter(|ep| ep.send_ring_bytes() > 0)
+            .filter(|ep| ep.holds_send_block())
             .count()
     }
 
@@ -1409,13 +1415,14 @@ impl AlfServer {
     /// endpoint's inline part lives there), each live endpoint's own heap
     /// blocks (the rest of [`AduTransport::approx_mem_bytes`]), the key
     /// index, wheel, dirty and free lists; the shared configuration
-    /// templates; the spare send blocks; the ingress queue and its frames,
-    /// and the delivery, loss and recompute queues. Deterministic (derived from lengths and
-    /// capacities, never allocator internals) so X13 can commit it to a
-    /// gated baseline; `tests/alloc_budget.rs` checks it against what a
-    /// warm server really holds. The payloads of undelivered ADUs and of
-    /// retransmission buffers are views of chunks shared with the
-    /// application, counted by their length.
+    /// templates; the spare send blocks; the poll frame list; the ingress
+    /// queue and its frames, and the delivery, loss and recompute queues.
+    /// Deterministic (derived from lengths and capacities, never allocator
+    /// internals) so X13 can commit it to a gated baseline;
+    /// `tests/alloc_budget.rs` checks it against what a warm server really
+    /// holds. The payloads of undelivered ADUs and of retransmission
+    /// buffers are views of chunks shared with the application, counted by
+    /// their length.
     pub fn approx_mem_bytes(&self) -> usize {
         let mut total = size_of::<Self>() + self.shards.capacity() * size_of::<Shard>();
         for shard in &self.shards {
@@ -1443,6 +1450,7 @@ impl AlfServer {
                 .iter()
                 .map(|r| r.heap_bytes())
                 .sum::<usize>();
+        total += self.frames.capacity() * size_of::<Vec<u8>>();
         total += self.ingress.capacity() * size_of::<(u64, Vec<u8>)>()
             + self
                 .ingress

@@ -44,30 +44,43 @@ if [ "${WALLCLOCK:-0}" = "1" ]; then
     benchmark/run.sh --workload bulk_pair --seed 1990 --seconds 1 --trace 1 > /dev/null
 fi
 
-# Two kernel rules, read off the machine code. DESIGN.md section 7: every
-# instantiation of the keystream block loop lives in the one symbol
-# `XorStream::apply_hosting`, whose multiplies must be scalar `imul` (left to
-# LLVM's vectorisers they become SSE2 `pmuludq` triples at 0.6x the speed).
-# And the fused copy-and-checksum's word loop must stay vectorised: its
-# accumulators are added with SSE2 `paddq`. x86-64 mnemonics, so other hosts
-# skip both. On x86-64 a build that lacks either symbol (inlined away, or
-# mangled otherwise) fails: a kernel the check cannot find is a gate that
-# switched itself off.
+# Two kernel rules and one size, read off the machine code. DESIGN.md
+# section 7: every instantiation of the keystream block loop lives in the one
+# symbol `XorStream::apply_hosting`, whose multiplies must be scalar `imul`
+# (left to LLVM's vectorisers they become SSE2 `pmuludq` triples at 0.6x the
+# speed). The fused copy-and-checksum's word loop must stay vectorised: its
+# accumulators are added with SSE2 `paddq`. And `AduTransport::next_timeout`,
+# which every poll of every association runs, must stay straight-line code
+# within 1 KiB (its six terms in an array through `flatten().min()` compiled
+# to 15 KB). x86-64 mnemonics, so other hosts skip all three. On x86-64 a
+# build that lacks any of the symbols (inlined away, or mangled otherwise)
+# fails: a kernel the check cannot find is a gate that switched itself off.
 if [ "$(uname -m)" = x86_64 ] && command -v objdump > /dev/null; then
     objdump -d --no-show-raw-insn target/release/harness | awk '
+        function hex(s,    i, n) {
+            n = 0
+            for (i = 1; i <= length(s); i++) n = n * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+            return n
+        }
         /^[0-9a-f]+ <.*>:$/ {
             xor = /XorStream13apply_hosting/; xor_found += xor
             sum = /ct_wire5fused17copy_and_checksum/; sum_found += sum
+            nt = /9transport12AduTransport12next_timeout17h/; nt_found += nt
+            if (nt) nt_start = hex($1)
         }
         xor && /imul/ { scalar++ }
         xor && /pmuludq/ { vector++ }
         sum && /paddq/ { paddq++ }
+        nt && /^ *[0-9a-f]+:/ { sub(":", "", $1); nt_bytes = hex($1) - nt_start + 1 }
         END {
             if (!xor_found) { print "scalar-multiply check: no apply_hosting symbol"; exit 1 }
             if (!scalar || vector) { print "apply_hosting: imul " scalar+0 ", pmuludq " vector+0; exit 1 }
             if (!sum_found) { print "vectorised-checksum check: no copy_and_checksum symbol"; exit 1 }
             if (!paddq) { print "copy_and_checksum: no paddq"; exit 1 }
-            print "apply_hosting: imul " scalar ", pmuludq 0; copy_and_checksum: paddq " paddq
+            if (!nt_found) { print "code-size check: no AduTransport::next_timeout symbol"; exit 1 }
+            if (nt_bytes > 1024) { print "AduTransport::next_timeout: " nt_bytes " B > 1024"; exit 1 }
+            print "apply_hosting: imul " scalar ", pmuludq 0; copy_and_checksum: paddq " paddq \
+                "; next_timeout: " nt_bytes " B"
         }'
 else
     echo "machine-code checks skipped: need x86_64 and objdump"

@@ -357,12 +357,13 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
     // Per server: 8 shards x 320, the first endpoint chunk 64 x 408, four
     // slot records x 56, the key index 116, dirty and draining lists 64,
     // the chunk list 96, the shared configuration 136 and its set 52, the
-    // ingress queue 128 — 29 488 — then the client's shard wheel 1 656,
-    // the receiving endpoint's own blocks, 88, and the sender's send block,
-    // 456, which the idle sender handed to the client's spare list, whose
-    // own block is 4 x 8 = 32. (37 896 and 35 720 while each endpoint
-    // held the send side's three headers inline, 504 B, and the spare list
-    // two rings by value.)
+    // ingress queue 128 and the list its polls append frames to 4 x 24 = 96
+    // — 29 584 — then the client's shard wheel 1 656, the receiving
+    // endpoint's own blocks, 88, and the sender's send block, 456, which
+    // the idle sender handed to the client's spare list, whose own block is
+    // 4 x 8 = 32. (31 632 and 29 576 before the frame list; 37 896 and
+    // 35 720 while each endpoint held the send side's three headers inline,
+    // 504 B, and the spare list two rings by value.)
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
     let key = AssocKey { peer: 0, assoc: 1 };
@@ -385,7 +386,7 @@ fn server_association_bytes_are_pinned_and_reported_exactly() {
         (hc, hs),
         "[client, server] approx_mem_bytes"
     );
-    assert_eq!((hc, hs), (31_632, 29_576), "[client, server] bytes held");
+    assert_eq!((hc, hs), (31_728, 29_672), "[client, server] bytes held");
 }
 
 #[test]
@@ -558,19 +559,19 @@ fn one_adu_through_servers(
 
 #[test]
 fn server_adu_round_allocates_only_what_the_api_forces() {
-    // Seven, each forced by a public signature:
-    //   client `poll_batch`  the TU frame and the endpoint's `poll` result
-    //                        `Vec` (both owned by the caller afterwards)  2
+    // Five, each forced by a public signature:
+    //   client `poll_batch`  the TU frame (owned by the caller afterwards) 1
     //   server `poll_batch`  the `WireBuf` chunk header the ingested frame
-    //                        is wrapped in, the `poll` result `Vec`, the
-    //                        ACK frame                                    3
+    //                        is wrapped in, the ACK frame                 2
     //   `take_delivered`     hands its `Vec` to the caller, so the next
     //                        delivery starts a new one                    1
     //   client `poll_batch`  the ACK's chunk header (its ids are read off
     //                        the frame in place)                          1
     // Nothing for the slab, the slot records, the dirty lists, the shard
-    // wheels or the endpoint's rings. (`server_fanin` reports 3.5 per ADU:
-    // there four TUs share each `poll` result, ACK and delivery `Vec`.)
+    // wheels, the endpoint's rings or the list a poll appends its frames to
+    // (`AduTransport::poll_into`: each server keeps one; 7 while every
+    // emitting poll returned a `Vec` of its own). `server_fanin` reports
+    // 2.5 per ADU: there four TUs share each ACK and delivery `Vec`.
     let mut client = AlfServer::new(ServerConfig::default());
     let mut server = AlfServer::new(ServerConfig::default());
     let key = AssocKey { peer: 0, assoc: 1 };
@@ -585,7 +586,7 @@ fn server_adu_round_allocates_only_what_the_api_forces() {
         let (n, ()) = allocs_in(|| {
             one_adu_through_servers(&mut client, &mut server, index, &payload, &mut egress)
         });
-        assert_eq!(n, 7, "single-TU ADU through two AlfServers allocated {n}");
+        assert_eq!(n, 5, "single-TU ADU through two AlfServers allocated {n}");
     }
 }
 
